@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"sort"
 
@@ -81,10 +83,17 @@ func (c *refCache) naive(key string, q *cqapprox.Query, db *cqapprox.Structure) 
 // joined is the print of refJoin's answer set, for databases where
 // NaiveEval takes minutes (it needs over 20 s per projecting query at
 // N=3000).
-func (c *refCache) joined(key string, q *cqapprox.Query, db *cqapprox.Structure) answerPrint {
+func (c *refCache) joined(key string, q *cqapprox.Query, db refDB) answerPrint {
 	if p, ok := c.m[key]; ok {
 		return p
 	}
+	p := joinPrint(q, db)
+	c.m[key] = p
+	return p
+}
+
+// joinPrint is the print of refJoin's answer set of q over db.
+func joinPrint(q *cqapprox.Query, db refDB) answerPrint {
 	var p answerPrint
 	if len(q.Head) == 0 {
 		refJoin(q, db, func([]int) bool { p = boolPrint(true); return false })
@@ -108,7 +117,6 @@ func (c *refCache) joined(key string, q *cqapprox.Query, db *cqapprox.Structure)
 			return true
 		})
 	}
-	c.m[key] = p
 	return p
 }
 
@@ -122,12 +130,68 @@ func queryVars(q *cqapprox.Query) map[string]bool {
 	return vs
 }
 
+// refDB is the reference's own copy of a database: per relation, its
+// tuples and, per argument position, its tuples by the value there. It
+// is built from a *cqapprox.Structure's tuples and shares no code with
+// the engine's storage.
+type refDB map[string]*refRel
+
+type refRel struct {
+	all   [][]int
+	byPos []map[int][][]int
+}
+
+func newRefDB(s *cqapprox.Structure) refDB {
+	db := refDB{}
+	for _, rel := range s.Relations() {
+		for _, t := range s.Tuples(rel) {
+			db.add(rel, t...)
+		}
+	}
+	return db
+}
+
+// add adds the tuple t to rel, which must not hold it yet.
+func (db refDB) add(rel string, t ...int) {
+	r := db[rel]
+	if r == nil {
+		r = &refRel{byPos: make([]map[int][][]int, len(t))}
+		for pos := range r.byPos {
+			r.byPos[pos] = map[int][][]int{}
+		}
+		db[rel] = r
+	}
+	t = slices.Clone(t)
+	r.all = append(r.all, t)
+	for pos, v := range t {
+		r.byPos[pos][v] = append(r.byPos[pos][v], t)
+	}
+}
+
+// remove removes the tuple t from rel, if present.
+func (db refDB) remove(rel string, t ...int) {
+	r := db[rel]
+	if r == nil {
+		return
+	}
+	drop := func(ts [][]int) [][]int {
+		if k := slices.IndexFunc(ts, func(u []int) bool { return slices.Equal(u, t) }); k >= 0 {
+			ts[k] = ts[len(ts)-1]
+			return ts[:len(ts)-1]
+		}
+		return ts
+	}
+	r.all = drop(r.all)
+	for pos, v := range t {
+		r.byPos[pos][v] = drop(r.byPos[pos][v])
+	}
+}
+
 // refJoin enumerates the homomorphisms of q into db by backtracking
-// over the atoms, probing a per-(relation, position) hash index of the
-// database, and calls fn with each homomorphism's head projection
-// (duplicates included) until fn returns false. It shares no code with
-// the engine beyond reading db's tuples.
-func refJoin(q *cqapprox.Query, db *cqapprox.Structure, fn func(head []int) bool) {
+// over the atoms, probing db's per-position index, and calls fn with
+// each homomorphism's head projection (duplicates included) until fn
+// returns false.
+func refJoin(q *cqapprox.Query, db refDB, fn func(head []int) bool) {
 	vars := map[string]int{}
 	id := func(v string) int {
 		if i, ok := vars[v]; ok {
@@ -164,25 +228,10 @@ func refJoin(q *cqapprox.Query, db *cqapprox.Structure, fn func(head []int) bool
 	for k, v := range q.Head {
 		head[k] = id(v)
 	}
-	type index map[int][]cqapprox.Tuple
-	idx := map[string][]index{}
-	probe := func(rel string, pos, val int) []cqapprox.Tuple {
-		ix := idx[rel]
-		if ix == nil {
-			ix = make([]index, db.Arity(rel))
-			idx[rel] = ix
-		}
-		if ix[pos] == nil {
-			ix[pos] = index{}
-			for _, t := range db.Tuples(rel) {
-				ix[pos][t[pos]] = append(ix[pos][t[pos]], t)
-			}
-		}
-		return ix[pos][val]
-	}
 	val := make([]int, len(vars))
 	set := make([]bool, len(vars))
 	out := make([]int, len(head))
+	fresh := make([][]int, len(atoms)) // per atom, the variables it bound
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(atoms) {
@@ -192,22 +241,27 @@ func refJoin(q *cqapprox.Query, db *cqapprox.Structure, fn func(head []int) bool
 			return fn(out)
 		}
 		args := atoms[k]
-		cands := db.Tuples(rels[k])
-		for pos, v := range args {
-			if set[v] {
-				cands = probe(rels[k], pos, val[v])
-				break
+		r := db[rels[k]]
+		if r == nil {
+			return true
+		}
+		cands := r.all
+		for pos, v := range args { // probe the shortest bound position
+			if set[v] && pos < len(r.byPos) {
+				if c := r.byPos[pos][val[v]]; len(c) < len(cands) {
+					cands = c
+				}
 			}
 		}
 		for _, t := range cands {
-			var fresh []int
+			fresh[k] = fresh[k][:0]
 			ok := len(t) == len(args)
 			for pos := 0; ok && pos < len(args); pos++ {
 				v := args[pos]
 				switch {
 				case !set[v]:
 					set[v], val[v] = true, t[pos]
-					fresh = append(fresh, v)
+					fresh[k] = append(fresh[k], v)
 				case val[v] != t[pos]:
 					ok = false
 				}
@@ -215,7 +269,7 @@ func refJoin(q *cqapprox.Query, db *cqapprox.Structure, fn func(head []int) bool
 			if ok && !rec(k+1) {
 				return false
 			}
-			for _, v := range fresh {
+			for _, v := range fresh[k] {
 				set[v] = false
 			}
 		}
@@ -238,95 +292,37 @@ func queryText(q *cqapprox.Query) string {
 	return c.String()
 }
 
-// layerMetrics lists every per-layer metric with its unit, in the
-// order of BENCHMARK.json. A traced run reports all of them; a layer
-// the workload never reaches reports 0 (README.md lists which
-// workload owns which metric).
-var layerMetrics = []struct{ name, unit string }{
-	{"server.handler_us", "us"},
-	{"client.transport_us", "us"},
-	{"server.glue_us", "us"},
-	{"api.decode_us", "us"},
-	{"cq.parse_us", "us"},
-	{"engine.lookup_us", "us"},
-	{"engine.db_resolve_us", "us"},
-	{"engine.bind_us", "us"},
-	{"eval.exec_us", "us"},
-	{"api.wire_us", "us"},
-	{"api.encode_us", "us"},
-	{"eval.exec_allocs", "count"},
-	{"api.wire_allocs", "count"},
-	{"engine.cache_hit_ratio", "fraction"},
-	{"server.admission_rejects", "count"},
-
-	{"exec.eval_snap_us", "us"},
-	{"exec.eval_inline_us", "us"},
-	{"exec.bool_us", "us"},
-	{"exec.count_dp_us", "us"},
-	{"exec.count_project_us", "us"},
-	{"exec.topk_us", "us"},
-	{"exec.eval_snap_share", "fraction"},
-	{"exec.eval_inline_share", "fraction"},
-	{"exec.bool_share", "fraction"},
-	{"exec.count_dp_share", "fraction"},
-	{"exec.count_project_share", "fraction"},
-	{"exec.topk_share", "fraction"},
-	{"eval.semijoin_down_us", "us"},
-	{"eval.semijoin_up_us", "us"},
-	{"eval.join_us", "us"},
-	{"eval.project_us", "us"},
-	{"eval.dedup_us", "us"},
-	{"eval.count_us", "us"},
-	{"eval.live_row_frac", "fraction"},
-	{"eval.inline_source_us", "us"},
-	{"relstr.index_builds_per_op", "count"},
-	{"relstr.index_hit_ratio", "fraction"},
-	{"count.samples_per_op", "count"},
-	{"count.batches_per_op", "count"},
-	{"eval.rank_fallbacks", "count"},
-
-	{"hom.minimize_us", "us"},
-	{"core.search_us", "us"},
-	{"core.search_us.tw1", "us"},
-	{"core.search_us.tw2", "us"},
-	{"core.search_us.ac", "us"},
-	{"core.search_us.htw2", "us"},
-	{"eval.plan_us", "us"},
-	{"eval.first_eval_us", "us"},
-	{"core.candidates_per_op", "count"},
-	{"core.approx_yield", "fraction"},
-
-	{"client.write_ack_us", "us"},
-	{"server.notify_lag_us", "us"},
-	{"engine.apply_us", "us"},
-	{"eval.advance_us", "us"},
-	{"eval.incr_fallback_frac", "fraction"},
-	{"eval.read_after_write_us", "us"},
-	{"relstr.index_builds_per_write", "count"},
-
-	{"runtime.gc_cpu_frac", "fraction"},
-	{"trace.overhead_frac", "fraction"},
-}
-
-// completeLayers checks ms against layerMetrics and adds a 0 for every
-// layer metric the workload does not measure.
-func completeLayers(ms []metric) []metric {
-	have := map[string]bool{}
-	units := map[string]string{}
-	for _, l := range layerMetrics {
-		units[l.name] = l.unit
+// completeLayers checks ms against the per_layer list of
+// BENCHMARK.json, read from the working directory (the repository
+// root), and adds a 0 for every layer metric the workload does not
+// measure (README.md lists which workload owns which metric).
+func completeLayers(ms []metric) ([]metric, error) {
+	b, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		return nil, err
 	}
+	var spec struct {
+		PerLayer []struct{ Name, Unit string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(b, &spec); err != nil {
+		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	units := map[string]string{}
+	for _, l := range spec.PerLayer {
+		units[l.Name] = l.Unit
+	}
+	have := map[string]bool{}
 	for _, m := range ms {
 		if units[m.Name] != m.Unit {
-			panic(fmt.Sprintf("perfbench: layer metric %s with unit %q is not declared as such", m.Name, m.Unit))
+			return nil, fmt.Errorf("layer metric %s with unit %q is not in BENCHMARK.json as such", m.Name, m.Unit)
 		}
 		have[m.Name] = true
 	}
-	for _, l := range layerMetrics {
-		if !have[l.name] {
-			ms = append(ms, metric{l.name, 0, l.unit})
+	for _, l := range spec.PerLayer {
+		if !have[l.Name] {
+			ms = append(ms, metric{l.Name, 0, l.Unit})
 		}
 	}
 	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
-	return ms
+	return ms, nil
 }

@@ -61,8 +61,8 @@ func TestCorruptedExpectationFails(t *testing.T) {
 			}
 			switch in := inst.(type) {
 			case *serveBench:
-				for _, db := range in.dbs {
-					removeFacts(db, "E", -1)
+				for _, w := range in.wire {
+					delete(w, "E")
 				}
 			case *execBench:
 				removeFacts(in.raw, "R1", 1)
@@ -71,7 +71,19 @@ func TestCorruptedExpectationFails(t *testing.T) {
 					in.pairs[k].golden = cqapprox.MustParse("Q() :- E(x,y), E(y,z), E(z,x)")
 				}
 			case *updateBench:
-				removeFacts(in.raw, "E", -1)
+				// Op 0 is not a checkpoint; its read is still checked.
+				in.outs[0].sum++
+				if bad := inst.check(); len(bad) != 1 || bad[0] != 0 {
+					t.Fatalf("wrong read at op 0: check reported %v", bad)
+				}
+				in.outs[0].sum--
+				base := liveBase
+				defer func() { liveBase = base }()
+				liveBase = func() *cqapprox.Structure {
+					db := base()
+					removeFacts(db, "E", -1)
+					return db
+				}
 			}
 			if bad := inst.check(); len(bad) == 0 {
 				t.Fatal("corrupted expectation reported no failure")

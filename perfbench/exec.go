@@ -174,6 +174,10 @@ func setupExec(seed int64, nOps, phases int, traced bool) (instance, error) {
 func (e *execBench) workers() int { return 1 }
 func (e *execBench) close()       {}
 
+func (e *execBench) heldBytes() int {
+	return sliceBytes(e.ops) + sliceBytes(e.outs) + sliceBytes(e.ests)
+}
+
 func (e *execBench) begin(traced bool) {
 	if !traced {
 		return
@@ -276,8 +280,9 @@ func seqPrint(a cqapprox.Answers) answerPrint {
 
 func (e *execBench) check() []int {
 	refs := newRefCache()
-	ref := func(q *execQuery) answerPrint { return refs.joined(q.key, q.p.Approx(), e.raw) }
-	topk := [2]answerPrint{refTopK(e.topk.p.Approx(), e.raw, false), refTopK(e.topk.p.Approx(), e.raw, true)}
+	db := newRefDB(e.raw)
+	ref := func(q *execQuery) answerPrint { return refs.joined(q.key, q.p.Approx(), db) }
+	topk := [2]answerPrint{refTopK(e.topk.p.Approx(), db, false), refTopK(e.topk.p.Approx(), db, true)}
 	var bad []int
 	for i, op := range e.ops {
 		var want answerPrint
@@ -312,7 +317,7 @@ func (e *execBench) check() []int {
 
 // refTopK is the sequence print of the first execTopK answers of the
 // full query q on db in lexicographic head order (descending if desc).
-func refTopK(q *cqapprox.Query, db *cqapprox.Structure, desc bool) answerPrint {
+func refTopK(q *cqapprox.Query, db refDB, desc bool) answerPrint {
 	less := func(a, b []int) bool {
 		if desc {
 			return slices.Compare(a, b) > 0

@@ -51,6 +51,9 @@ type instance interface {
 	check() []int
 	// layers returns the per-layer metrics of the traced phase p.
 	layers(p *phase) []metric
+	// heldBytes is the size of the per-op inputs and outputs the
+	// benchmark holds for check, which heap_live_mb leaves out.
+	heldBytes() int
 	close()
 }
 
@@ -63,7 +66,7 @@ var workloads = map[string]spec{
 
 // setupReps is how many times a run builds its workload; setup_s is
 // the median, and the last build is the one measured.
-const setupReps = 7
+const setupReps = 11
 
 type metric struct {
 	Name  string
@@ -120,7 +123,9 @@ func run(name string, w spec, seed int64, seconds float64, traced bool) (*result
 	}
 	fmt.Printf("# perfbench workload=%s seed=%d seconds=%g trace=%t ops_per_phase=%d\n", name, seed, seconds, traced, nOps)
 
-	var setups []float64
+	// setups holds each set-up's process CPU seconds, setupWall its
+	// elapsed seconds.
+	var setups, setupWall []float64
 	var inst instance
 	for r := 0; r < setupReps; r++ {
 		if inst != nil {
@@ -128,19 +133,20 @@ func run(name string, w spec, seed int64, seconds float64, traced bool) (*result
 			inst = nil
 		}
 		runtime.GC()
-		t0 := time.Now()
+		t0, c0 := time.Now(), processCPU()
 		in, err := w.setup(seed, nOps, phases, traced)
 		if err != nil {
 			return nil, fmt.Errorf("setup: %w", err)
 		}
-		setups = append(setups, time.Since(t0).Seconds())
+		setups = append(setups, (processCPU() - c0).Seconds())
+		setupWall = append(setupWall, time.Since(t0).Seconds())
 		inst = in
 	}
 	defer inst.close()
 
 	steal0 := readSteal()
 	base := runPhase(inst, 0, nOps, false)
-	heapMB := liveHeapMB()
+	heapMB := liveHeapMB() - float64(inst.heldBytes()+base.heldBytes())/1e6
 	var tr *phase
 	if traced {
 		tr = runPhase(inst, nOps, nOps, true)
@@ -156,12 +162,13 @@ func run(name string, w spec, seed int64, seconds float64, traced bool) (*result
 	attempted := nOps * phases
 	failed := min(attempted, len(bad)+errs)
 
-	fmt.Printf("# host nproc=%d gomaxprocs=%d go=%s cpu_us_per_op=%.1f steal_share=%.4f\n", runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), base.cpuUSPerOp(), steal)
-	// lat_p95_us and failed_frac are reported here, outside the metrics
-	// object: p95 moves with the host's steal share by more than any
-	// bound a regression gate could use, and failed_frac is 0 on a
-	// correct commit (README.md).
-	fmt.Printf("# lat_p95_us=%.3f samples=%d beyond_p95=%d failed_frac=%g setup_runs=%v\n", base.quantileUS(0.95), len(base.lat), len(base.lat)-1-min(len(base.lat)-1, int(0.95*float64(len(base.lat)))), float64(failed)/float64(attempted), setups)
+	fmt.Printf("# host nproc=%d gomaxprocs=%d go=%s steal_share=%.4f\n", runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), steal)
+	// The wall-clock metrics and failed_frac are reported here, outside
+	// the metrics object: wall time moves with the host's steal share by
+	// more than any bound a regression gate could use, and failed_frac
+	// is 0 on a correct commit (README.md).
+	fmt.Printf("# wall ops_per_s=%.3f lat_p50_us=%.3f lat_p95_us=%.3f samples=%d beyond_p95=%d setup_wall_s=%.4f\n", base.opsPerSec(w.window), base.quantileUS(0.50), base.quantileUS(0.95), len(base.lat), len(base.lat)-1-min(len(base.lat)-1, int(0.95*float64(len(base.lat)))), median(setupWall))
+	fmt.Printf("# failed_frac=%g setup_cpu_runs=%.4f setup_wall_runs=%.4f\n", float64(failed)/float64(attempted), setups, setupWall)
 	for _, p := range []*phase{base, tr} {
 		if p != nil && p.firstErr != nil {
 			fmt.Printf("# first error of %d in a phase: %v\n", p.errs, p.firstErr)
@@ -172,15 +179,17 @@ func run(name string, w spec, seed int64, seconds float64, traced bool) (*result
 	}
 
 	var ms []metric
+	var err error
 	if traced {
 		ms = inst.layers(tr)
 		ms = append(ms, metric{"trace.overhead_frac", 1 - tr.opsPerSec(w.window)/base.opsPerSec(w.window), "fraction"})
-		ms = completeLayers(ms)
+		if ms, err = completeLayers(ms); err != nil {
+			return nil, err
+		}
 	} else {
 		ms = []metric{
 			{"setup_s", median(setups), "s"},
-			{"ops_per_s", base.opsPerSec(w.window), "1/s"},
-			{"lat_p50_us", base.quantileUS(0.50), "us"},
+			{"cpu_us_per_op", float64(base.cpu.Nanoseconds()) / 1e3 / float64(nOps), "us"},
 			{"allocs_per_op", float64(base.mallocs) / float64(nOps), "count"},
 			{"alloc_kb_per_op", float64(base.bytes) / 1024 / float64(nOps), "KiB"},
 			{"heap_live_mb", heapMB, "MB"},

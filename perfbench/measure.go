@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 // phase is one timed pass over a fixed slice of the op list.
@@ -23,7 +24,7 @@ type phase struct {
 	gcCPU    float64 // share of process CPU time spent in the GC
 	errs     int
 	firstErr error
-	cpu      time.Duration // process CPU time (user+system)
+	cpu      time.Duration // process CPU time, all threads
 }
 
 // runPhase runs ops [first, first+n) on inst.workers() goroutines,
@@ -36,7 +37,7 @@ func runPhase(inst instance, first, n int, traced bool) *phase {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	cpu0 := readCPUClasses()
-	ru0 := rusageCPU()
+	ru0 := processCPU()
 	var next, errs atomic.Int64
 	var errOnce sync.Once
 	var wg sync.WaitGroup
@@ -62,7 +63,7 @@ func runPhase(inst instance, first, n int, traced bool) *phase {
 	}
 	wg.Wait()
 	cpu1 := readCPUClasses()
-	p.cpu = rusageCPU() - ru0
+	p.cpu = processCPU() - ru0
 	runtime.ReadMemStats(&m1)
 	p.mallocs = m1.Mallocs - m0.Mallocs
 	p.bytes = m1.TotalAlloc - m0.TotalAlloc
@@ -138,8 +139,19 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-// liveHeapMB is the live heap after a forced GC, in MB.
+func (p *phase) heldBytes() int { return sliceBytes(p.lat) + sliceBytes(p.end) }
+
+// sliceBytes is the size of s's backing array.
+func sliceBytes[T any](s []T) int {
+	var z T
+	return cap(s) * int(unsafe.Sizeof(z))
+}
+
+// liveHeapMB is the live heap after two forced GCs, in MB. The second
+// GC empties the sync.Pool victim caches, which the first only moves
+// there, so pooled buffers do not count.
 func liveHeapMB() float64 {
+	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
@@ -206,10 +218,11 @@ func (t stealTicks) shareSince(t0 stealTicks) float64 {
 	return ratio(float64(t.steal-t0.steal), float64(t.total-t0.total))
 }
 
-func rusageCPU() time.Duration {
+// processCPU is the process's CPU time, user plus system, over all its
+// threads. A virtual CPU's stolen time is not charged to the threads
+// that were waiting to run, so it excludes the host's steal.
+func processCPU() time.Duration {
 	var ru syscall.Rusage
 	syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
-
-func (p *phase) cpuUSPerOp() float64 { return float64(p.cpu.Microseconds()) / float64(p.n) }

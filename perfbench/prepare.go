@@ -123,6 +123,14 @@ func setupPrepare(seed int64, nOps, phases int, traced bool) (instance, error) {
 func (e *prepBench) workers() int { return 1 }
 func (e *prepBench) close()       {}
 
+func (e *prepBench) heldBytes() int {
+	n := sliceBytes(e.ops) + sliceBytes(e.outs) + sliceBytes(e.apx)
+	for _, a := range e.apx {
+		n += len(a)
+	}
+	return n
+}
+
 func (e *prepBench) begin(traced bool) {
 	e.phaseNS = map[string]int64{}
 	e.searchByClass = map[string]int64{}

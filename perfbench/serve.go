@@ -55,7 +55,6 @@ type serveBench struct {
 	ts      *httptest.Server
 	tr      *http.Transport
 	cl      *client.Client
-	dbs     []*cqapprox.Structure
 	wire    []api.Database
 	queries []serveQuery
 	ops     []serveOp
@@ -87,7 +86,6 @@ func (s *serveBench) name(d int) string { return fmt.Sprintf("g%d", d) }
 
 func setupServe(seed int64, nOps, phases int, traced bool) (instance, error) {
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(seed))
 	s := &serveBench{eng: cqapprox.NewEngine(), queries: serveQueries()}
 	s.srv = server.New(s.eng, server.Config{}) // no Logger: request logging off
 	var h http.Handler = s.srv.Handler()
@@ -109,14 +107,16 @@ func setupServe(seed int64, nOps, phases int, traced bool) (instance, error) {
 	s.tr.MaxConnsPerHost, s.tr.MaxIdleConnsPerHost = 2, 2
 	s.cl = client.NewWith(s.ts.URL, client.Options{Transport: s.tr})
 
+	// The graphs are fixed, like the op multiset: with seeded graphs the
+	// cost of the mix, and the set-up time, moved with the seed.
+	dbRng := rand.New(rand.NewSource(40))
 	for d := 0; d < serveDBs; d++ {
-		db := workload.RandomSocial(rng, serveNodes, 3, 0.3)
-		tern := workload.RandomTernary(rng, serveNodes, 2*serveNodes)
+		db := workload.RandomSocial(dbRng, serveNodes, 3, 0.3)
+		tern := workload.RandomTernary(dbRng, serveNodes, 2*serveNodes)
 		db.Declare("R", 3)
 		for _, t := range tern.Tuples("R") {
 			db.Add("R", t...)
 		}
-		s.dbs = append(s.dbs, db)
 		w := api.Database{}
 		for _, rel := range db.Relations() {
 			for _, t := range db.Tuples(rel) {
@@ -129,10 +129,17 @@ func setupServe(seed int64, nOps, phases int, traced bool) (instance, error) {
 			return nil, err
 		}
 	}
+	// Per op kind, the ops cycle through every (query, database) pair;
+	// the seed orders the ops within each block.
+	rng := rand.New(rand.NewSource(seed))
 	total := nOps * phases
+	var next [opInline + 1]int
 	for len(s.ops) < total {
 		for _, k := range rng.Perm(len(serveBlock)) {
-			s.ops = append(s.ops, serveOp{kind: serveBlock[k], q: rng.Intn(len(s.queries)), d: rng.Intn(serveDBs)})
+			kind := serveBlock[k]
+			n := next[kind]
+			next[kind]++
+			s.ops = append(s.ops, serveOp{kind: kind, q: n % len(s.queries), d: n / len(s.queries) % serveDBs})
 		}
 	}
 	s.outs = make([]answerPrint, total)
@@ -160,6 +167,8 @@ func (s *serveBench) evalReq(op serveOp) api.EvalRequest {
 }
 
 func (s *serveBench) workers() int { return 2 }
+
+func (s *serveBench) heldBytes() int { return sliceBytes(s.ops) + sliceBytes(s.outs) }
 
 func (s *serveBench) close() {
 	if s.ts != nil {
@@ -215,9 +224,19 @@ func (s *serveBench) check() []int {
 			approx[k] = p.Approx()
 		}
 	}
+	// The reference databases are rebuilt from the wire form the client
+	// registered, so the run holds no second copy of them.
+	dbs := make([]*cqapprox.Structure, len(s.wire))
+	for d, w := range s.wire {
+		db, err := w.ToStructure()
+		if err != nil {
+			return allOps(len(s.ops))
+		}
+		dbs[d] = db
+	}
 	var bad []int
 	for i, op := range s.ops {
-		ref := refs.naive(fmt.Sprintf("%d/%d", op.q, op.d), approx[op.q], s.dbs[op.d])
+		ref := refs.naive(fmt.Sprintf("%d/%d", op.q, op.d), approx[op.q], dbs[op.d])
 		want := ref
 		switch op.kind {
 		case opBool:

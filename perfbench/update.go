@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"time"
 
 	"cqapprox"
@@ -25,6 +26,11 @@ const (
 	liveChain       = "Q(x0) :- E(x0,x1), E(x1,x2), E(x2,x3)"
 	liveCheckpoints = 4 // checked subscriber states per phase, the last at its end
 )
+
+// liveBase builds the database the workload starts from. It is
+// deterministic, so the reference replays rebuild it instead of the
+// benchmark holding a second copy through the run.
+var liveBase = func() *cqapprox.Structure { return workload.EvalBenchDB(3000) }
 
 var liveRead = queryText(workload.CycleQueryFree(4)) // read after each write, approximated into TW1
 
@@ -46,7 +52,6 @@ type updateBench struct {
 	ts         *httptest.Server
 	wtr, str   *http.Transport
 	writer     *client.Client
-	raw        *cqapprox.Structure // contents before the first op
 	ops        []updOp
 	frames     chan frameEvent
 	stop       context.CancelFunc
@@ -63,9 +68,10 @@ type updateBench struct {
 func setupUpdate(seed int64, nOps, phases int, traced bool) (instance, error) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
-	u := &updateBench{eng: cqapprox.NewEngine(), raw: workload.EvalBenchDB(3000)}
+	u := &updateBench{eng: cqapprox.NewEngine()}
+	raw := liveBase()
 	total := nOps * phases
-	u.genOps(rng, total)
+	u.genOps(rng, raw, total)
 	u.checkpoint = map[int]bool{}
 	for ph := 0; ph < phases; ph++ {
 		for c := 1; c <= liveCheckpoints; c++ {
@@ -89,8 +95,8 @@ func setupUpdate(seed int64, nOps, phases int, traced bool) (instance, error) {
 	u.wtr, u.writer = conn()
 	u.str, sub = conn()
 	w := api.Database{}
-	for _, rel := range u.raw.Relations() {
-		for _, t := range u.raw.Tuples(rel) {
+	for _, rel := range raw.Relations() {
+		for _, t := range raw.Tuples(rel) {
 			w[rel] = append(w[rel], []int(t))
 		}
 	}
@@ -138,11 +144,11 @@ func setupUpdate(seed int64, nOps, phases int, traced bool) (instance, error) {
 
 // genOps draws the op sequence: each op inserts an edge absent at that
 // point and deletes a present one, so E keeps its size.
-func (u *updateBench) genOps(rng *rand.Rand, total int) {
+func (u *updateBench) genOps(rng *rand.Rand, raw *cqapprox.Structure, total int) {
 	n := 3000
 	present := map[edge]bool{}
 	var edges []edge
-	for _, t := range u.raw.Tuples("E") {
+	for _, t := range raw.Tuples("E") {
 		e := edge{t[0], t[1]}
 		present[e] = true
 		edges = append(edges, e)
@@ -162,6 +168,11 @@ func (u *updateBench) genOps(rng *rand.Rand, total int) {
 }
 
 func (u *updateBench) workers() int { return 1 }
+
+func (u *updateBench) heldBytes() int {
+	return sliceBytes(u.ops) + sliceBytes(u.outs) + sliceBytes(u.subState) +
+		sliceBytes(u.ack) + sliceBytes(u.lag) + sliceBytes(u.read)
+}
 
 func (u *updateBench) close() {
 	if u.stop != nil {
@@ -221,30 +232,45 @@ func (u *updateBench) do(i int, traced bool) error {
 	return nil
 }
 
-// check replays the ops on a copy of the initial database and, at each
-// checkpoint, compares the subscriber's answer set and the
-// read-after-write answers with a fresh reference evaluation.
+// check replays the ops on a fresh copy of the initial database. After
+// every op it compares the read-after-write answers with a reference
+// evaluation of the read's approximation. At each checkpoint it also
+// compares the subscriber's accumulated answer set with a reference
+// evaluation of chain3; that set sums every diff frame before it, so a
+// wrong frame in between shows there too. Two goroutines check half of
+// the ops each.
 func (u *updateBench) check() []int {
 	p, err := cqapprox.NewEngine().Prepare(context.Background(), cqapprox.MustParse(liveRead), cqapprox.TW(1))
 	if err != nil {
 		return allOps(len(u.ops))
 	}
 	chain := cqapprox.MustParse(liveChain)
-	db := u.raw.Clone()
-	refs := newRefCache()
-	var bad []int
-	for i, op := range u.ops {
-		db.Add("E", op.ins[:]...)
-		db.Remove("E", op.del[:]...)
-		if !u.checkpoint[i] {
-			continue
-		}
-		key := fmt.Sprint(i)
-		if u.subState[i] != refs.joined("sub"+key, chain, db) || u.outs[i] != refs.joined("read"+key, p.Approx(), db) {
-			bad = append(bad, i)
-		}
+	var halves [2][]int
+	var wg sync.WaitGroup
+	for h := range halves {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := h*len(u.ops)/2, (h+1)*len(u.ops)/2
+			db := newRefDB(liveBase())
+			for i, op := range u.ops[:hi] {
+				db.add("E", op.ins[:]...)
+				db.remove("E", op.del[:]...)
+				if i < lo {
+					continue
+				}
+				ok := u.outs[i] == joinPrint(p.Approx(), db)
+				if u.checkpoint[i] {
+					ok = ok && u.subState[i] == joinPrint(chain, db)
+				}
+				if !ok {
+					halves[h] = append(halves[h], i)
+				}
+			}
+		}()
 	}
-	return bad
+	wg.Wait()
+	return append(halves[0], halves[1]...)
 }
 
 func (u *updateBench) layers(p *phase) []metric {
@@ -280,7 +306,7 @@ func (u *updateBench) layers(p *phase) []metric {
 // the index builds the advance and the read after each delete cause.
 func (u *updateBench) replayTwin(first, n int) ([]metric, error) {
 	ctx := context.Background()
-	db := u.raw.Clone()
+	db := liveBase()
 	for _, op := range u.ops[:first] {
 		db.Add("E", op.ins[:]...)
 		db.Remove("E", op.del[:]...)
