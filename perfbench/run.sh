@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Builds the benchmark from source and runs it. Run from the repository
 # root: bash perfbench/run.sh --workload <name> --seed <n> --seconds <s> --trace <0|1>
-# Build outputs and the Go build cache stay under .bench_build/.
+# Build outputs, the Go build cache and its temporary files stay under
+# .bench_build/.
 set -euo pipefail
 root="$(pwd)"
 out="$root/.bench_build"
-mkdir -p "$out"
-export GOCACHE="$out/gocache" GOMODCACHE="$out/gomodcache" XDG_CONFIG_HOME="$out/config"
+mkdir -p "$out/tmp"
+export GOCACHE="$out/gocache" GOMODCACHE="$out/gomodcache" XDG_CONFIG_HOME="$out/config" GOTMPDIR="$out/tmp"
 export GOTOOLCHAIN=local
 (cd "$root/perfbench" && go build -o "$out/perfbench" .) >&2
 exec "$out/perfbench" "$@"
