@@ -184,13 +184,14 @@ func BenchmarkParallelEval(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bound := p.Bind(d).Parallel(workers)
-			if _, err := bound.Eval(ctx); err != nil { // warm the snapshot caches
+			bound := p.Bind(d)
+			opts := []EvalOption{WithEvalParallelism(workers)}
+			if _, err := bound.Eval(ctx, opts...); err != nil { // warm the snapshot caches
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%s/N%d", c.Name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := bound.Eval(ctx); err != nil {
+					if _, err := bound.Eval(ctx, opts...); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -9,7 +9,7 @@
 //	cqapprox approx   -q "..." -class TW1 [-all] [-timeout 30s] [-json]
 //	cqapprox explain  -q "..." [-class TW1] [-timeout 30s] [-json]
 //	cqapprox check    -q "..." -cand "..." -class AC
-//	cqapprox eval     -q "..." -db graph.txt [-engine auto|naive|yannakakis|td]
+//	cqapprox eval     -q "..." -db graph.txt
 //	                  [-class TW1] [-db-register name] [-stream] [-parallel 8]
 //	                  [-order z,x] [-desc] [-limit 10]
 //	                  [-trace] [-timeout 30s] [-json]
@@ -362,7 +362,6 @@ func cmdEval(args []string) error {
 	src := fs.String("q", "", "query in rule notation")
 	dbPath := fs.String("db", "", "database file (one fact per line)")
 	dbRegister := fs.String("db-register", "", "register the database under this name and evaluate against the registered snapshot (persistent shared indexes, as cqapproxd's eval-by-name does)")
-	engineName := fs.String("engine", "auto", "auto|naive|yannakakis|td")
 	className := fs.String("class", "", "evaluate the query's C-approximation instead (e.g. TW1, AC)")
 	stream := fs.Bool("stream", false, "print answers as they are found (discovery order)")
 	parallel := fs.Int("parallel", 1, "evaluation worker budget (morsel-driven parallel eval; <= 1 serial)")
@@ -381,18 +380,6 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *stream && *engineName != "auto" {
-		return fmt.Errorf("-stream requires -engine auto (streaming runs through the prepared plan)")
-	}
-	if *dbRegister != "" && *engineName != "auto" {
-		return fmt.Errorf("-db-register requires -engine auto (snapshot evaluation runs through the prepared plan)")
-	}
-	if *parallel > 1 && *engineName != "auto" {
-		return fmt.Errorf("-parallel requires -engine auto (parallel evaluation runs through the prepared plan)")
-	}
-	if *trace && *engineName != "auto" {
-		return fmt.Errorf("-trace requires -engine auto (tracing runs through the prepared plan)")
-	}
 	if *trace && *stream {
 		return fmt.Errorf("-trace is incompatible with -stream (the trace is complete only after the last answer)")
 	}
@@ -400,9 +387,6 @@ func cmdEval(args []string) error {
 		return fmt.Errorf("-stream requires a non-Boolean query (a Boolean query has a single true/false answer)")
 	}
 	ranked := *order != "" || *desc || *limit != 0
-	if ranked && *engineName != "auto" {
-		return fmt.Errorf("-order, -desc and -limit require -engine auto (ranked evaluation runs through the prepared plan)")
-	}
 	if ranked && *trace {
 		return fmt.Errorf("-trace is incompatible with -order, -desc and -limit")
 	}
@@ -429,9 +413,7 @@ func cmdEval(args []string) error {
 	ctx, cancel := withTimeout(*timeout)
 	defer cancel()
 
-	// -class swaps the query for its prepared C-approximation before
-	// any engine runs.
-	target := q
+	// -class swaps the query for its prepared C-approximation.
 	var p *cqapprox.PreparedQuery
 	if *className != "" {
 		c, err := classFromName(*className)
@@ -441,52 +423,14 @@ func cmdEval(args []string) error {
 		if p, err = engine.Prepare(ctx, q, c); err != nil {
 			return err
 		}
-		target = p.Approx()
 		if !*jsonOut { // the comment line would corrupt machine-readable output
-			how := "plan: " + p.PlanMode()
-			if *engineName != "auto" {
-				how = "engine: " + *engineName
-			}
-			fmt.Printf("# evaluating %s-approximation %v (%s)\n", c.Name(), target, how)
+			fmt.Printf("# evaluating %s-approximation %v (plan: %s)\n", c.Name(), p.Approx(), p.PlanMode())
 		}
-	}
-
-	// Explicitly chosen engines bypass the prepared plan but still
-	// honour -class (via target) and -timeout (via ctx).
-	switch *engineName {
-	case "auto":
-	case "naive":
-		ans, err := cqapprox.NaiveEvalCtx(ctx, target, db)
-		if err != nil {
-			return err
-		}
-		return printAnswers(target, ans, *jsonOut)
-	case "yannakakis":
-		ans, err := cqapprox.YannakakisCtx(ctx, target, db)
-		if err != nil {
-			return err
-		}
-		return printAnswers(target, ans, *jsonOut)
-	case "td":
-		ans, err := cqapprox.EvalByTreeDecompositionCtx(ctx, target, db)
-		if err != nil {
-			return err
-		}
-		return printAnswers(target, ans, *jsonOut)
-	default:
-		return fmt.Errorf("unknown engine %q", *engineName)
-	}
-
-	if p == nil {
-		if p, err = engine.PrepareExact(ctx, q); err != nil {
-			return err
-		}
+	} else if p, err = engine.PrepareExact(ctx, q); err != nil {
+		return err
 	}
 	if *parallel > 1 {
 		evalOpts = append(evalOpts, cqapprox.WithEvalParallelism(*parallel))
-		// The trace entry points carry no option surface, so the worker
-		// budget reaches them through the (deprecated) parallel view.
-		p = p.Parallel(*parallel)
 	}
 	// -db-register snapshots the file into the engine's registry and
 	// evaluates through the snapshot's persistent indexes — the same
@@ -535,9 +479,9 @@ func cmdEval(args []string) error {
 		)
 		switch {
 		case *trace && bound != nil:
-			ok, tr, err = bound.EvalBoolTrace(ctx)
+			ok, tr, err = bound.EvalBoolTrace(ctx, evalOpts...)
 		case *trace:
-			ok, tr, err = p.EvalBoolTrace(ctx, db)
+			ok, tr, err = p.EvalBoolTrace(ctx, db, evalOpts...)
 		case bound != nil:
 			ok, err = bound.EvalBool(ctx, evalOpts...)
 		default:
@@ -561,9 +505,9 @@ func cmdEval(args []string) error {
 	)
 	switch {
 	case *trace && bound != nil:
-		ans, tr, err = bound.EvalTrace(ctx)
+		ans, tr, err = bound.EvalTrace(ctx, evalOpts...)
 	case *trace:
-		ans, tr, err = p.EvalTrace(ctx, db)
+		ans, tr, err = p.EvalTrace(ctx, db, evalOpts...)
 	case bound != nil:
 		ans, err = bound.Eval(ctx, evalOpts...)
 	default:

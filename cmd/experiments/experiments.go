@@ -336,9 +336,7 @@ func expProp55() error {
 		span := spanningForest(g)
 		aq := cq.FromTableau(span, nil, nil)
 		t0 = time.Now()
-		if _, err := eval.YannakakisBool(aq, db); err != nil {
-			return err
-		}
+		eval.EvalBool(aq, db)
 		ta := time.Since(t0)
 		fmt.Printf("%6d %22s %8v %14s %14s\n",
 			n, kind, holds, te.Round(time.Microsecond), ta.Round(time.Microsecond))

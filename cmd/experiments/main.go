@@ -67,7 +67,7 @@ func main() {
 		{"cor43", "Cor 4.3: single-exponential compute cost", true, expCor43},
 		{"higherarity", "Props 5.13–5.15: beyond graphs", false, expHigherArity},
 		{"cor65", "Cor 6.3/6.5: hypergraph-based sizes", false, expCor65},
-		{"indexedjoin", "E19: indexed join runtime speedup", true, expIndexedJoin},
+		{"indexedjoin", "E19: indexed join runtime timings", true, expIndexedJoin},
 		{"registereddb", "E20: registered-snapshot eval speedup", true, expRegisteredDB},
 		{"parallel", "E21: morsel-driven parallel eval speedup", true, expParallel},
 		{"count", "E22: exact counting vs evaluation", true, expCount},

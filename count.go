@@ -52,9 +52,9 @@ func fromCount(r count.Result) *CountResult {
 
 // countOn dispatches one counting call to the exact or estimating
 // subsystem entry point, traced or not. Counting shares the unified
-// option config (options.go): WithEvalParallelism overrides the view's
-// worker budget, WithTrace attaches the trace, and the estimator knobs
-// land in cfg.count.
+// option config (options.go): WithEvalParallelism overrides the
+// default worker budget, WithTrace attaches the trace, and the
+// estimator knobs land in cfg.count.
 func countOn(ctx context.Context, pl *eval.Plan, src eval.Source, par int, estimate bool, opts []CountOption) (*CountResult, error) {
 	cfg := optConfigOf(opts)
 	par = cfg.parallelism(par)
@@ -87,11 +87,11 @@ func countOn(ctx context.Context, pl *eval.Plan, src eval.Source, par int, estim
 // count by a multiplicity DP over the Yannakakis-reduced forest in
 // O(|D|·|Q'|); other acyclic plans fall back to a counted evaluation,
 // cyclic plans to counted enumeration (see CountResult.Mode). The
-// prepared query's worker budget (Parallel) applies to the reduction
-// and DP passes. The error is ErrCountOverflow when the count exceeds
-// uint64.
+// worker budget (WithEvalParallelism, else the engine default) applies
+// to the reduction and DP passes. The error is ErrCountOverflow when
+// the count exceeds uint64.
 func (p *PreparedQuery) Count(ctx context.Context, db *Structure, opts ...CountOption) (*CountResult, error) {
-	return countOn(ctx, p.plan, eval.NewSource(db), p.parallelism(), false, opts)
+	return countOn(ctx, p.plan, eval.NewSource(db), p.Parallelism(), false, opts)
 }
 
 // EstimateCount returns the number of distinct answers on db, using
@@ -104,18 +104,18 @@ func (p *PreparedQuery) Count(ctx context.Context, db *Structure, opts ...CountO
 //	res, err := p.EstimateCount(ctx, db,
 //		cqapprox.WithEpsilon(0.05), cqapprox.WithSeed(7))
 func (p *PreparedQuery) EstimateCount(ctx context.Context, db *Structure, opts ...CountOption) (*CountResult, error) {
-	return countOn(ctx, p.plan, eval.NewSource(db), p.parallelism(), true, opts)
+	return countOn(ctx, p.plan, eval.NewSource(db), p.Parallelism(), true, opts)
 }
 
 // Count is PreparedQuery.Count over the binding's snapshot: reduction
 // and DP probe the snapshot's persistent shared indexes instead of
 // deriving per-call ones.
 func (b *BoundQuery) Count(ctx context.Context, opts ...CountOption) (*CountResult, error) {
-	return countOn(ctx, b.p.plan, b.source(), b.p.parallelism(), false, opts)
+	return countOn(ctx, b.p.plan, b.source(), b.p.Parallelism(), false, opts)
 }
 
 // EstimateCount is PreparedQuery.EstimateCount over the binding's
 // snapshot; see BoundQuery.Count.
 func (b *BoundQuery) EstimateCount(ctx context.Context, opts ...CountOption) (*CountResult, error) {
-	return countOn(ctx, b.p.plan, b.source(), b.p.parallelism(), true, opts)
+	return countOn(ctx, b.p.plan, b.source(), b.p.Parallelism(), true, opts)
 }

@@ -71,7 +71,7 @@ func TestCountPublicAPI(t *testing.T) {
 	}
 }
 
-// The parallel view counts identically to serial.
+// A parallel count (WithEvalParallelism) matches the serial one.
 func TestCountParallelIdentical(t *testing.T) {
 	engine := NewEngine()
 	ctx := context.Background()
@@ -84,7 +84,7 @@ func TestCountParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := p.Parallel(4).Count(ctx, db)
+	par, err := p.Count(ctx, db, WithEvalParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}

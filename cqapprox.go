@@ -4,8 +4,7 @@
 // acyclic queries, bounded treewidth TW(k), and bounded (generalized)
 // hypertree width HTW(k)/GHTW(k) — together with the full substrate the
 // paper builds on (homomorphisms, cores, containment, treewidth and
-// hypertree-width decision procedures, and the Yannakakis and
-// tree-decomposition evaluation engines).
+// hypertree-width decision procedures, and Yannakakis evaluation).
 //
 // A C-approximation of a query Q is a query Q' from the tractable
 // class C that is maximally contained in Q: it returns only correct
@@ -48,7 +47,7 @@
 //	ans, err := p.Bind(d).Eval(ctx) // probe-only once warm
 //
 // Errors are typed: errors.Is against ErrCanceled, ErrBudgetExceeded,
-// ErrNotInClass, ErrNotAcyclic; parse errors carry positions
+// ErrNotInClass, ErrCountOverflow; parse errors carry positions
 // (ParseError).
 //
 // The package-level free functions (Approximate, Eval, …) remain as
@@ -316,33 +315,12 @@ func EvalBoolCtx(ctx context.Context, q *Query, db *Structure) (bool, error) {
 	return p.EvalBool(ctx, db)
 }
 
-// Yannakakis evaluates an acyclic query in O(|db|·|q|) plus output
-// cost; it fails on cyclic queries.
-func Yannakakis(q *Query, db *Structure) (Answers, error) { return eval.Yannakakis(q, db) }
-
-// YannakakisCtx is Yannakakis under a context.
-func YannakakisCtx(ctx context.Context, q *Query, db *Structure) (Answers, error) {
-	return eval.YannakakisCtx(ctx, q, db)
-}
-
 // NaiveEval evaluates q by backtracking search (|db|^O(|q|)).
 func NaiveEval(q *Query, db *Structure) Answers { return eval.Naive(q, db) }
 
 // NaiveEvalCtx is NaiveEval under a context.
 func NaiveEvalCtx(ctx context.Context, q *Query, db *Structure) (Answers, error) {
 	return eval.NaiveCtx(ctx, q, db)
-}
-
-// EvalByTreeDecomposition evaluates q through an optimal tree
-// decomposition (O(|db|^{k+1}) for treewidth k).
-func EvalByTreeDecomposition(q *Query, db *Structure) (Answers, error) {
-	return eval.ByTreeDecomposition(q, db)
-}
-
-// EvalByTreeDecompositionCtx is EvalByTreeDecomposition under a
-// context.
-func EvalByTreeDecompositionCtx(ctx context.Context, q *Query, db *Structure) (Answers, error) {
-	return eval.ByTreeDecompositionCtx(ctx, q, db)
 }
 
 // Treewidth returns the treewidth of q (of its Gaifman graph).

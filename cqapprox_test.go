@@ -1,6 +1,9 @@
 package cqapprox
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // The facade end-to-end: the package documentation's quick-start flow.
 func TestQuickStartFlow(t *testing.T) {
@@ -81,16 +84,19 @@ func TestFacadeYannakakis(t *testing.T) {
 	db := NewStructure()
 	db.Add("E", 1, 2)
 	db.Add("E", 2, 3)
-	ans, err := Yannakakis(q, db)
+	p, err := NewEngine().PrepareExact(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.PlanMode() != "yannakakis" {
+		t.Fatalf("acyclic query planned as %s", p.PlanMode())
+	}
+	ans, err := p.Eval(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans) != 1 || ans[0][0] != 1 || ans[0][1] != 3 {
 		t.Fatalf("answers = %v", ans)
-	}
-	td, err := EvalByTreeDecomposition(q, db)
-	if err != nil || len(td) != 1 {
-		t.Fatalf("TD eval = %v, %v", td, err)
 	}
 	if EvalBool(MustParse("Q() :- E(a,a)"), db) {
 		t.Fatal("no loops in db")

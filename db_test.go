@@ -306,8 +306,9 @@ func TestParallelBoundQueryRaceWithUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := p.Bind(d).Parallel(4)
-	want, err := b.Eval(ctx)
+	b := p.Bind(d)
+	par := WithEvalParallelism(4)
+	want, err := b.Eval(ctx, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,19 +334,19 @@ func TestParallelBoundQueryRaceWithUpdates(t *testing.T) {
 				}
 				switch g % 3 {
 				case 0:
-					ans, err := b.Eval(ctx)
+					ans, err := b.Eval(ctx, par)
 					if err != nil || !sameAnswerSets(ans, want) {
 						t.Errorf("parallel eval diverged under updates (err %v, %d answers)", err, len(ans))
 						return
 					}
 				case 1:
-					if ok, err := b.EvalBool(ctx); err != nil || ok != (len(want) > 0) {
+					if ok, err := b.EvalBool(ctx, par); err != nil || ok != (len(want) > 0) {
 						t.Errorf("parallel bool diverged: %v, %v", ok, err)
 						return
 					}
 				default:
 					n := 0
-					for range b.Answers(ctx) {
+					for range b.Answers(ctx, par) {
 						n++
 					}
 					if n != len(want) {

@@ -101,8 +101,8 @@ func WithCacheCapacity(n int) EngineOption {
 
 // WithParallelism sets the engine's default evaluation worker budget:
 // every PreparedQuery the engine hands out evaluates morsel-driven
-// parallel on up to n workers unless overridden per query with
-// PreparedQuery.Parallel (or per binding with BoundQuery.Parallel).
+// parallel on up to n workers unless a call overrides it with
+// WithEvalParallelism.
 // n <= 1 (the NewEngine default) keeps evaluations serial — the right
 // choice for servers running many evaluations concurrently; a budget
 // helps latency when single evaluations over large databases have

@@ -426,12 +426,6 @@ func TestTypedErrors(t *testing.T) {
 	if perr.Offset != len("Q(x) :- E(x,") || perr.Line != 1 {
 		t.Fatalf("bad position: %+v", perr)
 	}
-
-	// Yannakakis on a cyclic query: ErrNotAcyclic.
-	_, err = Yannakakis(MustParse("Q() :- E(x,y), E(y,z), E(z,x)"), testDB())
-	if !errors.Is(err, ErrNotAcyclic) {
-		t.Fatalf("want ErrNotAcyclic, got %v", err)
-	}
 }
 
 // The free functions must keep working as wrappers over the default

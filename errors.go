@@ -33,9 +33,6 @@ var (
 	// the input (possible only for incompatible head arities).
 	ErrNotInClass = cqerr.ErrNotInClass
 
-	// ErrNotAcyclic: Yannakakis was invoked on a cyclic query.
-	ErrNotAcyclic = eval.ErrNotAcyclic
-
 	// ErrCountOverflow: an exact answer count does not fit in uint64.
 	ErrCountOverflow = eval.ErrCountOverflow
 

@@ -53,26 +53,27 @@ func (p *PreparedQuery) Explain() *PlanExplain {
 // exactly as for Eval); the trace additionally reports per-node rows
 // in/out per semijoin pass, surviving rows per node, index builds and
 // probes, per-phase wall times, and morsel/worker accounting when the
-// evaluation ran parallel.
-func (p *PreparedQuery) EvalTrace(ctx context.Context, db *Structure) (Answers, *ExecTrace, error) {
-	return p.plan.EvalTraceOn(ctx, eval.NewSource(db), p.parallelism())
+// evaluation ran parallel. WithEvalParallelism applies; the ranked
+// options do not (a traced evaluation is the plain full one).
+func (p *PreparedQuery) EvalTrace(ctx context.Context, db *Structure, opts ...EvalOption) (Answers, *ExecTrace, error) {
+	return p.plan.EvalTraceOn(ctx, eval.NewSource(db), p.budget(opts))
 }
 
 // EvalBoolTrace is EvalBool plus an execution trace; the reduction
 // stops at the bottom-up semijoin pass, exactly like EvalBool.
-func (p *PreparedQuery) EvalBoolTrace(ctx context.Context, db *Structure) (bool, *ExecTrace, error) {
-	return p.plan.EvalBoolTraceOn(ctx, eval.NewSource(db), p.parallelism())
+func (p *PreparedQuery) EvalBoolTrace(ctx context.Context, db *Structure, opts ...EvalOption) (bool, *ExecTrace, error) {
+	return p.plan.EvalBoolTraceOn(ctx, eval.NewSource(db), p.budget(opts))
 }
 
 // EvalTrace is PreparedQuery.EvalTrace over the binding's snapshot;
 // the trace's index-build counters then reflect only builds the
 // snapshot's persistent cache had not already absorbed.
-func (b *BoundQuery) EvalTrace(ctx context.Context) (Answers, *ExecTrace, error) {
-	return b.p.plan.EvalTraceOn(ctx, b.source(), b.p.parallelism())
+func (b *BoundQuery) EvalTrace(ctx context.Context, opts ...EvalOption) (Answers, *ExecTrace, error) {
+	return b.p.plan.EvalTraceOn(ctx, b.source(), b.p.budget(opts))
 }
 
 // EvalBoolTrace is PreparedQuery.EvalBoolTrace over the binding's
 // snapshot.
-func (b *BoundQuery) EvalBoolTrace(ctx context.Context) (bool, *ExecTrace, error) {
-	return b.p.plan.EvalBoolTraceOn(ctx, b.source(), b.p.parallelism())
+func (b *BoundQuery) EvalBoolTrace(ctx context.Context, opts ...EvalOption) (bool, *ExecTrace, error) {
+	return b.p.plan.EvalBoolTraceOn(ctx, b.source(), b.p.budget(opts))
 }

@@ -165,6 +165,37 @@ func TestEvalTraceChain3000(t *testing.T) {
 	}
 }
 
+// The per-call worker budget reaches the traced entry point: a
+// parallel traced evaluation of chain6 over the 3000-node database
+// fans out (extra workers or morsel chunks) and answers exactly like
+// a serial one.
+func TestEvalTraceParallelOption(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3000-node database")
+	}
+	ctx := context.Background()
+	p, err := NewEngine().PrepareExact(ctx, workload.ChainQuery(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := workload.EvalBenchDB(3000)
+	serial, err := p.Eval(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, tr, err := p.EvalTrace(ctx, db, WithEvalParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalTuples([]Tuple(ans), serial) {
+		t.Fatalf("parallel traced answers differ: %d vs %d serial", len(ans), len(serial))
+	}
+	if tr.Parallelism != 4 || (len(tr.WorkerBusyNS) == 0 && tr.MorselChunks <= 1) {
+		t.Fatalf("traced call did not run parallel: parallelism %d, workers %d, chunks %d",
+			tr.Parallelism, len(tr.WorkerBusyNS), tr.MorselChunks)
+	}
+}
+
 // TestConcurrentTracedEval hammers one shared prepared query with
 // concurrent traced and untraced evaluations — under -race this guards
 // the pooled trace frames (each evaluation must see only its own).

@@ -55,8 +55,7 @@ type IncrementalEval struct {
 // are not supported on the incremental surface (maintained answers are
 // always the full set in default order).
 func (b *BoundQuery) Incremental(ctx context.Context, opts ...EvalOption) (*IncrementalEval, error) {
-	cfg := optConfigOf(opts)
-	st, err := b.p.plan.NewIncrState(ctx, b.db.snap, cfg.parallelism(b.p.parallelism()))
+	st, err := b.p.plan.NewIncrState(ctx, b.db.snap, b.p.budget(opts))
 	if err != nil {
 		return nil, err
 	}

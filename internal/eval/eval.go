@@ -1,4 +1,4 @@
-// Package eval implements CQ evaluation engines with the combined
+// Package eval implements CQ evaluation with the combined
 // complexities the paper contrasts:
 //
 //   - Naive: backtracking join, |D|^O(|Q|) combined complexity — the
@@ -6,30 +6,31 @@
 //   - Yannakakis: the classical semijoin algorithm for acyclic CQs,
 //     O(|D|·|Q|) per the paper's Section 1 (plus output cost for
 //     non-Boolean queries).
-//   - TreeDecomp: evaluation through a width-k tree decomposition,
-//     O(|D|^{k+1}) — the engine for TW(k) queries.
 //
-// All engines return the same answer sets; the test suite
-// cross-validates them on random instances.
+// A Plan (NewPlan) fixes the strategy once per query — Yannakakis over
+// a GYO join tree when the query is acyclic, naive backtracking
+// otherwise — and every evaluation runs through it; Eval and EvalBool
+// are the one-shot forms. Cyclic TW(k)/HTW(k) approximations therefore
+// evaluate in the plan's naive mode.
 //
-// The Yannakakis and tree-decomposition pipelines run on one unified,
-// backend-agnostic executor (exec.go): all column mappings are
-// precomputed in a schedule (schedule.go) that Plans build once at
-// prepare time, and the executor replays it against any storage
-// backend through the Source interface (source.go) — a per-call
-// materialisation of a plain *Structure, or a registered
-// relstr.Snapshot whose views and hash indexes persist across calls.
-// Row liveness is a per-node bitmap (backing rows are shared with the
-// backend and never mutated), probes go through hash indexes keyed on
-// integer column prefixes (relstr.HashCols — no string keys anywhere
-// on the hot path), and the solve phase's derived relations allocate
-// from pooled scratch arenas. The executor is morsel-driven parallel:
-// with a worker budget above one, semijoin probe loops, solve joins
-// and head projections split into fixed-size row chunks fanned out to
-// workers, and the reduction passes additionally parallelize across
-// independent sibling subtrees — with answers byte-identical to a
-// serial run. The string-keyed operators this runtime replaced survive
-// in ref.go as differential oracles and as the benchmark baseline.
+// The Yannakakis pipeline runs on one unified, backend-agnostic
+// executor (exec.go): all column mappings are precomputed in a
+// schedule (schedule.go) that Plans build once at prepare time, and
+// the executor replays it against any storage backend through the
+// Source interface (source.go) — a per-call materialisation of a plain
+// *Structure, or a registered relstr.Snapshot whose views and hash
+// indexes persist across calls. Row liveness is a per-node bitmap
+// (backing rows are shared with the backend and never mutated), probes
+// go through hash indexes keyed on integer column prefixes
+// (relstr.HashCols — no string keys anywhere on the hot path), and the
+// solve phase's derived relations allocate from pooled scratch arenas.
+// The executor is morsel-driven parallel: with a worker budget above
+// one, semijoin probe loops, solve joins and head projections split
+// into fixed-size row chunks fanned out to workers, and the reduction
+// passes additionally parallelize across independent sibling subtrees
+// — with answers byte-identical to a serial run. The string-keyed
+// operators this runtime replaced survive in ref_test.go as
+// differential oracles.
 package eval
 
 import (
@@ -113,41 +114,17 @@ func naiveBool(ctx context.Context, tb *cq.Tableau, db *relstr.Structure) (bool,
 	return found, nil
 }
 
-// Eval evaluates q with the best applicable engine: Yannakakis when q
-// is acyclic, otherwise the naive engine.
+// Eval evaluates q on db through a fresh Plan: Yannakakis when q is
+// acyclic, otherwise the naive engine.
 func Eval(q *cq.Query, db *relstr.Structure) Answers {
-	ans, _ := EvalCtx(nil, q, db)
+	ans, _ := NewPlan(q).Eval(nil, db)
 	return ans
-}
-
-// EvalCtx is Eval under a context.
-func EvalCtx(ctx context.Context, q *cq.Query, db *relstr.Structure) (Answers, error) {
-	ans, err := YannakakisCtx(ctx, q, db)
-	if err == nil {
-		return ans, nil
-	}
-	if !IsNotAcyclic(err) {
-		return nil, err
-	}
-	return NaiveCtx(ctx, q, db)
 }
 
 // EvalBool is the Boolean variant of Eval.
 func EvalBool(q *cq.Query, db *relstr.Structure) bool {
-	ok, _ := EvalBoolCtx(nil, q, db)
+	ok, _ := NewPlan(q).EvalBool(nil, db)
 	return ok
-}
-
-// EvalBoolCtx is EvalBool under a context.
-func EvalBoolCtx(ctx context.Context, q *cq.Query, db *relstr.Structure) (bool, error) {
-	ok, err := YannakakisBoolCtx(ctx, q, db)
-	if err == nil {
-		return ok, nil
-	}
-	if !IsNotAcyclic(err) {
-		return false, err
-	}
-	return NaiveBoolCtx(ctx, q, db)
 }
 
 // --- shared relation-tree machinery -----------------------------------
@@ -156,14 +133,6 @@ func EvalBoolCtx(ctx context.Context, q *cq.Query, db *relstr.Structure) (bool, 
 type rel struct {
 	vars []int   // distinct variable (element) ids
 	rows [][]int // aligned with vars, deduplicated
-}
-
-// node is one node of a relation tree (a join tree of atoms, or a tree
-// decomposition's bag tree).
-type node struct {
-	rel
-	parent   int
-	children []int
 }
 
 func indexOf(vars []int, v int) int {
@@ -403,22 +372,4 @@ rows:
 		head[b] = id
 	}
 	return out
-}
-
-// solveTreeCtx runs the full Yannakakis pipeline over a relation
-// forest: semijoin reduction (leaves→roots, roots→leaves), then a
-// bottom-up join keeping only the variables needed above plus free
-// variables, then a cross product across components, finally projecting
-// onto the head. Answers are deduplicated and sorted. head lists
-// element ids (with possible repeats). The schedule is derived from
-// the forest and replayed by the unified executor; Plan-based callers
-// use their prepare-time schedule through Plan.EvalOn instead. ctx is
-// polled between per-node relational operations (each O(|D|) work,
-// bounding cancellation latency by one semijoin/join).
-func solveTreeCtx(ctx context.Context, nodes []node, head []int) (Answers, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	f := forestFromRels(nodes, sc, 1)
-	defer f.release()
-	return evalForest(ctx, newScheduleFromNodes(nodes, head), f)
 }

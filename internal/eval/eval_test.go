@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -58,31 +59,42 @@ func TestYannakakisMatchesNaiveOnPath(t *testing.T) {
 		[2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4},
 		[2]int{1, 3}, [2]int{0, 2},
 	)
-	fast, err := Yannakakis(q, db)
+	assertSameAnswers(t, yannakakis(t, q, db), Naive(q, db))
+}
+
+// yannakakis evaluates an acyclic q through a fresh plan, failing the
+// test if the plan did not select the semijoin pipeline.
+func yannakakis(t *testing.T, q *cq.Query, db *relstr.Structure) Answers {
+	t.Helper()
+	p := NewPlan(q)
+	if p.Mode() != PlanYannakakis {
+		t.Fatalf("%v: plan mode %v, want yannakakis", q, p.Mode())
+	}
+	ans, err := p.Eval(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := Naive(q, db)
-	assertSameAnswers(t, fast, slow)
+	return ans
 }
 
 func TestYannakakisRejectsCyclic(t *testing.T) {
 	q := cq.MustParse("Q() :- E(x,y), E(y,z), E(z,x)")
-	if _, err := Yannakakis(q, cycleDB(3)); err != ErrNotAcyclic {
-		t.Fatalf("err = %v, want ErrNotAcyclic", err)
+	if m := NewPlan(q).Mode(); m != PlanNaive {
+		t.Fatalf("cyclic query planned as %v, want naive", m)
 	}
-	if _, err := YannakakisBool(q, cycleDB(3)); err != ErrNotAcyclic {
+	if _, err := Program(q); err != ErrNotAcyclic {
 		t.Fatalf("err = %v, want ErrNotAcyclic", err)
 	}
 }
 
 func TestYannakakisBooleanSemijoinOnly(t *testing.T) {
 	q := cq.MustParse("Q() :- E(x,y), E(y,z)")
-	ok, err := YannakakisBool(q, graphDB([2]int{0, 1}, [2]int{1, 2}))
+	p := NewPlan(q)
+	ok, err := p.EvalBool(context.Background(), graphDB([2]int{0, 1}, [2]int{1, 2}))
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	ok, err = YannakakisBool(q, graphDB([2]int{0, 1}, [2]int{2, 3}))
+	ok, err = p.EvalBool(context.Background(), graphDB([2]int{0, 1}, [2]int{2, 3}))
 	if err != nil || ok {
 		t.Fatalf("disconnected edges have no path: ok=%v err=%v", ok, err)
 	}
@@ -91,10 +103,7 @@ func TestYannakakisBooleanSemijoinOnly(t *testing.T) {
 func TestYannakakisRepeatedVars(t *testing.T) {
 	q := cq.MustParse("Q(x) :- E(x,x)")
 	db := graphDB([2]int{0, 0}, [2]int{1, 2}, [2]int{3, 3})
-	ans, err := Yannakakis(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ans := yannakakis(t, q, db)
 	if len(ans) != 2 || !ans.Contains(relstr.Tuple{0}) || !ans.Contains(relstr.Tuple{3}) {
 		t.Fatalf("answers = %v, want loops {0,3}", ans)
 	}
@@ -106,10 +115,7 @@ func TestYannakakisDisconnectedCrossProduct(t *testing.T) {
 	db.Add("E", 1, 2)
 	db.Add("E", 3, 4)
 	db.Add("F", 7, 8)
-	ans, err := Yannakakis(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ans := yannakakis(t, q, db)
 	if len(ans) != 2 || !ans.Contains(relstr.Tuple{1, 7}) || !ans.Contains(relstr.Tuple{3, 7}) {
 		t.Fatalf("answers = %v, want {(1,7),(3,7)}", ans)
 	}
@@ -118,26 +124,10 @@ func TestYannakakisDisconnectedCrossProduct(t *testing.T) {
 func TestYannakakisRepeatedHead(t *testing.T) {
 	q := cq.MustParse("Q(x,x) :- E(x,y)")
 	db := graphDB([2]int{5, 6})
-	ans, err := Yannakakis(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ans := yannakakis(t, q, db)
 	if len(ans) != 1 || !ans[0].Equal(relstr.Tuple{5, 5}) {
 		t.Fatalf("answers = %v, want (5,5)", ans)
 	}
-}
-
-func TestTreeDecompositionMatchesNaiveOnCyclicQuery(t *testing.T) {
-	q := cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")
-	db := cycleDB(3)
-	db.Add("E", 0, 3)
-	db.Add("E", 3, 5)
-	db.Add("E", 5, 0)
-	td, err := ByTreeDecomposition(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAnswers(t, td, Naive(q, db))
 }
 
 func TestEvalAutoSelection(t *testing.T) {
@@ -225,7 +215,7 @@ func TestQuickYannakakisEquivNaive(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomQuery(rng, true)
 		db := randomDB(rng, 5, 8)
-		fast, err := Yannakakis(q, db)
+		fast, err := NewPlan(q).Eval(context.Background(), db)
 		if err != nil {
 			return false
 		}
@@ -236,31 +226,13 @@ func TestQuickYannakakisEquivNaive(t *testing.T) {
 	}
 }
 
-// Property: tree-decomposition evaluation agrees with the naive engine
-// on arbitrary random queries.
-func TestQuickTreeDecompEquivNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := randomQuery(rng, false)
-		db := randomDB(rng, 4, 7)
-		td, err := ByTreeDecomposition(q, db)
-		if err != nil {
-			return false
-		}
-		return sameAnswers(td, Naive(q, db))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: YannakakisBool agrees with (len(answers) > 0).
+// Property: Boolean plan evaluation agrees with (len(answers) > 0).
 func TestQuickBoolAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomQuery(rng, true)
 		db := randomDB(rng, 5, 6)
-		ok, err := YannakakisBool(q, db)
+		ok, err := NewPlan(q).EvalBool(context.Background(), db)
 		if err != nil {
 			return false
 		}

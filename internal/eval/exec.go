@@ -12,8 +12,8 @@ import (
 )
 
 // The unified, morsel-driven schedule executor. One forest replays a
-// prepare-time schedule against any Source (plain structure, snapshot,
-// or pre-materialised tree-decomposition bags): per-call row liveness
+// prepare-time schedule against any Source (plain structure or
+// snapshot): per-call row liveness
 // is a bitmap per node (never in-place row filtering, so backing rows
 // stay shared and immutable), semijoin steps probe backend-owned hash
 // indexes, and the solve phase joins the surviving rows through the
@@ -194,26 +194,6 @@ func newForest(atoms []patom, src Source, sc *scratch, par int) *forest {
 		off += w
 		fillAlive(words, n)
 		f.nodes[i].words = words
-	}
-	f.initSlots()
-	return f
-}
-
-// forestFromRels builds the evaluation state over already-materialised
-// relations (the tree-decomposition path, whose nodes are bag relations
-// rather than atom views): indexes are built per call, memoized per
-// (node, columns).
-func forestFromRels(nodes []node, sc *scratch, par int) *forest {
-	f := &forest{nodes: make([]execNode, len(nodes)), sc: sc, par: par}
-	for i := range nodes {
-		n := len(nodes[i].rows)
-		f.nodes[i] = execNode{
-			rows:  nodes[i].rows,
-			vars:  nodes[i].vars,
-			ix:    &memoIndexer{rows: nodes[i].rows},
-			words: allAlive(n),
-			live:  n,
-		}
 	}
 	f.initSlots()
 	return f

@@ -9,17 +9,17 @@ import (
 
 // This file preserves the pre-indexed, string-keyed relational
 // operators exactly as they were before the indexed runtime replaced
-// them. They serve two purposes:
-//
-//   - differential oracles: FuzzJoinEquivalence and the unit tests
-//     assert the indexed semijoin/join/project agree with these on
-//     arbitrary relations;
-//   - the measured baseline: Plan.EvalBaseline runs the full old
-//     pipeline so benchmarks (experiment E19, cmd/experiments) can
-//     report the indexed runtime's speedup against the very code it
-//     replaced.
-//
-// They are not used on any production path.
+// them. They are differential oracles: FuzzJoinEquivalence and the
+// unit tests assert the indexed semijoin/join/project agree with these
+// on arbitrary relations, and Plan.EvalBaseline runs the full old
+// pipeline as the reference the fuzzers compare evaluations against.
+
+// node is one node of a reference join forest.
+type node struct {
+	rel
+	parent   int
+	children []int
+}
 
 func key(vals []int) string { return relstr.Tuple(vals).Key() }
 
@@ -329,10 +329,7 @@ func solveTreeRef(ctx context.Context, nodes []node, head []int) (Answers, error
 }
 
 // EvalBaseline evaluates the plan's query on db through the reference
-// string-keyed pipeline. It returns exactly what Eval returns and
-// exists so benchmarks and differential tests can compare the indexed
-// runtime against the implementation it replaced; it is never used to
-// serve queries.
+// string-keyed pipeline. It returns exactly what Eval returns.
 func (p *Plan) EvalBaseline(ctx context.Context, db *relstr.Structure) (Answers, error) {
 	if p.mode == PlanYannakakis {
 		nodes := buildJoinForestRef(p.atoms, p.jt.Parent, db)

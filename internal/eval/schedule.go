@@ -6,10 +6,7 @@ package eval
 // projects onto — depends only on the join tree and the atoms'
 // variable lists, never on the data. A Plan therefore computes its
 // schedule once at prepare time (NewPlan) and every Eval/Stream call
-// replays it against per-database indexes; ad-hoc callers
-// (ByTreeDecomposition, the free Yannakakis functions) derive a
-// schedule from their freshly built forest, which costs O(|Q|²) ints —
-// nothing against the data-sized work that follows.
+// replays it against per-database indexes.
 
 // sjStep is one semijoin reduction step: filter target's rows to those
 // matching source on the aligned column pairs (tCols[k] in the target
@@ -270,20 +267,6 @@ func (sc *schedule) analyze(vars [][]int) {
 			}
 		}
 	}
-}
-
-// newScheduleFromNodes derives a schedule from an already-built forest
-// (the path taken by callers without a Plan).
-func newScheduleFromNodes(nodes []node, head []int) *schedule {
-	vars := make([][]int, len(nodes))
-	parent := make([]int, len(nodes))
-	children := make([][]int, len(nodes))
-	for i := range nodes {
-		vars[i] = nodes[i].vars
-		parent[i] = nodes[i].parent
-		children[i] = nodes[i].children
-	}
-	return newSchedule(vars, parent, children, head)
 }
 
 // indexOfOrNeg is indexOf without the panic: -1 when v is absent.

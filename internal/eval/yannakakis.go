@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"errors"
 
 	"cqapprox/internal/cq"
@@ -9,12 +8,9 @@ import (
 	"cqapprox/internal/relstr"
 )
 
-// ErrNotAcyclic is returned by Yannakakis for cyclic queries.
+// ErrNotAcyclic reports a cyclic query where an acyclic join tree is
+// required (Program, and PrepareCount on a naive plan).
 var ErrNotAcyclic = errors.New("eval: query is not acyclic")
-
-// IsNotAcyclic reports whether err is the acyclicity failure (as
-// opposed to cancellation or another evaluation error).
-func IsNotAcyclic(err error) bool { return errors.Is(err, ErrNotAcyclic) }
 
 // atomList extracts the atoms of a tableau in the deterministic order
 // used by hypergraph.FromStructure (relations sorted, tuples in
@@ -104,8 +100,7 @@ func patternSig(a patom) string {
 }
 
 // scheduleForAtoms derives the static program for a join forest of
-// atoms with the given parent links (the free functions' path; Plans
-// do the same work once in NewPlan).
+// atoms with the given parent links.
 func scheduleForAtoms(atoms []patom, parent []int, head []int) *schedule {
 	vars := make([][]int, len(atoms))
 	for i, a := range atoms {
@@ -120,63 +115,16 @@ func scheduleForAtoms(atoms []patom, parent []int, head []int) *schedule {
 	return newSchedule(vars, parent, children, head)
 }
 
-// Yannakakis evaluates an acyclic CQ with the classical semijoin
-// algorithm: join-tree construction by GYO, a leaves→root and a
-// root→leaves semijoin pass, then a bottom-up join projected onto the
-// free variables. Returns ErrNotAcyclic for cyclic queries.
-func Yannakakis(q *cq.Query, db *relstr.Structure) (Answers, error) {
-	return YannakakisCtx(nil, q, db)
-}
-
-// YannakakisCtx is Yannakakis under a context.
-func YannakakisCtx(ctx context.Context, q *cq.Query, db *relstr.Structure) (Answers, error) {
-	tb := q.Tableau()
-	h := hypergraph.FromStructure(tb.S)
-	jt, ok := h.GYO()
-	if !ok {
-		return nil, ErrNotAcyclic
-	}
-	atoms := atomList(tb.S)
-	sc := getScratch()
-	defer putScratch(sc)
-	f := newForest(atoms, NewSource(db), sc, 1)
-	defer f.release()
-	return evalForest(ctx, scheduleForAtoms(atoms, jt.Parent, tb.Dist), f)
-}
-
-// YannakakisBool evaluates a Boolean acyclic CQ with only the
-// leaves→root semijoin pass — the O(|D|·|Q|) check the paper's
-// introduction quotes. For non-Boolean q it reports whether q has at
-// least one answer.
-func YannakakisBool(q *cq.Query, db *relstr.Structure) (bool, error) {
-	return YannakakisBoolCtx(nil, q, db)
-}
-
-// YannakakisBoolCtx is YannakakisBool under a context.
-func YannakakisBoolCtx(ctx context.Context, q *cq.Query, db *relstr.Structure) (bool, error) {
-	tb := q.Tableau()
-	h := hypergraph.FromStructure(tb.S)
-	jt, ok := h.GYO()
-	if !ok {
-		return false, ErrNotAcyclic
-	}
-	atoms := atomList(tb.S)
-	sc := getScratch()
-	defer putScratch(sc)
-	f := newForest(atoms, NewSource(db), sc, 1)
-	defer f.release()
-	return f.runBool(ctx, scheduleForAtoms(atoms, jt.Parent, nil))
-}
-
-// SemijoinProgram describes the reduction schedule Yannakakis runs —
-// useful for inspection and teaching output in the CLI.
+// SemijoinProgram describes the reduction schedule a Yannakakis plan
+// runs — useful for inspection and teaching output.
 type SemijoinProgram struct {
 	Atoms []string // rendered atoms, index-aligned with the join tree
 	Steps [][2]int // (target, source) semijoin steps, bottom-up then top-down
 	Tree  []int    // parent per atom (-1 for roots)
 }
 
-// Program returns the semijoin program Yannakakis would execute for q.
+// Program returns the semijoin program a Yannakakis plan would execute
+// for q.
 func Program(q *cq.Query) (*SemijoinProgram, error) {
 	tb := q.Tableau()
 	h := hypergraph.FromStructure(tb.S)

@@ -295,10 +295,26 @@ func (ctl *clusterCtl) forward(p *cqapprox.PreparedQuery, req api.EvalRequest, m
 	return fwd, nil
 }
 
-// fanout runs fn once per shard concurrently (self included, index
+// errShortCircuit is returned by a fan-out leg whose own result already
+// answers the whole request (scatterBool's witness).
+var errShortCircuit = errors.New("scatter-gather short-circuited")
+
+// selfShard returns this node's shard slice of the sharded database
+// name.
+func selfShard(eng *cqapprox.Engine, name string) (*cqapprox.Database, error) {
+	d, ok := eng.DB(shardDBName(name))
+	if !ok {
+		return nil, fmt.Errorf("self shard of %q missing", name)
+	}
+	return d, nil
+}
+
+// fanoutLegs runs fn once per shard concurrently (self included, index
 // ctl.cfg.Self) and collects the first error. The context is canceled
 // as soon as any leg fails, so a dead peer does not pin the fan-out to
-// the request deadline.
+// the request deadline. A leg returning errShortCircuit cancels the
+// others the same way, and fanoutLegs then reports errShortCircuit
+// whatever the other legs saw.
 func (ctl *clusterCtl) fanoutLegs(parent context.Context, fn func(ctx context.Context, shard int) error) error {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -319,6 +335,9 @@ func (ctl *clusterCtl) fanoutLegs(parent context.Context, fn func(ctx context.Co
 	// legs observed when the first one pulled the plug.
 	var first error
 	for _, err := range errs {
+		if errors.Is(err, errShortCircuit) {
+			return err
+		}
 		if err == nil {
 			continue
 		}
@@ -340,7 +359,8 @@ func (ctl *clusterCtl) fanoutLegs(parent context.Context, fn func(ctx context.Co
 
 // scatterEval fans one materialising evaluation out to every shard and
 // merges the partial answer sets into exactly the single-node result.
-func (ctl *clusterCtl) scatterEval(ctx context.Context, eng *cqapprox.Engine, p *cqapprox.PreparedQuery, req api.EvalRequest) (cqapprox.Answers, error) {
+// opts are the self leg's options (ranking plus the request budget).
+func (ctl *clusterCtl) scatterEval(ctx context.Context, eng *cqapprox.Engine, p *cqapprox.PreparedQuery, req api.EvalRequest, opts []cqapprox.EvalOption) (cqapprox.Answers, error) {
 	start := time.Now()
 	fwd, err := ctl.forward(p, req, "eval")
 	if err != nil {
@@ -349,11 +369,11 @@ func (ctl *clusterCtl) scatterEval(ctx context.Context, eng *cqapprox.Engine, p 
 	parts := make([]cqapprox.Answers, len(ctl.cfg.Peers))
 	err = ctl.fanoutLegs(ctx, func(ctx context.Context, shard int) error {
 		if shard == ctl.cfg.Self {
-			d, ok := eng.DB(shardDBName(req.DB))
-			if !ok {
-				return fmt.Errorf("self shard of %q missing", req.DB)
+			d, err := selfShard(eng, req.DB)
+			if err != nil {
+				return err
 			}
-			ans, err := p.Bind(d).Eval(ctx, rankOpts(req)...)
+			ans, err := p.Bind(d).Eval(ctx, opts...)
 			if err != nil {
 				return err
 			}
@@ -374,7 +394,7 @@ func (ctl *clusterCtl) scatterEval(ctx context.Context, eng *cqapprox.Engine, p 
 	if err != nil {
 		return nil, err
 	}
-	merged, err := p.MergeAnswers(parts, rankOpts(req)...)
+	merged, err := p.MergeAnswers(parts, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -393,81 +413,43 @@ func (ctl *clusterCtl) recordFanout(start time.Time) {
 }
 
 // scatterBool fans an existence check out and short-circuits on the
-// first shard reporting a witness: the remaining legs are canceled.
-func (ctl *clusterCtl) scatterBool(ctx context.Context, eng *cqapprox.Engine, p *cqapprox.PreparedQuery, req api.EvalRequest) (bool, error) {
+// first shard reporting a witness: the remaining legs are canceled, and
+// their failures do not matter. opts are the self leg's options.
+func (ctl *clusterCtl) scatterBool(ctx context.Context, eng *cqapprox.Engine, p *cqapprox.PreparedQuery, req api.EvalRequest, opts []cqapprox.EvalOption) (bool, error) {
 	start := time.Now()
 	fwd, err := ctl.forward(p, req, "bool")
 	if err != nil {
 		return false, err
 	}
-	parent := ctx
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	var (
-		wg  sync.WaitGroup
-		hit atomic.Bool
-	)
-	errs := make([]error, len(ctl.cfg.Peers))
-	for i := range ctl.cfg.Peers {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			var res bool
-			if shard == ctl.cfg.Self {
-				d, ok := eng.DB(shardDBName(req.DB))
-				if !ok {
-					errs[shard] = fmt.Errorf("self shard of %q missing", req.DB)
-					cancel()
-					return
-				}
-				var err error
-				if res, err = p.Bind(d).EvalBool(ctx); err != nil {
-					errs[shard] = err
-					cancel()
-					return
-				}
-			} else {
-				resp, err := ctl.peers[shard].PeerEval(ctx, fwd)
-				if err != nil {
-					errs[shard] = &peerError{addr: ctl.cfg.Peers[shard], err: err}
-					cancel()
-					return
-				}
-				res = resp.Result
+	err = ctl.fanoutLegs(ctx, func(ctx context.Context, shard int) error {
+		var res bool
+		if shard == ctl.cfg.Self {
+			d, err := selfShard(eng, req.DB)
+			if err != nil {
+				return err
 			}
-			if res {
-				hit.Store(true)
-				cancel() // short-circuit: a witness anywhere answers the query
+			if res, err = p.Bind(d).EvalBool(ctx, opts...); err != nil {
+				return err
 			}
-		}(i)
-	}
-	wg.Wait()
-	if hit.Load() {
-		// A witness anywhere answers true; legs canceled by the
-		// short-circuit are not failures.
-		ctl.scatterEvals.Add(1)
-		ctl.recordFanout(start)
-		return true, nil
-	}
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
+		} else {
+			resp, err := ctl.peers[shard].PeerEval(ctx, fwd)
+			if err != nil {
+				return &peerError{addr: ctl.cfg.Peers[shard], err: err}
+			}
+			res = resp.Result
 		}
-		if first == nil || (errors.Is(first, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			first = err
+		if res {
+			return errShortCircuit // a witness anywhere answers the query
 		}
-	}
-	if first != nil {
-		ctl.peerErrors.Add(1)
-		if parent.Err() != nil {
-			return false, fmt.Errorf("%w: scatter-gather interrupted: %v", cqapprox.ErrCanceled, first)
-		}
-		return false, first
+		return nil
+	})
+	hit := errors.Is(err, errShortCircuit)
+	if err != nil && !hit {
+		return false, err
 	}
 	ctl.scatterEvals.Add(1)
 	ctl.recordFanout(start)
-	return false, nil
+	return hit, nil
 }
 
 // scatterCount fans a count out and sums the per-shard results — exact
@@ -497,9 +479,9 @@ func (ctl *clusterCtl) scatterCount(ctx context.Context, eng *cqapprox.Engine, p
 	results := make([]*cqapprox.CountResult, len(ctl.cfg.Peers))
 	err = ctl.fanoutLegs(ctx, func(ctx context.Context, shard int) error {
 		if shard == ctl.cfg.Self {
-			d, ok := eng.DB(shardDBName(req.DB))
-			if !ok {
-				return fmt.Errorf("self shard of %q missing", req.DB)
+			d, err := selfShard(eng, req.DB)
+			if err != nil {
+				return err
 			}
 			legOpts := opts
 			if req.Estimate {
@@ -716,41 +698,26 @@ func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	par := req.Parallelism
-	if par <= 0 {
-		par = p.Parallelism()
-	}
-	b := p.Parallel(s.clampParallelism(par)).Bind(d)
+	par := s.budgetOpts(p, req.Parallelism)
+	b := p.Bind(d)
 	var resp api.PeerEvalResponse
 	switch req.Mode {
 	case "eval":
-		ans, err := b.Eval(ctx, rankOpts(req.EvalRequest)...)
+		ans, err := b.Eval(ctx, append(rankOpts(req.EvalRequest), par...)...)
 		if err != nil {
 			writeError(w, mapError(err))
 			return
 		}
 		resp.Answers = api.FromAnswers(ans)
 	case "bool":
-		res, err := b.EvalBool(ctx)
+		res, err := b.EvalBool(ctx, par...)
 		if err != nil {
 			writeError(w, mapError(err))
 			return
 		}
 		resp.Result = res
 	case "count":
-		var opts []cqapprox.CountOption
-		if req.Epsilon > 0 {
-			opts = append(opts, cqapprox.WithEpsilon(req.Epsilon))
-		}
-		if req.Delta > 0 {
-			opts = append(opts, cqapprox.WithDelta(req.Delta))
-		}
-		if req.Seed != nil {
-			opts = append(opts, cqapprox.WithSeed(*req.Seed))
-		}
-		if req.MaxSamples > 0 {
-			opts = append(opts, cqapprox.WithMaxSamples(req.MaxSamples))
-		}
+		opts := append(countOpts(req.CountRequest), par...)
 		var res *cqapprox.CountResult
 		var err error
 		if req.Estimate {

@@ -307,10 +307,12 @@ func (s *Server) handleRegisterDB(w http.ResponseWriter, r *http.Request) {
 // cluster fields are set and the materialising methods route through
 // the scatter-gather trichotomy first (see internal/server/cluster.go);
 // everything else — inline databases, unsharded names, single-node
-// servers — takes the local path untouched.
+// servers — takes the local path untouched. Every method adds the
+// request's worker-budget option par to the call's own options.
 type dbSource struct {
 	inline *cqapprox.Structure
 	bind   func(*cqapprox.PreparedQuery) *cqapprox.BoundQuery
+	par    []cqapprox.EvalOption // see Server.budgetOpts
 
 	// The cluster routing context; pl non-nil only when srv.cluster is
 	// too and the named database is sharded.
@@ -319,10 +321,20 @@ type dbSource struct {
 	req api.EvalRequest
 }
 
+// opts returns the endpoint's own options plus the budget option,
+// copying only when there is one to add.
+func (d dbSource) opts(own []cqapprox.EvalOption) []cqapprox.EvalOption {
+	if d.par == nil {
+		return own
+	}
+	return append(own[:len(own):len(own)], d.par...)
+}
+
 func (d dbSource) eval(ctx context.Context, p *cqapprox.PreparedQuery, opts []cqapprox.EvalOption) (cqapprox.Answers, error) {
+	opts = d.opts(opts)
 	if d.pl != nil {
 		if _, scatter := d.srv.cluster.route(p, d.pl); scatter {
-			return d.srv.cluster.scatterEval(ctx, d.srv.eng, p, d.req)
+			return d.srv.cluster.scatterEval(ctx, d.srv.eng, p, d.req, opts)
 		}
 	}
 	if d.inline != nil {
@@ -334,13 +346,13 @@ func (d dbSource) eval(ctx context.Context, p *cqapprox.PreparedQuery, opts []cq
 func (d dbSource) evalBool(ctx context.Context, p *cqapprox.PreparedQuery) (bool, error) {
 	if d.pl != nil {
 		if _, scatter := d.srv.cluster.route(p, d.pl); scatter {
-			return d.srv.cluster.scatterBool(ctx, d.srv.eng, p, d.req)
+			return d.srv.cluster.scatterBool(ctx, d.srv.eng, p, d.req, d.par)
 		}
 	}
 	if d.inline != nil {
-		return p.EvalBool(ctx, d.inline)
+		return p.EvalBool(ctx, d.inline, d.par...)
 	}
-	return d.bind(p).EvalBool(ctx)
+	return d.bind(p).EvalBool(ctx, d.par...)
 }
 
 func (d dbSource) evalTrace(ctx context.Context, p *cqapprox.PreparedQuery) (cqapprox.Answers, *cqapprox.ExecTrace, error) {
@@ -350,9 +362,9 @@ func (d dbSource) evalTrace(ctx context.Context, p *cqapprox.PreparedQuery) (cqa
 		d.srv.cluster.noteLocal(p, d.pl)
 	}
 	if d.inline != nil {
-		return p.EvalTrace(ctx, d.inline)
+		return p.EvalTrace(ctx, d.inline, d.par...)
 	}
-	return d.bind(p).EvalTrace(ctx)
+	return d.bind(p).EvalTrace(ctx, d.par...)
 }
 
 func (d dbSource) evalBoolTrace(ctx context.Context, p *cqapprox.PreparedQuery) (bool, *cqapprox.ExecTrace, error) {
@@ -360,9 +372,9 @@ func (d dbSource) evalBoolTrace(ctx context.Context, p *cqapprox.PreparedQuery) 
 		d.srv.cluster.noteLocal(p, d.pl)
 	}
 	if d.inline != nil {
-		return p.EvalBoolTrace(ctx, d.inline)
+		return p.EvalBoolTrace(ctx, d.inline, d.par...)
 	}
-	return d.bind(p).EvalBoolTrace(ctx)
+	return d.bind(p).EvalBoolTrace(ctx, d.par...)
 }
 
 func (d dbSource) answersErr(ctx context.Context, p *cqapprox.PreparedQuery, opts []cqapprox.EvalOption) (iter.Seq[cqapprox.Tuple], func() error) {
@@ -371,53 +383,41 @@ func (d dbSource) answersErr(ctx context.Context, p *cqapprox.PreparedQuery, opt
 		// every shard's answers before the first line. Local it is.
 		d.srv.cluster.noteLocal(p, d.pl)
 	}
+	opts = d.opts(opts)
 	if d.inline != nil {
 		return p.AnswersErr(ctx, d.inline, opts...)
 	}
 	return d.bind(p).AnswersErr(ctx, opts...)
 }
 
-// clusterCount consults the routing trichotomy for a count against a
-// sharded database: (res, true, err) when scatter-gather summing
-// answered (or failed) it, (nil, false, nil) when the caller should
-// count locally — the local-outcome counters are bumped here.
-func (d dbSource) clusterCount(ctx context.Context, p *cqapprox.PreparedQuery, req api.CountRequest, opts []cqapprox.CountOption) (*cqapprox.CountResult, bool, error) {
-	if d.pl == nil {
-		return nil, false, nil
+// count runs a count or estimate. Against a sharded database the
+// routing trichotomy decides first: one partitioned occurrence whose
+// per-shard answer sets are disjoint sums by scatter-gather; traced
+// requests, ≥2 occurrences and overlapping shards (the partitioned atom
+// binds non-head variables, so a sum would overcount) count on the
+// local full copy, as does the occurrence-free case.
+func (d dbSource) count(ctx context.Context, p *cqapprox.PreparedQuery, req api.CountRequest, opts []cqapprox.CountOption) (*cqapprox.CountResult, error) {
+	opts = d.opts(opts)
+	if d.pl != nil {
+		ctl := d.srv.cluster
+		switch occ := p.PartitionedOccurrences(d.pl.Partitioned); {
+		case occ == 0:
+			ctl.routedLocal.Add(1)
+		case occ == 1 && !req.Trace && p.CountSummable(d.pl.Partitioned):
+			return ctl.scatterCount(ctx, d.srv.eng, p, req, opts)
+		default:
+			ctl.scatterFallbacks.Add(1)
+		}
 	}
-	ctl := d.srv.cluster
-	if req.Trace {
-		ctl.noteLocal(p, d.pl)
-		return nil, false, nil
-	}
-	occ := p.PartitionedOccurrences(d.pl.Partitioned)
 	switch {
-	case occ == 0:
-		ctl.routedLocal.Add(1)
-	case occ == 1 && p.CountSummable(d.pl.Partitioned):
-		res, err := ctl.scatterCount(ctx, d.srv.eng, p, req, opts)
-		return res, true, err
-	default:
-		// ≥2 partitioned occurrences, or per-shard answer sets that may
-		// overlap (the partitioned atom binds non-head variables): a sum
-		// would overcount, so the local full copy answers.
-		ctl.scatterFallbacks.Add(1)
-	}
-	return nil, false, nil
-}
-
-func (d dbSource) count(ctx context.Context, p *cqapprox.PreparedQuery, opts []cqapprox.CountOption) (*cqapprox.CountResult, error) {
-	if d.inline != nil {
+	case d.inline != nil && req.Estimate:
+		return p.EstimateCount(ctx, d.inline, opts...)
+	case d.inline != nil:
 		return p.Count(ctx, d.inline, opts...)
+	case req.Estimate:
+		return d.bind(p).EstimateCount(ctx, opts...)
 	}
 	return d.bind(p).Count(ctx, opts...)
-}
-
-func (d dbSource) estimateCount(ctx context.Context, p *cqapprox.PreparedQuery, opts []cqapprox.CountOption) (*cqapprox.CountResult, error) {
-	if d.inline != nil {
-		return p.EstimateCount(ctx, d.inline, opts...)
-	}
-	return d.bind(p).EstimateCount(ctx, opts...)
 }
 
 // resolveDB turns the request's database half into a dbSource: a
@@ -488,23 +488,29 @@ func checkRankKnobs(req api.EvalRequest, allowed bool) *apiError {
 	return nil
 }
 
-// clampParallelism resolves a request's evaluation worker budget
-// against the configured cap: absent (or ≤1) stays serial, anything
-// above MaxParallelism is clamped rather than rejected — the budget is
-// advisory, answers are identical at any setting.
-func (s *Server) clampParallelism(n int) int {
-	if n <= 1 {
-		return 1
+// budgetOpts resolves a request's evaluation worker budget into the
+// option that carries it to the call. An absent budget (≤0) inherits
+// the engine's configured default; either way the configured cap
+// clamps it rather than rejecting — the budget is advisory, answers
+// are identical at any setting. The result is nil when the clamped
+// budget is p's default anyway, so the common path allocates nothing.
+func (s *Server) budgetOpts(p *cqapprox.PreparedQuery, n int) []cqapprox.EvalOption {
+	if n <= 0 {
+		n = p.Parallelism()
 	}
-	return min(n, s.cfg.MaxParallelism)
+	n = max(1, min(n, s.cfg.MaxParallelism))
+	if n == p.Parallelism() {
+		return nil
+	}
+	return []cqapprox.EvalOption{cqapprox.WithEvalParallelism(n)}
 }
 
 // evalWith factors the shared shape of the evaluation endpoints after
 // their own decode and knob validation: resolve the database half,
 // take an eval admission slot, resolve the prepared query under the
-// request deadline, apply the clamped per-request worker budget, and
-// hand off to the endpoint's terminal action. run owns the response on
-// success.
+// request deadline, attach the clamped per-request worker budget to the
+// database half, and hand off to the endpoint's terminal action. run
+// owns the response on success.
 func (s *Server) evalWith(w http.ResponseWriter, r *http.Request, req api.EvalRequest, run func(ctx context.Context, p *cqapprox.PreparedQuery, db dbSource)) {
 	db, apiErr := s.resolveDB(req)
 	if apiErr != nil {
@@ -522,14 +528,8 @@ func (s *Server) evalWith(w http.ResponseWriter, r *http.Request, req api.EvalRe
 		writeError(w, apiErr)
 		return
 	}
-	par := req.Parallelism
-	if par <= 0 {
-		// Absent budgets inherit the engine's configured default —
-		// which the per-request cap still bounds, exactly like an
-		// explicit budget.
-		par = p.Parallelism()
-	}
-	run(ctx, p.Parallel(s.clampParallelism(par)), db)
+	db.par = s.budgetOpts(p, req.Parallelism)
+	run(ctx, p, db)
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -626,32 +626,9 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("max_samples must be positive (0 means the server default)"))
 		return
 	}
-	var opts []cqapprox.CountOption
-	if req.Epsilon > 0 {
-		opts = append(opts, cqapprox.WithEpsilon(req.Epsilon))
-	}
-	if req.Delta > 0 {
-		opts = append(opts, cqapprox.WithDelta(req.Delta))
-	}
-	if req.Seed != nil {
-		opts = append(opts, cqapprox.WithSeed(*req.Seed))
-	}
-	if req.MaxSamples > 0 {
-		opts = append(opts, cqapprox.WithMaxSamples(req.MaxSamples))
-	}
-	if req.Trace {
-		opts = append(opts, cqapprox.WithTrace())
-	}
+	opts := countOpts(req)
 	s.evalWith(w, r, req.EvalRequest, func(ctx context.Context, p *cqapprox.PreparedQuery, db dbSource) {
-		var res *cqapprox.CountResult
-		var err error
-		if cres, handled, cerr := db.clusterCount(ctx, p, req, opts); handled {
-			res, err = cres, cerr
-		} else if req.Estimate {
-			res, err = db.estimateCount(ctx, p, opts)
-		} else {
-			res, err = db.count(ctx, p, opts)
-		}
+		res, err := db.count(ctx, p, req, opts)
 		if err != nil {
 			writeError(w, mapError(err))
 			return
@@ -669,6 +646,28 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			Trace:     res.Trace,
 		})
 	})
+}
+
+// countOpts translates a count request's estimator and trace knobs
+// into library options (shared by /v1/count and the peer count leg).
+func countOpts(req api.CountRequest) []cqapprox.CountOption {
+	var opts []cqapprox.CountOption
+	if req.Epsilon > 0 {
+		opts = append(opts, cqapprox.WithEpsilon(req.Epsilon))
+	}
+	if req.Delta > 0 {
+		opts = append(opts, cqapprox.WithDelta(req.Delta))
+	}
+	if req.Seed != nil {
+		opts = append(opts, cqapprox.WithSeed(*req.Seed))
+	}
+	if req.MaxSamples > 0 {
+		opts = append(opts, cqapprox.WithMaxSamples(req.MaxSamples))
+	}
+	if req.Trace {
+		opts = append(opts, cqapprox.WithTrace())
+	}
+	return opts
 }
 
 // handleStream writes answers as NDJSON — one JSON array per line,

@@ -585,6 +585,17 @@ func TestParallelismClampAndStats(t *testing.T) {
 	if wire.Server != stats.Server || wire.Cache.ParallelEvals != 1 {
 		t.Fatalf("wire stats = %+v", wire)
 	}
+
+	// A traced eval carries the clamped budget too: the trace reports
+	// it and parallel_evals counts the call.
+	traced := `{"query":"Q(x) :- E(x,y), E(y,z)","exact":true,"database":{"E":[[1,2],[2,3]]},"trace":true,"parallelism":4}`
+	status, _, body := post(t, ts, "/v1/eval", traced)
+	if status != http.StatusOK || !strings.Contains(body, `"parallelism":2`) {
+		t.Fatalf("parallel traced eval: %d %s", status, body)
+	}
+	if got := s.Stats().Cache.ParallelEvals; got != 2 {
+		t.Fatalf("parallel_evals after traced eval = %d, want 2", got)
+	}
 }
 
 // GOMAXPROCS-derived admission defaults: the zero Config sizes both

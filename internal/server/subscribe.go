@@ -171,11 +171,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	par := req.Parallelism
-	if par <= 0 {
-		par = p.Parallelism()
-	}
-	p = p.Parallel(s.clampParallelism(par))
+	par := s.budgetOpts(p, req.Parallelism)
 
 	// Register before reading the snapshot: an update landing between
 	// the initial evaluation and registration would otherwise be lost.
@@ -197,7 +193,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		cancel()
 		return
 	}
-	ie, err := p.Bind(db).Incremental(setupCtx)
+	ie, err := p.Bind(db).Incremental(setupCtx, par...)
 	release(s.evalSem)
 	cancel()
 	if err != nil {
@@ -218,10 +214,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if err := enc.Encode(f); err != nil {
 			return false // client gone
 		}
+		// Count before Flush: a client that reads stats right after
+		// receiving the frame must already see it.
+		s.subStats.notifications.Add(1)
 		if flusher != nil {
 			flusher.Flush()
 		}
-		s.subStats.notifications.Add(1)
 		frames++
 		if s.onSubscribeFrame != nil {
 			s.onSubscribeFrame(frames)

@@ -48,7 +48,7 @@ func optConfigOf(opts []EvalOption) optConfig {
 }
 
 // parallelism resolves the call's worker budget: the option's value
-// when WithEvalParallelism was given, otherwise the view default.
+// when WithEvalParallelism was given, otherwise the default def.
 func (c *optConfig) parallelism(def int) int {
 	if !c.parSet {
 		return def
@@ -94,8 +94,8 @@ func WithLimit(k int) EvalOption {
 }
 
 // WithEvalParallelism runs the call morsel-driven parallel on up to n
-// workers (n ≤ 1 means serial), overriding the view's budget
-// (Parallel / the engine's WithParallelism) for this call only.
+// workers (n ≤ 1 means serial), overriding the engine's
+// WithParallelism default for this call only.
 // Answers are byte-identical to serial evaluation. Applies to every
 // evaluation and counting call.
 func WithEvalParallelism(n int) EvalOption {

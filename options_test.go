@@ -158,9 +158,9 @@ func TestEvalOptionsBadOrder(t *testing.T) {
 	}
 }
 
-// WithEvalParallelism is the per-call equivalent of the deprecated
-// Parallel view: identical answers, with or without ranking, and it
-// composes with the counting family (shared option config).
+// WithEvalParallelism is the per-call worker budget: identical
+// answers, with or without ranking, on the traced entry point too, and
+// it composes with the counting family (shared option config).
 func TestEvalOptionsParallelism(t *testing.T) {
 	engine := NewEngine()
 	ctx := context.Background()
@@ -178,13 +178,16 @@ func TestEvalOptionsParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaView, err := p.Parallel(4).Eval(ctx, db)
+	viaTrace, tr, err := p.EvalTrace(ctx, db, WithEvalParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalTuples([]Tuple(viaOption), serial) || !equalTuples([]Tuple(viaView), serial) {
-		t.Fatalf("parallel answers diverge: serial %d, option %d, view %d",
-			len(serial), len(viaOption), len(viaView))
+	if !equalTuples([]Tuple(viaOption), serial) || !equalTuples([]Tuple(viaTrace), serial) {
+		t.Fatalf("parallel answers diverge: serial %d, option %d, traced %d",
+			len(serial), len(viaOption), len(viaTrace))
+	}
+	if tr.Parallelism != 4 {
+		t.Fatalf("traced call ran with budget %d, want 4", tr.Parallelism)
 	}
 
 	// Ranked + parallel still matches ranked serial.

@@ -22,42 +22,15 @@ type PreparedQuery struct {
 	approxes  []*Query // all minimized C-approximations; nil for exact
 	chosen    *Query   // the query the plan evaluates
 	plan      *eval.Plan
-	par       int         // evaluation worker budget (≤1 = serial); see Parallel
+	par       int         // default evaluation worker budget (≤1 = serial); see Parallelism
 	inspected int         // candidates inspected by the search (0 for exact)
 	fromCache bool        // true when Prepare served this from the cache (see CacheHit)
 	prep      []obs.Phase // prepare-phase wall times recorded by build (shared, immutable)
 }
 
-// Parallel returns a view of the prepared query whose evaluations run
-// morsel-driven parallel on up to n workers (n ≤ 1 restores serial
-// evaluation). The underlying plan and its statistics stay shared —
-// only the worker budget differs — so the view is as cheap, immutable
-// and goroutine-safe as the original, and answers are byte-identical
-// to serial evaluation. The budget is inherited by Bind; naive
-// (cyclic) plans ignore it.
-//
-// The engine-wide default budget (WithParallelism) applies when
-// Parallel is never called.
-//
-// Deprecated: pass WithEvalParallelism(n) to the call instead — the
-// per-call option composes with the rest of the EvalOption surface and
-// needs no extra view value. Parallel remains as a thin wrapper for
-// callers that want a reusable parallel view.
-func (p *PreparedQuery) Parallel(n int) *PreparedQuery {
-	if n < 1 {
-		n = 1
-	}
-	if n == p.parallelism() {
-		return p
-	}
-	cp := *p
-	cp.par = n
-	return &cp
-}
-
-// Parallelism reports the effective evaluation worker budget: 1 for
-// serial (the default), or whatever Parallel / the engine's
-// WithParallelism set.
+// Parallelism reports the default evaluation worker budget: 1 for
+// serial (the default), or whatever the engine's WithParallelism set.
+// WithEvalParallelism overrides it per call.
 func (p *PreparedQuery) Parallelism() int {
 	if p.par < 1 {
 		return 1
@@ -65,8 +38,12 @@ func (p *PreparedQuery) Parallelism() int {
 	return p.par
 }
 
-// parallelism is the internal alias of Parallelism.
-func (p *PreparedQuery) parallelism() int { return p.Parallelism() }
+// budget resolves one call's worker budget: WithEvalParallelism when
+// given, otherwise the default.
+func (p *PreparedQuery) budget(opts []EvalOption) int {
+	cfg := optConfigOf(opts)
+	return cfg.parallelism(p.Parallelism())
+}
 
 // Query returns a copy of the original query this PreparedQuery was
 // requested for. On cache hits the engine rebinds this to the caller's
@@ -200,7 +177,7 @@ func (p *PreparedQuery) rankSpec(cfg *optConfig) (eval.RankSpec, error) {
 // so early termination still applies) or the plain full evaluation.
 func (p *PreparedQuery) evalOn(ctx context.Context, src eval.Source, opts []EvalOption) (Answers, error) {
 	cfg := optConfigOf(opts)
-	par := cfg.parallelism(p.parallelism())
+	par := cfg.parallelism(p.Parallelism())
 	if !cfg.ranked() {
 		return p.plan.EvalOn(ctx, src, par)
 	}
@@ -217,7 +194,7 @@ func (p *PreparedQuery) evalOn(ctx context.Context, src eval.Source, opts []Eval
 // answers (an unordered prefix).
 func (p *PreparedQuery) answersOn(ctx context.Context, src eval.Source, opts []EvalOption) (iter.Seq[Tuple], func() error) {
 	cfg := optConfigOf(opts)
-	par := cfg.parallelism(p.parallelism())
+	par := cfg.parallelism(p.Parallelism())
 	if cfg.ordered() {
 		spec, err := p.rankSpec(&cfg)
 		if err != nil {
@@ -273,8 +250,7 @@ func (p *PreparedQuery) Eval(ctx context.Context, db *Structure, opts ...EvalOpt
 // WithEvalParallelism applies; ordering options are meaningless for a
 // Boolean result and are ignored.
 func (p *PreparedQuery) EvalBool(ctx context.Context, db *Structure, opts ...EvalOption) (bool, error) {
-	cfg := optConfigOf(opts)
-	return p.plan.EvalBoolOn(ctx, eval.NewSource(db), cfg.parallelism(p.parallelism()))
+	return p.plan.EvalBoolOn(ctx, eval.NewSource(db), p.budget(opts))
 }
 
 // Answers streams the distinct answers of the prepared query on db one
@@ -349,20 +325,6 @@ func (b *BoundQuery) Prepared() *PreparedQuery { return b.p }
 // Database returns the snapshot half of the binding.
 func (b *BoundQuery) Database() *Database { return b.db }
 
-// Parallel returns a view of the bound query evaluating on up to n
-// workers; see PreparedQuery.Parallel. The binding inherits its
-// prepared query's budget until overridden here.
-//
-// Deprecated: pass WithEvalParallelism(n) to the call instead; see
-// PreparedQuery.Parallel.
-func (b *BoundQuery) Parallel(n int) *BoundQuery {
-	p := b.p.Parallel(n)
-	if p == b.p {
-		return b
-	}
-	return &BoundQuery{p: p, db: b.db}
-}
-
 // source returns the snapshot-backed storage backend of the binding.
 func (b *BoundQuery) source() eval.Source {
 	return eval.NewSnapshotSource(b.db.snap)
@@ -380,8 +342,7 @@ func (b *BoundQuery) Eval(ctx context.Context, opts ...EvalOption) (Answers, err
 // (a single probe-only semijoin pass for acyclic plans).
 // WithEvalParallelism applies; ordering options are ignored.
 func (b *BoundQuery) EvalBool(ctx context.Context, opts ...EvalOption) (bool, error) {
-	cfg := optConfigOf(opts)
-	return b.p.plan.EvalBoolOn(ctx, b.source(), cfg.parallelism(b.p.parallelism()))
+	return b.p.plan.EvalBoolOn(ctx, b.source(), b.p.budget(opts))
 }
 
 // Answers streams the distinct answers of the bound query; see
