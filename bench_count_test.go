@@ -81,3 +81,39 @@ func BenchmarkCountEstimate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCountExactProject tracks the exact count of the same
+// projecting head: the plan has a sampling tree, so the count runs the
+// scheduled joins over the reduced forest and counts the distinct head
+// keys of the joined rows ("exact-eval") without building answers.
+func BenchmarkCountExactProject(b *testing.B) {
+	ctx := context.Background()
+	engine := NewEngine()
+	p, err := engine.PrepareExact(ctx, MustParse("Q(x,z) :- E(x,y), E(y,z)"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, _, err := engine.RegisterDB("proj", workload.EvalBenchDB(3000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bound := p.Bind(d)
+	want, err := bound.Count(ctx) // warm the snapshot caches
+	if err != nil {
+		b.Fatal(err)
+	}
+	if want.Mode != "exact-eval" || want.Count == 0 {
+		b.Fatalf("warmup count = %+v", want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := bound.Count(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Count != want.Count {
+			b.Fatalf("count = %d, want %d", res.Count, want.Count)
+		}
+	}
+}

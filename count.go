@@ -21,9 +21,10 @@ type CountResult struct {
 	// Estimated reports whether sampling produced the result.
 	Estimated bool
 	// Mode names the path taken: "exact-dp" (multiplicity DP over the
-	// reduced forest, no answer materialisation), "exact-eval" (full
-	// evaluation, counted), "exact-enum" (backtracking enumeration,
-	// cyclic plans), or "estimate" (the sampling estimator).
+	// reduced forest, no answer materialisation), "exact-eval" (the
+	// evaluation's joins, distinct head keys counted without building
+	// answers), "exact-enum" (backtracking enumeration, cyclic plans),
+	// or "estimate" (the sampling estimator).
 	Mode string
 	// Samples and Batches report the estimator's effort (zero when
 	// exact).
@@ -63,15 +64,10 @@ func countOn(ctx context.Context, pl *eval.Plan, src eval.Source, par int, estim
 		tr  *ExecTrace
 		err error
 	)
-	switch {
-	case estimate && cfg.trace:
-		res, tr, err = count.EstimateTrace(ctx, pl, src, par, cfg.count)
-	case estimate:
-		res, err = count.Estimate(ctx, pl, src, par, cfg.count)
-	case cfg.trace:
-		res, tr, err = count.ExactTrace(ctx, pl, src, par)
-	default:
-		res, err = count.Exact(ctx, pl, src, par)
+	if estimate {
+		res, tr, err = count.Estimate(ctx, pl, src, par, cfg.count, cfg.trace)
+	} else {
+		res, tr, err = count.Exact(ctx, pl, src, par, cfg.trace)
 	}
 	if err != nil {
 		return nil, err
@@ -85,10 +81,11 @@ func countOn(ctx context.Context, pl *eval.Plan, src eval.Source, par int, estim
 // (approximated) query on db — without materialising them when the
 // plan permits. Acyclic plans whose head structure is free-connex-like
 // count by a multiplicity DP over the Yannakakis-reduced forest in
-// O(|D|·|Q'|); other acyclic plans fall back to a counted evaluation,
-// cyclic plans to counted enumeration (see CountResult.Mode). The
-// worker budget (WithEvalParallelism, else the engine default) applies
-// to the reduction and DP passes. The error is ErrCountOverflow when
+// O(|D|·|Q'|); other acyclic plans run the evaluation's joins and
+// count the distinct head keys without building answers, cyclic plans
+// count an enumeration (see CountResult.Mode). The worker budget
+// (WithEvalParallelism, else the engine default) applies to the
+// reduction, DP and join passes. The error is ErrCountOverflow when
 // the count exceeds uint64.
 func (p *PreparedQuery) Count(ctx context.Context, db *Structure, opts ...CountOption) (*CountResult, error) {
 	return countOn(ctx, p.plan, eval.NewSource(db), p.Parallelism(), false, opts)

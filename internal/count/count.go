@@ -9,8 +9,10 @@
 //     single-node distinct projections, and free-core multiplicity DPs,
 //     multiplied across trees. No answer tuple is ever materialised.
 //   - "exact-eval": the plan is acyclic but some tree interleaves
-//     existential variables between head variables; the count is the
-//     length of a full evaluation.
+//     existential variables between head variables; the scheduled
+//     joins run over the reduced forest and the distinct head keys of
+//     the joined rows are counted in a hash table — no answer tuple is
+//     built or sorted.
 //   - "exact-enum": the plan is naive (cyclic); distinct answers are
 //     enumerated by backtracking and counted without being kept.
 //
@@ -108,22 +110,15 @@ func exactResult(n uint64, mode string) Result {
 	return Result{Count: n, Estimate: float64(n), Mode: mode}
 }
 
-// Exact computes the exact answer count of p on src. It never
-// materialises answers on the "exact-dp" path; the fallbacks do
-// (eval) or enumerate them transiently (enum). The error is
-// eval.ErrCountOverflow when the count exceeds uint64.
-func Exact(ctx context.Context, p *eval.Plan, src eval.Source, parallel int) (Result, error) {
-	res, err := exact(ctx, p, src, parallel)
-	if err == nil {
-		p.RecordCount(false, 0)
-	}
-	return res, err
-}
-
-// ExactTrace is Exact with an execution trace of the run attached:
-// the reduction counters from the forest plus a caller-timed "count"
-// phase around the DP product. Naive plans trace total time only.
-func ExactTrace(ctx context.Context, p *eval.Plan, src eval.Source, parallel int) (Result, *obs.ExecTrace, error) {
+// Exact computes the exact answer count of p on src; traced attaches
+// an execution trace of the run (nil otherwise). No mode materialises
+// answers: "exact-dp" multiplies per-tree DP counts (its product timed
+// as the "count" phase), "exact-eval" joins the reduced forest and
+// counts the distinct head keys of the joined rows, "exact-enum"
+// counts enumerated answers without keeping them (naive plans trace
+// total time only). The error is eval.ErrCountOverflow when the count
+// exceeds uint64.
+func Exact(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, traced bool) (Result, *obs.ExecTrace, error) {
 	start := time.Now()
 	if p.Mode() != eval.PlanYannakakis {
 		n, err := p.CountEnum(ctx, src)
@@ -131,59 +126,33 @@ func ExactTrace(ctx context.Context, p *eval.Plan, src eval.Source, parallel int
 			return Result{}, nil, err
 		}
 		p.RecordCount(false, 0)
-		tr := &obs.ExecTrace{Mode: p.Mode().String(), Parallelism: 1,
-			TotalNS: time.Since(start).Nanoseconds()}
+		var tr *obs.ExecTrace
+		if traced {
+			tr = &obs.ExecTrace{Mode: p.Mode().String(), Parallelism: 1,
+				TotalNS: time.Since(start).Nanoseconds()}
+		}
 		return exactResult(n, ModeExactEnum), tr, nil
 	}
-	if !p.ExactCountable() {
-		ans, tr, err := p.EvalTraceOn(ctx, src, parallel)
-		if err != nil {
-			return Result{}, nil, err
-		}
-		p.RecordCount(false, 0)
-		return exactResult(uint64(len(ans)), ModeExactEval), tr, nil
-	}
-	run, err := p.PrepareCountTrace(ctx, src, parallel)
+	run, err := p.PrepareCount(ctx, src, parallel, traced)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	defer run.Close()
-	t0 := time.Now()
-	n, err := exactProduct(ctx, run)
+	var n uint64
+	mode := ModeExactDP
+	if p.ExactCountable() {
+		t0 := time.Now()
+		n, err = exactProduct(ctx, run)
+		run.TracePhase("count", time.Since(t0))
+	} else {
+		mode = ModeExactEval
+		n, err = run.CountEval(ctx)
+	}
 	if err != nil {
 		return Result{}, nil, err
 	}
-	run.TracePhase("count", time.Since(t0))
-	tr := run.TraceSnapshot(time.Since(start))
 	p.RecordCount(false, 0)
-	return exactResult(n, ModeExactDP), tr, nil
-}
-
-func exact(ctx context.Context, p *eval.Plan, src eval.Source, parallel int) (Result, error) {
-	if p.Mode() != eval.PlanYannakakis {
-		n, err := p.CountEnum(ctx, src)
-		if err != nil {
-			return Result{}, err
-		}
-		return exactResult(n, ModeExactEnum), nil
-	}
-	if !p.ExactCountable() {
-		ans, err := p.EvalOn(ctx, src, parallel)
-		if err != nil {
-			return Result{}, err
-		}
-		return exactResult(uint64(len(ans)), ModeExactEval), nil
-	}
-	run, err := p.PrepareCount(ctx, src, parallel)
-	if err != nil {
-		return Result{}, err
-	}
-	defer run.Close()
-	n, err := exactProduct(ctx, run)
-	if err != nil {
-		return Result{}, err
-	}
-	return exactResult(n, ModeExactDP), nil
+	return exactResult(n, mode), run.TraceSnapshot(time.Since(start)), nil
 }
 
 // exactProduct multiplies the per-tree exact counts of a fully
@@ -211,82 +180,18 @@ func exactProduct(ctx context.Context, run *eval.CountRun) (uint64, error) {
 }
 
 // Estimate returns the answer count of p on src, sampling only where
-// exact counting would have to materialise answers. When every tree
-// counts exactly (or the plan is naive) the result is exact and
-// Estimated is false — estimation never makes a cheap count worse.
-func Estimate(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, opts Options) (Result, error) {
+// exact counting would have to join (the "exact-eval" plans); traced
+// attaches an execution trace with the sampling effort in a
+// "count-estimate" phase. When every tree counts exactly (or the plan
+// is naive) the result is Exact's and Estimated is false — estimation
+// never makes a cheap count worse.
+func Estimate(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, opts Options, traced bool) (Result, *obs.ExecTrace, error) {
 	opts = opts.withDefaults()
 	if p.Mode() != eval.PlanYannakakis || p.ExactCountable() {
-		return Exact(ctx, p, src, parallel)
-	}
-	run, err := p.PrepareCount(ctx, src, parallel)
-	if err != nil {
-		return Result{}, err
-	}
-	defer run.Close()
-	if run.Empty() {
-		p.RecordCount(false, 0)
-		return exactResult(0, ModeExactDP), nil
-	}
-
-	var sampleTrees []int
-	exactPart := 1.0
-	for t := 0; t < run.Trees(); t++ {
-		if !run.TreeExactOK(t) {
-			sampleTrees = append(sampleTrees, t)
-			continue
-		}
-		n, _, err := run.TreeExact(ctx, t)
-		if err != nil {
-			return Result{}, err
-		}
-		if n == 0 {
-			p.RecordCount(false, 0)
-			return exactResult(0, ModeExactDP), nil
-		}
-		exactPart *= float64(n)
-	}
-
-	// Split the accuracy budget across the k sampled trees: per-tree
-	// relative error ε/k and failure δ/k make the product of the tree
-	// estimates land within (1±ε) with probability ≥ 1-δ (union bound;
-	// Π(1±ε/k) ⊆ 1±ε for ε ≤ 1).
-	k := len(sampleTrees)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	est := exactPart
-	samples, batches := 0, 0
-	for _, t := range sampleTrees {
-		te, err := estimateTree(ctx, run, t, rng, opts.Epsilon/float64(k), opts.Delta/float64(k), opts.MaxSamples/k)
-		if err != nil {
-			return Result{}, err
-		}
-		est *= te.mean
-		samples += te.samples
-		batches += te.batches
-	}
-	p.RecordCount(true, uint64(batches))
-	return Result{
-		Count:     uint64(math.Round(est)),
-		Estimate:  est,
-		Estimated: true,
-		Mode:      ModeEstimate,
-		Samples:   samples,
-		Batches:   batches,
-		Epsilon:   opts.Epsilon,
-		Delta:     opts.Delta,
-	}, nil
-}
-
-// EstimateTrace is Estimate with an execution trace of the run
-// attached; the sampling effort lands in a "count-estimate" phase.
-// Plans that short-circuit to an exact count trace that path instead.
-func EstimateTrace(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, opts Options) (Result, *obs.ExecTrace, error) {
-	opts = opts.withDefaults()
-	if p.Mode() != eval.PlanYannakakis || p.ExactCountable() {
-		return ExactTrace(ctx, p, src, parallel)
+		return Exact(ctx, p, src, parallel, traced)
 	}
 	start := time.Now()
-	run, err := p.PrepareCountTrace(ctx, src, parallel)
+	run, err := p.PrepareCount(ctx, src, parallel, traced)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -316,6 +221,10 @@ func EstimateTrace(ctx context.Context, p *eval.Plan, src eval.Source, parallel 
 		exactPart *= float64(n)
 	}
 
+	// Split the accuracy budget across the k sampled trees: per-tree
+	// relative error ε/k and failure δ/k make the product of the tree
+	// estimates land within (1±ε) with probability ≥ 1-δ (union bound;
+	// Π(1±ε/k) ⊆ 1±ε for ε ≤ 1).
 	k := len(sampleTrees)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	est := exactPart

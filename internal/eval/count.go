@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cqapprox/internal/cqerr"
 	"cqapprox/internal/hom"
@@ -294,15 +296,15 @@ type CountRun struct {
 }
 
 // PrepareCount runs the full two-pass Yannakakis reduction against src
-// and returns the counting state over the reduced forest. It fails
-// with ErrNotAcyclic on naive plans (counting those goes through
-// CountEnum instead).
-func (p *Plan) PrepareCount(ctx context.Context, src Source, parallel int) (*CountRun, error) {
-	return p.prepareCount(ctx, src, parallel, false, false)
+// and returns the counting state over the reduced forest; traced
+// attaches an execution trace (phases land in it as the run goes,
+// TraceSnapshot renders it before Close). It fails with ErrNotAcyclic
+// on naive plans (counting those goes through CountEnum instead).
+func (p *Plan) PrepareCount(ctx context.Context, src Source, parallel int, traced bool) (*CountRun, error) {
+	return p.prepareCount(ctx, src, parallel, false, traced)
 }
 
-// prepareCount is PrepareCount with the test-only tuned thresholds and
-// the opt-in trace frame.
+// prepareCount is PrepareCount with the test-only tuned thresholds.
 func (p *Plan) prepareCount(ctx context.Context, src Source, parallel int, tuned, traced bool) (*CountRun, error) {
 	if p.mode != PlanYannakakis {
 		return nil, ErrNotAcyclic
@@ -380,6 +382,31 @@ func (r *CountRun) TreeExact(ctx context.Context, t int) (n uint64, ok bool, err
 	default:
 		return 0, false, nil
 	}
+}
+
+// CountEval counts the distinct answers the way evaluation finds them —
+// the scheduled joins over the reduced forest — but hashes the head
+// keys of the joined rows in place instead of building, deduplicating
+// and sorting answer tuples. It is the exact count of plans with a
+// countSample tree (any acyclic plan works); traced runs record the
+// "join" and "count" phases.
+func (r *CountRun) CountEval(ctx context.Context) (uint64, error) {
+	if r.empty {
+		return 0, nil
+	}
+	rows, cols, empty, err := r.f.solveRows(ctx, r.p.sched)
+	if err != nil || empty {
+		return 0, err
+	}
+	var start time.Time
+	if r.f.trace != nil {
+		start = time.Now()
+	}
+	n := r.sc.countKeys(rows, cols)
+	if tr := r.f.trace; tr != nil {
+		tr.phase("count", time.Since(start))
+	}
+	return n, nil
 }
 
 // dpStep is a dpEdge resolved against the run's backend: the child's
@@ -590,24 +617,39 @@ func (f *forest) countDistinct(node *execNode, cols []int) uint64 {
 // tree: the full-join multiplicity DP in float64 (total = N, the
 // number of complete assignments of the tree), uniform top-down
 // sampling of one assignment proportional to the DP weights, and the
-// head-bound DP computing the multiplicity m of a sampled head
-// projection. N/m is then an unbiased estimate of the number of
-// distinct head projections.
+// pinned count of the multiplicity m of a sampled head projection.
+// N/m is then an unbiased estimate of the number of distinct head
+// projections. The DP runs once per call; a sample costs the rows it
+// matches, not the forest (see multiplicity).
 type treeSampler struct {
-	f     *forest
-	tree  *countTree
-	steps [][]dpStep2 // aligned with tree.nodes
-	w     map[int][]float64
-	wb    map[int][]float64 // head-bound DP scratch
-	total float64
-	// headCols[k] lists (column, variable) pairs of head variables in
-	// tree.nodes[k]; hv is the sampled head assignment.
-	headCols [][][2]int
-	hv       map[int]int
-	kidIdx   map[int]int // node id → position in tree.nodes
+	nodes  []sampleNode // aligned with tree.nodes (postorder, root last)
+	total  float64
+	prefix []float64 // running sums of the root's live weights, in live order
+	hv     []int     // the sampled head assignment, aligned with tree.headVars
+
+	// rootIx indexes the root's rows on its head columns; pin holds the
+	// sampled values of those columns and pinCols is 0..len(pin)-1. nil
+	// when the root holds no head variable.
+	rootIx  *relstr.Index
+	pin     []int
+	pinCols []int
 }
 
-type dpStep2 struct {
+// sampleNode is one tree node's sampling state.
+type sampleNode struct {
+	rows  [][]int
+	w     []float64 // full-join DP weight per row (0 for dead rows)
+	live  []int32   // live row ids, ascending
+	head  [][2]int  // (column, hv position) of each head variable in the node
+	steps []sampleStep
+	// pinned: the node's subtree holds a head variable, so its rows
+	// must agree with the sampled head values.
+	pinned bool
+}
+
+// sampleStep probes child (a position in treeSampler.nodes) keyed on
+// the parent row's tCols.
+type sampleStep struct {
 	child int
 	ix    *relstr.Index
 	tCols []int
@@ -621,65 +663,74 @@ func (r *CountRun) sampler(t int) (*treeSampler, error) {
 	}
 	f := r.f
 	tree := &r.p.csched.trees[t]
-	headSet := map[int]bool{}
-	for _, v := range tree.headVars {
-		headSet[v] = true
+	pos := make([]int, len(f.nodes))
+	for k, i := range tree.nodes {
+		pos[i] = k
 	}
 	s := &treeSampler{
-		f:      f,
-		tree:   tree,
-		w:      map[int][]float64{},
-		wb:     map[int][]float64{},
-		hv:     map[int]int{},
-		kidIdx: map[int]int{},
+		nodes: make([]sampleNode, len(tree.nodes)),
+		hv:    make([]int, len(tree.headVars)),
 	}
+	// Full-join DP, postorder: weight of a live row = product over
+	// children of the summed weights of its matching rows (dead rows
+	// stay 0).
 	for k, i := range tree.nodes {
-		s.kidIdx[i] = k
-		var hc [][2]int
-		for j, v := range f.nodes[i].vars {
-			if headSet[v] {
-				hc = append(hc, [2]int{j, v})
+		node := &f.nodes[i]
+		sn := &s.nodes[k]
+		sn.rows = node.rows
+		sn.live = liveIDs(node)
+		sn.w = make([]float64, len(node.rows))
+		for j, v := range node.vars {
+			if h := indexOfOrNeg(tree.headVars, v); h >= 0 {
+				sn.head = append(sn.head, [2]int{j, h})
 			}
 		}
-		s.headCols = append(s.headCols, hc)
-		steps := make([]dpStep2, len(tree.steps[k]))
-		for j, e := range tree.steps[k] {
+		sn.pinned = len(sn.head) > 0
+		for _, e := range tree.steps[k] {
 			ix, built := f.nodes[e.child].ix.Index(e.sCols)
 			if built {
 				f.builds.Add(1)
 			}
-			steps[j] = dpStep2{child: e.child, ix: ix, tCols: e.tCols}
+			sn.steps = append(sn.steps, sampleStep{child: pos[e.child], ix: ix, tCols: e.tCols})
+			sn.pinned = sn.pinned || s.nodes[pos[e.child]].pinned
 		}
-		s.steps = append(s.steps, steps)
-		s.w[i] = make([]float64, len(f.nodes[i].rows))
-		s.wb[i] = make([]float64, len(f.nodes[i].rows))
-	}
-	// Full-join DP: weight of a live row = product over children of the
-	// summed weights of its matching rows (dead rows stay 0).
-	for k, i := range tree.nodes {
-		node := &f.nodes[i]
-		out := s.w[i]
 		f.probes.Add(uint64(node.live))
 		if tr := f.trace; tr != nil {
 			tr.nodes[i].probes.Add(uint64(node.live))
 		}
-		for _, id := range liveIDs(node) {
+		for _, id := range sn.live {
 			row := node.rows[id]
 			c := 1.0
-			for _, st := range s.steps[k] {
+			for _, st := range sn.steps {
 				sum := 0.0
-				cw := s.w[st.child]
+				cw := s.nodes[st.child].w
 				for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
 					sum += cw[sid]
 				}
 				c *= sum
 			}
-			out[id] = c
+			sn.w[id] = c
 		}
 	}
-	root := tree.nodes[len(tree.nodes)-1]
-	for _, id := range liveIDs(&f.nodes[root]) {
-		s.total += s.w[root][id]
+	root := &s.nodes[len(s.nodes)-1]
+	s.prefix = make([]float64, len(root.live))
+	for j, id := range root.live {
+		s.total += root.w[id]
+		s.prefix[j] = s.total
+	}
+	if len(root.head) > 0 {
+		cols := make([]int, len(root.head))
+		s.pinCols = make([]int, len(root.head))
+		for j, hc := range root.head {
+			cols[j] = hc[0]
+			s.pinCols[j] = j
+		}
+		ix, built := f.nodes[tree.root].ix.Index(cols)
+		if built {
+			f.builds.Add(1)
+		}
+		s.rootIx = ix
+		s.pin = make([]int, len(cols))
 	}
 	r.samplers[t] = s
 	return s, nil
@@ -706,41 +757,47 @@ func (r *CountRun) TreeSample(t int, rng *rand.Rand) (float64, error) {
 	if s.total <= 0 {
 		return 0, fmt.Errorf("eval: sampling an empty tree")
 	}
-	clear(s.hv)
-	root := s.tree.nodes[len(s.tree.nodes)-1]
-	id := pickWeighted(rng, s.total, liveIDs(&s.f.nodes[root]), s.w[root])
-	s.descend(rng, root, id)
-	m := s.boundCount()
+	return treeSample(s, rng)
+}
+
+// treeSample is the per-sample step of TreeSample: the seam the tests
+// swap for the reference O(forest) sampler to check the two agree.
+var treeSample = (*treeSampler).sample
+
+func (s *treeSampler) sample(rng *rand.Rand) (float64, error) {
+	root := len(s.nodes) - 1
+	s.descend(rng, root, s.pickRoot(rng))
+	m := s.multiplicity()
 	if m <= 0 {
 		return 0, fmt.Errorf("eval: sampled assignment has zero multiplicity")
 	}
 	return s.total / m, nil
 }
 
-// pickWeighted selects one of ids with probability w[id]/total.
-func pickWeighted(rng *rand.Rand, total float64, ids []int32, w []float64) int32 {
-	target := rng.Float64() * total
-	acc := 0.0
-	pick := ids[len(ids)-1]
-	for _, id := range ids {
-		acc += w[id]
-		if acc > target {
-			return id
-		}
+// pickRoot selects a live root row with probability w/total: the first
+// row whose running weight sum exceeds the target, by binary search
+// over the prefix sums (the same sums, in the same order, a linear
+// scan accumulates — so the pick is identical).
+func (s *treeSampler) pickRoot(rng *rand.Rand) int32 {
+	target := rng.Float64() * s.total
+	j := sort.Search(len(s.prefix), func(j int) bool { return s.prefix[j] > target })
+	live := s.nodes[len(s.nodes)-1].live
+	if j == len(live) {
+		j-- // float rounding: fall back to the last candidate
 	}
-	return pick // float rounding: fall back to the last candidate
+	return live[j]
 }
 
-// descend fixes node i to row id, records its head values, and samples
+// descend fixes node k to row id, records its head values, and samples
 // one matching row per child proportional to the child's DP weights.
-func (s *treeSampler) descend(rng *rand.Rand, i int, id int32) {
-	k := s.kidIdx[i]
-	row := s.f.nodes[i].rows[id]
-	for _, hc := range s.headCols[k] {
+func (s *treeSampler) descend(rng *rand.Rand, k int, id int32) {
+	n := &s.nodes[k]
+	row := n.rows[id]
+	for _, hc := range n.head {
 		s.hv[hc[1]] = row[hc[0]]
 	}
-	for _, st := range s.steps[k] {
-		cw := s.w[st.child]
+	for _, st := range n.steps {
+		cw := s.nodes[st.child].w
 		sum := 0.0
 		last := int32(-1)
 		for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
@@ -763,43 +820,71 @@ func (s *treeSampler) descend(rng *rand.Rand, i int, id int32) {
 	}
 }
 
-// boundCount reruns the full-join DP with every head variable pinned
-// to the sampled assignment, returning the multiplicity m ≥ 1 of the
-// sampled head projection.
-func (s *treeSampler) boundCount() float64 {
-	f := s.f
-	for k, i := range s.tree.nodes {
-		node := &f.nodes[i]
-		out := s.wb[i]
-		for j := range out {
-			out[j] = 0
+// multiplicity returns the number m ≥ 1 of full assignments of the
+// tree that agree with the sampled head values: the sum, over the root
+// rows holding the sampled values (one index probe on the root's head
+// columns), of their pinned weights.
+func (s *treeSampler) multiplicity() float64 {
+	root := len(s.nodes) - 1
+	rn := &s.nodes[root]
+	m := 0.0
+	if s.rootIx == nil {
+		// No head variable at the root: every live root row is a
+		// candidate (correct, but a scan of the root).
+		for _, id := range rn.live {
+			m += s.pinnedWeight(root, id)
 		}
+		return m
+	}
+	for j, hc := range rn.head {
+		s.pin[j] = s.hv[hc[1]]
+	}
+	for id := s.rootIx.First(s.pin, s.pinCols); id >= 0; id = s.rootIx.Next(id, s.pin, s.pinCols) {
+		if rn.w[id] > 0 { // dead rows weigh 0
+			m += s.pinnedWeight(root, id)
+		}
+	}
+	return m
+}
+
+// pinnedWeight counts the assignments of node k's subtree that extend
+// row id (which already agrees with the sampled head values) and agree
+// with them everywhere below. A child subtree without head variables
+// contributes its cached DP weights; a pinned one recurses into the
+// live matching rows that hold the sampled values. Sums run in index
+// chain order like the full DP's, and dead or disagreeing rows — which
+// a full pinned DP would weigh 0 — are skipped, so the result is the
+// same float the full DP computes.
+func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
+	n := &s.nodes[k]
+	row := n.rows[id]
+	c := 1.0
+	for _, st := range n.steps {
+		child := &s.nodes[st.child]
+		sum := 0.0
 	rows:
-		for _, id := range liveIDs(node) {
-			row := node.rows[id]
-			for _, hc := range s.headCols[k] {
-				if row[hc[0]] != s.hv[hc[1]] {
+		for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
+			if !child.pinned {
+				sum += child.w[sid]
+				continue
+			}
+			if child.w[sid] == 0 {
+				continue
+			}
+			crow := child.rows[sid]
+			for _, hc := range child.head {
+				if crow[hc[0]] != s.hv[hc[1]] {
 					continue rows
 				}
 			}
-			c := 1.0
-			for _, st := range s.steps[k] {
-				sum := 0.0
-				cw := s.wb[st.child]
-				for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
-					sum += cw[sid]
-				}
-				c *= sum
-			}
-			out[id] = c
+			sum += s.pinnedWeight(st.child, sid)
 		}
+		if sum == 0 {
+			return 0
+		}
+		c *= sum
 	}
-	root := s.tree.nodes[len(s.tree.nodes)-1]
-	m := 0.0
-	for _, id := range liveIDs(&f.nodes[root]) {
-		m += s.wb[root][id]
-	}
-	return m
+	return c
 }
 
 // --- enumeration fallbacks ---------------------------------------------

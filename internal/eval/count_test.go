@@ -13,24 +13,21 @@ import (
 
 // countForTest is the exact count through the counting subsystem with
 // the parallel thresholds forced down (see evalTuned): the DP/dedup
-// product for exactly countable plans, the evaluation fallback for
-// acyclic plans with a sampling tree, enumeration for naive plans.
+// product for exactly countable plans, CountEval (the production
+// "exact-eval" path) for acyclic plans with a sampling tree,
+// enumeration for naive plans.
 func (p *Plan) countForTest(ctx context.Context, src Source, par int) (uint64, error) {
 	if p.mode != PlanYannakakis {
 		return p.CountEnum(ctx, src)
-	}
-	if !p.ExactCountable() {
-		ans, err := p.evalTuned(ctx, src, par)
-		if err != nil {
-			return 0, err
-		}
-		return uint64(len(ans)), nil
 	}
 	run, err := p.prepareCount(ctx, src, par, true, false)
 	if err != nil {
 		return 0, err
 	}
 	defer run.Close()
+	if !p.ExactCountable() {
+		return run.CountEval(ctx)
+	}
 	if run.Empty() {
 		return 0, nil
 	}
@@ -53,7 +50,10 @@ func (p *Plan) countForTest(ctx context.Context, src Source, par int) (uint64, e
 
 // FuzzCountEquivalence asserts the exact count equals the length of
 // the reference evaluation on random acyclic queries and databases,
-// across both storage backends and serial/parallel execution.
+// across both storage backends and serial/parallel execution. A second
+// leg draws a projecting query (one the estimator samples), checks its
+// exact count the same way, and checks every TreeSample value against
+// the reference sampler step.
 func FuzzCountEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -83,6 +83,27 @@ func FuzzCountEquivalence(f *testing.F) {
 					t.Fatalf("count(%s, par=%d) = %d, want %d (countable=%v)\n  q=%v\n  answers=%v",
 						src.name, par, got, len(want), p.ExactCountable(), q, want)
 				}
+			}
+		}
+
+		pq := randomProjectingQuery(rng)
+		pdb := randomProjectingDB(rng)
+		pp := NewPlan(pq)
+		pwant, err := pp.EvalBaseline(ctx, pdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		psrc := NewSnapshotSource(relstr.NewSnapshot(pdb))
+		for _, par := range []int{1, 4} {
+			got, err := pp.countForTest(ctx, psrc, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != uint64(len(pwant)) {
+				t.Fatalf("projecting count(par=%d) = %d, want %d\n  q=%v", par, got, len(pwant), pq)
+			}
+			if err := samplesMatchRef(ctx, pp, psrc, par, seed, 200); err != nil {
+				t.Fatalf("q=%v: %v", pq, err)
 			}
 		}
 	})
@@ -185,7 +206,7 @@ func TestCountNaiveFallback(t *testing.T) {
 	q := cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")
 	db := graphDB([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{0, 0})
 	p := NewPlan(q)
-	if _, err := p.PrepareCount(ctx, NewSource(db), 1); err != ErrNotAcyclic {
+	if _, err := p.PrepareCount(ctx, NewSource(db), 1, false); err != ErrNotAcyclic {
 		t.Fatalf("PrepareCount on naive plan: err = %v, want ErrNotAcyclic", err)
 	}
 	want, err := p.EvalBaseline(ctx, db)
@@ -221,7 +242,7 @@ func TestCountSamplerConverges(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("degenerate test database")
 	}
-	run, err := p.PrepareCount(ctx, NewSource(db), 1)
+	run, err := p.PrepareCount(ctx, NewSource(db), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

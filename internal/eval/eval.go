@@ -218,25 +218,30 @@ type hashIndex struct {
 	mask uint64
 }
 
+// tables returns the scratch's bucket and chain arrays sized for n
+// rows, buckets cleared: the one pair of hash tables every index,
+// projection and key count of the call reuses (at most one is live at
+// a time).
+func (sc *scratch) tables(n int) (head, next []int32, mask uint64) {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(sc.head) < size {
+		sc.head = make([]int32, size)
+	}
+	head = sc.head[:size]
+	clear(head)
+	if cap(sc.next) < n {
+		sc.next = make([]int32, n)
+	}
+	return head, sc.next[:n], uint64(size - 1)
+}
+
 // buildIndex indexes rows on cols using the scratch's tables. The
 // index is valid until the scratch builds the next one.
 func (sc *scratch) buildIndex(rows [][]int, cols []int) hashIndex {
-	n := 8
-	for n < 2*len(rows) {
-		n <<= 1
-	}
-	if cap(sc.head) < n {
-		sc.head = make([]int32, n)
-	}
-	head := sc.head[:n]
-	for i := range head {
-		head[i] = 0
-	}
-	if cap(sc.next) < len(rows) {
-		sc.next = make([]int32, len(rows))
-	}
-	next := sc.next[:len(rows)]
-	mask := uint64(n - 1)
+	head, next, mask := sc.tables(len(rows))
 	for i, row := range rows {
 		b := relstr.HashCols(row, cols) & mask
 		next[i] = head[b]
@@ -328,22 +333,7 @@ func (sc *scratch) join(l, r rel, st jStep) rel {
 // the projection loses columns, so duplicates do arise here.
 func (sc *scratch) project(r rel, cols []int, outVars []int) rel {
 	out := rel{vars: outVars}
-	n := 8
-	for n < 2*len(r.rows) {
-		n <<= 1
-	}
-	if cap(sc.head) < n {
-		sc.head = make([]int32, n)
-	}
-	head := sc.head[:n]
-	for i := range head {
-		head[i] = 0
-	}
-	if cap(sc.next) < len(r.rows) {
-		sc.next = make([]int32, len(r.rows))
-	}
-	next := sc.next[:len(r.rows)]
-	mask := uint64(n - 1)
+	head, next, mask := sc.tables(len(r.rows))
 	sc.stats.builds++
 	sc.stats.probes += uint64(len(r.rows))
 rows:
@@ -372,4 +362,34 @@ rows:
 		head[b] = id
 	}
 	return out
+}
+
+// countKeys counts the distinct projections of rows onto cols (cols
+// may repeat a column) through the scratch's hash tables: the chains
+// link the first row seen with each key, so nothing is copied out and
+// no key is materialised.
+func (sc *scratch) countKeys(rows [][]int, cols []int) uint64 {
+	head, next, mask := sc.tables(len(rows))
+	var n uint64
+rows:
+	for i, row := range rows {
+		b := relstr.HashCols(row, cols) & mask
+		for id := head[b]; id != 0; id = next[id-1] {
+			prev := rows[id-1]
+			dup := true
+			for _, c := range cols {
+				if prev[c] != row[c] {
+					dup = false
+					break
+				}
+			}
+			if dup {
+				continue rows
+			}
+		}
+		next[i] = head[b]
+		head[b] = int32(i + 1)
+		n++
+	}
+	return n
 }

@@ -125,9 +125,9 @@ type forest struct {
 	probes atomic.Uint64
 
 	// trace is the call's ANALYZE frame, nil unless the caller opted
-	// in (EvalTraceOn/PrepareCountTrace). Every hot-path hook is a
-	// single nil check — the trace-off path records nothing and
-	// allocates nothing.
+	// in (EvalTraceOn, or PrepareCount with traced set). Every hot-path
+	// hook is a single nil check — the trace-off path records nothing
+	// and allocates nothing.
 	trace *execTrace
 }
 
@@ -498,18 +498,19 @@ func (f *forest) runBool(ctx context.Context, sched *schedule) (bool, error) {
 
 // --- solve phase -------------------------------------------------------
 
-// solve executes the scheduled bottom-up join, cross product and head
-// projection over a forest that already went through runPasses (callers
-// must also have verified every node keeps at least one row — the skip
-// analysis relies on it). empty reports an empty answer set discovered
-// mid-way.
-func (f *forest) solve(ctx context.Context, sched *schedule) (_ Answers, empty bool, _ error) {
+// solveRows executes the scheduled bottom-up join and cross product over
+// a forest that already went through runPasses (callers must also have
+// verified every node keeps at least one row — the skip analysis relies
+// on it). It returns the joined rows and the head's columns within
+// them; projectHead (evaluation) or scratch.countKeys (counting)
+// consumes them. empty reports an empty answer set discovered mid-way.
+func (f *forest) solveRows(ctx context.Context, sched *schedule) (rows [][]int, cols []int, empty bool, _ error) {
 	if sched.directNode != -1 {
 		rows := [][]int{{}} // unitNode: the Boolean unit relation
 		if sched.directNode >= 0 {
 			rows = f.nodes[sched.directNode].aliveRows()
 		}
-		return f.projectHead(rows, len(sched.head), sched.directCols), false, nil
+		return rows, sched.directCols, false, nil
 	}
 	var start time.Time
 	if f.trace != nil {
@@ -521,7 +522,7 @@ func (f *forest) solve(ctx context.Context, sched *schedule) (_ Answers, empty b
 			continue
 		}
 		if err := cqerr.Check(ctx); err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		acc := rel{vars: f.nodes[i].vars, rows: f.nodes[i].aliveRows()}
 		for _, st := range sched.nodes[i].joins {
@@ -541,10 +542,10 @@ func (f *forest) solve(ctx context.Context, sched *schedule) (_ Answers, empty b
 			continue
 		}
 		if err := cqerr.Check(ctx); err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		if len(upRel[st.child].rows) == 0 {
-			return Answers{}, true, nil
+			return nil, nil, true, nil
 		}
 		if len(total.vars) == 0 && len(total.rows) == 1 {
 			// Cross product with the unit relation: adopt the component's
@@ -557,7 +558,7 @@ func (f *forest) solve(ctx context.Context, sched *schedule) (_ Answers, empty b
 	if tr := f.trace; tr != nil {
 		tr.phase("join", time.Since(start))
 	}
-	return f.projectHead(total.rows, len(sched.head), sched.headCols), false, nil
+	return total.rows, sched.headCols, false, nil
 }
 
 // join is the scheduled natural join, morsel-parallel when the
@@ -728,7 +729,7 @@ func projectHeadSerial(rows [][]int, width int, cols []int) Answers {
 
 // evalForest runs the complete Yannakakis pipeline over a fresh forest:
 // both reduction passes, the emptiness short-circuit, then the
-// scheduled solve.
+// scheduled joins and the head projection.
 func evalForest(ctx context.Context, sched *schedule, f *forest) (Answers, error) {
 	if err := f.runPasses(ctx, sched); err != nil {
 		return nil, err
@@ -736,14 +737,14 @@ func evalForest(ctx context.Context, sched *schedule, f *forest) (Answers, error
 	if f.anyEmpty() {
 		return Answers{}, nil
 	}
-	ans, empty, err := f.solve(ctx, sched)
+	rows, cols, empty, err := f.solveRows(ctx, sched)
 	if err != nil {
 		return nil, err
 	}
 	if empty {
 		return Answers{}, nil
 	}
-	return ans, nil
+	return f.projectHead(rows, len(sched.head), cols), nil
 }
 
 // reduce rebuilds a structure holding only the database tuples backing

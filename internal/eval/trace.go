@@ -166,14 +166,6 @@ func (p *Plan) EvalBoolTraceOn(ctx context.Context, src Source, parallel int) (b
 	return ok, out, err
 }
 
-// PrepareCountTrace is PrepareCount with tracing attached: the
-// reduction phases land in the run's trace, counting phases are
-// recorded by the caller via TracePhase, and TraceSnapshot renders the
-// frame before Close.
-func (p *Plan) PrepareCountTrace(ctx context.Context, src Source, parallel int) (*CountRun, error) {
-	return p.prepareCount(ctx, src, parallel, false, true)
-}
-
 // TracePhase records one caller-timed phase (e.g. "count",
 // "count-estimate") on a traced run; no-op on untraced runs.
 func (r *CountRun) TracePhase(name string, d time.Duration) {
