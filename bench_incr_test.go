@@ -56,8 +56,10 @@ func BenchmarkIncrementalEval(b *testing.B) {
 	ctx := context.Background()
 	engine := NewEngine()
 	const n = 3000
-	db0 := Snapshot(workload.EvalBenchDB(n))
-	for _, c := range incrBenchCases(b, engine, db0) {
+	raw := workload.EvalBenchDB(n)
+	db0 := Snapshot(raw)
+	cases := incrBenchCases(b, engine, db0)
+	for _, c := range cases {
 		// One fresh fact, outside the generated value range: db1 is db0
 		// with the fact present. Even iterations advance db0 -> db1
 		// (insert), odd ones db1 -> db0 (delete).
@@ -69,35 +71,7 @@ func BenchmarkIncrementalEval(b *testing.B) {
 		}
 
 		b.Run(fmt.Sprintf("Delta/%s/N%d", c.name, n), func(b *testing.B) {
-			ie, err := c.q().Incremental(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ie.Supported() {
-				b.Fatalf("%s: plan does not support incremental maintenance", c.name)
-			}
-			// One full cycle outside the timer warms both snapshots'
-			// view and index caches.
-			if _, err := ie.Advance(ctx, db1, ins); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ie.Advance(ctx, db0, del); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				next, d := db1, ins
-				if i%2 == 1 {
-					next, d = db0, del
-				}
-				diff, err := ie.Advance(ctx, next, d)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if diff.Fallback {
-					b.Fatalf("fallback: %s", diff.Reason)
-				}
-			}
+			benchAdvance(b, c, db0, db1, ins, del)
 		})
 
 		b.Run(fmt.Sprintf("FullReeval/%s/N%d", c.name, n), func(b *testing.B) {
@@ -120,4 +94,74 @@ func BenchmarkIncrementalEval(b *testing.B) {
 			}
 		})
 	}
+
+	// An existing edge inside the graph, between two nodes of out-degree
+	// at least two: its delete removes a link that other 3-paths run
+	// beside, so each chain3 candidate is re-checked for another witness
+	// on the changed snapshot. Even iterations delete it, odd ones put
+	// it back.
+	e, ok := branchingEdge(raw)
+	if !ok {
+		b.Fatal("bench graph has no edge between two branching nodes")
+	}
+	del := NewDelta().Delete("E", e[0], e[1])
+	ins := NewDelta().Insert("E", e[0], e[1])
+	db1, err := db0.Update(del)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("Delta/chain3-edge/N%d", n), func(b *testing.B) {
+		benchAdvance(b, cases[0], db0, db1, del, ins)
+	})
+}
+
+// benchAdvance times IncrementalEval.Advance alternating db0 -> db1 by
+// fwd (even iterations) and db1 -> db0 by back (odd ones), failing on
+// any fallback.
+func benchAdvance(b *testing.B, c incrBenchCase, db0, db1 *Database, fwd, back *Delta) {
+	ctx := context.Background()
+	ie, err := c.q().Incremental(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !ie.Supported() {
+		b.Fatalf("%s: plan does not support incremental maintenance", c.name)
+	}
+	// One full cycle outside the timer warms both snapshots' view and
+	// index caches.
+	if _, err := ie.Advance(ctx, db1, fwd); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ie.Advance(ctx, db0, back); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next, d := db1, fwd
+		if i%2 == 1 {
+			next, d = db0, back
+		}
+		diff, err := ie.Advance(ctx, next, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if diff.Fallback {
+			b.Fatalf("fallback: %s", diff.Reason)
+		}
+	}
+}
+
+// branchingEdge returns the lexicographically first E edge (a, b) of s
+// with a != b whose endpoints both have out-degree at least two.
+func branchingEdge(s *Structure) ([2]int, bool) {
+	out := map[int]int{}
+	for _, t := range s.Tuples("E") {
+		out[t[0]]++
+	}
+	for _, t := range s.SortedTuples("E") {
+		if t[0] != t[1] && out[t[0]] >= 2 && out[t[1]] >= 2 {
+			return [2]int{t[0], t[1]}, true
+		}
+	}
+	return [2]int{}, false
 }

@@ -28,16 +28,22 @@ package eval
 // contributions. For deletions the same restricted evaluation runs on
 // the *old* snapshot seeded by the deleted rows, producing the old
 // contributions that had a witness through a deleted tuple; each
-// candidate is then re-checked on the new snapshot by binding the
-// tree's kept variables to the candidate row and running the Boolean
-// bottom-up pass over the bound mini-forest.
+// candidate is then re-checked on the new snapshot by a first-hit
+// search for one witness: top-down from a node holding kept
+// variables, each node's view is probed through its persistent index
+// on the variables already bound (the candidate's kept values and the
+// parent row's shared ones), and a chosen row's child subtrees are
+// checked independently — in a join tree they share variables only
+// through that row. Outcomes are memoised per (node, bound key), so a
+// candidate without a witness visits each matching row at most once.
 //
-// Everything is budgeted: when the restriction grows past the budget,
-// the delta spans several trees or a Boolean (no kept variables) tree,
-// or the plan is naive, Apply falls back to a full re-evaluation and
-// reports it — the diff is still exact, computed as the sorted set
-// difference against the previous answers. The fallback and
-// incremental counters surface through IndexStats and Explain.
+// Everything is budgeted — every row the restriction walks keep and
+// every row the membership search visits is charged: when the budget
+// runs out, the delta spans several trees or a Boolean (no kept
+// variables) tree, or the plan is naive, Apply falls back to a full
+// re-evaluation and reports it — the diff is still exact, computed as
+// the sorted set difference against the previous answers. The fallback
+// and incremental counters surface through IndexStats and Explain.
 
 import (
 	"context"
@@ -48,9 +54,9 @@ import (
 	"cqapprox/internal/relstr"
 )
 
-// DefaultIncrBudget caps the total number of restricted rows (and
-// seeds) one Apply may materialise before falling back to a full
-// re-evaluation.
+// DefaultIncrBudget caps the work of one Apply — seeds, restricted
+// rows and rows visited by membership searches — before it falls back
+// to a full re-evaluation.
 const DefaultIncrBudget = 8192
 
 // errIncrBudget aborts an incremental attempt; Apply catches it and
@@ -79,6 +85,15 @@ type IncrState struct {
 	nodeVars [][]int   // node → distinct variables
 	nodePat  [][]int   // node → atom repetition pattern
 	relNodes map[string][]int
+
+	// Membership search program (see member): each tree is searched
+	// from the node holding the most kept variables, oriented over adj.
+	searchRoot []int   // tree → search root
+	searchKids [][]int // node → children in the search orientation
+	keyCols    [][]int // node → columns bound on arrival: kept or shared with the search parent
+	keyVars    [][]int // node → the variables at keyCols
+	memoVars   [][]int // node → keyVars plus the other kept variables of its search subtree
+	numVars    int     // variable ids are below numVars
 }
 
 // IncrDiff is the exact answer-set change of one Apply: the tuples
@@ -112,8 +127,10 @@ func (p *Plan) NewIncrState(ctx context.Context, sn *relstr.Snapshot, parallel i
 	return s, nil
 }
 
-// SetBudget overrides the restricted-row budget (values below one keep
-// the default). Lower budgets force earlier fallbacks.
+// SetBudget overrides the per-Apply work budget: the seeds and
+// restricted rows of the restriction walks plus the rows visited by
+// the membership searches (values below one keep the default). Lower
+// budgets force earlier fallbacks.
 func (s *IncrState) SetBudget(n int) {
 	if n > 0 {
 		s.budget = n
@@ -159,6 +176,60 @@ func (s *IncrState) initMaps() {
 			}
 		}
 		walk(r)
+	}
+	s.searchRoot = make([]int, len(p.sched.roots))
+	s.searchKids = make([][]int, n)
+	s.keyCols = make([][]int, n)
+	s.keyVars = make([][]int, n)
+	s.memoVars = make([][]int, n)
+	for ti := range p.sched.roots {
+		best := -1
+		for _, i := range s.tnodes[ti] {
+			k := 0
+			for _, v := range s.nodeVars[i] {
+				if slices.Contains(s.treeVars[ti], v) {
+					k++
+				}
+			}
+			if k > best {
+				s.searchRoot[ti], best = i, k
+			}
+		}
+		// orient lays out node i's search program under search parent
+		// par and returns the kept variables of i's search subtree.
+		var orient func(i, par int) []int
+		orient = func(i, par int) []int {
+			var kept []int
+			for j, v := range s.nodeVars[i] {
+				isKept := slices.Contains(s.treeVars[ti], v)
+				if isKept {
+					kept = append(kept, v)
+				}
+				if isKept || par >= 0 && slices.Contains(s.nodeVars[par], v) {
+					s.keyCols[i] = append(s.keyCols[i], j)
+					s.keyVars[i] = append(s.keyVars[i], v)
+				}
+				s.numVars = max(s.numVars, v+1)
+			}
+			for _, m := range s.adj[i] {
+				if m != par {
+					s.searchKids[i] = append(s.searchKids[i], m)
+					for _, v := range orient(m, i) {
+						if !slices.Contains(kept, v) {
+							kept = append(kept, v)
+						}
+					}
+				}
+			}
+			s.memoVars[i] = slices.Clone(s.keyVars[i])
+			for _, v := range kept {
+				if !slices.Contains(s.memoVars[i], v) {
+					s.memoVars[i] = append(s.memoVars[i], v)
+				}
+			}
+			return kept
+		}
+		orient(s.searchRoot[ti], -1)
 	}
 }
 
@@ -234,26 +305,37 @@ func (s *IncrState) fallbackTo(ctx context.Context, sn *relstr.Snapshot, reason 
 // answer diff. A nil delta (full replacement) or a version mismatch
 // (missed intermediate updates) resynchronises via a full
 // re-evaluation; so do naive plans, deltas spanning several trees or a
-// Boolean tree, and restrictions past the budget — all reported as
+// Boolean tree, and propagations past the budget — all reported as
 // Fallback with a Reason and counted in IndexStats.IncrFallbacks.
 func (s *IncrState) Apply(ctx context.Context, d *relstr.Delta, oldSn, newSn *relstr.Snapshot) (*IncrDiff, error) {
 	if newSn == nil {
 		return nil, errors.New("eval: Apply requires the updated snapshot")
 	}
-	if s.p.mode != PlanYannakakis {
-		return s.fallbackTo(ctx, newSn, "plan is not incrementally maintainable")
+	diff, reason, err := s.advance(ctx, d, oldSn, newSn)
+	if err != nil {
+		return nil, err
 	}
-	if d == nil || oldSn == nil {
-		return s.fallbackTo(ctx, newSn, "full replacement")
+	if reason != "" {
+		return s.fallbackTo(ctx, newSn, reason)
 	}
-	if oldSn.Version() != s.version {
-		return s.fallbackTo(ctx, newSn, "state behind the snapshot chain")
-	}
-	if newSn.Version() == s.version {
-		return &IncrDiff{}, nil // empty delta: Update returned the same snapshot
-	}
-	if d.NumChanges() > s.budget {
-		return s.fallbackTo(ctx, newSn, "delta larger than budget")
+	return diff, nil
+}
+
+// advance is Apply's incremental attempt. When the delta cannot be
+// propagated it returns the fallback reason and leaves the state
+// untouched.
+func (s *IncrState) advance(ctx context.Context, d *relstr.Delta, oldSn, newSn *relstr.Snapshot) (*IncrDiff, string, error) {
+	switch {
+	case s.p.mode != PlanYannakakis:
+		return nil, "plan is not incrementally maintainable", nil
+	case d == nil || oldSn == nil:
+		return nil, "full replacement", nil
+	case oldSn.Version() != s.version:
+		return nil, "state behind the snapshot chain", nil
+	case newSn.Version() == s.version:
+		return &IncrDiff{}, "", nil // empty delta: Update returned the same snapshot
+	case d.NumChanges() > s.budget:
+		return nil, "delta larger than budget", nil
 	}
 	eff := s.effective(d, oldSn, newSn)
 	if len(eff) == 0 {
@@ -261,7 +343,7 @@ func (s *IncrState) Apply(ctx context.Context, d *relstr.Delta, oldSn, newSn *re
 		// reads: the reduced state stays valid verbatim.
 		s.version = newSn.Version()
 		s.p.stats.incrEvals.Add(1)
-		return &IncrDiff{}, nil
+		return &IncrDiff{}, "", nil
 	}
 	ti := -1
 	for _, e := range eff {
@@ -270,22 +352,22 @@ func (s *IncrState) Apply(ctx context.Context, d *relstr.Delta, oldSn, newSn *re
 			case ti == -1:
 				ti = t
 			case ti != t:
-				return s.fallbackTo(ctx, newSn, "delta spans multiple join trees")
+				return nil, "delta spans multiple join trees", nil
 			}
 		}
 	}
 	if len(s.treeVars[ti]) == 0 {
-		return s.fallbackTo(ctx, newSn, "delta touches a Boolean tree")
+		return nil, "delta touches a Boolean tree", nil
 	}
 	diff, err := s.applyTree(ctx, ti, eff, oldSn, newSn)
 	if err == errIncrBudget {
-		return s.fallbackTo(ctx, newSn, "restriction larger than budget")
+		return nil, "incremental work larger than budget", nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	s.p.stats.incrEvals.Add(1)
-	return diff, nil
+	return diff, "", nil
 }
 
 // effChange is one read relation's effective changes: tuples actually
@@ -363,13 +445,16 @@ func (s *IncrState) applyTree(ctx context.Context, ti int, eff []effChange, oldS
 		}
 	}
 	var removed [][]int
-	for _, c := range tuplesToRows(remSeen.Rows()) {
-		ok, err := s.member(ctx, sc, ti, c, newSn, &budget)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			removed = append(removed, c)
+	if remSeen.Len() > 0 {
+		ms := s.newMemberSearch(newSn, sc, &budget)
+		for _, c := range tuplesToRows(remSeen.Rows()) {
+			ok, err := s.member(ctx, ms, ti, c)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				removed = append(removed, c)
+			}
 		}
 	}
 	sortRows(added)
@@ -422,22 +507,8 @@ func (s *IncrState) restrict(sn *relstr.Snapshot, seedNode int, seeds [][]int, s
 	if *budget < 0 {
 		return nil, errIncrBudget
 	}
-	if err := s.closeRestriction(sn, restricted, []int{seedNode}, sc, budget); err != nil {
-		return nil, err
-	}
-	return restricted, nil
-}
-
-// closeRestriction completes restricted into a full-tree restriction:
-// a breadth-first walk from the already-restricted queue nodes along
-// tree edges, restricting each unvisited node to the view rows
-// joinable with its restricted neighbour (probed through the
-// snapshot's persistent indexes). queue must hold exactly restricted's
-// keys; both are mutated in place.
-func (s *IncrState) closeRestriction(sn *relstr.Snapshot, restricted map[int][][]int, queue []int, sc *scratch, budget *int) error {
-	for len(queue) > 0 {
+	for queue := []int{seedNode}; len(queue) > 0; queue = queue[1:] {
 		i := queue[0]
-		queue = queue[1:]
 		for _, m := range s.adj[i] {
 			if _, ok := restricted[m]; ok {
 				continue
@@ -462,13 +533,13 @@ func (s *IncrState) closeRestriction(sn *relstr.Snapshot, restricted map[int][][
 			}
 			*budget -= len(rows)
 			if *budget < 0 {
-				return errIncrBudget
+				return nil, errIncrBudget
 			}
 			restricted[m] = rows
 			queue = append(queue, m)
 		}
 	}
-	return nil
+	return restricted, nil
 }
 
 // miniForest wraps restricted row sets as a serial forest the ordinary
@@ -512,50 +583,111 @@ func (s *IncrState) treeCandidates(ctx context.Context, sc *scratch, ti, seedNod
 	return tr.rows, nil
 }
 
-// member reports whether contribution row c is still derivable from
-// tree ti on sn: every node containing a kept variable is restricted
-// to the view rows matching c's binding of it, the restriction is
-// closed transitively over the remaining nodes along tree edges (so
-// nodes without kept variables cost their join neighbourhood, not
-// their whole view), and the Boolean bottom-up pass checks for a
-// surviving assignment.
-func (s *IncrState) member(ctx context.Context, sc *scratch, ti int, c []int, sn *relstr.Snapshot, budget *int) (bool, error) {
-	restricted := make(map[int][][]int, len(s.tnodes[ti]))
-	var queue []int
-	for _, n := range s.tnodes[ti] {
-		var keyCols, probeCols []int
-		for j, v := range s.nodeVars[n] {
-			if k := indexOfOrNeg(s.treeVars[ti], v); k != -1 {
-				keyCols = append(keyCols, j)
-				probeCols = append(probeCols, k)
-			}
-		}
-		if len(keyCols) == 0 {
-			continue // restricted through a neighbour in the closure walk
-		}
-		v := s.view(sn, n)
-		var rows [][]int
-		ix, _ := v.Index(keyCols)
-		sc.stats.probes++
-		for id := ix.First(c, probeCols); id >= 0; id = ix.Next(id, c, probeCols) {
-			rows = append(rows, v.Rows()[id])
-		}
-		if len(rows) == 0 {
-			return false, nil
-		}
-		*budget -= len(rows)
-		if *budget < 0 {
-			return false, errIncrBudget
-		}
-		restricted[n] = rows
-		queue = append(queue, n)
+// memberSearch is the state of the membership searches of one Apply
+// on the new snapshot, shared by its candidates.
+type memberSearch struct {
+	s      *IncrState
+	sn     *relstr.Snapshot
+	sc     *scratch
+	budget *int
+	bind   []int        // variable → value on the current search path
+	key    [][]int      // node → memo key over memoVars
+	memo   []searchMemo // node → outcomes per memo key
+}
+
+// searchMemo records the memo keys a node was searched under, split
+// by outcome.
+type searchMemo struct{ hit, miss relstr.TupleSet }
+
+func (s *IncrState) newMemberSearch(sn *relstr.Snapshot, sc *scratch, budget *int) *memberSearch {
+	ms := &memberSearch{
+		s: s, sn: sn, sc: sc, budget: budget,
+		bind: make([]int, s.numVars),
+		key:  make([][]int, len(s.memoVars)),
+		memo: make([]searchMemo, len(s.memoVars)),
 	}
-	if err := s.closeRestriction(sn, restricted, queue, sc, budget); err != nil {
+	for n, vars := range s.memoVars {
+		ms.key[n] = make([]int, len(vars))
+	}
+	return ms
+}
+
+// member reports whether contribution row c is still derivable from
+// tree ti on the search's snapshot: c binds the tree's kept variables
+// and a first-hit search looks for one satisfying assignment
+// extending it (see extends).
+func (s *IncrState) member(ctx context.Context, ms *memberSearch, ti int, c []int) (bool, error) {
+	if err := cqerr.Check(ctx); err != nil {
 		return false, err
 	}
-	f := s.miniForest(restricted, sc)
-	defer f.release()
-	return f.treeBool(ctx, s.p.sched, s.p.sched.roots[ti])
+	for k, v := range s.treeVars[ti] {
+		ms.bind[v] = c[k]
+	}
+	return ms.extends(s.searchRoot[ti])
+}
+
+// extends reports whether some view row of node n agrees with the
+// bound values of its key columns and extends into every search child
+// subtree. Children are checked independently under the chosen row —
+// acyclicity makes them share variables only through it. The outcome
+// depends on nothing but the bound values of memoVars (the key columns
+// and the kept variables below), so it is memoised under them for
+// every later candidate of the Apply. Every visited row is charged to
+// the budget.
+func (ms *memberSearch) extends(n int) (bool, error) {
+	s := ms.s
+	key := ms.key[n]
+	for k, x := range s.memoVars[n] {
+		key[k] = ms.bind[x]
+	}
+	memo := &ms.memo[n]
+	if memo.hit.Has(key) {
+		return true, nil
+	}
+	if memo.miss.Has(key) {
+		return false, nil
+	}
+	v := s.view(ms.sn, n)
+	rows := v.Rows()
+	var ix *relstr.Index
+	id := int32(-1)
+	switch {
+	case len(s.keyCols[n]) > 0:
+		ix, _ = v.Index(s.keyCols[n])
+		ms.sc.stats.probes++
+		id = ix.First(ms.bind, s.keyVars[n])
+	case len(rows) > 0:
+		id = 0 // nothing bound: every row matches
+	}
+	for id >= 0 {
+		if *ms.budget--; *ms.budget < 0 {
+			return false, errIncrBudget
+		}
+		for j, x := range s.nodeVars[n] {
+			ms.bind[x] = rows[id][j]
+		}
+		ok := true
+		for _, m := range s.searchKids[n] {
+			var err error
+			if ok, err = ms.extends(m); err != nil {
+				return false, err
+			}
+			if !ok {
+				break
+			}
+		}
+		if ok {
+			memo.hit.AddCopy(key)
+			return true, nil
+		}
+		if ix != nil {
+			id = ix.Next(id, ms.bind, s.keyVars[n])
+		} else if id++; int(id) == len(rows) {
+			id = -1
+		}
+	}
+	memo.miss.AddCopy(key)
+	return false, nil
 }
 
 // compose crosses the per-tree contributions — tree ti replaced by
@@ -628,28 +760,6 @@ func (f *forest) treeRel(ctx context.Context, sched *schedule, root int) (rel, e
 			acc = f.sc.project(acc, sched.nodes[i].projCols, sched.nodes[i].vars)
 		}
 		return acc, nil
-	}
-	return rec(root)
-}
-
-// treeBool runs the bottom-up pass of one tree only, reporting whether
-// any assignment survives (the root keeps a live row).
-func (f *forest) treeBool(ctx context.Context, sched *schedule, root int) (bool, error) {
-	var rec func(i int) (bool, error)
-	rec = func(i int) (bool, error) {
-		for _, c := range sched.children[i] {
-			ok, err := rec(c)
-			if !ok || err != nil {
-				return ok, err
-			}
-		}
-		if err := cqerr.Check(ctx); err != nil {
-			return false, err
-		}
-		for _, st := range sched.downOf[i] {
-			f.semijoin(st)
-		}
-		return f.nodes[i].live > 0, nil
 	}
 	return rec(root)
 }

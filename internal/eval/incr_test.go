@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -270,6 +271,77 @@ func TestIncrCrossProductTrees(t *testing.T) {
 	}
 }
 
+// Deletes re-check each candidate with a first-hit membership search
+// on the new snapshot: a candidate keeping another witness stays (no
+// fallback, nothing removed), one whose last witness died is removed,
+// and a variable-disjoint node — searched with nothing bound — keeps
+// every answer while it has a row and empties them all when its last
+// tuple goes.
+func TestIncrDeleteMembership(t *testing.T) {
+	ctx := context.Background()
+	chain3 := "Q(x0) :- E(x0,x1), E(x1,x2), E(x2,x3)"
+	disjoint := relstr.New()
+	disjoint.Add("E", 1, 2)
+	disjoint.Add("E", 3, 4)
+	disjoint.Add("F", 7, 8)
+	disjoint2 := disjoint.Clone()
+	disjoint2.Add("F", 9, 10)
+	// G binds no kept variable but F below it binds w: the two delete
+	// candidates reach G under the same y and need different verdicts.
+	below := relstr.New()
+	below.Add("R", 0, 0, 1)
+	below.Add("G", 1, 2)
+	below.Add("G", 1, 3)
+	below.Add("F", 2, 5)
+	below.Add("F", 2, 6)
+	below.Add("F", 3, 5)
+	for _, tc := range []struct {
+		name    string
+		q       string
+		db      *relstr.Structure
+		d       *relstr.Delta
+		removed Answers
+	}{
+		{"witness survives", chain3,
+			graphDB([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{1, 4}, [2]int{4, 5}),
+			relstr.NewDelta().Delete("E", 2, 3), nil},
+		{"last witness dies", chain3,
+			graphDB([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{7, 8}, [2]int{8, 9}, [2]int{9, 10}),
+			relstr.NewDelta().Delete("E", 2, 3), Answers{{0}}},
+		{"kept variable below an unkept node", "Q(x,u,w) :- R(x,u,y), G(y,z), F(z,w)", below,
+			relstr.NewDelta().Delete("G", 1, 2), Answers{{0, 0, 6}}},
+		{"disjoint node keeps a row", "Q(x) :- E(x,y), F(u,v)", disjoint2,
+			relstr.NewDelta().Delete("F", 7, 8), nil},
+		{"disjoint node emptied", "Q(x) :- E(x,y), F(u,v)", disjoint,
+			relstr.NewDelta().Delete("F", 7, 8), Answers{{1}, {3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPlan(cq.MustParse(tc.q))
+			sn := relstr.NewSnapshot(tc.db)
+			s, err := p.NewIncrState(ctx, sn, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, err := sn.Update(tc.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAdd, wantRem := oracleDiff(t, p, sn, next)
+			if !sameAnswers(wantRem, tc.removed) || len(wantAdd) != 0 {
+				t.Fatalf("oracle diff +%v -%v, want -%v", wantAdd, wantRem, tc.removed)
+			}
+			diff, err := s.Apply(ctx, tc.d, sn, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff.Fallback {
+				t.Fatalf("unexpected fallback: %s", diff.Reason)
+			}
+			assertDiff(t, diff, wantAdd, wantRem)
+		})
+	}
+}
+
 // Fallback taxonomy: Boolean trees, naive plans, tiny budgets, full
 // replacements and stale state all resynchronise with an exact diff.
 func TestIncrFallbacks(t *testing.T) {
@@ -337,6 +409,40 @@ func TestIncrFallbacks(t *testing.T) {
 			t.Fatal("budget of one row should force a fallback")
 		}
 		assertDiff(t, diff, wantAdd, wantRem)
+	})
+
+	t.Run("budget caps the membership search", func(t *testing.T) {
+		// Deleting E(1,2) restricts to two rows (the seed and F(2,3)),
+		// but re-checking candidate 1 visits its ten dead-end edges.
+		p := NewPlan(cq.MustParse("Q(x) :- E(x,y), F(y,z)"))
+		db := relstr.New()
+		db.Add("E", 1, 2)
+		db.Add("F", 2, 3)
+		for y := 10; y < 20; y++ {
+			db.Add("E", 1, y)
+		}
+		sn := relstr.NewSnapshot(db)
+		d := relstr.NewDelta().Delete("E", 1, 2)
+		next, _ := sn.Update(d)
+		wantAdd, wantRem := oracleDiff(t, p, sn, next)
+		for _, tc := range []struct {
+			budget   int
+			fallback bool
+		}{{5, true}, {20, false}} {
+			s, err := p.NewIncrState(ctx, sn, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetBudget(tc.budget)
+			diff, err := s.Apply(ctx, d, sn, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff.Fallback != tc.fallback {
+				t.Fatalf("budget %d: fallback = %v (%s), want %v", tc.budget, diff.Fallback, diff.Reason, tc.fallback)
+			}
+			assertDiff(t, diff, wantAdd, wantRem)
+		}
 	})
 
 	t.Run("full replacement and stale state", func(t *testing.T) {
@@ -468,48 +574,72 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// Tiny budgets force the fallback path through the same random chains
-// — diffs must stay exact either way.
+// Budgets from one row up to the default force the fallback path
+// through the same random chains, aborting the restriction walks and
+// the membership searches at every depth. Every diff stays exact, and
+// an aborted incremental attempt leaves the state exactly as it was
+// before the fallback re-evaluates.
 func TestQuickIncrementalBudgetFallback(t *testing.T) {
 	ctx := context.Background()
+	aborts, incremental := 0, 0
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := randomQuery(rng, true)
-		db := randomDB(rng, 5, 9)
-		p := NewPlan(q)
-		sn := relstr.NewSnapshot(db)
-		s, err := p.NewIncrState(ctx, sn, 1)
-		if err != nil {
-			return false
+		for _, budget := range []int{1, 2, 8, 32, DefaultIncrBudget} {
+			rng := rand.New(rand.NewSource(seed))
+			q := randomQuery(rng, true)
+			db := randomDB(rng, 5, 9)
+			p := NewPlan(q)
+			sn := relstr.NewSnapshot(db)
+			s, err := p.NewIncrState(ctx, sn, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetBudget(budget)
+			for step := 0; step < 4; step++ {
+				d := randomDelta(rng, 6)
+				next, err := sn.Update(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantAdd, wantRem := oracleDiff(t, p, sn, next)
+				answers, version := s.Answers(), s.Version()
+				contribs := slices.Clone(s.contribs)
+				diff, reason, err := s.advance(ctx, d, sn, next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reason != "" {
+					if reason == "incremental work larger than budget" {
+						aborts++
+					}
+					if !sameAnswers(s.Answers(), answers) || s.Version() != version ||
+						!slices.EqualFunc(s.contribs, contribs, func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal) }) {
+						t.Fatalf("seed %d budget %d step %d: aborted attempt (%s) changed the state", seed, budget, step, reason)
+					}
+					if diff, err = s.Apply(ctx, d, sn, next); err != nil {
+						t.Fatal(err)
+					}
+					if !diff.Fallback {
+						t.Fatalf("seed %d budget %d step %d: Apply propagated a delta advance refused (%s)", seed, budget, step, reason)
+					}
+				} else {
+					incremental++
+				}
+				if !sameAnswers(diff.Added, wantAdd) || !sameAnswers(diff.Removed, wantRem) {
+					t.Fatalf("seed %d budget %d step %d (fallback=%v): diff mismatch\n  added   %v want %v\n  removed %v want %v",
+						seed, budget, step, diff.Fallback, diff.Added, wantAdd, diff.Removed, wantRem)
+				}
+				if s.Version() != next.Version() {
+					t.Fatalf("seed %d budget %d step %d: version %d, snapshot %d", seed, budget, step, s.Version(), next.Version())
+				}
+				sn = next
+			}
 		}
-		s.SetBudget(2)
-		for step := 0; step < 4; step++ {
-			d := randomDelta(rng, 6)
-			next, err := sn.Update(d)
-			if err != nil {
-				return false
-			}
-			before, err := p.EvalOn(ctx, NewSnapshotSource(sn), 1)
-			if err != nil {
-				return false
-			}
-			after, err := p.EvalOn(ctx, NewSnapshotSource(next), 1)
-			if err != nil {
-				return false
-			}
-			wantAdd, wantRem := diffAnswers(before, after)
-			diff, err := s.Apply(ctx, d, sn, next)
-			if err != nil {
-				return false
-			}
-			if !sameAnswers(diff.Added, wantAdd) || !sameAnswers(diff.Removed, wantRem) {
-				return false
-			}
-			sn = next
-		}
-		return true
+		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	if aborts == 0 || incremental == 0 {
+		t.Fatalf("sweep never exercised both outcomes: %d budget aborts, %d incremental advances", aborts, incremental)
 	}
 }
