@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,23 +213,48 @@ func TestPreparedAnswersStreaming(t *testing.T) {
 	}
 }
 
+// cancelAfterPolls is a context that cancels itself on the n-th call
+// of its Err method. Every search layer polls Err, so it interrupts a
+// search at a fixed point of its work instead of after a wall-clock
+// delay the search might finish within.
+type cancelAfterPolls struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+	at     atomic.Int64 // UnixNano of the cancel
+}
+
+func newCancelAfterPolls(n int64) *cancelAfterPolls {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &cancelAfterPolls{Context: ctx, cancel: cancel}
+	c.left.Store(n)
+	return c
+}
+
+func (c *cancelAfterPolls) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.at.Store(time.Now().UnixNano())
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // Cancellation mid-search must surface ErrCanceled promptly, and the
 // failed Prepare must not poison the cache.
 func TestPrepareCancellation(t *testing.T) {
 	e := NewEngine(WithOptions(Options{MaxVars: 12}))
-	// C9 against TW(1): a Bell(9)-sized candidate sweep, several
-	// seconds uncancelled.
+	// C9 against TW(1): a Bell(9)-sized candidate sweep that polls the
+	// context once per partition (21147 of them) besides the polls of
+	// its homomorphism searches, so the 1000th poll falls inside it.
 	q := workload.CycleQuery(9)
+	ctx := newCancelAfterPolls(1000)
+	defer ctx.cancel()
 
-	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
 		_, err := e.Prepare(ctx, q, TW(1))
 		errc <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	start := time.Now()
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrCanceled) {
@@ -240,7 +266,7 @@ func TestPrepareCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancellation not observed within 5s")
 	}
-	if d := time.Since(start); d > 2*time.Second {
+	if d := time.Since(time.Unix(0, ctx.at.Load())); d > 2*time.Second {
 		t.Fatalf("cancellation took %v after cancel", d)
 	}
 	if s := e.CacheStats(); s.Entries != 0 {

@@ -53,9 +53,10 @@ func (o Options) WithDefaults() Options {
 // this count).
 type Result struct {
 	Queries []*cq.Query // minimized approximations, one per class
-	// CandidatesInspected counts the in-class candidate tableaux that
-	// entered front maintenance (quotients plus extensions that passed
-	// the class test).
+	// CandidatesInspected counts the distinct in-class candidate
+	// tableaux that entered front maintenance (quotients plus
+	// extensions that passed the class test). Coarsenings of in-class
+	// quotients are skipped unseen and not counted.
 	CandidatesInspected int
 }
 
@@ -70,7 +71,7 @@ func ApproximationsWithStats(q *cq.Query, c Class, opt Options) (*Result, error)
 // (and the homomorphism searches poll it internally), returning a
 // cqerr.ErrCanceled-wrapped error when it expires.
 func ApproximationsWithStatsCtx(ctx context.Context, q *cq.Query, c Class, opt Options) (*Result, error) {
-	front, inspected, err := approxFront(ctx, q, c, opt)
+	front, inspected, err := approxFront(ctx, q, c, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +97,7 @@ func Approximations(q *cq.Query, c Class, opt Options) ([]*cq.Query, error) {
 
 // ApproximationsCtx is Approximations under a context.
 func ApproximationsCtx(ctx context.Context, q *cq.Query, c Class, opt Options) ([]*cq.Query, error) {
-	front, _, err := approxFront(ctx, q, c, opt)
+	front, _, err := approxFront(ctx, q, c, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +116,7 @@ func Approximate(q *cq.Query, c Class, opt Options) (*cq.Query, error) {
 
 // ApproximateCtx is Approximate under a context.
 func ApproximateCtx(ctx context.Context, q *cq.Query, c Class, opt Options) (*cq.Query, error) {
-	front, _, err := approxFront(ctx, q, c, opt)
+	front, _, err := approxFront(ctx, q, c, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +129,7 @@ func ApproximateCtx(ctx context.Context, q *cq.Query, c Class, opt Options) (*cq
 // CountApproximations returns |C-APPR_min(q)| within the candidate
 // space: the number of pairwise non-equivalent C-approximations.
 func CountApproximations(q *cq.Query, c Class, opt Options) (int, error) {
-	front, _, err := approxFront(nil, q, c, opt)
+	front, _, err := approxFront(nil, q, c, opt, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -151,11 +152,16 @@ func IsApproximation(q, cand *cq.Query, c Class, opt Options) (bool, error) {
 	if !hom.Contained(cand, q) {
 		return false, nil
 	}
-	candP := hom.Pointed{S: ct.S, Dist: ct.Dist}
+	candP := hom.Compile(hom.Pointed{S: ct.S, Dist: ct.Dist})
+	maps := func(a, b *hom.Compiled) bool {
+		ok, _ := hom.MapsCompiledCtx(nil, a, b)
+		return ok
+	}
 	better := false
-	err := forEachCandidate(nil, q, c, opt, func(p hom.Pointed) bool {
+	err := forEachCandidate(nil, q, c, opt, nil, func(p hom.Pointed) bool {
 		// cand ⊂ X ⊆ q ⟺ T_X → T_cand and T_cand ↛ T_X.
-		if hom.Maps(p, candP) && !hom.Maps(candP, p) {
+		x := hom.Compile(p)
+		if maps(x, candP) && !maps(candP, x) {
 			better = true
 			return false
 		}
@@ -177,8 +183,9 @@ func BudgetError(n, max int) error {
 // approxFront generates the candidate space and keeps its →-minimal
 // elements (one core representative per equivalence class). A non-nil
 // ctx cancels the sweep between candidates and inside the homomorphism
-// searches.
-func approxFront(ctx context.Context, q *cq.Query, c Class, opt Options) ([]hom.Pointed, int, error) {
+// searches. order is the element order of the partition enumeration
+// (nil: ascending); the result does not depend on it.
+func approxFront(ctx context.Context, q *cq.Query, c Class, opt Options, order []int) ([]hom.Pointed, int, error) {
 	opt = opt.WithDefaults()
 	if err := q.Validate(); err != nil {
 		return nil, 0, err
@@ -201,59 +208,147 @@ func approxFront(ctx context.Context, q *cq.Query, c Class, opt Options) ([]hom.
 		}
 		return []hom.Pointed{{S: tb.S, Dist: tb.Dist}}, 1, nil
 	}
-	var front []hom.Pointed
-	inspected := 0
-	var searchErr error
-	err := forEachCandidate(ctx, q, c, opt, func(p hom.Pointed) bool {
-		inspected++
-		// Core first: smaller structures make the hom checks cheap and
-		// merge many equivalent candidates.
-		coreS, retract, err := hom.CoreCtx(ctx, p.S, p.Dist)
-		if err != nil {
-			searchErr = err
-			return false
-		}
-		cp := hom.Pointed{S: coreS, Dist: mapDist(p.Dist, retract)}
-		// Front maintenance over the ⥿ preorder. The Maps searches poll
-		// ctx too: they are worst-case exponential, so cancellation must
-		// reach inside them, not just between candidates.
-		maps := func(a, b hom.Pointed) bool {
-			ok, err := hom.MapsCtx(ctx, a, b)
-			if err != nil && searchErr == nil {
-				searchErr = err
-			}
-			return ok
-		}
-		for _, y := range front {
-			if maps(y, cp) {
-				// y ⊆-better or equivalent: discard cp either way (if
-				// equivalent it is a duplicate class).
-				return true
-			}
-			if searchErr != nil {
-				return false
-			}
-		}
-		kept := front[:0]
-		for _, y := range front {
-			if !(maps(cp, y) && !maps(y, cp)) {
-				kept = append(kept, y)
-			}
-			if searchErr != nil {
-				return false
-			}
-		}
-		front = append(kept, cp)
-		return true
-	})
-	if searchErr != nil {
-		return nil, 0, searchErr
+	f := &front{ctx: ctx}
+	err := forEachCandidate(ctx, q, c, opt, order, f.offer)
+	if f.err != nil {
+		return nil, 0, f.err
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	sortFront(front)
-	return front, inspected, nil
+	out := make([]hom.Pointed, len(f.members))
+	for i, m := range f.members {
+		out[i] = m.Pointed
+	}
+	sortFront(out)
+	return out, f.inspected, nil
+}
+
+// front is the antichain of →-minimal candidates seen so far, one per
+// equivalence class, each compiled once for the homomorphism tests of
+// every later candidate.
+type front struct {
+	ctx       context.Context
+	members   []*member
+	inspected int
+	err       error
+}
+
+// member is a front element, compiled for the homomorphism tests, with
+// its lazily rendered sort key.
+type member struct {
+	hom.Pointed
+	c   *hom.Compiled
+	key string
+}
+
+// less is sortFront's order, and the representative rule: of two
+// equivalent candidates the front keeps the lesser, so the result does
+// not depend on the order the candidates arrive in.
+func (m *member) less(o *member) bool {
+	if a, b := m.S.NumFacts(), o.S.NumFacts(); a != b {
+		return a < b
+	}
+	return m.sortKey() < o.sortKey()
+}
+
+func (m *member) sortKey() string {
+	if m.key == "" {
+		m.key = sortKey(m.Pointed)
+	}
+	return m.key
+}
+
+// sortFront orders a front deterministically (by size, then
+// rendering) so results are stable across runs.
+func sortFront(front []hom.Pointed) {
+	sort.Slice(front, func(i, j int) bool {
+		a, b := front[i], front[j]
+		if a.S.NumFacts() != b.S.NumFacts() {
+			return a.S.NumFacts() < b.S.NumFacts()
+		}
+		return sortKey(a) < sortKey(b)
+	})
+}
+
+// sortKey is the rendering sortFront orders equal-sized tableaux by.
+func sortKey(p hom.Pointed) string {
+	return p.S.String() + relstr.Tuple(p.Dist).Key()
+}
+
+// offer runs front maintenance for one candidate; it returns false to
+// stop the sweep once a search was cancelled. A candidate maps to and
+// from exactly what its core does, so the domination scan runs on the
+// candidate itself and only one that survives it — or ties with a
+// member — pays for its core.
+func (f *front) offer(p hom.Pointed) bool {
+	f.inspected++
+	// The Maps searches poll ctx too: they are worst-case exponential,
+	// so cancellation must reach inside them, not just between
+	// candidates.
+	maps := func(a, b *hom.Compiled) bool {
+		ok, err := hom.MapsCompiledCtx(f.ctx, a, b)
+		if err != nil && f.err == nil {
+			f.err = err
+		}
+		return ok
+	}
+	raw := hom.Compile(p)
+	for i, y := range f.members {
+		if maps(y.c, raw) {
+			// y is ⊆-better or equivalent: the candidate adds nothing,
+			// but an equivalent one may be the lesser representative.
+			if maps(raw, y.c) {
+				// The candidate's core is as large as y, so a candidate
+				// no larger than y is its own core.
+				cand := &member{Pointed: p, c: raw}
+				if p.S.NumFacts() > y.S.NumFacts() {
+					cand = f.core(p)
+				}
+				if cand != nil && cand.less(y) {
+					if cand.c == nil {
+						cand.c = hom.Compile(cand.Pointed)
+					}
+					f.members[i] = cand
+				}
+			}
+			return f.err == nil
+		}
+		if f.err != nil {
+			return false
+		}
+	}
+	cand := f.core(p)
+	if cand == nil {
+		return false
+	}
+	cand.c = hom.Compile(cand.Pointed)
+	// No member maps into the candidate, so cand ⥿ y reduces to
+	// cand → y.
+	kept := f.members[:0]
+	for _, y := range f.members {
+		if !maps(cand.c, y.c) {
+			kept = append(kept, y)
+		}
+		if f.err != nil {
+			return false
+		}
+	}
+	f.members = append(kept, cand)
+	return true
+}
+
+// core returns the core of p as a prospective, not yet compiled
+// member, or nil after recording a cancellation.
+func (f *front) core(p hom.Pointed) *member {
+	coreS, retract, err := hom.CoreCtx(f.ctx, p.S, p.Dist)
+	if err != nil {
+		if f.err == nil {
+			f.err = err
+		}
+		return nil
+	}
+	return &member{Pointed: hom.Pointed{S: coreS, Dist: mapDist(p.Dist, retract)}}
 }
 
 // mapDist applies a retraction to a distinguished tuple.
@@ -265,191 +360,10 @@ func mapDist(dist []int, f map[int]int) []int {
 	return out
 }
 
-// sortFront orders the front deterministically (by size, then
-// rendering) so results are stable across runs.
-func sortFront(front []hom.Pointed) {
-	sort.Slice(front, func(i, j int) bool {
-		a, b := front[i], front[j]
-		if a.S.NumFacts() != b.S.NumFacts() {
-			return a.S.NumFacts() < b.S.NumFacts()
-		}
-		as := a.S.String() + relstr.Tuple(a.Dist).Key()
-		bs := b.S.String() + relstr.Tuple(b.Dist).Key()
-		return as < bs
-	})
-}
-
 // queryFromPointed renders a pointed tableau as a minimized query named
 // after q.
 func queryFromPointed(q *cq.Query, p hom.Pointed) *cq.Query {
 	out := cq.FromTableau(p.S, p.Dist, nil)
 	out.Name = q.Name + "_approx"
 	return out
-}
-
-// forEachCandidate enumerates the candidate tableaux of C-queries
-// contained in q: all quotients of T_Q that belong to C, and — for
-// hypergraph-based classes — quotients extended with up to
-// MaxExtraAtoms extra atoms over the quotient's variables plus
-// FreshVars fresh variables per atom. Every candidate is contained in q
-// by construction (the quotient map is a homomorphism from T_Q).
-// fn returning false stops the enumeration. A non-nil ctx is polled
-// once per partition; expiry stops the enumeration and surfaces a
-// cqerr.ErrCanceled-wrapped error.
-func forEachCandidate(ctx context.Context, q *cq.Query, c Class, opt Options, fn func(hom.Pointed) bool) error {
-	tb := q.Tableau()
-	dom := tb.S.Domain()
-	seen := map[string]bool{}
-	var canceled error
-	relstr.Partitions(dom, func(p relstr.Partition) bool {
-		if err := cqerr.Check(ctx); err != nil {
-			canceled = err
-			return false
-		}
-		img := tb.S.QuotientBy(p)
-		dist := make([]int, len(tb.Dist))
-		for i, d := range tb.Dist {
-			if r, ok := p[d]; ok {
-				dist[i] = r
-			} else {
-				dist[i] = d
-			}
-		}
-		key := img.String() + "|" + relstr.Tuple(dist).Key()
-		inClass := false
-		if !seen[key] {
-			seen[key] = true
-			if c.Contains(img) {
-				inClass = true
-				if !fn(hom.Pointed{S: img, Dist: dist}) {
-					return false
-				}
-			}
-		}
-		// Hypergraph-based classes: extensions may acyclify an
-		// out-of-class quotient. Extensions of in-class quotients are
-		// never →-minimal (the quotient itself maps into them), so only
-		// out-of-class quotients are extended.
-		if !c.GraphBased() && !inClass && opt.MaxExtraAtoms > 0 {
-			if !forEachExtension(img, dist, q, c, opt, seen, fn) {
-				return false
-			}
-		}
-		return true
-	})
-	return canceled
-}
-
-// forEachExtension enumerates class members obtained from img by adding
-// 1..MaxExtraAtoms atoms. Returns false if fn stopped the enumeration.
-func forEachExtension(img *relstr.Structure, dist []int, q *cq.Query, c Class, opt Options, seen map[string]bool, fn func(hom.Pointed) bool) bool {
-	schema := q.Schema()
-	var rels []string
-	for r := range schema {
-		rels = append(rels, r)
-	}
-	sort.Strings(rels)
-	domain := img.Domain()
-	freshBase := 0
-	for _, e := range domain {
-		if e >= freshBase {
-			freshBase = e + 1
-		}
-	}
-	// Generate the pool of candidate extra atoms: tuples over
-	// domain ∪ {fresh}, canonicalised so fresh variables appear in
-	// first-use order. Fresh variables are local to one atom
-	// (Claim 6.2's renamed extension tuples).
-	type extra struct {
-		rel  string
-		args []int // fresh encoded as freshBase+i
-	}
-	var pool []extra
-	for _, r := range rels {
-		arity := schema[r]
-		vals := make([]int, arity)
-		var gen func(pos, freshUsed int)
-		gen = func(pos, freshUsed int) {
-			if pos == arity {
-				args := append([]int{}, vals...)
-				// Skip atoms already present.
-				if img.Has(r, args...) {
-					return
-				}
-				// At least one position must touch the image domain so
-				// the atom constrains the query (fully fresh atoms are
-				// trivially satisfied and never minimal).
-				touches := false
-				for _, a := range args {
-					if a < freshBase {
-						touches = true
-						break
-					}
-				}
-				if touches {
-					pool = append(pool, extra{rel: r, args: args})
-				}
-				return
-			}
-			for _, e := range domain {
-				vals[pos] = e
-				gen(pos+1, freshUsed)
-			}
-			// Reuse an already-introduced fresh variable or introduce
-			// the next one (canonical first-use order).
-			for f := 0; f <= freshUsed && f < opt.FreshVars; f++ {
-				vals[pos] = freshBase + f
-				nu := freshUsed
-				if f == freshUsed {
-					nu++
-				}
-				gen(pos+1, nu)
-			}
-		}
-		gen(0, 0)
-	}
-	// Combinations of up to MaxExtraAtoms pool atoms. Fresh variables
-	// must be disjoint across atoms: re-offset per atom slot.
-	var chosen []extra
-	var rec func(start int) bool
-	rec = func(start int) bool {
-		if len(chosen) > 0 {
-			ext := img.Clone()
-			offset := 0
-			for _, ex := range chosen {
-				args := make([]int, len(ex.args))
-				for i, a := range ex.args {
-					if a >= freshBase {
-						args[i] = a + offset
-					} else {
-						args[i] = a
-					}
-				}
-				ext.Add(ex.rel, args...)
-				offset += opt.FreshVars
-			}
-			key := ext.String() + "|" + relstr.Tuple(dist).Key()
-			if !seen[key] {
-				seen[key] = true
-				if c.Contains(ext) {
-					if !fn(hom.Pointed{S: ext, Dist: dist}) {
-						return false
-					}
-				}
-			}
-		}
-		if len(chosen) == opt.MaxExtraAtoms {
-			return true
-		}
-		for i := start; i < len(pool); i++ {
-			chosen = append(chosen, pool[i])
-			if !rec(i + 1) {
-				chosen = chosen[:len(chosen)-1]
-				return false
-			}
-			chosen = chosen[:len(chosen)-1]
-		}
-		return true
-	}
-	return rec(0)
 }

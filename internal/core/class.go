@@ -68,6 +68,7 @@ type acClass struct{}
 func (acClass) Name() string                      { return "AC" }
 func (acClass) Contains(s *relstr.Structure) bool { return hypergraph.AcyclicStructure(s) }
 func (acClass) GraphBased() bool                  { return false }
+func (acClass) containsEdges(edges []uint64) bool { return hypergraph.AcyclicMasks(edges) }
 
 // AC returns the hypergraph-based class of acyclic queries.
 func AC() Class { return acClass{} }
@@ -80,6 +81,9 @@ func (c htwClass) Contains(s *relstr.Structure) bool {
 	return htw.StructureAtMost(s, c.k)
 }
 func (c htwClass) GraphBased() bool { return false }
+func (c htwClass) containsEdges(edges []uint64) bool {
+	return htw.AtMost(hypergraph.FromMasks(edges), c.k)
+}
 
 // HTW returns the hypergraph-based class of hypertree-width-≤ k
 // queries. HTW(1) coincides with AC.
@@ -98,6 +102,9 @@ func (c ghtwClass) Contains(s *relstr.Structure) bool {
 	return htw.GHTWAtMost(hypergraph.FromStructure(s), c.k)
 }
 func (c ghtwClass) GraphBased() bool { return false }
+func (c ghtwClass) containsEdges(edges []uint64) bool {
+	return htw.GHTWAtMost(hypergraph.FromMasks(edges), c.k)
+}
 
 // GHTW returns the hypergraph-based class of generalized-hypertree-
 // width-≤ k queries.

@@ -24,17 +24,59 @@ func Maps(a, b Pointed) bool {
 
 // MapsCtx is Maps under a context.
 func MapsCtx(ctx context.Context, a, b Pointed) (bool, error) {
-	if len(a.Dist) != len(b.Dist) {
+	pre, ok := distMap(a.Dist, b.Dist)
+	if !ok {
 		return false, nil
 	}
-	pre := map[int]int{}
-	for i, d := range a.Dist {
-		if w, ok := pre[d]; ok && w != b.Dist[i] {
-			return false, nil
-		}
-		pre[d] = b.Dist[i]
-	}
 	return ExistsCtx(ctx, a.S, b.S, pre)
+}
+
+// distMap is the partial map sending ā to b̄ pointwise, or false if
+// the tuples differ in length or ā repeats an element b̄ does not.
+func distMap(a, b []int) (map[int]int, bool) {
+	if len(a) != len(b) {
+		return nil, false
+	}
+	pre := make(map[int]int, len(a))
+	for i, d := range a {
+		if w, ok := pre[d]; ok && w != b[i] {
+			return nil, false
+		}
+		pre[d] = b[i]
+	}
+	return pre, true
+}
+
+// Compiled is a pointed structure prepared once for many Maps tests on
+// either side: its atoms and co-occurrence lists as a source, its
+// per-position tuple indexes as a target. It holds S by reference, so
+// S must not change after Compile.
+type Compiled struct {
+	Pointed
+	src *source
+	tgt *target
+}
+
+// Compile prepares p for MapsCompiledCtx.
+func Compile(p Pointed) *Compiled {
+	c := &Compiled{Pointed: p, src: compileSource(p.S), tgt: newTarget(p.S)}
+	// Index every relation now, so later searches only read the target.
+	for _, rel := range p.S.Relations() {
+		c.tgt.index(rel)
+	}
+	return c
+}
+
+// MapsCompiledCtx is MapsCtx over compiled operands.
+func MapsCompiledCtx(ctx context.Context, a, b *Compiled) (bool, error) {
+	pre, ok := distMap(a.Dist, b.Dist)
+	if !ok {
+		return false, nil
+	}
+	p := newProblem(a.src, b.tgt, nil)
+	p.ctx = ctx
+	_, ok, err := p.find(pre)
+	return ok, err
 }
 
 // Equivalentp reports homomorphic equivalence of pointed structures:

@@ -31,16 +31,30 @@ type relIndex struct {
 	byPosVal []map[int][]int // position → value → tuple indices
 }
 
+// source is the compiled left-hand side of a homomorphism search: the
+// atoms of a structure and, per element, the atoms and the elements it
+// co-occurs with.
+type source struct {
+	atoms    []patom
+	varAtoms map[int][]int // element → indices into atoms
+	varNbrs  map[int][]int // element → co-occurring elements
+	dom      []int
+}
+
+// target is the compiled right-hand side: per-position tuple indexes,
+// built on first use of each relation.
+type target struct {
+	s   *relstr.Structure
+	idx map[string]*relIndex
+	dom []int
+}
+
 // problem is a compiled homomorphism-search instance from a to b.
 type problem struct {
-	atoms    []patom
-	varAtoms map[int][]int // source element → indices into atoms
-	varNbrs  map[int][]int // source element → co-occurring elements
-	idx      map[string]*relIndex
-	bDom     []int
-	posCand  map[int][]int // static candidate list per source element; nil = whole domain
-	aDom     []int
-	unsat    bool
+	*source
+	tgt     *target
+	posCand map[int][]int // static candidate list per source element; nil = whole domain
+	unsat   bool
 
 	// Cooperative cancellation: when ctx is non-nil the solver polls it
 	// every cancelEvery search nodes and abandons the search, leaving
@@ -88,61 +102,84 @@ func compile(a, b *relstr.Structure) *problem { return compileRestricted(a, b, n
 // candidates with allowed[e] when present (used for level-based
 // restrictions on balanced digraphs, Lemma 4.5).
 func compileRestricted(a, b *relstr.Structure, allowed map[int][]int) *problem {
-	p := &problem{
+	return newProblem(compileSource(a), newTarget(b), allowed)
+}
+
+// compileSource compiles a as the left-hand side of a search.
+func compileSource(a *relstr.Structure) *source {
+	src := &source{
 		varAtoms: map[int][]int{},
 		varNbrs:  map[int][]int{},
-		idx:      map[string]*relIndex{},
-		posCand:  map[int][]int{},
+		dom:      a.Domain(),
 	}
-	p.bDom = b.Domain()
-	p.aDom = a.Domain()
-
 	for _, rel := range a.Relations() {
-		ts := a.Tuples(rel)
-		if len(ts) == 0 {
-			continue
-		}
-		bts := b.Tuples(rel)
-		if len(bts) == 0 {
-			p.unsat = true
-			return p
-		}
-		if _, ok := p.idx[rel]; !ok {
-			ri := &relIndex{tuples: bts, byPosVal: make([]map[int][]int, b.Arity(rel))}
-			for pos := range ri.byPosVal {
-				ri.byPosVal[pos] = map[int][]int{}
-			}
-			for ti, t := range bts {
-				for pos, v := range t {
-					ri.byPosVal[pos][v] = append(ri.byPosVal[pos][v], ti)
-				}
-			}
-			p.idx[rel] = ri
-		}
-		for _, t := range ts {
-			ai := len(p.atoms)
+		for _, t := range a.Tuples(rel) {
+			ai := len(src.atoms)
 			args := make([]int, len(t))
 			copy(args, t)
-			p.atoms = append(p.atoms, patom{rel: rel, args: args})
+			src.atoms = append(src.atoms, patom{rel: rel, args: args})
 			seen := map[int]bool{}
 			for _, e := range args {
 				if !seen[e] {
 					seen[e] = true
-					p.varAtoms[e] = append(p.varAtoms[e], ai)
+					src.varAtoms[e] = append(src.varAtoms[e], ai)
 				}
 			}
 			for e := range seen {
 				for f := range seen {
 					if e != f {
-						p.varNbrs[e] = append(p.varNbrs[e], f)
+						src.varNbrs[e] = append(src.varNbrs[e], f)
 					}
 				}
 			}
 		}
 	}
+	return src
+}
+
+// newTarget wraps b as the right-hand side of a search; its indexes
+// are built per relation on first use.
+func newTarget(b *relstr.Structure) *target {
+	return &target{s: b, idx: map[string]*relIndex{}, dom: b.Domain()}
+}
+
+// index returns the per-position index of relation rel of the target,
+// or nil if the target holds no rel tuples. Only built indexes are
+// cached, so looking up an absent relation never writes.
+func (t *target) index(rel string) *relIndex {
+	if ri, ok := t.idx[rel]; ok {
+		return ri
+	}
+	bts := t.s.Tuples(rel)
+	if len(bts) == 0 {
+		return nil
+	}
+	ri := &relIndex{tuples: bts, byPosVal: make([]map[int][]int, t.s.Arity(rel))}
+	for pos := range ri.byPosVal {
+		ri.byPosVal[pos] = map[int][]int{}
+	}
+	for ti, tup := range bts {
+		for pos, v := range tup {
+			ri.byPosVal[pos][v] = append(ri.byPosVal[pos][v], ti)
+		}
+	}
+	t.idx[rel] = ri
+	return ri
+}
+
+// newProblem pairs a compiled source with a compiled target and derives
+// the static per-element candidate lists.
+func newProblem(src *source, tgt *target, allowed map[int][]int) *problem {
+	p := &problem{source: src, tgt: tgt, posCand: map[int][]int{}}
+	for _, at := range src.atoms {
+		if tgt.index(at.rel) == nil {
+			p.unsat = true
+			return p
+		}
+	}
 
 	// Static per-position candidate sets.
-	for _, e := range p.aDom {
+	for _, e := range src.dom {
 		var cand map[int]bool
 		if allowed != nil {
 			if list, ok := allowed[e]; ok {
@@ -152,22 +189,22 @@ func compileRestricted(a, b *relstr.Structure, allowed map[int][]int) *problem {
 				}
 			}
 		}
-		for _, ai := range p.varAtoms[e] {
-			at := p.atoms[ai]
-			ri := p.idx[at.rel]
+		for _, ai := range src.varAtoms[e] {
+			at := src.atoms[ai]
+			ri := tgt.idx[at.rel]
 			for pos, arg := range at.args {
 				if arg != e {
 					continue
 				}
-				vals := map[int]bool{}
-				for v := range ri.byPosVal[pos] {
-					vals[v] = true
-				}
+				vals := ri.byPosVal[pos]
 				if cand == nil {
-					cand = vals
+					cand = make(map[int]bool, len(vals))
+					for v := range vals {
+						cand[v] = true
+					}
 				} else {
 					for v := range cand {
-						if !vals[v] {
+						if _, ok := vals[v]; !ok {
 							delete(cand, v)
 						}
 					}
@@ -199,7 +236,7 @@ func (p *problem) candidates(v int, assign map[int]int) []int {
 	var cand map[int]bool
 	base := p.posCand[v]
 	if base == nil {
-		base = p.bDom
+		base = p.tgt.dom
 	}
 	restrict := func(vals map[int]bool) {
 		if cand == nil {
@@ -224,7 +261,7 @@ func (p *problem) candidates(v int, assign map[int]int) []int {
 		if !hasAssigned {
 			continue
 		}
-		ri := p.idx[at.rel]
+		ri := p.tgt.idx[at.rel]
 		// Pick the assigned position with the fewest matching tuples.
 		bestPos, bestLen := -1, -1
 		for pos, arg := range at.args {
@@ -297,7 +334,7 @@ func (p *problem) candidates(v int, assign map[int]int) []int {
 func (p *problem) atomsOK(v int, assign map[int]int) bool {
 	for _, ai := range p.varAtoms[v] {
 		at := p.atoms[ai]
-		ri := p.idx[at.rel]
+		ri := p.tgt.idx[at.rel]
 		full := true
 		img := make([]int, len(at.args))
 		for pos, arg := range at.args {
@@ -366,7 +403,7 @@ func (p *problem) selectVar(assign map[int]int, remaining []int, frontier map[in
 	for i, v := range remaining {
 		l := len(p.posCand[v])
 		if p.posCand[v] == nil {
-			l = len(p.bDom)
+			l = len(p.tgt.dom)
 		}
 		if bestLen == -1 || l < bestLen {
 			bestI, bestLen = i, l
@@ -374,7 +411,7 @@ func (p *problem) selectVar(assign map[int]int, remaining []int, frontier map[in
 	}
 	v := remaining[bestI]
 	if p.posCand[v] == nil {
-		return bestI, p.bDom
+		return bestI, p.tgt.dom
 	}
 	return bestI, p.posCand[v]
 }
@@ -442,7 +479,7 @@ func (p *problem) prepare(pre map[int]int) (assign map[int]int, remaining []int,
 	}
 	assign = make(map[int]int, len(pre))
 	inDom := map[int]bool{}
-	for _, e := range p.aDom {
+	for _, e := range p.dom {
 		inDom[e] = true
 	}
 	for e, w := range pre {
@@ -463,7 +500,7 @@ func (p *problem) prepare(pre map[int]int) (assign map[int]int, remaining []int,
 			}
 		}
 	}
-	for _, e := range p.aDom {
+	for _, e := range p.dom {
 		if _, done := assign[e]; !done {
 			remaining = append(remaining, e)
 		}
@@ -499,6 +536,11 @@ func FindCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int) (map[
 func findCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int) (map[int]int, bool, error) {
 	p := compile(a, b)
 	p.ctx = ctx
+	return p.find(pre)
+}
+
+// find returns the first solution extending pre.
+func (p *problem) find(pre map[int]int) (map[int]int, bool, error) {
 	assign, remaining, ok := p.prepare(pre)
 	if !ok {
 		return nil, false, nil

@@ -6,6 +6,7 @@
 package hypergraph
 
 import (
+	"math/bits"
 	"sort"
 
 	"cqapprox/internal/relstr"
@@ -321,7 +322,111 @@ func containsSorted(e []int, v int) bool {
 }
 
 // AcyclicStructure reports whether the CQ with tableau s is acyclic
-// (α-acyclic hypergraph).
+// (α-acyclic hypergraph). Structures whose elements all lie in 0…63
+// run GYO on bitmasks; the rest take the general GYO.
 func AcyclicStructure(s *relstr.Structure) bool {
+	var buf [16]uint64
+	if edges, ok := AppendEdgeMasks(buf[:0], s); ok {
+		return AcyclicMasks(edges)
+	}
 	return FromStructure(s).IsAcyclic()
+}
+
+// AppendEdgeMasks appends one vertex bitmask per tuple of s to dst —
+// bit e set iff element e occurs in the tuple. It reports false, with
+// dst unspecified, if some element lies outside 0…63.
+func AppendEdgeMasks(dst []uint64, s *relstr.Structure) ([]uint64, bool) {
+	for _, rel := range s.Relations() {
+		for _, t := range s.Tuples(rel) {
+			m, ok := TupleMask(t)
+			if !ok {
+				return dst, false
+			}
+			dst = append(dst, m)
+		}
+	}
+	return dst, true
+}
+
+// TupleMask returns the vertex bitmask of one tuple, or false if some
+// element lies outside 0…63.
+func TupleMask(t []int) (uint64, bool) {
+	var m uint64
+	for _, e := range t {
+		if e < 0 || e >= 64 {
+			return 0, false
+		}
+		m |= 1 << uint(e)
+	}
+	return m, true
+}
+
+// subsumedMask reports whether edge i of edges is contained in another
+// edge.
+func subsumedMask(edges []uint64, i int) bool {
+	for j, f := range edges {
+		if j != i && edges[i]&^f == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// FromMasks builds the hypergraph with one edge per vertex bitmask.
+func FromMasks(edges []uint64) *Hypergraph {
+	h := &Hypergraph{Edges: make([][]int, 0, len(edges))}
+	for _, m := range edges {
+		e := make([]int, 0, bits.OnesCount64(m))
+		for ; m != 0; m &= m - 1 {
+			e = append(e, bits.TrailingZeros64(m))
+		}
+		h.Edges = append(h.Edges, e)
+	}
+	return h
+}
+
+// AcyclicMasks is GYO over edges given as vertex bitmasks, one per
+// atom (duplicates and empty edges allowed). It repeatedly strips ear
+// vertices — those in exactly one live edge — and removes edges
+// contained in another live edge; the hypergraph is α-acyclic iff no
+// non-empty edge survives. edges is used as scratch and overwritten.
+func AcyclicMasks(edges []uint64) bool {
+	live := edges
+	for {
+		// Ear vertices: seen in exactly one live edge.
+		var once, twice uint64
+		for _, e := range live {
+			twice |= once & e
+			once |= e
+		}
+		ears := once &^ twice
+		changed := false
+		for i := range live {
+			if live[i]&ears != 0 {
+				live[i] &^= ears
+				changed = true
+			}
+		}
+		// Subsumed edges, one at a time: dropping an edge never makes
+		// another one subsumed, so a single pass finds them all.
+		for i := 0; i < len(live); {
+			if subsumedMask(live, i) {
+				last := len(live) - 1
+				live[i] = live[last]
+				live = live[:last]
+				changed = true
+				continue
+			}
+			i++
+		}
+		if !changed {
+			break
+		}
+	}
+	for _, e := range live {
+		if e != 0 {
+			return false
+		}
+	}
+	return true
 }

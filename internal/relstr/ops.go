@@ -140,51 +140,68 @@ func (s *Structure) QuotientBy(p Partition) *Structure {
 }
 
 // Partitions enumerates all set partitions of elems, invoking fn with
-// each partition (as element → block-representative). Enumeration
-// follows restricted-growth strings, so the number of calls is the Bell
-// number B(len(elems)). If fn returns false the enumeration stops early
-// and Partitions returns false; otherwise it returns true.
+// each partition (as element → block-representative). It visits the
+// Bell number B(len(elems)) of partitions in ForEachPartition's order,
+// finest first. If fn returns false the enumeration stops early and
+// Partitions returns false; otherwise it returns true.
 func Partitions(elems []int, fn func(Partition) bool) bool {
-	n := len(elems)
-	if n == 0 {
-		return fn(Partition{})
-	}
-	// rgs[i] = block index of elems[i]; rgs[0] = 0;
-	// rgs[i] ≤ max(rgs[0..i-1]) + 1.
-	rgs := make([]int, n)
-	var rec func(i, maxBlock int) bool
-	rec = func(i, maxBlock int) bool {
-		if i == n {
-			// Build representative map: representative of block b is the
-			// first (minimum-index) element assigned to b.
-			rep := make([]int, maxBlock+1)
-			for b := range rep {
-				rep[b] = -1
-			}
-			p := make(Partition, n)
-			for j, e := range elems {
-				b := rgs[j]
-				if rep[b] == -1 {
-					rep[b] = e
-				}
-				p[e] = rep[b]
-			}
-			return fn(p)
+	return ForEachPartition(len(elems), func(block []int, k int) bool {
+		rep := make([]int, k)
+		for b := range rep {
+			rep[b] = -1
 		}
-		for b := 0; b <= maxBlock+1; b++ {
-			rgs[i] = b
-			nb := maxBlock
-			if b > maxBlock {
-				nb = b
+		p := make(Partition, len(elems))
+		for j, e := range elems {
+			if rep[block[j]] == -1 {
+				rep[block[j]] = e
 			}
-			if !rec(i+1, nb) {
+			p[e] = rep[block[j]]
+		}
+		return fn(p)
+	})
+}
+
+// ForEachPartition enumerates the set partitions of the positions
+// 0…n−1 finest first: all partitions into n blocks, then n−1, …, then
+// the single block. Partitions with more blocks come first, so every
+// strict refinement of a partition is visited before it. Each one is
+// passed as a restricted-growth string — block[i] is the block index of
+// position i, block[0] = 0 and block[i] ≤ 1 + max(block[:i]) — together
+// with its block count k. The slice is reused between calls and must
+// not be retained. If fn returns false the enumeration stops and
+// ForEachPartition returns false.
+func ForEachPartition(n int, fn func(block []int, k int) bool) bool {
+	if n == 0 {
+		return fn(nil, 0)
+	}
+	block := make([]int, n)
+	var k int
+	// rec assigns position i given that blocks 0..m are already open;
+	// it only takes branches that can still open all k blocks.
+	var rec func(i, m int) bool
+	rec = func(i, m int) bool {
+		if i == n {
+			return fn(block, k)
+		}
+		left := n - i - 1
+		for b := 0; b <= m+1 && b < k; b++ {
+			nm := max(m, b)
+			if k-1-nm > left {
+				continue
+			}
+			block[i] = b
+			if !rec(i+1, nm) {
 				return false
 			}
 		}
 		return true
 	}
-	rgs[0] = 0
-	return rec(1, 0)
+	for k = n; k >= 1; k-- {
+		if !rec(1, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Blocks returns the blocks of p over the given universe, each sorted,

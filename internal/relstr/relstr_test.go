@@ -1,6 +1,7 @@
 package relstr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,47 @@ func TestPartitionsCount(t *testing.T) {
 		Partitions(elems, func(Partition) bool { count++; return true })
 		if count != bell[n] {
 			t.Errorf("Partitions(%d) visited %d partitions, want Bell(%d)=%d", n, count, n, bell[n])
+		}
+	}
+}
+
+// ForEachPartition visits every partition once, finest first: block
+// counts never increase, each count k is visited S(n,k) times (Stirling
+// numbers of the second kind), and every block string is a valid
+// restricted-growth string with exactly k blocks.
+func TestForEachPartitionFinestFirst(t *testing.T) {
+	stirling := [][]int{{1}, {0, 1}, {0, 1, 1}, {0, 1, 3, 1}, {0, 1, 7, 6, 1}, {0, 1, 15, 25, 10, 1}, {0, 1, 31, 90, 65, 15, 1}}
+	for n := 0; n <= 6; n++ {
+		perK := make([]int, n+1)
+		seen := map[string]bool{}
+		last := n
+		ForEachPartition(n, func(block []int, k int) bool {
+			if k > last {
+				t.Fatalf("n=%d: %d blocks after %d", n, k, last)
+			}
+			last = k
+			top := -1
+			for i, b := range block {
+				if b > top+1 || (i == 0 && b != 0) {
+					t.Fatalf("n=%d: %v is not a restricted-growth string", n, block)
+				}
+				top = max(top, b)
+			}
+			if top+1 != k {
+				t.Fatalf("n=%d: %v has %d blocks, reported %d", n, block, top+1, k)
+			}
+			key := fmt.Sprint(block)
+			if seen[key] {
+				t.Fatalf("n=%d: %v visited twice", n, block)
+			}
+			seen[key] = true
+			perK[k]++
+			return true
+		})
+		for k, want := range stirling[n] {
+			if perK[k] != want {
+				t.Errorf("n=%d: %d partitions into %d blocks, want S(%d,%d)=%d", n, perK[k], k, n, k, want)
+			}
 		}
 	}
 }

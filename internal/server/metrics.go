@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"math"
+	"math/bits"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -12,12 +13,35 @@ import (
 	"cqapprox/api"
 )
 
-// latencyBucketsMS are the upper bounds (milliseconds) of the
-// fixed-bucket latency histogram every endpoint records into; a final
-// implicit +Inf bucket catches the rest. Exponential-ish spacing from
-// 100µs to 5s covers everything from a cache-hit prepare to a deadline
-// running out.
-var latencyBucketsMS = [...]float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+// The fixed-bucket latency histogram every endpoint records into is
+// log-linear: bucket 0 holds latencies up to 1µs, then each octave
+// (2^o, 2^(o+1)] µs is split into four equal steps, so a bucket's bound
+// is within 25% of every latency it holds — a few-µs cache hit and a
+// deadline running out seconds later are both resolved. Twenty-three
+// octaves reach 8.4 s; a final implicit +Inf bucket catches the rest.
+const latencyOctaves = 23
+
+// latencyBucketsMS are the buckets' upper bounds in milliseconds.
+var latencyBucketsMS = func() (b [1 + 4*latencyOctaves]float64) {
+	b[0] = 0.001
+	for i := 1; i < len(b); i++ {
+		o, step := (i-1)/4, (i-1)%4
+		b[i] = float64(int64(250)<<o*int64(5+step)) / 1e6
+	}
+	return b
+}()
+
+// latencyBucket returns the histogram bucket of a latency in O(1): the
+// octave is the bit length of ns in quarter-µs units, the step the two
+// bits below the leading one.
+func latencyBucket(ns int64) int {
+	if ns <= 1000 {
+		return 0
+	}
+	m := uint64(ns-1) / 250 // in [4·2^o, 8·2^o) for octave o
+	o := bits.Len64(m) - 3
+	return min(1+4*o+int(m>>uint(o))-4, len(latencyBucketsMS))
+}
 
 // endpointMetrics counts one endpoint's traffic. The counters are
 // expvar vars (atomic, individually exportable); Vars assembles them
@@ -44,12 +68,7 @@ type endpointMetrics struct {
 func (em *endpointMetrics) record(d time.Duration) {
 	ns := d.Nanoseconds()
 	em.latencyNS.Add(ns)
-	ms := float64(ns) / 1e6
-	i := 0
-	for i < len(latencyBucketsMS) && ms > latencyBucketsMS[i] {
-		i++
-	}
-	em.buckets[i].Add(1)
+	em.buckets[latencyBucket(ns)].Add(1)
 	for {
 		cur := em.minNS.Load()
 		if ns >= cur || em.minNS.CompareAndSwap(cur, ns) {

@@ -67,7 +67,7 @@ func TestEndpointGolden(t *testing.T) {
 			path:       "/v1/prepare",
 			body:       `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1"}`,
 			wantStatus: 200,
-			wantBody:   `{"key":"` + triangleTW1Key + `","query":"Q(x) :- E(x,y), E(y,z), E(z,x)","minimized":"Q(v0) :- E(v0,v1), E(v1,v2), E(v2,v0)","class":"TW(1)","approximation":"Q_approx(x0) :- E(x0,x1), E(x1,x0), E(x1,x1)","approximations":["Q_approx(x0) :- E(x0,x1), E(x1,x0), E(x1,x1)"],"plan":"yannakakis","candidates_inspected":4,"cache_hit":false}`,
+			wantBody:   `{"key":"` + triangleTW1Key + `","query":"Q(x) :- E(x,y), E(y,z), E(z,x)","minimized":"Q(v0) :- E(v0,v1), E(v1,v2), E(v2,v0)","class":"TW(1)","approximation":"Q_approx(x0) :- E(x0,x1), E(x1,x0), E(x1,x1)","approximations":["Q_approx(x0) :- E(x0,x1), E(x1,x0), E(x1,x1)"],"plan":"yannakakis","candidates_inspected":3,"cache_hit":false}`,
 		},
 		{
 			name:       "prepare hit of an alpha-variant",
@@ -639,7 +639,7 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("explain key = %q, want %q", res.Key, triangleTW1Key)
 	}
 	ex := res.Explain
-	if ex == nil || ex.Mode != "yannakakis" || ex.Class != "TW(1)" || ex.Candidates != 4 {
+	if ex == nil || ex.Mode != "yannakakis" || ex.Class != "TW(1)" || ex.Candidates != 3 {
 		t.Fatalf("explain = %+v", ex)
 	}
 	if len(ex.Trees) != 1 || len(ex.Trees[0].Nodes) != 3 {
@@ -833,6 +833,39 @@ func TestLatencyHistogram(t *testing.T) {
 	}
 	if wire["min_ms"] != ep.LatencyMinMS || wire["p99_ms"] != ep.LatencyP99MS {
 		t.Fatalf("/debug/vars %v disagrees with /v1/stats %+v", wire, ep)
+	}
+}
+
+// The histogram resolves microsecond latencies: a 5µs sample lands in
+// a bucket below 0.1ms, µs-scale quantiles are reported within a
+// bucket's 25% of the truth, and every bucket index is in range.
+func TestLatencyHistogramMicroseconds(t *testing.T) {
+	em := newMetrics("x").byName["x"]
+	em.record(5 * time.Microsecond)
+	if i := latencyBucket(5000); latencyBucketsMS[i] >= 0.1 || latencyBucketsMS[i] < 0.005 {
+		t.Fatalf("5µs sample in bucket %d with bound %vms", i, latencyBucketsMS[i])
+	}
+	for _, us := range []int64{3, 4, 6, 7} {
+		em.record(time.Duration(us) * time.Microsecond)
+	}
+	st := em.snapshot()
+	if st.LatencyP50MS < 0.005 || st.LatencyP50MS > 0.005*1.25 {
+		t.Fatalf("p50 of 3…7µs samples = %vms, want 5µs within one bucket", st.LatencyP50MS)
+	}
+	if st.LatencyMinMS != 0.003 || st.LatencyMaxMS != 0.007 {
+		t.Fatalf("min/max = %v/%v", st.LatencyMinMS, st.LatencyMaxMS)
+	}
+	// Bounds ascend, reach 5s, and each latency lands in the first
+	// bucket whose bound holds it.
+	if top := latencyBucketsMS[len(latencyBucketsMS)-1]; top < 5000 {
+		t.Fatalf("top bucket bound %vms, want ≥ 5s", top)
+	}
+	for ns := int64(1); ns < 10e9; ns = ns*9/8 + 1 {
+		i := latencyBucket(ns)
+		ms := float64(ns) / 1e6
+		if i < len(latencyBucketsMS) && ms > latencyBucketsMS[i] || i > 0 && ms <= latencyBucketsMS[i-1] {
+			t.Fatalf("%dns in bucket %d (bounds %v, %v)", ns, i, latencyBucketsMS[max(i-1, 0)], latencyBucketsMS[min(i, len(latencyBucketsMS)-1)])
+		}
 	}
 }
 
