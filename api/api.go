@@ -111,7 +111,7 @@ type PrepareResponse struct {
 	Class               string   `json:"class,omitempty"`
 	Approximation       string   `json:"approximation,omitempty"`
 	Approximations      []string `json:"approximations,omitempty"`
-	Plan                string   `json:"plan"`
+	Plan                string   `json:"plan"` // "yannakakis" or "bags"
 	CandidatesInspected int      `json:"candidates_inspected"`
 	CacheHit            bool     `json:"cache_hit"`
 }
@@ -329,7 +329,8 @@ type CountResponse struct {
 	// Estimated reports whether sampling produced the result.
 	Estimated bool `json:"estimated"`
 	// Mode names the counting path: "exact-dp", "exact-eval",
-	// "exact-enum" or "estimate".
+	// "exact-enum" (the bag search's answers counted, cyclic plans) or
+	// "estimate".
 	Mode string `json:"mode"`
 	// Samples and Batches report the estimator's effort (zero when
 	// exact).
@@ -465,7 +466,7 @@ type CacheStats struct {
 	SampleBatches   uint64 `json:"sample_batches"`
 	// The incremental maintenance subsystem's activity: subscription
 	// updates propagated delta-incrementally through a reduced forest,
-	// and updates that fell back to a full re-evaluation (naive plan,
+	// and updates that fell back to a full re-evaluation (bag plan,
 	// delta past the budget, full replacement, resync).
 	IncrementalEvals uint64 `json:"incremental_evals"`
 	IncrFallbacks    uint64 `json:"incr_fallbacks"`

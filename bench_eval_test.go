@@ -11,6 +11,7 @@ package cqapprox
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -197,5 +198,54 @@ func BenchmarkParallelEval(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// Bag mode: warm Eval of cyclic TW(2)/HTW(2) approximations, which
+// plan as a search over a tree decomposition, on a registered N=300
+// database (the social graph plus a ternary R that the prepare_cold
+// workload of perfbench uses). The C5 and T3 approximations are
+// Boolean.
+func BenchmarkCyclicEval(b *testing.B) {
+	ctx := context.Background()
+	engine := NewEngine(WithParallelism(1))
+	rng := rand.New(rand.NewSource(300))
+	raw := workload.RandomSocial(rng, 300, 4, 0.3)
+	tern := workload.RandomTernary(rng, 300, 900)
+	raw.Declare("R", 3)
+	for _, t := range tern.Tuples("R") {
+		raw.Add("R", t...)
+	}
+	d, _, err := engine.RegisterDB("cyclic300", raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		q     *Query
+		class Class
+	}{
+		{"C4x-TW2", workload.CycleQueryFree(4), TW(2)},
+		{"C5-HTW2", workload.CycleQuery(5), HTW(2)},
+		{"T3-TW2", workload.TernaryCycleQuery(3), TW(2)},
+	} {
+		p, err := engine.Prepare(ctx, c.q, c.class)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p.PlanMode() != "bags" {
+			b.Fatalf("%s: plan %s, want bags", c.name, p.PlanMode())
+		}
+		bq := p.Bind(d)
+		if _, err := bq.Eval(ctx); err != nil { // warm the shared indexes outside the timer
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bq.Eval(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

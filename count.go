@@ -23,7 +23,7 @@ type CountResult struct {
 	// Mode names the path taken: "exact-dp" (multiplicity DP over the
 	// reduced forest, no answer materialisation), "exact-eval" (the
 	// evaluation's joins, distinct head keys counted without building
-	// answers), "exact-enum" (backtracking enumeration, cyclic plans),
+	// answers), "exact-enum" (the bag search's answers counted, cyclic plans),
 	// or "estimate" (the sampling estimator).
 	Mode string
 	// Samples and Batches report the estimator's effort (zero when

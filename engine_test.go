@@ -280,13 +280,40 @@ func TestPrepareCancellation(t *testing.T) {
 	}
 }
 
+// deadlineAfterPolls is a context whose deadline expires on its n-th
+// poll: from then on Err reports context.DeadlineExceeded and Done is
+// closed. Polls, not wall time, decide when it fires, so the expiry
+// lands inside a search however fast the host runs it.
+type deadlineAfterPolls struct {
+	context.Context
+	left atomic.Int64
+	once sync.Once
+	done chan struct{}
+}
+
+func newDeadlineAfterPolls(n int64) *deadlineAfterPolls {
+	c := &deadlineAfterPolls{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(n)
+	return c
+}
+
+func (c *deadlineAfterPolls) Done() <-chan struct{} { return c.done }
+
+func (c *deadlineAfterPolls) Err() error {
+	if c.left.Add(-1) > 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.DeadlineExceeded
+}
+
 // Deadline expiry maps to ErrCanceled too (with DeadlineExceeded as
 // the cause).
 func TestPrepareDeadline(t *testing.T) {
 	e := NewEngine(WithOptions(Options{MaxVars: 12}))
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err := e.Prepare(ctx, workload.CycleQuery(9), TW(1))
+	// The 1000th poll falls inside C9's Bell(9)-sized sweep against
+	// TW(1) (see TestPrepareCancellation).
+	_, err := e.Prepare(newDeadlineAfterPolls(1000), workload.CycleQuery(9), TW(1))
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrCanceled/DeadlineExceeded, got %v", err)
 	}

@@ -8,9 +8,10 @@ import (
 )
 
 // PlanExplain is the EXPLAIN view of a prepared query: the static plan
-// structure — approximation class chosen, join-forest shape per tree,
-// re-rooting decisions, dead-step eliminations and the counting
-// classification. It carries no data and no clocks (the prepare-phase
+// structure — the mode ("yannakakis" or "bags"), approximation class
+// chosen, join-forest shape per tree, re-rooting decisions, dead-step
+// eliminations and the counting classification, or a bag plan's tree
+// decomposition. It carries no data and no clocks (the prepare-phase
 // timings aside), so Text renders stably across runs on the same
 // prepared query. The JSON encoding is the wire form served by
 // POST /v1/explain.

@@ -74,6 +74,19 @@ tree 0: count=node
     [0] E(v0,v1)
 `,
 		},
+		{
+			// The cyclic TW(2) approximation plans as a bag search: the
+			// root binds the head, the child bag is a memoised existence
+			// check on its separator v1, v3.
+			name:    "cycle4-tw2",
+			prepare: func() (*PreparedQuery, error) { return e.Prepare(ctx, workload.CycleQueryFree(4), TW(2)) },
+			want: `plan: bags
+class: TW(2)
+approximation: C4(x)_approx(x0) :- E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x0)
+bag [0] v0 v1 v3: E(v0,v1) E(v3,v0)
+  bag [1] v1 v2 v3: E(v1,v2) E(v2,v3) exists
+`,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -63,8 +63,8 @@ func (b *BoundQuery) Incremental(ctx context.Context, opts ...EvalOption) (*Incr
 }
 
 // Supported reports whether updates can be propagated incrementally at
-// all: acyclic (Yannakakis) plans maintain deltas, naive plans fall
-// back to a full re-evaluation on every advance.
+// all: acyclic (Yannakakis) plans maintain deltas, bag (cyclic) plans
+// fall back to a full re-evaluation on every advance.
 func (ie *IncrementalEval) Supported() bool { return ie.p.plan.IncrSupported() }
 
 // Database returns the snapshot the maintained answers reflect.

@@ -13,8 +13,8 @@
 //     joins run over the reduced forest and the distinct head keys of
 //     the joined rows are counted in a hash table — no answer tuple is
 //     built or sorted.
-//   - "exact-enum": the plan is naive (cyclic); distinct answers are
-//     enumerated by backtracking and counted without being kept.
+//   - "exact-enum": the plan is a bag plan (cyclic); the bag search
+//     enumerates the distinct answers and counts them.
 //
 // Estimation replaces only the "exact-eval" case: each non-countable
 // tree gets a Karp–Luby-shaped estimator — sample uniform full
@@ -115,8 +115,7 @@ func exactResult(n uint64, mode string) Result {
 // answers: "exact-dp" multiplies per-tree DP counts (its product timed
 // as the "count" phase), "exact-eval" joins the reduced forest and
 // counts the distinct head keys of the joined rows, "exact-enum"
-// counts enumerated answers without keeping them (naive plans trace
-// total time only). The error is eval.ErrCountOverflow when the count
+// counts the bag search's answers (bag plans trace total time only). The error is eval.ErrCountOverflow when the count
 // exceeds uint64.
 func Exact(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, traced bool) (Result, *obs.ExecTrace, error) {
 	start := time.Now()
@@ -183,7 +182,7 @@ func exactProduct(ctx context.Context, run *eval.CountRun) (uint64, error) {
 // exact counting would have to join (the "exact-eval" plans); traced
 // attaches an execution trace with the sampling effort in a
 // "count-estimate" phase. When every tree counts exactly (or the plan
-// is naive) the result is Exact's and Estimated is false — estimation
+// is a bag plan) the result is Exact's and Estimated is false — estimation
 // never makes a cheap count worse.
 func Estimate(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, opts Options, traced bool) (Result, *obs.ExecTrace, error) {
 	opts = opts.withDefaults()

@@ -140,7 +140,7 @@ func TestEstimateExactShortcuts(t *testing.T) {
 	db := pathDB(rng, 8, 30)
 	for _, src := range []string{
 		"Q(x,y,z) :- E(x,y), E(y,z)",     // fully countable
-		"Q(x) :- E(x,y), E(y,z), E(z,x)", // naive plan
+		"Q(x) :- E(x,y), E(y,z), E(z,x)", // bag plan
 	} {
 		p := eval.NewPlan(cq.MustParse(src))
 		res, _, err := Estimate(ctx, p, eval.NewSource(db), 1, Options{}, false)

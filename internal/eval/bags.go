@@ -1,0 +1,958 @@
+package eval
+
+// Bag mode: the evaluation plan of cyclic queries. NewPlan decomposes
+// the query's primal graph into a tree of bags and compiles one search
+// program over it; every evaluation is a first-hit backtracking search
+// through that program that probes the Source's own views and indexes.
+//
+// Plan time:
+//   - tw.GreedyDecompose builds the decomposition from a greedy
+//     min-degree/min-fill elimination order (polynomial, never the
+//     exact 2ⁿ DP) and contracts subsumed bags;
+//   - every atom is assigned to each bag containing its variables;
+//   - each tree is rooted at the bag holding the most head variables;
+//   - a bag with a variable that neither its separator (the variables
+//     it shares with its parent, bound on arrival) nor one of its own
+//     atoms binds absorbs the child bag holding that variable. Merging
+//     the other way never helps: the variable is absent from the
+//     parent, so it occurs only below. After the merges a bag's local
+//     rows are enumerated by probing its atoms, never by a cross
+//     product with the domain.
+//
+// A bag whose subtree has no head variable outside its separator is an
+// existence check: its outcome depends on nothing but the separator
+// values (every variable of the subtree bound elsewhere is in the
+// separator), so it is memoised per (bag, separator values) for the
+// rest of the call. The remaining bags — the head part, a connected
+// top of the tree — are searched in pre-order as one program of atom
+// probes, each followed by the existence checks whose separators it
+// completes. Once the last head variable is bound the search cuts back
+// to that step after the first witness, and skips head tuples already
+// found, so each answer costs one witness search.
+//
+// The bags are searched rather than materialised: a materialised bag
+// is the join of its atoms, which is as large as what the naive engine
+// explores, while the search stops at the first witness and never
+// builds a bag relation.
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
+
+	"cqapprox/internal/cq"
+	"cqapprox/internal/cqerr"
+	"cqapprox/internal/obs"
+	"cqapprox/internal/relstr"
+	"cqapprox/internal/tw"
+)
+
+// bagStep is one atom probe of a search program: the view rows of the
+// atom agreeing with the bound columns bind the free ones.
+type bagStep struct {
+	id        int   // slot of the step's per-call index resolution
+	atom      int   // index into bagPlan.atoms
+	bound     []int // view columns bound before the step
+	boundVars []int
+	free      []int // view columns the step binds
+	freeVars  []int
+	checks    []int // existence bags whose separator the step completes
+}
+
+// bagNode is one bag of the decomposition.
+type bagNode struct {
+	vars     []int // the bag's variables, ascending
+	atoms    []int // atoms whose variables the bag contains
+	parent   int   // -1 for roots
+	children []int
+	sep      []int // variables shared with the parent
+	exist    bool  // no head variable below outside sep: a memoised existence check
+	// Existence bags only: the checks of children whose separators are
+	// bound on arrival, then the local program.
+	pre   []int
+	steps []bagStep
+}
+
+// bagPlan is the static search program of a bag-mode plan.
+type bagPlan struct {
+	atoms    []patom
+	bags     []bagNode
+	roots    []int
+	head     []int     // the head's variables (tb.Dist)
+	pre      []int     // existence checks due before the first head step
+	steps    []bagStep // the head part, in pre-order over its bags
+	lastHead int       // the last step binding a head variable; -1 if none
+	numVars  int
+	numSteps int
+}
+
+// newBagPlan decomposes the tableau and compiles its search programs.
+func newBagPlan(tb *cq.Tableau) *bagPlan {
+	bp := &bagPlan{atoms: atomList(tb.S), head: tb.Dist}
+	avars := make([][]int, len(bp.atoms))
+	var verts []int // dense vertex → variable
+	var vid []int   // variable → dense vertex +1 (0: not seen)
+	addVar := func(v int) {
+		if v >= len(vid) {
+			vid = append(vid, make([]int, v+1-len(vid))...)
+		}
+		if vid[v] == 0 {
+			verts = append(verts, v)
+			vid[v] = len(verts)
+		}
+	}
+	var edges [][2]int
+	for i, a := range bp.atoms {
+		avars[i] = a.distinctVars()
+		for j, u := range avars[i] {
+			addVar(u)
+			for _, w := range avars[i][:j] {
+				edges = append(edges, [2]int{vid[u] - 1, vid[w] - 1})
+			}
+		}
+	}
+	for _, v := range bp.head {
+		addVar(v)
+	}
+	bp.numVars = len(vid)
+	d := tw.GreedyDecompose(len(verts), edges)
+	isHead := make([]bool, bp.numVars)
+	for _, v := range bp.head {
+		isHead[v] = true
+	}
+	bags := make([]bagNode, len(d.Bags))
+	adj := make([][]int, len(d.Bags))
+	for i, b := range d.Bags {
+		bags[i].vars = make([]int, len(b))
+		for k, x := range b {
+			bags[i].vars[k] = verts[x]
+		}
+		slices.Sort(bags[i].vars)
+		bags[i].parent = -1
+	}
+	for _, e := range d.Tree {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	headCount := func(b int) int {
+		n := 0
+		for _, v := range bags[b].vars {
+			if isHead[v] {
+				n++
+			}
+		}
+		return n
+	}
+	// Root each tree at its bag holding the most head variables and
+	// orient it from there.
+	seen := make([]bool, len(bags))
+	for r := range bags {
+		if seen[r] {
+			continue
+		}
+		tree := []int{r}
+		seen[r] = true
+		for k := 0; k < len(tree); k++ {
+			for _, w := range adj[tree[k]] {
+				if !seen[w] {
+					seen[w] = true
+					tree = append(tree, w)
+				}
+			}
+		}
+		root := r
+		for _, b := range tree {
+			if headCount(b) > headCount(root) {
+				root = b
+			}
+		}
+		bp.roots = append(bp.roots, root)
+		for queue := []int{root}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			for _, w := range adj[u] {
+				if w != bags[u].parent {
+					bags[w].parent = u
+					bags[u].children = append(bags[u].children, w)
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	bp.bags = bags
+	for i := range bp.bags {
+		bp.assignAtoms(i, avars)
+	}
+	// The merge rule, top-down.
+	for queue := slices.Clone(bp.roots); len(queue) > 0; queue = queue[1:] {
+		b := queue[0]
+		for {
+			u := bp.unbound(b, avars)
+			if u < 0 {
+				break
+			}
+			c := -1
+			for _, k := range bp.bags[b].children {
+				if slices.Contains(bp.bags[k].vars, u) {
+					c = k
+					break
+				}
+			}
+			if c < 0 {
+				panic(fmt.Sprintf("eval: variable %d occurs in no atom", u))
+			}
+			bp.absorb(b, c, avars)
+		}
+		queue = append(queue, bp.bags[b].children...)
+	}
+	bp.compact()
+	// Separators and existence flags, bottom-up over the pre-order.
+	below := make([][]int, len(bp.bags)) // head variables in the subtree
+	for i := len(bp.bags) - 1; i >= 0; i-- {
+		b := &bp.bags[i]
+		if b.parent >= 0 {
+			b.sep = sharedVars(b.vars, bp.bags[b.parent].vars)
+		}
+		for _, v := range b.vars {
+			if isHead[v] && !slices.Contains(below[i], v) {
+				below[i] = append(below[i], v)
+			}
+		}
+		for _, c := range b.children {
+			for _, v := range below[c] {
+				if !slices.Contains(below[i], v) {
+					below[i] = append(below[i], v)
+				}
+			}
+		}
+		b.exist = true
+		for _, v := range below[i] {
+			if !slices.Contains(b.sep, v) {
+				b.exist = false
+			}
+		}
+	}
+	bp.compile(avars, isHead)
+	return bp
+}
+
+// assignAtoms gives bag b every atom whose variables it contains.
+func (bp *bagPlan) assignAtoms(b int, avars [][]int) {
+	node := &bp.bags[b]
+	node.atoms = node.atoms[:0]
+	for i, vs := range avars {
+		ok := true
+		for _, v := range vs {
+			if !slices.Contains(node.vars, v) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			node.atoms = append(node.atoms, i)
+		}
+	}
+}
+
+// unbound returns a variable of bag b that neither its separator nor
+// one of its atoms binds, or -1.
+func (bp *bagPlan) unbound(b int, avars [][]int) int {
+	node := &bp.bags[b]
+	var par []int
+	if node.parent >= 0 {
+		par = bp.bags[node.parent].vars
+	}
+vars:
+	for _, v := range node.vars {
+		if slices.Contains(par, v) {
+			continue
+		}
+		for _, a := range node.atoms {
+			if slices.Contains(avars[a], v) {
+				continue vars
+			}
+		}
+		return v
+	}
+	return -1
+}
+
+// absorb merges child bag c into bag b: b takes c's variables, its
+// children and every atom the union contains. Separators elsewhere do
+// not change (a variable shared by a grandchild and b lies in c).
+func (bp *bagPlan) absorb(b, c int, avars [][]int) {
+	nb, nc := &bp.bags[b], &bp.bags[c]
+	for _, v := range nc.vars {
+		if !slices.Contains(nb.vars, v) {
+			nb.vars = append(nb.vars, v)
+		}
+	}
+	slices.Sort(nb.vars)
+	nb.children = slices.DeleteFunc(nb.children, func(k int) bool { return k == c })
+	for _, k := range nc.children {
+		bp.bags[k].parent = b
+		nb.children = append(nb.children, k)
+	}
+	nc.vars, nc.children, nc.parent = nil, nil, -2 // dead
+	bp.assignAtoms(b, avars)
+}
+
+// compact drops absorbed bags and renumbers the rest in pre-order.
+func (bp *bagPlan) compact() {
+	var order []int
+	var walk func(b int)
+	walk = func(b int) {
+		order = append(order, b)
+		for _, c := range bp.bags[b].children {
+			walk(c)
+		}
+	}
+	for _, r := range bp.roots {
+		walk(r)
+	}
+	id := make([]int, len(bp.bags))
+	for i, b := range order {
+		id[b] = i
+	}
+	out := make([]bagNode, len(order))
+	for i, b := range order {
+		out[i] = bp.bags[b]
+		if out[i].parent >= 0 {
+			out[i].parent = id[out[i].parent]
+		}
+		for k, c := range out[i].children {
+			out[i].children[k] = id[c]
+		}
+	}
+	for k, r := range bp.roots {
+		bp.roots[k] = id[r]
+	}
+	bp.bags = out
+}
+
+// compile lays out the head program and every existence bag's program.
+func (bp *bagPlan) compile(avars [][]int, isHead []bool) {
+	bound := make([]bool, bp.numVars)
+	for _, r := range bp.roots {
+		if bp.bags[r].exist {
+			bp.pre = append(bp.pre, r)
+		}
+	}
+	var walk func(b int)
+	walk = func(b int) {
+		pre, steps := bp.program(b, bound, avars, isHead)
+		if n := len(bp.steps); n > 0 {
+			bp.steps[n-1].checks = append(bp.steps[n-1].checks, pre...)
+		} else {
+			bp.pre = append(bp.pre, pre...)
+		}
+		bp.steps = append(bp.steps, steps...)
+		for _, c := range bp.bags[b].children {
+			if !bp.bags[c].exist {
+				walk(c)
+			}
+		}
+	}
+	for _, r := range bp.roots {
+		if !bp.bags[r].exist {
+			walk(r)
+		}
+	}
+	bp.lastHead = -1
+	for i, st := range bp.steps {
+		for _, v := range st.freeVars {
+			if isHead[v] {
+				bp.lastHead = i
+			}
+		}
+	}
+	for i := range bp.bags {
+		b := &bp.bags[i]
+		if !b.exist {
+			continue
+		}
+		clear(bound)
+		for _, v := range b.sep {
+			bound[v] = true
+		}
+		b.pre, b.steps = bp.program(i, bound, avars, nil)
+	}
+}
+
+// program lays out bag b's local search given the variables bound on
+// arrival (bound, updated in place): its atoms in greedy order —
+// already-bound atoms as filters first, then connected atoms before
+// disconnected ones, then (in the head part) atoms binding head
+// variables, then the most bound and fewest free columns — each step
+// followed by the existence checks of the children whose separators
+// it completes. pre are the checks due on arrival. Atoms inside the
+// separator were checked by the parent and are skipped.
+func (bp *bagPlan) program(b int, bound []bool, avars [][]int, isHead []bool) (pre []int, steps []bagStep) {
+	node := &bp.bags[b]
+	var waiting []int
+	for _, c := range node.children {
+		if bp.bags[c].exist {
+			waiting = append(waiting, c)
+		}
+	}
+	due := func() []int {
+		var out []int
+		waiting = slices.DeleteFunc(waiting, func(c int) bool {
+			for _, v := range bp.bags[c].sep {
+				if !bound[v] {
+					return false
+				}
+			}
+			out = append(out, c)
+			return true
+		})
+		return out
+	}
+	pre = due()
+	var todo []int
+	for _, a := range node.atoms {
+		if !slices.ContainsFunc(avars[a], func(v int) bool { return !bound[v] }) {
+			continue
+		}
+		todo = append(todo, a)
+	}
+	score := func(a int) [4]int {
+		nb, nf, nh := 0, 0, 0
+		for _, v := range avars[a] {
+			switch {
+			case bound[v]:
+				nb++
+			case isHead != nil && isHead[v]:
+				nf++
+				nh++
+			default:
+				nf++
+			}
+		}
+		s := [4]int{}
+		if nf == 0 {
+			s[0] = 1
+		}
+		if nb > 0 {
+			s[1] = 1
+		}
+		s[2] = min(nh, 1)
+		s[3] = nb*16 - nf
+		return s
+	}
+	for len(todo) > 0 {
+		best := 0
+		for k := 1; k < len(todo); k++ {
+			if greater(score(todo[k]), score(todo[best])) {
+				best = k
+			}
+		}
+		a := todo[best]
+		todo = slices.Delete(todo, best, best+1)
+		st := bagStep{id: bp.numSteps, atom: a}
+		bp.numSteps++
+		nb := 0
+		for _, v := range avars[a] {
+			if bound[v] {
+				nb++
+			}
+		}
+		// One slab holds the four column lists.
+		w := len(avars[a])
+		cols := make([]int, 2*w)
+		st.bound, st.free = cols[:0:nb], cols[nb:nb:w]
+		st.boundVars, st.freeVars = cols[w:w:w+nb], cols[w+nb:w+nb:2*w]
+		for j, v := range avars[a] {
+			if bound[v] {
+				st.bound = append(st.bound, j)
+				st.boundVars = append(st.boundVars, v)
+			} else {
+				st.free = append(st.free, j)
+				st.freeVars = append(st.freeVars, v)
+			}
+		}
+		for _, v := range st.freeVars {
+			bound[v] = true
+		}
+		st.checks = due()
+		steps = append(steps, st)
+	}
+	if len(waiting) > 0 {
+		panic("eval: bag separator never bound")
+	}
+	return pre, steps
+}
+
+// explain renders the bags in pre-order for Plan.Explain.
+func (bp *bagPlan) explain() []obs.BagExplain {
+	out := make([]obs.BagExplain, len(bp.bags))
+	for i, b := range bp.bags {
+		e := obs.BagExplain{ID: i, Parent: b.parent, Exists: b.exist}
+		if b.parent >= 0 {
+			e.Depth = out[b.parent].Depth + 1
+		}
+		for _, v := range b.vars {
+			e.Vars = append(e.Vars, fmt.Sprintf("v%d", v))
+		}
+		for _, a := range b.atoms {
+			e.Atoms = append(e.Atoms, atomString(bp.atoms[a]))
+		}
+		out[i] = e
+	}
+	return out
+}
+
+// greater orders step scores lexicographically.
+func greater(a, b [4]int) bool {
+	for k := range a {
+		if a[k] != b[k] {
+			return a[k] > b[k]
+		}
+	}
+	return false
+}
+
+// --- the per-call search -----------------------------------------------
+
+// bagProbe is one step's index resolution for the current call: an
+// index over some of the bound columns (keyVars aligned with its
+// columns) plus the bound columns it leaves to a filter. A nil index
+// with no bound columns is a scan.
+type bagProbe struct {
+	ready    bool
+	ix       *relstr.Index
+	keyVars  []int
+	filtCols []int
+	filtVars []int
+}
+
+// bagMemo records an existence bag's outcomes per separator values.
+type bagMemo struct {
+	keys flatSet
+	hit  []bool
+}
+
+// bagRun is the pooled per-call state of one bag search.
+type bagRun struct {
+	bp     *bagPlan
+	src    Source
+	ctx    context.Context
+	polls  int
+	err    error
+	stop   bool
+	rows   [][][]int // per atom, resolved on first use
+	ixr    []Indexer
+	probes []bagProbe
+	bind   []int   // variable → value on the current search path
+	keys   [][]int // existence bag → its separator values (memo key)
+	memo   []bagMemo
+	seen   flatSet // head tuples found
+	tuple  []int
+	emit   func([]int) bool
+	stats  opStats
+}
+
+var bagRunPool = sync.Pool{New: func() any { return new(bagRun) }}
+
+// resized returns s with length n, zeroed, reusing its capacity.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+func (bp *bagPlan) newRun(ctx context.Context, src Source, emit func([]int) bool) *bagRun {
+	r := bagRunPool.Get().(*bagRun)
+	r.bp, r.src, r.ctx, r.emit = bp, src, ctx, emit
+	r.polls, r.err, r.stop, r.stats = 0, nil, false, opStats{}
+	r.rows = resized(r.rows, len(bp.atoms))
+	r.ixr = resized(r.ixr, len(bp.atoms))
+	if cap(r.probes) < bp.numSteps {
+		r.probes = make([]bagProbe, bp.numSteps)
+	}
+	r.probes = r.probes[:bp.numSteps] // released runs leave every probe unresolved
+	r.bind = resized(r.bind, bp.numVars)
+	r.tuple = resized(r.tuple, len(bp.head))
+	if cap(r.memo) < len(bp.bags) {
+		r.memo = append(r.memo[:cap(r.memo)], make([]bagMemo, len(bp.bags)-cap(r.memo))...)
+		r.keys = append(r.keys[:cap(r.keys)], make([][]int, len(bp.bags)-cap(r.keys))...)
+	}
+	r.memo, r.keys = r.memo[:len(bp.bags)], r.keys[:len(bp.bags)]
+	for i, b := range bp.bags {
+		if b.exist {
+			r.memo[i].keys.reset(len(b.sep))
+			r.memo[i].hit = r.memo[i].hit[:0]
+			r.keys[i] = resized(r.keys[i], len(b.sep))
+		}
+	}
+	r.seen.reset(len(bp.head))
+	return r
+}
+
+func (r *bagRun) release() {
+	r.src, r.ctx, r.emit, r.err = nil, nil, nil, nil
+	clear(r.rows)
+	clear(r.ixr)
+	for i := range r.probes {
+		r.probes[i].ready, r.probes[i].ix = false, nil
+	}
+	bagRunPool.Put(r)
+}
+
+// run searches the whole program, reporting every distinct head tuple
+// to emit until it returns false.
+func (r *bagRun) run() {
+	if r.poll() && r.checks(r.bp.pre) {
+		r.head(0)
+	}
+}
+
+// poll checks the context every 256 calls; a cancellation stops the
+// search.
+func (r *bagRun) poll() bool {
+	if r.polls++; r.polls&255 == 1 {
+		if err := cqerr.Check(r.ctx); err != nil {
+			r.err, r.stop = err, true
+		}
+	}
+	return !r.stop
+}
+
+// probe resolves step st's index for this call: the widest index the
+// view already holds over the bound columns, else one built on the
+// first bound column — never more than one new index per (view,
+// column), so the search adds little to a snapshot's cache.
+func (r *bagRun) probe(st *bagStep) *bagProbe {
+	sp := &r.probes[st.id]
+	if sp.ready {
+		return sp
+	}
+	sp.ready = true
+	if r.rows[st.atom] == nil {
+		r.rows[st.atom], r.ixr[st.atom] = r.src.Node(r.bp.atoms[st.atom])
+	}
+	if len(st.bound) == 0 {
+		return sp
+	}
+	ixr := r.ixr[st.atom]
+	full := 1<<len(st.bound) - 1
+	best := 0
+	var cols []int
+	for mask := full; mask > 0; mask-- {
+		if bits.OnesCount(uint(mask)) <= bits.OnesCount(uint(best)) {
+			continue
+		}
+		cols = cols[:0]
+		for k, c := range st.bound {
+			if mask&(1<<k) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		if ix := ixr.Cached(cols); ix != nil {
+			sp.ix, best = ix, mask
+		}
+	}
+	if sp.ix == nil {
+		ix, built := ixr.Index(st.bound[:1])
+		if built {
+			r.stats.builds++
+		}
+		sp.ix, best = ix, 1
+	}
+	sp.keyVars, sp.filtCols, sp.filtVars = sp.keyVars[:0], sp.filtCols[:0], sp.filtVars[:0]
+	for k, c := range st.bound {
+		if best&(1<<k) != 0 {
+			sp.keyVars = append(sp.keyVars, st.boundVars[k])
+		} else {
+			sp.filtCols = append(sp.filtCols, c)
+			sp.filtVars = append(sp.filtVars, st.boundVars[k])
+		}
+	}
+	return sp
+}
+
+// first returns the first row id of step st's view agreeing with the
+// bound values, or -1; next continues from id.
+func (r *bagRun) first(sp *bagProbe, rows [][]int) int32 {
+	if sp.ix == nil {
+		if len(rows) == 0 {
+			return -1
+		}
+		return 0
+	}
+	r.stats.probes++
+	id := sp.ix.First(r.bind, sp.keyVars)
+	for id >= 0 && !r.filter(sp, rows[id]) {
+		id = sp.ix.Next(id, r.bind, sp.keyVars)
+	}
+	return id
+}
+
+func (r *bagRun) next(sp *bagProbe, rows [][]int, id int32) int32 {
+	if sp.ix == nil {
+		if id++; int(id) == len(rows) {
+			return -1
+		}
+		return id
+	}
+	for id = sp.ix.Next(id, r.bind, sp.keyVars); id >= 0 && !r.filter(sp, rows[id]); {
+		id = sp.ix.Next(id, r.bind, sp.keyVars)
+	}
+	return id
+}
+
+func (r *bagRun) filter(sp *bagProbe, row []int) bool {
+	for k, c := range sp.filtCols {
+		if row[c] != r.bind[sp.filtVars[k]] {
+			return false
+		}
+	}
+	return true
+}
+
+// bindRow binds step st's free variables from row.
+func (r *bagRun) bindRow(st *bagStep, row []int) {
+	for k, c := range st.free {
+		r.bind[st.freeVars[k]] = row[c]
+	}
+}
+
+// checks runs existence checks in order, stopping at the first miss.
+func (r *bagRun) checks(bags []int) bool {
+	for _, c := range bags {
+		if !r.exists(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// exists reports whether existence bag c's subtree extends the bound
+// separator values, memoised per separator values. Outcomes of a
+// stopped search are not recorded.
+func (r *bagRun) exists(c int) bool {
+	b := &r.bp.bags[c]
+	key := r.keys[c] // c's subtree never re-enters c, so the buffer survives the search
+	for k, v := range b.sep {
+		key[k] = r.bind[v]
+	}
+	m := &r.memo[c]
+	if id := m.keys.find(key); id >= 0 {
+		return m.hit[id]
+	}
+	ok := r.checks(b.pre) && r.existStep(b, 0)
+	if r.stop {
+		return false
+	}
+	m.keys.insert(key)
+	m.hit = append(m.hit, ok)
+	return ok
+}
+
+// existStep searches bag b's program from step i for one witness.
+func (r *bagRun) existStep(b *bagNode, i int) bool {
+	if i == len(b.steps) {
+		return true
+	}
+	st := &b.steps[i]
+	sp := r.probe(st)
+	rows := r.rows[st.atom]
+	for id := r.first(sp, rows); id >= 0; id = r.next(sp, rows, id) {
+		if !r.poll() {
+			return false
+		}
+		r.bindRow(st, rows[id])
+		if r.checks(st.checks) && r.existStep(b, i+1) {
+			return true
+		}
+		if r.stop {
+			return false
+		}
+	}
+	return false
+}
+
+// head runs head step i and returns the step whose loop continues: i-1
+// once the step is exhausted, the last head-binding step after an
+// answer (the cut), or -2 when the search stopped.
+func (r *bagRun) head(i int) int {
+	bp := r.bp
+	if i == len(bp.steps) {
+		r.fillTuple()
+		if _, added := r.seen.add(r.tuple); added && !r.emit(r.tuple) {
+			r.stop = true
+		}
+		if r.stop {
+			return -2
+		}
+		return bp.lastHead
+	}
+	st := &bp.steps[i]
+	sp := r.probe(st)
+	rows := r.rows[st.atom]
+	for id := r.first(sp, rows); id >= 0; id = r.next(sp, rows, id) {
+		if !r.poll() {
+			return -2
+		}
+		r.bindRow(st, rows[id])
+		if i == bp.lastHead {
+			r.fillTuple()
+			if r.seen.find(r.tuple) >= 0 {
+				continue // this head tuple already has its witness
+			}
+		}
+		if !r.checks(st.checks) {
+			if r.stop {
+				return -2
+			}
+			continue
+		}
+		if c := r.head(i + 1); c < i {
+			return c
+		}
+	}
+	return i - 1
+}
+
+func (r *bagRun) fillTuple() {
+	for k, v := range r.bp.head {
+		r.tuple[k] = r.bind[v]
+	}
+}
+
+// --- plan entry points -------------------------------------------------
+
+// searchBags runs the plan's bag search against src, calling emit with
+// each distinct answer (a buffer valid for the call only) until it
+// returns false, and returns the cancellation that cut the search
+// short, if any.
+func (p *Plan) searchBags(ctx context.Context, src Source, emit func([]int) bool) error {
+	r := p.bags.newRun(ctx, src, emit)
+	r.run()
+	err := r.err
+	p.stats.builds.Add(r.stats.builds)
+	p.stats.probes.Add(r.stats.probes)
+	p.stats.evals.Add(1)
+	r.release()
+	return err
+}
+
+// evalBags materialises the sorted answer set of a bag plan; the
+// answers share one backing slab.
+func (p *Plan) evalBags(ctx context.Context, src Source) (Answers, error) {
+	data, n := []int{}, 0
+	err := p.searchBags(ctx, src, func(t []int) bool {
+		data = append(data, t...)
+		n++
+		return true
+	})
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	w := len(p.tb.Dist)
+	out := make(Answers, n)
+	for k := range out {
+		out[k] = data[k*w : (k+1)*w : (k+1)*w]
+	}
+	return sortAnswers(out), nil
+}
+
+// boolBags reports whether a bag plan has an answer. A witness found
+// before a cancellation wins over it.
+func (p *Plan) boolBags(ctx context.Context, src Source) (bool, error) {
+	found := false
+	err := p.searchBags(ctx, src, func([]int) bool {
+		found = true
+		return false
+	})
+	if err != nil && !found {
+		return false, err
+	}
+	return found, nil
+}
+
+// --- flat key sets -------------------------------------------------------
+
+// flatSet is an insertion-ordered hash set of fixed-width int keys
+// stored back to back in one slab (key id k occupies keys[k*w:(k+1)*w]),
+// so a set of n keys costs a handful of allocations rather than n.
+type flatSet struct {
+	w    int
+	n    int
+	keys []int
+	head []int32 // bucket → first key id +1 (0 = empty)
+	next []int32 // key id → next key id +1 in the same bucket
+	mask uint64
+}
+
+// reset empties the set for keys of width w, keeping its capacity.
+func (s *flatSet) reset(w int) {
+	s.w, s.n = w, 0
+	s.keys = s.keys[:0]
+	s.next = s.next[:0]
+	clear(s.head)
+}
+
+func hashKey(key []int) uint64 {
+	h := uint64(len(key)) + 0x9E3779B97F4A7C15
+	for _, v := range key {
+		h ^= uint64(v)
+		h ^= h >> 30
+		h *= 0xBF58476D1CE4E5B9
+		h ^= h >> 27
+		h *= 0x94D049BB133111EB
+		h ^= h >> 31
+	}
+	return h
+}
+
+// find returns the id of key, or -1.
+func (s *flatSet) find(key []int) int32 {
+	if s.n == 0 {
+		return -1
+	}
+	for id := s.head[hashKey(key)&s.mask]; id != 0; id = s.next[id-1] {
+		off := int(id-1) * s.w
+		if slices.Equal(s.keys[off:off+s.w], key) {
+			return id - 1
+		}
+	}
+	return -1
+}
+
+// add inserts key if absent, returning its id and whether it is new.
+func (s *flatSet) add(key []int) (int32, bool) {
+	if id := s.find(key); id >= 0 {
+		return id, false
+	}
+	return s.insert(key), true
+}
+
+// insert appends a key known to be absent and returns its id.
+func (s *flatSet) insert(key []int) int32 {
+	if s.n >= len(s.head)*3/4 {
+		size := max(16, 2*len(s.head))
+		if cap(s.head) >= size {
+			s.head = s.head[:size]
+			clear(s.head)
+		} else {
+			s.head = make([]int32, size)
+		}
+		s.mask = uint64(size - 1)
+		for k := 0; k < s.n; k++ {
+			b := hashKey(s.keys[k*s.w:(k+1)*s.w]) & s.mask
+			s.next[k] = s.head[b]
+			s.head[b] = int32(k + 1)
+		}
+	}
+	s.keys = append(s.keys, key...)
+	b := hashKey(key) & s.mask
+	s.next = append(s.next, s.head[b])
+	s.n++
+	s.head[b] = int32(s.n)
+	return int32(s.n - 1)
+}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cqapprox/internal/cqerr"
-	"cqapprox/internal/hom"
 	"cqapprox/internal/relstr"
 )
 
@@ -261,7 +260,7 @@ func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int
 }
 
 // ExactCountable reports whether every tree of the plan's forest counts
-// exactly without enumeration (no countSample tree). False for naive
+// exactly without enumeration (no countSample tree). False for bag
 // (cyclic) plans.
 func (p *Plan) ExactCountable() bool {
 	return p.mode == PlanYannakakis && p.csched.exact
@@ -299,7 +298,7 @@ type CountRun struct {
 // and returns the counting state over the reduced forest; traced
 // attaches an execution trace (phases land in it as the run goes,
 // TraceSnapshot renders it before Close). It fails with ErrNotAcyclic
-// on naive plans (counting those goes through CountEnum instead).
+// on bag plans (counting those goes through CountEnum instead).
 func (p *Plan) PrepareCount(ctx context.Context, src Source, parallel int, traced bool) (*CountRun, error) {
 	return p.prepareCount(ctx, src, parallel, false, traced)
 }
@@ -889,18 +888,17 @@ func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
 
 // --- enumeration fallbacks ---------------------------------------------
 
-// CountEnum counts the distinct answers by backtracking enumeration
-// (the naive engine's path — ProjectCtx yields each distinct head
-// tuple exactly once, so counting the callbacks counts the answers
-// without keeping any of them). Works for any plan; it is the exact
-// fallback for naive (cyclic) plans.
+// CountEnum counts the distinct answers by enumeration: the bag
+// search's answers are counted without being kept beyond its dedup
+// set. It is the exact count of bag (cyclic) plans; on acyclic plans
+// it counts an evaluation.
 func (p *Plan) CountEnum(ctx context.Context, src Source) (uint64, error) {
+	if p.mode == PlanYannakakis {
+		ans, err := p.EvalOn(ctx, src, 1)
+		return uint64(len(ans)), err
+	}
 	var n uint64
-	_, err := hom.ProjectCtx(ctx, p.tb.S, src.Structure(), nil, p.tb.Dist, func([]int) bool {
-		n++
-		return true
-	})
-	if err != nil {
+	if err := p.searchBags(ctx, src, func([]int) bool { n++; return true }); err != nil {
 		return 0, err
 	}
 	return n, nil

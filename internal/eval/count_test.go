@@ -15,7 +15,7 @@ import (
 // the parallel thresholds forced down (see evalTuned): the DP/dedup
 // product for exactly countable plans, CountEval (the production
 // "exact-eval" path) for acyclic plans with a sampling tree,
-// enumeration for naive plans.
+// the bag search for cyclic plans.
 func (p *Plan) countForTest(ctx context.Context, src Source, par int) (uint64, error) {
 	if p.mode != PlanYannakakis {
 		return p.CountEnum(ctx, src)
@@ -200,14 +200,14 @@ func TestCountClassification(t *testing.T) {
 	}
 }
 
-// PrepareCount refuses naive plans; CountEnum covers them.
+// PrepareCount refuses bag plans; CountEnum covers them.
 func TestCountNaiveFallback(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")
 	db := graphDB([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{0, 0})
 	p := NewPlan(q)
 	if _, err := p.PrepareCount(ctx, NewSource(db), 1, false); err != ErrNotAcyclic {
-		t.Fatalf("PrepareCount on naive plan: err = %v, want ErrNotAcyclic", err)
+		t.Fatalf("PrepareCount on bag plan: err = %v, want ErrNotAcyclic", err)
 	}
 	want, err := p.EvalBaseline(ctx, db)
 	if err != nil {

@@ -2,16 +2,19 @@
 // complexities the paper contrasts:
 //
 //   - Naive: backtracking join, |D|^O(|Q|) combined complexity — the
-//     generic engine for arbitrary CQs.
+//     generic engine for arbitrary CQs, kept as the independent oracle
+//     the plans are tested against.
 //   - Yannakakis: the classical semijoin algorithm for acyclic CQs,
 //     O(|D|·|Q|) per the paper's Section 1 (plus output cost for
 //     non-Boolean queries).
+//   - Bags: a first-hit search over a tree decomposition of a cyclic
+//     CQ, memoised on separator values (bags.go) — the evaluation the
+//     TW(k)/HTW(k) approximation classes are chosen for.
 //
 // A Plan (NewPlan) fixes the strategy once per query — Yannakakis over
-// a GYO join tree when the query is acyclic, naive backtracking
-// otherwise — and every evaluation runs through it; Eval and EvalBool
-// are the one-shot forms. Cyclic TW(k)/HTW(k) approximations therefore
-// evaluate in the plan's naive mode.
+// a GYO join tree when the query is acyclic, the bag search otherwise
+// — and every evaluation runs through it; Eval and EvalBool are the
+// one-shot forms.
 //
 // The Yannakakis pipeline runs on one unified, backend-agnostic
 // executor (exec.go): all column mappings are precomputed in a
@@ -68,14 +71,10 @@ func Naive(q *cq.Query, db *relstr.Structure) Answers {
 }
 
 // NaiveCtx is Naive under a context: cancellation aborts the
-// backtracking search with a cqerr.ErrCanceled-wrapped error.
+// backtracking search with a cqerr.ErrCanceled-wrapped error. No Plan
+// path runs it: it is the oracle the plans are held to.
 func NaiveCtx(ctx context.Context, q *cq.Query, db *relstr.Structure) (Answers, error) {
-	return naiveEval(ctx, q.Tableau(), db)
-}
-
-// naiveEval is the tableau-level backtracking engine shared by NaiveCtx
-// and Plan (which passes its precomputed tableau).
-func naiveEval(ctx context.Context, tb *cq.Tableau, db *relstr.Structure) (Answers, error) {
+	tb := q.Tableau()
 	var out []relstr.Tuple
 	_, err := hom.ProjectCtx(ctx, tb.S, db, nil, tb.Dist, func(vals []int) bool {
 		out = append(out, relstr.Tuple(vals).Clone())
@@ -94,15 +93,10 @@ func NaiveBool(q *cq.Query, db *relstr.Structure) bool {
 	return ok
 }
 
-// NaiveBoolCtx is NaiveBool under a context.
+// NaiveBoolCtx is NaiveBool under a context. A found answer wins over
+// a late cancellation: the latch stops the search, not the result.
 func NaiveBoolCtx(ctx context.Context, q *cq.Query, db *relstr.Structure) (bool, error) {
-	return naiveBool(ctx, q.Tableau(), db)
-}
-
-// naiveBool is the tableau-level answer-existence check shared by
-// NaiveBoolCtx and Plan. A found answer wins over a late cancellation:
-// the latch stops the search, not the result.
-func naiveBool(ctx context.Context, tb *cq.Tableau, db *relstr.Structure) (bool, error) {
+	tb := q.Tableau()
 	found := false
 	_, err := hom.ProjectCtx(ctx, tb.S, db, nil, tb.Dist, func([]int) bool {
 		found = true
@@ -115,7 +109,7 @@ func naiveBool(ctx context.Context, tb *cq.Tableau, db *relstr.Structure) (bool,
 }
 
 // Eval evaluates q on db through a fresh Plan: Yannakakis when q is
-// acyclic, otherwise the naive engine.
+// acyclic, otherwise the bag search.
 func Eval(q *cq.Query, db *relstr.Structure) Answers {
 	ans, _ := NewPlan(q).Eval(nil, db)
 	return ans

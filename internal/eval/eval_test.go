@@ -79,8 +79,8 @@ func yannakakis(t *testing.T, q *cq.Query, db *relstr.Structure) Answers {
 
 func TestYannakakisRejectsCyclic(t *testing.T) {
 	q := cq.MustParse("Q() :- E(x,y), E(y,z), E(z,x)")
-	if m := NewPlan(q).Mode(); m != PlanNaive {
-		t.Fatalf("cyclic query planned as %v, want naive", m)
+	if m := NewPlan(q).Mode(); m != PlanBags {
+		t.Fatalf("cyclic query planned as %v, want bags", m)
 	}
 	if _, err := Program(q); err != ErrNotAcyclic {
 		t.Fatalf("err = %v, want ErrNotAcyclic", err)

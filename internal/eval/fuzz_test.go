@@ -242,7 +242,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 // arenas.
 func (p *Plan) evalTuned(ctx context.Context, src Source, par int) (Answers, error) {
 	if p.mode != PlanYannakakis {
-		return naiveEval(ctx, p.tb, src.Structure())
+		return p.evalBags(ctx, src)
 	}
 	sc := getScratch()
 	defer p.flush(sc)
@@ -255,7 +255,7 @@ func (p *Plan) evalTuned(ctx context.Context, src Source, par int) (Answers, err
 // evalBoolTuned is evalTuned for answer existence.
 func (p *Plan) evalBoolTuned(ctx context.Context, src Source, par int) (bool, error) {
 	if p.mode != PlanYannakakis {
-		return naiveBool(ctx, p.tb, src.Structure())
+		return p.boolBags(ctx, src)
 	}
 	sc := getScratch()
 	defer p.flush(sc)

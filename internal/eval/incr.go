@@ -40,7 +40,7 @@ package eval
 // Everything is budgeted — every row the restriction walks keep and
 // every row the membership search visits is charged: when the budget
 // runs out, the delta spans several trees or a Boolean (no kept
-// variables) tree, or the plan is naive, Apply falls back to a full
+// variables) tree, or the plan is a bag plan, Apply falls back to a full
 // re-evaluation and reports it — the diff is still exact, computed as
 // the sorted set difference against the previous answers. The fallback
 // and incremental counters surface through IndexStats and Explain.
@@ -75,7 +75,7 @@ type IncrState struct {
 	version uint64
 	answers Answers // sorted, deduplicated; rebuilt (never mutated) per Apply
 
-	// Yannakakis-mode factored state (nil for naive plans, which
+	// Yannakakis-mode factored state (nil for bag plans, which
 	// always fall back):
 	contribs [][][]int // per tree, sorted rows over treeVars[t]
 	treeVars [][]int   // kept (free) variables per tree; empty = Boolean tree
@@ -110,7 +110,7 @@ type IncrDiff struct {
 }
 
 // IncrSupported reports whether the plan can maintain its answers
-// incrementally (acyclic plans only; naive plans always fall back).
+// incrementally (acyclic plans only; bag plans always fall back).
 func (p *Plan) IncrSupported() bool { return p.mode == PlanYannakakis }
 
 // NewIncrState evaluates the plan on sn and captures the reduced state
@@ -243,7 +243,7 @@ func (s *IncrState) view(sn *relstr.Snapshot, n int) *relstr.View {
 func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 	p := s.p
 	if p.mode != PlanYannakakis {
-		ans, err := naiveEval(ctx, p.tb, sn.Structure())
+		ans, err := p.evalBags(ctx, NewSnapshotSource(sn))
 		if err != nil {
 			return err
 		}
@@ -304,7 +304,7 @@ func (s *IncrState) fallbackTo(ctx context.Context, sn *relstr.Snapshot, reason 
 // state reflects) to newSn = oldSn.Update(d), returning the exact
 // answer diff. A nil delta (full replacement) or a version mismatch
 // (missed intermediate updates) resynchronises via a full
-// re-evaluation; so do naive plans, deltas spanning several trees or a
+// re-evaluation; so do bag plans, deltas spanning several trees or a
 // Boolean tree, and propagations past the budget — all reported as
 // Fallback with a Reason and counted in IndexStats.IncrFallbacks.
 func (s *IncrState) Apply(ctx context.Context, d *relstr.Delta, oldSn, newSn *relstr.Snapshot) (*IncrDiff, error) {

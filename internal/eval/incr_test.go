@@ -342,7 +342,7 @@ func TestIncrDeleteMembership(t *testing.T) {
 	}
 }
 
-// Fallback taxonomy: Boolean trees, naive plans, tiny budgets, full
+// Fallback taxonomy: Boolean trees, bag (cyclic) plans, tiny budgets, full
 // replacements and stale state all resynchronise with an exact diff.
 func TestIncrFallbacks(t *testing.T) {
 	ctx := context.Background()
@@ -385,7 +385,7 @@ func TestIncrFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !diff.Fallback {
-			t.Fatal("naive plan should always fall back")
+			t.Fatal("bag plan should always fall back")
 		}
 		assertDiff(t, diff, wantAdd, wantRem)
 	})

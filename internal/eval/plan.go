@@ -19,17 +19,17 @@ const (
 	// semijoin pipeline over the precomputed join tree, O(|D|·|Q|)
 	// plus output cost.
 	PlanYannakakis PlanMode = iota
-	// PlanNaive: the query is cyclic; evaluation is backtracking
-	// search, |D|^O(|Q|) worst case.
-	PlanNaive
+	// PlanBags: the query is cyclic; evaluation is a first-hit search
+	// over a tree decomposition, memoised on separator values (bags.go).
+	PlanBags
 )
 
 func (m PlanMode) String() string {
 	switch m {
 	case PlanYannakakis:
 		return "yannakakis"
-	case PlanNaive:
-		return "naive"
+	case PlanBags:
+		return "bags"
 	default:
 		return "unknown"
 	}
@@ -58,6 +58,9 @@ type Plan struct {
 	// rankProgramForSpec compares against. See rank.go.
 	ranked    *rankProgram
 	rankedIDs []int
+
+	// Bag mode only: the decomposition and its search programs.
+	bags *bagPlan
 
 	stats planStats
 }
@@ -152,13 +155,14 @@ func (p *Plan) flush(sc *scratch) {
 }
 
 // NewPlan analyses q and fixes the best applicable engine: Yannakakis
-// over a GYO join tree when q is acyclic, naive backtracking otherwise.
-// For acyclic queries the full index/probe schedule — every column
-// mapping of the semijoin passes, the bottom-up joins and the head
-// projection — is computed here, once, and replayed by every
-// Eval/EvalBool/Stream call.
+// over a GYO join tree when q is acyclic, the bag search over a tree
+// decomposition otherwise. For acyclic queries the full index/probe
+// schedule — every column mapping of the semijoin passes, the
+// bottom-up joins and the head projection — is computed here, once,
+// and replayed by every Eval/EvalBool/Stream call; for cyclic ones the
+// decomposition and its search programs are.
 func NewPlan(q *cq.Query) *Plan {
-	p := &Plan{q: q, tb: q.Tableau(), mode: PlanNaive}
+	p := &Plan{q: q, tb: q.Tableau(), mode: PlanBags}
 	h := hypergraph.FromStructure(p.tb.S)
 	if jt, ok := h.GYO(); ok {
 		p.mode = PlanYannakakis
@@ -185,6 +189,8 @@ func NewPlan(q *cq.Query) *Plan {
 		// the connex/fallback decision from it.
 		p.rankedIDs = dedupHeadIDs(p.sched.head, RankSpec{}.perm(len(p.sched.head)))
 		p.ranked = p.buildRankProgram(p.rankedIDs)
+	} else {
+		p.bags = newBagPlan(p.tb)
 	}
 	return p
 }
@@ -308,11 +314,10 @@ func (p *Plan) Eval(ctx context.Context, db *relstr.Structure) (Answers, error) 
 // Answers — content and order — are identical across backends and
 // budgets; what varies is where indexes come from (per call vs the
 // snapshot's persistent cache) and how many cores the evaluation uses.
-// Naive (cyclic) plans run the backtracking engine on the backend's
-// structure and ignore the budget.
+// Bag (cyclic) plans search serially and ignore the budget.
 func (p *Plan) EvalOn(ctx context.Context, src Source, parallel int) (Answers, error) {
 	if p.mode != PlanYannakakis {
-		return naiveEval(ctx, p.tb, src.Structure())
+		return p.evalBags(ctx, src)
 	}
 	sc := getScratch()
 	defer p.flush(sc)
@@ -332,7 +337,7 @@ func (p *Plan) EvalBool(ctx context.Context, db *relstr.Structure) (bool, error)
 // see EvalOn.
 func (p *Plan) EvalBoolOn(ctx context.Context, src Source, parallel int) (bool, error) {
 	if p.mode != PlanYannakakis {
-		return naiveBool(ctx, p.tb, src.Structure())
+		return p.boolBags(ctx, src)
 	}
 	sc := getScratch()
 	defer p.flush(sc)
@@ -346,8 +351,8 @@ func (p *Plan) EvalBoolOn(ctx context.Context, src Source, parallel int) (bool, 
 // For acyclic plans the database is first reduced by the full
 // Yannakakis semijoin pass — O(|D|·|Q|) — so the subsequent
 // enumeration backtracks only over tuples that participate in at least
-// one locally consistent assignment; for naive plans the enumeration
-// runs directly against db.
+// one locally consistent assignment; bag plans stream the answers of
+// their search as it finds them.
 //
 // Iteration stops early when ctx is cancelled (or the consumer breaks);
 // use StreamErr to distinguish a truncated stream from an exhausted
@@ -380,19 +385,21 @@ func (p *Plan) StreamOn(ctx context.Context, src Source, parallel int) iter.Seq[
 func (p *Plan) StreamOnErr(ctx context.Context, src Source, parallel int) (iter.Seq[relstr.Tuple], func() error) {
 	var terminal error
 	seq := func(yield func(relstr.Tuple) bool) {
-		target := src.Structure()
-		if p.mode == PlanYannakakis {
-			reduced, empty, err := p.reduceOn(ctx, src, parallel)
-			if err != nil {
-				terminal = err
-				return
-			}
-			if empty {
-				return
-			}
-			target = reduced
+		if p.mode != PlanYannakakis {
+			terminal = p.searchBags(ctx, src, func(vals []int) bool {
+				return yield(relstr.Tuple(vals).Clone())
+			})
+			return
 		}
-		_, err := hom.ProjectCtx(ctx, p.tb.S, target, nil, p.tb.Dist, func(vals []int) bool {
+		reduced, empty, err := p.reduceOn(ctx, src, parallel)
+		if err != nil {
+			terminal = err
+			return
+		}
+		if empty {
+			return
+		}
+		_, err = hom.ProjectCtx(ctx, p.tb.S, reduced, nil, p.tb.Dist, func(vals []int) bool {
 			return yield(relstr.Tuple(vals).Clone())
 		})
 		if err != nil {

@@ -441,9 +441,8 @@ func sortAnswersBy(ts []relstr.Tuple, perm []int, desc bool) {
 }
 
 // rankFallback is the untractable-order path: full evaluation, sort
-// under the requested key, truncate at limit. Naive (cyclic) plans
-// always take it — EvalOn already routes them to the backtracking
-// engine.
+// under the requested key, truncate at limit. Bag (cyclic) plans
+// always take it — EvalOn routes them to the bag search.
 func (p *Plan) rankFallback(ctx context.Context, src Source, parallel int, perm []int, desc bool, limit int, yield func(relstr.Tuple) bool) error {
 	p.stats.rankFallbacks.Add(1)
 	ans, err := p.EvalOn(ctx, src, parallel)

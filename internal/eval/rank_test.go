@@ -60,7 +60,7 @@ func equalOrdered(a, b []relstr.Tuple) bool {
 // structure and snapshot), serial and parallel budgets (with the
 // morsel thresholds tuned down so tiny inputs drive the fan-out),
 // random key prefixes, both directions, and random limits; cyclic
-// seeds additionally cover the naive-plan fallback.
+// seeds additionally cover the bag-plan fallback.
 func FuzzRankedEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))

@@ -335,5 +335,5 @@ func (p *Plan) EvalBaseline(ctx context.Context, db *relstr.Structure) (Answers,
 		nodes := buildJoinForestRef(p.atoms, p.jt.Parent, db)
 		return solveTreeRef(ctx, nodes, p.tb.Dist)
 	}
-	return naiveEval(ctx, p.tb, db)
+	return NaiveCtx(ctx, p.q, db)
 }

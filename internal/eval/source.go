@@ -14,16 +14,18 @@ import (
 // come from. Source captures exactly that split: Node resolves an atom
 // to its deduplicated view rows plus an Indexer handing out probe
 // indexes over them, and Structure exposes a plain-structure rendering
-// for the paths that need one (the naive engine, the stream
-// enumerator's backtracking phase).
+// for the paths that need one (the stream enumerator's backtracking
+// phase).
 
 // Indexer hands out hash indexes over one view's rows, keyed on column
 // sets. built reports whether the call built the index (callers account
-// index-build work exactly once); implementations must be safe for
-// concurrent use — the parallel executor requests indexes from sibling
-// steps concurrently.
+// index-build work exactly once); Cached returns an index the provider
+// already holds, nil otherwise, and never builds. Implementations must
+// be safe for concurrent use — the parallel executor requests indexes
+// from sibling steps concurrently.
 type Indexer interface {
 	Index(cols []int) (*relstr.Index, bool)
+	Cached(cols []int) *relstr.Index
 }
 
 // Source is the storage backend of one evaluation. Node is called once
@@ -109,6 +111,17 @@ func (m *memoIndexer) Index(cols []int) (*relstr.Index, bool) {
 	ix := relstr.NewIndex(m.rows, cols)
 	m.ixs = append(m.ixs, memoIx{cols: append([]int{}, cols...), ix: ix})
 	return ix, true
+}
+
+func (m *memoIndexer) Cached(cols []int) *relstr.Index {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.ixs {
+		if slices.Equal(e.cols, cols) {
+			return e.ix
+		}
+	}
+	return nil
 }
 
 // NewSnapshotSource wraps a frozen snapshot as an evaluation backend:

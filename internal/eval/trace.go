@@ -106,7 +106,7 @@ func (tr *execTrace) snapshot(p *Plan, f *forest, total time.Duration) *obs.Exec
 		c := &tr.nodes[i]
 		out.Nodes[i] = obs.NodeTrace{
 			ID:          i,
-			Atom:        p.atomString(i),
+			Atom:        atomString(p.atoms[i]),
 			Rows:        len(f.nodes[i].rows),
 			Live:        f.nodes[i].live,
 			SemijoinIn:  c.in.Load(),
@@ -122,12 +122,12 @@ func (tr *execTrace) snapshot(p *Plan, f *forest, total time.Duration) *obs.Exec
 // --- traced entry points -----------------------------------------------
 
 // EvalTraceOn is EvalOn with tracing: same answers, same counters,
-// plus an ExecTrace of this one call. Naive plans return a trace with
-// the total time only (the backtracking engine has no node structure).
+// plus an ExecTrace of this one call. Bag plans return a trace with
+// the total time only (the search has no per-node row counts).
 func (p *Plan) EvalTraceOn(ctx context.Context, src Source, parallel int) (Answers, *obs.ExecTrace, error) {
 	if p.mode != PlanYannakakis {
 		start := time.Now()
-		ans, err := naiveEval(ctx, p.tb, src.Structure())
+		ans, err := p.evalBags(ctx, src)
 		return ans, &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
 			TotalNS: time.Since(start).Nanoseconds()}, err
 	}
@@ -148,7 +148,7 @@ func (p *Plan) EvalTraceOn(ctx context.Context, src Source, parallel int) (Answe
 func (p *Plan) EvalBoolTraceOn(ctx context.Context, src Source, parallel int) (bool, *obs.ExecTrace, error) {
 	if p.mode != PlanYannakakis {
 		start := time.Now()
-		ok, err := naiveBool(ctx, p.tb, src.Structure())
+		ok, err := p.boolBags(ctx, src)
 		return ok, &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
 			TotalNS: time.Since(start).Nanoseconds()}, err
 	}
@@ -186,9 +186,8 @@ func (r *CountRun) TraceSnapshot(total time.Duration) *obs.ExecTrace {
 
 // --- EXPLAIN -----------------------------------------------------------
 
-// atomString renders atom i over the minimized tableau's element ids.
-func (p *Plan) atomString(i int) string {
-	a := p.atoms[i]
+// atomString renders an atom over the minimized tableau's element ids.
+func atomString(a patom) string {
 	var b strings.Builder
 	b.WriteString(a.rel)
 	b.WriteByte('(')
@@ -210,6 +209,7 @@ func (p *Plan) Explain() *obs.PlanExplain {
 	ex := &obs.PlanExplain{Mode: p.mode.String()}
 	if p.mode != PlanYannakakis {
 		ex.Incremental = "fallback"
+		ex.Bags = p.bags.explain()
 		return ex
 	}
 	ex.ExactCountable = p.csched.exact
@@ -235,7 +235,7 @@ func (p *Plan) Explain() *obs.PlanExplain {
 		walk = func(i, depth int) {
 			ne := obs.NodeExplain{
 				ID:     i,
-				Atom:   p.atomString(i),
+				Atom:   atomString(p.atoms[i]),
 				Parent: p.jt.Parent[i],
 				Depth:  depth,
 				Needed: p.sched.needed[i],

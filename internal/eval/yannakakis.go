@@ -9,7 +9,7 @@ import (
 )
 
 // ErrNotAcyclic reports a cyclic query where an acyclic join tree is
-// required (Program, and PrepareCount on a naive plan).
+// required (Program, and PrepareCount on a bag plan).
 var ErrNotAcyclic = errors.New("eval: query is not acyclic")
 
 // atomList extracts the atoms of a tableau in the deterministic order

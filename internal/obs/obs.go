@@ -47,7 +47,9 @@ type PlanExplain struct {
 	Approximation string `json:"approximation,omitempty"`
 	Candidates    int    `json:"candidates_inspected,omitempty"`
 
-	// Mode is the evaluation strategy: "yannakakis" or "naive".
+	// Mode is the evaluation strategy: "yannakakis" (semijoin passes
+	// over a join forest, acyclic queries) or "bags" (a memoised search
+	// over a tree decomposition, cyclic queries).
 	Mode string `json:"mode"`
 	// Direct reports the solve-phase collapse: "" (scheduled joins
 	// run), "unit" (Boolean: the answer is the unit relation) or
@@ -59,15 +61,17 @@ type PlanExplain struct {
 	// Ranked is the ordered-enumeration classification of the head's
 	// natural key: "connex" (ranked calls stream out of the reduced
 	// forest with early termination) or "fallback" (ranked calls
-	// evaluate fully, sort and truncate). Empty for naive plans.
+	// evaluate fully, sort and truncate). Empty for bag plans.
 	Ranked string `json:"ranked,omitempty"`
 	// Incremental is the view-maintenance classification: "delta"
 	// (subscriptions propagate snapshot deltas through the reduced
-	// forest) or "fallback" (every update recomputes — naive plans).
+	// forest) or "fallback" (every update recomputes — bag plans).
 	// IndexStats' incremental_evals/incr_fallbacks counters report what
 	// actually happened at runtime.
 	Incremental string        `json:"incremental,omitempty"`
 	Trees       []TreeExplain `json:"trees,omitempty"`
+	// Bags is the decomposition a bag plan searches, in pre-order.
+	Bags []BagExplain `json:"bags,omitempty"`
 
 	// Prepare phase wall times (parse/minimize/search/plan), measured
 	// when the plan was built; zero/absent on renders that never
@@ -108,6 +112,18 @@ type NodeExplain struct {
 	SkippedJoins int `json:"skipped_joins,omitempty"`
 }
 
+// BagExplain describes one bag of a bag plan's tree decomposition.
+type BagExplain struct {
+	ID     int      `json:"id"`
+	Vars   []string `json:"vars"`
+	Atoms  []string `json:"atoms"`  // the atoms whose variables the bag contains
+	Parent int      `json:"parent"` // -1 for roots
+	Depth  int      `json:"depth"`
+	// Exists: no head variable below the bag is unbound on arrival, so
+	// its subtree is an existence check memoised per separator values.
+	Exists bool `json:"exists,omitempty"`
+}
+
 // Text renders the explain as stable, timing-free text (safe for
 // golden tests: it depends only on the plan, never on data or clocks).
 func (e *PlanExplain) Text() string {
@@ -118,6 +134,17 @@ func (e *PlanExplain) Text() string {
 	}
 	if e.Approximation != "" {
 		fmt.Fprintf(&b, "approximation: %s\n", e.Approximation)
+	}
+	for _, g := range e.Bags {
+		b.WriteString(strings.Repeat("  ", g.Depth))
+		fmt.Fprintf(&b, "bag [%d] %s:", g.ID, strings.Join(g.Vars, " "))
+		for _, a := range g.Atoms {
+			b.WriteString(" " + a)
+		}
+		if g.Exists {
+			b.WriteString(" exists")
+		}
+		b.WriteString("\n")
 	}
 	if e.Mode != "yannakakis" {
 		return b.String()

@@ -270,6 +270,31 @@ func (v *View) Index(cols []int) (ix *Index, built bool) {
 	return ix, true
 }
 
+// Cached returns the cached index of the view's rows keyed on cols, or
+// nil when the view holds none; it never builds. A returned index
+// counts as a cache hit.
+func (v *View) Cached(cols []int) *Index {
+	if v.owner == nil {
+		return nil
+	}
+	var buf [8]byte // patternKey's bytes, without its allocation
+	key := buf[:0]
+	for _, c := range cols {
+		if c < 0 || c > 0x7f || len(key) == len(buf) {
+			key = append(key[:0], patternKey(cols)...)
+			break
+		}
+		key = append(key, byte(c))
+	}
+	v.mu.RLock()
+	ix := v.indexes[string(key)]
+	v.mu.RUnlock()
+	if ix != nil {
+		v.owner.hits.Add(1)
+	}
+	return ix
+}
+
 // NewIndex constructs a standalone bucket-chained index over rows
 // keyed on cols — the same structure View.Index caches, for callers
 // that manage their own row storage (the evaluation runtime's

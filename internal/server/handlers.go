@@ -509,8 +509,8 @@ func (s *Server) budgetOpts(p *cqapprox.PreparedQuery, n int) []cqapprox.EvalOpt
 // their own decode and knob validation: resolve the database half,
 // take an eval admission slot, resolve the prepared query under the
 // request deadline, attach the clamped per-request worker budget to the
-// database half, and hand off to the endpoint's terminal action. run
-// owns the response on success.
+// database half, park the plan mode for the request log, and hand off
+// to the endpoint's terminal action. run owns the response on success.
 func (s *Server) evalWith(w http.ResponseWriter, r *http.Request, req api.EvalRequest, run func(ctx context.Context, p *cqapprox.PreparedQuery, db dbSource)) {
 	db, apiErr := s.resolveDB(req)
 	if apiErr != nil {
@@ -528,6 +528,7 @@ func (s *Server) evalWith(w http.ResponseWriter, r *http.Request, req api.EvalRe
 		writeError(w, apiErr)
 		return
 	}
+	setPlan(w, p.PlanMode())
 	db.par = s.budgetOpts(p, req.Parallelism)
 	run(ctx, p, db)
 }

@@ -184,12 +184,14 @@ func (s *Server) MetricsVars() *expvar.Map { return s.metrics.Vars() }
 
 // statusRecorder captures the response status for metrics while
 // passing Flush through, so instrumented streaming still streams. A
-// handler that ran a traced evaluation parks the trace here so the
-// slow-query log can include it.
+// handler that ran a traced evaluation parks the trace here, and the
+// evaluation endpoints park their prepared query's plan mode, so the
+// request log can include them.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	trace  *cqapprox.ExecTrace
+	plan   string
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -221,6 +223,15 @@ func setTrace(w http.ResponseWriter, tr *cqapprox.ExecTrace) {
 	}
 }
 
+// setPlan parks the evaluated query's plan mode on the instrumented
+// response writer for the request log; a no-op on uninstrumented
+// writers.
+func setPlan(w http.ResponseWriter, mode string) {
+	if sr, ok := w.(*statusRecorder); ok {
+		sr.plan = mode
+	}
+}
+
 // instrument wraps a handler with the endpoint's request, error,
 // rejection, in-flight, latency-histogram counters and — when the
 // server has a logger — structured request logging.
@@ -248,6 +259,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 // logRequest emits one structured line per request when the server has
 // a logger: Info normally, Warn — with the execution trace, when the
 // request ran traced — once the latency crosses Config.SlowQuery.
+// Evaluation requests name their plan mode ("yannakakis" or "bags").
 func (s *Server) logRequest(name string, sr *statusRecorder, elapsed time.Duration) {
 	lg := s.cfg.Logger
 	if lg == nil {
@@ -258,6 +270,9 @@ func (s *Server) logRequest(name string, sr *statusRecorder, elapsed time.Durati
 		"endpoint", name,
 		"status", sr.status,
 		"elapsed_ms", float64(elapsed.Nanoseconds()) / 1e6,
+	}
+	if sr.plan != "" {
+		attrs = append(attrs, "plan", sr.plan)
 	}
 	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
 		if sr.trace != nil {

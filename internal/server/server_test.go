@@ -784,6 +784,29 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// Slow evaluation requests name their plan mode: a cyclic TW(2)
+// approximation runs the bag search and its log line says plan=bags.
+func TestSlowQueryLogPlanMode(t *testing.T) {
+	var mu sync.Mutex
+	var buf strings.Builder
+	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
+	s := New(cqapprox.NewEngine(), Config{Logger: logger, SlowQuery: time.Nanosecond})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	post(t, ts, "/v1/eval",
+		`{"query":"Q(x) :- E(x,y), E(y,z), E(z,w), E(w,x)","class":"TW2","database":{"E":[[1,2],[2,1],[2,2]]}}`)
+	read := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.String()
+	}
+	waitFor(t, 5*time.Second, func() bool { return strings.Contains(read(), `"slow request"`) })
+	if out := read(); !strings.Contains(out, `"plan":"bags"`) {
+		t.Fatalf("slow-query log lacks the plan mode: %s", out)
+	}
+}
+
 type lockedWriter struct {
 	mu *sync.Mutex
 	w  *strings.Builder

@@ -18,7 +18,7 @@ package server
 // patch the client's previous state to the answer set at the frame's
 // version, whether the server propagated the batch through the reduced
 // join forest (work proportional to the delta) or fell back to a full
-// re-evaluation (wholesale replacement, oversized delta, naive plan —
+// re-evaluation (wholesale replacement, oversized delta, bag plan —
 // the frame says which). Bursts coalesce: all updates queued when the
 // subscriber wakes (plus whatever lands within Config.CoalesceWindow)
 // net out into a single frame.

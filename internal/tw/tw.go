@@ -10,10 +10,15 @@
 // the vertices outside R∪{v} reachable from v through R. It runs in
 // O(2ⁿ·n·(n+m)) time and O(2ⁿ) space and is limited to n ≤ MaxExactN
 // vertices — far beyond any tableau arising in the experiments.
+//
+// Evaluation plans need a decomposition of every cyclic query they
+// compile, fast and of any size, and use GreedyDecompose: a greedy
+// elimination order, polynomial and not width-optimal.
 package tw
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cqapprox/internal/relstr"
@@ -416,4 +421,154 @@ func StructureTreewidth(s *relstr.Structure) int {
 func StructureTreewidthAtMost(s *relstr.Structure, k int) bool {
 	g, _ := FromStructure(s)
 	return g.TreewidthAtMost(k)
+}
+
+// GreedyDecompose returns a tree decomposition of the graph on
+// vertices 0..n-1 with the given edges (loops ignored), built from a
+// greedy elimination order: each step eliminates a vertex of minimum
+// degree in the current fill graph, ties broken by minimum fill-in and
+// then by lowest id. It runs in polynomial time on any number of
+// vertices and is not width-optimal — Decompose is, but only up to
+// MaxExactN vertices. A bag contained in a neighbouring bag is
+// contracted into it, and Tree is a forest: each edge is a (child,
+// parent) pair of the elimination tree, and disconnected components of
+// the graph stay disconnected.
+func GreedyDecompose(n int, edges [][2]int) Decomposition {
+	adj := make([][]bool, n)
+	for v := range adj {
+		adj[v] = make([]bool, n)
+	}
+	for _, e := range edges {
+		if e[0] != e[1] {
+			adj[e[0]][e[1]] = true
+			adj[e[1]][e[0]] = true
+		}
+	}
+	alive := make([]bool, n)
+	for v := range alive {
+		alive[v] = true
+	}
+	// nbrs appends v's neighbours in the current fill graph to buf.
+	nbrs := func(buf []int, v int) []int {
+		for w, ok := range adj[v] {
+			if ok && alive[w] {
+				buf = append(buf, w)
+			}
+		}
+		return buf
+	}
+	fill := func(ns []int) int {
+		f := 0
+		for a := range ns {
+			for b := a + 1; b < len(ns); b++ {
+				if !adj[ns[a]][ns[b]] {
+					f++
+				}
+			}
+		}
+		return f
+	}
+	bags := make([][]int, n)  // bags[i]: the bag of the i-th eliminated vertex
+	later := make([][]int, n) // its neighbours at elimination, all eliminated later
+	pos := make([]int, n)     // vertex → elimination step
+	var buf []int
+	for i := 0; i < n; i++ {
+		best, bestDeg, bestFill := -1, 0, 0
+		for v := 0; v < n; v++ {
+			if !alive[v] {
+				continue
+			}
+			buf = nbrs(buf[:0], v)
+			if best >= 0 && len(buf) > bestDeg {
+				continue
+			}
+			f := fill(buf)
+			if best < 0 || len(buf) < bestDeg || f < bestFill {
+				best, bestDeg, bestFill = v, len(buf), f
+			}
+		}
+		bag := nbrs(make([]int, 1, bestDeg+1), best)
+		bag[0] = best
+		ns := bag[1:]
+		for a := range ns {
+			for b := a + 1; b < len(ns); b++ {
+				adj[ns[a]][ns[b]] = true
+				adj[ns[b]][ns[a]] = true
+			}
+		}
+		alive[best] = false
+		pos[best] = i
+		later[i] = slices.Clone(ns)
+		sort.Ints(bag)
+		bags[i] = bag
+	}
+	// The parent of bag i is the bag of its soonest-eliminated later
+	// neighbour; a bag with none roots a component.
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = -1
+		for _, w := range later[i] {
+			if parent[i] == -1 || pos[w] < parent[i] {
+				parent[i] = pos[w]
+			}
+		}
+	}
+	// Contract every tree edge whose one bag lies inside the other; the
+	// larger bag takes over the smaller one's links.
+	dead := make([]bool, n)
+	merge := func(from, into int) {
+		dead[from] = true
+		if parent[into] == from {
+			parent[into] = parent[from]
+		}
+		for j := range parent {
+			if parent[j] == from {
+				parent[j] = into
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < n; i++ {
+			p := parent[i]
+			switch {
+			case dead[i] || p < 0:
+			case subset(bags[i], bags[p]):
+				merge(i, p)
+				changed = true
+			case subset(bags[p], bags[i]):
+				merge(p, i)
+				changed = true
+			}
+		}
+	}
+	id := make([]int, n)
+	var d Decomposition
+	for i := 0; i < n; i++ {
+		if !dead[i] {
+			id[i] = len(d.Bags)
+			d.Bags = append(d.Bags, bags[i])
+			d.Width = max(d.Width, len(bags[i])-1)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if !dead[i] && parent[i] >= 0 {
+			d.Tree = append(d.Tree, [2]int{id[i], id[parent[i]]})
+		}
+	}
+	return d
+}
+
+// subset reports whether sorted a ⊆ sorted b.
+func subset(a, b []int) bool {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
+	}
+	return true
 }

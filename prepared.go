@@ -129,7 +129,7 @@ func (p *PreparedQuery) CandidatesInspected() int { return p.inspected }
 func (p *PreparedQuery) CacheHit() bool { return p.fromCache }
 
 // PlanMode names the evaluation strategy the plan selected
-// ("yannakakis" or "naive").
+// ("yannakakis" for acyclic queries, "bags" for cyclic ones).
 func (p *PreparedQuery) PlanMode() string { return p.plan.Mode().String() }
 
 // IndexStats returns the cumulative indexed-runtime counters of this
