@@ -5,6 +5,7 @@ import (
 
 	"cqapprox/internal/count"
 	"cqapprox/internal/eval"
+	"cqapprox/internal/relstr"
 )
 
 // CountResult is the outcome of Count or EstimateCount: the answer
@@ -56,7 +57,7 @@ func fromCount(r count.Result) *CountResult {
 // option config (options.go): WithEvalParallelism overrides the
 // default worker budget, WithTrace attaches the trace, and the
 // estimator knobs land in cfg.count.
-func countOn(ctx context.Context, pl *eval.Plan, src eval.Source, par int, estimate bool, opts []CountOption) (*CountResult, error) {
+func countOn(ctx context.Context, pl *eval.Plan, sn *relstr.Snapshot, par int, estimate bool, opts []CountOption) (*CountResult, error) {
 	cfg := optConfigOf(opts)
 	par = cfg.parallelism(par)
 	var (
@@ -65,9 +66,9 @@ func countOn(ctx context.Context, pl *eval.Plan, src eval.Source, par int, estim
 		err error
 	)
 	if estimate {
-		res, tr, err = count.Estimate(ctx, pl, src, par, cfg.count, cfg.trace)
+		res, tr, err = count.Estimate(ctx, pl, sn, par, cfg.count, cfg.trace)
 	} else {
-		res, tr, err = count.Exact(ctx, pl, src, par, cfg.trace)
+		res, tr, err = count.Exact(ctx, pl, sn, par, cfg.trace)
 	}
 	if err != nil {
 		return nil, err
@@ -88,7 +89,7 @@ func countOn(ctx context.Context, pl *eval.Plan, src eval.Source, par int, estim
 // reduction, DP and join passes. The error is ErrCountOverflow when
 // the count exceeds uint64.
 func (p *PreparedQuery) Count(ctx context.Context, db *Structure, opts ...CountOption) (*CountResult, error) {
-	return countOn(ctx, p.plan, eval.NewSource(db), p.Parallelism(), false, opts)
+	return countOn(ctx, p.plan, relstr.Borrow(db), p.Parallelism(), false, opts)
 }
 
 // EstimateCount returns the number of distinct answers on db, using
@@ -101,18 +102,18 @@ func (p *PreparedQuery) Count(ctx context.Context, db *Structure, opts ...CountO
 //	res, err := p.EstimateCount(ctx, db,
 //		cqapprox.WithEpsilon(0.05), cqapprox.WithSeed(7))
 func (p *PreparedQuery) EstimateCount(ctx context.Context, db *Structure, opts ...CountOption) (*CountResult, error) {
-	return countOn(ctx, p.plan, eval.NewSource(db), p.Parallelism(), true, opts)
+	return countOn(ctx, p.plan, relstr.Borrow(db), p.Parallelism(), true, opts)
 }
 
 // Count is PreparedQuery.Count over the binding's snapshot: reduction
 // and DP probe the snapshot's persistent shared indexes instead of
 // deriving per-call ones.
 func (b *BoundQuery) Count(ctx context.Context, opts ...CountOption) (*CountResult, error) {
-	return countOn(ctx, b.p.plan, b.source(), b.p.Parallelism(), false, opts)
+	return countOn(ctx, b.p.plan, b.db.snap, b.p.Parallelism(), false, opts)
 }
 
 // EstimateCount is PreparedQuery.EstimateCount over the binding's
 // snapshot; see BoundQuery.Count.
 func (b *BoundQuery) EstimateCount(ctx context.Context, opts ...CountOption) (*CountResult, error) {
-	return countOn(ctx, b.p.plan, b.source(), b.p.Parallelism(), true, opts)
+	return countOn(ctx, b.p.plan, b.db.snap, b.p.Parallelism(), true, opts)
 }

@@ -369,3 +369,143 @@ func TestParallelBoundQueryRaceWithUpdates(t *testing.T) {
 		t.Fatalf("parallel evaluations not counted: %+v", st)
 	}
 }
+
+// Inline evaluations borrow the caller's structure instead of copying
+// it: identity atom views share its tuples. Many goroutines evaluate
+// one shared *Structure through every inline entry point at once, each
+// result held to the naive oracle; afterwards the caller grows the
+// structure, and answers returned earlier must neither change nor
+// share storage with its tuples.
+func TestInlineSharedStructure(t *testing.T) {
+	ctx := context.Background()
+	engine := NewEngine()
+	db := workload.EvalBenchDB(24)
+	queries := []string{
+		"Q(x,y) :- E(x,y)",                   // identity view straight to the head
+		"Q(x) :- E(x,x)",                     // repetition-pattern view
+		"Q(a) :- E(a,b), E(b,c), E(c,d)",     // projecting chain
+		"Q(x,z) :- E(x,y), E(y,z), R1(y,u)",  // two relations
+		"Q() :- E(x,y), E(y,x)",              // Boolean
+		"Q(x) :- E(x,y), E(y,z), E(z,x)",     // cyclic: bag plan
+		"Q(x,y,z) :- E(x,y), E(y,z), E(z,x)", // cyclic, full head
+	}
+	type fixture struct {
+		p    *PreparedQuery
+		head []string
+		want Answers
+	}
+	fixtures := make([]fixture, len(queries))
+	for i, src := range queries {
+		q := MustParse(src)
+		p, err := engine.PrepareExact(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures[i] = fixture{p: p, head: q.Head, want: NaiveEval(q, db)}
+	}
+
+	check := func(f fixture, what string, got Answers) {
+		if !sameAnswerSets(got, f.want) {
+			t.Errorf("%s of %v: %d answers, naive %d", what, f.p.Query(), len(got), len(f.want))
+		}
+	}
+	const workers = 8
+	kept := make([][]Answers, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for _, f := range fixtures {
+					ans, err := f.p.Eval(ctx, db)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					check(f, "Eval", ans)
+					kept[w] = append(kept[w], ans)
+
+					ok, err := f.p.EvalBool(ctx, db)
+					if err != nil || ok != (len(f.want) > 0) {
+						t.Errorf("EvalBool of %v = %v, %v; naive has %d answers", f.p.Query(), ok, err, len(f.want))
+					}
+					res, err := f.p.Count(ctx, db)
+					if err != nil || res.Count != uint64(len(f.want)) {
+						t.Errorf("Count of %v = %+v, %v; naive %d", f.p.Query(), res, err, len(f.want))
+					}
+					var streamed Answers
+					for tup := range f.p.Answers(ctx, db) {
+						streamed = append(streamed, tup)
+					}
+					slices.SortFunc(streamed, compareTuples)
+					check(f, "Answers", streamed)
+					kept[w] = append(kept[w], streamed)
+
+					traced, _, err := f.p.EvalTrace(ctx, db)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					check(f, "EvalTrace", traced)
+					if len(f.head) > 0 {
+						ranked, err := f.p.Eval(ctx, db, WithOrder(f.head...), WithLimit(len(f.want)+1))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						check(f, "ranked Eval", ranked)
+						kept[w] = append(kept[w], ranked)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	frozen := make([][]Answers, workers)
+	for w, sets := range kept {
+		for _, ans := range sets {
+			cp := make(Answers, len(ans))
+			for i, tup := range ans {
+				cp[i] = tup.Clone()
+			}
+			frozen[w] = append(frozen[w], cp)
+		}
+	}
+	for k := 0; k < 100; k++ {
+		db.Add("E", k%24, (k*7+3)%24)
+		db.Add("E", 1000+k, 1000+k)
+	}
+	tuples := map[*int]bool{}
+	for _, rel := range db.Relations() {
+		for _, tup := range db.Tuples(rel) {
+			tuples[&tup[0]] = true
+		}
+	}
+	for w, sets := range kept {
+		for i, ans := range sets {
+			if !sameAnswerSets(ans, frozen[w][i]) {
+				t.Fatalf("worker %d result %d changed when the caller grew the structure", w, i)
+			}
+			for _, tup := range ans {
+				if len(tup) > 0 && tuples[&tup[0]] {
+					t.Fatalf("worker %d result %d: answer %v shares storage with a database tuple", w, i, tup)
+				}
+			}
+		}
+	}
+	// A fresh call sees the grown structure.
+	for _, f := range fixtures {
+		got, err := f.p.Eval(ctx, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := NaiveEval(f.p.Query(), db); !sameAnswerSets(got, want) {
+			t.Fatalf("Eval of %v after growth: %d answers, naive %d", f.p.Query(), len(got), len(want))
+		}
+	}
+}

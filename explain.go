@@ -3,8 +3,8 @@ package cqapprox
 import (
 	"context"
 
-	"cqapprox/internal/eval"
 	"cqapprox/internal/obs"
+	"cqapprox/internal/relstr"
 )
 
 // PlanExplain is the EXPLAIN view of a prepared query: the static plan
@@ -57,24 +57,24 @@ func (p *PreparedQuery) Explain() *PlanExplain {
 // evaluation ran parallel. WithEvalParallelism applies; the ranked
 // options do not (a traced evaluation is the plain full one).
 func (p *PreparedQuery) EvalTrace(ctx context.Context, db *Structure, opts ...EvalOption) (Answers, *ExecTrace, error) {
-	return p.plan.EvalTraceOn(ctx, eval.NewSource(db), p.budget(opts))
+	return p.plan.EvalTraceOn(ctx, relstr.Borrow(db), p.budget(opts))
 }
 
 // EvalBoolTrace is EvalBool plus an execution trace; the reduction
 // stops at the bottom-up semijoin pass, exactly like EvalBool.
 func (p *PreparedQuery) EvalBoolTrace(ctx context.Context, db *Structure, opts ...EvalOption) (bool, *ExecTrace, error) {
-	return p.plan.EvalBoolTraceOn(ctx, eval.NewSource(db), p.budget(opts))
+	return p.plan.EvalBoolTraceOn(ctx, relstr.Borrow(db), p.budget(opts))
 }
 
 // EvalTrace is PreparedQuery.EvalTrace over the binding's snapshot;
 // the trace's index-build counters then reflect only builds the
 // snapshot's persistent cache had not already absorbed.
 func (b *BoundQuery) EvalTrace(ctx context.Context, opts ...EvalOption) (Answers, *ExecTrace, error) {
-	return b.p.plan.EvalTraceOn(ctx, b.source(), b.p.budget(opts))
+	return b.p.plan.EvalTraceOn(ctx, b.db.snap, b.p.budget(opts))
 }
 
 // EvalBoolTrace is PreparedQuery.EvalBoolTrace over the binding's
 // snapshot.
 func (b *BoundQuery) EvalBoolTrace(ctx context.Context, opts ...EvalOption) (bool, *ExecTrace, error) {
-	return b.p.plan.EvalBoolTraceOn(ctx, b.source(), b.p.budget(opts))
+	return b.p.plan.EvalBoolTraceOn(ctx, b.db.snap, b.p.budget(opts))
 }

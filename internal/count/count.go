@@ -34,6 +34,7 @@ import (
 
 	"cqapprox/internal/eval"
 	"cqapprox/internal/obs"
+	"cqapprox/internal/relstr"
 )
 
 // Result modes.
@@ -110,17 +111,17 @@ func exactResult(n uint64, mode string) Result {
 	return Result{Count: n, Estimate: float64(n), Mode: mode}
 }
 
-// Exact computes the exact answer count of p on src; traced attaches
+// Exact computes the exact answer count of p on sn; traced attaches
 // an execution trace of the run (nil otherwise). No mode materialises
 // answers: "exact-dp" multiplies per-tree DP counts (its product timed
 // as the "count" phase), "exact-eval" joins the reduced forest and
 // counts the distinct head keys of the joined rows, "exact-enum"
 // counts the bag search's answers (bag plans trace total time only). The error is eval.ErrCountOverflow when the count
 // exceeds uint64.
-func Exact(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, traced bool) (Result, *obs.ExecTrace, error) {
+func Exact(ctx context.Context, p *eval.Plan, sn *relstr.Snapshot, parallel int, traced bool) (Result, *obs.ExecTrace, error) {
 	start := time.Now()
 	if p.Mode() != eval.PlanYannakakis {
-		n, err := p.CountEnum(ctx, src)
+		n, err := p.CountEnum(ctx, sn)
 		if err != nil {
 			return Result{}, nil, err
 		}
@@ -132,7 +133,7 @@ func Exact(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, tra
 		}
 		return exactResult(n, ModeExactEnum), tr, nil
 	}
-	run, err := p.PrepareCount(ctx, src, parallel, traced)
+	run, err := p.PrepareCount(ctx, sn, parallel, traced)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -178,19 +179,19 @@ func exactProduct(ctx context.Context, run *eval.CountRun) (uint64, error) {
 	return total, nil
 }
 
-// Estimate returns the answer count of p on src, sampling only where
+// Estimate returns the answer count of p on sn, sampling only where
 // exact counting would have to join (the "exact-eval" plans); traced
 // attaches an execution trace with the sampling effort in a
 // "count-estimate" phase. When every tree counts exactly (or the plan
 // is a bag plan) the result is Exact's and Estimated is false — estimation
 // never makes a cheap count worse.
-func Estimate(ctx context.Context, p *eval.Plan, src eval.Source, parallel int, opts Options, traced bool) (Result, *obs.ExecTrace, error) {
+func Estimate(ctx context.Context, p *eval.Plan, sn *relstr.Snapshot, parallel int, opts Options, traced bool) (Result, *obs.ExecTrace, error) {
 	opts = opts.withDefaults()
 	if p.Mode() != eval.PlanYannakakis || p.ExactCountable() {
-		return Exact(ctx, p, src, parallel, traced)
+		return Exact(ctx, p, sn, parallel, traced)
 	}
 	start := time.Now()
-	run, err := p.PrepareCount(ctx, src, parallel, traced)
+	run, err := p.PrepareCount(ctx, sn, parallel, traced)
 	if err != nil {
 		return Result{}, nil, err
 	}

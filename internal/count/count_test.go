@@ -43,7 +43,7 @@ func TestExactModes(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := eval.NewPlan(cq.MustParse(c.src))
-		res, _, err := Exact(ctx, p, eval.NewSource(db), 1, false)
+		res, _, err := Exact(ctx, p, relstr.Borrow(db), 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestQuickExact(t *testing.T) {
 		for _, src := range queries {
 			p := eval.NewPlan(cq.MustParse(src))
 			want := uint64(len(mustEval(p, db)))
-			for _, s := range []eval.Source{eval.NewSource(db), eval.NewSnapshotSource(snap)} {
+			for _, s := range []*relstr.Snapshot{relstr.Borrow(db), snap} {
 				res, _, err := Exact(ctx, p, s, 2, false)
 				if err != nil || res.Count != want {
 					return false
@@ -108,7 +108,7 @@ func TestEstimateWithinEpsilon(t *testing.T) {
 	}
 	const eps = 0.1
 	for seed := int64(1); seed <= 5; seed++ {
-		res, _, err := Estimate(ctx, p, eval.NewSource(db), 1, Options{Epsilon: eps, Seed: seed}, false)
+		res, _, err := Estimate(ctx, p, relstr.Borrow(db), 1, Options{Epsilon: eps, Seed: seed}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestEstimateWithinEpsilon(t *testing.T) {
 			t.Errorf("seed %d: estimate %v vs true %d, rel err %.4f > ε=%v",
 				seed, res.Estimate, want, rel, eps)
 		}
-		again, _, err := Estimate(ctx, p, eval.NewSource(db), 1, Options{Epsilon: eps, Seed: seed}, false)
+		again, _, err := Estimate(ctx, p, relstr.Borrow(db), 1, Options{Epsilon: eps, Seed: seed}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestEstimateExactShortcuts(t *testing.T) {
 		"Q(x) :- E(x,y), E(y,z), E(z,x)", // bag plan
 	} {
 		p := eval.NewPlan(cq.MustParse(src))
-		res, _, err := Estimate(ctx, p, eval.NewSource(db), 1, Options{}, false)
+		res, _, err := Estimate(ctx, p, relstr.Borrow(db), 1, Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestEstimateExactShortcuts(t *testing.T) {
 	empty.Declare("E", 2)
 	empty.Declare("F", 2)
 	empty.Add("E", 1, 2)
-	res, _, err := Estimate(ctx, p, eval.NewSource(empty), 1, Options{}, false)
+	res, _, err := Estimate(ctx, p, relstr.Borrow(empty), 1, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +176,10 @@ func TestCountStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := pathDB(rng, 10, 50)
 	p := eval.NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
-	if _, _, err := Exact(ctx, p, eval.NewSource(db), 1, false); err != nil {
+	if _, _, err := Exact(ctx, p, relstr.Borrow(db), 1, false); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := Estimate(ctx, p, eval.NewSource(db), 1, Options{}, false)
+	res, _, err := Estimate(ctx, p, relstr.Borrow(db), 1, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

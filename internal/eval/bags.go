@@ -3,7 +3,7 @@ package eval
 // Bag mode: the evaluation plan of cyclic queries. NewPlan decomposes
 // the query's primal graph into a tree of bags and compiles one search
 // program over it; every evaluation is a first-hit backtracking search
-// through that program that probes the Source's own views and indexes.
+// through that program that probes the snapshot's own views and indexes.
 //
 // Plan time:
 //   - tw.GreedyDecompose builds the decomposition from a greedy
@@ -536,13 +536,12 @@ type bagMemo struct {
 // bagRun is the pooled per-call state of one bag search.
 type bagRun struct {
 	bp     *bagPlan
-	src    Source
+	sn     *relstr.Snapshot
 	ctx    context.Context
 	polls  int
 	err    error
 	stop   bool
-	rows   [][][]int // per atom, resolved on first use
-	ixr    []Indexer
+	views  []*relstr.View // per atom, resolved on first use
 	probes []bagProbe
 	bind   []int   // variable → value on the current search path
 	keys   [][]int // existence bag → its separator values (memo key)
@@ -565,12 +564,11 @@ func resized[T any](s []T, n int) []T {
 	return s
 }
 
-func (bp *bagPlan) newRun(ctx context.Context, src Source, emit func([]int) bool) *bagRun {
+func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) *bagRun {
 	r := bagRunPool.Get().(*bagRun)
-	r.bp, r.src, r.ctx, r.emit = bp, src, ctx, emit
+	r.bp, r.sn, r.ctx, r.emit = bp, sn, ctx, emit
 	r.polls, r.err, r.stop, r.stats = 0, nil, false, opStats{}
-	r.rows = resized(r.rows, len(bp.atoms))
-	r.ixr = resized(r.ixr, len(bp.atoms))
+	r.views = resized(r.views, len(bp.atoms))
 	if cap(r.probes) < bp.numSteps {
 		r.probes = make([]bagProbe, bp.numSteps)
 	}
@@ -594,9 +592,8 @@ func (bp *bagPlan) newRun(ctx context.Context, src Source, emit func([]int) bool
 }
 
 func (r *bagRun) release() {
-	r.src, r.ctx, r.emit, r.err = nil, nil, nil, nil
-	clear(r.rows)
-	clear(r.ixr)
+	r.sn, r.ctx, r.emit, r.err = nil, nil, nil, nil
+	clear(r.views)
 	for i := range r.probes {
 		r.probes[i].ready, r.probes[i].ix = false, nil
 	}
@@ -632,13 +629,14 @@ func (r *bagRun) probe(st *bagStep) *bagProbe {
 		return sp
 	}
 	sp.ready = true
-	if r.rows[st.atom] == nil {
-		r.rows[st.atom], r.ixr[st.atom] = r.src.Node(r.bp.atoms[st.atom])
+	v := r.views[st.atom]
+	if v == nil {
+		v = atomView(r.sn, r.bp.atoms[st.atom])
+		r.views[st.atom] = v
 	}
 	if len(st.bound) == 0 {
 		return sp
 	}
-	ixr := r.ixr[st.atom]
 	full := 1<<len(st.bound) - 1
 	best := 0
 	var cols []int
@@ -652,12 +650,12 @@ func (r *bagRun) probe(st *bagStep) *bagProbe {
 				cols = append(cols, c)
 			}
 		}
-		if ix := ixr.Cached(cols); ix != nil {
+		if ix := v.Cached(cols); ix != nil {
 			sp.ix, best = ix, mask
 		}
 	}
 	if sp.ix == nil {
-		ix, built := ixr.Index(st.bound[:1])
+		ix, built := v.Index(st.bound[:1])
 		if built {
 			r.stats.builds++
 		}
@@ -760,7 +758,7 @@ func (r *bagRun) existStep(b *bagNode, i int) bool {
 	}
 	st := &b.steps[i]
 	sp := r.probe(st)
-	rows := r.rows[st.atom]
+	rows := r.views[st.atom].Rows()
 	for id := r.first(sp, rows); id >= 0; id = r.next(sp, rows, id) {
 		if !r.poll() {
 			return false
@@ -793,7 +791,7 @@ func (r *bagRun) head(i int) int {
 	}
 	st := &bp.steps[i]
 	sp := r.probe(st)
-	rows := r.rows[st.atom]
+	rows := r.views[st.atom].Rows()
 	for id := r.first(sp, rows); id >= 0; id = r.next(sp, rows, id) {
 		if !r.poll() {
 			return -2
@@ -826,12 +824,12 @@ func (r *bagRun) fillTuple() {
 
 // --- plan entry points -------------------------------------------------
 
-// searchBags runs the plan's bag search against src, calling emit with
+// searchBags runs the plan's bag search against sn, calling emit with
 // each distinct answer (a buffer valid for the call only) until it
 // returns false, and returns the cancellation that cut the search
 // short, if any.
-func (p *Plan) searchBags(ctx context.Context, src Source, emit func([]int) bool) error {
-	r := p.bags.newRun(ctx, src, emit)
+func (p *Plan) searchBags(ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) error {
+	r := p.bags.newRun(ctx, sn, emit)
 	r.run()
 	err := r.err
 	p.stats.builds.Add(r.stats.builds)
@@ -843,9 +841,9 @@ func (p *Plan) searchBags(ctx context.Context, src Source, emit func([]int) bool
 
 // evalBags materialises the sorted answer set of a bag plan; the
 // answers share one backing slab.
-func (p *Plan) evalBags(ctx context.Context, src Source) (Answers, error) {
+func (p *Plan) evalBags(ctx context.Context, sn *relstr.Snapshot) (Answers, error) {
 	data, n := []int{}, 0
-	err := p.searchBags(ctx, src, func(t []int) bool {
+	err := p.searchBags(ctx, sn, func(t []int) bool {
 		data = append(data, t...)
 		n++
 		return true
@@ -863,9 +861,9 @@ func (p *Plan) evalBags(ctx context.Context, src Source) (Answers, error) {
 
 // boolBags reports whether a bag plan has an answer. A witness found
 // before a cancellation wins over it.
-func (p *Plan) boolBags(ctx context.Context, src Source) (bool, error) {
+func (p *Plan) boolBags(ctx context.Context, sn *relstr.Snapshot) (bool, error) {
 	found := false
-	err := p.searchBags(ctx, src, func([]int) bool {
+	err := p.searchBags(ctx, sn, func([]int) bool {
 		found = true
 		return false
 	})

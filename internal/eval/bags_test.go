@@ -83,8 +83,8 @@ func checkBagPlan(t *testing.T, q *cq.Query, db *relstr.Structure) {
 	snap := relstr.NewSnapshot(db)
 	for _, src := range []struct {
 		name string
-		s    Source
-	}{{"struct", NewSource(db)}, {"snapshot", NewSnapshotSource(snap)}} {
+		s    *relstr.Snapshot
+	}{{"struct", relstr.Borrow(db)}, {"snapshot", snap}} {
 		got, err := p.EvalOn(ctx, src.s, 1)
 		if err != nil || !sameAnswers(got, want) {
 			t.Fatalf("%s Eval of %v: got %v (err %v), want %v", src.name, q, got, err, want)
@@ -311,21 +311,21 @@ func TestBagCancellation(t *testing.T) {
 	snap := relstr.NewSnapshot(db)
 	verbs := map[string]func(ctx context.Context) error{
 		"eval": func(ctx context.Context) error {
-			_, err := empty.EvalOn(ctx, NewSnapshotSource(snap), 1)
+			_, err := empty.EvalOn(ctx, snap, 1)
 			return err
 		},
 		"bool": func(ctx context.Context) error {
-			_, err := empty.EvalBoolOn(ctx, NewSource(db), 1)
+			_, err := empty.EvalBoolOn(ctx, relstr.Borrow(db), 1)
 			return err
 		},
 		"stream": func(ctx context.Context) error {
-			seq, errf := empty.StreamOnErr(ctx, NewSnapshotSource(snap), 1)
+			seq, errf := empty.StreamOnErr(ctx, snap, 1)
 			for range seq {
 			}
 			return errf()
 		},
 		"count": func(ctx context.Context) error {
-			_, err := empty.CountEnum(ctx, NewSource(db))
+			_, err := empty.CountEnum(ctx, relstr.Borrow(db))
 			return err
 		},
 	}

@@ -294,22 +294,22 @@ type CountRun struct {
 	closed   bool
 }
 
-// PrepareCount runs the full two-pass Yannakakis reduction against src
+// PrepareCount runs the full two-pass Yannakakis reduction against sn
 // and returns the counting state over the reduced forest; traced
 // attaches an execution trace (phases land in it as the run goes,
 // TraceSnapshot renders it before Close). It fails with ErrNotAcyclic
 // on bag plans (counting those goes through CountEnum instead).
-func (p *Plan) PrepareCount(ctx context.Context, src Source, parallel int, traced bool) (*CountRun, error) {
-	return p.prepareCount(ctx, src, parallel, false, traced)
+func (p *Plan) PrepareCount(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (*CountRun, error) {
+	return p.prepareCount(ctx, sn, parallel, false, traced)
 }
 
 // prepareCount is PrepareCount with the test-only tuned thresholds.
-func (p *Plan) prepareCount(ctx context.Context, src Source, parallel int, tuned, traced bool) (*CountRun, error) {
+func (p *Plan) prepareCount(ctx context.Context, sn *relstr.Snapshot, parallel int, tuned, traced bool) (*CountRun, error) {
 	if p.mode != PlanYannakakis {
 		return nil, ErrNotAcyclic
 	}
 	sc := getScratch()
-	f := p.newForest(src, sc, parallel)
+	f := p.newForest(sn, sc, parallel)
 	if tuned {
 		f.minPar, f.morsel = 1, 2
 	}
@@ -408,7 +408,7 @@ func (r *CountRun) CountEval(ctx context.Context) (uint64, error) {
 	return n, nil
 }
 
-// dpStep is a dpEdge resolved against the run's backend: the child's
+// dpStep is a dpEdge resolved against the run's views: the child's
 // probe index plus its (already computed) per-row counts.
 type dpStep struct {
 	ix    *relstr.Index
@@ -431,7 +431,7 @@ func (r *CountRun) runDP(ctx context.Context, tree *countTree) (uint64, error) {
 		node := &f.nodes[i]
 		steps := make([]dpStep, len(tree.coreSteps[k]))
 		for j, e := range tree.coreSteps[k] {
-			ix, built := f.nodes[e.child].ix.Index(e.sCols)
+			ix, built := f.nodes[e.child].view.Index(e.sCols)
 			if built {
 				f.builds.Add(1)
 			}
@@ -686,7 +686,7 @@ func (r *CountRun) sampler(t int) (*treeSampler, error) {
 		}
 		sn.pinned = len(sn.head) > 0
 		for _, e := range tree.steps[k] {
-			ix, built := f.nodes[e.child].ix.Index(e.sCols)
+			ix, built := f.nodes[e.child].view.Index(e.sCols)
 			if built {
 				f.builds.Add(1)
 			}
@@ -724,7 +724,7 @@ func (r *CountRun) sampler(t int) (*treeSampler, error) {
 			cols[j] = hc[0]
 			s.pinCols[j] = j
 		}
-		ix, built := f.nodes[tree.root].ix.Index(cols)
+		ix, built := f.nodes[tree.root].view.Index(cols)
 		if built {
 			f.builds.Add(1)
 		}
@@ -892,13 +892,13 @@ func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
 // search's answers are counted without being kept beyond its dedup
 // set. It is the exact count of bag (cyclic) plans; on acyclic plans
 // it counts an evaluation.
-func (p *Plan) CountEnum(ctx context.Context, src Source) (uint64, error) {
+func (p *Plan) CountEnum(ctx context.Context, sn *relstr.Snapshot) (uint64, error) {
 	if p.mode == PlanYannakakis {
-		ans, err := p.EvalOn(ctx, src, 1)
+		ans, err := p.EvalOn(ctx, sn, 1)
 		return uint64(len(ans)), err
 	}
 	var n uint64
-	if err := p.searchBags(ctx, src, func([]int) bool { n++; return true }); err != nil {
+	if err := p.searchBags(ctx, sn, func([]int) bool { n++; return true }); err != nil {
 		return 0, err
 	}
 	return n, nil

@@ -16,7 +16,7 @@ import (
 // product for exactly countable plans, CountEval (the production
 // "exact-eval" path) for acyclic plans with a sampling tree,
 // the bag search for cyclic plans.
-func (p *Plan) countForTest(ctx context.Context, src Source, par int) (uint64, error) {
+func (p *Plan) countForTest(ctx context.Context, src *relstr.Snapshot, par int) (uint64, error) {
 	if p.mode != PlanYannakakis {
 		return p.CountEnum(ctx, src)
 	}
@@ -73,8 +73,8 @@ func FuzzCountEquivalence(f *testing.F) {
 		for _, par := range []int{1, 4} {
 			for _, src := range []struct {
 				name string
-				s    Source
-			}{{"struct", NewSource(db)}, {"snapshot", NewSnapshotSource(snap)}} {
+				s    *relstr.Snapshot
+			}{{"struct", relstr.Borrow(db)}, {"snapshot", snap}} {
 				got, err := p.countForTest(ctx, src.s, par)
 				if err != nil {
 					t.Fatal(err)
@@ -93,7 +93,7 @@ func FuzzCountEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		psrc := NewSnapshotSource(relstr.NewSnapshot(pdb))
+		psrc := relstr.NewSnapshot(pdb)
 		for _, par := range []int{1, 4} {
 			got, err := pp.countForTest(ctx, psrc, par)
 			if err != nil {
@@ -122,7 +122,7 @@ func TestQuickCountMatchesEval(t *testing.T) {
 			return false
 		}
 		for _, par := range []int{1, 4} {
-			got, err := p.countForTest(ctx, NewSource(db), par)
+			got, err := p.countForTest(ctx, relstr.Borrow(db), par)
 			if err != nil || got != uint64(len(want)) {
 				return false
 			}
@@ -154,7 +154,7 @@ func TestCountRepeatedHeadVars(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.countForTest(ctx, NewSource(db), 4)
+		got, err := p.countForTest(ctx, relstr.Borrow(db), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,14 +206,14 @@ func TestCountNaiveFallback(t *testing.T) {
 	q := cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")
 	db := graphDB([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{0, 0})
 	p := NewPlan(q)
-	if _, err := p.PrepareCount(ctx, NewSource(db), 1, false); err != ErrNotAcyclic {
+	if _, err := p.PrepareCount(ctx, relstr.Borrow(db), 1, false); err != ErrNotAcyclic {
 		t.Fatalf("PrepareCount on bag plan: err = %v, want ErrNotAcyclic", err)
 	}
 	want, err := p.EvalBaseline(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.CountEnum(ctx, NewSource(db))
+	got, err := p.CountEnum(ctx, relstr.Borrow(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCountSamplerConverges(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("degenerate test database")
 	}
-	run, err := p.PrepareCount(ctx, NewSource(db), 1, false)
+	run, err := p.PrepareCount(ctx, relstr.Borrow(db), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestCountEmpty(t *testing.T) {
 	db.Declare("F", 2)
 	db.Add("E", 1, 2)
 	p := NewPlan(q)
-	got, err := p.countForTest(ctx, NewSource(db), 1)
+	got, err := p.countForTest(ctx, relstr.Borrow(db), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

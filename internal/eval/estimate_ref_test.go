@@ -9,6 +9,7 @@ import (
 
 	"cqapprox/internal/count"
 	"cqapprox/internal/eval"
+	"cqapprox/internal/relstr"
 )
 
 // count.Estimate returns the same Estimate, Samples and Batches with
@@ -16,7 +17,7 @@ import (
 // every seed, on random projecting queries.
 func TestQuickEstimateMatchesReference(t *testing.T) {
 	ctx := context.Background()
-	estimate := func(p *eval.Plan, src eval.Source, seed int64) count.Result {
+	estimate := func(p *eval.Plan, src *relstr.Snapshot, seed int64) count.Result {
 		res, _, err := count.Estimate(ctx, p, src, 1, count.Options{Epsilon: 0.25, Seed: seed}, false)
 		if err != nil {
 			t.Fatal(err)
@@ -26,7 +27,7 @@ func TestQuickEstimateMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		q, db := eval.RandomProjectingCase(rand.New(rand.NewSource(seed)))
 		p := eval.NewPlan(q)
-		src := eval.NewSource(db)
+		src := relstr.Borrow(db)
 		for s := int64(1); s <= 3; s++ {
 			got := estimate(p, src, seed+s)
 			restore := eval.UseReferenceSampler()

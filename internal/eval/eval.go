@@ -16,14 +16,14 @@
 // — and every evaluation runs through it; Eval and EvalBool are the
 // one-shot forms.
 //
-// The Yannakakis pipeline runs on one unified, backend-agnostic
-// executor (exec.go): all column mappings are precomputed in a
-// schedule (schedule.go) that Plans build once at prepare time, and
-// the executor replays it against any storage backend through the
-// Source interface (source.go) — a per-call materialisation of a plain
-// *Structure, or a registered relstr.Snapshot whose views and hash
-// indexes persist across calls. Row liveness is a per-node bitmap
-// (backing rows are shared with the backend and never mutated), probes
+// The Yannakakis pipeline runs on one unified executor (exec.go): all
+// column mappings are precomputed in a schedule (schedule.go) that
+// Plans build once at prepare time, and the executor replays it
+// against the atom views of a relstr.Snapshot (source.go) — a
+// registered one whose views and hash indexes persist across calls,
+// or a per-call *Structure borrowed without copying (relstr.Borrow).
+// Row liveness is a per-node bitmap (backing rows are shared with the
+// snapshot and never mutated), probes
 // go through hash indexes keyed on integer column prefixes
 // (relstr.HashCols — no string keys anywhere on the hot path), and the
 // solve phase's derived relations allocate from pooled scratch arenas.

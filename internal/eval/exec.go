@@ -12,12 +12,11 @@ import (
 )
 
 // The unified, morsel-driven schedule executor. One forest replays a
-// prepare-time schedule against any Source (plain structure or
-// snapshot): per-call row liveness
-// is a bitmap per node (never in-place row filtering, so backing rows
-// stay shared and immutable), semijoin steps probe backend-owned hash
-// indexes, and the solve phase joins the surviving rows through the
-// scratch arena exactly as scheduled.
+// prepare-time schedule against a snapshot's atom views: per-call row
+// liveness is a bitmap per node (never in-place row filtering, so
+// backing rows stay shared and immutable), semijoin steps probe the
+// views' hash indexes, and the solve phase joins the surviving rows
+// through the scratch arena exactly as scheduled.
 //
 // Parallelism is morsel-driven: the probe loop of a semijoin step, the
 // accumulator side of a solve join, and the head projection each split
@@ -41,12 +40,12 @@ const (
 )
 
 // execNode is one join-forest node under the unified executor: the
-// backend-owned view rows, the call-local liveness bitmap that stands
-// in for in-place filtering, and the node's index provider.
+// view's rows, the call-local liveness bitmap that stands in for
+// in-place filtering, and the view whose index cache serves probes.
 type execNode struct {
 	rows  [][]int
 	vars  []int
-	ix    Indexer
+	view  *relstr.View
 	words []uint64 // bit id set ⇔ row id alive
 	live  int
 }
@@ -63,7 +62,7 @@ func (n *execNode) clearAll() {
 }
 
 // aliveRows materialises the surviving rows (headers shared with the
-// backend; rows are never mutated downstream).
+// view; rows are never mutated downstream).
 func (n *execNode) aliveRows() [][]int {
 	out := make([][]int, 0, n.live)
 	for w, word := range n.words {
@@ -175,14 +174,15 @@ func (f *forest) morselWordSize() int {
 }
 
 // newForest builds the evaluation state for a schedule's atoms against
-// src: one backend view plus an all-alive bitmap per node. The bitmaps
+// sn: one atom view plus an all-alive bitmap per node. The bitmaps
 // come from one slab allocation across all nodes.
-func newForest(atoms []patom, src Source, sc *scratch, par int) *forest {
+func newForest(atoms []patom, sn *relstr.Snapshot, sc *scratch, par int) *forest {
 	f := &forest{nodes: make([]execNode, len(atoms)), sc: sc, par: par}
 	total := 0
 	for i, a := range atoms {
-		rows, ix := src.Node(a)
-		f.nodes[i] = execNode{rows: rows, vars: a.distinctVars(), ix: ix, live: len(rows)}
+		v := atomView(sn, a)
+		rows := v.Rows()
+		f.nodes[i] = execNode{rows: rows, vars: a.distinctVars(), view: v, live: len(rows)}
 		total += (len(rows) + 63) / 64
 	}
 	slab := make([]uint64, total)
@@ -250,11 +250,10 @@ func (f *forest) anyEmpty() bool {
 
 // semijoin applies one scheduled reduction step over the bitmaps:
 // target rows with no alive source partner on the aligned columns die.
-// The probe runs through the source's Indexer (a snapshot's persistent
-// cache, or a per-call memo). Large targets fan their word ranges out
-// in morsels to as many extra workers as the budget has free — the
-// caller always works too, so a step never stalls on an exhausted
-// budget.
+// The probe runs through the source view's index cache. Large targets
+// fan their word ranges out in morsels to as many extra workers as the
+// budget has free — the caller always works too, so a step never
+// stalls on an exhausted budget.
 func (f *forest) semijoin(st sjStep) {
 	t, s := &f.nodes[st.target], &f.nodes[st.source]
 	if t.live == 0 {
@@ -273,7 +272,7 @@ func (f *forest) semijoin(st sjStep) {
 	if len(st.tCols) == 0 {
 		return // no shared variables and the source is non-empty
 	}
-	ix, built := s.ix.Index(st.sCols)
+	ix, built := s.view.Index(st.sCols)
 	if built {
 		f.builds.Add(1)
 	}
@@ -748,11 +747,12 @@ func evalForest(ctx context.Context, sched *schedule, f *forest) (Answers, error
 }
 
 // reduce rebuilds a structure holding only the database tuples backing
-// assignment rows that survived runPasses. Answers of the query on the
-// reduced structure equal those on the original; empty reports that
-// some relation lost every row (empty answer set).
-func (f *forest) reduce(atoms []patom, src *relstr.Structure) (_ *relstr.Structure, empty bool) {
-	out := src.CloneSchema()
+// assignment rows that survived runPasses; Add declares each atom's
+// relation. Answers of the query on the reduced structure equal those
+// on the original; empty reports that some relation lost every row
+// (empty answer set).
+func (f *forest) reduce(atoms []patom) (_ *relstr.Structure, empty bool) {
+	out := relstr.New()
 	for i, a := range atoms {
 		n := &f.nodes[i]
 		if n.live == 0 {

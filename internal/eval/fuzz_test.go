@@ -103,21 +103,21 @@ func decodeRels(data []byte) (l, r rel, ok bool) {
 }
 
 // pairForest builds a two-node executor forest over l (node 0, the
-// semijoin target) and r (node 1, the source), with the given backend
-// indexer over r's rows and an all-alive bitmap on both sides. The
+// semijoin target) and r (node 1, the source), with the given view
+// over r's rows and an all-alive bitmap on both sides. The
 // tuning fields force the morsel machinery on tiny inputs when par>1.
-func pairForest(sc *scratch, l, r rel, ix Indexer, par int) *forest {
+func pairForest(sc *scratch, l, r rel, rv *relstr.View, par int) *forest {
 	f := &forest{nodes: make([]execNode, 2), sc: sc, par: par, minPar: 1, morsel: 2}
-	f.nodes[0] = execNode{rows: l.rows, vars: l.vars, ix: &memoIndexer{rows: l.rows}, words: allAlive(len(l.rows)), live: len(l.rows)}
-	f.nodes[1] = execNode{rows: r.rows, vars: r.vars, ix: ix, words: allAlive(len(r.rows)), live: len(r.rows)}
+	f.nodes[0] = execNode{rows: l.rows, vars: l.vars, view: relstr.NewView(l.rows), words: allAlive(len(l.rows)), live: len(l.rows)}
+	f.nodes[1] = execNode{rows: r.rows, vars: r.vars, view: rv, words: allAlive(len(r.rows)), live: len(r.rows)}
 	f.initSlots()
 	return f
 }
 
-// snapIndexer wraps r's rows as a genuine snapshot view, so the
-// semijoin probes the snapshot's persistent index cache — the
+// snapView wraps r's rows as a genuine snapshot view, so the semijoin
+// probes the snapshot's persistent index cache — the
 // registered-database backend.
-func snapIndexer(r rel) Indexer {
+func snapView(r rel) *relstr.View {
 	sdb := relstr.New()
 	if len(r.rows) == 0 {
 		sdb.Declare("R", len(r.vars))
@@ -134,10 +134,10 @@ func snapIndexer(r rel) Indexer {
 }
 
 // semijoinVia runs one scheduled semijoin of l against r through the
-// unified executor with the given source indexer and worker budget,
+// unified executor with the given source view and worker budget,
 // returning the surviving rows.
-func semijoinVia(sc *scratch, l, r rel, lCols, rCols []int, ix Indexer, par int) [][]int {
-	f := pairForest(sc, l, r, ix, par)
+func semijoinVia(sc *scratch, l, r rel, lCols, rCols []int, rv *relstr.View, par int) [][]int {
+	f := pairForest(sc, l, r, rv, par)
 	defer f.release()
 	f.semijoin(sjStep{target: 0, source: 1, tCols: lCols, sCols: rCols})
 	return f.nodes[0].aliveRows()
@@ -148,10 +148,10 @@ func semijoinVia(sc *scratch, l, r rel, lCols, rCols []int, ix Indexer, par int)
 // implementations they replaced, on arbitrary relation pairs
 // (including empty relations, disjoint variable sets, and tiny value
 // domains that force bucket collisions). The semijoin is held to the
-// oracle through three backends: a per-call memo indexer (the plain
-// *Structure path), a snapshot view (the registered-database path),
-// and the memo indexer again under a parallel worker budget with the
-// morsel size forced down to two rows.
+// oracle through three views: a standalone view (NewView, as
+// incremental maintenance builds over its restrictions), a snapshot
+// view (the evaluation path), and the standalone view again under a
+// parallel worker budget with the morsel size forced down to two rows.
 func FuzzJoinEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0})                                  // empty relations
 	f.Add([]byte{1, 1, 1, 1, 2, 2, 1, 3, 3})                // small overlap
@@ -170,15 +170,15 @@ func FuzzJoinEquivalence(f *testing.F) {
 		want := sortedRows(semijoinRef(cloneRel(l), r))
 		legs := []struct {
 			name string
-			ix   Indexer
+			view *relstr.View
 			par  int
 		}{
-			{"memo", &memoIndexer{rows: r.rows}, 1},
-			{"snapshot", snapIndexer(r), 1},
-			{"parallel", &memoIndexer{rows: r.rows}, 4},
+			{"standalone", relstr.NewView(r.rows), 1},
+			{"snapshot", snapView(r), 1},
+			{"parallel", relstr.NewView(r.rows), 4},
 		}
 		for _, leg := range legs {
-			got := sortedRows(rel{vars: l.vars, rows: semijoinVia(sc, l, r, lCols, rCols, leg.ix, leg.par)})
+			got := sortedRows(rel{vars: l.vars, rows: semijoinVia(sc, l, r, lCols, rCols, leg.view, leg.par)})
 			if !equalRows(got, want) {
 				t.Fatalf("%s semijoin mismatch:\n  executor %v\n  reference %v\n  l=%v r=%v", leg.name, got, want, l, r)
 			}
@@ -197,7 +197,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 			t.Fatalf("join mismatch:\n  indexed %v\n  reference %v\n  l=%v r=%v", got, want, l, r)
 		}
 		if len(st.rCols) > 0 && len(r.rows) > 0 {
-			pf := pairForest(sc, l, r, &memoIndexer{rows: r.rows}, 4)
+			pf := pairForest(sc, l, r, relstr.NewView(r.rows), 4)
 			parJ := pf.join(cloneRel(l), r, st)
 			// parJ.rows live in pf's worker arenas: compare before
 			// release returns them to the pool.
@@ -240,7 +240,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 // parallel thresholds forced down, so even request-sized fuzz inputs
 // drive the morsel fan-out, the chunk merges and the per-worker
 // arenas.
-func (p *Plan) evalTuned(ctx context.Context, src Source, par int) (Answers, error) {
+func (p *Plan) evalTuned(ctx context.Context, src *relstr.Snapshot, par int) (Answers, error) {
 	if p.mode != PlanYannakakis {
 		return p.evalBags(ctx, src)
 	}
@@ -253,7 +253,7 @@ func (p *Plan) evalTuned(ctx context.Context, src Source, par int) (Answers, err
 }
 
 // evalBoolTuned is evalTuned for answer existence.
-func (p *Plan) evalBoolTuned(ctx context.Context, src Source, par int) (bool, error) {
+func (p *Plan) evalBoolTuned(ctx context.Context, src *relstr.Snapshot, par int) (bool, error) {
 	if p.mode != PlanYannakakis {
 		return p.boolBags(ctx, src)
 	}
@@ -295,8 +295,8 @@ func FuzzParallelEquivalence(f *testing.F) {
 		for _, par := range []int{2, 4} {
 			for _, src := range []struct {
 				name string
-				s    Source
-			}{{"struct", NewSource(db)}, {"snapshot", NewSnapshotSource(snap)}} {
+				s    *relstr.Snapshot
+			}{{"struct", relstr.Borrow(db)}, {"snapshot", snap}} {
 				got, err := p.evalTuned(ctx, src.s, par)
 				if err != nil {
 					t.Fatal(err)
@@ -333,8 +333,8 @@ func TestQuickIndexedMatchesBaseline(t *testing.T) {
 			return false
 		}
 		snap := relstr.NewSnapshot(db)
-		sources := func() []Source {
-			return []Source{NewSource(db), NewSnapshotSource(snap)}
+		sources := func() []*relstr.Snapshot {
+			return []*relstr.Snapshot{relstr.Borrow(db), snap}
 		}
 		for _, par := range []int{1, 4} {
 			for _, src := range sources() {

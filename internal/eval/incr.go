@@ -83,7 +83,6 @@ type IncrState struct {
 	tnodes   [][]int   // tree → its nodes (preorder)
 	adj      [][]int   // node → tree neighbours (children + parent)
 	nodeVars [][]int   // node → distinct variables
-	nodePat  [][]int   // node → atom repetition pattern
 	relNodes map[string][]int
 
 	// Membership search program (see member): each tree is searched
@@ -152,11 +151,9 @@ func (s *IncrState) initMaps() {
 	s.treeOf = make([]int, n)
 	s.adj = make([][]int, n)
 	s.nodeVars = make([][]int, n)
-	s.nodePat = make([][]int, n)
 	s.relNodes = map[string][]int{}
 	for i, a := range p.atoms {
 		s.nodeVars[i] = a.distinctVars()
-		s.nodePat[i] = atomPattern(a.args)
 		s.relNodes[a.rel] = append(s.relNodes[a.rel], i)
 		s.adj[i] = append(s.adj[i], p.sched.children[i]...)
 		if par := p.jt.Parent[i]; par >= 0 {
@@ -233,17 +230,12 @@ func (s *IncrState) initMaps() {
 	}
 }
 
-// view returns node n's atom view on sn.
-func (s *IncrState) view(sn *relstr.Snapshot, n int) *relstr.View {
-	return sn.View(s.p.atoms[n].rel, s.nodePat[n])
-}
-
 // recompute rebuilds the full state — contributions and answers — from
 // a fresh evaluation on sn. State fields are only assigned on success.
 func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 	p := s.p
 	if p.mode != PlanYannakakis {
-		ans, err := p.evalBags(ctx, NewSnapshotSource(sn))
+		ans, err := p.evalBags(ctx, sn)
 		if err != nil {
 			return err
 		}
@@ -253,7 +245,7 @@ func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 	}
 	sc := getScratch()
 	defer p.flush(sc)
-	f := p.newForest(NewSnapshotSource(sn), sc, s.par)
+	f := p.newForest(sn, sc, s.par)
 	defer f.release()
 	if err := f.runPasses(ctx, p.sched); err != nil {
 		return err
@@ -472,7 +464,7 @@ func (s *IncrState) applyTree(ctx context.Context, ti int, eff []effChange, oldS
 // (or arity) realise no view row and drop out.
 func (s *IncrState) seedRows(n int, tuples [][]int) [][]int {
 	a := s.p.atoms[n]
-	pat := s.nodePat[n]
+	pat := a.pat
 	var out [][]int
 tuples:
 	for _, t := range tuples {
@@ -514,7 +506,7 @@ func (s *IncrState) restrict(sn *relstr.Snapshot, seedNode int, seeds [][]int, s
 				continue
 			}
 			iCols, mCols := sharedCols(s.nodeVars[i], s.nodeVars[m])
-			v := s.view(sn, m)
+			v := atomView(sn, s.p.atoms[m])
 			var rows [][]int
 			if len(mCols) == 0 {
 				rows = v.Rows() // no shared variables: every row joins
@@ -551,7 +543,7 @@ func (s *IncrState) miniForest(restricted map[int][][]int, sc *scratch) *forest 
 		f.nodes[i] = execNode{
 			rows:  rows,
 			vars:  s.nodeVars[i],
-			ix:    &memoIndexer{rows: rows},
+			view:  relstr.NewView(rows),
 			words: allAlive(len(rows)),
 			live:  len(rows),
 		}
@@ -647,7 +639,7 @@ func (ms *memberSearch) extends(n int) (bool, error) {
 	if memo.miss.Has(key) {
 		return false, nil
 	}
-	v := s.view(ms.sn, n)
+	v := atomView(ms.sn, s.p.atoms[n])
 	rows := v.Rows()
 	var ix *relstr.Index
 	id := int32(-1)

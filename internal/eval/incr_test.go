@@ -31,11 +31,11 @@ func advance(t *testing.T, s *IncrState, sn *relstr.Snapshot, d *relstr.Delta) (
 func oracleDiff(t *testing.T, p *Plan, oldSn, newSn *relstr.Snapshot) (added, removed Answers) {
 	t.Helper()
 	ctx := context.Background()
-	before, err := p.EvalOn(ctx, NewSnapshotSource(oldSn), 1)
+	before, err := p.EvalOn(ctx, oldSn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := p.EvalOn(ctx, NewSnapshotSource(newSn), 1)
+	after, err := p.EvalOn(ctx, newSn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,14 +530,14 @@ func incrEquivalence(t *testing.T, seed int64, par int) {
 				seed, step, diff.Fallback, diff.Reason, diff.Added, wantAdd, diff.Removed, wantRem, q, d)
 		}
 		// The maintained set equals a fresh evaluation on both backends.
-		fresh, err := p.EvalOn(ctx, NewSnapshotSource(next), 1)
+		fresh, err := p.EvalOn(ctx, next, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameAnswers(s.Answers(), fresh) {
 			t.Fatalf("seed %d step %d: maintained %v, fresh %v, q=%v", seed, step, s.Answers(), fresh, q)
 		}
-		structFresh, err := p.EvalOn(ctx, NewSource(next.Structure()), 1)
+		structFresh, err := p.EvalOn(ctx, relstr.Borrow(next.Structure()), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,8 +53,8 @@ func TestParallelProductionThresholds(t *testing.T) {
 		}
 		for _, backend := range []struct {
 			name string
-			s    func() Source
-		}{{"struct", func() Source { return NewSource(db) }}, {"snapshot", func() Source { return NewSnapshotSource(snap) }}} {
+			s    func() *relstr.Snapshot
+		}{{"struct", func() *relstr.Snapshot { return relstr.Borrow(db) }}, {"snapshot", func() *relstr.Snapshot { return snap }}} {
 			got, err := p.EvalOn(ctx, backend.s(), 8)
 			if err != nil {
 				t.Fatal(err)
@@ -89,9 +89,9 @@ func TestParallelConcurrentPlanUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				src := Source(NewSource(db))
+				src := relstr.Borrow(db)
 				if g%2 == 0 {
-					src = NewSnapshotSource(snap)
+					src = snap
 				}
 				got, err := p.EvalOn(ctx, src, 4)
 				if err != nil {

@@ -1,9 +1,12 @@
 package eval
 
 // Partition-aware evaluation hooks for the cluster layer
-// (internal/cluster, internal/server): a Source restricted to the
-// facts one shard owns, and the deterministic merges recombining
-// per-shard partial results into exactly the single-node answer set.
+// (internal/cluster, internal/server): the deterministic merges that
+// recombine per-shard partial results into exactly the single-node
+// answer set, and the plan predicates the router branches on. A shard
+// is an ordinary database — the server registers each node's slice of
+// the partitioned relations as a snapshot — so per-shard evaluation is
+// plain evaluation; only the recombination is partition-aware.
 //
 // The correctness contract is union-decomposability (see package
 // cluster): when at most one atom occurrence of the evaluated query
@@ -15,77 +18,9 @@ package eval
 
 import (
 	"slices"
-	"sync"
 
 	"cqapprox/internal/relstr"
 )
-
-// NewPartitionSource restricts base to the facts owns admits: every
-// atom view is filtered tuple-wise through owns(rel, tuple) before the
-// executor sees it. The wrapper reconstructs each original tuple from
-// the view's distinct-variable assignment (a bijection for a fixed
-// repetition pattern), so ownership is decided on the same bytes the
-// ring hashed at placement time. Used to evaluate "one shard of" a
-// structure without materialising the slice — the equivalence fuzz
-// harness and tests drive it; the server registers real slices.
-func NewPartitionSource(base Source, owns func(rel string, tuple []int) bool) Source {
-	return &partitionSource{base: base, owns: owns}
-}
-
-type partitionSource struct {
-	base Source
-	owns func(rel string, tuple []int) bool
-	memo []*memoNode // Node is called serially during forest setup
-
-	once sync.Once
-	str  *relstr.Structure
-}
-
-func (s *partitionSource) Node(a patom) ([][]int, Indexer) {
-	sig := patternSig(a)
-	for _, n := range s.memo {
-		if n.sig == sig {
-			return n.rows, &n.ix
-		}
-	}
-	rows, _ := s.base.Node(a)
-	vars := a.distinctVars()
-	// Column of each argument position in the view row.
-	cols := make([]int, len(a.args))
-	for i, v := range a.args {
-		cols[i] = indexOf(vars, v)
-	}
-	tup := make([]int, len(a.args))
-	kept := make([][]int, 0, len(rows))
-	for _, row := range rows {
-		for i, c := range cols {
-			tup[i] = row[c]
-		}
-		if s.owns(a.rel, tup) {
-			kept = append(kept, row)
-		}
-	}
-	n := &memoNode{sig: sig, rows: kept}
-	n.ix.rows = kept
-	s.memo = append(s.memo, n)
-	return n.rows, &n.ix
-}
-
-func (s *partitionSource) Structure() *relstr.Structure {
-	s.once.Do(func() {
-		full := s.base.Structure()
-		str := full.CloneSchema()
-		for _, rel := range full.Relations() {
-			for _, t := range full.Tuples(rel) {
-				if s.owns(rel, t) {
-					str.Add(rel, t...)
-				}
-			}
-		}
-		s.str = str
-	})
-	return s.str
-}
 
 // MergeAnswerSets recombines per-shard answer sets into the global
 // one: concatenate, re-sort under the shared lexicographic tuple

@@ -65,11 +65,12 @@ func randomClusterDB(rng *rand.Rand, n, m int) *relstr.Structure {
 // quickcheck run: on a random query, database, shard count and
 // partitioned-relation set (trimmed to at most one partitioned atom
 // occurrence — the union-decomposability precondition the server's
-// router enforces before scattering), per-shard evaluation through
-// NewPartitionSource followed by the deterministic merges must be
-// byte-identical to single-node evaluation, across both storage
-// backends: answers, answer existence, summed exact counts, and merged
-// ranked top-k.
+// router enforces before scattering), per-shard evaluation followed by
+// the deterministic merges must be byte-identical to single-node
+// evaluation. Each shard is a real structure holding the facts it
+// owns, as the server's placement slices it, evaluated both borrowed
+// and deep-copied into a snapshot: answers, answer existence, summed
+// exact counts, and merged ranked top-k.
 func checkClusterEquivalence(t *testing.T, seed int64) {
 	t.Helper()
 	ctx := context.Background()
@@ -131,18 +132,31 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 	}
 	var wantRanked Answers
 	if rankable {
-		if wantRanked, err = p.EvalRankedOn(ctx, NewSource(db), 1, spec); err != nil {
+		if wantRanked, err = p.EvalRankedOn(ctx, relstr.Borrow(db), 1, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	snap := relstr.NewSnapshot(db)
+	// shardDB is shard s's slice of db: the full schema plus the facts
+	// owns(s) admits.
+	shardDB := func(s int) *relstr.Structure {
+		own := owns(s)
+		sdb := db.CloneSchema()
+		for _, rel := range db.Relations() {
+			for _, t := range db.Tuples(rel) {
+				if own(rel, t) {
+					sdb.Add(rel, t...)
+				}
+			}
+		}
+		return sdb
+	}
 	backends := []struct {
 		name string
-		mk   func() Source
+		mk   func(*relstr.Structure) *relstr.Snapshot
 	}{
-		{"struct", func() Source { return NewSource(db) }},
-		{"snapshot", func() Source { return NewSnapshotSource(snap) }},
+		{"struct", relstr.Borrow},
+		{"snapshot", relstr.NewSnapshot},
 	}
 	for _, b := range backends {
 		parts := make([]Answers, nShards)
@@ -150,13 +164,13 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 		anyHit := false
 		var countSum uint64
 		for s := 0; s < nShards; s++ {
-			shard := func() Source { return NewPartitionSource(b.mk(), owns(s)) }
-			ans, err := p.evalTuned(ctx, shard(), 2)
+			shard := b.mk(shardDB(s))
+			ans, err := p.evalTuned(ctx, shard, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			parts[s] = ans
-			hit, err := p.evalBoolTuned(ctx, shard(), 2)
+			hit, err := p.evalBoolTuned(ctx, shard, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,14 +179,14 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 			}
 			anyHit = anyHit || hit
 			if summable {
-				n, err := p.countForTest(ctx, shard(), 2)
+				n, err := p.countForTest(ctx, shard, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
 				countSum += n
 			}
 			if rankable {
-				if ranked[s], err = p.EvalRankedOn(ctx, shard(), 1, spec); err != nil {
+				if ranked[s], err = p.EvalRankedOn(ctx, shard, 1, spec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -202,7 +216,7 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 // (consistent-hash tuple ownership, replicated relations everywhere)
 // merged through MergeAnswerSets / MergeRankedAnswers equals the
 // single-node answer set, existence and summed exact counts included,
-// across both storage backends.
+// with each shard evaluated borrowed and deep-copied.
 func FuzzClusterEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))

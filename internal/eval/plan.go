@@ -293,9 +293,9 @@ func normPar(parallel int) int {
 	return parallel
 }
 
-// newForest builds the plan's per-call evaluation state against src.
-func (p *Plan) newForest(src Source, sc *scratch, parallel int) *forest {
-	f := newForest(p.atoms, src, sc, normPar(parallel))
+// newForest builds the plan's per-call evaluation state against sn.
+func (p *Plan) newForest(sn *relstr.Snapshot, sc *scratch, parallel int) *forest {
+	f := newForest(p.atoms, sn, sc, normPar(parallel))
 	if f.par > 1 {
 		p.stats.parEvals.Add(1)
 	}
@@ -303,25 +303,26 @@ func (p *Plan) newForest(src Source, sc *scratch, parallel int) *forest {
 }
 
 // Eval evaluates the plan's query on db, materialising the full
-// deduplicated, sorted answer set. Serial; use EvalOn for an explicit
-// backend and worker budget.
+// deduplicated, sorted answer set. Serial; db is borrowed, not copied,
+// for the call. Use EvalOn for a snapshot and worker budget.
 func (p *Plan) Eval(ctx context.Context, db *relstr.Structure) (Answers, error) {
-	return p.EvalOn(ctx, NewSource(db), 1)
+	return p.EvalOn(ctx, relstr.Borrow(db), 1)
 }
 
-// EvalOn evaluates the plan's query against an explicit storage
-// backend with the given worker budget (values below two mean serial).
-// Answers — content and order — are identical across backends and
-// budgets; what varies is where indexes come from (per call vs the
-// snapshot's persistent cache) and how many cores the evaluation uses.
+// EvalOn evaluates the plan's query against snapshot sn with the given
+// worker budget (values below two mean serial). Answers — content and
+// order — are identical across snapshots of equal data and across
+// budgets; what varies is whether sn's views and indexes are already
+// warm (a registered snapshot) or built on first use (a borrowed one)
+// and how many cores the evaluation uses.
 // Bag (cyclic) plans search serially and ignore the budget.
-func (p *Plan) EvalOn(ctx context.Context, src Source, parallel int) (Answers, error) {
+func (p *Plan) EvalOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, error) {
 	if p.mode != PlanYannakakis {
-		return p.evalBags(ctx, src)
+		return p.evalBags(ctx, sn)
 	}
 	sc := getScratch()
 	defer p.flush(sc)
-	f := p.newForest(src, sc, parallel)
+	f := p.newForest(sn, sc, parallel)
 	defer f.release()
 	return evalForest(ctx, p.sched, f)
 }
@@ -330,18 +331,18 @@ func (p *Plan) EvalOn(ctx context.Context, src Source, parallel int) (Answers, e
 // (Boolean evaluation / answer existence). For acyclic plans this is
 // the single leaves→root semijoin pass, O(|D|·|Q|).
 func (p *Plan) EvalBool(ctx context.Context, db *relstr.Structure) (bool, error) {
-	return p.EvalBoolOn(ctx, NewSource(db), 1)
+	return p.EvalBoolOn(ctx, relstr.Borrow(db), 1)
 }
 
-// EvalBoolOn is EvalBool against an explicit backend and worker budget;
+// EvalBoolOn is EvalBool against a snapshot and worker budget;
 // see EvalOn.
-func (p *Plan) EvalBoolOn(ctx context.Context, src Source, parallel int) (bool, error) {
+func (p *Plan) EvalBoolOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (bool, error) {
 	if p.mode != PlanYannakakis {
-		return p.boolBags(ctx, src)
+		return p.boolBags(ctx, sn)
 	}
 	sc := getScratch()
 	defer p.flush(sc)
-	f := p.newForest(src, sc, parallel)
+	f := p.newForest(sn, sc, parallel)
 	defer f.release()
 	return f.runBool(ctx, p.sched)
 }
@@ -369,29 +370,29 @@ func (p *Plan) Stream(ctx context.Context, db *relstr.Structure) iter.Seq[relstr
 // cancellation error if the search was cut short — an empty cancelled
 // stream is thereby distinguishable from a genuinely empty answer set.
 func (p *Plan) StreamErr(ctx context.Context, db *relstr.Structure) (iter.Seq[relstr.Tuple], func() error) {
-	return p.StreamOnErr(ctx, NewSource(db), 1)
+	return p.StreamOnErr(ctx, relstr.Borrow(db), 1)
 }
 
-// StreamOn is Stream against an explicit backend and worker budget
+// StreamOn is Stream against a snapshot and worker budget
 // (the budget applies to the semijoin pre-reduction; the enumeration
 // itself is inherently sequential).
-func (p *Plan) StreamOn(ctx context.Context, src Source, parallel int) iter.Seq[relstr.Tuple] {
-	seq, _ := p.StreamOnErr(ctx, src, parallel)
+func (p *Plan) StreamOn(ctx context.Context, sn *relstr.Snapshot, parallel int) iter.Seq[relstr.Tuple] {
+	seq, _ := p.StreamOnErr(ctx, sn, parallel)
 	return seq
 }
 
 // StreamOnErr is StreamOn plus the terminal-error accessor; see
 // StreamErr.
-func (p *Plan) StreamOnErr(ctx context.Context, src Source, parallel int) (iter.Seq[relstr.Tuple], func() error) {
+func (p *Plan) StreamOnErr(ctx context.Context, sn *relstr.Snapshot, parallel int) (iter.Seq[relstr.Tuple], func() error) {
 	var terminal error
 	seq := func(yield func(relstr.Tuple) bool) {
 		if p.mode != PlanYannakakis {
-			terminal = p.searchBags(ctx, src, func(vals []int) bool {
+			terminal = p.searchBags(ctx, sn, func(vals []int) bool {
 				return yield(relstr.Tuple(vals).Clone())
 			})
 			return
 		}
-		reduced, empty, err := p.reduceOn(ctx, src, parallel)
+		reduced, empty, err := p.reduceOn(ctx, sn, parallel)
 		if err != nil {
 			terminal = err
 			return
@@ -409,20 +410,20 @@ func (p *Plan) StreamOnErr(ctx context.Context, src Source, parallel int) (iter.
 	return seq, func() error { return terminal }
 }
 
-// reduceOn runs both semijoin passes against the backend and rebuilds a
+// reduceOn runs both semijoin passes against sn and rebuilds a
 // structure containing only the surviving tuples. Answers of the query
 // on the reduced database equal those on the original: reduction only
 // removes tuples that cannot take part in a global assignment. empty
 // reports that some relation became empty, i.e. the answer set is
 // empty.
-func (p *Plan) reduceOn(ctx context.Context, src Source, parallel int) (_ *relstr.Structure, empty bool, _ error) {
+func (p *Plan) reduceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (_ *relstr.Structure, empty bool, _ error) {
 	sc := getScratch()
 	defer p.flush(sc)
-	f := p.newForest(src, sc, parallel)
+	f := p.newForest(sn, sc, parallel)
 	defer f.release()
 	if err := f.runPasses(ctx, p.sched); err != nil {
 		return nil, false, err
 	}
-	out, empty := f.reduce(p.atoms, src.Structure())
+	out, empty := f.reduce(p.atoms)
 	return out, empty, nil
 }

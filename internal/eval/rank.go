@@ -443,9 +443,9 @@ func sortAnswersBy(ts []relstr.Tuple, perm []int, desc bool) {
 // rankFallback is the untractable-order path: full evaluation, sort
 // under the requested key, truncate at limit. Bag (cyclic) plans
 // always take it — EvalOn routes them to the bag search.
-func (p *Plan) rankFallback(ctx context.Context, src Source, parallel int, perm []int, desc bool, limit int, yield func(relstr.Tuple) bool) error {
+func (p *Plan) rankFallback(ctx context.Context, sn *relstr.Snapshot, parallel int, perm []int, desc bool, limit int, yield func(relstr.Tuple) bool) error {
 	p.stats.rankFallbacks.Add(1)
-	ans, err := p.EvalOn(ctx, src, parallel)
+	ans, err := p.EvalOn(ctx, sn, parallel)
 	if err != nil {
 		return err
 	}
@@ -466,20 +466,20 @@ func (p *Plan) rankFallback(ctx context.Context, src Source, parallel int, perm 
 // in parallel across visits when the budget allows — and enumerate) or
 // the fallback. tuned lowers the parallel thresholds so tiny test
 // inputs drive the morsel machinery.
-func (p *Plan) streamRanked(ctx context.Context, src Source, parallel int, spec RankSpec, tuned bool, yield func(relstr.Tuple) bool) error {
+func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, tuned bool, yield func(relstr.Tuple) bool) error {
 	width := len(p.tb.Dist)
 	perm := spec.perm(width)
 	if p.mode != PlanYannakakis {
-		return p.rankFallback(ctx, src, parallel, perm, spec.Desc, spec.Limit, yield)
+		return p.rankFallback(ctx, sn, parallel, perm, spec.Desc, spec.Limit, yield)
 	}
 	prog := p.rankProgramForSpec(perm)
 	if prog == nil {
-		return p.rankFallback(ctx, src, parallel, perm, spec.Desc, spec.Limit, yield)
+		return p.rankFallback(ctx, sn, parallel, perm, spec.Desc, spec.Limit, yield)
 	}
 	p.stats.rankedEvals.Add(1)
 	sc := getScratch()
 	defer p.flush(sc)
-	f := p.newForest(src, sc, parallel)
+	f := p.newForest(sn, sc, parallel)
 	if tuned {
 		f.minPar, f.morsel = 1, 2
 	}
@@ -504,16 +504,16 @@ func (p *Plan) streamRanked(ctx context.Context, src Source, parallel int, spec 
 	return enumerateRanked(ctx, prog, views, width, spec.Limit, yield)
 }
 
-// StreamRankedOn enumerates answers in the spec's key order against an
-// explicit backend and worker budget (the budget applies to the
+// StreamRankedOn enumerates answers in the spec's key order against a
+// snapshot and worker budget (the budget applies to the
 // semijoin reduction and the view builds; the ordered enumeration
 // itself is sequential). Connex keys stream with early termination at
 // Limit; others evaluate fully, sort, and truncate. The terminal-error
 // accessor follows the StreamOnErr contract.
-func (p *Plan) StreamRankedOn(ctx context.Context, src Source, parallel int, spec RankSpec) (iter.Seq[relstr.Tuple], func() error) {
+func (p *Plan) StreamRankedOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (iter.Seq[relstr.Tuple], func() error) {
 	var terminal error
 	seq := func(yield func(relstr.Tuple) bool) {
-		terminal = p.streamRanked(ctx, src, parallel, spec, false, yield)
+		terminal = p.streamRanked(ctx, sn, parallel, spec, false, yield)
 	}
 	return seq, func() error { return terminal }
 }
@@ -521,8 +521,8 @@ func (p *Plan) StreamRankedOn(ctx context.Context, src Source, parallel int, spe
 // EvalRankedOn materialises StreamRankedOn: at most Limit answers, in
 // the spec's key order (not the Answers default order unless the spec
 // is the natural ascending key).
-func (p *Plan) EvalRankedOn(ctx context.Context, src Source, parallel int, spec RankSpec) (Answers, error) {
-	seq, errf := p.StreamRankedOn(ctx, src, parallel, spec)
+func (p *Plan) EvalRankedOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (Answers, error) {
+	seq, errf := p.StreamRankedOn(ctx, sn, parallel, spec)
 	out := []relstr.Tuple{}
 	for t := range seq {
 		out = append(out, t)

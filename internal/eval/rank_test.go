@@ -29,7 +29,7 @@ func rankedOracle(t *testing.T, p *Plan, db *relstr.Structure, spec RankSpec) []
 }
 
 // collectRanked drains one ranked stream.
-func collectRanked(t *testing.T, p *Plan, src Source, par int, spec RankSpec, tuned bool) []relstr.Tuple {
+func collectRanked(t *testing.T, p *Plan, src *relstr.Snapshot, par int, spec RankSpec, tuned bool) []relstr.Tuple {
 	t.Helper()
 	var got []relstr.Tuple
 	err := p.streamRanked(context.Background(), src, par, spec, tuned, func(tp relstr.Tuple) bool {
@@ -84,14 +84,14 @@ func FuzzRankedEquivalence(f *testing.F) {
 		snap := relstr.NewSnapshot(db)
 		legs := []struct {
 			name  string
-			src   Source
+			src   *relstr.Snapshot
 			par   int
 			tuned bool
 		}{
-			{"struct/serial", NewSource(db), 1, false},
-			{"snapshot/serial", NewSnapshotSource(snap), 1, false},
-			{"struct/parallel", NewSource(db), 4, true},
-			{"snapshot/parallel", NewSnapshotSource(snap), 4, true},
+			{"struct/serial", relstr.Borrow(db), 1, false},
+			{"snapshot/serial", snap, 1, false},
+			{"struct/parallel", relstr.Borrow(db), 4, true},
+			{"snapshot/parallel", snap, 4, true},
 		}
 		for _, leg := range legs {
 			got := collectRanked(t, p, leg.src, leg.par, spec, leg.tuned)
@@ -142,7 +142,7 @@ func TestRankedTopK(t *testing.T) {
 	// Connex: full-head path query ordered by (z,y,x).
 	p := NewPlan(cq.MustParse("Q(x,y,z) :- E(x,y), E(y,z)"))
 	spec := RankSpec{Order: []int{2, 1, 0}, Limit: 3}
-	got, err := p.EvalRankedOn(ctx, NewSource(db), 1, spec)
+	got, err := p.EvalRankedOn(ctx, relstr.Borrow(db), 1, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,11 @@ func TestRankedTopK(t *testing.T) {
 	}
 
 	// Descending is the full reverse of the unlimited ascending order.
-	asc, err := p.EvalRankedOn(ctx, NewSource(db), 1, RankSpec{Order: []int{2, 1, 0}})
+	asc, err := p.EvalRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{Order: []int{2, 1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, err := p.EvalRankedOn(ctx, NewSource(db), 1, RankSpec{Order: []int{2, 1, 0}, Desc: true})
+	desc, err := p.EvalRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{Order: []int{2, 1, 0}, Desc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRankedTopK(t *testing.T) {
 	// Fallback: the projected path query has no connex program for any
 	// key; answers still arrive ordered and truncated.
 	pf := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
-	got, err = pf.EvalRankedOn(ctx, NewSource(db), 1, RankSpec{Order: []int{1, 0}, Limit: 3})
+	got, err = pf.EvalRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{Order: []int{1, 0}, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRankedStreamBreak(t *testing.T) {
 	ctx := context.Background()
 	db := graphDB([2]int{1, 2}, [2]int{2, 1}, [2]int{2, 2})
 	p := NewPlan(cq.MustParse("Q(x,y,z) :- E(x,y), E(y,z)"))
-	seq, errf := p.StreamRankedOn(ctx, NewSource(db), 1, RankSpec{})
+	seq, errf := p.StreamRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{})
 	n := 0
 	for range seq {
 		n++

@@ -137,7 +137,7 @@ func randomProjectingDB(rng *rand.Rand) *relstr.Structure {
 // identically seeded generators, and reports the first value that
 // differs in any bit. Equal streams make every estimator built on them
 // equal too.
-func samplesMatchRef(ctx context.Context, p *Plan, src Source, par int, seed int64, draws int) error {
+func samplesMatchRef(ctx context.Context, p *Plan, src *relstr.Snapshot, par int, seed int64, draws int) error {
 	run, err := p.prepareCount(ctx, src, par, true, false)
 	if err != nil {
 		return err
@@ -180,7 +180,7 @@ func TestQuickSamplerMatchesReference(t *testing.T) {
 		db := randomProjectingDB(rng)
 		p := NewPlan(q)
 		for _, par := range []int{1, 4} {
-			for _, src := range []Source{NewSource(db), NewSnapshotSource(relstr.NewSnapshot(db))} {
+			for _, src := range []*relstr.Snapshot{relstr.Borrow(db), relstr.NewSnapshot(db)} {
 				if err := samplesMatchRef(ctx, p, src, par, seed, 200); err != nil {
 					t.Logf("q=%v: %v", q, err)
 					return false

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cqapprox/internal/obs"
+	"cqapprox/internal/relstr"
 )
 
 // Tracing (ANALYZE) support for the unified executor. A traced call
@@ -124,16 +125,16 @@ func (tr *execTrace) snapshot(p *Plan, f *forest, total time.Duration) *obs.Exec
 // EvalTraceOn is EvalOn with tracing: same answers, same counters,
 // plus an ExecTrace of this one call. Bag plans return a trace with
 // the total time only (the search has no per-node row counts).
-func (p *Plan) EvalTraceOn(ctx context.Context, src Source, parallel int) (Answers, *obs.ExecTrace, error) {
+func (p *Plan) EvalTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, *obs.ExecTrace, error) {
 	if p.mode != PlanYannakakis {
 		start := time.Now()
-		ans, err := p.evalBags(ctx, src)
+		ans, err := p.evalBags(ctx, sn)
 		return ans, &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
 			TotalNS: time.Since(start).Nanoseconds()}, err
 	}
 	sc := getScratch()
 	defer p.flush(sc)
-	f := p.newForest(src, sc, parallel)
+	f := p.newForest(sn, sc, parallel)
 	defer f.release()
 	tr := getExecTrace(len(f.nodes))
 	f.trace = tr
@@ -145,16 +146,16 @@ func (p *Plan) EvalTraceOn(ctx context.Context, src Source, parallel int) (Answe
 }
 
 // EvalBoolTraceOn is EvalBoolOn with tracing; see EvalTraceOn.
-func (p *Plan) EvalBoolTraceOn(ctx context.Context, src Source, parallel int) (bool, *obs.ExecTrace, error) {
+func (p *Plan) EvalBoolTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (bool, *obs.ExecTrace, error) {
 	if p.mode != PlanYannakakis {
 		start := time.Now()
-		ok, err := p.boolBags(ctx, src)
+		ok, err := p.boolBags(ctx, sn)
 		return ok, &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
 			TotalNS: time.Since(start).Nanoseconds()}, err
 	}
 	sc := getScratch()
 	defer p.flush(sc)
-	f := p.newForest(src, sc, parallel)
+	f := p.newForest(sn, sc, parallel)
 	defer f.release()
 	tr := getExecTrace(len(f.nodes))
 	f.trace = tr

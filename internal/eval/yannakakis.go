@@ -19,7 +19,7 @@ func atomList(s *relstr.Structure) []patom {
 	var out []patom
 	for _, rel := range s.Relations() {
 		for _, t := range s.Tuples(rel) {
-			out = append(out, patom{rel: rel, args: append([]int{}, t...)})
+			out = append(out, patom{rel: rel, args: append([]int{}, t...), pat: atomPattern(t)})
 		}
 	}
 	return out
@@ -28,6 +28,7 @@ func atomList(s *relstr.Structure) []patom {
 type patom struct {
 	rel  string
 	args []int
+	pat  []int // repetition pattern of args (atomPattern)
 }
 
 // distinctVars returns the atom's distinct variables in order of first
@@ -42,61 +43,6 @@ func (a patom) distinctVars() []int {
 		}
 	}
 	return out
-}
-
-// atomRelation materialises the relation of one atom against db:
-// assignments of the atom's distinct variables realised by db tuples
-// matching the atom's repetition pattern.
-func atomRelation(a patom, db *relstr.Structure) rel {
-	vars := a.distinctVars()
-	pos := map[int]int{} // variable → first position
-	for i, v := range a.args {
-		if _, ok := pos[v]; !ok {
-			pos[v] = i
-		}
-	}
-	out := rel{vars: vars}
-	var seen relstr.TupleSet
-tuples:
-	for _, t := range db.Tuples(a.rel) {
-		if len(t) != len(a.args) {
-			continue
-		}
-		// Repetition pattern: equal variables need equal values.
-		for i, v := range a.args {
-			if t[pos[v]] != t[i] {
-				continue tuples
-			}
-		}
-		row := make([]int, len(vars))
-		for i, v := range vars {
-			row[i] = t[pos[v]]
-		}
-		if seen.Add(row) {
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out
-}
-
-// patternSig identifies the materialised relation of an atom up to
-// variable renaming: the relation symbol plus the repetition pattern
-// of its arguments. Two atoms with equal signatures realise identical
-// row sets (over their respective distinct-variable lists).
-func patternSig(a patom) string {
-	sig := make([]byte, 0, len(a.rel)+1+len(a.args))
-	sig = append(sig, a.rel...)
-	sig = append(sig, 0)
-	pos := map[int]int{}
-	for _, v := range a.args {
-		p, ok := pos[v]
-		if !ok {
-			p = len(pos)
-			pos[v] = p
-		}
-		sig = append(sig, byte(p))
-	}
-	return string(sig)
 }
 
 // scheduleForAtoms derives the static program for a join forest of

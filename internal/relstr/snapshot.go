@@ -8,9 +8,12 @@ package relstr
 // concurrency-safe cache of per-(relation, pattern, key-columns)
 // indexes instead of re-indexing the data per call. Copy-on-write
 // updates (Update with a Delta) fork a new version that keeps sharing
-// the rows, views and indexes of every untouched relation.
+// the rows, views and indexes of every untouched relation. A one-off
+// evaluation of a plain structure goes through the same type: Borrow
+// wraps the structure without copying it for the call's lifetime.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -84,8 +87,15 @@ func NewSnapshot(s *Structure) *Snapshot {
 	return freeze(s.Clone())
 }
 
-// freeze wraps an already-private structure (callers must not retain a
-// mutable reference).
+// Borrow wraps s as a snapshot without copying it: views over the
+// identity pattern share s's tuples, and the snapshot's caches live as
+// long as the snapshot. s must not be mutated while the snapshot (or
+// any view or index obtained from it) is in use — Borrow is for
+// evaluating a caller's structure in place, NewSnapshot for keeping a
+// version.
+func Borrow(s *Structure) *Snapshot { return freeze(s) }
+
+// freeze wraps a structure nobody mutates while the snapshot lives.
 func freeze(src *Structure) *Snapshot {
 	sn := &Snapshot{
 		src:     src,
@@ -103,8 +113,8 @@ func freeze(src *Structure) *Snapshot {
 func (sn *Snapshot) Version() uint64 { return sn.version }
 
 // Structure returns the snapshot's frozen structure. It is shared, not
-// copied: callers must treat it as read-only (the backtracking engine
-// and the streaming reducer read it; nothing may mutate it).
+// copied: callers must treat it as read-only (incremental maintenance
+// reads fact membership from it; nothing may mutate it).
 func (sn *Snapshot) Structure() *Structure { return sn.src }
 
 // Relations returns the declared relation symbols in sorted order.
@@ -158,23 +168,24 @@ func (sn *Snapshot) View(name string, pattern []int) *View {
 	if !ok || r.arity != len(pattern) {
 		return emptyView
 	}
-	key := patternKey(pattern)
+	var buf [16]byte
+	key := appendKey(buf[:0], pattern)
 	r.mu.RLock()
-	v := r.views[key]
+	v := r.views[string(key)]
 	r.mu.RUnlock()
 	if v != nil {
 		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if v = r.views[key]; v != nil {
+	if v = r.views[string(key)]; v != nil {
 		return v
 	}
 	v = &View{owner: r, rows: materialise(r.rows, pattern)}
 	if r.views == nil {
 		r.views = map[string]*View{}
 	}
-	r.views[key] = v
+	r.views[string(key)] = v
 	r.nViews.Add(1)
 	return v
 }
@@ -222,6 +233,12 @@ rows:
 	return out
 }
 
+// NewView wraps rows as a standalone view with its own bounded index
+// cache, for row sets that belong to no snapshot relation (incremental
+// maintenance's per-delta restrictions). rows must not be modified
+// while the view is in use.
+func NewView(rows [][]int) *View { return &View{owner: &snapRel{}, rows: rows} }
+
 // Rows returns the view's rows. The slice and its rows are owned by
 // the snapshot and must not be modified.
 func (v *View) Rows() [][]int { return v.rows }
@@ -238,9 +255,10 @@ func (v *View) Index(cols []int) (ix *Index, built bool) {
 	if v.owner == nil { // the empty view
 		return buildIndex(v.rows, cols), true
 	}
-	key := patternKey(cols)
+	var buf [16]byte
+	key := appendKey(buf[:0], cols)
 	v.mu.RLock()
-	ix = v.indexes[key]
+	ix = v.indexes[string(key)]
 	v.mu.RUnlock()
 	if ix != nil {
 		v.owner.hits.Add(1)
@@ -248,7 +266,7 @@ func (v *View) Index(cols []int) (ix *Index, built bool) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if ix = v.indexes[key]; ix != nil {
+	if ix = v.indexes[string(key)]; ix != nil {
 		v.owner.hits.Add(1)
 		return ix, false
 	}
@@ -264,7 +282,7 @@ func (v *View) Index(cols []int) (ix *Index, built bool) {
 		if v.indexes == nil {
 			v.indexes = map[string]*Index{}
 		}
-		v.indexes[key] = ix
+		v.indexes[string(key)] = ix
 		v.owner.nCached.Add(1)
 	}
 	return ix, true
@@ -277,15 +295,8 @@ func (v *View) Cached(cols []int) *Index {
 	if v.owner == nil {
 		return nil
 	}
-	var buf [8]byte // patternKey's bytes, without its allocation
-	key := buf[:0]
-	for _, c := range cols {
-		if c < 0 || c > 0x7f || len(key) == len(buf) {
-			key = append(key[:0], patternKey(cols)...)
-			break
-		}
-		key = append(key, byte(c))
-	}
+	var buf [16]byte
+	key := appendKey(buf[:0], cols)
 	v.mu.RLock()
 	ix := v.indexes[string(key)]
 	v.mu.RUnlock()
@@ -294,13 +305,6 @@ func (v *View) Cached(cols []int) *Index {
 	}
 	return ix
 }
-
-// NewIndex constructs a standalone bucket-chained index over rows
-// keyed on cols — the same structure View.Index caches, for callers
-// that manage their own row storage (the evaluation runtime's
-// per-call structure backend). The index is immutable once built and
-// safe for concurrent probes.
-func NewIndex(rows [][]int, cols []int) *Index { return buildIndex(rows, cols) }
 
 // buildIndex constructs a bucket-chained index over rows keyed on cols.
 func buildIndex(rows [][]int, cols []int) *Index {
@@ -361,17 +365,25 @@ func (ix *Index) Next(id int32, probe []int, probeCols []int) int32 {
 	return -1
 }
 
-// patternKey renders an int list as a compact map key.
-func patternKey(xs []int) string {
-	b := make([]byte, 0, len(xs))
+// appendKey appends the map key of a pattern or column list to b: one
+// byte per value while every value fits in 0..0x7f, else a 0x80 marker
+// followed by each value as a varint. The marker byte never occurs in
+// the compact form and varints are prefix-free, so distinct lists get
+// distinct keys. Callers pass a stack buffer and convert to string
+// only to insert, so a lookup allocates nothing.
+func appendKey(b []byte, xs []int) []byte {
+	start := len(b)
 	for _, x := range xs {
 		if x < 0 || x > 0x7f {
-			// Arities this large never occur; fall back to a verbose key.
-			return fmt.Sprint(xs)
+			b = append(b[:start], 0x80)
+			for _, x := range xs {
+				b = binary.AppendVarint(b, int64(x))
+			}
+			return b
 		}
 		b = append(b, byte(x))
 	}
-	return string(b)
+	return b
 }
 
 // --- copy-on-write updates --------------------------------------------

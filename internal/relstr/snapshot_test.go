@@ -97,6 +97,150 @@ func TestSnapshotViewsAndIndexes(t *testing.T) {
 	if st.Views < 2 || st.IndexesCached != 1 || st.IndexBuilds != 1 || st.IndexHits != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+
+	// NewSnapshot deep-copies: facts added to the source after the
+	// views exist leave the views' rows as they were, and no row
+	// shares storage with the source's tuples.
+	before := sortedRowSet(v.Rows())
+	s.Add("E", 2, 9)
+	s.Add("R", 4, 4, 4)
+	if got := sortedRowSet(sn.View("E", identity(2)).Rows()); !reflect.DeepEqual(got, before) {
+		t.Fatalf("identity view changed after a source mutation: %v, want %v", got, before)
+	}
+	if got := sortedRowSet(sn.View("R", []int{0, 0, 2}).Rows()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pattern view changed after a source mutation: %v, want %v", got, want)
+	}
+	for _, row := range v.Rows() {
+		for _, tup := range s.Tuples("E") {
+			if &row[0] == &tup[0] {
+				t.Fatalf("snapshot row %v shares storage with the source", row)
+			}
+		}
+	}
+}
+
+func TestBorrowSharesTuples(t *testing.T) {
+	s := snapFixture()
+	sn := Borrow(s)
+	// The identity view is the structure's own tuples, in order.
+	v := sn.View("E", identity(2))
+	tuples := s.Tuples("E")
+	if v.Len() != len(tuples) {
+		t.Fatalf("borrowed identity view rows = %d, want %d", v.Len(), len(tuples))
+	}
+	for i, row := range v.Rows() {
+		if &row[0] != &tuples[i][0] {
+			t.Fatalf("borrowed row %d (%v) does not share the structure's tuple storage", i, row)
+		}
+	}
+	// Pattern views and indexes agree with a deep-copied snapshot.
+	deep := NewSnapshot(s)
+	for _, pat := range [][]int{{0, 0, 2}, {0, 1, 1}, {0, 0, 0}, identity(3)} {
+		got := sortedRowSet(sn.View("R", pat).Rows())
+		want := sortedRowSet(deep.View("R", pat).Rows())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("borrowed view R%v = %v, deep-copied %v", pat, got, want)
+		}
+	}
+	if ix, built := v.Index([]int{0}); !built || ix.First([]int{2}, []int{0}) < 0 {
+		t.Fatal("borrowed view index missing E(2,3)")
+	}
+}
+
+func TestNewViewCachesIndexes(t *testing.T) {
+	v := NewView([][]int{{1, 2}, {2, 3}, {2, 4}})
+	ix, built := v.Index([]int{0})
+	if !built {
+		t.Fatal("first Index call did not build")
+	}
+	if again, built := v.Index([]int{0}); built || again != ix {
+		t.Fatal("standalone view did not cache its index")
+	}
+	if v.Cached([]int{0}) != ix || v.Cached([]int{1}) != nil {
+		t.Fatal("Cached disagrees with the index cache")
+	}
+	var hits int
+	for id := ix.First([]int{2}, []int{0}); id >= 0; id = ix.Next(id, []int{2}, []int{0}) {
+		hits++
+	}
+	if hits != 2 {
+		t.Fatalf("probe hits = %d, want 2", hits)
+	}
+}
+
+// Patterns and column lists with values above 0x7f take the verbose
+// key form; they must still key distinct views and indexes, cache, and
+// not collide with the compact keys of short lists.
+func TestSnapshotWideKeys(t *testing.T) {
+	const arity = 200
+	s := New()
+	for k := 0; k < 3; k++ {
+		tup := make([]int, arity)
+		for i := range tup {
+			tup[i] = k + i%3
+		}
+		s.Add("W", tup...)
+	}
+	s.Add("E", 1, 2)
+	sn := NewSnapshot(s)
+
+	id := identity(arity)
+	rep := identity(arity)
+	rep[150] = 0 // column 150 repeats column 0
+	vID, vRep := sn.View("W", id), sn.View("W", rep)
+	if vID == vRep {
+		t.Fatal("distinct wide patterns share a view")
+	}
+	if sn.View("W", identity(arity)) != vID || sn.View("W", append([]int{}, rep...)) != vRep {
+		t.Fatal("wide-pattern views not cached")
+	}
+	if vID.Len() != 3 {
+		t.Fatalf("wide identity view rows = %d, want 3", vID.Len())
+	}
+	// Rows k + i%3 repeat column 0 at column 150 (150%3 == 0), so every
+	// row survives, projected onto the 199 distinct columns.
+	if vRep.Len() != 3 || len(vRep.Rows()[0]) != arity-1 {
+		t.Fatalf("wide pattern view: %d rows of width %d", vRep.Len(), len(vRep.Rows()[0]))
+	}
+
+	colSets := [][]int{{150}, {0, 199}, {199, 0}, {0}, {128}, {1, 128}}
+	ixs := make([]*Index, len(colSets))
+	for i, cols := range colSets {
+		ix, built := vID.Index(cols)
+		if !built {
+			t.Fatalf("index on %v reported cached before any build", cols)
+		}
+		if ix.First(vID.Rows()[1], cols) < 0 {
+			t.Fatalf("index on %v cannot find its own row", cols)
+		}
+		ixs[i] = ix
+	}
+	for i, cols := range colSets {
+		if ix, built := vID.Index(append([]int{}, cols...)); built || ix != ixs[i] {
+			t.Fatalf("index on %v not served from the cache", cols)
+		}
+		if vID.Cached(cols) != ixs[i] {
+			t.Fatalf("Cached(%v) returned a different index", cols)
+		}
+	}
+	if st := sn.Stats(); st.IndexBuilds != uint64(len(colSets)) {
+		t.Fatalf("builds = %d, want %d", st.IndexBuilds, len(colSets))
+	}
+}
+
+// Warm view and index lookups build their keys on the stack.
+func TestSnapshotLookupsAllocateNothing(t *testing.T) {
+	sn := NewSnapshot(snapFixture())
+	pat, cols := []int{0, 0, 2}, []int{1}
+	v := sn.View("R", pat)
+	v.Index(cols)
+	if n := testing.AllocsPerRun(100, func() {
+		sn.View("R", pat)
+		v.Index(cols)
+		v.Cached(cols)
+	}); n != 0 {
+		t.Fatalf("warm View/Index/Cached allocate %v times per call", n)
+	}
 }
 
 func TestSnapshotIndexCacheBound(t *testing.T) {

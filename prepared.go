@@ -7,6 +7,7 @@ import (
 
 	"cqapprox/internal/eval"
 	"cqapprox/internal/obs"
+	"cqapprox/internal/relstr"
 )
 
 // PreparedQuery is the result of Engine.Prepare: a query whose static,
@@ -175,24 +176,24 @@ func (p *PreparedQuery) rankSpec(cfg *optConfig) (eval.RankSpec, error) {
 // evalOn dispatches one materialising evaluation: ranked (ordered
 // and/or limited — limit-only uses the head's natural ascending key,
 // so early termination still applies) or the plain full evaluation.
-func (p *PreparedQuery) evalOn(ctx context.Context, src eval.Source, opts []EvalOption) (Answers, error) {
+func (p *PreparedQuery) evalOn(ctx context.Context, sn *relstr.Snapshot, opts []EvalOption) (Answers, error) {
 	cfg := optConfigOf(opts)
 	par := cfg.parallelism(p.Parallelism())
 	if !cfg.ranked() {
-		return p.plan.EvalOn(ctx, src, par)
+		return p.plan.EvalOn(ctx, sn, par)
 	}
 	spec, err := p.rankSpec(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	return p.plan.EvalRankedOn(ctx, src, par, spec)
+	return p.plan.EvalRankedOn(ctx, sn, par, spec)
 }
 
 // answersOn dispatches one streaming evaluation: explicitly ordered
 // streams go through the ranked pipeline; limit-only streams keep the
 // plain enumeration's first-answer latency and simply stop after k
 // answers (an unordered prefix).
-func (p *PreparedQuery) answersOn(ctx context.Context, src eval.Source, opts []EvalOption) (iter.Seq[Tuple], func() error) {
+func (p *PreparedQuery) answersOn(ctx context.Context, sn *relstr.Snapshot, opts []EvalOption) (iter.Seq[Tuple], func() error) {
 	cfg := optConfigOf(opts)
 	par := cfg.parallelism(p.Parallelism())
 	if cfg.ordered() {
@@ -200,9 +201,9 @@ func (p *PreparedQuery) answersOn(ctx context.Context, src eval.Source, opts []E
 		if err != nil {
 			return errSeq(err)
 		}
-		return p.plan.StreamRankedOn(ctx, src, par, spec)
+		return p.plan.StreamRankedOn(ctx, sn, par, spec)
 	}
-	seq, errf := p.plan.StreamOnErr(ctx, src, par)
+	seq, errf := p.plan.StreamOnErr(ctx, sn, par)
 	if cfg.limit > 0 {
 		seq = truncateSeq(seq, cfg.limit)
 	}
@@ -242,7 +243,7 @@ func truncateSeq(seq iter.Seq[Tuple], k int) iter.Seq[Tuple] {
 // for this call. Without options the full answer set arrives in the
 // default sorted order.
 func (p *PreparedQuery) Eval(ctx context.Context, db *Structure, opts ...EvalOption) (Answers, error) {
-	return p.evalOn(ctx, eval.NewSource(db), opts)
+	return p.evalOn(ctx, relstr.Borrow(db), opts)
 }
 
 // EvalBool reports whether the prepared query has at least one answer
@@ -250,7 +251,7 @@ func (p *PreparedQuery) Eval(ctx context.Context, db *Structure, opts ...EvalOpt
 // WithEvalParallelism applies; ordering options are meaningless for a
 // Boolean result and are ignored.
 func (p *PreparedQuery) EvalBool(ctx context.Context, db *Structure, opts ...EvalOption) (bool, error) {
-	return p.plan.EvalBoolOn(ctx, eval.NewSource(db), p.budget(opts))
+	return p.plan.EvalBoolOn(ctx, relstr.Borrow(db), p.budget(opts))
 }
 
 // Answers streams the distinct answers of the prepared query on db one
@@ -272,7 +273,7 @@ func (p *PreparedQuery) EvalBool(ctx context.Context, db *Structure, opts ...Eva
 // exhausted one — or to see an order-validation error — use
 // AnswersErr.
 func (p *PreparedQuery) Answers(ctx context.Context, db *Structure, opts ...EvalOption) iter.Seq[Tuple] {
-	seq, _ := p.answersOn(ctx, eval.NewSource(db), opts)
+	seq, _ := p.answersOn(ctx, relstr.Borrow(db), opts)
 	return seq
 }
 
@@ -286,7 +287,7 @@ func (p *PreparedQuery) Answers(ctx context.Context, db *Structure, opts ...Eval
 //	for t := range seq { process(t) }
 //	if err := errf(); err != nil { /* truncated */ }
 func (p *PreparedQuery) AnswersErr(ctx context.Context, db *Structure, opts ...EvalOption) (iter.Seq[Tuple], func() error) {
-	return p.answersOn(ctx, eval.NewSource(db), opts)
+	return p.answersOn(ctx, relstr.Borrow(db), opts)
 }
 
 // Bind pairs the prepared query with a database snapshot, yielding the
@@ -325,35 +326,30 @@ func (b *BoundQuery) Prepared() *PreparedQuery { return b.p }
 // Database returns the snapshot half of the binding.
 func (b *BoundQuery) Database() *Database { return b.db }
 
-// source returns the snapshot-backed storage backend of the binding.
-func (b *BoundQuery) source() eval.Source {
-	return eval.NewSnapshotSource(b.db.snap)
-}
-
 // Eval evaluates the bound query, returning the deduplicated answer
 // set — identical to p.Eval against the equivalent structure, minus
 // the per-call index builds. The same EvalOption surface applies; see
 // PreparedQuery.Eval.
 func (b *BoundQuery) Eval(ctx context.Context, opts ...EvalOption) (Answers, error) {
-	return b.p.evalOn(ctx, b.source(), opts)
+	return b.p.evalOn(ctx, b.db.snap, opts)
 }
 
 // EvalBool reports whether the bound query has at least one answer
 // (a single probe-only semijoin pass for acyclic plans).
 // WithEvalParallelism applies; ordering options are ignored.
 func (b *BoundQuery) EvalBool(ctx context.Context, opts ...EvalOption) (bool, error) {
-	return b.p.plan.EvalBoolOn(ctx, b.source(), b.p.budget(opts))
+	return b.p.plan.EvalBoolOn(ctx, b.db.snap, b.p.budget(opts))
 }
 
 // Answers streams the distinct answers of the bound query; see
 // PreparedQuery.Answers for the contract and option behavior.
 func (b *BoundQuery) Answers(ctx context.Context, opts ...EvalOption) iter.Seq[Tuple] {
-	seq, _ := b.p.answersOn(ctx, b.source(), opts)
+	seq, _ := b.p.answersOn(ctx, b.db.snap, opts)
 	return seq
 }
 
 // AnswersErr is Answers plus the terminal-error accessor; see
 // PreparedQuery.AnswersErr.
 func (b *BoundQuery) AnswersErr(ctx context.Context, opts ...EvalOption) (iter.Seq[Tuple], func() error) {
-	return b.p.answersOn(ctx, b.source(), opts)
+	return b.p.answersOn(ctx, b.db.snap, opts)
 }
