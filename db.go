@@ -43,6 +43,14 @@ func Snapshot(s *Structure) *Database {
 	return &Database{snap: relstr.NewSnapshot(s)}
 }
 
+// Borrow wraps s as a Database without copying it — the form
+// PreparedQuery.Eval(ctx, s) uses per call, for a caller who wants to
+// Bind one structure once. s must not be mutated while the Database,
+// or anything bound to it, is in use; use Snapshot to keep a version.
+func Borrow(s *Structure) *Database {
+	return &Database{snap: relstr.Borrow(s)}
+}
+
 // Name returns the name the snapshot is registered under, or "" for a
 // standalone snapshot.
 func (d *Database) Name() string { return d.name }

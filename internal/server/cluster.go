@@ -19,9 +19,11 @@ package server
 //	  union of per-shard answer sets equals the full answer set (see
 //	  package cluster), and the deterministic merge makes the result
 //	  byte-identical to single-node evaluation.
-//	≥2 partitioned occurrences — or a traced request — → the local
-//	  full copy again (scatter_fallbacks): per-shard evaluation could
-//	  join tuples living on different shards.
+//	≥2 partitioned occurrences → the local full copy again
+//	  (scatter_fallbacks): per-shard evaluation could join tuples
+//	  living on different shards. So does a request whose verb cannot
+//	  scatter (see the table in pipeline.go): traced requests, streams
+//	  and non-summable counts.
 //
 // The coordinator forwards the approximation it chose with exact:true
 // — never the original query plus a class — so every shard evaluates
@@ -32,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"net/http"
 	"strings"
 	"sync"
@@ -43,7 +44,6 @@ import (
 	"cqapprox/api"
 	"cqapprox/client"
 	"cqapprox/internal/cluster"
-	"cqapprox/internal/count"
 )
 
 // shardDBPrefix scopes the internal registrations holding shard
@@ -245,69 +245,54 @@ func (ctl *clusterCtl) forwardDelta(ctx context.Context, eng *cqapprox.Engine, n
 	return all, nil
 }
 
-// route classifies one evaluation of p against the sharded database
-// pl: the partitioned-occurrence count of the evaluated query drives
-// the trichotomy documented at the top of the file. scatter reports
-// whether the caller should fan out; the counters are bumped here for
-// the two local outcomes and by the scatter paths on completion.
-func (ctl *clusterCtl) route(p *cqapprox.PreparedQuery, pl *cluster.Placement) (occ int, scatter bool) {
-	occ = p.PartitionedOccurrences(pl.Partitioned)
-	switch {
+// route decides one evaluation of p against the sharded database pl
+// and accounts it: the partitioned-occurrence count of the evaluated
+// query drives the trichotomy documented at the top of the file, and
+// scatterable says whether the request could fan out at all (traced
+// requests, streams and non-summable counts cannot). It returns true
+// when the caller should scatter — the scatter bumps scatter_evals on
+// completion — and otherwise bumps routed_local or scatter_fallbacks.
+func (ctl *clusterCtl) route(p *cqapprox.PreparedQuery, pl *cluster.Placement, scatterable bool) bool {
+	switch occ := p.PartitionedOccurrences(pl.Partitioned); {
 	case occ == 0:
 		ctl.routedLocal.Add(1)
-	case occ == 1:
-		return occ, true
+	case occ == 1 && scatterable:
+		return true
 	default:
 		ctl.scatterFallbacks.Add(1)
 	}
-	return occ, false
+	return false
 }
 
-// noteLocal accounts a request against a sharded database that runs
-// locally by construction (traced requests, streams, non-summable
-// counts): the counters still record which arm of the trichotomy it
-// would have taken.
-func (ctl *clusterCtl) noteLocal(p *cqapprox.PreparedQuery, pl *cluster.Placement) {
-	if p.PartitionedOccurrences(pl.Partitioned) == 0 {
-		ctl.routedLocal.Add(1)
-	} else {
-		ctl.scatterFallbacks.Add(1)
-	}
-}
-
-// forward builds the peer request shared by every scatter mode: the
-// chosen approximation as an exact inline query (deterministic on
-// every shard), the database name, and the pass-through knobs.
-func (ctl *clusterCtl) forward(p *cqapprox.PreparedQuery, req api.EvalRequest, mode string) (api.PeerEvalRequest, error) {
-	order, err := p.ForwardOrder(req.Order)
+// forward builds the peer request of a scatter: the chosen
+// approximation as an exact inline query (deterministic on every
+// shard), the database name, and the pass-through knobs, with the
+// order names translated to the approximation's head.
+func forward(p *cqapprox.PreparedQuery, c call) (api.PeerEvalRequest, error) {
+	order, err := p.ForwardOrder(c.req.Order)
 	if err != nil {
 		return api.PeerEvalRequest{}, err
 	}
-	fwd := api.PeerEvalRequest{Mode: mode}
+	fwd := api.PeerEvalRequest{Mode: string(c.verb)}
 	fwd.Query = p.Approx().String()
 	fwd.Exact = true
-	fwd.DB = req.DB
-	fwd.Parallelism = req.Parallelism
-	fwd.TimeoutMS = req.TimeoutMS
+	fwd.DB = c.req.DB
+	fwd.Parallelism = c.req.Parallelism
+	fwd.TimeoutMS = c.req.TimeoutMS
 	fwd.Order = order
-	fwd.Descending = req.Descending
-	fwd.Limit = req.Limit
+	fwd.Descending = c.req.Descending
+	fwd.Limit = c.req.Limit
+	fwd.Estimate = c.req.Estimate
+	fwd.Epsilon = c.req.Epsilon
+	fwd.Delta = c.req.Delta
+	fwd.Seed = c.req.Seed
+	fwd.MaxSamples = c.req.MaxSamples
 	return fwd, nil
 }
 
 // errShortCircuit is returned by a fan-out leg whose own result already
-// answers the whole request (scatterBool's witness).
+// answers the whole request (a bool leg's witness).
 var errShortCircuit = errors.New("scatter-gather short-circuited")
-
-// selfShard returns this node's shard slice of the sharded database
-// name.
-func selfShard(eng *cqapprox.Engine, name string) (*cqapprox.Database, error) {
-	d, ok := eng.DB(shardDBName(name))
-	if !ok {
-		return nil, fmt.Errorf("self shard of %q missing", name)
-	}
-	return d, nil
-}
 
 // fanoutLegs runs fn once per shard concurrently (self included, index
 // ctl.cfg.Self) and collects the first error. The context is canceled
@@ -357,215 +342,58 @@ func (ctl *clusterCtl) fanoutLegs(parent context.Context, fn func(ctx context.Co
 	return first
 }
 
-// scatterEval fans one materialising evaluation out to every shard and
-// merges the partial answer sets into exactly the single-node result.
-// opts are the self leg's options (ranking plus the request budget).
-func (ctl *clusterCtl) scatterEval(ctx context.Context, eng *cqapprox.Engine, p *cqapprox.PreparedQuery, req api.EvalRequest, opts []cqapprox.EvalOption) (cqapprox.Answers, error) {
+// scatter fans one call out to every shard — the self shard runs the
+// leg in-process on its slice, the peers run it behind /v1/peer/eval —
+// and folds the legs with the verb's merge law into exactly the
+// single-node result. par is the request's worker budget for the self
+// leg (peers clamp the forwarded budget themselves).
+func (ctl *clusterCtl) scatter(ctx context.Context, eng *cqapprox.Engine, p *cqapprox.PreparedQuery, c call, par []cqapprox.EvalOption) (legResult, error) {
 	start := time.Now()
-	fwd, err := ctl.forward(p, req, "eval")
+	fwd, err := forward(p, c)
 	if err != nil {
-		return nil, err
+		return legResult{}, err
 	}
-	parts := make([]cqapprox.Answers, len(ctl.cfg.Peers))
+	n := len(ctl.cfg.Peers)
+	parts := make([]legResult, n)
 	err = ctl.fanoutLegs(ctx, func(ctx context.Context, shard int) error {
+		sc := c.shard(shard, n)
 		if shard == ctl.cfg.Self {
-			d, err := selfShard(eng, req.DB)
+			d, ok := eng.DB(shardDBName(c.req.DB))
+			if !ok {
+				return fmt.Errorf("self shard of %q missing", c.req.DB)
+			}
+			r, err := sc.leg(ctx, p.Bind(d), sc.opts(par))
 			if err != nil {
 				return err
 			}
-			ans, err := p.Bind(d).Eval(ctx, opts...)
-			if err != nil {
-				return err
-			}
-			parts[shard] = ans
-			return nil
-		}
-		resp, err := ctl.peers[shard].PeerEval(ctx, fwd)
-		if err != nil {
-			return &peerError{addr: ctl.cfg.Peers[shard], err: err}
-		}
-		ans := make(cqapprox.Answers, len(resp.Answers))
-		for i, t := range resp.Answers {
-			ans[i] = cqapprox.Tuple(t)
-		}
-		parts[shard] = ans
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged, err := p.MergeAnswers(parts, opts...)
-	if err != nil {
-		return nil, err
-	}
-	ctl.scatterEvals.Add(1)
-	ctl.recordFanout(start)
-	return merged, nil
-}
-
-// recordFanout folds one completed scatter-gather into the fanout
-// endpoint metrics: the request counter (instrument() bumps it for real
-// endpoints; the fanout pseudo-endpoint has no handler) plus the
-// latency histogram.
-func (ctl *clusterCtl) recordFanout(start time.Time) {
-	ctl.fanout.requests.Add(1)
-	ctl.fanout.record(time.Since(start))
-}
-
-// scatterBool fans an existence check out and short-circuits on the
-// first shard reporting a witness: the remaining legs are canceled, and
-// their failures do not matter. opts are the self leg's options.
-func (ctl *clusterCtl) scatterBool(ctx context.Context, eng *cqapprox.Engine, p *cqapprox.PreparedQuery, req api.EvalRequest, opts []cqapprox.EvalOption) (bool, error) {
-	start := time.Now()
-	fwd, err := ctl.forward(p, req, "bool")
-	if err != nil {
-		return false, err
-	}
-	err = ctl.fanoutLegs(ctx, func(ctx context.Context, shard int) error {
-		var res bool
-		if shard == ctl.cfg.Self {
-			d, err := selfShard(eng, req.DB)
-			if err != nil {
-				return err
-			}
-			if res, err = p.Bind(d).EvalBool(ctx, opts...); err != nil {
-				return err
-			}
+			parts[shard] = r
 		} else {
-			resp, err := ctl.peers[shard].PeerEval(ctx, fwd)
+			leg := fwd
+			leg.Delta, leg.Seed = sc.req.Delta, sc.req.Seed
+			resp, err := ctl.peers[shard].PeerEval(ctx, leg)
 			if err != nil {
 				return &peerError{addr: ctl.cfg.Peers[shard], err: err}
 			}
-			res = resp.Result
+			parts[shard] = legFromPeer(resp)
 		}
-		if res {
+		if parts[shard].ok {
 			return errShortCircuit // a witness anywhere answers the query
 		}
 		return nil
 	})
-	hit := errors.Is(err, errShortCircuit)
-	if err != nil && !hit {
-		return false, err
+	if err != nil && !errors.Is(err, errShortCircuit) {
+		return legResult{}, err
+	}
+	out, err := c.merge(p, parts)
+	if err != nil {
+		return legResult{}, err
+	}
+	if c.verb == verbCount {
+		ctl.countSums.Add(1)
 	}
 	ctl.scatterEvals.Add(1)
-	ctl.recordFanout(start)
-	return hit, nil
-}
-
-// scatterCount fans a count out and sums the per-shard results — exact
-// counts add because the summability predicate guaranteed disjoint
-// per-shard answer sets; estimates add with the per-shard failure
-// budget δ split n ways (union bound) and per-shard seeds derived from
-// the request seed so shards do not sample in lockstep.
-func (ctl *clusterCtl) scatterCount(ctx context.Context, eng *cqapprox.Engine, p *cqapprox.PreparedQuery, req api.CountRequest, opts []cqapprox.CountOption) (*cqapprox.CountResult, error) {
-	start := time.Now()
-	fwd, err := ctl.forward(p, req.EvalRequest, "count")
-	if err != nil {
-		return nil, err
-	}
-	fwd.Estimate = req.Estimate
-	fwd.Epsilon = req.Epsilon
-	fwd.MaxSamples = req.MaxSamples
-	if req.Estimate {
-		// Split the failure probability across the shards: if every
-		// shard is within (1±ε) with probability 1-δ/n, the sum is
-		// within (1±ε) with probability at least 1-δ.
-		delta := req.Delta
-		if delta == 0 {
-			delta = count.DefaultDelta
-		}
-		fwd.Delta = delta / float64(len(ctl.cfg.Peers))
-	}
-	results := make([]*cqapprox.CountResult, len(ctl.cfg.Peers))
-	err = ctl.fanoutLegs(ctx, func(ctx context.Context, shard int) error {
-		if shard == ctl.cfg.Self {
-			d, err := selfShard(eng, req.DB)
-			if err != nil {
-				return err
-			}
-			legOpts := opts
-			if req.Estimate {
-				legOpts = append(legOpts[:len(legOpts):len(legOpts)], cqapprox.WithDelta(fwd.Delta))
-				if req.Seed != nil {
-					legOpts = append(legOpts, cqapprox.WithSeed(*req.Seed+int64(shard)))
-				}
-				res, err := p.Bind(d).EstimateCount(ctx, legOpts...)
-				if err != nil {
-					return err
-				}
-				results[shard] = res
-				return nil
-			}
-			res, err := p.Bind(d).Count(ctx, legOpts...)
-			if err != nil {
-				return err
-			}
-			results[shard] = res
-			return nil
-		}
-		leg := fwd
-		if req.Estimate && req.Seed != nil {
-			seed := *req.Seed + int64(shard)
-			leg.Seed = &seed
-		}
-		resp, err := ctl.peers[shard].PeerEval(ctx, leg)
-		if err != nil {
-			return &peerError{addr: ctl.cfg.Peers[shard], err: err}
-		}
-		results[shard] = &cqapprox.CountResult{
-			Count:     resp.Count,
-			Estimate:  resp.Estimate,
-			Estimated: resp.Estimated,
-			Mode:      resp.Mode,
-			Samples:   resp.Samples,
-			Batches:   resp.Batches,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Echo the shards' common mode so an exact summed count is
-	// byte-identical to the single-node response; "exact-sum" only
-	// when the shards took different paths.
-	out := &cqapprox.CountResult{Mode: results[0].Mode}
-	estimated := false
-	for _, r := range results {
-		if r.Mode != out.Mode {
-			out.Mode = "exact-sum"
-		}
-		var carry uint64
-		out.Count, carry = bits.Add64(out.Count, r.Count, 0)
-		if carry != 0 {
-			return nil, fmt.Errorf("scatter count overflows uint64")
-		}
-		if r.Estimated {
-			estimated = true
-			out.Estimate += r.Estimate
-		} else {
-			out.Estimate += float64(r.Count)
-		}
-		out.Samples += r.Samples
-		out.Batches += r.Batches
-	}
-	if estimated {
-		out.Estimated = true
-		out.Mode = "estimate-sum"
-		out.Count = uint64(math.Round(out.Estimate))
-		// Echo the accuracy target the sum satisfies: the request's ε
-		// (or the default every shard used) and the undivided δ.
-		out.Epsilon = req.Epsilon
-		if out.Epsilon == 0 {
-			out.Epsilon = count.DefaultEpsilon
-		}
-		out.Delta = req.Delta
-		if out.Delta == 0 {
-			out.Delta = count.DefaultDelta
-		}
-	}
-	ctl.countSums.Add(1)
-	ctl.scatterEvals.Add(1)
-	ctl.recordFanout(start)
+	ctl.fanout.requests.Add(1) // instrument() counts real endpoints; fanout has no handler
+	ctl.fanout.record(time.Since(start))
 	return out, nil
 }
 
@@ -615,51 +443,13 @@ func (s *Server) handlePeerDB(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release(s.evalSem)
-	internal := shardDBName(req.Name)
-	if req.Delta != nil {
-		delta, err := req.Delta.ToDelta()
-		if err != nil {
-			writeError(w, errBadRequest(err.Error()))
-			return
-		}
-		if _, ok := s.eng.DB(internal); !ok {
-			writeError(w, errUnknownDB(req.Name))
-			return
-		}
-		u, err := s.eng.ApplyDB(internal, delta)
-		if err != nil {
-			writeError(w, errBadRequest(err.Error()))
-			return
-		}
-		s.cluster.peerDBPushes.Add(1)
-		writeJSON(w, http.StatusOK, api.RegisterDBResponse{
-			Name:      req.Name,
-			Version:   u.Next.Version(),
-			Relations: len(u.Next.Relations()),
-			Facts:     u.Next.NumFacts(),
-			Replaced:  true,
-			Applied:   true,
-		})
-		return
-	}
-	db, err := req.Database.ToStructure()
-	if err != nil {
-		writeError(w, errBadRequest(err.Error()))
-		return
-	}
-	d, replaced, err := s.eng.RegisterDB(internal, db)
-	if err != nil {
-		writeError(w, errBadRequest(err.Error()))
+	resp, _, _, apiErr := s.storeDB(req.Name, shardDBName(req.Name), req.Database, req.Delta)
+	if apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
 	s.cluster.peerDBPushes.Add(1)
-	writeJSON(w, http.StatusOK, api.RegisterDBResponse{
-		Name:      req.Name,
-		Version:   d.Version(),
-		Relations: len(d.Relations()),
-		Facts:     d.NumFacts(),
-		Replaced:  replaced,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handlePeerEval answers POST /v1/peer/eval: one scatter-gather leg,
@@ -668,18 +458,23 @@ func (s *Server) handlePeerDB(w http.ResponseWriter, r *http.Request) {
 // coordinator surfaces peer_unavailable). The forwarded query is
 // always inline + exact, so it hits this node's prepare cache after
 // the first leg; cluster routing is never consulted — the leg IS the
-// routed work.
+// routed work. The request is validated in full before admission and
+// prepare, so a malformed leg costs neither.
 func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 	var req api.PeerEvalRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	if req.DB == "" {
+	c := call{verb(req.Mode), req.CountRequest}
+	switch {
+	case req.DB == "":
 		writeError(w, errBadRequest("db required (peer eval runs against a pushed shard slice)"))
 		return
-	}
-	if !req.Exact || req.Query == "" {
+	case !req.Exact || req.Query == "":
 		writeError(w, errBadRequest("peer eval requires an inline exact query (the coordinator forwards its chosen approximation)"))
+		return
+	case c.verb != verbEval && c.verb != verbBool && c.verb != verbCount:
+		writeError(w, errBadRequest(`mode must be "eval", "bool" or "count"`))
 		return
 	}
 	d, ok := s.eng.DB(shardDBName(req.DB))
@@ -693,52 +488,16 @@ func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 	defer release(s.evalSem)
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	p, apiErr := s.resolve(ctx, req.EvalRequest)
+	p, _, _, apiErr := s.resolve(ctx, req.EvalRequest)
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
 	}
-	par := s.budgetOpts(p, req.Parallelism)
-	b := p.Bind(d)
-	var resp api.PeerEvalResponse
-	switch req.Mode {
-	case "eval":
-		ans, err := b.Eval(ctx, append(rankOpts(req.EvalRequest), par...)...)
-		if err != nil {
-			writeError(w, mapError(err))
-			return
-		}
-		resp.Answers = api.FromAnswers(ans)
-	case "bool":
-		res, err := b.EvalBool(ctx, par...)
-		if err != nil {
-			writeError(w, mapError(err))
-			return
-		}
-		resp.Result = res
-	case "count":
-		opts := append(countOpts(req.CountRequest), par...)
-		var res *cqapprox.CountResult
-		var err error
-		if req.Estimate {
-			res, err = b.EstimateCount(ctx, opts...)
-		} else {
-			res, err = b.Count(ctx, opts...)
-		}
-		if err != nil {
-			writeError(w, mapError(err))
-			return
-		}
-		resp.Count = res.Count
-		resp.Estimate = res.Estimate
-		resp.Estimated = res.Estimated
-		resp.Mode = res.Mode
-		resp.Samples = res.Samples
-		resp.Batches = res.Batches
-	default:
-		writeError(w, errBadRequest(`mode must be "eval", "bool" or "count"`))
+	res, err := c.leg(ctx, p.Bind(d), c.opts(s.budgetOpts(p, req.Parallelism)))
+	if err != nil {
+		writeError(w, mapError(err))
 		return
 	}
 	s.cluster.peerEvals.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, res.peerResponse())
 }

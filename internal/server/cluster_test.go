@@ -5,15 +5,18 @@ package server
 // control server asserting byte-identical responses.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"cqapprox"
+	"cqapprox/api"
 	"cqapprox/internal/cluster"
 )
 
@@ -297,5 +300,131 @@ func TestSingleNodeStatsUnchanged(t *testing.T) {
 	status, _, _ := post(t, ts, "/v1/peer/eval", `{}`)
 	if status != http.StatusNotFound {
 		t.Errorf("peer endpoint on single-node server: status %d, want 404", status)
+	}
+}
+
+// TestClusterRoutingCounters pins, per routing arm, which cluster
+// counters one request moves on the coordinator, and that the response
+// matches the single-node control: byte-identical bodies where the
+// response is deterministic, the answers/result/count fields for traced
+// requests (a trace carries timings), and a (1±ε) bound against the
+// control's exact count for sampled estimates.
+func TestClusterRoutingCounters(t *testing.T) {
+	servers, tss := startTestCluster(t, 3, 100)
+	_, control := newTestServer(t, Config{})
+	dbBody := `{"name":"social","database":` + clusterTestDB(600) + `}`
+	for _, ts := range []*httptest.Server{tss[0], control} {
+		if status, _, body := post(t, ts, "/v1/db", dbBody); status != 200 {
+			t.Fatalf("register: status %d body %s", status, body)
+		}
+	}
+
+	const (
+		star   = `"query":"Q(x,y) :- E(x,y), R1(x,u), R2(y,v)","exact":true,"db":"social"`
+		sum    = `"query":"Q(x,y) :- E(x,y), R1(x,u)","exact":true,"db":"social"`
+		sample = `"query":"Q(x,z,w) :- R1(x,y), R2(y,z), E(z,w)","exact":true,"db":"social"`
+	)
+	type deltas struct{ local, fallbacks, scatters, sums uint64 }
+	const (
+		exactBody = iota // byte-identical to the control
+		traced           // answers / result / count equal the control's
+		estimate         // count within (1±ε) of the control's exact count
+	)
+	rows := []struct {
+		name, path, body string
+		control          string // control request body when it differs
+		cmp              int
+		want             deltas
+	}{
+		{"scattered eval", "/v1/eval", `{` + star + `}`, "", exactBody, deltas{scatters: 1}},
+		{"scattered bool", "/v1/eval/bool", `{"query":"Q() :- E(x,y), R1(y,u)","exact":true,"db":"social"}`, "", exactBody, deltas{scatters: 1}},
+		{"ranked eval", "/v1/eval", `{` + star + `,"order":["y"],"descending":true,"limit":5}`, "", exactBody, deltas{scatters: 1}},
+		{"summable count", "/v1/count", `{` + sum + `}`, "", exactBody, deltas{scatters: 1, sums: 1}},
+		{"seeded estimate count", "/v1/count", `{` + sample + `,"estimate":true,"epsilon":0.1,"seed":11}`, `{` + sample + `}`, estimate, deltas{scatters: 1, sums: 1}},
+		{"non-summable count", "/v1/count", `{"query":"Q(x) :- E(x,y), R1(y,u)","exact":true,"db":"social"}`, "", exactBody, deltas{fallbacks: 1}},
+		{"two-occurrence fallback", "/v1/eval", `{"query":"Q(x,z) :- E(x,y), E(y,z)","exact":true,"db":"social"}`, "", exactBody, deltas{fallbacks: 1}},
+		{"all-replicated local", "/v1/eval", `{"query":"Q(x) :- R1(x,u), R2(y,x)","exact":true,"db":"social"}`, "", exactBody, deltas{local: 1}},
+		{"traced eval", "/v1/eval", `{` + star + `,"trace":true}`, "", traced, deltas{fallbacks: 1}},
+		{"traced bool", "/v1/eval/bool", `{"query":"Q() :- E(x,y), R1(y,u)","exact":true,"db":"social","trace":true}`, "", traced, deltas{fallbacks: 1}},
+		{"traced count", "/v1/count", `{` + sum + `,"trace":true}`, "", traced, deltas{fallbacks: 1}},
+		{"stream", "/v1/stream", `{` + star + `}`, "", exactBody, deltas{fallbacks: 1}},
+		{"inline database", "/v1/eval", `{"query":"Q(x,y) :- E(x,y), R1(x,u)","exact":true,"database":{"E":[[1,2],[2,3]],"R1":[[1,9]]}}`, "", exactBody, deltas{}},
+	}
+	snap := func() deltas {
+		cs := servers[0].Stats().Cluster
+		return deltas{cs.RoutedLocal, cs.ScatterFallbacks, cs.ScatterEvals, cs.CountSums}
+	}
+	type fields struct {
+		Answers json.RawMessage `json:"answers"`
+		Result  *bool           `json:"result"`
+		Count   *uint64         `json:"count"`
+	}
+	decode := func(t *testing.T, body string) fields {
+		t.Helper()
+		var f fields
+		if err := json.Unmarshal([]byte(body), &f); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		return f
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			before := snap()
+			statusC, _, bodyC := post(t, tss[0], row.path, row.body)
+			after := snap()
+			controlBody := row.body
+			if row.control != "" {
+				controlBody = row.control
+			}
+			statusS, _, bodyS := post(t, control, row.path, controlBody)
+			if statusC != 200 || statusS != 200 {
+				t.Fatalf("status cluster=%d single=%d (%s / %s)", statusC, statusS, bodyC, bodyS)
+			}
+			got := deltas{after.local - before.local, after.fallbacks - before.fallbacks,
+				after.scatters - before.scatters, after.sums - before.sums}
+			if got != row.want {
+				t.Errorf("counter deltas (routed_local, scatter_fallbacks, scatter_evals, count_sums) = %+v, want %+v", got, row.want)
+			}
+			switch row.cmp {
+			case exactBody:
+				if bodyC != bodyS {
+					t.Errorf("cluster response diverges from single-node:\n cluster: %s\n single:  %s", bodyC, bodyS)
+				}
+			case traced:
+				c, s := decode(t, bodyC), decode(t, bodyS)
+				if string(c.Answers) != string(s.Answers) || !reflect.DeepEqual(c.Result, s.Result) || !reflect.DeepEqual(c.Count, s.Count) {
+					t.Errorf("traced cluster response diverges from single-node:\n cluster: %s\n single:  %s", bodyC, bodyS)
+				}
+			case estimate:
+				var c api.CountResponse
+				if err := json.Unmarshal([]byte(bodyC), &c); err != nil {
+					t.Fatal(err)
+				}
+				exact := float64(*decode(t, bodyS).Count)
+				if !c.Estimated || c.Mode != "estimate-sum" {
+					t.Errorf("estimate response %s: want a summed estimate", bodyC)
+				}
+				if c.Estimate < 0.9*exact || c.Estimate > 1.1*exact {
+					t.Errorf("estimate %.1f outside (1±0.1) of the exact count %.0f", c.Estimate, exact)
+				}
+			}
+		})
+	}
+}
+
+// A peer leg with an unknown mode is refused before admission and
+// prepare: 400, and the forwarded query never reaches the cache.
+func TestClusterPeerEvalBadModeSkipsPrepare(t *testing.T) {
+	servers, tss := startTestCluster(t, 2, 100)
+	if status, _, body := post(t, tss[0], "/v1/db", `{"name":"d","database":`+clusterTestDB(200)+`}`); status != 200 {
+		t.Fatalf("register: %s", body)
+	}
+	before := servers[1].eng.CacheStats()
+	status, _, body := post(t, tss[1], "/v1/peer/eval", `{"query":"Q(x,y) :- E(x,y)","exact":true,"db":"d","mode":"nope"}`)
+	if status != http.StatusBadRequest || !strings.Contains(body, "mode must be") {
+		t.Fatalf("status %d body %s, want 400 naming the mode", status, body)
+	}
+	if after := servers[1].eng.CacheStats(); after != before {
+		t.Errorf("cache stats moved %+v -> %+v: the peer prepared a rejected leg", before, after)
 	}
 }

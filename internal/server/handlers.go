@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"iter"
 	"net/http"
 	"strings"
 	"time"
@@ -124,38 +123,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	var (
-		p       *cqapprox.PreparedQuery
-		rawKey  string
-		parseNS int64
-	)
-	if req.Key != "" {
-		raw, err := api.DecodeKey(req.Key)
-		if err != nil {
-			writeError(w, errBadRequest(err.Error()))
-			return
-		}
-		cached, ok := s.eng.Cached(raw)
-		if !ok {
-			writeError(w, errUnknownKey())
-			return
-		}
-		p, rawKey = cached, raw
-	} else {
-		t0 := time.Now()
-		q, c, apiErr := s.target(req.Query, req.Class, req.Exact, req.Options != nil)
-		if apiErr != nil {
-			writeError(w, apiErr)
-			return
-		}
-		parseNS = time.Since(t0).Nanoseconds()
-		ctx, cancel := s.requestContext(r, req.TimeoutMS)
-		defer cancel()
-		p, rawKey, apiErr = s.preparedFor(ctx, q, c, req.Options.ToOptions(s.eng.Options()))
-		if apiErr != nil {
-			writeError(w, apiErr)
-			return
-		}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
+	p, rawKey, parseNS, apiErr := s.resolve(ctx, api.EvalRequest{
+		Key: req.Key, Query: req.Query, Class: req.Class, Exact: req.Exact, Options: req.Options,
+	})
+	if apiErr != nil {
+		writeError(w, apiErr)
+		return
 	}
 	ex := p.Explain()
 	if parseNS > 0 {
@@ -168,26 +143,30 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// resolve turns an EvalRequest into the prepared query to evaluate:
-// by cache key when given, via preparedFor for an inline query.
-func (s *Server) resolve(ctx context.Context, req api.EvalRequest) (*cqapprox.PreparedQuery, *apiError) {
+// resolve turns a request's query half into the prepared query to
+// evaluate — by cache key when given, via preparedFor for an inline
+// query — together with its raw cache key and, for an inline query,
+// the parse time (which /v1/explain reports as a phase).
+func (s *Server) resolve(ctx context.Context, req api.EvalRequest) (p *cqapprox.PreparedQuery, key string, parseNS int64, apiErr *apiError) {
 	if req.Key != "" {
 		raw, err := api.DecodeKey(req.Key)
 		if err != nil {
-			return nil, errBadRequest(err.Error())
+			return nil, "", 0, errBadRequest(err.Error())
 		}
 		p, ok := s.eng.Cached(raw)
 		if !ok {
-			return nil, errUnknownKey()
+			return nil, "", 0, errUnknownKey()
 		}
-		return p, nil
+		return p, raw, 0, nil
 	}
+	t0 := time.Now()
 	q, c, apiErr := s.target(req.Query, req.Class, req.Exact, req.Options != nil)
 	if apiErr != nil {
-		return nil, apiErr
+		return nil, "", 0, apiErr
 	}
-	p, _, apiErr := s.preparedFor(ctx, q, c, req.Options.ToOptions(s.eng.Options()))
-	return p, apiErr
+	parseNS = time.Since(t0).Nanoseconds()
+	p, key, apiErr = s.preparedFor(ctx, q, c, req.Options.ToOptions(s.eng.Options()))
+	return p, key, parseNS, apiErr
 }
 
 // handleRegisterDB registers (or replaces) a named database snapshot —
@@ -220,204 +199,98 @@ func (s *Server) handleRegisterDB(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release(s.evalSem)
-	if req.Delta != nil {
-		if len(req.Database) > 0 {
-			writeError(w, errBadRequest("database and delta are mutually exclusive (register a snapshot or update the existing one, not both)"))
-			return
-		}
-		delta, err := req.Delta.ToDelta()
-		if err != nil {
-			writeError(w, errBadRequest(err.Error()))
-			return
-		}
-		if _, ok := s.eng.DB(req.Name); !ok {
-			writeError(w, errUnknownDB(req.Name))
-			return
-		}
-		u, err := s.eng.ApplyDB(req.Name, delta)
-		if err != nil {
-			writeError(w, errBadRequest(err.Error()))
-			return
-		}
-		s.notify(req.Name, subEvent{prev: u.Prev, next: u.Next, delta: u.Delta})
-		applied := true
-		if s.cluster != nil {
-			if pl := s.cluster.placementOf(req.Name); pl != nil {
-				// Forward the routed slices to the owning shards. A peer
-				// failure surfaces as 502 even though the local copy
-				// already advanced: deltas are idempotent, so the client
-				// simply retries the same request.
-				ctx, cancel := s.requestContext(r, 0)
-				all, err := s.cluster.forwardDelta(ctx, s.eng, req.Name, pl, u.Delta)
-				cancel()
-				if err != nil {
-					writeError(w, mapError(err))
-					return
-				}
-				applied = all
-			}
-		}
-		writeJSON(w, http.StatusOK, api.RegisterDBResponse{
-			Name:      u.Next.Name(),
-			Version:   u.Next.Version(),
-			Relations: len(u.Next.Relations()),
-			Facts:     u.Next.NumFacts(),
-			Replaced:  true,
-			Applied:   applied,
-		})
+	resp, ev, db, apiErr := s.storeDB(req.Name, req.Name, req.Database, req.Delta)
+	if apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
-	db, err := req.Database.ToStructure()
-	if err != nil {
-		writeError(w, errBadRequest(err.Error()))
-		return
-	}
-	d, replaced, err := s.eng.RegisterDB(req.Name, db)
-	if err != nil {
-		writeError(w, errBadRequest(err.Error()))
-		return
-	}
-	s.notify(req.Name, subEvent{next: d})
+	s.notify(req.Name, ev)
 	if s.cluster != nil {
-		// Shard the registration across the peers. A failed push is not
-		// an error to the client — the full local copy just registered
-		// serves the name correctly either way; the node merely keeps
-		// answering without fan-out (peer_errors records the incident).
 		ctx, cancel := s.requestContext(r, 0)
-		if err := s.cluster.registerSharded(ctx, s.eng, req.Name, db); err != nil && s.cfg.Logger != nil {
-			s.cfg.Logger.Warn("cluster shard push failed; serving from the local full copy",
-				"db", req.Name, "error", err)
+		defer cancel()
+		if db != nil {
+			// Shard the registration across the peers. A failed push is
+			// not an error to the client — the full local copy just
+			// registered serves the name correctly either way; the node
+			// merely keeps answering without fan-out (peer_errors records
+			// the incident).
+			if err := s.cluster.registerSharded(ctx, s.eng, req.Name, db); err != nil && s.cfg.Logger != nil {
+				s.cfg.Logger.Warn("cluster shard push failed; serving from the local full copy",
+					"db", req.Name, "error", err)
+			}
+		} else if pl := s.cluster.placementOf(req.Name); pl != nil {
+			// Forward the routed slices to the owning shards. A peer
+			// failure surfaces as 502 even though the local copy already
+			// advanced: deltas are idempotent, so the client simply
+			// retries the same request.
+			all, err := s.cluster.forwardDelta(ctx, s.eng, req.Name, pl, ev.delta)
+			if err != nil {
+				writeError(w, mapError(err))
+				return
+			}
+			resp.Applied = all
 		}
-		cancel()
 	}
-	writeJSON(w, http.StatusOK, api.RegisterDBResponse{
-		Name:      d.Name(),
-		Version:   d.Version(),
-		Relations: len(d.Relations()),
-		Facts:     d.NumFacts(),
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// storeDB is the storage step shared by /v1/db and /v1/peer/db, run
+// under the caller's eval slot: a delta advances the registration
+// stored under internal copy-on-write, a database replaces it. It
+// returns the response (reporting the registration as name), the change
+// as a subscriber event, and a replacement's decoded structure (nil for
+// a delta).
+func (s *Server) storeDB(name, internal string, database api.Database, dc *api.DeltaChange) (resp api.RegisterDBResponse, ev subEvent, db *cqapprox.Structure, apiErr *apiError) {
+	replaced := true
+	if dc != nil {
+		if len(database) > 0 {
+			return resp, ev, nil, errBadRequest("database and delta are mutually exclusive (register a snapshot or update the existing one, not both)")
+		}
+		delta, err := dc.ToDelta()
+		if err != nil {
+			return resp, ev, nil, errBadRequest(err.Error())
+		}
+		if _, ok := s.eng.DB(internal); !ok {
+			return resp, ev, nil, errUnknownDB(name)
+		}
+		u, err := s.eng.ApplyDB(internal, delta)
+		if err != nil {
+			return resp, ev, nil, errBadRequest(err.Error())
+		}
+		ev = subEvent{prev: u.Prev, next: u.Next, delta: u.Delta}
+	} else {
+		var err error
+		if db, err = database.ToStructure(); err == nil {
+			ev.next, replaced, err = s.eng.RegisterDB(internal, db)
+		}
+		if err != nil {
+			return resp, ev, nil, errBadRequest(err.Error())
+		}
+	}
+	return api.RegisterDBResponse{
+		Name:      name,
+		Version:   ev.next.Version(),
+		Relations: len(ev.next.Relations()),
+		Facts:     ev.next.NumFacts(),
 		Replaced:  replaced,
-	})
+		Applied:   dc != nil,
+	}, ev, db, nil
 }
 
-// dbSource is an eval request's resolved database: exactly one of an
-// inline per-request structure or a registered snapshot. The three
-// evaluation endpoints go through its methods so inline and registered
-// traffic share one code path per endpoint. On a cluster-configured
-// server whose named database carries a recorded shard placement, the
-// cluster fields are set and the materialising methods route through
-// the scatter-gather trichotomy first (see internal/server/cluster.go);
-// everything else — inline databases, unsharded names, single-node
-// servers — takes the local path untouched. Every method adds the
-// request's worker-budget option par to the call's own options.
+// dbSource is an eval request's resolved database half: a registered
+// snapshot, or an inline structure borrowed for the request (the
+// server owns the decoded structure, so nothing mutates it while the
+// request runs). Every verb binds it the same way. On a
+// cluster-configured server whose named database carries a recorded
+// shard placement, pl is set and the verbs route through the
+// scatter-gather trichotomy first (see cluster.go); everything else —
+// inline databases, unsharded names, single-node servers — runs
+// locally. par is the request's worker-budget option, appended to
+// every call's own options.
 type dbSource struct {
-	inline *cqapprox.Structure
-	bind   func(*cqapprox.PreparedQuery) *cqapprox.BoundQuery
-	par    []cqapprox.EvalOption // see Server.budgetOpts
-
-	// The cluster routing context; pl non-nil only when srv.cluster is
-	// too and the named database is sharded.
-	srv *Server
+	db  *cqapprox.Database
 	pl  *cluster.Placement
-	req api.EvalRequest
-}
-
-// opts returns the endpoint's own options plus the budget option,
-// copying only when there is one to add.
-func (d dbSource) opts(own []cqapprox.EvalOption) []cqapprox.EvalOption {
-	if d.par == nil {
-		return own
-	}
-	return append(own[:len(own):len(own)], d.par...)
-}
-
-func (d dbSource) eval(ctx context.Context, p *cqapprox.PreparedQuery, opts []cqapprox.EvalOption) (cqapprox.Answers, error) {
-	opts = d.opts(opts)
-	if d.pl != nil {
-		if _, scatter := d.srv.cluster.route(p, d.pl); scatter {
-			return d.srv.cluster.scatterEval(ctx, d.srv.eng, p, d.req, opts)
-		}
-	}
-	if d.inline != nil {
-		return p.Eval(ctx, d.inline, opts...)
-	}
-	return d.bind(p).Eval(ctx, opts...)
-}
-
-func (d dbSource) evalBool(ctx context.Context, p *cqapprox.PreparedQuery) (bool, error) {
-	if d.pl != nil {
-		if _, scatter := d.srv.cluster.route(p, d.pl); scatter {
-			return d.srv.cluster.scatterBool(ctx, d.srv.eng, p, d.req, d.par)
-		}
-	}
-	if d.inline != nil {
-		return p.EvalBool(ctx, d.inline, d.par...)
-	}
-	return d.bind(p).EvalBool(ctx, d.par...)
-}
-
-func (d dbSource) evalTrace(ctx context.Context, p *cqapprox.PreparedQuery) (cqapprox.Answers, *cqapprox.ExecTrace, error) {
-	if d.pl != nil {
-		// A trace describes one local execution; traced requests never
-		// scatter (the full copy answers, the counters record why).
-		d.srv.cluster.noteLocal(p, d.pl)
-	}
-	if d.inline != nil {
-		return p.EvalTrace(ctx, d.inline, d.par...)
-	}
-	return d.bind(p).EvalTrace(ctx, d.par...)
-}
-
-func (d dbSource) evalBoolTrace(ctx context.Context, p *cqapprox.PreparedQuery) (bool, *cqapprox.ExecTrace, error) {
-	if d.pl != nil {
-		d.srv.cluster.noteLocal(p, d.pl)
-	}
-	if d.inline != nil {
-		return p.EvalBoolTrace(ctx, d.inline, d.par...)
-	}
-	return d.bind(p).EvalBoolTrace(ctx, d.par...)
-}
-
-func (d dbSource) answersErr(ctx context.Context, p *cqapprox.PreparedQuery, opts []cqapprox.EvalOption) (iter.Seq[cqapprox.Tuple], func() error) {
-	if d.pl != nil {
-		// Streams enumerate lazily; a scatter would have to materialise
-		// every shard's answers before the first line. Local it is.
-		d.srv.cluster.noteLocal(p, d.pl)
-	}
-	opts = d.opts(opts)
-	if d.inline != nil {
-		return p.AnswersErr(ctx, d.inline, opts...)
-	}
-	return d.bind(p).AnswersErr(ctx, opts...)
-}
-
-// count runs a count or estimate. Against a sharded database the
-// routing trichotomy decides first: one partitioned occurrence whose
-// per-shard answer sets are disjoint sums by scatter-gather; traced
-// requests, ≥2 occurrences and overlapping shards (the partitioned atom
-// binds non-head variables, so a sum would overcount) count on the
-// local full copy, as does the occurrence-free case.
-func (d dbSource) count(ctx context.Context, p *cqapprox.PreparedQuery, req api.CountRequest, opts []cqapprox.CountOption) (*cqapprox.CountResult, error) {
-	opts = d.opts(opts)
-	if d.pl != nil {
-		ctl := d.srv.cluster
-		switch occ := p.PartitionedOccurrences(d.pl.Partitioned); {
-		case occ == 0:
-			ctl.routedLocal.Add(1)
-		case occ == 1 && !req.Trace && p.CountSummable(d.pl.Partitioned):
-			return ctl.scatterCount(ctx, d.srv.eng, p, req, opts)
-		default:
-			ctl.scatterFallbacks.Add(1)
-		}
-	}
-	switch {
-	case d.inline != nil && req.Estimate:
-		return p.EstimateCount(ctx, d.inline, opts...)
-	case d.inline != nil:
-		return p.Count(ctx, d.inline, opts...)
-	case req.Estimate:
-		return d.bind(p).EstimateCount(ctx, opts...)
-	}
-	return d.bind(p).Count(ctx, opts...)
+	par []cqapprox.EvalOption // see Server.budgetOpts
 }
 
 // resolveDB turns the request's database half into a dbSource: a
@@ -438,11 +311,9 @@ func (s *Server) resolveDB(req api.EvalRequest) (dbSource, *apiError) {
 		if !ok {
 			return dbSource{}, errUnknownDB(req.DB)
 		}
-		src := dbSource{bind: func(p *cqapprox.PreparedQuery) *cqapprox.BoundQuery { return p.Bind(d) }}
+		src := dbSource{db: d}
 		if s.cluster != nil {
-			if pl := s.cluster.placementOf(req.DB); pl != nil {
-				src.srv, src.pl, src.req = s, pl, req
-			}
+			src.pl = s.cluster.placementOf(req.DB)
 		}
 		return src, nil
 	}
@@ -450,24 +321,7 @@ func (s *Server) resolveDB(req api.EvalRequest) (dbSource, *apiError) {
 	if err != nil {
 		return dbSource{}, errBadRequest(err.Error())
 	}
-	return dbSource{inline: db}, nil
-}
-
-// rankOpts translates the request's ranked-evaluation knobs into the
-// library options /v1/eval and /v1/stream pass through; checkRankKnobs
-// has already validated them.
-func rankOpts(req api.EvalRequest) []cqapprox.EvalOption {
-	var opts []cqapprox.EvalOption
-	if len(req.Order) > 0 {
-		opts = append(opts, cqapprox.WithOrder(req.Order...))
-	}
-	if req.Descending {
-		opts = append(opts, cqapprox.WithDescending())
-	}
-	if req.Limit > 0 {
-		opts = append(opts, cqapprox.WithLimit(req.Limit))
-	}
-	return opts
+	return dbSource{db: cqapprox.Borrow(db)}, nil
 }
 
 // checkRankKnobs validates the ranked-evaluation knobs of a request.
@@ -523,7 +377,7 @@ func (s *Server) evalWith(w http.ResponseWriter, r *http.Request, req api.EvalRe
 	defer release(s.evalSem)
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	p, apiErr := s.resolve(ctx, req)
+	p, _, _, apiErr := s.resolve(ctx, req)
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
@@ -547,23 +401,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("trace cannot be combined with order, descending or limit"))
 		return
 	}
-	s.evalWith(w, r, req, func(ctx context.Context, p *cqapprox.PreparedQuery, db dbSource) {
-		if req.Trace {
-			ans, tr, err := db.evalTrace(ctx, p)
-			if err != nil {
-				writeError(w, mapError(err))
-				return
-			}
-			setTrace(w, tr)
-			writeJSON(w, http.StatusOK, api.EvalResponse{Answers: api.FromAnswers(ans), Count: len(ans), Trace: tr})
-			return
-		}
-		ans, err := db.eval(ctx, p, rankOpts(req))
-		if err != nil {
-			writeError(w, mapError(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, api.EvalResponse{Answers: api.FromAnswers(ans), Count: len(ans)})
+	s.serveCall(w, r, call{verbEval, api.CountRequest{EvalRequest: req}}, func(res legResult) any {
+		return api.EvalResponse{Answers: api.FromAnswers(res.ans), Count: len(res.ans), Trace: res.trace}
 	})
 }
 
@@ -576,23 +415,8 @@ func (s *Server) handleEvalBool(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	s.evalWith(w, r, req, func(ctx context.Context, p *cqapprox.PreparedQuery, db dbSource) {
-		if req.Trace {
-			res, tr, err := db.evalBoolTrace(ctx, p)
-			if err != nil {
-				writeError(w, mapError(err))
-				return
-			}
-			setTrace(w, tr)
-			writeJSON(w, http.StatusOK, api.EvalBoolResponse{Result: res, Trace: tr})
-			return
-		}
-		res, err := db.evalBool(ctx, p)
-		if err != nil {
-			writeError(w, mapError(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, api.EvalBoolResponse{Result: res})
+	s.serveCall(w, r, call{verbBool, api.CountRequest{EvalRequest: req}}, func(res legResult) any {
+		return api.EvalBoolResponse{Result: res.ok, Trace: res.trace}
 	})
 }
 
@@ -627,48 +451,19 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("max_samples must be positive (0 means the server default)"))
 		return
 	}
-	opts := countOpts(req)
-	s.evalWith(w, r, req.EvalRequest, func(ctx context.Context, p *cqapprox.PreparedQuery, db dbSource) {
-		res, err := db.count(ctx, p, req, opts)
-		if err != nil {
-			writeError(w, mapError(err))
-			return
+	s.serveCall(w, r, call{verbCount, req}, func(res legResult) any {
+		return api.CountResponse{
+			Count:     res.count.Count,
+			Estimate:  res.count.Estimate,
+			Estimated: res.count.Estimated,
+			Mode:      res.count.Mode,
+			Samples:   res.count.Samples,
+			Batches:   res.count.Batches,
+			Epsilon:   res.count.Epsilon,
+			Delta:     res.count.Delta,
+			Trace:     res.trace,
 		}
-		setTrace(w, res.Trace)
-		writeJSON(w, http.StatusOK, api.CountResponse{
-			Count:     res.Count,
-			Estimate:  res.Estimate,
-			Estimated: res.Estimated,
-			Mode:      res.Mode,
-			Samples:   res.Samples,
-			Batches:   res.Batches,
-			Epsilon:   res.Epsilon,
-			Delta:     res.Delta,
-			Trace:     res.Trace,
-		})
 	})
-}
-
-// countOpts translates a count request's estimator and trace knobs
-// into library options (shared by /v1/count and the peer count leg).
-func countOpts(req api.CountRequest) []cqapprox.CountOption {
-	var opts []cqapprox.CountOption
-	if req.Epsilon > 0 {
-		opts = append(opts, cqapprox.WithEpsilon(req.Epsilon))
-	}
-	if req.Delta > 0 {
-		opts = append(opts, cqapprox.WithDelta(req.Delta))
-	}
-	if req.Seed != nil {
-		opts = append(opts, cqapprox.WithSeed(*req.Seed))
-	}
-	if req.MaxSamples > 0 {
-		opts = append(opts, cqapprox.WithMaxSamples(req.MaxSamples))
-	}
-	if req.Trace {
-		opts = append(opts, cqapprox.WithTrace())
-	}
-	return opts
 }
 
 // handleStream writes answers as NDJSON — one JSON array per line,
@@ -706,7 +501,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		enc := json.NewEncoder(w) // Encode appends \n: exactly one answer per line
-		seq, errf := db.answersErr(ctx, p, rankOpts(req))
+		if db.pl != nil {
+			// Streams enumerate lazily; a scatter would have to
+			// materialise every shard's answers before the first line.
+			s.cluster.route(p, db.pl, false)
+		}
+		c := call{req: api.CountRequest{EvalRequest: req}}
+		seq, errf := p.Bind(db.db).AnswersErr(ctx, c.opts(db.par)...)
 		n := 0
 		for t := range seq {
 			if err := enc.Encode([]int(t)); err != nil {

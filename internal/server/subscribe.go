@@ -160,19 +160,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("db must not contain NUL bytes"))
 		return
 	}
-	// Setup runs under the request timeout like any evaluation; the
-	// subscription itself outlives it.
-	setupCtx, cancel := s.requestContext(r, req.TimeoutMS)
-	p, apiErr := s.resolve(setupCtx, api.EvalRequest{
-		Key: req.Key, Query: req.Query, Class: req.Class, Exact: req.Exact, Options: req.Options,
-	})
-	if apiErr != nil {
-		cancel()
-		writeError(w, apiErr)
-		return
-	}
-	par := s.budgetOpts(p, req.Parallelism)
-
 	// Register before reading the snapshot: an update landing between
 	// the initial evaluation and registration would otherwise be lost.
 	// Events older than the evaluated version net to empty diffs.
@@ -182,22 +169,32 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	db, ok := s.eng.DB(req.DB)
 	if !ok {
-		cancel()
 		writeError(w, errUnknownDB(req.DB))
 		return
 	}
-	// The initial evaluation is data-sized work and holds an eval
-	// admission slot like /v1/eval; the slot is released before the
-	// stream starts — a parked watcher must not starve evaluations.
+	// Setup — the prepare and the initial evaluation — is data-sized
+	// work: it runs under the request timeout and holds an eval
+	// admission slot like /v1/eval, in evalWith's order (so an unknown
+	// db costs no search). The slot is released before the stream
+	// starts — a parked watcher must not starve evaluations.
 	if !s.acquire(s.evalSem, w) {
-		cancel()
 		return
 	}
-	ie, err := p.Bind(db).Incremental(setupCtx, par...)
+	setupCtx, cancel := s.requestContext(r, req.TimeoutMS)
+	p, _, _, apiErr := s.resolve(setupCtx, api.EvalRequest{
+		Key: req.Key, Query: req.Query, Class: req.Class, Exact: req.Exact, Options: req.Options,
+	})
+	var ie *cqapprox.IncrementalEval
+	if apiErr == nil {
+		var err error
+		if ie, err = p.Bind(db).Incremental(setupCtx, s.budgetOpts(p, req.Parallelism)...); err != nil {
+			apiErr = mapError(err)
+		}
+	}
 	release(s.evalSem)
 	cancel()
-	if err != nil {
-		writeError(w, mapError(err))
+	if apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
 

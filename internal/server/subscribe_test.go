@@ -516,3 +516,17 @@ func TestSubscribeConcurrentUpdates(t *testing.T) {
 		}
 	}
 }
+
+// A subscription to an unknown database is refused before the
+// approximation search runs: 404, and no prepare reaches the cache.
+func TestSubscribeUnknownDBSkipsPrepare(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	before := s.eng.CacheStats()
+	status, _, body := post(t, ts, "/v1/subscribe", `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1","db":"nosuch"}`)
+	if status != http.StatusNotFound || !strings.Contains(body, api.CodeUnknownDB) {
+		t.Fatalf("status %d body %s, want 404 unknown_db", status, body)
+	}
+	if after := s.eng.CacheStats(); after != before {
+		t.Errorf("cache stats moved %+v -> %+v: the search ran for an unknown db", before, after)
+	}
+}
