@@ -27,8 +27,12 @@ func sameAnswerSets(a, b Answers) bool {
 // against a registered database perform zero additional index builds
 // after the first (warming) one — the per-call indexing cost moved
 // into the snapshot's shared cache. Chain and star are the shapes
-// whose solve phase the schedule analysis fully collapses; they must
-// go completely build-free warm.
+// whose solve phase the schedule analysis fully collapses, and every
+// one of their semijoin keys is one column of dense ids, so they build
+// no index at all: each step tests a dense key summary. The TW(1)
+// approximation of the free 4-cycle, E(x0,x1), E(x1,x0), joins on a
+// two-column key, which only the index serves — it is the query that
+// warms and then reuses the cache.
 func TestRegisteredDBIndexReuse(t *testing.T) {
 	engine := NewEngine()
 	ctx := context.Background()
@@ -37,8 +41,23 @@ func TestRegisteredDBIndexReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []*Query{workload.ChainQuery(6), workload.StarQuery(5)} {
-		p, err := engine.PrepareExact(ctx, q)
+	for _, c := range []struct {
+		q        *Query
+		class    Class // nil: exact
+		noBuilds bool
+	}{
+		{workload.ChainQuery(6), nil, true},
+		{workload.StarQuery(5), nil, true},
+		{workload.CycleQueryFree(4), TW(1), false},
+	} {
+		q := c.q
+		var p *PreparedQuery
+		var err error
+		if c.class == nil {
+			p, err = engine.PrepareExact(ctx, q)
+		} else {
+			p, err = engine.Prepare(ctx, q, c.class)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,6 +93,9 @@ func TestRegisteredDBIndexReuse(t *testing.T) {
 		}
 		if warm.IndexProbes == base.IndexProbes {
 			t.Fatalf("%s: warm evaluations did no probing at all", q.Name)
+		}
+		if c.noBuilds && warm.IndexBuilds != 0 {
+			t.Fatalf("%s: built %d indexes, want none (every key is dense)", q.Name, warm.IndexBuilds)
 		}
 
 		// Streaming against the snapshot enumerates the same set.

@@ -109,7 +109,11 @@ bag [0] v0 v1 v3: E(v0,v1) E(v3,v0)
 // TestEvalTraceChain3000 is the acceptance run: a traced evaluation
 // against the registered chain-3000 database must report non-zero
 // per-node row counts and phase times that account for the bulk of the
-// total.
+// total. Chain6's head lives in the root atom, so its plan is direct:
+// the bottom-up pass alone finalises the answer, every non-leaf node
+// sees semijoin input, and no top-down phase runs. The full-head chain
+// joins across every node, runs both passes, and every node sees
+// input.
 func TestEvalTraceChain3000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3000-node database")
@@ -143,12 +147,32 @@ func TestEvalTraceChain3000(t *testing.T) {
 	if len(tr.Nodes) != 6 {
 		t.Fatalf("chain6 trace has %d nodes, want 6", len(tr.Nodes))
 	}
+	ex := p.Explain()
+	if ex.Direct == "" {
+		t.Fatalf("chain6 plan is not direct: %+v", ex)
+	}
+	leaf := map[int]bool{}
+	for _, tree := range ex.Trees {
+		for _, n := range tree.Nodes {
+			leaf[n.ID] = true
+		}
+		for _, n := range tree.Nodes {
+			if n.Parent >= 0 {
+				leaf[n.Parent] = false
+			}
+		}
+	}
 	for _, n := range tr.Nodes {
 		if n.Rows <= 0 || n.Atom == "" {
 			t.Fatalf("node %d reports no rows or no atom: %+v", n.ID, n)
 		}
-		if n.SemijoinIn <= 0 {
-			t.Fatalf("node %d saw no semijoin input: %+v", n.ID, n)
+		if !leaf[n.ID] && n.SemijoinIn <= 0 {
+			t.Fatalf("non-leaf node %d saw no semijoin input: %+v", n.ID, n)
+		}
+	}
+	for _, ph := range tr.Phases {
+		if ph.Name == "semijoin-up" {
+			t.Fatalf("direct plan ran the top-down pass: phases %+v", tr.Phases)
 		}
 	}
 	var phaseSum int64
@@ -175,6 +199,30 @@ func TestEvalTraceChain3000(t *testing.T) {
 	}
 	if res.Trace == nil || res.Trace.TotalNS <= 0 {
 		t.Fatalf("count trace missing: %+v", res.Trace)
+	}
+
+	// A plan that is not direct runs both passes over every node.
+	full, err := e.PrepareExact(ctx, workload.FullChainQuery(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := full.Explain(); ex.Direct != "" {
+		t.Fatalf("full-head chain plan is direct: %+v", ex)
+	}
+	if _, tr, err = full.Bind(d).EvalTrace(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range tr.Nodes {
+		if n.SemijoinIn <= 0 {
+			t.Fatalf("full chain: node %d saw no semijoin input: %+v", n.ID, n)
+		}
+	}
+	up := false
+	for _, ph := range tr.Phases {
+		up = up || ph.Name == "semijoin-up"
+	}
+	if !up {
+		t.Fatalf("full chain skipped the top-down pass: phases %+v", tr.Phases)
 	}
 }
 

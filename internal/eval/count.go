@@ -409,58 +409,96 @@ func (r *CountRun) CountEval(ctx context.Context) (uint64, error) {
 }
 
 // dpStep is a dpEdge resolved against the run's views: the child's
-// probe index plus its (already computed) per-row counts.
+// per-key count sums (the dense kernel) or its probe index plus its
+// (already computed) per-row counts.
 type dpStep struct {
-	ix    *relstr.Index
-	tCols []int
-	cnt   []uint64
+	dense     bool
+	sums, ovf []uint64 // dense: see keySums
+	buf       *keyBuf  // dense: sums' pooled storage
+	ix        *relstr.Index
+	tCols     []int
+	cnt       []uint64
 }
 
-// runDP executes the multiplicity DP over tree.core: bottom-up, each
-// live row's count is the product over children of the sum of matching
-// child-row counts; dead rows keep count zero, so the probe loops need
-// no liveness checks. The per-node loop is morsel-parallel over
-// word-aligned liveness ranges, exactly like the semijoin pass.
+// runDP executes the multiplicity DP over tree.core and sums the
+// root's live counts.
 func (r *CountRun) runDP(ctx context.Context, tree *countTree) (uint64, error) {
-	f := r.f
-	cnt := map[int][]uint64{}
-	for k, i := range tree.core {
-		if err := cqerr.Check(ctx); err != nil {
-			return 0, err
-		}
-		node := &f.nodes[i]
-		steps := make([]dpStep, len(tree.coreSteps[k]))
-		for j, e := range tree.coreSteps[k] {
-			ix, built := f.nodes[e.child].view.Index(e.sCols)
-			if built {
-				f.builds.Add(1)
-			}
-			f.probes.Add(uint64(node.live))
-			if tr := f.trace; tr != nil {
-				nt := &tr.nodes[i]
-				if built {
-					nt.builds.Add(1)
-				}
-				nt.probes.Add(uint64(node.live))
-			}
-			steps[j] = dpStep{ix: ix, tCols: e.tCols, cnt: cnt[e.child]}
-		}
-		out := make([]uint64, len(node.rows))
-		if !f.countDP(node, steps, out) {
-			return 0, ErrCountOverflow
-		}
-		cnt[i] = out
+	cnt, err := r.f.dpCounts(ctx, tree)
+	if err != nil {
+		return 0, err
 	}
 	root := tree.core[len(tree.core)-1]
 	var total uint64
 	rc := cnt[root]
-	for _, w := range liveIDs(&f.nodes[root]) {
+	for _, w := range liveIDs(&r.f.nodes[root]) {
 		var ok bool
 		if total, ok = addU64(total, rc[w]); !ok {
 			return 0, ErrCountOverflow
 		}
 	}
 	return total, nil
+}
+
+// dpCounts runs the DP bottom-up over tree.core: each live row's count
+// is the product over children of the sum of matching child-row
+// counts; dead rows keep count zero, so the index probe loops need no
+// liveness checks. The per-node loop is morsel-parallel over
+// word-aligned liveness ranges, exactly like the semijoin pass. It
+// returns every core node's per-row counts.
+func (f *forest) dpCounts(ctx context.Context, tree *countTree) (map[int][]uint64, error) {
+	cnt := map[int][]uint64{}
+	for k, i := range tree.core {
+		if err := cqerr.Check(ctx); err != nil {
+			return nil, err
+		}
+		node := &f.nodes[i]
+		steps := make([]dpStep, len(tree.coreSteps[k]))
+		for j, e := range tree.coreSteps[k] {
+			steps[j] = f.resolveDP(i, e, cnt[e.child])
+		}
+		out := make([]uint64, len(node.rows))
+		ok := f.countDP(node, steps, out)
+		for _, st := range steps {
+			if st.buf != nil {
+				putKeyBuf(st.buf)
+			}
+		}
+		if !ok {
+			return nil, ErrCountOverflow
+		}
+		cnt[i] = out
+	}
+	return cnt, nil
+}
+
+// resolveDP resolves the DP edge e into node i, choosing the kernel the
+// way the semijoin does (dense.go). Either way node i's live rows count
+// as probes.
+func (f *forest) resolveDP(i int, e dpEdge, cnt []uint64) dpStep {
+	node, child := &f.nodes[i], &f.nodes[e.child]
+	f.probes.Add(uint64(node.live))
+	var nt *nodeTraceCtr
+	if tr := f.trace; tr != nil {
+		nt = &tr.nodes[i]
+		nt.probes.Add(uint64(node.live))
+	}
+	st := dpStep{tCols: e.tCols, cnt: cnt}
+	if len(e.sCols) == 1 {
+		buf := getKeyBuf()
+		if st.sums, st.ovf, st.dense = keySums(child, e.sCols[0], sumLimit(node.live, child.live), cnt, buf); st.dense {
+			st.buf = buf
+		} else {
+			putKeyBuf(buf)
+		}
+	}
+	if st.dense {
+		if nt != nil {
+			nt.dense.Add(1)
+		}
+	} else {
+		st.ix = f.index(child, e.sCols, nt)
+	}
+	return st
 }
 
 // liveIDs returns the row ids of a node's live rows.
@@ -530,9 +568,19 @@ func countDPRange(node *execNode, steps []dpStep, out []uint64, lo, hi int) bool
 			for _, st := range steps {
 				var s uint64
 				var ok bool
-				for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
-					if s, ok = addU64(s, st.cnt[sid]); !ok {
-						return false
+				if st.dense {
+					// A key out of range (negative ones wrap) has no partner.
+					if v := uint(row[st.tCols[0]]); v < uint(len(st.sums)) {
+						if st.ovf != nil && st.ovf[v>>6]&(1<<(v&63)) != 0 {
+							return false
+						}
+						s = st.sums[v]
+					}
+				} else {
+					for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
+						if s, ok = addU64(s, st.cnt[sid]); !ok {
+							return false
+						}
 					}
 				}
 				if c, ok = mulU64(c, s); !ok {

@@ -50,7 +50,9 @@ func (p *Plan) countForTest(ctx context.Context, src *relstr.Snapshot, par int) 
 
 // FuzzCountEquivalence asserts the exact count equals the length of
 // the reference evaluation on random acyclic queries and databases,
-// across both storage backends and serial/parallel execution. A second
+// across both storage backends and serial/parallel execution, and on
+// the same data relabelled outside the dense bound (values shifted by
+// 2^40, and negated), where every DP edge takes the index fallback. A second
 // leg draws a projecting query (one the estimator samples), checks its
 // exact count the same way, and checks every TreeSample value against
 // the reference sampler step.
@@ -85,6 +87,20 @@ func FuzzCountEquivalence(f *testing.F) {
 				}
 			}
 		}
+		// Relabelled past the dense bound and below zero: the index
+		// fallback counts the same answers.
+		for _, lb := range fallbackLabels {
+			msnap := relstr.NewSnapshot(relabel(db, lb.f))
+			for _, par := range []int{1, 4} {
+				got, err := p.countForTest(ctx, msnap, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != uint64(len(want)) {
+					t.Fatalf("count(%s, par=%d) = %d, want %d\n  q=%v", lb.name, par, got, len(want), q)
+				}
+			}
+		}
 
 		pq := randomProjectingQuery(rng)
 		pdb := randomProjectingDB(rng)
@@ -104,6 +120,18 @@ func FuzzCountEquivalence(f *testing.F) {
 			}
 			if err := samplesMatchRef(ctx, pp, psrc, par, seed, 200); err != nil {
 				t.Fatalf("q=%v: %v", pq, err)
+			}
+		}
+		for _, lb := range fallbackLabels {
+			msrc := relstr.NewSnapshot(relabel(pdb, lb.f))
+			for _, par := range []int{1, 4} {
+				got, err := pp.countForTest(ctx, msrc, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != uint64(len(pwant)) {
+					t.Fatalf("projecting count(%s, par=%d) = %d, want %d\n  q=%v", lb.name, par, got, len(pwant), pq)
+				}
 			}
 		}
 	})

@@ -14,9 +14,10 @@ import (
 // The unified, morsel-driven schedule executor. One forest replays a
 // prepare-time schedule against a snapshot's atom views: per-call row
 // liveness is a bitmap per node (never in-place row filtering, so
-// backing rows stay shared and immutable), semijoin steps probe the
-// views' hash indexes, and the solve phase joins the surviving rows
-// through the scratch arena exactly as scheduled.
+// backing rows stay shared and immutable), semijoin steps test a dense
+// summary of the source's live keys or probe the views' hash indexes
+// (dense.go), and the solve phase joins the surviving rows through the
+// scratch arena exactly as scheduled.
 //
 // Parallelism is morsel-driven: the probe loop of a semijoin step, the
 // accumulator side of a solve join, and the head projection each split
@@ -250,17 +251,23 @@ func (f *forest) anyEmpty() bool {
 
 // semijoin applies one scheduled reduction step over the bitmaps:
 // target rows with no alive source partner on the aligned columns die.
-// The probe runs through the source view's index cache. Large targets
-// fan their word ranges out in morsels to as many extra workers as the
-// budget has free — the caller always works too, so a step never
-// stalls on an exhausted budget.
+// A one-column key of small non-negative ints runs the dense kernel
+// (dense.go): one serial pass sets a bitset of the source's live key
+// values, and each target row is tested with one word read. Every
+// other step probes through the source view's index cache. Large
+// targets fan their word ranges out in morsels to as many extra
+// workers as the budget has free — the caller always works too, so a
+// step never stalls on an exhausted budget. Both kernels kill exactly
+// the rows with no alive partner, so the bitmaps after the step do not
+// depend on which one ran.
 func (f *forest) semijoin(st sjStep) {
 	t, s := &f.nodes[st.target], &f.nodes[st.source]
 	if t.live == 0 {
 		return
 	}
+	var nt *nodeTraceCtr
 	if tr := f.trace; tr != nil {
-		nt := &tr.nodes[st.target]
+		nt = &tr.nodes[st.target]
 		nt.passes.Add(1)
 		nt.in.Add(int64(t.live))
 		defer func() { nt.out.Add(int64(t.live)) }()
@@ -272,22 +279,27 @@ func (f *forest) semijoin(st sjStep) {
 	if len(st.tCols) == 0 {
 		return // no shared variables and the source is non-empty
 	}
-	ix, built := s.view.Index(st.sCols)
-	if built {
-		f.builds.Add(1)
-	}
 	f.probes.Add(uint64(t.live))
-	if tr := f.trace; tr != nil {
-		nt := &tr.nodes[st.target]
-		if built {
-			nt.builds.Add(1)
-		}
+	if nt != nil {
 		nt.probes.Add(uint64(t.live))
 	}
-	full := s.live == len(s.rows) // skip liveness checks while the source is unfiltered
+	k := sjKernel{tCols: st.tCols}
+	if len(st.sCols) == 1 {
+		buf := getKeyBuf()
+		defer putKeyBuf(buf)
+		k.keys, k.dense = keySet(s, st.sCols[0], bitLimit(t.live, s.live), buf)
+	}
+	if k.dense {
+		if nt != nil {
+			nt.dense.Add(1)
+		}
+	} else {
+		k.ix = f.index(s, st.sCols, nt)
+		k.full = s.live == len(s.rows) // skip liveness checks while the source is unfiltered
+	}
 	nw := len(t.words)
 	if f.par <= 1 || t.live < f.parMin() {
-		t.live -= semijoinRange(t, s, ix, st.tCols, full, 0, nw)
+		t.live -= k.filter(t, s, 0, nw)
 		return
 	}
 	mw := f.morselWordSize()
@@ -297,6 +309,7 @@ func (f *forest) semijoin(st sjStep) {
 	}
 	var next, killed atomic.Int64
 	var wg sync.WaitGroup
+	kern := k // never reassigned: the escaping closure copies it, k stays on the stack
 	work := func() int {
 		n := 0
 		for {
@@ -304,10 +317,10 @@ func (f *forest) semijoin(st sjStep) {
 			if c >= chunks {
 				return n
 			}
-			n += semijoinRange(t, s, ix, st.tCols, full, c*mw, min((c+1)*mw, nw))
+			n += kern.filter(t, s, c*mw, min((c+1)*mw, nw))
 		}
 	}
-	for k := 1; k < chunks && f.tryWorker(); k++ {
+	for i := 1; i < chunks && f.tryWorker(); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -324,12 +337,52 @@ func (f *forest) semijoin(st sjStep) {
 	t.live -= mine + int(killed.Load())
 }
 
-// semijoinRange probes the target rows of the word range [lo, hi),
+// index returns the source view's index keyed on sCols, building it on
+// first use and accounting the build to the forest and to the traced
+// node nt (nil when untraced).
+func (f *forest) index(s *execNode, sCols []int, nt *nodeTraceCtr) *relstr.Index {
+	ix, built := s.view.Index(sCols)
+	if built {
+		f.builds.Add(1)
+		if nt != nil {
+			nt.builds.Add(1)
+		}
+	}
+	return ix
+}
+
+// sjKernel is one semijoin step's resolved probe: the dense bitset of
+// the source's live key values, or the source view's index.
+type sjKernel struct {
+	dense bool
+	keys  []uint64 // dense: bit v set ⇔ some live source row has key v
+	ix    *relstr.Index
+	full  bool // index: the source is unfiltered, skip its liveness
+	tCols []int
+}
+
+// filter tests the live target rows of the word range [lo, hi),
 // clearing the bits of rows with no alive partner, and returns the
 // number of kills. Ranges are word-aligned, so concurrent workers on
 // disjoint ranges never write the same word.
-func semijoinRange(t, s *execNode, ix *relstr.Index, tCols []int, full bool, lo, hi int) int {
+func (k sjKernel) filter(t, s *execNode, lo, hi int) int {
 	killed := 0
+	if k.dense {
+		col, n := k.tCols[0], uint(len(k.keys))<<6
+		for w := lo; w < hi; w++ {
+			word := t.words[w]
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				// A negative key wraps to a huge uint and misses, as it must.
+				if v := uint(t.rows[w<<6|b][col]); v >= n || k.keys[v>>6]&(1<<(v&63)) == 0 {
+					t.words[w] &^= 1 << uint(b)
+					killed++
+				}
+			}
+		}
+		return killed
+	}
 	for w := lo; w < hi; w++ {
 		word := t.words[w]
 		for word != 0 {
@@ -337,8 +390,8 @@ func semijoinRange(t, s *execNode, ix *relstr.Index, tCols []int, full bool, lo,
 			word &= word - 1
 			row := t.rows[w<<6|b]
 			ok := false
-			for sid := ix.First(row, tCols); sid >= 0; sid = ix.Next(sid, row, tCols) {
-				if full || s.alive(sid) {
+			for sid := k.ix.First(row, k.tCols); sid >= 0; sid = k.ix.Next(sid, row, k.tCols) {
+				if k.full || s.alive(sid) {
 					ok = true
 					break
 				}
@@ -394,33 +447,66 @@ func (f *forest) fanOut(fns []func() error) error {
 	return nil
 }
 
+// subtrees runs one reduction pass (top-down when up is set) over the
+// subtrees rooted at ids, as fanOut runs its functions. Serial runs and
+// single subtrees recurse directly and build no closures.
+func (f *forest) subtrees(ctx context.Context, sched *schedule, ids []int, up bool) error {
+	if f.par <= 1 || len(ids) <= 1 {
+		for _, i := range ids {
+			if err := f.subtree(ctx, sched, i, up); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	fns := make([]func() error, len(ids))
+	for k, i := range ids {
+		fns[k] = func() error { return f.subtree(ctx, sched, i, up) }
+	}
+	return f.fanOut(fns)
+}
+
+// subtree runs the top-down (up) or bottom-up pass of i's subtree.
+func (f *forest) subtree(ctx context.Context, sched *schedule, i int, up bool) error {
+	if up {
+		return f.up(ctx, sched, i)
+	}
+	return f.down(ctx, sched, i)
+}
+
 // runPasses executes the schedule's two reduction passes over the
 // bitmaps. Independent sibling subtrees run concurrently on a parallel
 // forest: in the bottom-up pass a node's steps only start after every
 // child subtree finished, and in the top-down pass the steps into
 // distinct children are themselves independent.
 func (f *forest) runPasses(ctx context.Context, sched *schedule) error {
+	if err := f.runDown(ctx, sched); err != nil {
+		return err
+	}
 	var start time.Time
 	if f.trace != nil {
 		start = time.Now()
 	}
-	roots := make([]func() error, len(sched.roots))
-	for i, r := range sched.roots {
-		roots[i] = func() error { return f.down(ctx, sched, r) }
-	}
-	if err := f.fanOut(roots); err != nil {
-		return err
-	}
-	if tr := f.trace; tr != nil {
-		tr.phase("semijoin-down", time.Since(start))
-		start = time.Now()
-	}
-	for i, r := range sched.roots {
-		roots[i] = func() error { return f.up(ctx, sched, r) }
-	}
-	err := f.fanOut(roots)
+	err := f.subtrees(ctx, sched, sched.roots, true)
 	if tr := f.trace; tr != nil {
 		tr.phase("semijoin-up", time.Since(start))
+	}
+	return err
+}
+
+// runDown executes the bottom-up pass alone. It leaves every root
+// fully reduced — each live root row extends to a full assignment of
+// its tree — and empties a root exactly when its tree has no
+// assignment, which is all a plan whose answer is read from one root
+// needs.
+func (f *forest) runDown(ctx context.Context, sched *schedule) error {
+	var start time.Time
+	if f.trace != nil {
+		start = time.Now()
+	}
+	err := f.subtrees(ctx, sched, sched.roots, false)
+	if tr := f.trace; tr != nil {
+		tr.phase("semijoin-down", time.Since(start))
 	}
 	return err
 }
@@ -430,12 +516,7 @@ func (f *forest) runPasses(ctx context.Context, sched *schedule) error {
 // which share a target and therefore stay ordered, each
 // morsel-parallel inside.
 func (f *forest) down(ctx context.Context, sched *schedule, i int) error {
-	kids := sched.children[i]
-	fns := make([]func() error, len(kids))
-	for k, c := range kids {
-		fns[k] = func() error { return f.down(ctx, sched, c) }
-	}
-	if err := f.fanOut(fns); err != nil {
+	if err := f.subtrees(ctx, sched, sched.children[i], false); err != nil {
 		return err
 	}
 	if err := cqerr.Check(ctx); err != nil {
@@ -468,12 +549,7 @@ func (f *forest) up(ctx context.Context, sched *schedule, i int) error {
 			f.semijoin(st)
 		}
 	}
-	kids := sched.children[i]
-	fns := make([]func() error, len(kids))
-	for k, c := range kids {
-		fns[k] = func() error { return f.up(ctx, sched, c) }
-	}
-	return f.fanOut(fns)
+	return f.subtrees(ctx, sched, sched.children[i], true)
 }
 
 // runBool executes only the leaves→roots pass, reporting answer
@@ -498,9 +574,10 @@ func (f *forest) runBool(ctx context.Context, sched *schedule) (bool, error) {
 // --- solve phase -------------------------------------------------------
 
 // solveRows executes the scheduled bottom-up join and cross product over
-// a forest that already went through runPasses (callers must also have
-// verified every node keeps at least one row — the skip analysis relies
-// on it). It returns the joined rows and the head's columns within
+// a forest that already went through runPasses, or runDown for a
+// direct schedule, which reads only its root. Callers must also have
+// verified every node keeps at least one row — the skip analysis
+// relies on it. It returns the joined rows and the head's columns within
 // them; projectHead (evaluation) or scratch.countKeys (counting)
 // consumes them. empty reports an empty answer set discovered mid-way.
 func (f *forest) solveRows(ctx context.Context, sched *schedule) (rows [][]int, cols []int, empty bool, _ error) {
@@ -727,10 +804,16 @@ func projectHeadSerial(rows [][]int, width int, cols []int) Answers {
 // --- full pipelines ----------------------------------------------------
 
 // evalForest runs the complete Yannakakis pipeline over a fresh forest:
-// both reduction passes, the emptiness short-circuit, then the
-// scheduled joins and the head projection.
+// the reduction passes, the emptiness short-circuit, then the
+// scheduled joins and the head projection. A direct plan reads its
+// answer from one root (or only from non-emptiness), which the
+// bottom-up pass already finalises, so it skips the top-down pass.
 func evalForest(ctx context.Context, sched *schedule, f *forest) (Answers, error) {
-	if err := f.runPasses(ctx, sched); err != nil {
+	reduce := f.runPasses
+	if sched.directNode != -1 {
+		reduce = f.runDown
+	}
+	if err := reduce(ctx, sched); err != nil {
 		return nil, err
 	}
 	if f.anyEmpty() {

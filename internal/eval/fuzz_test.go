@@ -152,6 +152,9 @@ func semijoinVia(sc *scratch, l, r rel, lCols, rCols []int, rv *relstr.View, par
 // incremental maintenance builds over its restrictions), a snapshot
 // view (the evaluation path), and the standalone view again under a
 // parallel worker budget with the morsel size forced down to two rows.
+// Relabelled legs (values shifted by 2^40, and negated) push every key
+// outside the dense bound, so the index fallback meets the oracle as
+// well as the dense kernel.
 func FuzzJoinEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0})                                  // empty relations
 	f.Add([]byte{1, 1, 1, 1, 2, 2, 1, 3, 3})                // small overlap
@@ -181,6 +184,19 @@ func FuzzJoinEquivalence(f *testing.F) {
 			got := sortedRows(rel{vars: l.vars, rows: semijoinVia(sc, l, r, lCols, rCols, leg.view, leg.par)})
 			if !equalRows(got, want) {
 				t.Fatalf("%s semijoin mismatch:\n  executor %v\n  reference %v\n  l=%v r=%v", leg.name, got, want, l, r)
+			}
+		}
+		// The tiny domain keeps every one-column key dense; the same
+		// pair relabelled past the dense bound and below zero holds the
+		// index fallback to the oracle too.
+		for _, lb := range fallbackLabels {
+			ml, mr := relabelRel(l, lb.f), relabelRel(r, lb.f)
+			want := sortedRows(semijoinRef(cloneRel(ml), mr))
+			for _, par := range []int{1, 4} {
+				got := sortedRows(rel{vars: ml.vars, rows: semijoinVia(sc, ml, mr, lCols, rCols, relstr.NewView(mr.rows), par)})
+				if !equalRows(got, want) {
+					t.Fatalf("%s semijoin mismatch (par=%d):\n  executor %v\n  reference %v\n  l=%v r=%v", lb.name, par, got, want, ml, mr)
+				}
 			}
 		}
 

@@ -87,9 +87,9 @@ type planStats struct {
 
 // IndexStats is a snapshot of the indexed runtime's counters for one
 // plan: how many per-relation hash indexes its evaluations built, how
-// many rows were driven through index probes, how many evaluations
-// (Eval/EvalBool/stream reductions) ran, and how many of those ran
-// with a parallel worker budget. The count counters track the answer
+// many rows were tested against a probe source (index probe or dense
+// key summary), how many evaluations (Eval/EvalBool/stream reductions)
+// ran, and how many of those ran with a parallel worker budget. The count counters track the answer
 // counting subsystem: counts answered exactly (DP, dedup or
 // enumeration), counts answered by the sampling estimator, and the
 // median-of-means batches those estimates ran. The rank counters track

@@ -44,6 +44,7 @@ type nodeTraceCtr struct {
 	out    atomic.Int64
 	builds atomic.Uint64
 	probes atomic.Uint64
+	dense  atomic.Int64
 }
 
 var tracePool = sync.Pool{New: func() any { return &execTrace{} }}
@@ -62,6 +63,7 @@ func getExecTrace(n int) *execTrace {
 			c.out.Store(0)
 			c.builds.Store(0)
 			c.probes.Store(0)
+			c.dense.Store(0)
 		}
 	}
 	tr.phases = tr.phases[:0]
@@ -115,6 +117,7 @@ func (tr *execTrace) snapshot(p *Plan, f *forest, total time.Duration) *obs.Exec
 			Passes:      c.passes.Load(),
 			IndexBuilds: c.builds.Load(),
 			IndexProbes: c.probes.Load(),
+			DenseSteps:  c.dense.Load(),
 		}
 	}
 	return out

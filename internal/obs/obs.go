@@ -213,8 +213,9 @@ type ExecTrace struct {
 type NodeTrace struct {
 	ID   int    `json:"id"`
 	Atom string `json:"atom,omitempty"`
-	// Rows: backing view rows; Live: rows surviving both reduction
-	// passes (the live-bitmap survivor count).
+	// Rows: backing view rows; Live: rows surviving the reduction
+	// passes the call ran (the live-bitmap survivor count). A plan
+	// whose answer is read from one root runs only the bottom-up pass.
 	Rows int `json:"rows"`
 	Live int `json:"live"`
 	// SemijoinIn/SemijoinOut: rows entering/surviving the node's
@@ -222,10 +223,14 @@ type NodeTrace struct {
 	SemijoinIn  int64 `json:"semijoin_rows_in"`
 	SemijoinOut int64 `json:"semijoin_rows_out"`
 	Passes      int64 `json:"passes,omitempty"`
-	// IndexBuilds/IndexProbes: indexes built and rows probed to
-	// filter (or count through) this node.
+	// IndexBuilds: indexes built to filter (or count through) this
+	// node. IndexProbes: rows tested against the source (index probe
+	// or dense summary).
 	IndexBuilds uint64 `json:"index_builds,omitempty"`
 	IndexProbes uint64 `json:"index_probes,omitempty"`
+	// DenseSteps: steps into this node that tested its rows against a
+	// dense summary of the source's live keys instead of an index.
+	DenseSteps int64 `json:"dense_steps,omitempty"`
 }
 
 // Text renders the trace for humans (CLI `eval -trace`). Timings vary
@@ -238,8 +243,8 @@ func (t *ExecTrace) Text() string {
 		fmt.Fprintf(&b, "  phase %-14s %.3fms\n", p.Name, float64(p.NS)/1e6)
 	}
 	for _, n := range t.Nodes {
-		fmt.Fprintf(&b, "  node [%d] %s: rows=%d live=%d semijoin=%d->%d probes=%d builds=%d\n",
-			n.ID, n.Atom, n.Rows, n.Live, n.SemijoinIn, n.SemijoinOut, n.IndexProbes, n.IndexBuilds)
+		fmt.Fprintf(&b, "  node [%d] %s: rows=%d live=%d semijoin=%d->%d probes=%d builds=%d dense=%d\n",
+			n.ID, n.Atom, n.Rows, n.Live, n.SemijoinIn, n.SemijoinOut, n.IndexProbes, n.IndexBuilds, n.DenseSteps)
 	}
 	if t.MorselChunks > 0 || len(t.WorkerBusyNS) > 0 {
 		fmt.Fprintf(&b, "  morsels: chunks=%d extra-workers=%d\n", t.MorselChunks, len(t.WorkerBusyNS))
