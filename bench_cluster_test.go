@@ -5,10 +5,9 @@ package cqapprox_test
 // 3-node in-process cluster (the fact relation tuple-partitioned, the
 // dimensions replicated); BenchmarkServerThroughputCluster3 pushes the
 // mixed LoadGen workload at the same cluster through the node-routing
-// executor. The cmd/experiments cluster run (E25) asserts the
-// single-node byte-identity and the multi-core scaling ratio; here the
-// benchmarks only measure, plus a one-shot identity check outside the
-// timer.
+// executor. TestClusterScatterEquivalence (internal/server) asserts
+// the single-node byte-identity; here the benchmarks only measure,
+// plus a one-shot identity check outside the timer.
 
 import (
 	"context"

@@ -5,9 +5,9 @@ package cqapprox
 // full-join heads produce hundreds of thousands of answers at N=3000,
 // all of which exact counting skips materializing (the -benchmem
 // numbers stay flat in the answer count). BENCH_eval.json carries the
-// baselines and CI's benchcheck gate compares against them;
-// cmd/experiments -run count reports counting against full evaluation
-// on the same workloads.
+// baselines and CI's benchcheck gate compares against them.
+// FuzzCountEquivalence and TestCountPublicAPI hold the counts to
+// full evaluation.
 
 import (
 	"context"

@@ -7,7 +7,8 @@ package cqapprox
 // quantify exactly the cost the snapshot moves out of the per-call
 // path (atom materialisation + per-call index builds). Tracked in the
 // committed BENCH_eval.json baseline and gated by CI's benchcheck.
-// cmd/experiments -run registereddb reports the speedup side by side.
+// TestRegisteredDBIndexReuse asserts the warm evaluations build no
+// index.
 
 import (
 	"context"

@@ -4,9 +4,8 @@ package cqapprox
 // PreparedQuery.Eval over the chain/star/cycle workloads at several
 // database sizes — the numbers the committed BENCH_eval.json baseline
 // tracks and CI's benchcheck gate compares against (>25% ns/op
-// regression fails the build). cmd/experiments -run indexedjoin
-// reports the same workloads against the pre-PR string-key baseline
-// and regenerates BENCH_eval.json.
+// regression fails the build); benchcheck -update rewrites the
+// baseline.
 
 import (
 	"context"
@@ -127,9 +126,8 @@ func BenchmarkEvalTraceOn(b *testing.B)  { benchEvalTrace(b, true) }
 // answers of a lex-connex full-chain query out of the reduced forest
 // with early termination; BenchmarkTopK/SortAll is the fallback cost —
 // evaluate everything, take the first 10 of the order. The gap is the
-// point of the ranked pipeline (cmd/experiments -run topk asserts the
-// ≥10× separation and byte-identity of the two prefixes; benchmarks
-// only measure).
+// point of the ranked pipeline; both legs are gated rows, and
+// FuzzRankedEquivalence asserts the byte-identity of the prefixes.
 func BenchmarkTopK(b *testing.B) {
 	ctx := context.Background()
 	engine := NewEngine()
@@ -169,8 +167,7 @@ func BenchmarkTopK(b *testing.B) {
 // GOMAXPROCS worker budget — against BenchmarkIndexedJoin's serial
 // numbers this is the parallel executor's headline. (On single-core
 // hosts the budget degenerates to ~serial; the committed baseline is
-// regenerated per machine class via cmd/experiments -run parallel
-// -bench-out or benchcheck -update.)
+// regenerated per machine class via benchcheck -update.)
 func BenchmarkParallelEval(b *testing.B) {
 	ctx := context.Background()
 	engine := NewEngine()

@@ -1,6 +1,6 @@
 package cqapprox
 
-// PR 9: incremental view maintenance. BenchmarkIncrementalEval puts a
+// E24: incremental view maintenance. BenchmarkIncrementalEval puts a
 // number on the subsystem's reason to exist: propagating a
 // single-tuple delta through the maintained reduced forest
 // (IncrementalEval.Advance) versus re-evaluating the bound query from
@@ -12,8 +12,8 @@ package cqapprox
 // the re-evaluation work. Each iteration alternates the insert and
 // the delete direction so every advance does real work. Tracked in the
 // committed BENCH_eval.json baseline and gated by CI's benchcheck;
-// cmd/experiments -run incremental asserts the >= 10× speedup and the
-// diff-vs-oracle equivalence on the same workloads.
+// TestIncrementalEvalSingleTupleSequence and FuzzIncrementalEquivalence
+// assert the diff-vs-oracle equivalence.
 
 import (
 	"context"

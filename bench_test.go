@@ -3,7 +3,7 @@ package cqapprox
 // The benchmark harness: one group per experiment row in DESIGN.md's
 // index. These benches regenerate the measured side of every table and
 // figure (Figure 1 plus the quantitative propositions); cmd/experiments
-// prints the same data as human-readable tables.
+// prints the same data as human-readable tables and checks the claims.
 
 import (
 	"context"

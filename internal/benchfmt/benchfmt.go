@@ -1,8 +1,8 @@
 // Package benchfmt is the tiny shared substrate of the repo's
 // benchmark-regression tooling: the BENCH_*.json baseline format and a
 // parser for `go test -bench` output. cmd/benchcheck compares fresh
-// bench output against a committed baseline (the CI perf gate);
-// cmd/experiments regenerates the E19 entries of BENCH_eval.json.
+// bench output against a committed baseline (the CI perf gate) and,
+// with -update, rewrites it.
 package benchfmt
 
 import (

@@ -85,12 +85,3 @@ func Height(s *relstr.Structure) int {
 	}
 	return h
 }
-
-// LevelOf returns the level of node v (panics if unbalanced).
-func LevelOf(s *relstr.Structure, v int) int {
-	lv, ok := Levels(s)
-	if !ok {
-		panic("digraph: LevelOf on unbalanced digraph")
-	}
-	return lv[v]
-}

@@ -92,18 +92,6 @@ func Concat(a, b Pointed) Pointed {
 	return Pointed{G: merged, Init: a.Init, Term: term}
 }
 
-// ConcatAll concatenates a sequence of pointed digraphs left to right.
-func ConcatAll(parts ...Pointed) Pointed {
-	if len(parts) == 0 {
-		panic("digraph: ConcatAll of nothing")
-	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out = Concat(out, p)
-	}
-	return out
-}
-
 // Glue attaches the pointed digraph p to the host: it disjointly adds
 // p, then identifies p.Init with hostInit and p.Term with hostTerm
 // (elements of host). It returns the new structure. hostInit and

@@ -51,6 +51,10 @@ import (
 // uint64.
 var ErrCountOverflow = errors.New("eval: answer count overflows uint64")
 
+// errAcyclicPlan reports CountEnum called on an acyclic plan, whose
+// exact count runs through PrepareCount instead.
+var errAcyclicPlan = errors.New("eval: CountEnum needs a bag plan")
+
 // countKind classifies how one tree of the forest is counted.
 type countKind int
 
@@ -938,12 +942,11 @@ func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
 
 // CountEnum counts the distinct answers by enumeration: the bag
 // search's answers are counted without being kept beyond its dedup
-// set. It is the exact count of bag (cyclic) plans; on acyclic plans
-// it counts an evaluation.
+// set. It is the exact count of bag (cyclic) plans and fails with
+// errAcyclicPlan on acyclic ones, which PrepareCount counts.
 func (p *Plan) CountEnum(ctx context.Context, sn *relstr.Snapshot) (uint64, error) {
 	if p.mode == PlanYannakakis {
-		ans, err := p.EvalOn(ctx, sn, 1)
-		return uint64(len(ans)), err
+		return 0, errAcyclicPlan
 	}
 	var n uint64
 	if err := p.searchBags(ctx, sn, func([]int) bool { n++; return true }); err != nil {

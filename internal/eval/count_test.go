@@ -228,7 +228,8 @@ func TestCountClassification(t *testing.T) {
 	}
 }
 
-// PrepareCount refuses bag plans; CountEnum covers them.
+// PrepareCount refuses bag plans; CountEnum covers them, and refuses
+// acyclic plans in turn.
 func TestCountNaiveFallback(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")
@@ -247,6 +248,10 @@ func TestCountNaiveFallback(t *testing.T) {
 	}
 	if got != uint64(len(want)) {
 		t.Fatalf("CountEnum = %d, want %d", got, len(want))
+	}
+	acyclic := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
+	if _, err := acyclic.CountEnum(ctx, relstr.Borrow(db)); err != errAcyclicPlan {
+		t.Fatalf("CountEnum on acyclic plan: err = %v, want errAcyclicPlan", err)
 	}
 }
 

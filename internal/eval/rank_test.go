@@ -113,6 +113,7 @@ func TestRankClassification(t *testing.T) {
 		{"Q(x) :- E(x,y)", true},
 		{"Q() :- E(x,y), E(y,z)", true}, // Boolean: trivially connex
 		{"Q(x,y,z) :- E(x,y), E(y,z)", true},
+		{"Q(x0,x1,x2,x3) :- E(x0,x1), E(x1,x2), E(x2,x3)", true}, // the top-k benchmark's full chain
 		{"Q(x,y) :- E(x,y), E(y,z)", true},
 		{"Q(x,x) :- E(x,y)", true},
 		{"Q(x,u) :- E(x,y), F(u,v)", true}, // two trees, one root visit each

@@ -54,7 +54,7 @@ func TestGkGapWithinQuotientSpace(t *testing.T) {
 	qt := q.Tableau()
 	dom := qt.S.Domain()
 	found := false
-	relstrPartitions(dom, func(f func(int) int) bool {
+	quotientMaps(dom, func(f func(int) int) bool {
 		img := qt.S.Map(f)
 		x := cq.FromTableau(img, nil, nil)
 		// Strictly between: P4 ⊂ X ⊂ Q.
@@ -67,11 +67,6 @@ func TestGkGapWithinQuotientSpace(t *testing.T) {
 	if found {
 		t.Fatal("found a quotient strictly between G_3 and P_4 (gap violated)")
 	}
-}
-
-// relstrPartitions adapts relstr.Partitions to a map function.
-func relstrPartitions(dom []int, fn func(func(int) int) bool) {
-	partitionsHelper(dom, fn)
 }
 
 // The paper constructs G_k as core(F_k × P_{k+1}) where F_k is the
@@ -108,7 +103,7 @@ func TestGkGapViaDuality(t *testing.T) {
 	// those that still admit G_k → X → P_4).
 	qt := gk.Domain()
 	count := 0
-	relstrPartitions(qt, func(f func(int) int) bool {
+	quotientMaps(qt, func(f func(int) int) bool {
 		x := gk.Map(f)
 		if !hom.Exists(x, path, nil) {
 			return true

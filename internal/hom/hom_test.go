@@ -453,7 +453,16 @@ func TestQuickQuotientIsHom(t *testing.T) {
 			s.Add("E", rng.Intn(n), rng.Intn(n))
 		}
 		ok := true
-		relstr.Partitions(s.Domain(), func(p relstr.Partition) bool {
+		dom := s.Domain()
+		relstr.ForEachPartition(len(dom), func(block []int, _ int) bool {
+			p := relstr.Partition{}
+			first := map[int]int{}
+			for j, e := range dom {
+				if _, ok := first[block[j]]; !ok {
+					first[block[j]] = e
+				}
+				p[e] = first[block[j]]
+			}
 			q := s.QuotientBy(p)
 			if !Exists(s, q, nil) {
 				ok = false

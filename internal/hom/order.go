@@ -83,10 +83,6 @@ func MapsCompiledCtx(ctx context.Context, a, b *Compiled) (bool, error) {
 // maps in both directions.
 func Equivalentp(a, b Pointed) bool { return Maps(a, b) && Maps(b, a) }
 
-// StrictlyBelow implements the paper's relation a ⥿ b: a → b holds but
-// b → a does not.
-func StrictlyBelow(a, b Pointed) bool { return Maps(a, b) && !Maps(b, a) }
-
 // TableauOf returns the pointed structure of q's tableau.
 func TableauOf(q *cq.Query) Pointed {
 	tb := q.Tableau()

@@ -24,17 +24,6 @@ type Phase struct {
 	NS   int64  `json:"ns"`
 }
 
-// PhaseNS returns the duration of the named phase in nanoseconds (0 if
-// absent).
-func PhaseNS(phases []Phase, name string) int64 {
-	for _, p := range phases {
-		if p.Name == name {
-			return p.NS
-		}
-	}
-	return 0
-}
-
 // PlanExplain is the structured EXPLAIN of one prepared query: what
 // the static pipeline decided, per join-forest tree, with no data
 // touched. Node variables are rendered as v<id> over the minimized

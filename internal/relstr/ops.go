@@ -27,15 +27,6 @@ func (s *Structure) Map(f func(int) int) *Structure {
 	return out
 }
 
-// MapTuple applies f pointwise to t.
-func MapTuple(t Tuple, f func(int) int) Tuple {
-	out := make(Tuple, len(t))
-	for i, e := range t {
-		out[i] = f(e)
-	}
-	return out
-}
-
 // Induced returns the substructure of s induced by keep: all facts
 // whose elements all lie in keep. Extra elements outside keep are
 // dropped.
@@ -65,23 +56,6 @@ func (s *Structure) Without(v int) *Structure {
 	keep := s.DomainSet()
 	delete(keep, v)
 	return s.Induced(keep)
-}
-
-// Union returns the (non-disjoint) union of s and o: the structure
-// whose facts are facts of either. Arities must agree on shared
-// symbols.
-func Union(s, o *Structure) *Structure {
-	out := s.Clone()
-	for name, r := range o.rels {
-		out.Declare(name, r.arity)
-		for _, t := range r.set.Rows() {
-			out.Add(name, t...)
-		}
-	}
-	for e := range o.extra {
-		out.AddElement(e)
-	}
-	return out
 }
 
 // DisjointUnion returns the disjoint union of s and o, renaming the
@@ -136,28 +110,6 @@ func (s *Structure) QuotientBy(p Partition) *Structure {
 			return r
 		}
 		return e
-	})
-}
-
-// Partitions enumerates all set partitions of elems, invoking fn with
-// each partition (as element → block-representative). It visits the
-// Bell number B(len(elems)) of partitions in ForEachPartition's order,
-// finest first. If fn returns false the enumeration stops early and
-// Partitions returns false; otherwise it returns true.
-func Partitions(elems []int, fn func(Partition) bool) bool {
-	return ForEachPartition(len(elems), func(block []int, k int) bool {
-		rep := make([]int, k)
-		for b := range rep {
-			rep[b] = -1
-		}
-		p := make(Partition, len(elems))
-		for j, e := range elems {
-			if rep[block[j]] == -1 {
-				rep[block[j]] = e
-			}
-			p[e] = rep[block[j]]
-		}
-		return fn(p)
 	})
 }
 

@@ -170,9 +170,9 @@ func TestPartitionsCount(t *testing.T) {
 			elems[i] = i
 		}
 		count := 0
-		Partitions(elems, func(Partition) bool { count++; return true })
+		ForEachPartition(n, func([]int, int) bool { count++; return true })
 		if count != bell[n] {
-			t.Errorf("Partitions(%d) visited %d partitions, want Bell(%d)=%d", n, count, n, bell[n])
+			t.Errorf("ForEachPartition(%d) visited %d partitions, want Bell(%d)=%d", n, count, n, bell[n])
 		}
 	}
 }
@@ -219,9 +219,8 @@ func TestForEachPartitionFinestFirst(t *testing.T) {
 }
 
 func TestPartitionsEarlyStop(t *testing.T) {
-	elems := []int{0, 1, 2, 3}
 	count := 0
-	done := Partitions(elems, func(Partition) bool { count++; return count < 3 })
+	done := ForEachPartition(4, func([]int, int) bool { count++; return count < 3 })
 	if done || count != 3 {
 		t.Fatalf("early stop: done=%v count=%d", done, count)
 	}
@@ -230,7 +229,8 @@ func TestPartitionsEarlyStop(t *testing.T) {
 func TestPartitionBlocks(t *testing.T) {
 	elems := []int{0, 1, 2}
 	var found bool
-	Partitions(elems, func(p Partition) bool {
+	ForEachPartition(len(elems), func(block []int, _ int) bool {
+		p := partitionOf(elems, block)
 		if p[0] == p[1] && p[2] != p[0] {
 			found = true
 			blocks := p.Blocks(elems)
@@ -244,6 +244,23 @@ func TestPartitionBlocks(t *testing.T) {
 	if !found {
 		t.Fatal("partition {0,1}{2} not enumerated")
 	}
+}
+
+// partitionOf is the Partition of the sorted elems that the
+// restricted-growth string block describes: each element maps to the
+// least element of its block.
+func partitionOf(elems, block []int) Partition {
+	p := make(Partition, len(elems))
+	rep := map[int]int{}
+	for j, e := range elems {
+		r, ok := rep[block[j]]
+		if !ok {
+			r = e
+			rep[block[j]] = e
+		}
+		p[e] = r
+	}
+	return p
 }
 
 func TestQuotientByContainsImageFacts(t *testing.T) {
@@ -347,8 +364,8 @@ func TestQuickQuotientShrinks(t *testing.T) {
 			return true
 		}
 		ok := true
-		Partitions(dom, func(p Partition) bool {
-			q := s.QuotientBy(p)
+		ForEachPartition(len(dom), func(block []int, _ int) bool {
+			q := s.QuotientBy(partitionOf(dom, block))
 			if q.NumFacts() > s.NumFacts() || q.DomainSize() > s.DomainSize() {
 				ok = false
 				return false

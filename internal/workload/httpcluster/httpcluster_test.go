@@ -65,21 +65,18 @@ func TestClusterSmoke(t *testing.T) {
 			t.Fatalf("%s: scatter answers diverge from single-node:\n  cluster %v\n  single  %v",
 				q.Name, got.Answers, want.Answers)
 		}
-	}
-
-	countReq := api.CountRequest{EvalRequest: api.EvalRequest{
-		Query: workload.ClusterQuerySuite()[0].String(), Class: "TW1", DB: "social",
-	}}
-	got, err := clients[0].Count(ctx, countReq)
-	if err != nil {
-		t.Fatalf("cluster count: %v", err)
-	}
-	want, err := cc.Count(ctx, countReq)
-	if err != nil {
-		t.Fatalf("control count: %v", err)
-	}
-	if got.Count != want.Count {
-		t.Fatalf("summed count %d, single-node %d", got.Count, want.Count)
+		countReq := api.CountRequest{EvalRequest: req}
+		gotN, err := clients[0].Count(ctx, countReq)
+		if err != nil {
+			t.Fatalf("%s: cluster count: %v", q.Name, err)
+		}
+		wantN, err := cc.Count(ctx, countReq)
+		if err != nil {
+			t.Fatalf("%s: control count: %v", q.Name, err)
+		}
+		if gotN.Count != wantN.Count {
+			t.Fatalf("%s: cluster count %d, single-node %d", q.Name, gotN.Count, wantN.Count)
+		}
 	}
 
 	stats := cl.Servers[0].Stats()
