@@ -34,6 +34,17 @@ package eval
 // is the join of its atoms, which is as large as what the naive engine
 // explores, while the search stops at the first witness and never
 // builds a bag relation.
+//
+// Building a bag tree and compiling it are separate steps: decompose
+// builds a cyclic plan's tree, joinTreeBags lays out a join tree of an
+// acyclic plan with one bag per node, and compile turns either into
+// programs. compile takes two inputs bag plans leave empty, both for
+// incremental maintenance (incr.go): pre-bound variables, bound before
+// the search starts, which join an existence bag's memo key when they
+// occur in its subtree; and a seeded atom, read from a standalone view
+// of seed rows and placed first in its bag's program. A run may carry
+// a row budget: every visited row is charged, and an exhausted budget
+// stops the search with errIncrBudget.
 
 import (
 	"context"
@@ -68,6 +79,7 @@ type bagNode struct {
 	parent   int   // -1 for roots
 	children []int
 	sep      []int // variables shared with the parent
+	key      []int // sep plus the pre-bound variables of the subtree (the memo key)
 	exist    bool  // no head variable below outside sep: a memoised existence check
 	// Existence bags only: the checks of children whose separators are
 	// bound on arrival, then the local program.
@@ -75,12 +87,15 @@ type bagNode struct {
 	steps []bagStep
 }
 
-// bagPlan is the static search program of a bag-mode plan.
+// bagPlan is a bag tree and, once compiled, its static search program.
 type bagPlan struct {
 	atoms    []patom
+	avars    [][]int // per atom, its distinct variables (the view columns)
 	bags     []bagNode
 	roots    []int
-	head     []int     // the head's variables (tb.Dist)
+	head     []int     // the variables the search emits
+	prebound []int     // variables bound before the search starts
+	seed     int       // atom read from the run's seed view; -1 if none
 	pre      []int     // existence checks due before the first head step
 	steps    []bagStep // the head part, in pre-order over its bags
 	lastHead int       // the last step binding a head variable; -1 if none
@@ -88,27 +103,39 @@ type bagPlan struct {
 	numSteps int
 }
 
-// newBagPlan decomposes the tableau and compiles its search programs.
-func newBagPlan(tb *cq.Tableau) *bagPlan {
-	bp := &bagPlan{atoms: atomList(tb.S), head: tb.Dist}
-	avars := make([][]int, len(bp.atoms))
-	var verts []int // dense vertex → variable
-	var vid []int   // variable → dense vertex +1 (0: not seen)
-	addVar := func(v int) {
-		if v >= len(vid) {
-			vid = append(vid, make([]int, v+1-len(vid))...)
+// newBags starts a bag tree over atoms searching for head.
+func newBags(atoms []patom, head []int) *bagPlan {
+	bp := &bagPlan{atoms: atoms, avars: make([][]int, len(atoms)), head: head}
+	for i, a := range atoms {
+		bp.avars[i] = a.distinctVars()
+		for _, v := range bp.avars[i] {
+			bp.numVars = max(bp.numVars, v+1)
 		}
+	}
+	for _, v := range head {
+		bp.numVars = max(bp.numVars, v+1)
+	}
+	return bp
+}
+
+// decompose builds the bag tree of a cyclic plan: the greedy
+// decomposition of the tableau, rooted and merged as the package
+// comment describes.
+func decompose(tb *cq.Tableau) *bagPlan {
+	bp := newBags(atomList(tb.S), tb.Dist)
+	var verts []int                // dense vertex → variable
+	vid := make([]int, bp.numVars) // variable → dense vertex +1 (0: not seen)
+	addVar := func(v int) {
 		if vid[v] == 0 {
 			verts = append(verts, v)
 			vid[v] = len(verts)
 		}
 	}
 	var edges [][2]int
-	for i, a := range bp.atoms {
-		avars[i] = a.distinctVars()
-		for j, u := range avars[i] {
+	for _, vs := range bp.avars {
+		for j, u := range vs {
 			addVar(u)
-			for _, w := range avars[i][:j] {
+			for _, w := range vs[:j] {
 				edges = append(edges, [2]int{vid[u] - 1, vid[w] - 1})
 			}
 		}
@@ -116,7 +143,6 @@ func newBagPlan(tb *cq.Tableau) *bagPlan {
 	for _, v := range bp.head {
 		addVar(v)
 	}
-	bp.numVars = len(vid)
 	d := tw.GreedyDecompose(len(verts), edges)
 	isHead := make([]bool, bp.numVars)
 	for _, v := range bp.head {
@@ -182,13 +208,13 @@ func newBagPlan(tb *cq.Tableau) *bagPlan {
 	}
 	bp.bags = bags
 	for i := range bp.bags {
-		bp.assignAtoms(i, avars)
+		bp.assignAtoms(i)
 	}
 	// The merge rule, top-down.
 	for queue := slices.Clone(bp.roots); len(queue) > 0; queue = queue[1:] {
 		b := queue[0]
 		for {
-			u := bp.unbound(b, avars)
+			u := bp.unbound(b)
 			if u < 0 {
 				break
 			}
@@ -202,46 +228,42 @@ func newBagPlan(tb *cq.Tableau) *bagPlan {
 			if c < 0 {
 				panic(fmt.Sprintf("eval: variable %d occurs in no atom", u))
 			}
-			bp.absorb(b, c, avars)
+			bp.absorb(b, c)
 		}
 		queue = append(queue, bp.bags[b].children...)
 	}
 	bp.compact()
-	// Separators and existence flags, bottom-up over the pre-order.
-	below := make([][]int, len(bp.bags)) // head variables in the subtree
-	for i := len(bp.bags) - 1; i >= 0; i-- {
-		b := &bp.bags[i]
-		if b.parent >= 0 {
-			b.sep = sharedVars(b.vars, bp.bags[b.parent].vars)
+	return bp
+}
+
+// joinTreeBags lays out the join tree holding node root of an acyclic
+// plan as a bag tree rooted at root: one bag per node, holding the
+// node's atom, in pre-order.
+func (p *Plan) joinTreeBags(root int, head []int) *bagPlan {
+	bp := newBags(p.atoms, head)
+	bp.roots = []int{0}
+	var walk func(i, from, parent int)
+	walk = func(i, from, parent int) {
+		b := len(bp.bags)
+		bp.bags = append(bp.bags, bagNode{vars: slices.Sorted(slices.Values(bp.avars[i])), atoms: []int{i}, parent: parent})
+		if parent >= 0 {
+			bp.bags[parent].children = append(bp.bags[parent].children, b)
 		}
-		for _, v := range b.vars {
-			if isHead[v] && !slices.Contains(below[i], v) {
-				below[i] = append(below[i], v)
-			}
-		}
-		for _, c := range b.children {
-			for _, v := range below[c] {
-				if !slices.Contains(below[i], v) {
-					below[i] = append(below[i], v)
-				}
-			}
-		}
-		b.exist = true
-		for _, v := range below[i] {
-			if !slices.Contains(b.sep, v) {
-				b.exist = false
+		for _, m := range append(slices.Clone(p.sched.children[i]), p.jt.Parent[i]) {
+			if m >= 0 && m != from {
+				walk(m, i, b)
 			}
 		}
 	}
-	bp.compile(avars, isHead)
+	walk(root, -1, -1)
 	return bp
 }
 
 // assignAtoms gives bag b every atom whose variables it contains.
-func (bp *bagPlan) assignAtoms(b int, avars [][]int) {
+func (bp *bagPlan) assignAtoms(b int) {
 	node := &bp.bags[b]
 	node.atoms = node.atoms[:0]
-	for i, vs := range avars {
+	for i, vs := range bp.avars {
 		ok := true
 		for _, v := range vs {
 			if !slices.Contains(node.vars, v) {
@@ -257,7 +279,7 @@ func (bp *bagPlan) assignAtoms(b int, avars [][]int) {
 
 // unbound returns a variable of bag b that neither its separator nor
 // one of its atoms binds, or -1.
-func (bp *bagPlan) unbound(b int, avars [][]int) int {
+func (bp *bagPlan) unbound(b int) int {
 	node := &bp.bags[b]
 	var par []int
 	if node.parent >= 0 {
@@ -269,7 +291,7 @@ vars:
 			continue
 		}
 		for _, a := range node.atoms {
-			if slices.Contains(avars[a], v) {
+			if slices.Contains(bp.avars[a], v) {
 				continue vars
 			}
 		}
@@ -281,7 +303,7 @@ vars:
 // absorb merges child bag c into bag b: b takes c's variables, its
 // children and every atom the union contains. Separators elsewhere do
 // not change (a variable shared by a grandchild and b lies in c).
-func (bp *bagPlan) absorb(b, c int, avars [][]int) {
+func (bp *bagPlan) absorb(b, c int) {
 	nb, nc := &bp.bags[b], &bp.bags[c]
 	for _, v := range nc.vars {
 		if !slices.Contains(nb.vars, v) {
@@ -295,7 +317,7 @@ func (bp *bagPlan) absorb(b, c int, avars [][]int) {
 		nb.children = append(nb.children, k)
 	}
 	nc.vars, nc.children, nc.parent = nil, nil, -2 // dead
-	bp.assignAtoms(b, avars)
+	bp.assignAtoms(b)
 }
 
 // compact drops absorbed bags and renumbers the rest in pre-order.
@@ -331,9 +353,56 @@ func (bp *bagPlan) compact() {
 	bp.bags = out
 }
 
-// compile lays out the head program and every existence bag's program.
-func (bp *bagPlan) compile(avars [][]int, isHead []bool) {
+// compile lays out the search programs of the bag tree: the head
+// program and every existence bag's program. prebound are the
+// variables bound before the search starts (the run's holds binds
+// them), so an existence bag's outcome also depends on those in its
+// subtree; seed is the atom a run reads from its seed view, placed first
+// in its bag's program, or -1.
+func (bp *bagPlan) compile(prebound []int, seed int) *bagPlan {
+	bp.prebound, bp.seed = prebound, seed
+	isHead := make([]bool, bp.numVars)
+	for _, v := range bp.head {
+		isHead[v] = true
+	}
+	// Separators, memo keys and existence flags, bottom-up over the
+	// pre-order.
+	below := make([][]int, len(bp.bags)) // head and pre-bound variables in the subtree
+	for i := len(bp.bags) - 1; i >= 0; i-- {
+		b := &bp.bags[i]
+		if b.parent >= 0 {
+			b.sep = sharedVars(b.vars, bp.bags[b.parent].vars)
+		}
+		for _, v := range b.vars {
+			if (isHead[v] || slices.Contains(prebound, v)) && !slices.Contains(below[i], v) {
+				below[i] = append(below[i], v)
+			}
+		}
+		for _, c := range b.children {
+			for _, v := range below[c] {
+				if !slices.Contains(below[i], v) {
+					below[i] = append(below[i], v)
+				}
+			}
+		}
+		b.exist, b.key = true, slices.Clip(b.sep)
+		for _, v := range below[i] {
+			switch {
+			case slices.Contains(b.sep, v):
+			case isHead[v]:
+				b.exist = false
+			default:
+				b.key = append(b.key, v)
+			}
+		}
+	}
 	bound := make([]bool, bp.numVars)
+	setBound := func(vars []int) {
+		for _, v := range vars {
+			bound[v] = true
+		}
+	}
+	setBound(prebound)
 	for _, r := range bp.roots {
 		if bp.bags[r].exist {
 			bp.pre = append(bp.pre, r)
@@ -341,7 +410,7 @@ func (bp *bagPlan) compile(avars [][]int, isHead []bool) {
 	}
 	var walk func(b int)
 	walk = func(b int) {
-		pre, steps := bp.program(b, bound, avars, isHead)
+		pre, steps := bp.program(b, bound, isHead)
 		if n := len(bp.steps); n > 0 {
 			bp.steps[n-1].checks = append(bp.steps[n-1].checks, pre...)
 		} else {
@@ -373,22 +442,22 @@ func (bp *bagPlan) compile(avars [][]int, isHead []bool) {
 			continue
 		}
 		clear(bound)
-		for _, v := range b.sep {
-			bound[v] = true
-		}
-		b.pre, b.steps = bp.program(i, bound, avars, nil)
+		setBound(prebound)
+		setBound(b.sep)
+		b.pre, b.steps = bp.program(i, bound, nil)
 	}
+	return bp
 }
 
 // program lays out bag b's local search given the variables bound on
-// arrival (bound, updated in place): its atoms in greedy order —
-// already-bound atoms as filters first, then connected atoms before
-// disconnected ones, then (in the head part) atoms binding head
-// variables, then the most bound and fewest free columns — each step
-// followed by the existence checks of the children whose separators
-// it completes. pre are the checks due on arrival. Atoms inside the
-// separator were checked by the parent and are skipped.
-func (bp *bagPlan) program(b int, bound []bool, avars [][]int, isHead []bool) (pre []int, steps []bagStep) {
+// arrival (bound, updated in place): the seeded atom first, then its
+// atoms in greedy order — already-bound atoms as filters first, then
+// connected atoms before disconnected ones, then (in the head part)
+// atoms binding head variables, then the most bound and fewest free
+// columns — each step followed by the existence checks of the children
+// whose separators it completes. pre are the checks due on arrival.
+// Atoms the parent bag holds were checked there and are skipped.
+func (bp *bagPlan) program(b int, bound []bool, isHead []bool) (pre []int, steps []bagStep) {
 	node := &bp.bags[b]
 	var waiting []int
 	for _, c := range node.children {
@@ -412,14 +481,13 @@ func (bp *bagPlan) program(b int, bound []bool, avars [][]int, isHead []bool) (p
 	pre = due()
 	var todo []int
 	for _, a := range node.atoms {
-		if !slices.ContainsFunc(avars[a], func(v int) bool { return !bound[v] }) {
-			continue
+		if node.parent < 0 || !slices.Contains(bp.bags[node.parent].atoms, a) {
+			todo = append(todo, a)
 		}
-		todo = append(todo, a)
 	}
 	score := func(a int) [4]int {
 		nb, nf, nh := 0, 0, 0
-		for _, v := range avars[a] {
+		for _, v := range bp.avars[a] {
 			switch {
 			case bound[v]:
 				nb++
@@ -442,10 +510,13 @@ func (bp *bagPlan) program(b int, bound []bool, avars [][]int, isHead []bool) (p
 		return s
 	}
 	for len(todo) > 0 {
-		best := 0
-		for k := 1; k < len(todo); k++ {
-			if greater(score(todo[k]), score(todo[best])) {
-				best = k
+		best := slices.Index(todo, bp.seed)
+		if best < 0 {
+			best = 0
+			for k := 1; k < len(todo); k++ {
+				if greater(score(todo[k]), score(todo[best])) {
+					best = k
+				}
 			}
 		}
 		a := todo[best]
@@ -453,17 +524,17 @@ func (bp *bagPlan) program(b int, bound []bool, avars [][]int, isHead []bool) (p
 		st := bagStep{id: bp.numSteps, atom: a}
 		bp.numSteps++
 		nb := 0
-		for _, v := range avars[a] {
+		for _, v := range bp.avars[a] {
 			if bound[v] {
 				nb++
 			}
 		}
 		// One slab holds the four column lists.
-		w := len(avars[a])
+		w := len(bp.avars[a])
 		cols := make([]int, 2*w)
 		st.bound, st.free = cols[:0:nb], cols[nb:nb:w]
 		st.boundVars, st.freeVars = cols[w:w:w+nb], cols[w+nb:w+nb:2*w]
-		for j, v := range avars[a] {
+		for j, v := range bp.avars[a] {
 			if bound[v] {
 				st.bound = append(st.bound, j)
 				st.boundVars = append(st.boundVars, v)
@@ -527,7 +598,7 @@ type bagProbe struct {
 	filtVars []int
 }
 
-// bagMemo records an existence bag's outcomes per separator values.
+// bagMemo records an existence bag's outcomes per memo key values.
 type bagMemo struct {
 	keys flatSet
 	hit  []bool
@@ -539,12 +610,13 @@ type bagRun struct {
 	sn     *relstr.Snapshot
 	ctx    context.Context
 	polls  int
+	budget *int // rows the search may still visit; nil: unlimited
 	err    error
 	stop   bool
 	views  []*relstr.View // per atom, resolved on first use
 	probes []bagProbe
 	bind   []int   // variable → value on the current search path
-	keys   [][]int // existence bag → its separator values (memo key)
+	keys   [][]int // existence bag → its memo key values
 	memo   []bagMemo
 	seen   flatSet // head tuples found
 	tuple  []int
@@ -582,9 +654,9 @@ func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]
 	r.memo, r.keys = r.memo[:len(bp.bags)], r.keys[:len(bp.bags)]
 	for i, b := range bp.bags {
 		if b.exist {
-			r.memo[i].keys.reset(len(b.sep))
+			r.memo[i].keys.reset(len(b.key))
 			r.memo[i].hit = r.memo[i].hit[:0]
-			r.keys[i] = resized(r.keys[i], len(b.sep))
+			r.keys[i] = resized(r.keys[i], len(b.key))
 		}
 	}
 	r.seen.reset(len(bp.head))
@@ -592,7 +664,7 @@ func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]
 }
 
 func (r *bagRun) release() {
-	r.sn, r.ctx, r.emit, r.err = nil, nil, nil, nil
+	r.sn, r.ctx, r.emit, r.budget, r.err = nil, nil, nil, nil, nil
 	clear(r.views)
 	for i := range r.probes {
 		r.probes[i].ready, r.probes[i].ix = false, nil
@@ -608,6 +680,17 @@ func (r *bagRun) run() {
 	}
 }
 
+// holds reports whether some assignment extends vals, the values of
+// the pre-bound variables in order. The program has no head, so it is
+// the root bags' existence checks; their memo survives between calls,
+// so a later call reuses every outcome its key values share.
+func (r *bagRun) holds(vals []int) bool {
+	for k, v := range r.bp.prebound {
+		r.bind[v] = vals[k]
+	}
+	return r.poll() && r.checks(r.bp.pre)
+}
+
 // poll checks the context every 256 calls; a cancellation stops the
 // search.
 func (r *bagRun) poll() bool {
@@ -617,6 +700,18 @@ func (r *bagRun) poll() bool {
 		}
 	}
 	return !r.stop
+}
+
+// visit charges one visited row to the budget, if any — an exhausted
+// budget stops the search with errIncrBudget — and polls.
+func (r *bagRun) visit() bool {
+	if r.budget != nil {
+		if *r.budget--; *r.budget < 0 {
+			r.err, r.stop = errIncrBudget, true
+			return false
+		}
+	}
+	return r.poll()
 }
 
 // probe resolves step st's index for this call: the widest index the
@@ -730,12 +825,12 @@ func (r *bagRun) checks(bags []int) bool {
 }
 
 // exists reports whether existence bag c's subtree extends the bound
-// separator values, memoised per separator values. Outcomes of a
-// stopped search are not recorded.
+// values, memoised per memo key values. Outcomes of a stopped search
+// are not recorded.
 func (r *bagRun) exists(c int) bool {
 	b := &r.bp.bags[c]
 	key := r.keys[c] // c's subtree never re-enters c, so the buffer survives the search
-	for k, v := range b.sep {
+	for k, v := range b.key {
 		key[k] = r.bind[v]
 	}
 	m := &r.memo[c]
@@ -760,7 +855,7 @@ func (r *bagRun) existStep(b *bagNode, i int) bool {
 	sp := r.probe(st)
 	rows := r.views[st.atom].Rows()
 	for id := r.first(sp, rows); id >= 0; id = r.next(sp, rows, id) {
-		if !r.poll() {
+		if !r.visit() {
 			return false
 		}
 		r.bindRow(st, rows[id])
@@ -793,7 +888,7 @@ func (r *bagRun) head(i int) int {
 	sp := r.probe(st)
 	rows := r.views[st.atom].Rows()
 	for id := r.first(sp, rows); id >= 0; id = r.next(sp, rows, id) {
-		if !r.poll() {
+		if !r.visit() {
 			return -2
 		}
 		r.bindRow(st, rows[id])
@@ -831,10 +926,16 @@ func (r *bagRun) fillTuple() {
 func (p *Plan) searchBags(ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) error {
 	r := p.bags.newRun(ctx, sn, emit)
 	r.run()
+	p.stats.evals.Add(1)
+	return p.finish(r)
+}
+
+// finish folds a run's index counters into the plan totals, releases
+// the run and returns the error that stopped it, if any.
+func (p *Plan) finish(r *bagRun) error {
 	err := r.err
 	p.stats.builds.Add(r.stats.builds)
 	p.stats.probes.Add(r.stats.probes)
-	p.stats.evals.Add(1)
 	r.release()
 	return err
 }

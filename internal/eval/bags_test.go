@@ -290,6 +290,19 @@ func (c *deadlineAfterPolls) Err() error {
 	return nil
 }
 
+// A seeded atom leads its bag's program: in the triangle's single bag
+// every one of the three atoms, seeded, is the first step, although the
+// greedy order alone would start with the same atom each time.
+func TestBagSeedLeads(t *testing.T) {
+	tb := cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)").Tableau()
+	for seed := range 3 {
+		bp := decompose(tb).compile(nil, seed)
+		if len(bp.bags) != 1 || bp.steps[0].atom != seed {
+			t.Fatalf("seed %d: %d bags, first step reads atom %d", seed, len(bp.bags), bp.steps[0].atom)
+		}
+	}
+}
+
 // The bag search polls its context: Eval, EvalBool, Stream and the
 // exact count of a cyclic plan stop with ErrCanceled soon after the
 // context expires mid-search, while a Boolean witness found before the

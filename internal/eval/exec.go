@@ -76,13 +76,6 @@ func (n *execNode) aliveRows() [][]int {
 	return out
 }
 
-// allAlive returns an n-row bitmap with every row live.
-func allAlive(n int) []uint64 {
-	words := make([]uint64, (n+63)/64)
-	fillAlive(words, n)
-	return words
-}
-
 // fillAlive sets the first n bits of words (len (n+63)/64).
 func fillAlive(words []uint64, n int) {
 	for w := range words {

@@ -143,13 +143,20 @@ func semijoinVia(sc *scratch, l, r rel, lCols, rCols []int, rv *relstr.View, par
 	return f.nodes[0].aliveRows()
 }
 
+// allAlive returns an n-row bitmap with every row live.
+func allAlive(n int) []uint64 {
+	words := make([]uint64, (n+63)/64)
+	fillAlive(words, n)
+	return words
+}
+
 // FuzzJoinEquivalence asserts the unified executor's semijoin and the
 // scratch join/project agree with the string-keyed reference
 // implementations they replaced, on arbitrary relation pairs
 // (including empty relations, disjoint variable sets, and tiny value
 // domains that force bucket collisions). The semijoin is held to the
 // oracle through three views: a standalone view (NewView, as
-// incremental maintenance builds over its restrictions), a snapshot
+// incremental maintenance builds over its seed rows), a snapshot
 // view (the evaluation path), and the standalone view again under a
 // parallel worker budget with the morsel size forced down to two rows.
 // Relabelled legs (values shifted by 2^40, and negated) push every key

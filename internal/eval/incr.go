@@ -16,34 +16,33 @@ package eval
 // tree's contribution; the answer diff is the changed contribution
 // rows crossed with the other trees' unchanged contributions.
 //
-// Within the touched tree the work is delta-sized. For insertions, any
-// new contribution row has a witness using an inserted tuple at some
-// node, so for each seeded node the tree's rows are *restricted* by a
-// breadth-first walk along tree edges — a node's restricted rows are
-// the full view rows joinable with the neighbour's restricted rows —
-// and the ordinary semijoin passes plus the solve join run on that
-// mini-forest. The restriction is closed under witnesses through a
-// seed row (adjacent rows of any such assignment join pairwise along
-// tree edges), so the mini-forest yields exactly the candidate
-// contributions. For deletions the same restricted evaluation runs on
-// the *old* snapshot seeded by the deleted rows, producing the old
-// contributions that had a witness through a deleted tuple; each
-// candidate is then re-checked on the new snapshot by a first-hit
-// search for one witness: top-down from a node holding kept
-// variables, each node's view is probed through its persistent index
-// on the variables already bound (the candidate's kept values and the
-// parent row's shared ones), and a chosen row's child subtrees are
-// checked independently — in a join tree they share variables only
-// through that row. Outcomes are memoised per (node, bound key), so a
-// candidate without a witness visits each matching row at most once.
+// Within the touched tree the work is delta-sized, and all of it is the
+// bag search of bags.go run over the join tree: a join tree is a tree
+// decomposition with one bag per node, so each node's tree is compiled
+// once per state into bag programs rooted where the work starts.
 //
-// Everything is budgeted — every row the restriction walks keep and
-// every row the membership search visits is charged: when the budget
-// runs out, the delta spans several trees or a Boolean (no kept
-// variables) tree, or the plan is a bag plan, Apply falls back to a full
-// re-evaluation and reports it — the diff is still exact, computed as
-// the sorted set difference against the previous answers. The fallback
-// and incremental counters surface through IndexStats and Explain.
+//   - Insert candidates: any new contribution row has a witness using an
+//     inserted tuple at some node, so for each seeded node a search
+//     rooted there, whose atom reads the inserted rows instead of its
+//     view, emits the tree's kept variables of every assignment through
+//     a seed row on the new snapshot.
+//   - Delete candidates: the same search on the *old* snapshot seeded by
+//     the deleted rows yields the old contributions that had a witness
+//     through a deleted tuple.
+//   - Membership: each delete candidate is re-checked on the new
+//     snapshot by a search rooted at the node holding the most kept
+//     variables, with the candidate's values pre-bound: every bag is an
+//     existence check, memoised per (bag, separator and pre-bound values
+//     below it) for the rest of the Apply, so a candidate without a
+//     witness visits each matching row at most once.
+//
+// Everything is budgeted — every row a search visits, seed rows
+// included, is charged: when the budget runs out, the delta spans
+// several trees or a Boolean (no kept variables) tree, or the plan is a
+// bag plan, Apply falls back to a full re-evaluation and reports it —
+// the diff is still exact, computed as the sorted set difference
+// against the previous answers. The fallback and incremental counters
+// surface through IndexStats and Explain.
 
 import (
 	"context"
@@ -54,9 +53,9 @@ import (
 	"cqapprox/internal/relstr"
 )
 
-// DefaultIncrBudget caps the work of one Apply — seeds, restricted
-// rows and rows visited by membership searches — before it falls back
-// to a full re-evaluation.
+// DefaultIncrBudget caps the work of one Apply — the rows its candidate
+// and membership searches visit, seed rows included — before it falls
+// back to a full re-evaluation.
 const DefaultIncrBudget = 8192
 
 // errIncrBudget aborts an incremental attempt; Apply catches it and
@@ -80,19 +79,9 @@ type IncrState struct {
 	contribs [][][]int // per tree, sorted rows over treeVars[t]
 	treeVars [][]int   // kept (free) variables per tree; empty = Boolean tree
 	treeOf   []int     // node → tree index
-	tnodes   [][]int   // tree → its nodes (preorder)
-	adj      [][]int   // node → tree neighbours (children + parent)
-	nodeVars [][]int   // node → distinct variables
 	relNodes map[string][]int
-
-	// Membership search program (see member): each tree is searched
-	// from the node holding the most kept variables, oriented over adj.
-	searchRoot []int   // tree → search root
-	searchKids [][]int // node → children in the search orientation
-	keyCols    [][]int // node → columns bound on arrival: kept or shared with the search parent
-	keyVars    [][]int // node → the variables at keyCols
-	memoVars   [][]int // node → keyVars plus the other kept variables of its search subtree
-	numVars    int     // variable ids are below numVars
+	seeded   []*bagPlan // node → candidate search of its tree seeded at the node
+	members  []*bagPlan // tree → membership search, the kept variables pre-bound
 }
 
 // IncrDiff is the exact answer-set change of one Apply: the tuples
@@ -126,10 +115,9 @@ func (p *Plan) NewIncrState(ctx context.Context, sn *relstr.Snapshot, parallel i
 	return s, nil
 }
 
-// SetBudget overrides the per-Apply work budget: the seeds and
-// restricted rows of the restriction walks plus the rows visited by
-// the membership searches (values below one keep the default). Lower
-// budgets force earlier fallbacks.
+// SetBudget overrides the per-Apply work budget: the rows the candidate
+// and membership searches visit, seed rows included (values below one
+// keep the default). Lower budgets force earlier fallbacks.
 func (s *IncrState) SetBudget(n int) {
 	if n > 0 {
 		s.budget = n
@@ -144,89 +132,35 @@ func (s *IncrState) Version() uint64 { return s.version }
 // stays valid across Apply calls (updates build fresh slices).
 func (s *IncrState) Answers() Answers { return s.answers }
 
-// initMaps precomputes the static per-node and per-tree lookup tables.
+// initMaps precomputes the per-node and per-tree lookup tables and
+// compiles the search programs.
 func (s *IncrState) initMaps() {
 	p := s.p
-	n := len(p.atoms)
-	s.treeOf = make([]int, n)
-	s.adj = make([][]int, n)
-	s.nodeVars = make([][]int, n)
+	s.treeOf = make([]int, len(p.atoms))
 	s.relNodes = map[string][]int{}
+	s.seeded = make([]*bagPlan, len(p.atoms))
 	for i, a := range p.atoms {
-		s.nodeVars[i] = a.distinctVars()
 		s.relNodes[a.rel] = append(s.relNodes[a.rel], i)
-		s.adj[i] = append(s.adj[i], p.sched.children[i]...)
-		if par := p.jt.Parent[i]; par >= 0 {
-			s.adj[i] = append(s.adj[i], par)
-		}
 	}
 	s.treeVars = make([][]int, len(p.sched.roots))
-	s.tnodes = make([][]int, len(p.sched.roots))
+	s.members = make([]*bagPlan, len(p.sched.roots))
 	for ti, r := range p.sched.roots {
-		s.treeVars[ti] = p.sched.nodes[r].vars
+		kept := p.sched.nodes[r].vars
+		s.treeVars[ti] = kept
+		root, most := r, -1
 		var walk func(i int)
 		walk = func(i int) {
 			s.treeOf[i] = ti
-			s.tnodes[ti] = append(s.tnodes[ti], i)
+			s.seeded[i] = p.joinTreeBags(i, kept).compile(nil, i)
+			if k := len(sharedVars(p.atoms[i].distinctVars(), kept)); k > most {
+				root, most = i, k
+			}
 			for _, c := range p.sched.children[i] {
 				walk(c)
 			}
 		}
 		walk(r)
-	}
-	s.searchRoot = make([]int, len(p.sched.roots))
-	s.searchKids = make([][]int, n)
-	s.keyCols = make([][]int, n)
-	s.keyVars = make([][]int, n)
-	s.memoVars = make([][]int, n)
-	for ti := range p.sched.roots {
-		best := -1
-		for _, i := range s.tnodes[ti] {
-			k := 0
-			for _, v := range s.nodeVars[i] {
-				if slices.Contains(s.treeVars[ti], v) {
-					k++
-				}
-			}
-			if k > best {
-				s.searchRoot[ti], best = i, k
-			}
-		}
-		// orient lays out node i's search program under search parent
-		// par and returns the kept variables of i's search subtree.
-		var orient func(i, par int) []int
-		orient = func(i, par int) []int {
-			var kept []int
-			for j, v := range s.nodeVars[i] {
-				isKept := slices.Contains(s.treeVars[ti], v)
-				if isKept {
-					kept = append(kept, v)
-				}
-				if isKept || par >= 0 && slices.Contains(s.nodeVars[par], v) {
-					s.keyCols[i] = append(s.keyCols[i], j)
-					s.keyVars[i] = append(s.keyVars[i], v)
-				}
-				s.numVars = max(s.numVars, v+1)
-			}
-			for _, m := range s.adj[i] {
-				if m != par {
-					s.searchKids[i] = append(s.searchKids[i], m)
-					for _, v := range orient(m, i) {
-						if !slices.Contains(kept, v) {
-							kept = append(kept, v)
-						}
-					}
-				}
-			}
-			s.memoVars[i] = slices.Clone(s.keyVars[i])
-			for _, v := range kept {
-				if !slices.Contains(s.memoVars[i], v) {
-					s.memoVars[i] = append(s.memoVars[i], v)
-				}
-			}
-			return kept
-		}
-		orient(s.searchRoot[ti], -1)
+		s.members[ti] = p.joinTreeBags(root, nil).compile(kept, -1)
 	}
 }
 
@@ -401,30 +335,15 @@ func (s *IncrState) effective(d *relstr.Delta, oldSn, newSn *relstr.Snapshot) []
 // candidate and membership check succeeded, so a budget abort leaves
 // the state untouched for the fallback.
 func (s *IncrState) applyTree(ctx context.Context, ti int, eff []effChange, oldSn, newSn *relstr.Snapshot) (*IncrDiff, error) {
-	p := s.p
 	budget := s.budget
-	sc := getScratch()
-	defer p.flushIncr(sc)
 	var addSeen, remSeen relstr.TupleSet
 	for _, e := range eff {
 		for _, n := range s.relNodes[e.rel] {
-			if seeds := s.seedRows(n, e.ins); len(seeds) > 0 {
-				rows, err := s.treeCandidates(ctx, sc, ti, n, seeds, newSn, &budget)
-				if err != nil {
-					return nil, err
-				}
-				for _, r := range rows {
-					addSeen.AddCopy(r)
-				}
+			if err := s.candidates(ctx, n, e.ins, newSn, &budget, &addSeen); err != nil {
+				return nil, err
 			}
-			if seeds := s.seedRows(n, e.del); len(seeds) > 0 {
-				rows, err := s.treeCandidates(ctx, sc, ti, n, seeds, oldSn, &budget)
-				if err != nil {
-					return nil, err
-				}
-				for _, r := range rows {
-					remSeen.AddCopy(r)
-				}
+			if err := s.candidates(ctx, n, e.del, oldSn, &budget, &remSeen); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -438,15 +357,15 @@ func (s *IncrState) applyTree(ctx context.Context, ti int, eff []effChange, oldS
 	}
 	var removed [][]int
 	if remSeen.Len() > 0 {
-		ms := s.newMemberSearch(newSn, sc, &budget)
+		r := s.members[ti].newRun(ctx, newSn, nil)
+		r.budget = &budget
 		for _, c := range tuplesToRows(remSeen.Rows()) {
-			ok, err := s.member(ctx, ms, ti, c)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			if !r.holds(c) && r.err == nil {
 				removed = append(removed, c)
 			}
+		}
+		if err := s.p.finish(r); err != nil {
+			return nil, err
 		}
 	}
 	sortRows(added)
@@ -457,6 +376,25 @@ func (s *IncrState) applyTree(ctx context.Context, ti int, eff []effChange, oldS
 	s.answers = mergeAnswers(s.answers, addedAns, removedAns)
 	s.version = newSn.Version()
 	return &IncrDiff{Added: addedAns, Removed: removedAns}, nil
+}
+
+// candidates adds to out the contributions of node n's tree on sn that
+// have a witness through one of tuples at n: the tree's search seeded
+// at n, whose atom reads the tuples' view rows instead of its view.
+func (s *IncrState) candidates(ctx context.Context, n int, tuples [][]int, sn *relstr.Snapshot, budget *int, out *relstr.TupleSet) error {
+	seeds := s.seedRows(n, tuples)
+	if len(seeds) == 0 {
+		return nil
+	}
+	bp := s.seeded[n]
+	r := bp.newRun(ctx, sn, func(c []int) bool {
+		out.AddCopy(c)
+		return true
+	})
+	r.views[bp.seed] = relstr.NewView(seeds)
+	r.budget = budget
+	r.run()
+	return s.p.finish(r)
 }
 
 // seedRows projects the delta tuples of node n's relation onto the
@@ -476,7 +414,7 @@ tuples:
 				continue tuples
 			}
 		}
-		row := make([]int, 0, len(s.nodeVars[n]))
+		row := make([]int, 0, len(pat))
 		for i, pi := range pat {
 			if pi == i {
 				row = append(row, t[i])
@@ -485,201 +423,6 @@ tuples:
 		out = append(out, row)
 	}
 	return out
-}
-
-// restrict computes the seed-reachable row restriction of tree ti on
-// sn: a breadth-first walk from seedNode along tree edges, restricting
-// each node to the view rows joinable with the neighbour's restricted
-// rows (probed through the snapshot's persistent indexes). The walk
-// covers the whole tree (trees are connected), and the restriction is
-// closed under assignments through a seed row.
-func (s *IncrState) restrict(sn *relstr.Snapshot, seedNode int, seeds [][]int, sc *scratch, budget *int) (map[int][][]int, error) {
-	restricted := map[int][][]int{seedNode: seeds}
-	*budget -= len(seeds)
-	if *budget < 0 {
-		return nil, errIncrBudget
-	}
-	for queue := []int{seedNode}; len(queue) > 0; queue = queue[1:] {
-		i := queue[0]
-		for _, m := range s.adj[i] {
-			if _, ok := restricted[m]; ok {
-				continue
-			}
-			iCols, mCols := sharedCols(s.nodeVars[i], s.nodeVars[m])
-			v := atomView(sn, s.p.atoms[m])
-			var rows [][]int
-			if len(mCols) == 0 {
-				rows = v.Rows() // no shared variables: every row joins
-			} else {
-				ix, _ := v.Index(mCols)
-				sc.stats.probes += uint64(len(restricted[i]))
-				seen := map[int32]bool{}
-				for _, r := range restricted[i] {
-					for id := ix.First(r, iCols); id >= 0; id = ix.Next(id, r, iCols) {
-						if !seen[id] {
-							seen[id] = true
-							rows = append(rows, v.Rows()[id])
-						}
-					}
-				}
-			}
-			*budget -= len(rows)
-			if *budget < 0 {
-				return nil, errIncrBudget
-			}
-			restricted[m] = rows
-			queue = append(queue, m)
-		}
-	}
-	return restricted, nil
-}
-
-// miniForest wraps restricted row sets as a serial forest the ordinary
-// pass/solve machinery runs on (nodes outside the restriction stay
-// zero-valued and are never visited).
-func (s *IncrState) miniForest(restricted map[int][][]int, sc *scratch) *forest {
-	f := &forest{nodes: make([]execNode, len(s.p.atoms)), sc: sc, par: 1}
-	for i, rows := range restricted {
-		f.nodes[i] = execNode{
-			rows:  rows,
-			vars:  s.nodeVars[i],
-			view:  relstr.NewView(rows),
-			words: allAlive(len(rows)),
-			live:  len(rows),
-		}
-	}
-	return f
-}
-
-// treeCandidates runs the full restricted evaluation of tree ti seeded
-// at seedNode and returns the candidate contribution rows (allocated
-// from sc; callers copy what they keep).
-func (s *IncrState) treeCandidates(ctx context.Context, sc *scratch, ti, seedNode int, seeds [][]int, sn *relstr.Snapshot, budget *int) ([][]int, error) {
-	restricted, err := s.restrict(sn, seedNode, seeds, sc, budget)
-	if err != nil {
-		return nil, err
-	}
-	f := s.miniForest(restricted, sc)
-	defer f.release()
-	r := s.p.sched.roots[ti]
-	if err := f.down(ctx, s.p.sched, r); err != nil {
-		return nil, err
-	}
-	if err := f.up(ctx, s.p.sched, r); err != nil {
-		return nil, err
-	}
-	tr, err := f.treeRel(ctx, s.p.sched, r)
-	if err != nil {
-		return nil, err
-	}
-	return tr.rows, nil
-}
-
-// memberSearch is the state of the membership searches of one Apply
-// on the new snapshot, shared by its candidates.
-type memberSearch struct {
-	s      *IncrState
-	sn     *relstr.Snapshot
-	sc     *scratch
-	budget *int
-	bind   []int        // variable → value on the current search path
-	key    [][]int      // node → memo key over memoVars
-	memo   []searchMemo // node → outcomes per memo key
-}
-
-// searchMemo records the memo keys a node was searched under, split
-// by outcome.
-type searchMemo struct{ hit, miss relstr.TupleSet }
-
-func (s *IncrState) newMemberSearch(sn *relstr.Snapshot, sc *scratch, budget *int) *memberSearch {
-	ms := &memberSearch{
-		s: s, sn: sn, sc: sc, budget: budget,
-		bind: make([]int, s.numVars),
-		key:  make([][]int, len(s.memoVars)),
-		memo: make([]searchMemo, len(s.memoVars)),
-	}
-	for n, vars := range s.memoVars {
-		ms.key[n] = make([]int, len(vars))
-	}
-	return ms
-}
-
-// member reports whether contribution row c is still derivable from
-// tree ti on the search's snapshot: c binds the tree's kept variables
-// and a first-hit search looks for one satisfying assignment
-// extending it (see extends).
-func (s *IncrState) member(ctx context.Context, ms *memberSearch, ti int, c []int) (bool, error) {
-	if err := cqerr.Check(ctx); err != nil {
-		return false, err
-	}
-	for k, v := range s.treeVars[ti] {
-		ms.bind[v] = c[k]
-	}
-	return ms.extends(s.searchRoot[ti])
-}
-
-// extends reports whether some view row of node n agrees with the
-// bound values of its key columns and extends into every search child
-// subtree. Children are checked independently under the chosen row —
-// acyclicity makes them share variables only through it. The outcome
-// depends on nothing but the bound values of memoVars (the key columns
-// and the kept variables below), so it is memoised under them for
-// every later candidate of the Apply. Every visited row is charged to
-// the budget.
-func (ms *memberSearch) extends(n int) (bool, error) {
-	s := ms.s
-	key := ms.key[n]
-	for k, x := range s.memoVars[n] {
-		key[k] = ms.bind[x]
-	}
-	memo := &ms.memo[n]
-	if memo.hit.Has(key) {
-		return true, nil
-	}
-	if memo.miss.Has(key) {
-		return false, nil
-	}
-	v := atomView(ms.sn, s.p.atoms[n])
-	rows := v.Rows()
-	var ix *relstr.Index
-	id := int32(-1)
-	switch {
-	case len(s.keyCols[n]) > 0:
-		ix, _ = v.Index(s.keyCols[n])
-		ms.sc.stats.probes++
-		id = ix.First(ms.bind, s.keyVars[n])
-	case len(rows) > 0:
-		id = 0 // nothing bound: every row matches
-	}
-	for id >= 0 {
-		if *ms.budget--; *ms.budget < 0 {
-			return false, errIncrBudget
-		}
-		for j, x := range s.nodeVars[n] {
-			ms.bind[x] = rows[id][j]
-		}
-		ok := true
-		for _, m := range s.searchKids[n] {
-			var err error
-			if ok, err = ms.extends(m); err != nil {
-				return false, err
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			memo.hit.AddCopy(key)
-			return true, nil
-		}
-		if ix != nil {
-			id = ix.Next(id, ms.bind, s.keyVars[n])
-		} else if id++; int(id) == len(rows) {
-			id = -1
-		}
-	}
-	memo.miss.AddCopy(key)
-	return false, nil
 }
 
 // compose crosses the per-tree contributions — tree ti replaced by
@@ -754,14 +497,6 @@ func (f *forest) treeRel(ctx context.Context, sched *schedule, root int) (rel, e
 		return acc, nil
 	}
 	return rec(root)
-}
-
-// flushIncr folds an incremental call's scratch counters into the plan
-// totals without counting a full evaluation.
-func (p *Plan) flushIncr(sc *scratch) {
-	p.stats.builds.Add(sc.stats.builds)
-	p.stats.probes.Add(sc.stats.probes)
-	putScratch(sc)
 }
 
 // --- sorted-row helpers ------------------------------------------------

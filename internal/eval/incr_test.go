@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -225,8 +226,8 @@ func TestIncrSelfJoinAndRepeatedVars(t *testing.T) {
 
 // Disconnected queries: GYO links variable-disjoint atoms into one
 // tree through zero-column cross-product edges, so deltas on either
-// side (or both) propagate incrementally — the restriction along a
-// zero-column edge keeps the neighbour's full view.
+// side (or both) propagate incrementally — the searches scan the
+// neighbour's view across a zero-column edge.
 func TestIncrCrossProductTrees(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParse("Q(x,u) :- E(x,y), F(u,v)")
@@ -295,6 +296,13 @@ func TestIncrDeleteMembership(t *testing.T) {
 	below.Add("F", 2, 5)
 	below.Add("F", 2, 6)
 	below.Add("F", 3, 5)
+	// R's row binds both children's separators: the second child checked
+	// loses its only row.
+	twoKids := relstr.New()
+	twoKids.Add("R", 1, 2, 3)
+	twoKids.Add("F", 2, 4)
+	twoKids.Add("G", 3, 5)
+	twoKids.Add("G", 6, 7)
 	for _, tc := range []struct {
 		name    string
 		q       string
@@ -310,6 +318,8 @@ func TestIncrDeleteMembership(t *testing.T) {
 			relstr.NewDelta().Delete("E", 2, 3), Answers{{0}}},
 		{"kept variable below an unkept node", "Q(x,u,w) :- R(x,u,y), G(y,z), F(z,w)", below,
 			relstr.NewDelta().Delete("G", 1, 2), Answers{{0, 0, 6}}},
+		{"second child loses its row", "Q(x) :- R(x,y,u), F(y,z), G(u,w)", twoKids,
+			relstr.NewDelta().Delete("G", 3, 5), Answers{{1}}},
 		{"disjoint node keeps a row", "Q(x) :- E(x,y), F(u,v)", disjoint2,
 			relstr.NewDelta().Delete("F", 7, 8), nil},
 		{"disjoint node emptied", "Q(x) :- E(x,y), F(u,v)", disjoint,
@@ -412,8 +422,9 @@ func TestIncrFallbacks(t *testing.T) {
 	})
 
 	t.Run("budget caps the membership search", func(t *testing.T) {
-		// Deleting E(1,2) restricts to two rows (the seed and F(2,3)),
-		// but re-checking candidate 1 visits its ten dead-end edges.
+		// Deleting E(1,2) costs the candidate search two rows (the seed
+		// and F(2,3)), but re-checking candidate 1 visits its ten
+		// dead-end edges.
 		p := NewPlan(cq.MustParse("Q(x) :- E(x,y), F(y,z)"))
 		db := relstr.New()
 		db.Add("E", 1, 2)
@@ -479,6 +490,65 @@ func TestIncrFallbacks(t *testing.T) {
 			t.Fatalf("answers after resync = %v", s.Answers())
 		}
 	})
+}
+
+// Pooled bag-search runs serve incremental maintenance and cyclic
+// evaluations at once: goroutines advancing their own IncrStates of one
+// acyclic plan and goroutines evaluating one cyclic plan, all from one
+// shared snapshot, stay exact (run under -race in CI's eval job).
+func TestIncrConcurrentWithBagSearches(t *testing.T) {
+	ctx := context.Background()
+	acyclic := NewPlan(cq.MustParse("Q(x0,x3) :- E(x0,x1), E(x1,x2), E(x2,x3)"))
+	cyclic := NewPlan(cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)"))
+	db := randomDB(rand.New(rand.NewSource(5)), 8, 30)
+	db.Declare("Unread", 1)
+	base := relstr.NewSnapshot(db)
+	wantCyclic, err := cyclic.EvalOn(ctx, base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 1 {
+				for i := 0; i < 20; i++ {
+					if got, err := cyclic.EvalOn(ctx, base, 1); err != nil || !sameAnswers(got, wantCyclic) {
+						t.Errorf("goroutine %d: cyclic answers %v (%v), want %v", g, got, err, wantCyclic)
+						return
+					}
+				}
+				return
+			}
+			s, err := acyclic.NewIncrState(ctx, base, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rng, sn := rand.New(rand.NewSource(int64(g))), base
+			for i := 0; i < 10; i++ {
+				d := randomDelta(rng, 8)
+				next, err := sn.Update(d)
+				if err == nil {
+					_, err = s.Apply(ctx, d, sn, next)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if fresh, err := acyclic.EvalOn(ctx, next, 1); err != nil || !sameAnswers(s.Answers(), fresh) {
+					t.Errorf("goroutine %d step %d: maintained %v, fresh %v (%v)", g, i, s.Answers(), fresh, err)
+					return
+				}
+				sn = next
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := acyclic.IndexStats(); st.IncrementalEvals == 0 {
+		t.Fatalf("no delta advanced incrementally: %+v", st)
+	}
 }
 
 // randomDelta draws a small random delta over E (and occasionally
@@ -575,8 +645,8 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 }
 
 // Budgets from one row up to the default force the fallback path
-// through the same random chains, aborting the restriction walks and
-// the membership searches at every depth. Every diff stays exact, and
+// through the same random chains, aborting the candidate and
+// membership searches at every depth. Every diff stays exact, and
 // an aborted incremental attempt leaves the state exactly as it was
 // before the fallback re-evaluates.
 func TestQuickIncrementalBudgetFallback(t *testing.T) {

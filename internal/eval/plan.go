@@ -190,7 +190,7 @@ func NewPlan(q *cq.Query) *Plan {
 		p.rankedIDs = dedupHeadIDs(p.sched.head, RankSpec{}.perm(len(p.sched.head)))
 		p.ranked = p.buildRankProgram(p.rankedIDs)
 	} else {
-		p.bags = newBagPlan(p.tb)
+		p.bags = decompose(p.tb).compile(nil, -1)
 	}
 	return p
 }

@@ -350,41 +350,6 @@ func TestMapsRepeatedDistinguished(t *testing.T) {
 	}
 }
 
-func TestMinimalElements(t *testing.T) {
-	// loop ⥿ K2↔ ⥿ C4: minimal (in →) is the loop... order: loop → K2↔?
-	// loop maps nowhere but to loops. K2↔ → loop. C4 → K2↔ → loop.
-	// Minimal = elements with nothing strictly below: the loop has
-	// nothing mapping into it without a back-map except... K2↔ → loop
-	// and loop ↛ K2↔, so loop is NOT minimal. C4: K2↔→C4? K2↔ needs a
-	// 2-cycle in C4: no. loop→C4: no. So C4 is minimal. K2↔: C4 → K2↔
-	// and K2↔ ↛ C4, so K2↔ not minimal.
-	items := []Pointed{
-		{S: loop()},
-		{S: k2both()},
-		{S: dicycle(4)},
-	}
-	min := MinimalElements(items)
-	if len(min) != 1 || min[0] != 2 {
-		t.Fatalf("MinimalElements = %v, want [2]", min)
-	}
-}
-
-func TestEquivClasses(t *testing.T) {
-	items := []Pointed{
-		{S: dipath(3)},
-		{S: dipath(3)},
-		{S: loop()},
-		{S: dipath(2)}, // P2 ≁ P3 (levels), so its own class
-	}
-	classes := EquivClasses(items)
-	if len(classes) != 3 {
-		t.Fatalf("classes = %v, want 3 classes", classes)
-	}
-	if len(classes[0]) != 2 {
-		t.Fatalf("first class = %v, want {0,1}", classes[0])
-	}
-}
-
 // Property: core is hom-equivalent to the original and idempotent.
 func TestQuickCoreProperties(t *testing.T) {
 	f := func(seed int64) bool {

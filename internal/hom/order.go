@@ -108,74 +108,3 @@ func ProperlyContained(q1, q2 *cq.Query) bool {
 func Equivalent(q1, q2 *cq.Query) bool {
 	return Contained(q1, q2) && Contained(q2, q1)
 }
-
-// MinimalElements returns the indices of the →-minimal elements of
-// items: those i such that no j satisfies items[j] ⥿ items[i]. In the
-// tableau view of the paper, minimal tableaux correspond to
-// ⊆-maximal queries. The comparisons are memoised in a relation matrix.
-func MinimalElements(items []Pointed) []int {
-	n := len(items)
-	maps := make([][]int8, n) // -1 unknown, 0 no, 1 yes
-	for i := range maps {
-		maps[i] = make([]int8, n)
-		for j := range maps[i] {
-			maps[i][j] = -1
-		}
-	}
-	arrow := func(i, j int) bool {
-		if maps[i][j] == -1 {
-			if Maps(items[i], items[j]) {
-				maps[i][j] = 1
-			} else {
-				maps[i][j] = 0
-			}
-		}
-		return maps[i][j] == 1
-	}
-	var out []int
-	for i := 0; i < n; i++ {
-		minimal := true
-		for j := 0; j < n && minimal; j++ {
-			if j == i {
-				continue
-			}
-			if arrow(j, i) && !arrow(i, j) {
-				minimal = false
-			}
-		}
-		if minimal {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// EquivClasses partitions items into homomorphic-equivalence classes,
-// returning for each class the indices of its members. Class order
-// follows the first member's index.
-func EquivClasses(items []Pointed) [][]int {
-	n := len(items)
-	assigned := make([]int, n)
-	for i := range assigned {
-		assigned[i] = -1
-	}
-	var classes [][]int
-	for i := 0; i < n; i++ {
-		if assigned[i] != -1 {
-			continue
-		}
-		cls := []int{i}
-		assigned[i] = len(classes)
-		for j := i + 1; j < n; j++ {
-			if assigned[j] != -1 {
-				continue
-			}
-			if Equivalentp(items[i], items[j]) {
-				assigned[j] = len(classes)
-				cls = append(cls, j)
-			}
-		}
-		classes = append(classes, cls)
-	}
-	return classes
-}
