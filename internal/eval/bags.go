@@ -36,7 +36,7 @@ package eval
 // builds a bag relation.
 //
 // Building a bag tree and compiling it are separate steps: decompose
-// builds a cyclic plan's tree, joinTreeBags lays out a join tree of an
+// builds a cyclic plan's tree, joinTreeBags lays out join trees of an
 // acyclic plan with one bag per node, and compile turns either into
 // programs. compile takes two inputs bag plans leave empty, both for
 // incremental maintenance (incr.go): pre-bound variables, bound before
@@ -45,6 +45,13 @@ package eval
 // of seed rows and placed first in its bag's program. A run may carry
 // a row budget: every visited row is charged, and an exhausted budget
 // stops the search with errIncrBudget.
+//
+// A run may also read a forest reduced by both semijoin passes
+// (forestRun): each atom reads its forest node's view and liveness
+// bitmap, and the search skips dead row ids. The reduced forest is
+// globally consistent, so the search never meets a dead end and skips
+// every existence check. Acyclic streams run the whole join forest this
+// way, and IncrState's re-evaluation each tree.
 
 import (
 	"context"
@@ -236,12 +243,11 @@ func decompose(tb *cq.Tableau) *bagPlan {
 	return bp
 }
 
-// joinTreeBags lays out the join tree holding node root of an acyclic
-// plan as a bag tree rooted at root: one bag per node, holding the
-// node's atom, in pre-order.
-func (p *Plan) joinTreeBags(root int, head []int) *bagPlan {
+// joinTreeBags lays out the join trees holding nodes roots of an
+// acyclic plan as a bag tree, each rooted at its node in roots: one bag
+// per node, holding the node's atom, in pre-order.
+func (p *Plan) joinTreeBags(head []int, roots ...int) *bagPlan {
 	bp := newBags(p.atoms, head)
-	bp.roots = []int{0}
 	var walk func(i, from, parent int)
 	walk = func(i, from, parent int) {
 		b := len(bp.bags)
@@ -255,7 +261,10 @@ func (p *Plan) joinTreeBags(root int, head []int) *bagPlan {
 			}
 		}
 	}
-	walk(root, -1, -1)
+	for _, r := range roots {
+		bp.roots = append(bp.roots, len(bp.bags))
+		walk(r, -1, -1)
+	}
 	return bp
 }
 
@@ -589,13 +598,15 @@ func greater(a, b [4]int) bool {
 // bagProbe is one step's index resolution for the current call: an
 // index over some of the bound columns (keyVars aligned with its
 // columns) plus the bound columns it leaves to a filter. A nil index
-// with no bound columns is a scan.
+// with no bound columns is a scan. live is the atom's liveness bitmap,
+// nil when every row is live.
 type bagProbe struct {
 	ready    bool
 	ix       *relstr.Index
 	keyVars  []int
 	filtCols []int
 	filtVars []int
+	live     []uint64
 }
 
 // bagMemo records an existence bag's outcomes per memo key values.
@@ -614,6 +625,7 @@ type bagRun struct {
 	err    error
 	stop   bool
 	views  []*relstr.View // per atom, resolved on first use
+	live   [][]uint64     // per atom, its row liveness bitmap; nil: every row
 	probes []bagProbe
 	bind   []int   // variable → value on the current search path
 	keys   [][]int // existence bag → its memo key values
@@ -622,6 +634,10 @@ type bagRun struct {
 	tuple  []int
 	emit   func([]int) bool
 	stats  opStats
+
+	// reduced: the run reads a forest reduced by both semijoin passes
+	// (forestRun), where every existence check holds.
+	reduced bool
 }
 
 var bagRunPool = sync.Pool{New: func() any { return new(bagRun) }}
@@ -639,8 +655,9 @@ func resized[T any](s []T, n int) []T {
 func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) *bagRun {
 	r := bagRunPool.Get().(*bagRun)
 	r.bp, r.sn, r.ctx, r.emit = bp, sn, ctx, emit
-	r.polls, r.err, r.stop, r.stats = 0, nil, false, opStats{}
+	r.polls, r.err, r.stop, r.reduced, r.stats = 0, nil, false, false, opStats{}
 	r.views = resized(r.views, len(bp.atoms))
+	r.live = resized(r.live, len(bp.atoms))
 	if cap(r.probes) < bp.numSteps {
 		r.probes = make([]bagProbe, bp.numSteps)
 	}
@@ -666,8 +683,9 @@ func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]
 func (r *bagRun) release() {
 	r.sn, r.ctx, r.emit, r.budget, r.err = nil, nil, nil, nil, nil
 	clear(r.views)
+	clear(r.live)
 	for i := range r.probes {
-		r.probes[i].ready, r.probes[i].ix = false, nil
+		r.probes[i].ready, r.probes[i].ix, r.probes[i].live = false, nil, nil
 	}
 	bagRunPool.Put(r)
 }
@@ -723,7 +741,7 @@ func (r *bagRun) probe(st *bagStep) *bagProbe {
 	if sp.ready {
 		return sp
 	}
-	sp.ready = true
+	sp.ready, sp.live = true, r.live[st.atom]
 	v := r.views[st.atom]
 	if v == nil {
 		v = atomView(r.sn, r.bp.atoms[st.atom])
@@ -768,18 +786,16 @@ func (r *bagRun) probe(st *bagStep) *bagProbe {
 	return sp
 }
 
-// first returns the first row id of step st's view agreeing with the
-// bound values, or -1; next continues from id.
+// first returns the first live row id of step st's view agreeing with
+// the bound values, or -1; next continues from id. A scan has no bound
+// columns, so it tests liveness only.
 func (r *bagRun) first(sp *bagProbe, rows [][]int) int32 {
 	if sp.ix == nil {
-		if len(rows) == 0 {
-			return -1
-		}
-		return 0
+		return sp.scan(0, len(rows))
 	}
 	r.stats.probes++
 	id := sp.ix.First(r.bind, sp.keyVars)
-	for id >= 0 && !r.filter(sp, rows[id]) {
+	for id >= 0 && !r.keep(sp, rows, id) {
 		id = sp.ix.Next(id, r.bind, sp.keyVars)
 	}
 	return id
@@ -787,18 +803,41 @@ func (r *bagRun) first(sp *bagProbe, rows [][]int) int32 {
 
 func (r *bagRun) next(sp *bagProbe, rows [][]int, id int32) int32 {
 	if sp.ix == nil {
-		if id++; int(id) == len(rows) {
-			return -1
-		}
-		return id
+		return sp.scan(id+1, len(rows))
 	}
-	for id = sp.ix.Next(id, r.bind, sp.keyVars); id >= 0 && !r.filter(sp, rows[id]); {
+	for id = sp.ix.Next(id, r.bind, sp.keyVars); id >= 0 && !r.keep(sp, rows, id); {
 		id = sp.ix.Next(id, r.bind, sp.keyVars)
 	}
 	return id
 }
 
-func (r *bagRun) filter(sp *bagProbe, row []int) bool {
+// scan returns the first live row id from id on among n rows, or -1.
+func (sp *bagProbe) scan(id int32, n int) int32 {
+	if sp.live == nil {
+		if int(id) < n {
+			return id
+		}
+		return -1
+	}
+	for w := int(id >> 6); w < len(sp.live); w++ {
+		word := sp.live[w]
+		if w == int(id>>6) {
+			word &= ^uint64(0) << (uint(id) & 63)
+		}
+		if word != 0 {
+			return int32(w<<6 | bits.TrailingZeros64(word))
+		}
+	}
+	return -1
+}
+
+// keep reports whether row id is live and agrees with the bound values
+// the index leaves to a filter.
+func (r *bagRun) keep(sp *bagProbe, rows [][]int, id int32) bool {
+	if sp.live != nil && sp.live[id>>6]&(1<<(uint(id)&63)) == 0 {
+		return false
+	}
+	row := rows[id]
 	for k, c := range sp.filtCols {
 		if row[c] != r.bind[sp.filtVars[k]] {
 			return false
@@ -815,7 +854,11 @@ func (r *bagRun) bindRow(st *bagStep, row []int) {
 }
 
 // checks runs existence checks in order, stopping at the first miss.
+// A run over a reduced forest skips them: they all hold.
 func (r *bagRun) checks(bags []int) bool {
+	if r.reduced {
+		return true
+	}
 	for _, c := range bags {
 		if !r.exists(c) {
 			return false
@@ -930,6 +973,21 @@ func (p *Plan) searchBags(ctx context.Context, sn *relstr.Snapshot, emit func([]
 	return p.finish(r)
 }
 
+// forestRun starts a run of bp over the live rows of f, a forest of the
+// plan's atoms reduced by both semijoin passes: each atom reads its
+// forest node's view and liveness bitmap. The reduced forest is
+// globally consistent — every live row extends to an assignment of its
+// tree, and no tree is empty in part — so the search never meets a
+// dead end and runs no existence check.
+func (bp *bagPlan) forestRun(ctx context.Context, f *forest, emit func([]int) bool) *bagRun {
+	r := bp.newRun(ctx, nil, emit)
+	r.reduced = true
+	for i := range f.nodes {
+		r.views[i], r.live[i] = f.nodes[i].view, f.nodes[i].words
+	}
+	return r
+}
+
 // finish folds a run's index counters into the plan totals, releases
 // the run and returns the error that stopped it, if any.
 func (p *Plan) finish(r *bagRun) error {
@@ -952,12 +1010,17 @@ func (p *Plan) evalBags(ctx context.Context, sn *relstr.Snapshot) (Answers, erro
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	w := len(p.tb.Dist)
-	out := make(Answers, n)
+	return sortAnswers(cutRows[relstr.Tuple](data, n, len(p.tb.Dist))), nil
+}
+
+// cutRows splits a slab of n back-to-back rows of width w into rows
+// sharing it.
+func cutRows[R ~[]int](data []int, n, w int) []R {
+	out := make([]R, n)
 	for k := range out {
 		out[k] = data[k*w : (k+1)*w : (k+1)*w]
 	}
-	return sortAnswers(out), nil
+	return out
 }
 
 // boolBags reports whether a bag plan has an answer. A witness found

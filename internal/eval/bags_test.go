@@ -51,7 +51,7 @@ func randomCyclicQuery(rng *rand.Rand) *cq.Query {
 		for i := rng.Intn(4); i > 0; i-- {
 			q.Head = append(q.Head, pool[rng.Intn(len(pool))])
 		}
-		if _, err := Program(q); err == ErrNotAcyclic {
+		if NewPlan(q).Mode() == PlanBags {
 			return q
 		}
 	}
@@ -364,5 +364,93 @@ func TestBagCancellation(t *testing.T) {
 	}
 	if ctx.Err() == nil {
 		t.Fatal("the context should have expired by now")
+	}
+}
+
+// A search over a reduced forest reads only its live rows: run on the
+// stream's forest under a 10-row budget, rooted at R (atom 0). In the
+// first chain R's 1,000 dangling rows die in the semijoin passes and the
+// scan skips them; in the second, 1,000 S rows agree with the live R row
+// but have no T partner, and the probe from R skips them. The search
+// runs no existence check there, so a dead S row would also be emitted.
+func TestStreamSearchReadsLiveRows(t *testing.T) {
+	ctx := context.Background()
+	scan := relstr.New()
+	for i := range 1000 {
+		scan.Add("R", i, 1000+i) // no S partner
+	}
+	for i := range 3 {
+		scan.Add("R", 5000+i, i)
+		scan.Add("S", i, 7)
+	}
+	probe := relstr.New()
+	probe.Add("R", 5000, 0)
+	for i := range 1000 {
+		if i == 500 {
+			probe.Add("S", 0, 7)
+		}
+		probe.Add("S", 0, 1000+i) // no T partner
+	}
+	probe.Add("T", 7, 8)
+	for src, db := range map[string]*relstr.Structure{
+		"Q(x,y) :- R(x,y), S(y,z)":           scan,
+		"Q(x,y,z) :- R(x,y), S(y,z), T(z,w)": probe,
+	} {
+		q := cq.MustParse(src)
+		p := NewPlan(q)
+		sc := getScratch()
+		f := p.newForest(relstr.Borrow(db), sc, 1)
+		if err := f.runPasses(ctx, p.sched); err != nil || f.anyEmpty() {
+			t.Fatalf("%s passes: err %v, empty %v", src, err, f.anyEmpty())
+		}
+		var got []relstr.Tuple
+		r := p.joinTreeBags(p.tb.Dist, 0).compile(nil, -1).forestRun(ctx, f, func(vals []int) bool {
+			got = append(got, relstr.Tuple(vals).Clone())
+			return true
+		})
+		budget := 10
+		r.budget = &budget
+		r.run()
+		if err := p.finish(r); err != nil {
+			t.Fatalf("%s: search over the reduced forest: %v", src, err)
+		}
+		f.release()
+		p.flush(sc)
+		assertSameAnswers(t, sortAnswers(got), Naive(q, db))
+	}
+}
+
+// A stream checks its context before every answer, in both modes: a
+// consumer that cancels after the first answer gets no second one,
+// although the search polls its context only every 256 rows, and the
+// stream reports the cancellation.
+func TestStreamStopsAtCancel(t *testing.T) {
+	db := relstr.New()
+	for i := range 8 {
+		for j := range 8 {
+			if i != j {
+				db.Add("E", i, j)
+			}
+		}
+	}
+	for src, mode := range map[string]PlanMode{
+		"Q(x,z) :- E(x,y), E(y,z)":         PlanYannakakis,
+		"Q(x,y) :- E(x,y), E(y,z), E(z,x)": PlanBags,
+	} {
+		p := NewPlan(cq.MustParse(src))
+		if p.Mode() != mode {
+			t.Fatalf("%s: mode %v, want %v", src, p.Mode(), mode)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		n := 0
+		seq, errf := p.StreamOnErr(ctx, relstr.Borrow(db), 1)
+		for range seq {
+			n++
+			cancel()
+		}
+		cancel()
+		if err := errf(); n != 1 || !errors.Is(err, cqerr.ErrCanceled) {
+			t.Fatalf("%s: %d answers after the cancel at the first, err %v", src, n, err)
+		}
 	}
 }

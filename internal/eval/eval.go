@@ -3,7 +3,7 @@
 //
 //   - Naive: backtracking join, |D|^O(|Q|) combined complexity — the
 //     generic engine for arbitrary CQs, kept as the independent oracle
-//     the plans are tested against.
+//     the plans are tested against; no plan path runs it.
 //   - Yannakakis: the classical semijoin algorithm for acyclic CQs,
 //     O(|D|·|Q|) per the paper's Section 1 (plus output cost for
 //     non-Boolean queries).
@@ -14,7 +14,11 @@
 // A Plan (NewPlan) fixes the strategy once per query — Yannakakis over
 // a GYO join tree when the query is acyclic, the bag search otherwise
 // — and every evaluation runs through it; Eval and EvalBool are the
-// one-shot forms.
+// one-shot forms. Enumeration has one kernel, the bag search: cyclic
+// plans run it over their decomposition, and acyclic streams and
+// incremental re-evaluation run it over the reduced join forest (a join
+// tree is a decomposition with one atom per bag), reading live rows
+// only.
 //
 // The Yannakakis pipeline runs on one unified executor (exec.go): all
 // column mappings are precomputed in a schedule (schedule.go) that

@@ -82,9 +82,6 @@ func TestYannakakisRejectsCyclic(t *testing.T) {
 	if m := NewPlan(q).Mode(); m != PlanBags {
 		t.Fatalf("cyclic query planned as %v, want bags", m)
 	}
-	if _, err := Program(q); err != ErrNotAcyclic {
-		t.Fatalf("err = %v, want ErrNotAcyclic", err)
-	}
 }
 
 func TestYannakakisBooleanSemijoinOnly(t *testing.T) {
@@ -144,24 +141,6 @@ func TestEvalAutoSelection(t *testing.T) {
 	}
 }
 
-func TestProgramListsSemijoins(t *testing.T) {
-	q := cq.MustParse("Q() :- E(x,y), E(y,z), E(z,w)")
-	prog, err := Program(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Atoms) != 3 {
-		t.Fatalf("atoms = %v", prog.Atoms)
-	}
-	// A full reduction does 2 bottom-up + 2 top-down steps for 3 atoms.
-	if len(prog.Steps) != 4 {
-		t.Fatalf("steps = %v, want 4", prog.Steps)
-	}
-	if _, err := Program(cq.MustParse("Q() :- E(x,y), E(y,z), E(z,x)")); err == nil {
-		t.Fatal("cyclic query should not yield a program")
-	}
-}
-
 func randomQuery(rng *rand.Rand, acyclicOnly bool) *cq.Query {
 	for {
 		nv := 2 + rng.Intn(4)
@@ -190,10 +169,8 @@ func randomQuery(rng *rand.Rand, acyclicOnly bool) *cq.Query {
 		for i := 0; i < rng.Intn(3) && len(pool) > 0; i++ {
 			q.Head = append(q.Head, pool[rng.Intn(len(pool))])
 		}
-		if acyclicOnly {
-			if _, err := Program(q); err != nil {
-				continue
-			}
+		if acyclicOnly && NewPlan(q).Mode() != PlanYannakakis {
+			continue
 		}
 		return q
 	}

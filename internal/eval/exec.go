@@ -821,38 +821,3 @@ func evalForest(ctx context.Context, sched *schedule, f *forest) (Answers, error
 	}
 	return f.projectHead(rows, len(sched.head), cols), nil
 }
-
-// reduce rebuilds a structure holding only the database tuples backing
-// assignment rows that survived runPasses; Add declares each atom's
-// relation. Answers of the query on the reduced structure equal those
-// on the original; empty reports that some relation lost every row
-// (empty answer set).
-func (f *forest) reduce(atoms []patom) (_ *relstr.Structure, empty bool) {
-	out := relstr.New()
-	for i, a := range atoms {
-		n := &f.nodes[i]
-		if n.live == 0 {
-			return nil, true
-		}
-		// Rebuild the db tuples backing each surviving assignment row:
-		// position j of the tuple holds the row value of the variable
-		// at position j (repeated variables repeat the value).
-		varIdx := make([]int, len(a.args))
-		for j, v := range a.args {
-			varIdx[j] = indexOf(n.vars, v)
-		}
-		t := make([]int, len(a.args))
-		for w, word := range n.words {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				row := n.rows[w<<6|b]
-				for j, vi := range varIdx {
-					t[j] = row[vi]
-				}
-				out.Add(a.rel, t...)
-			}
-		}
-	}
-	return out, false
-}

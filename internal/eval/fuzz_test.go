@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -288,11 +289,29 @@ func (p *Plan) evalBoolTuned(ctx context.Context, src *relstr.Snapshot, par int)
 	return f.runBool(ctx, p.sched)
 }
 
+// streamSet drains p's stream on src under worker budget par and
+// returns its answers sorted, failing if the stream errs or repeats an
+// answer.
+func streamSet(ctx context.Context, p *Plan, src *relstr.Snapshot, par int) (Answers, error) {
+	var seen relstr.TupleSet
+	seq, errf := p.StreamOnErr(ctx, src, par)
+	for a := range seq {
+		if !seen.Add(a) {
+			return nil, fmt.Errorf("stream repeats answer %v", a)
+		}
+	}
+	if err := errf(); err != nil {
+		return nil, err
+	}
+	return sortAnswers(seen.Rows()), nil
+}
+
 // FuzzParallelEquivalence asserts the parallel executor returns
 // byte-identical answers to the serial one and to the string-keyed
 // reference pipeline, across both storage backends (per-call structure
 // and snapshot) and for both full and Boolean evaluation, on random
-// acyclic queries and databases derived from the fuzz seed.
+// acyclic queries and databases derived from the fuzz seed. The
+// stream, as a set with no duplicates, matches the reference too.
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -336,6 +355,14 @@ func FuzzParallelEquivalence(f *testing.F) {
 				}
 			}
 		}
+		for _, par := range []int{1, 4} {
+			for _, src := range []*relstr.Snapshot{relstr.Borrow(db), snap} {
+				got, err := streamSet(ctx, p, src, par)
+				if err != nil || !sameAnswers(got, want) {
+					t.Fatalf("stream(%d) = %v (err %v), want %v, q=%v", par, got, err, want, q)
+				}
+			}
+		}
 	})
 }
 
@@ -343,7 +370,8 @@ func FuzzParallelEquivalence(f *testing.F) {
 // worker budgets, against Plan.EvalBaseline (the string-keyed
 // reference) as the oracle — and so do the Boolean variants. This is
 // the one quickcheck covering every execution configuration the
-// unified executor serves.
+// unified executor serves. The stream, as a set with no duplicates,
+// matches the reference in each configuration.
 func TestQuickIndexedMatchesBaseline(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
@@ -367,6 +395,10 @@ func TestQuickIndexedMatchesBaseline(t *testing.T) {
 				}
 				ok, err := p.evalBoolTuned(ctx, src, par)
 				if err != nil || ok != (len(want) > 0) {
+					return false
+				}
+				streamed, err := streamSet(ctx, p, src, par)
+				if err != nil || !sameAnswers(streamed, want) {
 					return false
 				}
 			}

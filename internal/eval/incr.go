@@ -36,6 +36,11 @@ package eval
 //     below it) for the rest of the Apply, so a candidate without a
 //     witness visits each matching row at most once.
 //
+// The full re-evaluation that builds the state (and every fallback)
+// runs both semijoin passes, then reads each tree's contribution with
+// one more search per tree, rooted at the tree's root with its kept
+// variables as the head, over the reduced forest's live rows.
+//
 // Everything is budgeted — every row a search visits, seed rows
 // included, is charged: when the budget runs out, the delta spans
 // several trees or a Boolean (no kept variables) tree, or the plan is a
@@ -49,7 +54,6 @@ import (
 	"errors"
 	"slices"
 
-	"cqapprox/internal/cqerr"
 	"cqapprox/internal/relstr"
 )
 
@@ -80,6 +84,7 @@ type IncrState struct {
 	treeVars [][]int   // kept (free) variables per tree; empty = Boolean tree
 	treeOf   []int     // node → tree index
 	relNodes map[string][]int
+	trees    []*bagPlan // tree → search emitting its contribution from the reduced forest
 	seeded   []*bagPlan // node → candidate search of its tree seeded at the node
 	members  []*bagPlan // tree → membership search, the kept variables pre-bound
 }
@@ -143,15 +148,17 @@ func (s *IncrState) initMaps() {
 		s.relNodes[a.rel] = append(s.relNodes[a.rel], i)
 	}
 	s.treeVars = make([][]int, len(p.sched.roots))
+	s.trees = make([]*bagPlan, len(p.sched.roots))
 	s.members = make([]*bagPlan, len(p.sched.roots))
 	for ti, r := range p.sched.roots {
 		kept := p.sched.nodes[r].vars
 		s.treeVars[ti] = kept
+		s.trees[ti] = p.joinTreeBags(kept, r).compile(nil, -1)
 		root, most := r, -1
 		var walk func(i int)
 		walk = func(i int) {
 			s.treeOf[i] = ti
-			s.seeded[i] = p.joinTreeBags(i, kept).compile(nil, i)
+			s.seeded[i] = p.joinTreeBags(kept, i).compile(nil, i)
 			if k := len(sharedVars(p.atoms[i].distinctVars(), kept)); k > most {
 				root, most = i, k
 			}
@@ -160,7 +167,7 @@ func (s *IncrState) initMaps() {
 			}
 		}
 		walk(r)
-		s.members[ti] = p.joinTreeBags(root, nil).compile(kept, -1)
+		s.members[ti] = p.joinTreeBags(nil, root).compile(kept, -1)
 	}
 }
 
@@ -186,25 +193,24 @@ func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 	}
 	contribs := make([][][]int, len(p.sched.roots))
 	for ti, r := range p.sched.roots {
-		if len(s.treeVars[ti]) == 0 {
-			// Boolean tree: after both passes a tree is empty at the
-			// root iff it is empty everywhere; its contribution is the
-			// unit relation or nothing.
-			if f.nodes[r].live > 0 {
-				contribs[ti] = [][]int{{}}
-			} else {
-				contribs[ti] = [][]int{}
-			}
+		if f.nodes[r].live == 0 {
+			// After both passes a tree is empty at the root iff it is
+			// empty everywhere. The search runs no existence check, so
+			// a Boolean tree's unit contribution depends on this test.
+			contribs[ti] = [][]int{}
 			continue
 		}
-		tr, err := f.treeRel(ctx, p.sched, r)
-		if err != nil {
+		data, n := []int{}, 0
+		search := s.trees[ti].forestRun(ctx, f, func(c []int) bool {
+			data = append(data, c...)
+			n++
+			return true
+		})
+		search.run()
+		if err := p.finish(search); err != nil {
 			return err
 		}
-		rows := make([][]int, len(tr.rows))
-		for k, row := range tr.rows {
-			rows[k] = append([]int{}, row...)
-		}
+		rows := cutRows[[]int](data, n, len(s.treeVars[ti]))
 		sortRows(rows)
 		contribs[ti] = rows
 	}
@@ -464,39 +470,6 @@ func (s *IncrState) compose(ti int, rows [][]int) Answers {
 		out[k] = a
 	}
 	return sortAnswers(out)
-}
-
-// --- tree-local executor entry points ----------------------------------
-
-// treeRel runs the solve-phase join program of one tree over a forest
-// that already went through both reduction passes, returning the
-// tree's contribution relation (over the root's kept variables).
-// Mirrors forest.solve's per-tree loop, including the dead-step skips
-// — valid here because the passes make the (mini-)forest globally
-// consistent within the tree.
-func (f *forest) treeRel(ctx context.Context, sched *schedule, root int) (rel, error) {
-	var rec func(i int) (rel, error)
-	rec = func(i int) (rel, error) {
-		if err := cqerr.Check(ctx); err != nil {
-			return rel{}, err
-		}
-		acc := rel{vars: f.nodes[i].vars, rows: f.nodes[i].aliveRows()}
-		for _, st := range sched.nodes[i].joins {
-			if st.skip {
-				continue
-			}
-			child, err := rec(st.child)
-			if err != nil {
-				return rel{}, err
-			}
-			acc = f.join(acc, child, st)
-		}
-		if sched.nodes[i].projCols != nil {
-			acc = f.sc.project(acc, sched.nodes[i].projCols, sched.nodes[i].vars)
-		}
-		return acc, nil
-	}
-	return rec(root)
 }
 
 // --- sorted-row helpers ------------------------------------------------

@@ -43,7 +43,7 @@ func randomClusterQuery(rng *rand.Rand) *cq.Query {
 				q.Head = append(q.Head, v)
 			}
 		}
-		if _, err := Program(q); err != nil {
+		if NewPlan(q).Mode() != PlanYannakakis {
 			continue
 		}
 		return q

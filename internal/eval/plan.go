@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 
 	"cqapprox/internal/cq"
-	"cqapprox/internal/hom"
+	"cqapprox/internal/cqerr"
 	"cqapprox/internal/hypergraph"
 	"cqapprox/internal/relstr"
 )
@@ -39,7 +39,7 @@ func (m PlanMode) String() string {
 // databases and safe for concurrent use (all fields are immutable after
 // NewPlan). The static work — tableau construction, GYO join-tree
 // computation, acyclicity analysis — happens once in NewPlan; Eval and
-// Stream only do per-database work.
+// StreamOnErr only do per-database work.
 type Plan struct {
 	q    *cq.Query
 	tb   *cq.Tableau
@@ -159,7 +159,7 @@ func (p *Plan) flush(sc *scratch) {
 // decomposition otherwise. For acyclic queries the full index/probe
 // schedule — every column mapping of the semijoin passes, the
 // bottom-up joins and the head projection — is computed here, once,
-// and replayed by every Eval/EvalBool/Stream call; for cyclic ones the
+// and replayed by every Eval/EvalBool/StreamOnErr call; for cyclic ones the
 // decomposition and its search programs are.
 func NewPlan(q *cq.Query) *Plan {
 	p := &Plan{q: q, tb: q.Tableau(), mode: PlanBags}
@@ -347,83 +347,53 @@ func (p *Plan) EvalBoolOn(ctx context.Context, sn *relstr.Snapshot, parallel int
 	return f.runBool(ctx, p.sched)
 }
 
-// Stream enumerates distinct answers one at a time without
-// materialising the full answer set, in discovery order (not sorted).
-// For acyclic plans the database is first reduced by the full
-// Yannakakis semijoin pass — O(|D|·|Q|) — so the subsequent
-// enumeration backtracks only over tuples that participate in at least
-// one locally consistent assignment; bag plans stream the answers of
-// their search as it finds them.
+// StreamOnErr enumerates distinct answers against snapshot sn one at
+// a time without materialising the full answer set, in discovery order
+// (not sorted). For acyclic plans the forest is first reduced by both
+// semijoin passes — O(|D|·|Q|), with the worker budget — and the bag
+// search then enumerates the reduced join forest's live rows, never
+// meeting a dead end; bag plans stream the answers of their search as
+// it finds them.
 //
-// Iteration stops early when ctx is cancelled (or the consumer breaks);
-// use StreamErr to distinguish a truncated stream from an exhausted
-// one. Every delivered tuple is a correct answer regardless of where
-// iteration stopped.
-func (p *Plan) Stream(ctx context.Context, db *relstr.Structure) iter.Seq[relstr.Tuple] {
-	seq, _ := p.StreamErr(ctx, db)
-	return seq
-}
-
-// StreamErr is Stream plus a terminal-error accessor: after the
-// iteration ends (exhausted, broken, or cancelled), calling the
+// Iteration stops early when ctx is cancelled (checked before every
+// answer) or the consumer breaks. After the iteration ends, the
 // returned function reports nil for a complete enumeration and the
 // cancellation error if the search was cut short — an empty cancelled
 // stream is thereby distinguishable from a genuinely empty answer set.
-func (p *Plan) StreamErr(ctx context.Context, db *relstr.Structure) (iter.Seq[relstr.Tuple], func() error) {
-	return p.StreamOnErr(ctx, relstr.Borrow(db), 1)
-}
-
-// StreamOn is Stream against a snapshot and worker budget
-// (the budget applies to the semijoin pre-reduction; the enumeration
-// itself is inherently sequential).
-func (p *Plan) StreamOn(ctx context.Context, sn *relstr.Snapshot, parallel int) iter.Seq[relstr.Tuple] {
-	seq, _ := p.StreamOnErr(ctx, sn, parallel)
-	return seq
-}
-
-// StreamOnErr is StreamOn plus the terminal-error accessor; see
-// StreamErr.
+// Every delivered tuple is a correct answer regardless of where
+// iteration stopped.
 func (p *Plan) StreamOnErr(ctx context.Context, sn *relstr.Snapshot, parallel int) (iter.Seq[relstr.Tuple], func() error) {
 	var terminal error
 	seq := func(yield func(relstr.Tuple) bool) {
-		if p.mode != PlanYannakakis {
-			terminal = p.searchBags(ctx, sn, func(vals []int) bool {
-				return yield(relstr.Tuple(vals).Clone())
-			})
-			return
-		}
-		reduced, empty, err := p.reduceOn(ctx, sn, parallel)
-		if err != nil {
-			terminal = err
-			return
-		}
-		if empty {
-			return
-		}
-		_, err = hom.ProjectCtx(ctx, p.tb.S, reduced, nil, p.tb.Dist, func(vals []int) bool {
+		emit := func(vals []int) bool {
+			if terminal = cqerr.Check(ctx); terminal != nil {
+				return false
+			}
 			return yield(relstr.Tuple(vals).Clone())
-		})
-		if err != nil {
+		}
+		if err := p.stream(ctx, sn, parallel, emit); err != nil {
 			terminal = err
 		}
 	}
 	return seq, func() error { return terminal }
 }
 
-// reduceOn runs both semijoin passes against sn and rebuilds a
-// structure containing only the surviving tuples. Answers of the query
-// on the reduced database equal those on the original: reduction only
-// removes tuples that cannot take part in a global assignment. empty
-// reports that some relation became empty, i.e. the answer set is
-// empty.
-func (p *Plan) reduceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (_ *relstr.Structure, empty bool, _ error) {
+// stream runs the plan's search against sn, calling emit with each
+// distinct answer (a buffer valid for the call only) until it returns
+// false, and returns the cancellation that cut the search short, if
+// any.
+func (p *Plan) stream(ctx context.Context, sn *relstr.Snapshot, parallel int, emit func([]int) bool) error {
+	if p.mode != PlanYannakakis {
+		return p.searchBags(ctx, sn, emit)
+	}
 	sc := getScratch()
 	defer p.flush(sc)
 	f := p.newForest(sn, sc, parallel)
 	defer f.release()
-	if err := f.runPasses(ctx, p.sched); err != nil {
-		return nil, false, err
+	if err := f.runPasses(ctx, p.sched); err != nil || f.anyEmpty() {
+		return err
 	}
-	out, empty := f.reduce(p.atoms)
-	return out, empty, nil
+	r := p.joinTreeBags(p.tb.Dist, p.sched.roots...).compile(nil, -1).forestRun(ctx, f, emit)
+	r.run()
+	return p.finish(r)
 }

@@ -3,13 +3,11 @@ package eval
 import (
 	"errors"
 
-	"cqapprox/internal/cq"
-	"cqapprox/internal/hypergraph"
 	"cqapprox/internal/relstr"
 )
 
 // ErrNotAcyclic reports a cyclic query where an acyclic join tree is
-// required (Program, and PrepareCount on a bag plan).
+// required (PrepareCount on a bag plan).
 var ErrNotAcyclic = errors.New("eval: query is not acyclic")
 
 // atomList extracts the atoms of a tableau in the deterministic order
@@ -59,62 +57,4 @@ func scheduleForAtoms(atoms []patom, parent []int, head []int) *schedule {
 		}
 	}
 	return newSchedule(vars, parent, children, head)
-}
-
-// SemijoinProgram describes the reduction schedule a Yannakakis plan
-// runs — useful for inspection and teaching output.
-type SemijoinProgram struct {
-	Atoms []string // rendered atoms, index-aligned with the join tree
-	Steps [][2]int // (target, source) semijoin steps, bottom-up then top-down
-	Tree  []int    // parent per atom (-1 for roots)
-}
-
-// Program returns the semijoin program a Yannakakis plan would execute
-// for q.
-func Program(q *cq.Query) (*SemijoinProgram, error) {
-	tb := q.Tableau()
-	h := hypergraph.FromStructure(tb.S)
-	jt, ok := h.GYO()
-	if !ok {
-		return nil, ErrNotAcyclic
-	}
-	atoms := atomList(tb.S)
-	prog := &SemijoinProgram{Tree: jt.Parent}
-	for _, a := range atoms {
-		prog.Atoms = append(prog.Atoms, cq.Atom{Rel: a.rel, Args: varNames(a.args, tb.Var)}.String())
-	}
-	children := jt.Children()
-	var post func(i int)
-	post = func(i int) {
-		for _, c := range children[i] {
-			post(c)
-			prog.Steps = append(prog.Steps, [2]int{i, c})
-		}
-	}
-	var pre func(i int)
-	pre = func(i int) {
-		for _, c := range children[i] {
-			prog.Steps = append(prog.Steps, [2]int{c, i})
-			pre(c)
-		}
-	}
-	for _, r := range jt.Roots() {
-		post(r)
-	}
-	for _, r := range jt.Roots() {
-		pre(r)
-	}
-	return prog, nil
-}
-
-func varNames(args []int, names map[int]string) []string {
-	out := make([]string, len(args))
-	for i, e := range args {
-		if n, ok := names[e]; ok {
-			out[i] = n
-		} else {
-			out[i] = relstr.Tuple{e}.Key()
-		}
-	}
-	return out
 }

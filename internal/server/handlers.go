@@ -516,7 +516,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flush()
 			n++
 			if s.onStreamAnswer != nil {
-				s.onStreamAnswer(n)
+				s.onStreamAnswer(ctx, n)
 			}
 		}
 		if err := errf(); err != nil {

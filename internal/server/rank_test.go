@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"runtime"
@@ -151,7 +152,7 @@ func TestRankKnobValidation(t *testing.T) {
 func TestStreamLimit(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	var produced atomic.Int64
-	s.onStreamAnswer = func(n int) { produced.Store(int64(n)) }
+	s.onStreamAnswer = func(_ context.Context, n int) { produced.Store(int64(n)) }
 
 	// Dedicated client: closing its idle connections later makes the
 	// goroutine baseline comparison exact.

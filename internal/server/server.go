@@ -223,10 +223,11 @@ type Server struct {
 	// servers (the common case), so the hot path costs one nil check.
 	cluster *clusterCtl
 
-	// onStreamAnswer, when non-nil, is called after answer n (1-based)
-	// of a stream response has been written and flushed. Test seam for
-	// asserting streaming order; never set in production.
-	onStreamAnswer func(n int)
+	// onStreamAnswer, when non-nil, is called with the request context
+	// after answer n (1-based) of a stream response has been written and
+	// flushed. Test seam for asserting streaming order; never set in
+	// production.
+	onStreamAnswer func(ctx context.Context, n int)
 
 	// onPrepareStart, when non-nil, is called after an uncached
 	// preparation has claimed its admission slot, before the engine

@@ -28,7 +28,7 @@ func TestStreamFirstAnswerBeforeMaterialization(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	firstFlushed := make(chan struct{})
 	resume := make(chan struct{})
-	s.onStreamAnswer = func(n int) {
+	s.onStreamAnswer = func(_ context.Context, n int) {
 		if n == 1 {
 			close(firstFlushed)
 			<-resume
@@ -102,9 +102,7 @@ func TestStreamFirstAnswerBeforeMaterialization(t *testing.T) {
 
 // longPathRequest returns a stream request whose answer set is large
 // (a 300-edge path has 299 length-2 paths), so a cancelled enumeration
-// is distinguishable from one that simply finished: the homomorphism
-// solver polls its context every 256 search nodes, which a request this
-// size crosses many times over.
+// is distinguishable from one that simply finished.
 func longPathRequest() api.EvalRequest {
 	edges := make([][]int, 300)
 	for i := range edges {
@@ -120,19 +118,25 @@ func longPathRequest() api.EvalRequest {
 const longPathAnswers = 299
 
 // Closing the client connection mid-stream must cancel the server-side
-// enumeration promptly and leak nothing: in-flight drops to zero, most
-// of the answer set is never produced, and the goroutine count returns
-// to its pre-request baseline.
+// enumeration promptly and leak nothing: in-flight drops to zero, no
+// answer after the disconnect is produced, and the goroutine count
+// returns to its pre-request baseline. The hook holds the enumeration
+// at answer 1 until the server has seen the disconnect (the request
+// context is done), and the stream checks its context before every
+// answer, so exactly one answer is produced.
 func TestStreamClientDisconnect(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	var produced atomic.Int64
 	first := make(chan struct{})
-	resume := make(chan struct{})
-	s.onStreamAnswer = func(n int) {
+	s.onStreamAnswer = func(ctx context.Context, n int) {
 		produced.Store(int64(n))
 		if n == 1 {
 			close(first)
-			<-resume
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+				t.Error("the request context never ended after the disconnect")
+			}
 		}
 	}
 
@@ -156,13 +160,12 @@ func TestStreamClientDisconnect(t *testing.T) {
 		t.Fatal("no answer delivered")
 	}
 	resp.Body.Close() // disconnect with the enumeration paused at answer 1
-	close(resume)
 
 	waitFor(t, 10*time.Second, func() bool {
 		return s.Stats().Endpoints["/v1/stream"].InFlight == 0
 	})
-	if n := produced.Load(); n >= longPathAnswers {
-		t.Fatalf("server enumerated all %d answers despite the disconnect", n)
+	if n := produced.Load(); n != 1 {
+		t.Fatalf("server produced %d of %d answers, want 1: the disconnect came at answer 1", n, longPathAnswers)
 	}
 	tr.CloseIdleConnections()
 	deadline := time.Now().Add(10 * time.Second)
@@ -179,7 +182,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 // as *APIError{code: canceled} after yielding the delivered prefix.
 func TestStreamDeadlineTrailer(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.onStreamAnswer = func(n int) {
+	s.onStreamAnswer = func(_ context.Context, n int) {
 		if n == 1 {
 			time.Sleep(150 * time.Millisecond) // outlive the request deadline
 		}
