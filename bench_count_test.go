@@ -83,9 +83,9 @@ func BenchmarkCountEstimate(b *testing.B) {
 }
 
 // BenchmarkCountExactProject tracks the exact count of the same
-// projecting head: the plan has a sampling tree, so the count runs the
-// scheduled joins over the reduced forest and counts the distinct head
-// keys of the joined rows ("exact-eval") without building answers.
+// projecting head: the plan has a sampling tree, so the count runs
+// Eval's search over the reduced forest and counts its answers
+// ("exact-eval") without keeping them.
 func BenchmarkCountExactProject(b *testing.B) {
 	ctx := context.Background()
 	engine := NewEngine()

@@ -198,6 +198,50 @@ func BenchmarkParallelEval(b *testing.B) {
 	}
 }
 
+// Non-direct acyclic plans: warm BoundQuery.Eval of the two-edge path
+// on a registered N=1000 database, with the head projected onto the
+// endpoints (proj-xz: the existential y bridges them, so the search
+// walks both atoms and cuts after each answer's first witness) and
+// with the full head (full-xyz: every join row is an answer). Every
+// IndexedJoin, RegisteredDB and ParallelEval workload reads its answers
+// from one root; these rows cover the plans whose search walks the
+// whole reduced forest after both semijoin passes.
+func BenchmarkNonDirectEval(b *testing.B) {
+	ctx := context.Background()
+	engine := NewEngine()
+	d, _, err := engine.RegisterDB("nondirect1000", workload.EvalBenchDB(1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, src string }{
+		{"proj-xz", "Q(x,z) :- E(x,y), E(y,z)"},
+		{"full-xyz", "Q(x,y,z) :- E(x,y), E(y,z)"},
+	} {
+		p, err := engine.PrepareExact(ctx, MustParse(c.src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ex := p.Explain(); ex.Direct != "" {
+			b.Fatalf("%s: plan is direct (%s)", c.name, ex.Direct)
+		}
+		bq := p.Bind(d)
+		if _, err := bq.Eval(ctx); err != nil { // warm the shared indexes outside the timer
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ans, err := bq.Eval(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(ans) == 0 {
+					b.Fatal("no answers")
+				}
+			}
+		})
+	}
+}
+
 // Bag mode: warm Eval of cyclic TW(2)/HTW(2) approximations, which
 // plan as a search over a tree decomposition, on a registered N=300
 // database (the social graph plus a ternary R that the prepare_cold

@@ -23,9 +23,9 @@ type CountResult struct {
 	Estimated bool
 	// Mode names the path taken: "exact-dp" (multiplicity DP over the
 	// reduced forest, no answer materialisation), "exact-eval" (the
-	// evaluation's joins, distinct head keys counted without building
-	// answers), "exact-enum" (the bag search's answers counted, cyclic plans),
-	// or "estimate" (the sampling estimator).
+	// search Eval runs over the reduced forest, its answers counted
+	// without being kept), "exact-enum" (the bag search's answers
+	// counted, cyclic plans), or "estimate" (the sampling estimator).
 	Mode string
 	// Samples and Batches report the estimator's effort (zero when
 	// exact).

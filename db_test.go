@@ -26,10 +26,10 @@ func sameAnswerSets(a, b Answers) bool {
 // The acceptance property of the snapshot API: repeated evaluations
 // against a registered database perform zero additional index builds
 // after the first (warming) one — the per-call indexing cost moved
-// into the snapshot's shared cache. Chain and star are the shapes
-// whose solve phase the schedule analysis fully collapses, and every
-// one of their semijoin keys is one column of dense ids, so they build
-// no index at all: each step tests a dense key summary. The TW(1)
+// into the snapshot's shared cache. Chain and star plans are direct —
+// their answer search scans the root's live rows and probes nothing —
+// and every one of their semijoin keys is one column of dense ids, so
+// they build no index at all: each step tests a dense key summary. The TW(1)
 // approximation of the free 4-cycle, E(x0,x1), E(x1,x0), joins on a
 // two-column key, which only the index serves — it is the query that
 // warms and then reuses the cache.

@@ -19,7 +19,7 @@ func TestExplainGoldenText(t *testing.T) {
 	ctx := context.Background()
 	e := NewEngine()
 	chain := workload.ChainQuery(6)
-	chain.Head = nil // Boolean: the dead-step analysis collapses to unit
+	chain.Head = nil // Boolean: the plan is direct, the unit answer
 
 	cases := []struct {
 		name    string
@@ -35,11 +35,11 @@ ranked: connex
 incremental: delta
 direct: unit
 tree 0: count=unit
-  [3] E(v3,v4) joins=2 skipped=2
-    [2] E(v2,v3) joins=1 skipped=1
-      [1] E(v1,v2) joins=1 skipped=1
+  [3] E(v3,v4)
+    [2] E(v2,v3)
+      [1] E(v1,v2)
         [0] E(v0,v1)
-    [4] E(v4,v5) joins=1 skipped=1
+    [4] E(v4,v5)
       [5] E(v5,v6)
 `,
 		},
@@ -52,10 +52,10 @@ ranked: connex
 incremental: delta
 direct: node 4
 tree 0: count=node
-  [4] R5(v0,v5) needed direct joins=1 skipped=1
-    [3] R4(v0,v4) joins=1 skipped=1
-      [2] R3(v0,v3) joins=1 skipped=1
-        [1] R2(v0,v2) joins=1 skipped=1
+  [4] R5(v0,v5) needed direct
+    [3] R4(v0,v4)
+      [2] R3(v0,v3)
+        [1] R2(v0,v2)
           [0] R1(v0,v1)
 `,
 		},
@@ -70,7 +70,7 @@ ranked: connex
 incremental: delta
 direct: node 1
 tree 0: count=node
-  [1] E(v1,v0) needed direct joins=1 skipped=1
+  [1] E(v1,v0) needed direct
     [0] E(v0,v1)
 `,
 		},
@@ -171,8 +171,7 @@ func TestEvalTraceChain3000(t *testing.T) {
 		}
 	}
 	// Every phase a plan runs is reported, in order, with a positive
-	// span, and the spans fit in the total. A serial projection folds
-	// the dedup into its own pass and records it as 0.
+	// span, and the spans fit in the total.
 	phases := func(name string, tr *ExecTrace, want ...string) {
 		t.Helper()
 		if len(tr.Phases) != len(want) {
@@ -180,7 +179,7 @@ func TestEvalTraceChain3000(t *testing.T) {
 		}
 		var sum int64
 		for k, ph := range tr.Phases {
-			if ph.Name != want[k] || ph.NS < 0 || ph.NS == 0 && ph.Name != "dedup" {
+			if ph.Name != want[k] || ph.NS <= 0 {
 				t.Fatalf("%s: phases %+v, want %v, each timed", name, tr.Phases, want)
 			}
 			sum += ph.NS
@@ -189,8 +188,8 @@ func TestEvalTraceChain3000(t *testing.T) {
 			t.Fatalf("%s: phases sum %d outside (0, total %d]", name, sum, tr.TotalNS)
 		}
 	}
-	// The direct plan runs no top-down pass and no join.
-	phases("chain6", tr, "semijoin-down", "project", "dedup")
+	// The direct plan runs no top-down pass.
+	phases("chain6", tr, "semijoin-down", "join", "project")
 
 	// Counting through the same binding carries its own trace.
 	res, err := bound.Count(ctx, WithTrace())
@@ -220,7 +219,7 @@ func TestEvalTraceChain3000(t *testing.T) {
 			t.Fatalf("full chain: node %d saw no semijoin input: %+v", n.ID, n)
 		}
 	}
-	phases("full chain", tr, "semijoin-down", "semijoin-up", "join", "project", "dedup")
+	phases("full chain", tr, "semijoin-down", "semijoin-up", "join", "project")
 }
 
 // The per-call worker budget reaches the traced entry point: a

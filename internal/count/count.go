@@ -9,10 +9,10 @@
 //     single-node distinct projections, and free-core multiplicity DPs,
 //     multiplied across trees. No answer tuple is ever materialised.
 //   - "exact-eval": the plan is acyclic but some tree interleaves
-//     existential variables between head variables; the scheduled
-//     joins run over the reduced forest and the distinct head keys of
-//     the joined rows are counted in a hash table — no answer tuple is
-//     built or sorted.
+//     existential variables between head variables; the search Eval
+//     runs enumerates the reduced forest and its distinct answers are
+//     counted — no answer is kept beyond the search's dedup set, and
+//     nothing is sorted.
 //   - "exact-enum": the plan is a bag plan (cyclic); the bag search
 //     enumerates the distinct answers and counts them.
 //
@@ -114,9 +114,10 @@ func exactResult(n uint64, mode string) Result {
 // Exact computes the exact answer count of p on sn; traced attaches
 // an execution trace of the run (nil otherwise). No mode materialises
 // answers: "exact-dp" multiplies per-tree DP counts (its product timed
-// as the "count" phase), "exact-eval" joins the reduced forest and
-// counts the distinct head keys of the joined rows, "exact-enum"
-// counts the bag search's answers (bag plans trace total time only). The error is eval.ErrCountOverflow when the count
+// as the "count" phase), "exact-eval" counts the answers of the
+// search over the reduced forest (timed as the "join" phase),
+// "exact-enum" counts the bag search's answers (bag plans trace total
+// time only). The error is eval.ErrCountOverflow when the count
 // exceeds uint64.
 func Exact(ctx context.Context, p *eval.Plan, sn *relstr.Snapshot, parallel int, traced bool) (Result, *obs.ExecTrace, error) {
 	start := time.Now()
@@ -180,7 +181,7 @@ func exactProduct(ctx context.Context, run *eval.CountRun) (uint64, error) {
 }
 
 // Estimate returns the answer count of p on sn, sampling only where
-// exact counting would have to join (the "exact-eval" plans); traced
+// exact counting would have to enumerate (the "exact-eval" plans); traced
 // attaches an execution trace with the sampling effort in a
 // "count-estimate" phase. When every tree counts exactly (or the plan
 // is a bag plan) the result is Exact's and Estimated is false — estimation

@@ -50,8 +50,9 @@ package eval
 // (forestRun): each atom reads its forest node's view and liveness
 // bitmap, and the search skips dead row ids. The reduced forest is
 // globally consistent, so the search never meets a dead end and skips
-// every existence check. Acyclic streams run the whole join forest this
-// way, and IncrState's re-evaluation each tree.
+// every existence check. Every acyclic enumeration — Eval, streams and
+// the counts that enumerate — runs the whole join forest this way
+// (Plan.search), and IncrState's re-evaluation each tree.
 
 import (
 	"context"
@@ -615,6 +616,13 @@ type bagMemo struct {
 	hit  []bool
 }
 
+// opStats are the per-call index counters a search accumulates; Plans
+// fold them into their atomic totals when the call finishes.
+type opStats struct {
+	builds uint64 // hash indexes built over data
+	probes uint64 // rows driven through an index probe
+}
+
 // bagRun is the pooled per-call state of one bag search.
 type bagRun struct {
 	bp     *bagPlan
@@ -962,17 +970,6 @@ func (r *bagRun) fillTuple() {
 
 // --- plan entry points -------------------------------------------------
 
-// searchBags runs the plan's bag search against sn, calling emit with
-// each distinct answer (a buffer valid for the call only) until it
-// returns false, and returns the cancellation that cut the search
-// short, if any.
-func (p *Plan) searchBags(ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) error {
-	r := p.bags.newRun(ctx, sn, emit)
-	r.run()
-	p.stats.evals.Add(1)
-	return p.finish(r)
-}
-
 // forestRun starts a run of bp over the live rows of f, a forest of the
 // plan's atoms reduced by both semijoin passes: each atom reads its
 // forest node's view and liveness bitmap. The reduced forest is
@@ -998,36 +995,11 @@ func (p *Plan) finish(r *bagRun) error {
 	return err
 }
 
-// evalBags materialises the sorted answer set of a bag plan; the
-// answers share one backing slab.
-func (p *Plan) evalBags(ctx context.Context, sn *relstr.Snapshot) (Answers, error) {
-	data, n := []int{}, 0
-	err := p.searchBags(ctx, sn, func(t []int) bool {
-		data = append(data, t...)
-		n++
-		return true
-	})
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	return sortAnswers(cutRows[relstr.Tuple](data, n, len(p.tb.Dist))), nil
-}
-
-// cutRows splits a slab of n back-to-back rows of width w into rows
-// sharing it.
-func cutRows[R ~[]int](data []int, n, w int) []R {
-	out := make([]R, n)
-	for k := range out {
-		out[k] = data[k*w : (k+1)*w : (k+1)*w]
-	}
-	return out
-}
-
 // boolBags reports whether a bag plan has an answer. A witness found
 // before a cancellation wins over it.
 func (p *Plan) boolBags(ctx context.Context, sn *relstr.Snapshot) (bool, error) {
 	found := false
-	err := p.searchBags(ctx, sn, func([]int) bool {
+	err := p.search(ctx, sn, 1, func([]int) bool {
 		found = true
 		return false
 	})

@@ -398,8 +398,7 @@ func TestStreamSearchReadsLiveRows(t *testing.T) {
 	} {
 		q := cq.MustParse(src)
 		p := NewPlan(q)
-		sc := getScratch()
-		f := p.newForest(relstr.Borrow(db), sc, 1)
+		f := p.newForest(relstr.Borrow(db), 1)
 		if err := f.runPasses(ctx, p.sched); err != nil || f.anyEmpty() {
 			t.Fatalf("%s passes: err %v, empty %v", src, err, f.anyEmpty())
 		}
@@ -414,10 +413,60 @@ func TestStreamSearchReadsLiveRows(t *testing.T) {
 		if err := p.finish(r); err != nil {
 			t.Fatalf("%s: search over the reduced forest: %v", src, err)
 		}
-		f.release()
-		p.flush(sc)
+		p.flush(f)
 		assertSameAnswers(t, sortAnswers(got), Naive(q, db))
 	}
+}
+
+// The search of a direct plan visits only the root's live rows: the
+// bottom-up pass alone finalises them, and every other bag is an
+// existence check a reduced forest skips. Each live root row has six
+// matching child rows, twenty dangling root rows have none, and seven
+// child rows match no root row; the search must finish within a row
+// budget of the ten live root rows, and the child keeps its unmatched
+// rows (no top-down pass ran).
+func TestDirectSearchReadsRootOnly(t *testing.T) {
+	ctx := context.Background()
+	db := relstr.New()
+	for i := range 10 {
+		db.Add("R", i, i%5)
+	}
+	for i := range 20 {
+		db.Add("R", 100+i, 50+i) // no S partner
+	}
+	for y := range 5 {
+		for z := range 6 {
+			db.Add("S", y, z)
+		}
+	}
+	for k := range 7 {
+		db.Add("S", 1000+k, 0) // no R partner
+	}
+	q := cq.MustParse("Q(x,y) :- R(x,y), S(y,z)")
+	p := NewPlan(q)
+	if p.sched.directNode != 0 || !p.sched.needed[0] || p.sched.needed[1] {
+		t.Fatalf("direct node %d, needed %v: want R direct and alone needed", p.sched.directNode, p.sched.needed)
+	}
+	f := p.newForest(relstr.Borrow(db), 1)
+	defer p.flush(f)
+	if ok, err := p.reduce(ctx, f); !ok || err != nil {
+		t.Fatalf("reduce: ok %v, err %v", ok, err)
+	}
+	if f.nodes[1].live != 37 {
+		t.Fatalf("S keeps %d live rows, want all 37: a direct plan runs no top-down pass", f.nodes[1].live)
+	}
+	var got []relstr.Tuple
+	r := p.bags.forestRun(ctx, f, func(vals []int) bool {
+		got = append(got, relstr.Tuple(vals).Clone())
+		return true
+	})
+	budget := 10
+	r.budget = &budget
+	r.run()
+	if err := p.finish(r); err != nil {
+		t.Fatalf("search over the direct root: %v", err)
+	}
+	assertSameAnswers(t, sortAnswers(got), Naive(q, db))
 }
 
 // A stream checks its context before every answer, in both modes: a

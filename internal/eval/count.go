@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cqapprox/internal/cqerr"
 	"cqapprox/internal/relstr"
@@ -288,11 +287,10 @@ func mulU64(a, b uint64) (uint64, bool) {
 // reduced forest (both semijoin passes already run) plus lazily built
 // per-tree samplers. Exactly one of the Tree* accessors per tree is
 // typically used; Close must be called when done (it folds the run's
-// counters into the plan and releases the scratch arenas).
+// counters into the plan).
 type CountRun struct {
 	p        *Plan
 	f        *forest
-	sc       *scratch
 	empty    bool
 	samplers []*treeSampler
 	closed   bool
@@ -312,8 +310,7 @@ func (p *Plan) prepareCount(ctx context.Context, sn *relstr.Snapshot, parallel i
 	if p.mode != PlanYannakakis {
 		return nil, ErrNotAcyclic
 	}
-	sc := getScratch()
-	f := p.newForest(sn, sc, parallel)
+	f := p.newForest(sn, parallel)
 	if tuned {
 		f.minPar, f.morsel = 1, 2
 	}
@@ -325,21 +322,19 @@ func (p *Plan) prepareCount(ctx context.Context, sn *relstr.Snapshot, parallel i
 			f.trace = nil
 			putExecTrace(tr)
 		}
-		f.release()
-		p.flush(sc)
+		p.flush(f)
 		return nil, err
 	}
 	return &CountRun{
 		p:        p,
 		f:        f,
-		sc:       sc,
 		empty:    f.anyEmpty(),
 		samplers: make([]*treeSampler, len(p.csched.trees)),
 	}, nil
 }
 
-// Close releases the run's scratch state and folds its counters into
-// the plan. Safe to call once.
+// Close releases the run's trace and folds its counters into the
+// plan. Safe to call once.
 func (r *CountRun) Close() {
 	if r.closed {
 		return
@@ -349,8 +344,7 @@ func (r *CountRun) Close() {
 		r.f.trace = nil
 		putExecTrace(tr)
 	}
-	r.f.release()
-	r.p.flush(r.sc)
+	r.p.flush(r.f)
 }
 
 // Empty reports that some relation lost every row: the answer count is
@@ -367,7 +361,7 @@ func (r *CountRun) TreeExactOK(t int) bool {
 }
 
 // TreeExact returns the exact distinct-head-projection count of tree t.
-// ok is false for countSample trees (use TreeTotal/TreeSample); the
+// ok is false for countSample trees (use TreeSample); the
 // error is ErrCountOverflow when the count exceeds uint64.
 func (r *CountRun) TreeExact(ctx context.Context, t int) (n uint64, ok bool, err error) {
 	if r.empty {
@@ -387,27 +381,18 @@ func (r *CountRun) TreeExact(ctx context.Context, t int) (n uint64, ok bool, err
 	}
 }
 
-// CountEval counts the distinct answers the way evaluation finds them —
-// the scheduled joins over the reduced forest — but hashes the head
-// keys of the joined rows in place instead of building, deduplicating
-// and sorting answer tuples. It is the exact count of plans with a
-// countSample tree (any acyclic plan works); traced runs record the
-// "join" and "count" phases.
+// CountEval counts the distinct answers the way evaluation finds them
+// — the plan's search over the reduced forest — without keeping them
+// beyond the search's dedup set. It is the exact count of plans with a
+// countSample tree (any acyclic plan works); traced runs time the
+// search as the "join" phase.
 func (r *CountRun) CountEval(ctx context.Context) (uint64, error) {
 	if r.empty {
 		return 0, nil
 	}
-	rows, cols, empty, err := r.f.solveRows(ctx, r.p.sched)
-	if err != nil || empty {
+	var n uint64
+	if err := r.p.enumerate(ctx, r.f, func([]int) bool { n++; return true }); err != nil {
 		return 0, err
-	}
-	var start time.Time
-	if r.f.trace != nil {
-		start = time.Now()
-	}
-	n := r.sc.countKeys(rows, cols)
-	if tr := r.f.trace; tr != nil {
-		tr.phase("count", time.Since(start))
 	}
 	return n, nil
 }
@@ -600,8 +585,8 @@ func countDPRange(node *execNode, steps []dpStep, out []uint64, lo, hi int) bool
 // countDistinct counts the distinct projections of a node's live rows
 // onto cols — the countNode case. When cols covers every column the
 // projection permutes distinct rows and the live count is the answer;
-// otherwise rows dedup into chunk-local tuple sets merged like the
-// head projection, counting instead of materialising answers.
+// otherwise rows dedup into chunk-local tuple sets merged in chunk
+// order, counting instead of materialising answers.
 func (f *forest) countDistinct(node *execNode, cols []int) uint64 {
 	if len(cols) == len(node.vars) {
 		return uint64(node.live)
@@ -787,16 +772,6 @@ func (r *CountRun) sampler(t int) (*treeSampler, error) {
 	return s, nil
 }
 
-// TreeTotal returns the full-join assignment count N of tree t (the
-// sampler's normalising constant), building the sampler if needed.
-func (r *CountRun) TreeTotal(t int) (float64, error) {
-	s, err := r.sampler(t)
-	if err != nil {
-		return 0, err
-	}
-	return s.total, nil
-}
-
 // TreeSample draws one uniform full assignment of tree t, computes the
 // multiplicity m of its head projection, and returns the unbiased
 // per-sample estimate N/m of the tree's distinct-projection count.
@@ -949,7 +924,7 @@ func (p *Plan) CountEnum(ctx context.Context, sn *relstr.Snapshot) (uint64, erro
 		return 0, errAcyclicPlan
 	}
 	var n uint64
-	if err := p.searchBags(ctx, sn, func([]int) bool { n++; return true }); err != nil {
+	if err := p.search(ctx, sn, 1, func([]int) bool { n++; return true }); err != nil {
 		return 0, err
 	}
 	return n, nil

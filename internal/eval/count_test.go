@@ -283,10 +283,11 @@ func TestCountSamplerConverges(t *testing.T) {
 	if run.Trees() != 1 || run.TreeExactOK(0) {
 		t.Fatal("expected one sampling tree")
 	}
-	total, err := run.TreeTotal(0)
+	sampler, err := run.sampler(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := sampler.total
 	// N is the number of (x,y,z) assignments: count them naively.
 	full := NewPlan(cq.MustParse("Q(x,y,z) :- E(x,y), E(y,z)"))
 	fullAns, err := full.EvalBaseline(ctx, db)
@@ -294,7 +295,7 @@ func TestCountSamplerConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if total != float64(len(fullAns)) {
-		t.Fatalf("TreeTotal = %v, want %d", total, len(fullAns))
+		t.Fatalf("sampler total = %v, want %d", total, len(fullAns))
 	}
 	srng := rand.New(rand.NewSource(99))
 	sum := 0.0

@@ -66,8 +66,8 @@ type forestLeg struct {
 	par     int
 }
 
-func (l forestLeg) forest(p *Plan, sn *relstr.Snapshot, sc *scratch) *forest {
-	f := p.newForest(sn, sc, l.par)
+func (l forestLeg) forest(p *Plan, sn *relstr.Snapshot) *forest {
+	f := p.newForest(sn, l.par)
 	if l.par > 1 {
 		f.minPar, f.morsel = 1, 64
 	}
@@ -169,8 +169,7 @@ func TestKernelParity(t *testing.T) {
 			if leg.shifted {
 				sn = shifted
 			}
-			sc := getScratch()
-			f := leg.forest(p, sn, sc)
+			f := leg.forest(p, sn)
 			f.trace = getExecTrace(len(f.nodes))
 			got := stepBitmaps(f, p.sched)
 			var dp []string
@@ -180,8 +179,6 @@ func TestKernelParity(t *testing.T) {
 			n := denseSteps(f.trace)
 			putExecTrace(f.trace)
 			f.trace = nil
-			f.release()
-			putScratch(sc)
 			if leg.shifted && n != 0 {
 				t.Fatalf("q=%v %s: %d dense steps on shifted data", q, leg.name, n)
 			}
@@ -228,8 +225,7 @@ func TestCountDPKeyOverflow(t *testing.T) {
 		}
 		for _, par := range []int{1, 4} {
 			for _, readOverflow := range []bool{false, true} {
-				sc := getScratch()
-				f := pairForest(sc, l, r, relstr.NewView(r.rows), par)
+				f := pairForest(l, r, relstr.NewView(r.rows), par)
 				if !readOverflow {
 					f.nodes[0].words[0] &^= 1 // the parent row with key 1 dies
 					f.nodes[0].live--
@@ -243,8 +239,6 @@ func TestCountDPKeyOverflow(t *testing.T) {
 				if st.buf != nil {
 					putKeyBuf(st.buf)
 				}
-				f.release()
-				putScratch(sc)
 				if ok == readOverflow {
 					t.Fatalf("shifted=%v par=%d readOverflow=%v: ok = %v", shifted, par, readOverflow, ok)
 				}
@@ -285,8 +279,7 @@ func TestDenseKernelChoice(t *testing.T) {
 		{"beyond the bit bound", farSrc, one, false, 2, false},
 		{"two columns", src, two, false, 1, false},
 	} {
-		sc := getScratch()
-		f := pairForest(sc, target, c.src, relstr.NewView(c.src.rows), 1)
+		f := pairForest(target, c.src, relstr.NewView(c.src.rows), 1)
 		f.trace = getExecTrace(2)
 		f.semijoin(c.step)
 		nt := &f.trace.nodes[0]
@@ -311,7 +304,5 @@ func TestDenseKernelChoice(t *testing.T) {
 		}
 		putExecTrace(f.trace)
 		f.trace = nil
-		f.release()
-		putScratch(sc)
 	}
 }

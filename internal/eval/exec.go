@@ -11,24 +11,21 @@ import (
 	"cqapprox/internal/relstr"
 )
 
-// The unified, morsel-driven schedule executor. One forest replays a
+// The morsel-driven semijoin executor. One forest replays a
 // prepare-time schedule against a snapshot's atom views: per-call row
 // liveness is a bitmap per node (never in-place row filtering, so
-// backing rows stay shared and immutable), semijoin steps test a dense
-// summary of the source's live keys or probe the views' hash indexes
-// (dense.go), and the solve phase joins the surviving rows through the
-// scratch arena exactly as scheduled.
+// backing rows stay shared and immutable), and semijoin steps test a
+// dense summary of the source's live keys or probe the views' hash
+// indexes (dense.go). The answers are then enumerated by the bag search
+// over the reduced forest's live rows (bags.go, forestRun).
 //
-// Parallelism is morsel-driven: the probe loop of a semijoin step, the
-// accumulator side of a solve join, and the head projection each split
-// their rows into fixed-size chunks (morselRows) claimed from an atomic
-// counter by up to `par` workers; the two Yannakakis passes additionally
-// fan out across independent sibling subtrees. Determinism is by
-// construction: bitmap clearing is per-row independent, parallel join
-// outputs are concatenated in chunk order (identical to the serial row
-// order), and projections dedup into chunk-local sets merged in chunk
-// order before the final sort — so answers, their order, and the
-// liveness state after every pass are byte-identical to a serial run.
+// Parallelism is morsel-driven: the probe loop of a semijoin step
+// splits its rows into fixed-size chunks (morselRows) claimed from an
+// atomic counter by up to `par` workers, and the two Yannakakis passes
+// additionally fan out across independent sibling subtrees.
+// Determinism is by construction: bitmap clearing is per-row
+// independent, so the liveness state after every pass is
+// byte-identical to a serial run.
 
 const (
 	// morselRows is the fixed number of rows in one parallel work unit.
@@ -40,7 +37,7 @@ const (
 	parThreshold = 2 * morselRows
 )
 
-// execNode is one join-forest node under the unified executor: the
+// execNode is one join-forest node under the executor: the
 // view's rows, the call-local liveness bitmap that stands in for
 // in-place filtering, and the view whose index cache serves probes.
 type execNode struct {
@@ -86,15 +83,12 @@ func fillAlive(words []uint64, n int) {
 	}
 }
 
-// forest is the per-call state of one evaluation: the nodes, the worker
-// budget, the main scratch, and the pool of extra per-worker scratches
-// the parallel solve phase allocates rows from. Index-build and probe
-// counters are atomics (parallel sibling steps update them) folded into
-// the scratch stats at release.
+// forest is the per-call state of one evaluation: the nodes and the
+// worker budget. Index-build and probe counters are atomics (parallel
+// sibling steps update them) folded into the plan totals by Plan.flush.
 type forest struct {
 	nodes []execNode
 	par   int
-	sc    *scratch
 
 	// slots holds the par-1 extra-worker tokens of this evaluation.
 	// Every fan-out — sibling subtrees, sibling steps, morsels —
@@ -110,9 +104,6 @@ type forest struct {
 	// production constants.
 	minPar int
 	morsel int
-
-	wmu    sync.Mutex
-	extras []*scratch // idle worker scratches, reusable within the call
 
 	builds atomic.Uint64
 	probes atomic.Uint64
@@ -170,8 +161,8 @@ func (f *forest) morselWordSize() int {
 // newForest builds the evaluation state for a schedule's atoms against
 // sn: one atom view plus an all-alive bitmap per node. The bitmaps
 // come from one slab allocation across all nodes.
-func newForest(atoms []patom, sn *relstr.Snapshot, sc *scratch, par int) *forest {
-	f := &forest{nodes: make([]execNode, len(atoms)), sc: sc, par: par}
+func newForest(atoms []patom, sn *relstr.Snapshot, par int) *forest {
+	f := &forest{nodes: make([]execNode, len(atoms)), par: par}
 	total := 0
 	for i, a := range atoms {
 		v := atomView(sn, a)
@@ -191,43 +182,6 @@ func newForest(atoms []patom, sn *relstr.Snapshot, sc *scratch, par int) *forest
 	}
 	f.initSlots()
 	return f
-}
-
-// release folds the forest's counters and every worker scratch's stats
-// into the main scratch and returns the workers to the global pool.
-// Call once, after the last row allocated from a worker arena has been
-// copied out (i.e. at the very end of the evaluation).
-func (f *forest) release() {
-	f.sc.stats.builds += f.builds.Load()
-	f.sc.stats.probes += f.probes.Load()
-	for _, s := range f.extras {
-		f.sc.stats.builds += s.stats.builds
-		f.sc.stats.probes += s.stats.probes
-		s.stats = opStats{}
-		putScratch(s)
-	}
-	f.extras = nil
-}
-
-// grabScratch hands a worker its own arena — reused across parallel
-// stages of the same call (appending to an arena never invalidates
-// rows already allocated from it), returned to the global pool only at
-// release.
-func (f *forest) grabScratch() *scratch {
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	if n := len(f.extras); n > 0 {
-		s := f.extras[n-1]
-		f.extras = f.extras[:n-1]
-		return s
-	}
-	return getScratch()
-}
-
-func (f *forest) yieldScratch(s *scratch) {
-	f.wmu.Lock()
-	f.extras = append(f.extras, s)
-	f.wmu.Unlock()
 }
 
 // anyEmpty reports whether some node lost all rows (empty answer set).
@@ -562,262 +516,4 @@ func (f *forest) runBool(ctx context.Context, sched *schedule) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// --- solve phase -------------------------------------------------------
-
-// solveRows executes the scheduled bottom-up join and cross product over
-// a forest that already went through runPasses, or runDown for a
-// direct schedule, which reads only its root. Callers must also have
-// verified every node keeps at least one row — the skip analysis
-// relies on it. It returns the joined rows and the head's columns within
-// them; projectHead (evaluation) or scratch.countKeys (counting)
-// consumes them. empty reports an empty answer set discovered mid-way.
-func (f *forest) solveRows(ctx context.Context, sched *schedule) (rows [][]int, cols []int, empty bool, _ error) {
-	if sched.directNode != -1 {
-		rows := [][]int{{}} // unitNode: the Boolean unit relation
-		if sched.directNode >= 0 {
-			rows = f.nodes[sched.directNode].aliveRows()
-		}
-		return rows, sched.directCols, false, nil
-	}
-	var start time.Time
-	if f.trace != nil {
-		start = time.Now()
-	}
-	upRel := make([]rel, len(f.nodes))
-	for _, i := range sched.postorder {
-		if !sched.needed[i] {
-			continue
-		}
-		if err := cqerr.Check(ctx); err != nil {
-			return nil, nil, false, err
-		}
-		acc := rel{vars: f.nodes[i].vars, rows: f.nodes[i].aliveRows()}
-		for _, st := range sched.nodes[i].joins {
-			if st.skip {
-				continue
-			}
-			acc = f.join(acc, upRel[st.child], st)
-		}
-		if sched.nodes[i].projCols != nil {
-			acc = f.sc.project(acc, sched.nodes[i].projCols, sched.nodes[i].vars)
-		}
-		upRel[i] = acc
-	}
-	total := rel{vars: nil, rows: [][]int{{}}}
-	for _, st := range sched.rootJoins {
-		if st.skip {
-			continue
-		}
-		if err := cqerr.Check(ctx); err != nil {
-			return nil, nil, false, err
-		}
-		if len(upRel[st.child].rows) == 0 {
-			return nil, nil, true, nil
-		}
-		if len(total.vars) == 0 && len(total.rows) == 1 {
-			// Cross product with the unit relation: adopt the component's
-			// relation as-is (outVars is exactly its variable list).
-			total = rel{vars: st.outVars, rows: upRel[st.child].rows}
-			continue
-		}
-		total = f.join(total, upRel[st.child], st)
-	}
-	if tr := f.trace; tr != nil {
-		tr.phase("join", time.Since(start))
-	}
-	return total.rows, sched.headCols, false, nil
-}
-
-// join is the scheduled natural join, morsel-parallel when the
-// accumulator is large: the probe index is built once up front, the
-// accumulator's rows are claimed in fixed-size chunks by workers with
-// their own scratch arenas, and the per-chunk outputs are concatenated
-// in chunk order — the exact row order a serial run produces.
-func (f *forest) join(l, r rel, st jStep) rel {
-	if f.par <= 1 || len(l.rows) < f.parMin() || len(st.rCols) == 0 || len(r.rows) == 0 {
-		// Small inputs, keyless cross products (output-dominated) and
-		// empty probe sides stay serial.
-		return f.sc.join(l, r, st)
-	}
-	out := rel{vars: st.outVars}
-	ix := f.sc.buildIndex(r.rows, st.rCols)
-	f.sc.stats.probes += uint64(len(l.rows))
-	mr := f.morselSize()
-	chunks := (len(l.rows) + mr - 1) / mr
-	if tr := f.trace; tr != nil {
-		tr.addChunks(chunks)
-	}
-	parts := make([][][]int, chunks)
-	w := len(l.vars) + len(st.rExtra)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func(sc *scratch) {
-		for {
-			c := int(next.Add(1) - 1)
-			if c >= chunks {
-				return
-			}
-			lo, hi := c*mr, min((c+1)*mr, len(l.rows))
-			var rows [][]int
-			for _, lrow := range l.rows[lo:hi] {
-				for id := ix.lookup(lrow, st.lCols); id >= 0; id = ix.nextMatch(id, lrow, st.lCols) {
-					rrow := ix.rows[id]
-					vals := sc.alloc(w)
-					copy(vals, lrow)
-					for j, col := range st.rExtra {
-						vals[len(lrow)+j] = rrow[col]
-					}
-					rows = append(rows, vals)
-				}
-			}
-			parts[c] = rows
-		}
-	}
-	for k := 1; k < chunks && f.tryWorker(); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer f.putWorker()
-			if tr := f.trace; tr != nil {
-				start := time.Now()
-				defer func() { tr.addWorker(time.Since(start)) }()
-			}
-			sc := f.grabScratch()
-			defer f.yieldScratch(sc)
-			work(sc)
-		}()
-	}
-	// The caller joins with its own arena: never the main scratch —
-	// that holds the live probe index tables.
-	sc := f.grabScratch()
-	work(sc)
-	wg.Wait()
-	f.yieldScratch(sc)
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out.rows = make([][]int, 0, n)
-	for _, p := range parts {
-		out.rows = append(out.rows, p...)
-	}
-	return out
-}
-
-// projectHead projects rows onto the head (the head may repeat
-// variables), deduplicating via integer-hashed tuple sets and sorting.
-// Parallel runs dedup into chunk-local sets merged in chunk order; the
-// final sort makes the result identical either way.
-func (f *forest) projectHead(rows [][]int, width int, cols []int) Answers {
-	var start time.Time
-	if f.trace != nil {
-		start = time.Now()
-	}
-	if f.par <= 1 || len(rows) < f.parMin() {
-		ans := projectHeadSerial(rows, width, cols)
-		if tr := f.trace; tr != nil {
-			// Serial runs fold the dedup into the projection pass.
-			tr.phase("project", time.Since(start))
-			tr.phase("dedup", 0)
-		}
-		return ans
-	}
-	mr := f.morselSize()
-	chunks := (len(rows) + mr - 1) / mr
-	if tr := f.trace; tr != nil {
-		tr.addChunks(chunks)
-	}
-	parts := make([]*relstr.TupleSet, chunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func() {
-		for {
-			c := int(next.Add(1) - 1)
-			if c >= chunks {
-				return
-			}
-			var seen relstr.TupleSet
-			for _, row := range rows[c*mr : min((c+1)*mr, len(rows))] {
-				vals := make(relstr.Tuple, width)
-				for i, j := range cols {
-					vals[i] = row[j]
-				}
-				seen.Add(vals)
-			}
-			parts[c] = &seen
-		}
-	}
-	for k := 1; k < chunks && f.tryWorker(); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer f.putWorker()
-			if tr := f.trace; tr != nil {
-				t0 := time.Now()
-				defer func() { tr.addWorker(time.Since(t0)) }()
-			}
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	var mid time.Time
-	if f.trace != nil {
-		mid = time.Now()
-	}
-	var seen relstr.TupleSet
-	for _, p := range parts {
-		for _, t := range p.Rows() {
-			seen.Add(t)
-		}
-	}
-	ans := sortAnswers(append([]relstr.Tuple{}, seen.Rows()...))
-	if tr := f.trace; tr != nil {
-		tr.phase("project", mid.Sub(start))
-		tr.phase("dedup", time.Since(mid))
-	}
-	return ans
-}
-
-// projectHeadSerial is the serial head projection.
-func projectHeadSerial(rows [][]int, width int, cols []int) Answers {
-	var seen relstr.TupleSet
-	for _, row := range rows {
-		vals := make(relstr.Tuple, width)
-		for i, j := range cols {
-			vals[i] = row[j]
-		}
-		seen.Add(vals)
-	}
-	return sortAnswers(append([]relstr.Tuple{}, seen.Rows()...))
-}
-
-// --- full pipelines ----------------------------------------------------
-
-// evalForest runs the complete Yannakakis pipeline over a fresh forest:
-// the reduction passes, the emptiness short-circuit, then the
-// scheduled joins and the head projection. A direct plan reads its
-// answer from one root (or only from non-emptiness), which the
-// bottom-up pass already finalises, so it skips the top-down pass.
-func evalForest(ctx context.Context, sched *schedule, f *forest) (Answers, error) {
-	reduce := f.runPasses
-	if sched.directNode != -1 {
-		reduce = f.runDown
-	}
-	if err := reduce(ctx, sched); err != nil {
-		return nil, err
-	}
-	if f.anyEmpty() {
-		return Answers{}, nil
-	}
-	rows, cols, empty, err := f.solveRows(ctx, sched)
-	if err != nil {
-		return nil, err
-	}
-	if empty {
-		return Answers{}, nil
-	}
-	return f.projectHead(rows, len(sched.head), cols), nil
 }

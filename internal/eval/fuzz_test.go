@@ -43,20 +43,6 @@ func cloneRel(r rel) rel {
 	return out
 }
 
-// joinStepFor builds the static join mapping the schedule would emit
-// for l ⋈ r.
-func joinStepFor(l, r rel) jStep {
-	lCols, rCols := sharedCols(l.vars, r.vars)
-	st := jStep{lCols: lCols, rCols: rCols, outVars: append([]int{}, l.vars...)}
-	for j, v := range r.vars {
-		if indexOfOrNeg(l.vars, v) == -1 {
-			st.rExtra = append(st.rExtra, j)
-			st.outVars = append(st.outVars, v)
-		}
-	}
-	return st
-}
-
 // decodeRels builds two relations with overlapping variable lists from
 // fuzz bytes: small variable counts, a variable overlap chosen by the
 // input, and rows over a tiny domain so hash collisions and duplicate
@@ -107,8 +93,8 @@ func decodeRels(data []byte) (l, r rel, ok bool) {
 // semijoin target) and r (node 1, the source), with the given view
 // over r's rows and an all-alive bitmap on both sides. The
 // tuning fields force the morsel machinery on tiny inputs when par>1.
-func pairForest(sc *scratch, l, r rel, rv *relstr.View, par int) *forest {
-	f := &forest{nodes: make([]execNode, 2), sc: sc, par: par, minPar: 1, morsel: 2}
+func pairForest(l, r rel, rv *relstr.View, par int) *forest {
+	f := &forest{nodes: make([]execNode, 2), par: par, minPar: 1, morsel: 2}
 	f.nodes[0] = execNode{rows: l.rows, vars: l.vars, view: relstr.NewView(l.rows), words: allAlive(len(l.rows)), live: len(l.rows)}
 	f.nodes[1] = execNode{rows: r.rows, vars: r.vars, view: rv, words: allAlive(len(r.rows)), live: len(r.rows)}
 	f.initSlots()
@@ -135,11 +121,10 @@ func snapView(r rel) *relstr.View {
 }
 
 // semijoinVia runs one scheduled semijoin of l against r through the
-// unified executor with the given source view and worker budget,
+// executor with the given source view and worker budget,
 // returning the surviving rows.
-func semijoinVia(sc *scratch, l, r rel, lCols, rCols []int, rv *relstr.View, par int) [][]int {
-	f := pairForest(sc, l, r, rv, par)
-	defer f.release()
+func semijoinVia(l, r rel, lCols, rCols []int, rv *relstr.View, par int) [][]int {
+	f := pairForest(l, r, rv, par)
 	f.semijoin(sjStep{target: 0, source: 1, tCols: lCols, sCols: rCols})
 	return f.nodes[0].aliveRows()
 }
@@ -151,15 +136,15 @@ func allAlive(n int) []uint64 {
 	return words
 }
 
-// FuzzJoinEquivalence asserts the unified executor's semijoin and the
-// scratch join/project agree with the string-keyed reference
-// implementations they replaced, on arbitrary relation pairs
-// (including empty relations, disjoint variable sets, and tiny value
-// domains that force bucket collisions). The semijoin is held to the
-// oracle through three views: a standalone view (NewView, as
-// incremental maintenance builds over its seed rows), a snapshot
-// view (the evaluation path), and the standalone view again under a
-// parallel worker budget with the morsel size forced down to two rows.
+// FuzzJoinEquivalence asserts the executor's semijoin agrees with the
+// string-keyed reference implementation it replaced, on arbitrary
+// relation pairs (including empty relations, disjoint variable sets,
+// and tiny value domains that force bucket collisions). The semijoin
+// is held to the oracle through three views: a standalone view
+// (NewView, as incremental maintenance builds over its seed rows), a
+// snapshot view (the evaluation path), and the standalone view again
+// under a parallel worker budget with the morsel size forced down to
+// two rows.
 // Relabelled legs (values shifted by 2^40, and negated) push every key
 // outside the dense bound, so the index fallback meets the oracle as
 // well as the dense kernel.
@@ -174,9 +159,6 @@ func FuzzJoinEquivalence(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		sc := getScratch()
-		defer putScratch(sc)
-
 		lCols, rCols := sharedCols(l.vars, r.vars)
 		want := sortedRows(semijoinRef(cloneRel(l), r))
 		legs := []struct {
@@ -189,7 +171,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 			{"parallel", relstr.NewView(r.rows), 4},
 		}
 		for _, leg := range legs {
-			got := sortedRows(rel{vars: l.vars, rows: semijoinVia(sc, l, r, lCols, rCols, leg.view, leg.par)})
+			got := sortedRows(rel{vars: l.vars, rows: semijoinVia(l, r, lCols, rCols, leg.view, leg.par)})
 			if !equalRows(got, want) {
 				t.Fatalf("%s semijoin mismatch:\n  executor %v\n  reference %v\n  l=%v r=%v", leg.name, got, want, l, r)
 			}
@@ -201,79 +183,36 @@ func FuzzJoinEquivalence(f *testing.F) {
 			ml, mr := relabelRel(l, lb.f), relabelRel(r, lb.f)
 			want := sortedRows(semijoinRef(cloneRel(ml), mr))
 			for _, par := range []int{1, 4} {
-				got := sortedRows(rel{vars: ml.vars, rows: semijoinVia(sc, ml, mr, lCols, rCols, relstr.NewView(mr.rows), par)})
+				got := sortedRows(rel{vars: ml.vars, rows: semijoinVia(ml, mr, lCols, rCols, relstr.NewView(mr.rows), par)})
 				if !equalRows(got, want) {
 					t.Fatalf("%s semijoin mismatch (par=%d):\n  executor %v\n  reference %v\n  l=%v r=%v", lb.name, par, got, want, ml, mr)
 				}
 			}
 		}
-
-		// Join: the serial scratch join against the reference, then the
-		// forest's parallel join against the serial one — which must
-		// match row-for-row, order included (chunk-ordered concat).
-		st := joinStepFor(l, r)
-		gotJ := sc.join(cloneRel(l), r, st)
-		refJ := joinRef(cloneRel(l), r)
-		if !slices.Equal(gotJ.vars, refJ.vars) {
-			t.Fatalf("join vars differ: %v vs %v", gotJ.vars, refJ.vars)
-		}
-		if got, want := sortedRows(gotJ), sortedRows(refJ); !equalRows(got, want) {
-			t.Fatalf("join mismatch:\n  indexed %v\n  reference %v\n  l=%v r=%v", got, want, l, r)
-		}
-		if len(st.rCols) > 0 && len(r.rows) > 0 {
-			pf := pairForest(sc, l, r, relstr.NewView(r.rows), 4)
-			parJ := pf.join(cloneRel(l), r, st)
-			// parJ.rows live in pf's worker arenas: compare before
-			// release returns them to the pool.
-			if len(parJ.rows) != len(gotJ.rows) {
-				pf.release()
-				t.Fatalf("parallel join row count %d, serial %d", len(parJ.rows), len(gotJ.rows))
-			}
-			for i := range parJ.rows {
-				if !relstr.Tuple(parJ.rows[i]).Equal(gotJ.rows[i]) {
-					pf.release()
-					t.Fatalf("parallel join order diverges at row %d: %v vs %v", i, parJ.rows[i], gotJ.rows[i])
-				}
-			}
-			pf.release()
-		}
-
-		// Project the join result onto a subset of its variables chosen
-		// by the input (possibly empty — the Boolean head).
-		mask := 0
-		if len(data) > 3 {
-			mask = int(data[3])
-		}
-		var cols []int
-		var wantVars []int
-		for j, v := range refJ.vars {
-			if mask&(1<<j) != 0 {
-				cols = append(cols, j)
-				wantVars = append(wantVars, v)
-			}
-		}
-		gotP := sc.project(gotJ, cols, wantVars)
-		refP := projectRef(refJ, wantVars)
-		if got, want := sortedRows(gotP), sortedRows(refP); !equalRows(got, want) {
-			t.Fatalf("project mismatch onto %v:\n  indexed %v\n  reference %v", wantVars, got, want)
-		}
 	})
 }
 
-// evalTuned runs the plan through the unified executor with the
-// parallel thresholds forced down, so even request-sized fuzz inputs
-// drive the morsel fan-out, the chunk merges and the per-worker
-// arenas.
+// tunedForest builds the plan's forest on src with the parallel
+// thresholds forced down, so even request-sized fuzz inputs drive the
+// morsel fan-out.
+func (p *Plan) tunedForest(src *relstr.Snapshot, par int) *forest {
+	f := p.newForest(src, par)
+	f.minPar, f.morsel = 1, 2
+	return f
+}
+
+// evalTuned is EvalOn over a tuned forest.
 func (p *Plan) evalTuned(ctx context.Context, src *relstr.Snapshot, par int) (Answers, error) {
 	if p.mode != PlanYannakakis {
-		return p.evalBags(ctx, src)
+		return p.EvalOn(ctx, src, par)
 	}
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(src, sc, par)
-	f.minPar, f.morsel = 1, 2
-	defer f.release()
-	return evalForest(ctx, p.sched, f)
+	f := p.tunedForest(src, par)
+	defer p.flush(f)
+	var s answerSlab
+	if err := p.searchForest(ctx, f, s.add); err != nil {
+		return nil, err
+	}
+	return s.answers(len(p.tb.Dist)), nil
 }
 
 // evalBoolTuned is evalTuned for answer existence.
@@ -281,11 +220,8 @@ func (p *Plan) evalBoolTuned(ctx context.Context, src *relstr.Snapshot, par int)
 	if p.mode != PlanYannakakis {
 		return p.boolBags(ctx, src)
 	}
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(src, sc, par)
-	f.minPar, f.morsel = 1, 2
-	defer f.release()
+	f := p.tunedForest(src, par)
+	defer p.flush(f)
 	return f.runBool(ctx, p.sched)
 }
 

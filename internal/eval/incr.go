@@ -80,13 +80,14 @@ type IncrState struct {
 
 	// Yannakakis-mode factored state (nil for bag plans, which
 	// always fall back):
-	contribs [][][]int // per tree, sorted rows over treeVars[t]
-	treeVars [][]int   // kept (free) variables per tree; empty = Boolean tree
-	treeOf   []int     // node → tree index
-	relNodes map[string][]int
-	trees    []*bagPlan // tree → search emitting its contribution from the reduced forest
-	seeded   []*bagPlan // node → candidate search of its tree seeded at the node
-	members  []*bagPlan // tree → membership search, the kept variables pre-bound
+	contribs   [][][]int // per tree, sorted rows over treeVars[t]
+	treeVars   [][]int   // kept (free) variables per tree; empty = Boolean tree
+	answerCols []int     // head position → column in the trees' concatenated kept variables
+	treeOf     []int     // node → tree index
+	relNodes   map[string][]int
+	trees      []*bagPlan // tree → search emitting its contribution from the reduced forest
+	seeded     []*bagPlan // node → candidate search of its tree seeded at the node
+	members    []*bagPlan // tree → membership search, the kept variables pre-bound
 }
 
 // IncrDiff is the exact answer-set change of one Apply: the tuples
@@ -120,15 +121,6 @@ func (p *Plan) NewIncrState(ctx context.Context, sn *relstr.Snapshot, parallel i
 	return s, nil
 }
 
-// SetBudget overrides the per-Apply work budget: the rows the candidate
-// and membership searches visit, seed rows included (values below one
-// keep the default). Lower budgets force earlier fallbacks.
-func (s *IncrState) SetBudget(n int) {
-	if n > 0 {
-		s.budget = n
-	}
-}
-
 // Version returns the snapshot version the state currently reflects.
 func (s *IncrState) Version() uint64 { return s.version }
 
@@ -150,8 +142,10 @@ func (s *IncrState) initMaps() {
 	s.treeVars = make([][]int, len(p.sched.roots))
 	s.trees = make([]*bagPlan, len(p.sched.roots))
 	s.members = make([]*bagPlan, len(p.sched.roots))
+	var cat []int
 	for ti, r := range p.sched.roots {
-		kept := p.sched.nodes[r].vars
+		kept := p.csched.trees[ti].headVars
+		cat = append(cat, kept...)
 		s.treeVars[ti] = kept
 		s.trees[ti] = p.joinTreeBags(kept, r).compile(nil, -1)
 		root, most := r, -1
@@ -169,6 +163,10 @@ func (s *IncrState) initMaps() {
 		walk(r)
 		s.members[ti] = p.joinTreeBags(nil, root).compile(kept, -1)
 	}
+	s.answerCols = make([]int, len(p.tb.Dist))
+	for i, v := range p.tb.Dist {
+		s.answerCols[i] = indexOf(cat, v)
+	}
 }
 
 // recompute rebuilds the full state — contributions and answers — from
@@ -176,7 +174,7 @@ func (s *IncrState) initMaps() {
 func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 	p := s.p
 	if p.mode != PlanYannakakis {
-		ans, err := p.evalBags(ctx, sn)
+		ans, err := p.EvalOn(ctx, sn, s.par)
 		if err != nil {
 			return err
 		}
@@ -184,10 +182,8 @@ func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 		s.version = sn.Version()
 		return nil
 	}
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(sn, sc, s.par)
-	defer f.release()
+	f := p.newForest(sn, s.par)
+	defer p.flush(f)
 	if err := f.runPasses(ctx, p.sched); err != nil {
 		return err
 	}
@@ -200,17 +196,13 @@ func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 			contribs[ti] = [][]int{}
 			continue
 		}
-		data, n := []int{}, 0
-		search := s.trees[ti].forestRun(ctx, f, func(c []int) bool {
-			data = append(data, c...)
-			n++
-			return true
-		})
+		var slab answerSlab
+		search := s.trees[ti].forestRun(ctx, f, slab.add)
 		search.run()
 		if err := p.finish(search); err != nil {
 			return err
 		}
-		rows := cutRows[[]int](data, n, len(s.treeVars[ti]))
+		rows := cutRows[[]int](slab.data, slab.n, len(s.treeVars[ti]))
 		sortRows(rows)
 		contribs[ti] = rows
 	}
@@ -432,12 +424,10 @@ tuples:
 }
 
 // compose crosses the per-tree contributions — tree ti replaced by
-// rows when ti >= 0 — in roots order (the totalVars layout) and
-// projects onto the head. The projection is injective (every kept
+// rows when ti >= 0 — in roots order and projects onto the head. The projection is injective (every kept
 // variable is a head variable), so crossing deduplicated contributions
 // needs no dedup pass.
 func (s *IncrState) compose(ti int, rows [][]int) Answers {
-	sched := s.p.sched
 	acc := [][]int{{}}
 	for t := range s.contribs {
 		part := s.contribs[t]
@@ -463,8 +453,8 @@ func (s *IncrState) compose(ti int, rows [][]int) Answers {
 	}
 	out := make(Answers, len(acc))
 	for k, row := range acc {
-		a := make(relstr.Tuple, len(sched.head))
-		for i, j := range sched.headCols {
+		a := make(relstr.Tuple, len(s.answerCols))
+		for i, j := range s.answerCols {
 			a[i] = row[j]
 		}
 		out[k] = a

@@ -407,7 +407,7 @@ func TestIncrFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetBudget(1)
+		s.budget = 1
 		d := relstr.NewDelta().Insert("E", 3, 4)
 		next, _ := sn.Update(d)
 		wantAdd, wantRem := oracleDiff(t, p, sn, next)
@@ -444,7 +444,7 @@ func TestIncrFallbacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetBudget(tc.budget)
+			s.budget = tc.budget
 			diff, err := s.Apply(ctx, d, sn, next)
 			if err != nil {
 				t.Fatal(err)
@@ -663,7 +663,7 @@ func TestQuickIncrementalBudgetFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetBudget(budget)
+			s.budget = budget
 			for step := 0; step < 4; step++ {
 				d := randomDelta(rng, 6)
 				next, err := sn.Update(d)

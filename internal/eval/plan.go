@@ -4,6 +4,7 @@ import (
 	"context"
 	"iter"
 	"sync/atomic"
+	"time"
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/cqerr"
@@ -59,7 +60,9 @@ type Plan struct {
 	ranked    *rankProgram
 	rankedIDs []int
 
-	// Bag mode only: the decomposition and its search programs.
+	// The search program every enumeration runs: over the
+	// decomposition for bag plans, over the join forest (one bag per
+	// node) for acyclic ones.
 	bags *bagPlan
 
 	stats planStats
@@ -145,22 +148,20 @@ func (p *Plan) RecordCount(estimated bool, batches uint64) {
 	}
 }
 
-// flush folds a finished evaluation's scratch counters into the plan
-// totals and returns the scratch to the pool.
-func (p *Plan) flush(sc *scratch) {
-	p.stats.builds.Add(sc.stats.builds)
-	p.stats.probes.Add(sc.stats.probes)
+// flush folds a finished evaluation's forest counters into the plan
+// totals.
+func (p *Plan) flush(f *forest) {
+	p.stats.builds.Add(f.builds.Load())
+	p.stats.probes.Add(f.probes.Load())
 	p.stats.evals.Add(1)
-	putScratch(sc)
 }
 
 // NewPlan analyses q and fixes the best applicable engine: Yannakakis
 // over a GYO join tree when q is acyclic, the bag search over a tree
-// decomposition otherwise. For acyclic queries the full index/probe
-// schedule — every column mapping of the semijoin passes, the
-// bottom-up joins and the head projection — is computed here, once,
-// and replayed by every Eval/EvalBool/StreamOnErr call; for cyclic ones the
-// decomposition and its search programs are.
+// decomposition otherwise. For acyclic queries the semijoin schedule
+// and the search program over the join forest are computed here, once,
+// and replayed by every Eval/EvalBool/StreamOnErr call; for cyclic ones
+// the decomposition and its search programs are.
 func NewPlan(q *cq.Query) *Plan {
 	p := &Plan{q: q, tb: q.Tableau(), mode: PlanBags}
 	h := hypergraph.FromStructure(p.tb.S)
@@ -173,10 +174,9 @@ func NewPlan(q *cq.Query) *Plan {
 			vars[i] = a.distinctVars()
 		}
 		// Re-root each tree of the forest at a node covering its head
-		// variables when one exists: the schedule's dead-step analysis
-		// then elides the entire solve phase (all joins merely filter,
-		// which the semijoin reduction already did) — the difference
-		// between a per-eval join pipeline and a single head projection.
+		// variables when one exists: the plan is then direct — the
+		// search reads only that node's rows, which the bottom-up pass
+		// alone finalises — instead of walking the tree.
 		p.jt.Parent = rerootForHead(jt.Parent, vars, p.tb.Dist)
 		p.rerooted = make([]bool, len(p.atoms))
 		for i := range p.atoms {
@@ -187,8 +187,9 @@ func NewPlan(q *cq.Query) *Plan {
 		// Classify the head's natural ascending key once: most ranked
 		// calls (and every limit-only call) use it, and Explain reports
 		// the connex/fallback decision from it.
-		p.rankedIDs = dedupHeadIDs(p.sched.head, RankSpec{}.perm(len(p.sched.head)))
+		p.rankedIDs = dedupHeadIDs(p.tb.Dist, RankSpec{}.perm(len(p.tb.Dist)))
 		p.ranked = p.buildRankProgram(p.rankedIDs)
+		p.bags = p.joinTreeBags(p.tb.Dist, p.sched.roots...).compile(nil, -1)
 	} else {
 		p.bags = decompose(p.tb).compile(nil, -1)
 	}
@@ -294,8 +295,8 @@ func normPar(parallel int) int {
 }
 
 // newForest builds the plan's per-call evaluation state against sn.
-func (p *Plan) newForest(sn *relstr.Snapshot, sc *scratch, parallel int) *forest {
-	f := newForest(p.atoms, sn, sc, normPar(parallel))
+func (p *Plan) newForest(sn *relstr.Snapshot, parallel int) *forest {
+	f := newForest(p.atoms, sn, normPar(parallel))
 	if f.par > 1 {
 		p.stats.parEvals.Add(1)
 	}
@@ -314,17 +315,42 @@ func (p *Plan) Eval(ctx context.Context, db *relstr.Structure) (Answers, error) 
 // order — are identical across snapshots of equal data and across
 // budgets; what varies is whether sn's views and indexes are already
 // warm (a registered snapshot) or built on first use (a borrowed one)
-// and how many cores the evaluation uses.
+// and how many cores the semijoin reduction uses. The search collects
+// the answers into one slab, which is cut into tuples and sorted.
 // Bag (cyclic) plans search serially and ignore the budget.
 func (p *Plan) EvalOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, error) {
-	if p.mode != PlanYannakakis {
-		return p.evalBags(ctx, sn)
+	var s answerSlab
+	if err := p.search(ctx, sn, parallel, s.add); err != nil {
+		return nil, err
 	}
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(sn, sc, parallel)
-	defer f.release()
-	return evalForest(ctx, p.sched, f)
+	return s.answers(len(p.tb.Dist)), nil
+}
+
+// answerSlab collects emitted answers back to back in one slab.
+type answerSlab struct {
+	data []int
+	n    int
+}
+
+func (s *answerSlab) add(t []int) bool {
+	s.data = append(s.data, t...)
+	s.n++
+	return true
+}
+
+// answers cuts the slab into tuples of width w sharing it, sorted.
+func (s *answerSlab) answers(w int) Answers {
+	return sortAnswers(cutRows[relstr.Tuple](s.data, s.n, w))
+}
+
+// cutRows splits a slab of n back-to-back rows of width w into rows
+// sharing it.
+func cutRows[R ~[]int](data []int, n, w int) []R {
+	out := make([]R, n)
+	for k := range out {
+		out[k] = data[k*w : (k+1)*w : (k+1)*w]
+	}
+	return out
 }
 
 // EvalBool reports whether the query has at least one answer on db
@@ -340,20 +366,18 @@ func (p *Plan) EvalBoolOn(ctx context.Context, sn *relstr.Snapshot, parallel int
 	if p.mode != PlanYannakakis {
 		return p.boolBags(ctx, sn)
 	}
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(sn, sc, parallel)
-	defer f.release()
+	f := p.newForest(sn, parallel)
+	defer p.flush(f)
 	return f.runBool(ctx, p.sched)
 }
 
 // StreamOnErr enumerates distinct answers against snapshot sn one at
 // a time without materialising the full answer set, in discovery order
-// (not sorted). For acyclic plans the forest is first reduced by both
-// semijoin passes — O(|D|·|Q|), with the worker budget — and the bag
-// search then enumerates the reduced join forest's live rows, never
-// meeting a dead end; bag plans stream the answers of their search as
-// it finds them.
+// (not sorted). It runs the search EvalOn collects from: for acyclic
+// plans the forest is first reduced — O(|D|·|Q|), with the worker
+// budget — and the bag search then enumerates the reduced join
+// forest's live rows, never meeting a dead end; bag plans stream the
+// answers of their search as it finds them.
 //
 // Iteration stops early when ctx is cancelled (checked before every
 // answer) or the consumer breaks. After the iteration ends, the
@@ -371,29 +395,69 @@ func (p *Plan) StreamOnErr(ctx context.Context, sn *relstr.Snapshot, parallel in
 			}
 			return yield(relstr.Tuple(vals).Clone())
 		}
-		if err := p.stream(ctx, sn, parallel, emit); err != nil {
+		if err := p.search(ctx, sn, parallel, emit); err != nil {
 			terminal = err
 		}
 	}
 	return seq, func() error { return terminal }
 }
 
-// stream runs the plan's search against sn, calling emit with each
-// distinct answer (a buffer valid for the call only) until it returns
-// false, and returns the cancellation that cut the search short, if
-// any.
-func (p *Plan) stream(ctx context.Context, sn *relstr.Snapshot, parallel int, emit func([]int) bool) error {
+// search is the plan's one enumeration kernel: it runs the plan's bag
+// search against sn, calling emit with each distinct answer (a buffer
+// valid for the call only) until it returns false, and returns the
+// cancellation that cut the search short, if any. Bag plans search
+// their decomposition; acyclic plans reduce a fresh forest and search
+// it (searchForest).
+func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, parallel int, emit func([]int) bool) error {
 	if p.mode != PlanYannakakis {
-		return p.searchBags(ctx, sn, emit)
+		r := p.bags.newRun(ctx, sn, emit)
+		r.run()
+		p.stats.evals.Add(1)
+		return p.finish(r)
 	}
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(sn, sc, parallel)
-	defer f.release()
-	if err := f.runPasses(ctx, p.sched); err != nil || f.anyEmpty() {
+	f := p.newForest(sn, parallel)
+	defer p.flush(f)
+	return p.searchForest(ctx, f, emit)
+}
+
+// searchForest reduces f and enumerates its answers. A direct plan
+// reads its answers from one root (or only from non-emptiness), which
+// the bottom-up pass already finalises: the search visits only that
+// root's live rows, every other bag being an existence check that holds
+// on a reduced forest. Other plans run both passes.
+func (p *Plan) searchForest(ctx context.Context, f *forest, emit func([]int) bool) error {
+	if ok, err := p.reduce(ctx, f); !ok {
 		return err
 	}
-	r := p.joinTreeBags(p.tb.Dist, p.sched.roots...).compile(nil, -1).forestRun(ctx, f, emit)
+	return p.enumerate(ctx, f, emit)
+}
+
+// reduce runs the semijoin passes the plan's search needs on f —
+// bottom-up only for a direct plan — and reports whether every node
+// kept a row.
+func (p *Plan) reduce(ctx context.Context, f *forest) (bool, error) {
+	pass := f.runPasses
+	if p.sched.directNode != -1 {
+		pass = f.runDown
+	}
+	if err := pass(ctx, p.sched); err != nil {
+		return false, err
+	}
+	return !f.anyEmpty(), nil
+}
+
+// enumerate runs the plan's search over f, already reduced and with no
+// empty node, timed as the trace's "join" phase.
+func (p *Plan) enumerate(ctx context.Context, f *forest, emit func([]int) bool) error {
+	var start time.Time
+	if f.trace != nil {
+		start = time.Now()
+	}
+	r := p.bags.forestRun(ctx, f, emit)
 	r.run()
-	return p.finish(r)
+	err := p.finish(r)
+	if tr := f.trace; tr != nil {
+		tr.phase("join", time.Since(start))
+	}
+	return err
 }

@@ -114,7 +114,7 @@ func dedupHeadIDs(head, perm []int) []int {
 // Desc does not affect classification — a full reverse enumerates the
 // same program with flipped emit comparisons.
 func (p *Plan) rankProgramForSpec(perm []int) *rankProgram {
-	ids := dedupHeadIDs(p.sched.head, perm)
+	ids := dedupHeadIDs(p.tb.Dist, perm)
 	if slices.Equal(ids, p.rankedIDs) {
 		return p.ranked
 	}
@@ -151,7 +151,7 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 		comp[i] = r
 	}
 	headSet := map[int]bool{}
-	for _, v := range p.sched.head {
+	for _, v := range p.tb.Dist {
 		headSet[v] = true
 	}
 
@@ -276,8 +276,8 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 			emitAt[id] = [2]int{vi, nc + k}
 		}
 	}
-	prog.headOut = make([][2]int, len(p.sched.head))
-	for pos, id := range p.sched.head {
+	prog.headOut = make([][2]int, len(p.tb.Dist))
+	for pos, id := range p.tb.Dist {
 		prog.headOut[pos] = emitAt[id]
 	}
 	return prog
@@ -286,8 +286,7 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 // buildRankView materialises one visit's sorted view: the node's live
 // rows projected onto connCols++emitCols, sorted by connector columns
 // ascending then emit columns in key direction, adjacent duplicates
-// compacted. The rows live in one plain slab owned by the view (never
-// a scratch arena — views outlive parallel build workers).
+// compacted. The rows live in one slab owned by the view.
 func buildRankView(n *execNode, vs *rankVisit, desc bool) [][]int {
 	nc := len(vs.connCols)
 	w := nc + len(vs.emitCols)
@@ -350,11 +349,15 @@ func comparePrefix(row, key []int, nc int) int {
 // advance last-first (the least significant key block), and advancing
 // position j recomputes the probe ranges of every later visit from its
 // parent's new current row. Ranges are found by binary search on the
-// connector prefix (which stays ascending even under desc).
+// connector prefix (which stays ascending even under desc). The context
+// is checked before every answer, as StreamOnErr checks it.
 func enumerateRanked(ctx context.Context, prog *rankProgram, views [][][]int, width, limit int, yield func(relstr.Tuple) bool) error {
 	nv := len(prog.visits)
 	if nv == 0 {
 		// Boolean-shaped key: the single (empty-head) answer.
+		if err := cqerr.Check(ctx); err != nil {
+			return err
+		}
 		yield(relstr.Tuple{})
 		return nil
 	}
@@ -393,17 +396,15 @@ func enumerateRanked(ctx context.Context, prog *rankProgram, views [][][]int, wi
 		for pos, out := range prog.headOut {
 			t[pos] = views[out[0]][cur[out[0]]][out[1]]
 		}
+		if err := cqerr.Check(ctx); err != nil {
+			return err
+		}
 		if !yield(t) {
 			return nil
 		}
 		emitted++
 		if limit > 0 && emitted >= limit {
 			return nil
-		}
-		if emitted%256 == 0 {
-			if err := cqerr.Check(ctx); err != nil {
-				return err
-			}
 		}
 		j := nv - 1
 		for ; j >= 0; j-- {
@@ -441,8 +442,9 @@ func sortAnswersBy(ts []relstr.Tuple, perm []int, desc bool) {
 }
 
 // rankFallback is the untractable-order path: full evaluation, sort
-// under the requested key, truncate at limit. Bag (cyclic) plans
-// always take it — EvalOn routes them to the bag search.
+// under the requested key, truncate at limit, checking the context
+// before every answer. Bag (cyclic) plans always take it — EvalOn
+// routes them to the bag search.
 func (p *Plan) rankFallback(ctx context.Context, sn *relstr.Snapshot, parallel int, perm []int, desc bool, limit int, yield func(relstr.Tuple) bool) error {
 	p.stats.rankFallbacks.Add(1)
 	ans, err := p.EvalOn(ctx, sn, parallel)
@@ -453,6 +455,9 @@ func (p *Plan) rankFallback(ctx context.Context, sn *relstr.Snapshot, parallel i
 	for i, t := range ans {
 		if limit > 0 && i >= limit {
 			return nil
+		}
+		if err := cqerr.Check(ctx); err != nil {
+			return err
 		}
 		if !yield(t) {
 			return nil
@@ -477,13 +482,11 @@ func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel i
 		return p.rankFallback(ctx, sn, parallel, perm, spec.Desc, spec.Limit, yield)
 	}
 	p.stats.rankedEvals.Add(1)
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(sn, sc, parallel)
+	f := p.newForest(sn, parallel)
 	if tuned {
 		f.minPar, f.morsel = 1, 2
 	}
-	defer f.release()
+	defer p.flush(f)
 	if err := f.runPasses(ctx, p.sched); err != nil {
 		return err
 	}

@@ -2,10 +2,12 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"cqapprox/internal/cq"
+	"cqapprox/internal/cqerr"
 	"cqapprox/internal/relstr"
 )
 
@@ -205,5 +207,39 @@ func TestRankedStreamBreak(t *testing.T) {
 	}
 	if err := errf(); err != nil {
 		t.Fatalf("terminal error after break: %v", err)
+	}
+}
+
+// A ranked stream checks its context before every answer on both
+// paths, as StreamOnErr does: a consumer that cancels after the first
+// answer gets no second one, and the stream reports the cancellation.
+func TestRankedStopsAtCancel(t *testing.T) {
+	db := relstr.New()
+	for i := range 8 {
+		for j := range 8 {
+			if i != j {
+				db.Add("E", i, j)
+			}
+		}
+	}
+	for src, connex := range map[string]bool{
+		"Q(x,y,z) :- E(x,y), E(y,z)": true,
+		"Q(x,z) :- E(x,y), E(y,z)":   false,
+	} {
+		p := NewPlan(cq.MustParse(src))
+		if (p.ranked != nil) != connex {
+			t.Fatalf("%s: connex = %v, want %v", src, p.ranked != nil, connex)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		n := 0
+		seq, errf := p.StreamRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{})
+		for range seq {
+			n++
+			cancel()
+		}
+		cancel()
+		if err := errf(); n != 1 || !errors.Is(err, cqerr.ErrCanceled) {
+			t.Fatalf("%s: %d answers after the cancel at the first, err %v", src, n, err)
+		}
 	}
 }

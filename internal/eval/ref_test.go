@@ -9,10 +9,16 @@ import (
 
 // This file preserves the pre-indexed, string-keyed relational
 // operators exactly as they were before the indexed runtime replaced
-// them. They are differential oracles: FuzzJoinEquivalence and the
-// unit tests assert the indexed semijoin/join/project agree with these
-// on arbitrary relations, and Plan.EvalBaseline runs the full old
-// pipeline as the reference the fuzzers compare evaluations against.
+// them. They are differential oracles: FuzzJoinEquivalence asserts the
+// executor's semijoin agrees with semijoinRef on arbitrary relations,
+// and Plan.EvalBaseline runs the full old pipeline as the reference the
+// fuzzers compare evaluations against.
+
+// rel is a materialised relation over a fixed variable list.
+type rel struct {
+	vars []int   // distinct variable (element) ids
+	rows [][]int // aligned with vars, deduplicated
+}
 
 // node is one node of a reference join forest.
 type node struct {

@@ -12,7 +12,7 @@ import (
 	"cqapprox/internal/relstr"
 )
 
-// Tracing (ANALYZE) support for the unified executor. A traced call
+// Tracing (ANALYZE) support for the semijoin executor. A traced call
 // attaches one pooled execTrace frame to its forest; every hook in the
 // hot path is a single nil check on forest.trace, so the trace-off
 // path pays nothing and allocates nothing (enforced by
@@ -126,24 +126,31 @@ func (tr *execTrace) snapshot(p *Plan, f *forest, total time.Duration) *obs.Exec
 // --- traced entry points -----------------------------------------------
 
 // EvalTraceOn is EvalOn with tracing: same answers, same counters,
-// plus an ExecTrace of this one call. Bag plans return a trace with
-// the total time only (the search has no per-node row counts).
+// plus an ExecTrace of this one call — the reduction passes, the search
+// ("join") and the slab cut plus sort ("project"). Bag plans return a
+// trace with the total time only (the search has no per-node row
+// counts).
 func (p *Plan) EvalTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, *obs.ExecTrace, error) {
 	if p.mode != PlanYannakakis {
 		start := time.Now()
-		ans, err := p.evalBags(ctx, sn)
+		ans, err := p.EvalOn(ctx, sn, parallel)
 		return ans, &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
 			TotalNS: time.Since(start).Nanoseconds()}, err
 	}
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(sn, sc, parallel)
-	defer f.release()
+	f := p.newForest(sn, parallel)
+	defer p.flush(f)
 	tr := getExecTrace(len(f.nodes))
 	f.trace = tr
 	defer func() { f.trace = nil; putExecTrace(tr) }()
 	start := time.Now()
-	ans, err := evalForest(ctx, p.sched, f)
+	var s answerSlab
+	err := p.searchForest(ctx, f, s.add)
+	var ans Answers
+	if err == nil {
+		t0 := time.Now()
+		ans = s.answers(len(p.tb.Dist))
+		tr.phase("project", time.Since(t0))
+	}
 	out := tr.snapshot(p, f, time.Since(start))
 	return ans, out, err
 }
@@ -156,10 +163,8 @@ func (p *Plan) EvalBoolTraceOn(ctx context.Context, sn *relstr.Snapshot, paralle
 		return ok, &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
 			TotalNS: time.Since(start).Nanoseconds()}, err
 	}
-	sc := getScratch()
-	defer p.flush(sc)
-	f := p.newForest(sn, sc, parallel)
-	defer f.release()
+	f := p.newForest(sn, parallel)
+	defer p.flush(f)
 	tr := getExecTrace(len(f.nodes))
 	f.trace = tr
 	defer func() { f.trace = nil; putExecTrace(tr) }()
@@ -206,7 +211,7 @@ func atomString(a patom) string {
 }
 
 // Explain returns the plan's static structure: join-forest shape,
-// re-rooting decisions, dead-step eliminations and the counting
+// re-rooting decisions, the nodes the search reads and the counting
 // classification. Purely static — no data, no clocks — so the text
 // rendering is stable across runs.
 func (p *Plan) Explain() *obs.PlanExplain {
@@ -247,12 +252,6 @@ func (p *Plan) Explain() *obs.PlanExplain {
 			}
 			for _, v := range p.atoms[i].distinctVars() {
 				ne.Vars = append(ne.Vars, fmt.Sprintf("v%d", v))
-			}
-			for _, st := range p.sched.nodes[i].joins {
-				ne.Joins++
-				if st.skip {
-					ne.SkippedJoins++
-				}
 			}
 			te.Nodes = append(te.Nodes, ne)
 			for _, c := range p.sched.children[i] {

@@ -17,8 +17,9 @@ import (
 
 // Phase is one named timed span of a prepare or an evaluation. Prepare
 // phases: parse, minimize, search, plan. Eval phases: semijoin-down,
-// semijoin-up, join, project, dedup; counting adds count and
-// count-estimate.
+// semijoin-up, join (the answer search over the reduced forest) and
+// project (cutting the collected answers into tuples and sorting
+// them); counting adds count and count-estimate.
 type Phase struct {
 	Name string `json:"name"`
 	NS   int64  `json:"ns"`
@@ -40,9 +41,11 @@ type PlanExplain struct {
 	// over a join forest, acyclic queries) or "bags" (a memoised search
 	// over a tree decomposition, cyclic queries).
 	Mode string `json:"mode"`
-	// Direct reports the solve-phase collapse: "" (scheduled joins
-	// run), "unit" (Boolean: the answer is the unit relation) or
-	// "node <i>" (one head projection of node i's reduced rows).
+	// Direct reports where the answer search reads: "" (across the
+	// needed nodes of a forest reduced by both semijoin passes), "unit"
+	// (Boolean: the answer is the empty tuple exactly when every tree
+	// has an assignment) or "node <i>" (only node i's rows, after the
+	// bottom-up pass alone).
 	Direct string `json:"direct,omitempty"`
 	// ExactCountable: no tree of the forest needs the sampling
 	// estimator to count.
@@ -72,8 +75,7 @@ type PlanExplain struct {
 type TreeExplain struct {
 	Root int `json:"root"`
 	// Rerooted: the tree was reoriented at prepare time toward a node
-	// covering its head variables (what lets the dead-step analysis
-	// collapse the solve phase).
+	// covering its head variables (what makes a plan direct).
 	Rerooted bool `json:"rerooted,omitempty"`
 	// CountKind is the counting classification: unit, node, dp or
 	// sample.
@@ -89,16 +91,14 @@ type NodeExplain struct {
 	Vars   []string `json:"vars"`
 	Parent int      `json:"parent"` // -1 for roots
 	Depth  int      `json:"depth"`
-	// Needed: the node still materialises a solve relation after the
-	// dead-step analysis.
+	// Needed: the node's subtree holds a head variable the node does
+	// not share with its parent (for a root: any head variable), so the
+	// answer search reads its rows; other nodes only have to be
+	// non-empty.
 	Needed bool `json:"needed,omitempty"`
-	// Direct: the whole solve phase is a head projection of this
-	// node's reduced rows.
+	// Direct: every answer is read from this node's reduced rows, and
+	// the bottom-up semijoin pass alone finalises them.
 	Direct bool `json:"direct,omitempty"`
-	// Joins/SkippedJoins: scheduled child joins at this node and how
-	// many of them the dead-step analysis elided.
-	Joins        int `json:"joins,omitempty"`
-	SkippedJoins int `json:"skipped_joins,omitempty"`
 }
 
 // BagExplain describes one bag of a bag plan's tree decomposition.
@@ -166,9 +166,6 @@ func (e *PlanExplain) Text() string {
 			}
 			if n.Direct {
 				b.WriteString(" direct")
-			}
-			if n.Joins > 0 {
-				fmt.Fprintf(&b, " joins=%d skipped=%d", n.Joins, n.SkippedJoins)
 			}
 			b.WriteString("\n")
 		}

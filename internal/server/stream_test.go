@@ -122,9 +122,24 @@ const longPathAnswers = 299
 // answer after the disconnect is produced, and the goroutine count
 // returns to its pre-request baseline. The hook holds the enumeration
 // at answer 1 until the server has seen the disconnect (the request
-// context is done), and the stream checks its context before every
+// context is done), and every stream — plain, and ranked through the
+// fallback or a connex visit program — checks its context before every
 // answer, so exactly one answer is produced.
 func TestStreamClientDisconnect(t *testing.T) {
+	fallback := longPathRequest()
+	fallback.Order = []string{"z"} // x and z are bridged by y: no connex program
+	connex := longPathRequest()
+	connex.Query = "Q(x,y,z) :- E(x,y), E(y,z)"
+	connex.Order = []string{"y"}
+	for _, c := range []struct {
+		name string
+		req  api.EvalRequest
+	}{{"plain", longPathRequest()}, {"ranked fallback", fallback}, {"ranked connex", connex}} {
+		t.Run(c.name, func(t *testing.T) { streamDisconnect(t, c.req) })
+	}
+}
+
+func streamDisconnect(t *testing.T, req api.EvalRequest) {
 	s, ts := newTestServer(t, Config{})
 	var produced atomic.Int64
 	first := make(chan struct{})
@@ -146,7 +161,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 	httpc := &http.Client{Transport: tr}
 	baseline := runtime.NumGoroutine()
 
-	body, err := json.Marshal(longPathRequest())
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,11 +93,12 @@ func WithLimit(k int) EvalOption {
 	return func(c *optConfig) { c.limit = k }
 }
 
-// WithEvalParallelism runs the call morsel-driven parallel on up to n
-// workers (n ≤ 1 means serial), overriding the engine's
-// WithParallelism default for this call only.
-// Answers are byte-identical to serial evaluation. Applies to every
-// evaluation and counting call.
+// WithEvalParallelism runs the call's reductions — the semijoin
+// passes, and for counts the DP and distinct projections —
+// morsel-driven parallel on up to n workers (n ≤ 1 means serial),
+// overriding the engine's WithParallelism default for this call only.
+// The answer search that follows is serial. Answers are byte-identical
+// to serial evaluation. Applies to every evaluation and counting call.
 func WithEvalParallelism(n int) EvalOption {
 	return func(c *optConfig) { c.par = n; c.parSet = true }
 }
