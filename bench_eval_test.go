@@ -205,7 +205,7 @@ func BenchmarkParallelEval(b *testing.B) {
 // with the full head (full-xyz: every join row is an answer). Every
 // IndexedJoin, RegisteredDB and ParallelEval workload reads its answers
 // from one root; these rows cover the plans whose search walks the
-// whole reduced forest after both semijoin passes.
+// whole bottom-up-reduced forest.
 func BenchmarkNonDirectEval(b *testing.B) {
 	ctx := context.Background()
 	engine := NewEngine()

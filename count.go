@@ -22,10 +22,11 @@ type CountResult struct {
 	// Estimated reports whether sampling produced the result.
 	Estimated bool
 	// Mode names the path taken: "exact-dp" (multiplicity DP over the
-	// reduced forest, no answer materialisation), "exact-eval" (the
-	// search Eval runs over the reduced forest, its answers counted
-	// without being kept), "exact-enum" (the bag search's answers
-	// counted, cyclic plans), or "estimate" (the sampling estimator).
+	// forest both semijoin passes reduced, no answer materialisation),
+	// "exact-eval" (an acyclic plan's search, the one Eval runs over
+	// the bottom-up-reduced forest, its answers counted without being
+	// kept), "exact-enum" (the same count of a cyclic plan's bag
+	// search), or "estimate" (the sampling estimator).
 	Mode string
 	// Samples and Batches report the estimator's effort (zero when
 	// exact).
@@ -82,9 +83,8 @@ func countOn(ctx context.Context, pl *eval.Plan, sn *relstr.Snapshot, par int, e
 // (approximated) query on db — without materialising them when the
 // plan permits. Acyclic plans whose head structure is free-connex-like
 // count by a multiplicity DP over the Yannakakis-reduced forest in
-// O(|D|·|Q'|); other acyclic plans run the evaluation's joins and
-// count the distinct head keys without building answers, cyclic plans
-// count an enumeration (see CountResult.Mode). The worker budget
+// O(|D|·|Q'|); every other plan counts the answers of the search Eval
+// runs without keeping them (see CountResult.Mode). The worker budget
 // (WithEvalParallelism, else the engine default) applies to the
 // reduction, DP and join passes. The error is ErrCountOverflow when
 // the count exceeds uint64.

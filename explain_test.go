@@ -109,11 +109,11 @@ bag [0] v0 v1 v3: E(v0,v1) E(v3,v0)
 // TestEvalTraceChain3000 is the acceptance run: a traced evaluation
 // against the registered chain-3000 database must report non-zero
 // per-node row counts and a timed span for every phase it runs, within
-// the total. Chain6's head lives in the root atom, so its plan is direct:
-// the bottom-up pass alone finalises the answer, every non-leaf node
-// sees semijoin input, and no top-down phase runs. The full-head chain
-// joins across every node, runs both passes, and every node sees
-// input.
+// the total. Every enumerating read runs the bottom-up pass alone:
+// every non-leaf node sees semijoin input, leaves see none, and no
+// top-down phase runs — for chain6, whose head lives in the root atom
+// (a direct plan), and for the full-head chain, whose search joins
+// across every node.
 func TestEvalTraceChain3000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3000-node database")
@@ -151,25 +151,30 @@ func TestEvalTraceChain3000(t *testing.T) {
 	if ex.Direct == "" {
 		t.Fatalf("chain6 plan is not direct: %+v", ex)
 	}
-	leaf := map[int]bool{}
-	for _, tree := range ex.Trees {
-		for _, n := range tree.Nodes {
-			leaf[n.ID] = true
+	// The bottom-up pass feeds exactly the non-leaf nodes.
+	inputs := func(name string, ex *PlanExplain, tr *ExecTrace) {
+		t.Helper()
+		leaf := map[int]bool{}
+		for _, tree := range ex.Trees {
+			for _, n := range tree.Nodes {
+				leaf[n.ID] = true
+			}
+			for _, n := range tree.Nodes {
+				if n.Parent >= 0 {
+					leaf[n.Parent] = false
+				}
+			}
 		}
-		for _, n := range tree.Nodes {
-			if n.Parent >= 0 {
-				leaf[n.Parent] = false
+		for _, n := range tr.Nodes {
+			if n.Rows <= 0 || n.Atom == "" {
+				t.Fatalf("%s: node %d reports no rows or no atom: %+v", name, n.ID, n)
+			}
+			if leaf[n.ID] != (n.SemijoinIn == 0) {
+				t.Fatalf("%s: node %d (leaf %v) saw semijoin input %d", name, n.ID, leaf[n.ID], n.SemijoinIn)
 			}
 		}
 	}
-	for _, n := range tr.Nodes {
-		if n.Rows <= 0 || n.Atom == "" {
-			t.Fatalf("node %d reports no rows or no atom: %+v", n.ID, n)
-		}
-		if !leaf[n.ID] && n.SemijoinIn <= 0 {
-			t.Fatalf("non-leaf node %d saw no semijoin input: %+v", n.ID, n)
-		}
-	}
+	inputs("chain6", ex, tr)
 	// Every phase a plan runs is reported, in order, with a positive
 	// span, and the spans fit in the total.
 	phases := func(name string, tr *ExecTrace, want ...string) {
@@ -203,23 +208,20 @@ func TestEvalTraceChain3000(t *testing.T) {
 		t.Fatalf("count trace missing: %+v", res.Trace)
 	}
 
-	// A plan that is not direct runs both passes over every node.
+	// A plan that is not direct runs the same single pass.
 	full, err := e.PrepareExact(ctx, workload.FullChainQuery(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := full.Explain(); ex.Direct != "" {
-		t.Fatalf("full-head chain plan is direct: %+v", ex)
+	fullEx := full.Explain()
+	if fullEx.Direct != "" {
+		t.Fatalf("full-head chain plan is direct: %+v", fullEx)
 	}
 	if _, tr, err = full.Bind(d).EvalTrace(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range tr.Nodes {
-		if n.SemijoinIn <= 0 {
-			t.Fatalf("full chain: node %d saw no semijoin input: %+v", n.ID, n)
-		}
-	}
-	phases("full chain", tr, "semijoin-down", "semijoin-up", "join", "project")
+	inputs("full chain", fullEx, tr)
+	phases("full chain", tr, "semijoin-down", "join", "project")
 }
 
 // The per-call worker budget reaches the traced entry point: a

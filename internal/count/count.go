@@ -1,20 +1,23 @@
 // Package count is the answer-counting subsystem: exact counts over
-// the eval executor's reduced forest, and an FPRAS-style sampling
-// estimator for the plans where exact counting is not free-connex.
+// the eval executor's reduced forest or by enumeration, and an
+// FPRAS-style sampling estimator for the plans where exact counting is
+// not free-connex.
 //
-// Exact counting picks the cheapest correct mode per plan:
+// Exact counting takes one of two paths per plan:
 //
-//   - "exact-dp": every tree of an acyclic plan's forest classifies as
-//     exactly countable (see eval's count schedule) — unit trees,
-//     single-node distinct projections, and free-core multiplicity DPs,
-//     multiplied across trees. No answer tuple is ever materialised.
-//   - "exact-eval": the plan is acyclic but some tree interleaves
-//     existential variables between head variables; the search Eval
-//     runs enumerates the reduced forest and its distinct answers are
-//     counted — no answer is kept beyond the search's dedup set, and
-//     nothing is sorted.
-//   - "exact-enum": the plan is a bag plan (cyclic); the bag search
-//     enumerates the distinct answers and counts them.
+//   - "exact-dp": the plan is ExactCountable — every tree of an acyclic
+//     plan's forest classifies as exactly countable (see eval's count
+//     schedule): unit trees, single-node distinct projections, and
+//     free-core multiplicity DPs, multiplied across trees over the
+//     forest both semijoin passes reduced (eval.PrepareCount). No
+//     answer tuple is ever materialised.
+//   - enumeration (eval.CountEnum): every other plan counts the
+//     distinct answers of the search Eval runs — no answer is kept
+//     beyond the search's dedup set, and nothing is sorted. The mode
+//     names the plan: "exact-eval" for an acyclic plan, where some tree
+//     interleaves existential variables between head variables and the
+//     search enumerates the bottom-up-reduced forest; "exact-enum" for
+//     a bag (cyclic) plan.
 //
 // Estimation replaces only the "exact-eval" case: each non-countable
 // tree gets a Karp–Luby-shaped estimator — sample uniform full
@@ -95,8 +98,9 @@ type Result struct {
 	Estimate float64
 	// Estimated reports whether sampling produced the result.
 	Estimated bool
-	// Mode names the path taken: "exact-dp", "exact-eval",
-	// "exact-enum" or "estimate".
+	// Mode names the path taken: "exact-dp" (the DP product),
+	// "exact-eval" or "exact-enum" (the search's answers counted, for
+	// an acyclic or a bag plan), or "estimate".
 	Mode string
 	// Samples and Batches are the sampling effort (zero when exact).
 	Samples int
@@ -114,46 +118,36 @@ func exactResult(n uint64, mode string) Result {
 // Exact computes the exact answer count of p on sn; traced attaches
 // an execution trace of the run (nil otherwise). No mode materialises
 // answers: "exact-dp" multiplies per-tree DP counts (its product timed
-// as the "count" phase), "exact-eval" counts the answers of the
-// search over the reduced forest (timed as the "join" phase),
-// "exact-enum" counts the bag search's answers (bag plans trace total
-// time only). The error is eval.ErrCountOverflow when the count
-// exceeds uint64.
+// as the "count" phase); "exact-eval" and "exact-enum" count the
+// answers of the plan's search (eval.CountEnum: an acyclic plan's
+// search is the "join" phase, a bag plan traces total time only). The
+// error is eval.ErrCountOverflow when the count exceeds uint64.
 func Exact(ctx context.Context, p *eval.Plan, sn *relstr.Snapshot, parallel int, traced bool) (Result, *obs.ExecTrace, error) {
-	start := time.Now()
-	if p.Mode() != eval.PlanYannakakis {
-		n, err := p.CountEnum(ctx, sn)
+	if !p.ExactCountable() {
+		n, tr, err := p.CountEnum(ctx, sn, parallel, traced)
 		if err != nil {
 			return Result{}, nil, err
 		}
 		p.RecordCount(false, 0)
-		var tr *obs.ExecTrace
-		if traced {
-			tr = &obs.ExecTrace{Mode: p.Mode().String(), Parallelism: 1,
-				TotalNS: time.Since(start).Nanoseconds()}
+		if p.Mode() == eval.PlanYannakakis {
+			return exactResult(n, ModeExactEval), tr, nil
 		}
 		return exactResult(n, ModeExactEnum), tr, nil
 	}
+	start := time.Now()
 	run, err := p.PrepareCount(ctx, sn, parallel, traced)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	defer run.Close()
-	var n uint64
-	mode := ModeExactDP
-	if p.ExactCountable() {
-		t0 := time.Now()
-		n, err = exactProduct(ctx, run)
-		run.TracePhase("count", time.Since(t0))
-	} else {
-		mode = ModeExactEval
-		n, err = run.CountEval(ctx)
-	}
+	t0 := time.Now()
+	n, err := exactProduct(ctx, run)
+	run.TracePhase("count", time.Since(t0))
 	if err != nil {
 		return Result{}, nil, err
 	}
 	p.RecordCount(false, 0)
-	return exactResult(n, mode), run.TraceSnapshot(time.Since(start)), nil
+	return exactResult(n, ModeExactDP), run.TraceSnapshot(time.Since(start)), nil
 }
 
 // exactProduct multiplies the per-tree exact counts of a fully

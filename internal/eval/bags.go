@@ -46,13 +46,16 @@ package eval
 // a row budget: every visited row is charged, and an exhausted budget
 // stops the search with errIncrBudget.
 //
-// A run may also read a forest reduced by both semijoin passes
+// A run may also read a forest reduced by the bottom-up semijoin pass
 // (forestRun): each atom reads its forest node's view and liveness
-// bitmap, and the search skips dead row ids. The reduced forest is
-// globally consistent, so the search never meets a dead end and skips
-// every existence check. Every acyclic enumeration — Eval, streams and
-// the counts that enumerate — runs the whole join forest this way
-// (Plan.search), and IncrState's re-evaluation each tree.
+// bitmap, and the search skips dead row ids. Every live row of the
+// reduced forest extends to an assignment of its subtree, and the
+// search reaches a bag only through its parent's live binding, so it
+// never meets a dead end and skips every existence check; such a
+// program lays out no existence bag program at all (forestBags).
+// Every acyclic enumeration — Eval, streams and the counts that
+// enumerate — runs the whole join forest this way (Plan.search), and
+// IncrState's re-evaluation each tree.
 
 import (
 	"context"
@@ -109,6 +112,10 @@ type bagPlan struct {
 	lastHead int       // the last step binding a head variable; -1 if none
 	numVars  int
 	numSteps int
+	// reduced: the program only runs over reduced forests (forestRun),
+	// where every existence check holds, so its existence bags have no
+	// program and its runs no memo.
+	reduced bool
 }
 
 // newBags starts a bag tree over atoms searching for head.
@@ -269,6 +276,14 @@ func (p *Plan) joinTreeBags(head []int, roots ...int) *bagPlan {
 	return bp
 }
 
+// forestBags compiles the search program of the join trees holding
+// nodes roots for runs over a reduced forest (forestRun).
+func (p *Plan) forestBags(head []int, roots ...int) *bagPlan {
+	bp := p.joinTreeBags(head, roots...)
+	bp.reduced = true
+	return bp.compile(nil, -1)
+}
+
 // assignAtoms gives bag b every atom whose variables it contains.
 func (bp *bagPlan) assignAtoms(b int) {
 	node := &bp.bags[b]
@@ -364,7 +379,8 @@ func (bp *bagPlan) compact() {
 }
 
 // compile lays out the search programs of the bag tree: the head
-// program and every existence bag's program. prebound are the
+// program and, unless the tree is reduced, every existence bag's
+// program. prebound are the
 // variables bound before the search starts (the run's holds binds
 // them), so an existence bag's outcome also depends on those in its
 // subtree; seed is the atom a run reads from its seed view, placed first
@@ -448,7 +464,7 @@ func (bp *bagPlan) compile(prebound []int, seed int) *bagPlan {
 	}
 	for i := range bp.bags {
 		b := &bp.bags[i]
-		if !b.exist {
+		if !b.exist || bp.reduced {
 			continue
 		}
 		clear(bound)
@@ -642,10 +658,6 @@ type bagRun struct {
 	tuple  []int
 	emit   func([]int) bool
 	stats  opStats
-
-	// reduced: the run reads a forest reduced by both semijoin passes
-	// (forestRun), where every existence check holds.
-	reduced bool
 }
 
 var bagRunPool = sync.Pool{New: func() any { return new(bagRun) }}
@@ -663,7 +675,7 @@ func resized[T any](s []T, n int) []T {
 func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) *bagRun {
 	r := bagRunPool.Get().(*bagRun)
 	r.bp, r.sn, r.ctx, r.emit = bp, sn, ctx, emit
-	r.polls, r.err, r.stop, r.reduced, r.stats = 0, nil, false, false, opStats{}
+	r.polls, r.err, r.stop, r.stats = 0, nil, false, opStats{}
 	r.views = resized(r.views, len(bp.atoms))
 	r.live = resized(r.live, len(bp.atoms))
 	if cap(r.probes) < bp.numSteps {
@@ -672,6 +684,10 @@ func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]
 	r.probes = r.probes[:bp.numSteps] // released runs leave every probe unresolved
 	r.bind = resized(r.bind, bp.numVars)
 	r.tuple = resized(r.tuple, len(bp.head))
+	r.seen.reset(len(bp.head))
+	if bp.reduced {
+		return r // no existence check runs
+	}
 	if cap(r.memo) < len(bp.bags) {
 		r.memo = append(r.memo[:cap(r.memo)], make([]bagMemo, len(bp.bags)-cap(r.memo))...)
 		r.keys = append(r.keys[:cap(r.keys)], make([][]int, len(bp.bags)-cap(r.keys))...)
@@ -684,7 +700,6 @@ func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]
 			r.keys[i] = resized(r.keys[i], len(b.key))
 		}
 	}
-	r.seen.reset(len(bp.head))
 	return r
 }
 
@@ -864,7 +879,7 @@ func (r *bagRun) bindRow(st *bagStep, row []int) {
 // checks runs existence checks in order, stopping at the first miss.
 // A run over a reduced forest skips them: they all hold.
 func (r *bagRun) checks(bags []int) bool {
-	if r.reduced {
+	if r.bp.reduced {
 		return true
 	}
 	for _, c := range bags {
@@ -970,15 +985,14 @@ func (r *bagRun) fillTuple() {
 
 // --- plan entry points -------------------------------------------------
 
-// forestRun starts a run of bp over the live rows of f, a forest of the
-// plan's atoms reduced by both semijoin passes: each atom reads its
-// forest node's view and liveness bitmap. The reduced forest is
-// globally consistent — every live row extends to an assignment of its
-// tree, and no tree is empty in part — so the search never meets a
-// dead end and runs no existence check.
+// forestRun starts a run of bp, a reduced program (forestBags), over
+// the live rows of f, a forest of the plan's atoms reduced by the
+// bottom-up pass: each atom reads its forest node's view and liveness
+// bitmap. Every live row extends to an assignment of its subtree and a
+// bag is reached only through its parent's live binding, so the search
+// never meets a dead end and runs no existence check.
 func (bp *bagPlan) forestRun(ctx context.Context, f *forest, emit func([]int) bool) *bagRun {
 	r := bp.newRun(ctx, nil, emit)
-	r.reduced = true
 	for i := range f.nodes {
 		r.views[i], r.live[i] = f.nodes[i].view, f.nodes[i].words
 	}
@@ -993,20 +1007,6 @@ func (p *Plan) finish(r *bagRun) error {
 	p.stats.probes.Add(r.stats.probes)
 	r.release()
 	return err
-}
-
-// boolBags reports whether a bag plan has an answer. A witness found
-// before a cancellation wins over it.
-func (p *Plan) boolBags(ctx context.Context, sn *relstr.Snapshot) (bool, error) {
-	found := false
-	err := p.search(ctx, sn, 1, func([]int) bool {
-		found = true
-		return false
-	})
-	if err != nil && !found {
-		return false, err
-	}
-	return found, nil
 }
 
 // --- flat key sets -------------------------------------------------------

@@ -101,7 +101,7 @@ func checkBagPlan(t *testing.T, q *cq.Query, db *relstr.Structure) {
 		if err := errf(); err != nil || !sameAnswers(sortAnswers(streamed), want) {
 			t.Fatalf("%s Stream of %v: got %v (err %v), want %v", src.name, q, streamed, err, want)
 		}
-		n, err := p.CountEnum(ctx, src.s)
+		n, _, err := p.CountEnum(ctx, src.s, 1, false)
 		if err != nil || n != uint64(len(want)) {
 			t.Fatalf("%s Count of %v = %d (err %v), want %d", src.name, q, n, err, len(want))
 		}
@@ -338,7 +338,7 @@ func TestBagCancellation(t *testing.T) {
 			return errf()
 		},
 		"count": func(ctx context.Context) error {
-			_, err := empty.CountEnum(ctx, relstr.Borrow(db))
+			_, _, err := empty.CountEnum(ctx, relstr.Borrow(db), 1, false)
 			return err
 		},
 	}
@@ -369,10 +369,12 @@ func TestBagCancellation(t *testing.T) {
 
 // A search over a reduced forest reads only its live rows: run on the
 // stream's forest under a 10-row budget, rooted at R (atom 0). In the
-// first chain R's 1,000 dangling rows die in the semijoin passes and the
+// first chain R's 1,000 dangling rows die in the bottom-up pass and the
 // scan skips them; in the second, 1,000 S rows agree with the live R row
 // but have no T partner, and the probe from R skips them. The search
 // runs no existence check there, so a dead S row would also be emitted.
+// The second plan is rooted at S, and its leaf R has no dangling row,
+// so the bottom-up pass alone leaves no dead end for a search from R.
 func TestStreamSearchReadsLiveRows(t *testing.T) {
 	ctx := context.Background()
 	scan := relstr.New()
@@ -399,11 +401,11 @@ func TestStreamSearchReadsLiveRows(t *testing.T) {
 		q := cq.MustParse(src)
 		p := NewPlan(q)
 		f := p.newForest(relstr.Borrow(db), 1)
-		if err := f.runPasses(ctx, p.sched); err != nil || f.anyEmpty() {
-			t.Fatalf("%s passes: err %v, empty %v", src, err, f.anyEmpty())
+		if ok, err := p.reduce(ctx, f); !ok || err != nil {
+			t.Fatalf("%s reduce: ok %v, err %v", src, ok, err)
 		}
 		var got []relstr.Tuple
-		r := p.joinTreeBags(p.tb.Dist, 0).compile(nil, -1).forestRun(ctx, f, func(vals []int) bool {
+		r := p.forestBags(p.tb.Dist, 0).forestRun(ctx, f, func(vals []int) bool {
 			got = append(got, relstr.Tuple(vals).Clone())
 			return true
 		})
@@ -444,8 +446,8 @@ func TestDirectSearchReadsRootOnly(t *testing.T) {
 	}
 	q := cq.MustParse("Q(x,y) :- R(x,y), S(y,z)")
 	p := NewPlan(q)
-	if p.sched.directNode != 0 || !p.sched.needed[0] || p.sched.needed[1] {
-		t.Fatalf("direct node %d, needed %v: want R direct and alone needed", p.sched.directNode, p.sched.needed)
+	if ex := p.Explain(); ex.Direct != "node 0" || !ex.Trees[0].Nodes[0].Needed || ex.Trees[0].Nodes[1].Needed {
+		t.Fatalf("explain %+v: want R direct and alone needed", ex)
 	}
 	f := p.newForest(relstr.Borrow(db), 1)
 	defer p.flush(f)

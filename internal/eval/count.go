@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"cqapprox/internal/cqerr"
+	"cqapprox/internal/obs"
 	"cqapprox/internal/relstr"
 )
 
@@ -19,7 +21,12 @@ import (
 // two-pass Yannakakis reduction leaves the forest globally consistent —
 // every surviving row extends to a full assignment of its tree — and on
 // that invariant three exact cases become linear, decided per tree at
-// prepare time:
+// prepare time. Counting needs both passes where the search needs only
+// the bottom-up one: it reads non-root rows on their own — a pruned
+// core's DP starts below dangling existential subtrees, a countNode
+// projects a node that may sit below the root, a sampler weighs every
+// row — and a row the bottom-up pass leaves live need not agree with
+// any live row of its parent.
 //
 //   - countUnit: the tree mentions no head variable. Its factor is 1
 //     (non-emptiness is already established by the reduction).
@@ -49,10 +56,6 @@ import (
 // ErrCountOverflow reports that an exact answer count does not fit in
 // uint64.
 var ErrCountOverflow = errors.New("eval: answer count overflows uint64")
-
-// errAcyclicPlan reports CountEnum called on an acyclic plan, whose
-// exact count runs through PrepareCount instead.
-var errAcyclicPlan = errors.New("eval: CountEnum needs a bag plan")
 
 // countKind classifies how one tree of the forest is counted.
 type countKind int
@@ -197,7 +200,7 @@ func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int
 	}
 	prunable := func(u, nb int) bool {
 		for _, v := range vars[u] {
-			if headSet[v] && indexOfOrNeg(vars[nb], v) == -1 {
+			if headSet[v] && !slices.Contains(vars[nb], v) {
 				return false
 			}
 		}
@@ -297,7 +300,9 @@ type CountRun struct {
 }
 
 // PrepareCount runs the full two-pass Yannakakis reduction against sn
-// and returns the counting state over the reduced forest; traced
+// (both passes: the counting readers read non-root rows on their own,
+// see the comment at the top of this file) and returns the counting
+// state over the reduced forest; traced
 // attaches an execution trace (phases land in it as the run goes,
 // TraceSnapshot renders it before Close). It fails with ErrNotAcyclic
 // on bag plans (counting those goes through CountEnum instead).
@@ -379,22 +384,6 @@ func (r *CountRun) TreeExact(ctx context.Context, t int) (n uint64, ok bool, err
 	default:
 		return 0, false, nil
 	}
-}
-
-// CountEval counts the distinct answers the way evaluation finds them
-// — the plan's search over the reduced forest — without keeping them
-// beyond the search's dedup set. It is the exact count of plans with a
-// countSample tree (any acyclic plan works); traced runs time the
-// search as the "join" phase.
-func (r *CountRun) CountEval(ctx context.Context) (uint64, error) {
-	if r.empty {
-		return 0, nil
-	}
-	var n uint64
-	if err := r.p.enumerate(ctx, r.f, func([]int) bool { n++; return true }); err != nil {
-		return 0, err
-	}
-	return n, nil
 }
 
 // dpStep is a dpEdge resolved against the run's views: the child's
@@ -717,7 +706,7 @@ func (r *CountRun) sampler(t int) (*treeSampler, error) {
 		sn.live = liveIDs(node)
 		sn.w = make([]float64, len(node.rows))
 		for j, v := range node.vars {
-			if h := indexOfOrNeg(tree.headVars, v); h >= 0 {
+			if h := slices.Index(tree.headVars, v); h >= 0 {
 				sn.head = append(sn.head, [2]int{j, h})
 			}
 		}
@@ -915,17 +904,16 @@ func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
 
 // --- enumeration fallbacks ---------------------------------------------
 
-// CountEnum counts the distinct answers by enumeration: the bag
-// search's answers are counted without being kept beyond its dedup
-// set. It is the exact count of bag (cyclic) plans and fails with
-// errAcyclicPlan on acyclic ones, which PrepareCount counts.
-func (p *Plan) CountEnum(ctx context.Context, sn *relstr.Snapshot) (uint64, error) {
-	if p.mode == PlanYannakakis {
-		return 0, errAcyclicPlan
-	}
+// CountEnum counts the distinct answers the plan's search enumerates
+// — over the decomposition for a bag plan, over the bottom-up-reduced
+// forest with the worker budget for an acyclic one — without keeping
+// them beyond the search's dedup set. It is the exact count of every
+// plan that is not ExactCountable. traced returns the call's trace
+// (see EvalTraceOn), nil otherwise.
+func (p *Plan) CountEnum(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (uint64, *obs.ExecTrace, error) {
 	var n uint64
-	if err := p.search(ctx, sn, 1, func([]int) bool { n++; return true }); err != nil {
-		return 0, err
-	}
-	return n, nil
+	tr, err := p.call(sn, parallel, traced, func(f *forest) error {
+		return p.search(ctx, sn, f, func([]int) bool { n++; return true })
+	})
+	return n, tr, err
 }

@@ -13,21 +13,26 @@ import (
 
 // countForTest is the exact count through the counting subsystem with
 // the parallel thresholds forced down (see evalTuned): the DP/dedup
-// product for exactly countable plans, CountEval (the production
-// "exact-eval" path) for acyclic plans with a sampling tree,
-// the bag search for cyclic plans.
+// product for exactly countable plans, and otherwise CountEnum's count
+// of the search's answers — over a tuned forest for acyclic plans with
+// a sampling tree, the bag search for cyclic plans.
 func (p *Plan) countForTest(ctx context.Context, src *relstr.Snapshot, par int) (uint64, error) {
-	if p.mode != PlanYannakakis {
-		return p.CountEnum(ctx, src)
+	if !p.ExactCountable() {
+		if p.mode != PlanYannakakis {
+			n, _, err := p.CountEnum(ctx, src, par, false)
+			return n, err
+		}
+		f := p.tunedForest(src, par)
+		defer p.flush(f)
+		var n uint64
+		err := p.search(ctx, src, f, func([]int) bool { n++; return true })
+		return n, err
 	}
 	run, err := p.prepareCount(ctx, src, par, true, false)
 	if err != nil {
 		return 0, err
 	}
 	defer run.Close()
-	if !p.ExactCountable() {
-		return run.CountEval(ctx)
-	}
 	if run.Empty() {
 		return 0, nil
 	}
@@ -228,8 +233,8 @@ func TestCountClassification(t *testing.T) {
 	}
 }
 
-// PrepareCount refuses bag plans; CountEnum covers them, and refuses
-// acyclic plans in turn.
+// PrepareCount refuses bag plans; CountEnum covers them, and counts
+// acyclic plans too.
 func TestCountNaiveFallback(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")
@@ -242,7 +247,7 @@ func TestCountNaiveFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.CountEnum(ctx, relstr.Borrow(db))
+	got, _, err := p.CountEnum(ctx, relstr.Borrow(db), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +255,35 @@ func TestCountNaiveFallback(t *testing.T) {
 		t.Fatalf("CountEnum = %d, want %d", got, len(want))
 	}
 	acyclic := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
-	if _, err := acyclic.CountEnum(ctx, relstr.Borrow(db)); err != errAcyclicPlan {
-		t.Fatalf("CountEnum on acyclic plan: err = %v, want errAcyclicPlan", err)
+	if want, err = acyclic.EvalBaseline(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err = acyclic.CountEnum(ctx, relstr.Borrow(db), 1, false); err != nil || got != uint64(len(want)) {
+		t.Fatalf("CountEnum on acyclic plan = %d (err %v), want %d", got, err, len(want))
+	}
+}
+
+// The counting DP reads non-root rows on their own, so PrepareCount
+// runs the top-down pass as well. GYO roots this tree at Z, and the DP
+// prunes Z (its head variable y lies in B): the B and C rows with
+// y = 1 or 2 survive the bottom-up pass although no Z row agrees with
+// them, and a DP over them would count 12 answers instead of 4.
+func TestCountNeedsTopDownPass(t *testing.T) {
+	ctx := context.Background()
+	db := relstr.New()
+	db.Add("Z", 0)
+	for i := range 6 {
+		db.Add("B", i, i%3)
+		db.Add("C", i%3, i+10)
+	}
+	p := NewPlan(cq.MustParse("Q(x,y,z) :- Z(y), B(x,y), C(y,z)"))
+	if ex := p.Explain(); !p.ExactCountable() || ex.Trees[0].CountKind != "dp" || ex.Trees[0].Nodes[0].Atom != "Z(v1)" {
+		t.Fatalf("want an exactly countable DP tree rooted at Z: %s", ex.Text())
+	}
+	for _, par := range []int{1, 4} {
+		if n, err := p.countForTest(ctx, relstr.Borrow(db), par); err != nil || n != 4 {
+			t.Fatalf("parallelism %d: count %d (err %v), want 4", par, n, err)
+		}
 	}
 }
 

@@ -95,17 +95,30 @@ func stepBitmaps(f *forest, sched *schedule) [][]uint64 {
 		}
 		out = append(out, snap)
 	}
-	for _, i := range sched.postorder {
+	var down, up func(i int)
+	down = func(i int) {
+		for _, c := range sched.children[i] {
+			down(c)
+		}
 		for _, st := range sched.downOf[i] {
 			f.semijoin(st)
 			record()
 		}
 	}
-	for _, i := range sched.preorder {
+	up = func(i int) {
 		for _, st := range sched.upOf[i] {
 			f.semijoin(st)
 			record()
 		}
+		for _, c := range sched.children[i] {
+			up(c)
+		}
+	}
+	for _, r := range sched.roots {
+		down(r)
+	}
+	for _, r := range sched.roots {
+		up(r)
 	}
 	return out
 }

@@ -138,7 +138,7 @@ func indexOf(vars []int, v int) int {
 func sharedVars(a, b []int) []int {
 	var out []int
 	for _, v := range a {
-		if indexOfOrNeg(b, v) != -1 {
+		if slices.Contains(b, v) {
 			out = append(out, v)
 		}
 	}

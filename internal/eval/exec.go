@@ -25,7 +25,9 @@ import (
 // additionally fan out across independent sibling subtrees.
 // Determinism is by construction: bitmap clearing is per-row
 // independent, so the liveness state after every pass is
-// byte-identical to a serial run.
+// byte-identical to a serial run's, except in the subtrees a serial
+// bottom-up pass skips below an emptied node (see down), whose tree
+// has no answer.
 
 const (
 	// morselRows is the fixed number of rows in one parallel work unit.
@@ -109,9 +111,9 @@ type forest struct {
 	probes atomic.Uint64
 
 	// trace is the call's ANALYZE frame, nil unless the caller opted
-	// in (EvalTraceOn, or PrepareCount with traced set). Every hot-path
-	// hook is a single nil check — the trace-off path records nothing
-	// and allocates nothing.
+	// in (a traced Plan.call, or PrepareCount with traced set). Every
+	// hot-path hook is a single nil check — the trace-off path records
+	// nothing and allocates nothing.
 	trace *execTrace
 }
 
@@ -422,48 +424,55 @@ func (f *forest) subtree(ctx context.Context, sched *schedule, i int, up bool) e
 }
 
 // runPasses executes the schedule's two reduction passes over the
-// bitmaps. Independent sibling subtrees run concurrently on a parallel
-// forest: in the bottom-up pass a node's steps only start after every
-// child subtree finished, and in the top-down pass the steps into
-// distinct children are themselves independent.
+// bitmaps, leaving the forest globally consistent: every live row of
+// every node extends to an assignment of its whole tree. Only readers
+// of non-root rows on their own need that — the counting DP and
+// samplers (PrepareCount) and the ranked views (streamRanked); the
+// search needs the bottom-up pass alone (Plan.reduce). Independent
+// sibling subtrees run concurrently on a parallel forest: in the
+// bottom-up pass a node's steps only start after every child subtree
+// finished, and in the top-down pass the steps into distinct children
+// are themselves independent.
 func (f *forest) runPasses(ctx context.Context, sched *schedule) error {
 	if err := f.runDown(ctx, sched); err != nil {
 		return err
 	}
-	var start time.Time
-	if f.trace != nil {
-		start = time.Now()
-	}
+	start := f.clock()
 	err := f.subtrees(ctx, sched, sched.roots, true)
-	if tr := f.trace; tr != nil {
-		tr.phase("semijoin-up", time.Since(start))
-	}
+	f.lap("semijoin-up", start)
 	return err
 }
 
-// runDown executes the bottom-up pass alone. It leaves every root
-// fully reduced — each live root row extends to a full assignment of
-// its tree — and empties a root exactly when its tree has no
-// assignment, which is all a plan whose answer is read from one root
-// needs.
+// runDown executes the bottom-up pass alone. It leaves every live row
+// extending to an assignment of its subtree — each live root row to
+// one of its tree — and empties a root exactly when its tree has no
+// assignment. Every tree is reduced, even after another one emptied.
 func (f *forest) runDown(ctx context.Context, sched *schedule) error {
-	var start time.Time
-	if f.trace != nil {
-		start = time.Now()
-	}
+	start := f.clock()
 	err := f.subtrees(ctx, sched, sched.roots, false)
-	if tr := f.trace; tr != nil {
-		tr.phase("semijoin-down", time.Since(start))
-	}
+	f.lap("semijoin-down", start)
 	return err
 }
 
 // down runs the bottom-up pass of i's subtree: children first (in
 // parallel when the budget allows), then i's own reduction steps —
 // which share a target and therefore stay ordered, each
-// morsel-parallel inside.
+// morsel-parallel inside. A serial pass stops at the first child left
+// empty and empties i: i's root then empties too, so the skipped
+// subtrees change no answer.
 func (f *forest) down(ctx context.Context, sched *schedule, i int) error {
-	if err := f.subtrees(ctx, sched, sched.children[i], false); err != nil {
+	kids := sched.children[i]
+	if f.par <= 1 || len(kids) <= 1 {
+		for _, c := range kids {
+			if err := f.down(ctx, sched, c); err != nil {
+				return err
+			}
+			if f.nodes[c].live == 0 {
+				f.nodes[i].clearAll()
+				return nil
+			}
+		}
+	} else if err := f.subtrees(ctx, sched, kids, false); err != nil {
 		return err
 	}
 	if err := cqerr.Check(ctx); err != nil {
@@ -497,23 +506,4 @@ func (f *forest) up(ctx context.Context, sched *schedule, i int) error {
 		}
 	}
 	return f.subtrees(ctx, sched, sched.children[i], true)
-}
-
-// runBool executes only the leaves→roots pass, reporting answer
-// existence (the Boolean fast path). Node order stays serial so the
-// emptiness short-circuit fires as early as a serial run would; the
-// per-step probe loops still fan out.
-func (f *forest) runBool(ctx context.Context, sched *schedule) (bool, error) {
-	for _, i := range sched.postorder {
-		if err := cqerr.Check(ctx); err != nil {
-			return false, err
-		}
-		for _, st := range sched.downOf[i] {
-			f.semijoin(st)
-		}
-		if f.nodes[i].live == 0 {
-			return false, nil
-		}
-	}
-	return true, nil
 }

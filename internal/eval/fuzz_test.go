@@ -209,7 +209,7 @@ func (p *Plan) evalTuned(ctx context.Context, src *relstr.Snapshot, par int) (An
 	f := p.tunedForest(src, par)
 	defer p.flush(f)
 	var s answerSlab
-	if err := p.searchForest(ctx, f, s.add); err != nil {
+	if err := p.search(ctx, src, f, s.add); err != nil {
 		return nil, err
 	}
 	return s.answers(len(p.tb.Dist)), nil
@@ -218,11 +218,11 @@ func (p *Plan) evalTuned(ctx context.Context, src *relstr.Snapshot, par int) (An
 // evalBoolTuned is evalTuned for answer existence.
 func (p *Plan) evalBoolTuned(ctx context.Context, src *relstr.Snapshot, par int) (bool, error) {
 	if p.mode != PlanYannakakis {
-		return p.boolBags(ctx, src)
+		return p.EvalBoolOn(ctx, src, par)
 	}
 	f := p.tunedForest(src, par)
 	defer p.flush(f)
-	return f.runBool(ctx, p.sched)
+	return p.exists(ctx, src, f)
 }
 
 // streamSet drains p's stream on src under worker budget par and

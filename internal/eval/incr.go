@@ -37,9 +37,11 @@ package eval
 //     witness visits each matching row at most once.
 //
 // The full re-evaluation that builds the state (and every fallback)
-// runs both semijoin passes, then reads each tree's contribution with
-// one more search per tree, rooted at the tree's root with its kept
-// variables as the head, over the reduced forest's live rows.
+// runs the bottom-up semijoin pass, then reads each tree's
+// contribution with one more search per tree, rooted at the tree's
+// root with its kept variables as the head, over the reduced forest's
+// live rows (forestRun: the pass leaves every live row extending to an
+// assignment of its subtree, which is all a search from the root needs).
 //
 // Everything is budgeted — every row a search visits, seed rows
 // included, is charged: when the budget runs out, the delta spans
@@ -147,7 +149,7 @@ func (s *IncrState) initMaps() {
 		kept := p.csched.trees[ti].headVars
 		cat = append(cat, kept...)
 		s.treeVars[ti] = kept
-		s.trees[ti] = p.joinTreeBags(kept, r).compile(nil, -1)
+		s.trees[ti] = p.forestBags(kept, r)
 		root, most := r, -1
 		var walk func(i int)
 		walk = func(i int) {
@@ -184,15 +186,16 @@ func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 	}
 	f := p.newForest(sn, s.par)
 	defer p.flush(f)
-	if err := f.runPasses(ctx, p.sched); err != nil {
+	if _, err := p.reduce(ctx, f); err != nil {
 		return err
 	}
 	contribs := make([][][]int, len(p.sched.roots))
 	for ti, r := range p.sched.roots {
 		if f.nodes[r].live == 0 {
-			// After both passes a tree is empty at the root iff it is
-			// empty everywhere. The search runs no existence check, so
-			// a Boolean tree's unit contribution depends on this test.
+			// After the bottom-up pass a root is empty iff its tree has
+			// no assignment; the pass reduces every tree, empty or not.
+			// The search runs no existence check, so a Boolean tree's
+			// unit contribution depends on this test.
 			contribs[ti] = [][]int{}
 			continue
 		}
@@ -371,7 +374,7 @@ func (s *IncrState) applyTree(ctx context.Context, ti int, eff []effChange, oldS
 	addedAns := s.compose(ti, added)
 	removedAns := s.compose(ti, removed)
 	s.contribs[ti] = mergeRows(s.contribs[ti], added, removed)
-	s.answers = mergeAnswers(s.answers, addedAns, removedAns)
+	s.answers = mergeRows(s.answers, addedAns, removedAns)
 	s.version = newSn.Version()
 	return &IncrDiff{Added: addedAns, Removed: removedAns}, nil
 }
@@ -464,12 +467,13 @@ func (s *IncrState) compose(ti int, rows [][]int) Answers {
 
 // --- sorted-row helpers ------------------------------------------------
 
-func rowCompare(a, b []int) int { return relstr.Compare(relstr.Tuple(a), relstr.Tuple(b)) }
+// rowCompare orders rows and answer tuples alike (relstr.Compare).
+func rowCompare[R ~[]int](a, b R) int { return relstr.Compare(relstr.Tuple(a), relstr.Tuple(b)) }
 
-func sortRows(rows [][]int) { slices.SortFunc(rows, rowCompare) }
+func sortRows[R ~[]int](rows []R) { slices.SortFunc(rows, rowCompare[R]) }
 
 func containsRow(sorted [][]int, c []int) bool {
-	_, ok := slices.BinarySearchFunc(sorted, c, rowCompare)
+	_, ok := slices.BinarySearchFunc(sorted, c, rowCompare[[]int])
 	return ok
 }
 
@@ -483,8 +487,8 @@ func tuplesToRows(ts []relstr.Tuple) [][]int {
 
 // mergeRows returns (base \ del) ∪ add, all inputs sorted, add
 // disjoint from base and del ⊆ base.
-func mergeRows(base, add, del [][]int) [][]int {
-	out := make([][]int, 0, len(base)+len(add)-len(del))
+func mergeRows[R ~[]int](base, add, del []R) []R {
+	out := make([]R, 0, len(base)+len(add)-len(del))
 	ai, di := 0, 0
 	for _, b := range base {
 		for ai < len(add) && rowCompare(add[ai], b) < 0 {
@@ -492,25 +496,6 @@ func mergeRows(base, add, del [][]int) [][]int {
 			ai++
 		}
 		if di < len(del) && rowCompare(del[di], b) == 0 {
-			di++
-			continue
-		}
-		out = append(out, b)
-	}
-	out = append(out, add[ai:]...)
-	return out
-}
-
-// mergeAnswers is mergeRows over answer tuples.
-func mergeAnswers(base, add, del Answers) Answers {
-	out := make(Answers, 0, len(base)+len(add)-len(del))
-	ai, di := 0, 0
-	for _, b := range base {
-		for ai < len(add) && relstr.Compare(add[ai], b) < 0 {
-			out = append(out, add[ai])
-			ai++
-		}
-		if di < len(del) && relstr.Compare(del[di], b) == 0 {
 			di++
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"cqapprox/internal/cq"
 	"cqapprox/internal/cqerr"
 	"cqapprox/internal/hypergraph"
+	"cqapprox/internal/obs"
 	"cqapprox/internal/relstr"
 )
 
@@ -182,14 +183,14 @@ func NewPlan(q *cq.Query) *Plan {
 		for i := range p.atoms {
 			p.rerooted[i] = p.jt.Parent[i] == -1 && jt.Parent[i] != -1
 		}
-		p.sched = scheduleForAtoms(p.atoms, p.jt.Parent, p.tb.Dist)
+		p.sched = scheduleForAtoms(p.atoms, p.jt.Parent)
 		p.csched = newCountSchedule(vars, p.jt.Parent, p.sched, p.tb.Dist)
 		// Classify the head's natural ascending key once: most ranked
 		// calls (and every limit-only call) use it, and Explain reports
 		// the connex/fallback decision from it.
 		p.rankedIDs = dedupHeadIDs(p.tb.Dist, RankSpec{}.perm(len(p.tb.Dist)))
 		p.ranked = p.buildRankProgram(p.rankedIDs)
-		p.bags = p.joinTreeBags(p.tb.Dist, p.sched.roots...).compile(nil, -1)
+		p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
 	} else {
 		p.bags = decompose(p.tb).compile(nil, -1)
 	}
@@ -319,11 +320,25 @@ func (p *Plan) Eval(ctx context.Context, db *relstr.Structure) (Answers, error) 
 // the answers into one slab, which is cut into tuples and sorted.
 // Bag (cyclic) plans search serially and ignore the budget.
 func (p *Plan) EvalOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, error) {
-	var s answerSlab
-	if err := p.search(ctx, sn, parallel, s.add); err != nil {
-		return nil, err
-	}
-	return s.answers(len(p.tb.Dist)), nil
+	ans, _, err := p.eval(ctx, sn, parallel, false)
+	return ans, err
+}
+
+// eval is EvalOn, traced when traced is set; the slab cut plus sort is
+// the trace's "project" phase.
+func (p *Plan) eval(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (Answers, *obs.ExecTrace, error) {
+	var ans Answers
+	tr, err := p.call(sn, parallel, traced, func(f *forest) error {
+		var s answerSlab
+		if err := p.search(ctx, sn, f, s.add); err != nil {
+			return err
+		}
+		start := f.clock()
+		ans = s.answers(len(p.tb.Dist))
+		f.lap("project", start)
+		return nil
+	})
+	return ans, tr, err
 }
 
 // answerSlab collects emitted answers back to back in one slab.
@@ -363,19 +378,44 @@ func (p *Plan) EvalBool(ctx context.Context, db *relstr.Structure) (bool, error)
 // EvalBoolOn is EvalBool against a snapshot and worker budget;
 // see EvalOn.
 func (p *Plan) EvalBoolOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (bool, error) {
-	if p.mode != PlanYannakakis {
-		return p.boolBags(ctx, sn)
+	ok, _, err := p.evalBool(ctx, sn, parallel, false)
+	return ok, err
+}
+
+// evalBool is EvalBoolOn, traced when traced is set.
+func (p *Plan) evalBool(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (bool, *obs.ExecTrace, error) {
+	var ok bool
+	tr, err := p.call(sn, parallel, traced, func(f *forest) (err error) {
+		ok, err = p.exists(ctx, sn, f)
+		return err
+	})
+	return ok, tr, err
+}
+
+// exists reports whether the query has an answer. On an acyclic plan's
+// forest f the bottom-up pass alone decides it; a bag plan (f nil)
+// searches for a first answer, which wins over a cancellation that
+// follows it.
+func (p *Plan) exists(ctx context.Context, sn *relstr.Snapshot, f *forest) (bool, error) {
+	if f != nil {
+		return p.reduce(ctx, f)
 	}
-	f := p.newForest(sn, parallel)
-	defer p.flush(f)
-	return f.runBool(ctx, p.sched)
+	found := false
+	err := p.search(ctx, sn, nil, func([]int) bool {
+		found = true
+		return false
+	})
+	if found {
+		return true, nil
+	}
+	return false, err
 }
 
 // StreamOnErr enumerates distinct answers against snapshot sn one at
 // a time without materialising the full answer set, in discovery order
 // (not sorted). It runs the search EvalOn collects from: for acyclic
-// plans the forest is first reduced — O(|D|·|Q|), with the worker
-// budget — and the bag search then enumerates the reduced join
+// plans the forest is first reduced bottom-up — O(|D|·|Q|), with the
+// worker budget — and the bag search then enumerates the reduced join
 // forest's live rows, never meeting a dead end; bag plans stream the
 // answers of their search as it finds them.
 //
@@ -395,69 +435,84 @@ func (p *Plan) StreamOnErr(ctx context.Context, sn *relstr.Snapshot, parallel in
 			}
 			return yield(relstr.Tuple(vals).Clone())
 		}
-		if err := p.search(ctx, sn, parallel, emit); err != nil {
+		if _, err := p.call(sn, parallel, false, func(f *forest) error {
+			return p.search(ctx, sn, f, emit)
+		}); err != nil {
 			terminal = err
 		}
 	}
 	return seq, func() error { return terminal }
 }
 
-// search is the plan's one enumeration kernel: it runs the plan's bag
-// search against sn, calling emit with each distinct answer (a buffer
-// valid for the call only) until it returns false, and returns the
-// cancellation that cut the search short, if any. Bag plans search
-// their decomposition; acyclic plans reduce a fresh forest and search
-// it (searchForest).
-func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, parallel int, emit func([]int) bool) error {
+// call runs read — one evaluation of the plan against sn — and folds
+// its counters into the plan totals. An acyclic plan's read gets a
+// fresh forest of sn's views with the worker budget parallel; a bag
+// plan's gets nil (its search runs serially against sn). A traced call
+// returns its trace: the forest's phases and per-node counters, or the
+// total time only for a bag plan, whose search keeps no per-node row
+// counts.
+func (p *Plan) call(sn *relstr.Snapshot, parallel int, traced bool, read func(f *forest) error) (*obs.ExecTrace, error) {
+	var start time.Time
+	if traced {
+		start = time.Now()
+	}
 	if p.mode != PlanYannakakis {
+		err := read(nil)
+		if !traced {
+			return nil, err
+		}
+		return &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
+			TotalNS: time.Since(start).Nanoseconds()}, err
+	}
+	f := p.newForest(sn, parallel)
+	defer p.flush(f)
+	if !traced {
+		return nil, read(f)
+	}
+	tr := getExecTrace(len(f.nodes))
+	f.trace = tr
+	err := read(f)
+	out := tr.snapshot(p, f, time.Since(start))
+	f.trace = nil
+	putExecTrace(tr)
+	return out, err
+}
+
+// search is the plan's one enumeration kernel: it runs the plan's bag
+// search, calling emit with each distinct answer (a buffer valid for
+// the call only) until it returns false, and returns the cancellation
+// that cut the search short, if any. A bag plan (f nil) searches its
+// decomposition against sn; an acyclic plan reduces its forest f and
+// searches the live rows, timed as the trace's "join" phase.
+func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, f *forest, emit func([]int) bool) error {
+	if f == nil {
 		r := p.bags.newRun(ctx, sn, emit)
 		r.run()
 		p.stats.evals.Add(1)
 		return p.finish(r)
 	}
-	f := p.newForest(sn, parallel)
-	defer p.flush(f)
-	return p.searchForest(ctx, f, emit)
-}
-
-// searchForest reduces f and enumerates its answers. A direct plan
-// reads its answers from one root (or only from non-emptiness), which
-// the bottom-up pass already finalises: the search visits only that
-// root's live rows, every other bag being an existence check that holds
-// on a reduced forest. Other plans run both passes.
-func (p *Plan) searchForest(ctx context.Context, f *forest, emit func([]int) bool) error {
 	if ok, err := p.reduce(ctx, f); !ok {
 		return err
 	}
-	return p.enumerate(ctx, f, emit)
-}
-
-// reduce runs the semijoin passes the plan's search needs on f —
-// bottom-up only for a direct plan — and reports whether every node
-// kept a row.
-func (p *Plan) reduce(ctx context.Context, f *forest) (bool, error) {
-	pass := f.runPasses
-	if p.sched.directNode != -1 {
-		pass = f.runDown
-	}
-	if err := pass(ctx, p.sched); err != nil {
-		return false, err
-	}
-	return !f.anyEmpty(), nil
-}
-
-// enumerate runs the plan's search over f, already reduced and with no
-// empty node, timed as the trace's "join" phase.
-func (p *Plan) enumerate(ctx context.Context, f *forest, emit func([]int) bool) error {
-	var start time.Time
-	if f.trace != nil {
-		start = time.Now()
-	}
+	start := f.clock()
 	r := p.bags.forestRun(ctx, f, emit)
 	r.run()
 	err := p.finish(r)
-	if tr := f.trace; tr != nil {
-		tr.phase("join", time.Since(start))
-	}
+	f.lap("join", start)
 	return err
+}
+
+// reduce runs the bottom-up semijoin pass over f and reports whether
+// every node kept a row. The pass is all the search needs: it leaves
+// every live row extending to an assignment of its subtree, and the
+// search starts at the roots and reaches a child only through rows
+// agreeing with its parent's binding, so it never meets a dead end and
+// every existence check holds. Only readers of non-root rows on their
+// own — the counting DP and samplers, the ranked views — also need the
+// top-down pass (runPasses).
+func (p *Plan) reduce(ctx context.Context, f *forest) (bool, error) {
+	if err := f.runDown(ctx, p.sched); err != nil {
+		return false, err
+	}
+	return !f.anyEmpty(), nil
 }

@@ -212,7 +212,7 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 				win := orderIDs[bi : bi+len(emitIDs)]
 				ok := true
 				for _, v := range emitIDs {
-					if indexOfOrNeg(win, v) == -1 {
+					if !slices.Contains(win, v) {
 						ok = false
 						break
 					}
@@ -227,7 +227,7 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 				layout := append(append([]int{}, visits[pv].connIDs...), visits[pv].emitIDs...)
 				ok := true
 				for _, v := range connIDs {
-					j := indexOfOrNeg(layout, v)
+					j := slices.Index(layout, v)
 					if j == -1 {
 						ok = false
 						break

@@ -243,3 +243,29 @@ func TestRankedStopsAtCancel(t *testing.T) {
 		}
 	}
 }
+
+// Ranked views read non-root rows on their own, so streamRanked runs
+// the top-down pass as well. In Q(v0) :- E(v1,v0), E(v0,v1) the leaf
+// E(v1,v0) keeps the row (3,4) after the bottom-up pass although no
+// live root row agrees with it; without the top-down pass the
+// descending top 2 would be [(4) (3)] instead of [(3) (2)].
+func TestRankedNeedsTopDownPass(t *testing.T) {
+	db := relstr.New()
+	for _, e := range [][2]int{{2, 0}, {1, 1}, {1, 0}, {3, 4}, {2, 3}, {0, 2}, {3, 2}} {
+		db.Add("E", e[0], e[1])
+	}
+	p := NewPlan(cq.MustParse("Q(v0) :- E(v1,v0), E(v0,v1)"))
+	if p.ranked == nil {
+		t.Fatal("expected a connex plan")
+	}
+	spec := RankSpec{Desc: true, Limit: 2}
+	want := []relstr.Tuple{{3}, {2}}
+	if oracle := rankedOracle(t, p, db, spec); !equalOrdered(oracle, want) {
+		t.Fatalf("oracle %v, want %v", oracle, want)
+	}
+	for _, par := range []int{1, 4} {
+		if got := collectRanked(t, p, relstr.Borrow(db), par, spec, par > 1); !equalOrdered(got, want) {
+			t.Fatalf("parallelism %d: got %v, want %v", par, got, want)
+		}
+	}
+}

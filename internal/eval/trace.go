@@ -126,53 +126,33 @@ func (tr *execTrace) snapshot(p *Plan, f *forest, total time.Duration) *obs.Exec
 // --- traced entry points -----------------------------------------------
 
 // EvalTraceOn is EvalOn with tracing: same answers, same counters,
-// plus an ExecTrace of this one call — the reduction passes, the search
-// ("join") and the slab cut plus sort ("project"). Bag plans return a
-// trace with the total time only (the search has no per-node row
-// counts).
+// plus an ExecTrace of this one call — the bottom-up reduction pass,
+// the search ("join") and the slab cut plus sort ("project"). Bag plans
+// return a trace with the total time only (see call).
 func (p *Plan) EvalTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, *obs.ExecTrace, error) {
-	if p.mode != PlanYannakakis {
-		start := time.Now()
-		ans, err := p.EvalOn(ctx, sn, parallel)
-		return ans, &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
-			TotalNS: time.Since(start).Nanoseconds()}, err
-	}
-	f := p.newForest(sn, parallel)
-	defer p.flush(f)
-	tr := getExecTrace(len(f.nodes))
-	f.trace = tr
-	defer func() { f.trace = nil; putExecTrace(tr) }()
-	start := time.Now()
-	var s answerSlab
-	err := p.searchForest(ctx, f, s.add)
-	var ans Answers
-	if err == nil {
-		t0 := time.Now()
-		ans = s.answers(len(p.tb.Dist))
-		tr.phase("project", time.Since(t0))
-	}
-	out := tr.snapshot(p, f, time.Since(start))
-	return ans, out, err
+	return p.eval(ctx, sn, parallel, true)
 }
 
 // EvalBoolTraceOn is EvalBoolOn with tracing; see EvalTraceOn.
 func (p *Plan) EvalBoolTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (bool, *obs.ExecTrace, error) {
-	if p.mode != PlanYannakakis {
-		start := time.Now()
-		ok, err := p.boolBags(ctx, sn)
-		return ok, &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
-			TotalNS: time.Since(start).Nanoseconds()}, err
+	return p.evalBool(ctx, sn, parallel, true)
+}
+
+// clock starts timing a trace phase: the current time on a traced
+// forest, the zero time otherwise (a bag plan's nil forest included),
+// so untraced calls never read the clock.
+func (f *forest) clock() time.Time {
+	if f == nil || f.trace == nil {
+		return time.Time{}
 	}
-	f := p.newForest(sn, parallel)
-	defer p.flush(f)
-	tr := getExecTrace(len(f.nodes))
-	f.trace = tr
-	defer func() { f.trace = nil; putExecTrace(tr) }()
-	start := time.Now()
-	ok, err := f.runBool(ctx, p.sched)
-	tr.phase("semijoin-down", time.Since(start))
-	out := tr.snapshot(p, f, time.Since(start))
-	return ok, out, err
+	return time.Now()
+}
+
+// lap records the time since start as phase name of a traced forest.
+func (f *forest) lap(name string, start time.Time) {
+	if f != nil && f.trace != nil {
+		f.trace.phase(name, time.Since(start))
+	}
 }
 
 // TracePhase records one caller-timed phase (e.g. "count",
@@ -228,11 +208,22 @@ func (p *Plan) Explain() *obs.PlanExplain {
 		ex.Ranked = "fallback"
 	}
 	ex.Incremental = "delta"
-	switch {
-	case p.sched.directNode == unitNode:
+	// The search reads rows from its head bags; the rest of a reduced
+	// forest are existence checks it skips. One head bag is the direct
+	// node, none makes the plan unit.
+	needed := make([]bool, len(p.atoms))
+	var head []int
+	for _, b := range p.bags.bags {
+		if !b.exist {
+			needed[b.atoms[0]] = true
+			head = append(head, b.atoms[0])
+		}
+	}
+	switch len(head) {
+	case 0:
 		ex.Direct = "unit"
-	case p.sched.directNode >= 0:
-		ex.Direct = fmt.Sprintf("node %d", p.sched.directNode)
+	case 1:
+		ex.Direct = fmt.Sprintf("node %d", head[0])
 	}
 	for ti, r := range p.sched.roots {
 		te := obs.TreeExplain{
@@ -247,8 +238,8 @@ func (p *Plan) Explain() *obs.PlanExplain {
 				Atom:   atomString(p.atoms[i]),
 				Parent: p.jt.Parent[i],
 				Depth:  depth,
-				Needed: p.sched.needed[i],
-				Direct: p.sched.directNode == i,
+				Needed: needed[i],
+				Direct: len(head) == 1 && head[0] == i,
 			}
 			for _, v := range p.atoms[i].distinctVars() {
 				ne.Vars = append(ne.Vars, fmt.Sprintf("v%d", v))

@@ -45,7 +45,7 @@ func (a patom) distinctVars() []int {
 
 // scheduleForAtoms derives the static program for a join forest of
 // atoms with the given parent links.
-func scheduleForAtoms(atoms []patom, parent []int, head []int) *schedule {
+func scheduleForAtoms(atoms []patom, parent []int) *schedule {
 	vars := make([][]int, len(atoms))
 	for i, a := range atoms {
 		vars[i] = a.distinctVars()
@@ -56,5 +56,5 @@ func scheduleForAtoms(atoms []patom, parent []int, head []int) *schedule {
 			children[p] = append(children[p], i)
 		}
 	}
-	return newSchedule(vars, parent, children, head)
+	return newSchedule(vars, parent, children)
 }

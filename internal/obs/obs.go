@@ -17,9 +17,10 @@ import (
 
 // Phase is one named timed span of a prepare or an evaluation. Prepare
 // phases: parse, minimize, search, plan. Eval phases: semijoin-down,
-// semijoin-up, join (the answer search over the reduced forest) and
+// join (the answer search over the bottom-up-reduced forest) and
 // project (cutting the collected answers into tuples and sorting
-// them); counting adds count and count-estimate.
+// them); counting by DP or sampler adds semijoin-up (those counts read
+// a forest reduced by both passes), count and count-estimate.
 type Phase struct {
 	Name string `json:"name"`
 	NS   int64  `json:"ns"`
@@ -41,11 +42,10 @@ type PlanExplain struct {
 	// over a join forest, acyclic queries) or "bags" (a memoised search
 	// over a tree decomposition, cyclic queries).
 	Mode string `json:"mode"`
-	// Direct reports where the answer search reads: "" (across the
-	// needed nodes of a forest reduced by both semijoin passes), "unit"
+	// Direct reports where the answer search reads, after the
+	// bottom-up semijoin pass: "" (across the needed nodes), "unit"
 	// (Boolean: the answer is the empty tuple exactly when every tree
-	// has an assignment) or "node <i>" (only node i's rows, after the
-	// bottom-up pass alone).
+	// has an assignment) or "node <i>" (only node i's rows).
 	Direct string `json:"direct,omitempty"`
 	// ExactCountable: no tree of the forest needs the sampling
 	// estimator to count.
@@ -200,8 +200,9 @@ type NodeTrace struct {
 	ID   int    `json:"id"`
 	Atom string `json:"atom,omitempty"`
 	// Rows: backing view rows; Live: rows surviving the reduction
-	// passes the call ran (the live-bitmap survivor count). A plan
-	// whose answer is read from one root runs only the bottom-up pass.
+	// passes the call ran (the live-bitmap survivor count). Evaluations
+	// and enumerating counts run only the bottom-up pass; DP and
+	// sampler counts run both.
 	Rows int `json:"rows"`
 	Live int `json:"live"`
 	// SemijoinIn/SemijoinOut: rows entering/surviving the node's

@@ -237,7 +237,10 @@ func TestStats(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	post(t, ts, "/v1/prepare", `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1"}`)
 	post(t, ts, "/v1/prepare", `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1"}`)
-	post(t, ts, "/v1/eval", `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1","database":{"E":[[1,2],[2,1]]}}`)
+	// The loop gives the approximation an answer: on a graph without
+	// one, its loop atom is empty and the reduction stops before any
+	// index is built.
+	post(t, ts, "/v1/eval", `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1","database":{"E":[[1,2],[2,1],[2,2]]}}`)
 	post(t, ts, "/v1/eval", `not json`)
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
