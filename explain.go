@@ -54,10 +54,27 @@ func (p *PreparedQuery) Explain() *PlanExplain {
 // exactly as for Eval); the trace additionally reports per-node rows
 // in/out per semijoin pass, surviving rows per node, index builds and
 // probes, per-phase wall times, and morsel/worker accounting when the
-// evaluation ran parallel. WithEvalParallelism applies; the ranked
-// options do not (a traced evaluation is the plain full one).
+// evaluation ran parallel. Every option applies. A ranked call
+// (WithOrder, WithDescending, WithLimit) whose key streams out of the
+// join forest reports the bottom-up pass rooted at its first visit
+// ("semijoin-down") and the ordered search ("ranked"); one that falls
+// back reports the phases of the plain evaluation it sorts.
 func (p *PreparedQuery) EvalTrace(ctx context.Context, db *Structure, opts ...EvalOption) (Answers, *ExecTrace, error) {
-	return p.plan.EvalTraceOn(ctx, relstr.Borrow(db), p.budget(opts))
+	return p.evalTraceOn(ctx, relstr.Borrow(db), opts)
+}
+
+// evalTraceOn is evalOn with tracing.
+func (p *PreparedQuery) evalTraceOn(ctx context.Context, sn *relstr.Snapshot, opts []EvalOption) (Answers, *ExecTrace, error) {
+	cfg := optConfigOf(opts)
+	par := cfg.parallelism(p.Parallelism())
+	if !cfg.ranked() {
+		return p.plan.EvalTraceOn(ctx, sn, par)
+	}
+	spec, err := p.rankSpec(&cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.plan.EvalRankedTraceOn(ctx, sn, par, spec)
 }
 
 // EvalBoolTrace is EvalBool plus an execution trace; the reduction
@@ -70,7 +87,7 @@ func (p *PreparedQuery) EvalBoolTrace(ctx context.Context, db *Structure, opts .
 // the trace's index-build counters then reflect only builds the
 // snapshot's persistent cache had not already absorbed.
 func (b *BoundQuery) EvalTrace(ctx context.Context, opts ...EvalOption) (Answers, *ExecTrace, error) {
-	return b.p.plan.EvalTraceOn(ctx, b.db.snap, b.p.budget(opts))
+	return b.p.evalTraceOn(ctx, b.db.snap, opts)
 }
 
 // EvalBoolTrace is PreparedQuery.EvalBoolTrace over the binding's

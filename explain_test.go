@@ -224,6 +224,70 @@ func TestEvalTraceChain3000(t *testing.T) {
 	phases("full chain", tr, "semijoin-down", "join", "project")
 }
 
+// A traced ranked call answers exactly like the untraced one, through
+// a registered snapshot and an inline database, and reports the phases
+// it ran: on a connex key the bottom-up pass rooted at the first visit
+// and the ordered search, on a key that falls back the phases of the
+// plain evaluation it sorts.
+func TestEvalTraceRanked(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine()
+	db := workload.EvalBenchDB(300)
+	d, _, err := e.RegisterDB("g300", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	connex := []string{"semijoin-down", "ranked"}
+	for _, c := range []struct {
+		name   string
+		q      *Query
+		opts   []EvalOption
+		phases []string
+	}{
+		{"reversed key", workload.FullChainQuery(3), []EvalOption{WithOrder("x3", "x2", "x1", "x0"), WithLimit(5)}, connex},
+		{"descending", workload.FullChainQuery(3), []EvalOption{WithDescending(), WithLimit(7)}, connex},
+		{"limit only", workload.FullChainQuery(3), []EvalOption{WithLimit(3)}, connex},
+		{"unlimited", workload.FullChainQuery(2), []EvalOption{WithOrder("x1")}, connex},
+		{"fallback", MustParse("Q(x,z) :- E(x,y), E(y,z)"), []EvalOption{WithOrder("z"), WithLimit(4)},
+			[]string{"semijoin-down", "join", "project"}},
+	} {
+		p, err := e.PrepareExact(ctx, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.Bind(d).Eval(ctx, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: no answers", c.name)
+		}
+		for _, leg := range []string{"bound", "inline"} {
+			var got Answers
+			var tr *ExecTrace
+			if leg == "bound" {
+				got, tr, err = p.Bind(d).EvalTrace(ctx, c.opts...)
+			} else {
+				got, tr, err = p.EvalTrace(ctx, db, c.opts...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalTuples([]Tuple(got), want) {
+				t.Fatalf("%s/%s: traced answers %v, untraced %v", c.name, leg, got, want)
+			}
+			if tr == nil || len(tr.Phases) != len(c.phases) {
+				t.Fatalf("%s/%s: trace %+v, want phases %v", c.name, leg, tr, c.phases)
+			}
+			for k, ph := range tr.Phases {
+				if ph.Name != c.phases[k] || ph.NS <= 0 || ph.NS > tr.TotalNS {
+					t.Fatalf("%s/%s: phases %+v, want %v, each timed within the total %d", c.name, leg, tr.Phases, c.phases, tr.TotalNS)
+				}
+			}
+		}
+	}
+}
+
 // The per-call worker budget reaches the traced entry point: a
 // parallel traced evaluation of chain6 over the 3000-node database
 // fans out (extra workers or morsel chunks) and answers exactly like

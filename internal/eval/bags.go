@@ -55,7 +55,9 @@ package eval
 // program lays out no existence bag program at all (forestBags).
 // Every acyclic enumeration — Eval, streams and the counts that
 // enumerate — runs the whole join forest this way (Plan.search), and
-// IncrState's re-evaluation each tree.
+// IncrState's re-evaluation each tree. Ranked reads resolve the probes
+// of their visit steps the same way, over a forest reduced toward
+// their first visits (rank.go).
 
 import (
 	"context"
@@ -674,6 +676,12 @@ func resized[T any](s []T, n int) []T {
 
 func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) *bagRun {
 	r := bagRunPool.Get().(*bagRun)
+	r.start(bp, ctx, sn, emit)
+	return r
+}
+
+// start readies r for a run of bp, reusing its buffers.
+func (r *bagRun) start(bp *bagPlan, ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) {
 	r.bp, r.sn, r.ctx, r.emit = bp, sn, ctx, emit
 	r.polls, r.err, r.stop, r.stats = 0, nil, false, opStats{}
 	r.views = resized(r.views, len(bp.atoms))
@@ -686,7 +694,7 @@ func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]
 	r.tuple = resized(r.tuple, len(bp.head))
 	r.seen.reset(len(bp.head))
 	if bp.reduced {
-		return r // no existence check runs
+		return // no existence check runs
 	}
 	if cap(r.memo) < len(bp.bags) {
 		r.memo = append(r.memo[:cap(r.memo)], make([]bagMemo, len(bp.bags)-cap(r.memo))...)
@@ -700,17 +708,21 @@ func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]
 			r.keys[i] = resized(r.keys[i], len(b.key))
 		}
 	}
-	return r
 }
 
 func (r *bagRun) release() {
+	r.drop()
+	bagRunPool.Put(r)
+}
+
+// drop clears r's references to the call's data, keeping its buffers.
+func (r *bagRun) drop() {
 	r.sn, r.ctx, r.emit, r.budget, r.err = nil, nil, nil, nil, nil
 	clear(r.views)
 	clear(r.live)
 	for i := range r.probes {
 		r.probes[i].ready, r.probes[i].ix, r.probes[i].live = false, nil, nil
 	}
-	bagRunPool.Put(r)
 }
 
 // run searches the whole program, reporting every distinct head tuple
@@ -993,10 +1005,16 @@ func (r *bagRun) fillTuple() {
 // never meets a dead end and runs no existence check.
 func (bp *bagPlan) forestRun(ctx context.Context, f *forest, emit func([]int) bool) *bagRun {
 	r := bp.newRun(ctx, nil, emit)
+	r.readForest(f)
+	return r
+}
+
+// readForest points every atom of r at its node of f: the node's view
+// and liveness bitmap.
+func (r *bagRun) readForest(f *forest) {
 	for i := range f.nodes {
 		r.views[i], r.live[i] = f.nodes[i].view, f.nodes[i].words
 	}
-	return r
 }
 
 // finish folds a run's index counters into the plan totals, releases

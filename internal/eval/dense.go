@@ -2,7 +2,7 @@ package eval
 
 import (
 	"math/bits"
-	"sync"
+	"runtime"
 )
 
 // Dense key-summary kernels. The executor's two per-row probe loops —
@@ -37,11 +37,28 @@ func sumLimit(tLive, sLive int) int { return tLive + sLive + 512 }
 // so each step draws its own and returns it when its filter is done.
 type keyBuf struct{ w []uint64 }
 
-var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
+// keyBufs holds the free summary buffers, one slot per core — as many
+// as steps run at once under a worker budget that fits the machine;
+// a step finding none free allocates one. Unlike a sync.Pool it keeps
+// them across GCs: a buffer dropped at a GC was regrown by doubling in
+// the next step, so the allocations of a call depended on GC timing.
+var keyBufs = make(chan *keyBuf, runtime.GOMAXPROCS(0))
 
-func getKeyBuf() *keyBuf { return keyBufs.Get().(*keyBuf) }
+func getKeyBuf() *keyBuf {
+	select {
+	case b := <-keyBufs:
+		return b
+	default:
+		return new(keyBuf)
+	}
+}
 
-func putKeyBuf(b *keyBuf) { keyBufs.Put(b) }
+func putKeyBuf(b *keyBuf) {
+	select {
+	case keyBufs <- b:
+	default: // every slot is taken: leave b to the collector
+	}
+}
 
 // grow extends w with zeroed words up to length n, reusing capacity.
 func grow(w []uint64, n int) []uint64 {

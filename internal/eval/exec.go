@@ -160,16 +160,17 @@ func (f *forest) morselWordSize() int {
 	return max(1, f.morselSize()/64)
 }
 
-// newForest builds the evaluation state for a schedule's atoms against
-// sn: one atom view plus an all-alive bitmap per node. The bitmaps
-// come from one slab allocation across all nodes.
-func newForest(atoms []patom, sn *relstr.Snapshot, par int) *forest {
+// newForest builds the evaluation state for a schedule's atoms, whose
+// distinct variables are vars, against sn: one atom view plus an
+// all-alive bitmap per node. The bitmaps come from one slab allocation
+// across all nodes.
+func newForest(atoms []patom, vars [][]int, sn *relstr.Snapshot, par int) *forest {
 	f := &forest{nodes: make([]execNode, len(atoms)), par: par}
 	total := 0
 	for i, a := range atoms {
 		v := atomView(sn, a)
 		rows := v.Rows()
-		f.nodes[i] = execNode{rows: rows, vars: a.distinctVars(), view: v, live: len(rows)}
+		f.nodes[i] = execNode{rows: rows, vars: vars[i], view: v, live: len(rows)}
 		total += (len(rows) + 63) / 64
 	}
 	slab := make([]uint64, total)
@@ -425,10 +426,11 @@ func (f *forest) subtree(ctx context.Context, sched *schedule, i int, up bool) e
 
 // runPasses executes the schedule's two reduction passes over the
 // bitmaps, leaving the forest globally consistent: every live row of
-// every node extends to an assignment of its whole tree. Only readers
-// of non-root rows on their own need that — the counting DP and
-// samplers (PrepareCount) and the ranked views (streamRanked); the
-// search needs the bottom-up pass alone (Plan.reduce). Independent
+// every node extends to an assignment of its whole tree. Only
+// PrepareCount calls it: the counting DP and samplers read non-root
+// rows on their own. The search needs the bottom-up pass alone
+// (Plan.reduce), and ranked reads run that pass rooted at their first
+// visits (streamRanked). Independent
 // sibling subtrees run concurrently on a parallel forest: in the
 // bottom-up pass a node's steps only start after every child subtree
 // finished, and in the top-down pass the steps into distinct children

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"iter"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -183,14 +184,14 @@ func NewPlan(q *cq.Query) *Plan {
 		for i := range p.atoms {
 			p.rerooted[i] = p.jt.Parent[i] == -1 && jt.Parent[i] != -1
 		}
-		p.sched = scheduleForAtoms(p.atoms, p.jt.Parent)
+		p.sched = scheduleForAtoms(vars, p.jt.Parent)
 		p.csched = newCountSchedule(vars, p.jt.Parent, p.sched, p.tb.Dist)
+		p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
 		// Classify the head's natural ascending key once: most ranked
 		// calls (and every limit-only call) use it, and Explain reports
 		// the connex/fallback decision from it.
 		p.rankedIDs = dedupHeadIDs(p.tb.Dist, RankSpec{}.perm(len(p.tb.Dist)))
 		p.ranked = p.buildRankProgram(p.rankedIDs)
-		p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
 	} else {
 		p.bags = decompose(p.tb).compile(nil, -1)
 	}
@@ -204,22 +205,16 @@ func NewPlan(q *cq.Query) *Plan {
 // Trees with no such node keep their root.
 func rerootForHead(parent []int, vars [][]int, head []int) []int {
 	n := len(parent)
-	adj := make([][]int, n)
-	for i, p := range parent {
-		if p >= 0 {
-			adj[i] = append(adj[i], p)
-			adj[p] = append(adj[p], i)
-		}
-	}
+	adj := forestAdj(parent)
 	headSet := map[int]bool{}
 	for _, v := range head {
 		headSet[v] = true
 	}
-	out := append([]int{}, parent...)
 	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = -1
 	}
+	var roots []int
 	for r := 0; r < n; r++ {
 		if comp[r] != -1 || parent[r] != -1 {
 			continue
@@ -246,7 +241,6 @@ func rerootForHead(parent []int, vars [][]int, head []int) []int {
 		if len(want) == 0 {
 			continue
 		}
-		root := -1
 		for _, i := range tree {
 			covered := 0
 			for _, v := range vars[i] {
@@ -255,23 +249,34 @@ func rerootForHead(parent []int, vars [][]int, head []int) []int {
 				}
 			}
 			if covered == len(want) {
-				root = i
+				roots = append(roots, i)
 				break
 			}
 		}
-		if root == -1 || root == r {
+	}
+	return rerootAt(parent, adj, roots)
+}
+
+// rerootAt returns a parent array for the same undirected forest, whose
+// adjacency lists are adj, in which each node of roots roots its tree
+// (at most one per tree); trees holding none keep their root. It
+// returns parent itself when every node of roots is a root already.
+func rerootAt(parent []int, adj [][]int, roots []int) []int {
+	out, copied := parent, false
+	for _, root := range roots {
+		if out[root] == -1 {
 			continue
 		}
-		// Reorient the tree from the new root.
+		if !copied {
+			out, copied = slices.Clone(parent), true
+		}
 		out[root] = -1
-		seen := map[int]bool{root: true}
 		stack := []int{root}
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, w := range adj[u] {
-				if !seen[w] {
-					seen[w] = true
+				if w != out[u] {
 					out[w] = u
 					stack = append(stack, w)
 				}
@@ -279,6 +284,18 @@ func rerootForHead(parent []int, vars [][]int, head []int) []int {
 		}
 	}
 	return out
+}
+
+// forestAdj returns the undirected adjacency lists of a parent array.
+func forestAdj(parent []int) [][]int {
+	adj := make([][]int, len(parent))
+	for i, p := range parent {
+		if p >= 0 {
+			adj[i] = append(adj[i], p)
+			adj[p] = append(adj[p], i)
+		}
+	}
+	return adj
 }
 
 // Query returns the query the plan evaluates.
@@ -297,7 +314,7 @@ func normPar(parallel int) int {
 
 // newForest builds the plan's per-call evaluation state against sn.
 func (p *Plan) newForest(sn *relstr.Snapshot, parallel int) *forest {
-	f := newForest(p.atoms, sn, normPar(parallel))
+	f := newForest(p.atoms, p.bags.avars, sn, normPar(parallel))
 	if f.par > 1 {
 		p.stats.parEvals.Add(1)
 	}
@@ -507,9 +524,10 @@ func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, f *forest, emit 
 // every live row extending to an assignment of its subtree, and the
 // search starts at the roots and reaches a child only through rows
 // agreeing with its parent's binding, so it never meets a dead end and
-// every existence check holds. Only readers of non-root rows on their
-// own — the counting DP and samplers, the ranked views — also need the
-// top-down pass (runPasses).
+// every existence check holds. Ranked reads run the same pass rooted
+// at their first visits (streamRanked); only PrepareCount, whose DP
+// and samplers read non-root rows on their own, runs the top-down
+// pass too (runPasses).
 func (p *Plan) reduce(ctx context.Context, f *forest) (bool, error) {
 	if err := f.runDown(ctx, p.sched); err != nil {
 		return false, err

@@ -1,6 +1,6 @@
 package eval
 
-// Ranked (top-k) answer enumeration over the reduced liveness forest.
+// Ranked (top-k) answer enumeration over a reduced liveness forest.
 //
 // A ranked evaluation asks for the answers in lexicographic order of a
 // head-position permutation, stopping after `limit` answers. For plans
@@ -8,15 +8,23 @@ package eval
 // variables can be bound in key order by walking nodes so that every
 // node attaches to an already-visited neighbor through a connector of
 // already-bound head variables — the answers stream directly out of
-// the Yannakakis-reduced forest: one sorted, deduplicated projection
-// per visited node, probed by binary search on the connector prefix,
-// enumerated by a last-position-first odometer. After the O(|D|·|Q|)
-// reduction and the per-view sorts, each answer costs O(|Q|·log|D|),
-// so top-k never pays for the answers it does not emit. Global
-// consistency of the reduced forest (every live row has a live partner
-// in every neighbor) guarantees every probe range is non-empty — the
-// odometer never hits a dead end, and the views' dedup on
-// connector++emit columns makes each emitted tuple distinct.
+// the forest after one semijoin pass: the bottom-up pass, rooted at
+// the first visit of each tree (trees no visit reaches keep their
+// root). The visited nodes of a tree then form a connected top of it,
+// each later visit is a child of the visit it attaches to, and every
+// live row extends to an assignment of its subtree. So each group a
+// visit reads — the live rows agreeing with the bound connector
+// values, projected on the visit's emitted columns, sorted in key
+// direction and deduplicated — is non-empty, each of its tuples
+// extends to at least one answer, and the search never meets a dead
+// end. The first k tuples of a group therefore cover the first k
+// answers under it: a limited read selects them with a bounded heap,
+// O(n log k), and only an unlimited one, or one whose limit is not
+// small against the node's live rows, sorts the whole group. Groups are
+// read through the node view's hash indexes, resolved as the bag
+// search resolves its probes, and memoised per call on the connector
+// values, so a top-k read touches the first visit's live rows once and
+// then only the groups on the paths of the answers it returns.
 //
 // Orders with no such visit program — the canonical example is
 // Q(x,z) :- E(x,y), E(y,z), whose existential y bridges the two head
@@ -28,11 +36,11 @@ import (
 	"cmp"
 	"context"
 	"iter"
-	"math/bits"
 	"slices"
-	"sort"
+	"sync/atomic"
 
 	"cqapprox/internal/cqerr"
+	"cqapprox/internal/obs"
 	"cqapprox/internal/relstr"
 )
 
@@ -64,30 +72,23 @@ func (s RankSpec) perm(width int) []int {
 	return out
 }
 
-// rankVisit is one step of a lex-connex visit program: materialise the
-// node's live rows projected onto connCols++emitCols (sorted, conn
-// ascending then emit in key direction, deduplicated), and for each
-// row of the parent visit's view enumerate the rows matching the
-// connector values drawn from the parent row at connSrc.
-type rankVisit struct {
-	node   int
-	parent int // parent visit index, -1 for a tree root
-
-	connIDs []int // connector element ids (all bound head variables)
-	emitIDs []int // newly bound head ids, in key order
-
-	connCols []int // connector columns in the node's variable list
-	connSrc  []int // aligned: each connector value's column in the parent's view row
-	emitCols []int // emitted columns in the node's variable list, in emitIDs order
-}
-
-// rankProgram is a compiled lex-connex visit order for one key: the
-// visits in key-block order plus, per head position, where the
-// position's value lives (visit index, view-row column). Immutable
+// rankProgram is a compiled lex-connex visit order for one key: a
+// search program with one step per visit, in key-block order — a
+// step's bound columns are its connector, its free ones the head
+// variables it emits, in key order — and the schedule of the bottom-up
+// pass rooted at each visited tree's first visit. Both are immutable
 // once built; the canonical program is shared across calls.
 type rankProgram struct {
-	visits  []rankVisit
-	headOut [][2]int
+	bp       *bagPlan
+	sched    *schedule
+	keyWidth int // a group's memo key: the visit index and its connector values
+
+	// spare keeps the state of the last finished limited search for
+	// the next call. Unlike a sync.Pool slot it survives GCs, so a
+	// serial caller's allocations per call do not depend on GC timing.
+	// An unlimited search's memo can hold every live row, so its state
+	// is left to the collector.
+	spare atomic.Pointer[rankRun]
 }
 
 // dedupHeadIDs returns the distinct head element ids in first-occurrence
@@ -131,18 +132,9 @@ func (p *Plan) rankProgramForSpec(perm []int) *rankProgram {
 // is too. Returns nil when no program exists.
 func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 	n := len(p.atoms)
-	vars := make([][]int, n)
-	for i, a := range p.atoms {
-		vars[i] = a.distinctVars()
-	}
-	adj := make([][]int, n)
+	vars := p.bags.avars
+	adj := forestAdj(p.jt.Parent)
 	comp := make([]int, n)
-	for i, par := range p.jt.Parent {
-		if par >= 0 {
-			adj[i] = append(adj[i], par)
-			adj[par] = append(adj[par], i)
-		}
-	}
 	for i := range comp {
 		r := i
 		for p.jt.Parent[r] >= 0 {
@@ -155,25 +147,28 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 		headSet[v] = true
 	}
 
-	visited := make([]bool, n)
-	visitOf := make([]int, n)
-	for i := range visitOf {
-		visitOf[i] = -1
+	// The roots come first, so a visit starts a tree at its root when
+	// it can and the program keeps the plan's schedule.
+	cand := slices.Clone(p.sched.roots)
+	for i, par := range p.jt.Parent {
+		if par != -1 {
+			cand = append(cand, i)
+		}
 	}
+	visited := make([]bool, n)
 	treeVis := map[int]bool{}
 	bound := map[int]bool{}
-	var visits []rankVisit
+	var steps []bagStep
 
 	var try func(bi int) bool
 	try = func(bi int) bool {
 		if bi == len(orderIDs) {
 			return true
 		}
-		for i := 0; i < n; i++ {
+		for _, i := range cand {
 			if visited[i] {
 				continue
 			}
-			pv := -1
 			var connIDs []int
 			if treeVis[comp[i]] {
 				pn := -1
@@ -197,7 +192,6 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 				if !ok {
 					continue // an existential (or not-yet-bound) connector
 				}
-				pv = visitOf[pn]
 			}
 			var emitIDs []int
 			for _, v := range vars[i] {
@@ -222,25 +216,12 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 				}
 				emitIDs = append([]int{}, win...) // reorder to the key sequence
 			}
-			vs := rankVisit{node: i, parent: pv, connIDs: connIDs, emitIDs: emitIDs}
-			if pv >= 0 {
-				layout := append(append([]int{}, visits[pv].connIDs...), visits[pv].emitIDs...)
-				ok := true
-				for _, v := range connIDs {
-					j := slices.Index(layout, v)
-					if j == -1 {
-						ok = false
-						break
-					}
-					vs.connSrc = append(vs.connSrc, j)
-					vs.connCols = append(vs.connCols, indexOf(vars[i], v))
-				}
-				if !ok {
-					continue // unreachable on a valid join tree; defensive
-				}
+			st := bagStep{id: len(steps), atom: i, boundVars: connIDs, freeVars: emitIDs}
+			for _, v := range connIDs {
+				st.bound = append(st.bound, indexOf(vars[i], v))
 			}
 			for _, v := range emitIDs {
-				vs.emitCols = append(vs.emitCols, indexOf(vars[i], v))
+				st.free = append(st.free, indexOf(vars[i], v))
 			}
 			wasTree := treeVis[comp[i]]
 			visited[i] = true
@@ -248,13 +229,11 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 			for _, v := range emitIDs {
 				bound[v] = true
 			}
-			visits = append(visits, vs)
-			visitOf[i] = len(visits) - 1
+			steps = append(steps, st)
 			if try(bi + len(emitIDs)) {
 				return true
 			}
-			visits = visits[:len(visits)-1]
-			visitOf[i] = -1
+			steps = steps[:len(steps)-1]
 			visited[i] = false
 			if !wasTree {
 				delete(treeVis, comp[i])
@@ -268,159 +247,198 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 	if !try(0) {
 		return nil
 	}
-	prog := &rankProgram{visits: append([]rankVisit{}, visits...)}
-	emitAt := map[int][2]int{}
-	for vi := range prog.visits {
-		nc := len(prog.visits[vi].connCols)
-		for k, id := range prog.visits[vi].emitIDs {
-			emitAt[id] = [2]int{vi, nc + k}
+	prog := &rankProgram{sched: p.sched, keyWidth: 1}
+	var roots []int // each visited tree's first visit, which roots its pass
+	clear(treeVis)
+	for _, st := range steps {
+		prog.keyWidth = max(prog.keyWidth, 1+len(st.bound))
+		if !treeVis[comp[st.atom]] {
+			treeVis[comp[st.atom]] = true
+			roots = append(roots, st.atom)
 		}
 	}
-	prog.headOut = make([][2]int, len(p.tb.Dist))
-	for pos, id := range p.tb.Dist {
-		prog.headOut[pos] = emitAt[id]
+	if parent := rerootAt(p.jt.Parent, adj, roots); !slices.Equal(parent, p.jt.Parent) {
+		prog.sched = scheduleForAtoms(vars, parent)
 	}
+	prog.bp = &bagPlan{atoms: p.atoms, avars: vars, head: p.tb.Dist, numVars: p.bags.numVars,
+		seed: -1, steps: slices.Clip(steps), lastHead: -1, numSteps: len(steps), reduced: true}
 	return prog
 }
 
-// buildRankView materialises one visit's sorted view: the node's live
-// rows projected onto connCols++emitCols, sorted by connector columns
-// ascending then emit columns in key direction, adjacent duplicates
-// compacted. The rows live in one slab owned by the view.
-func buildRankView(n *execNode, vs *rankVisit, desc bool) [][]int {
-	nc := len(vs.connCols)
-	w := nc + len(vs.emitCols)
-	rows := make([][]int, 0, n.live)
-	slab := make([]int, n.live*w)
-	off := 0
-	for wi, word := range n.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			src := n.rows[wi<<6|b]
-			dst := slab[off : off+w : off+w]
-			off += w
-			for k, c := range vs.connCols {
-				dst[k] = src[c]
-			}
-			for k, c := range vs.emitCols {
-				dst[nc+k] = src[c]
-			}
-			rows = append(rows, dst)
+// rankRun is the state of one ordered search: a run of the program's
+// steps over the reduced forest, and the groups read so far — memo maps
+// a visit index plus its connector values (zero-padded to the
+// program's key width) to a group id, spans a group id to the offset
+// of its distinct emitted tuples in vals and their count.
+type rankRun struct {
+	bagRun
+	f     *forest
+	desc  bool
+	limit int
+	n     int // answers emitted
+	memo  flatSet
+	spans [][2]int
+	vals  []int
+	key   []int // a memo key
+	tup   []int // an emitted tuple, for the heap's seen set
+	ids   []int32
+}
+
+// rankSearch runs prog's ordered search over f, the forest reduced
+// toward its first visits, and returns the cancellation that cut it
+// short, if any.
+func (p *Plan) rankSearch(ctx context.Context, f *forest, prog *rankProgram, spec RankSpec, emit func([]int) bool) error {
+	var s *rankRun
+	if spec.Limit > 0 {
+		s = prog.spare.Swap(nil)
+	}
+	if s == nil {
+		s = new(rankRun)
+	}
+	s.start(prog.bp, ctx, nil, emit)
+	s.readForest(f)
+	s.f, s.desc, s.limit, s.n = f, spec.Desc, spec.Limit, 0
+	s.memo.reset(prog.keyWidth)
+	s.key = resized(s.key, prog.keyWidth)
+	s.spans, s.vals = s.spans[:0], s.vals[:0]
+	s.search(0)
+	p.stats.builds.Add(s.stats.builds)
+	p.stats.probes.Add(s.stats.probes)
+	err := s.err
+	if spec.Limit > 0 {
+		s.drop()
+		s.f = nil
+		prog.spare.Store(s)
+	}
+	return err
+}
+
+// search emits the answers from visit i on in key order, checking the
+// context before every answer, and reports whether to go on.
+func (s *rankRun) search(i int) bool {
+	steps := s.bp.steps
+	if i == len(steps) {
+		if s.err = cqerr.Check(s.ctx); s.err != nil {
+			return false
+		}
+		s.fillTuple()
+		s.n++
+		return s.emit(s.tuple) && (s.limit <= 0 || s.n < s.limit)
+	}
+	st := &steps[i]
+	vals, n := s.group(st)
+	w := len(st.freeVars)
+	for k := range n {
+		for j, v := range st.freeVars {
+			s.bind[v] = vals[k*w+j]
+		}
+		if !s.search(i + 1) {
+			return false
 		}
 	}
-	slices.SortFunc(rows, func(a, b []int) int {
-		for k := 0; k < nc; k++ {
-			if c := cmp.Compare(a[k], b[k]); c != 0 {
-				return c
-			}
-		}
-		for k := nc; k < w; k++ {
-			if c := cmp.Compare(a[k], b[k]); c != 0 {
-				if desc {
-					return -c
+	return true
+}
+
+// group returns step st's group under the bound connector values —
+// its tuples back to back and their count — reading it on first entry:
+// the live rows agreeing with the connector, compared on the emitted
+// columns in key direction and deduplicated. When the limit is small
+// against the node's live rows only the first limit tuples are kept,
+// selected with a bounded heap whose top is the worst kept tuple; a
+// tuple seen before is either kept or no better than the top.
+func (s *rankRun) group(st *bagStep) ([]int, int) {
+	key := s.key
+	clear(key)
+	key[0] = st.id
+	for k, v := range st.boundVars {
+		key[1+k] = s.bind[v]
+	}
+	if id := s.memo.find(key); id >= 0 {
+		sp := s.spans[id]
+		return s.vals[sp[0]:], sp[1]
+	}
+	s.memo.insert(key)
+	rows := s.views[st.atom].Rows()
+	order := func(a, b int32) int {
+		ra, rb := rows[a], rows[b]
+		for _, c := range st.free {
+			if d := cmp.Compare(ra[c], rb[c]); d != 0 {
+				if s.desc {
+					return -d
 				}
-				return c
+				return d
 			}
 		}
 		return 0
-	})
-	out := rows[:0]
-	for i, r := range rows {
-		if i > 0 && slices.Equal(out[len(out)-1], r) {
+	}
+	k := s.limit
+	bounded := k > 0 && k <= s.f.nodes[st.atom].live/8
+	s.seen.reset(len(st.free))
+	sp := s.probe(st)
+	ids := s.ids[:0]
+	for id := s.first(sp, rows); id >= 0; id = s.next(sp, rows, id) {
+		if !bounded {
+			ids = append(ids, id)
 			continue
 		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// comparePrefix compares the first nc columns of row against key.
-func comparePrefix(row, key []int, nc int) int {
-	for k := 0; k < nc; k++ {
-		if c := cmp.Compare(row[k], key[k]); c != 0 {
-			return c
+		if len(ids) == k && order(id, ids[0]) >= 0 {
+			continue
 		}
-	}
-	return 0
-}
-
-// enumerateRanked drives the odometer over the sorted views: positions
-// advance last-first (the least significant key block), and advancing
-// position j recomputes the probe ranges of every later visit from its
-// parent's new current row. Ranges are found by binary search on the
-// connector prefix (which stays ascending even under desc). The context
-// is checked before every answer, as StreamOnErr checks it.
-func enumerateRanked(ctx context.Context, prog *rankProgram, views [][][]int, width, limit int, yield func(relstr.Tuple) bool) error {
-	nv := len(prog.visits)
-	if nv == 0 {
-		// Boolean-shaped key: the single (empty-head) answer.
-		if err := cqerr.Check(ctx); err != nil {
-			return err
+		s.tup = s.tup[:0]
+		for _, c := range st.free {
+			s.tup = append(s.tup, rows[id][c])
 		}
-		yield(relstr.Tuple{})
-		return nil
-	}
-	lo := make([]int, nv)
-	hi := make([]int, nv)
-	cur := make([]int, nv)
-	var key []int
-	rng := func(i int) bool {
-		vs := &prog.visits[i]
-		rows := views[i]
-		if vs.parent == -1 {
-			lo[i], hi[i] = 0, len(rows)
+		if _, added := s.seen.add(s.tup); !added {
+			continue
+		}
+		if len(ids) < k {
+			ids = append(ids, id)
+			siftUp(ids, len(ids)-1, order)
 		} else {
-			prow := views[vs.parent][cur[vs.parent]]
-			key = key[:0]
-			for _, c := range vs.connSrc {
-				key = append(key, prow[c])
-			}
-			nc := len(key)
-			lo[i] = sort.Search(len(rows), func(k int) bool { return comparePrefix(rows[k], key, nc) >= 0 })
-			hi[i] = lo[i] + sort.Search(len(rows)-lo[i], func(k int) bool { return comparePrefix(rows[lo[i]+k], key, nc) > 0 })
-		}
-		cur[i] = lo[i]
-		return lo[i] < hi[i]
-	}
-	for i := 0; i < nv; i++ {
-		if !rng(i) {
-			// Globally consistent forests never produce an empty range;
-			// treat one defensively as an exhausted enumeration.
-			return nil
+			ids[0] = id
+			siftDown(ids, 0, order)
 		}
 	}
-	emitted := 0
+	slices.SortFunc(ids, order)
+	ids = slices.CompactFunc(ids, func(a, b int32) bool { return order(a, b) == 0 })
+	off := len(s.vals)
+	for _, id := range ids {
+		for _, c := range st.free {
+			s.vals = append(s.vals, rows[id][c])
+		}
+	}
+	s.spans = append(s.spans, [2]int{off, len(ids)})
+	s.ids = ids
+	return s.vals[off:], len(ids)
+}
+
+// siftUp and siftDown restore the order of heap h, whose top is its
+// greatest element under order, after h[i] changed.
+func siftUp(h []int32, i int, order func(a, b int32) int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if order(h[p], h[i]) >= 0 {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDown(h []int32, i int, order func(a, b int32) int) {
 	for {
-		t := make(relstr.Tuple, width)
-		for pos, out := range prog.headOut {
-			t[pos] = views[out[0]][cur[out[0]]][out[1]]
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		if err := cqerr.Check(ctx); err != nil {
-			return err
+		if c+1 < len(h) && order(h[c+1], h[c]) > 0 {
+			c++
 		}
-		if !yield(t) {
-			return nil
+		if order(h[i], h[c]) >= 0 {
+			return
 		}
-		emitted++
-		if limit > 0 && emitted >= limit {
-			return nil
-		}
-		j := nv - 1
-		for ; j >= 0; j-- {
-			if cur[j]+1 < hi[j] {
-				cur[j]++
-				break
-			}
-		}
-		if j < 0 {
-			return nil
-		}
-		for k := j + 1; k < nv; k++ {
-			if !rng(k) {
-				return nil // defensive, as above
-			}
-		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
@@ -441,82 +459,69 @@ func sortAnswersBy(ts []relstr.Tuple, perm []int, desc bool) {
 	})
 }
 
-// rankFallback is the untractable-order path: full evaluation, sort
-// under the requested key, truncate at limit, checking the context
-// before every answer. Bag (cyclic) plans always take it — EvalOn
-// routes them to the bag search.
-func (p *Plan) rankFallback(ctx context.Context, sn *relstr.Snapshot, parallel int, perm []int, desc bool, limit int, yield func(relstr.Tuple) bool) error {
-	p.stats.rankFallbacks.Add(1)
-	ans, err := p.EvalOn(ctx, sn, parallel)
-	if err != nil {
-		return err
+// streamRanked runs one ranked evaluation end to end, passing each
+// answer to emit (a buffer valid for the call only) until it returns
+// false. A connex key reduces the forest bottom-up toward the program's
+// first visits and runs the ordered search; any other key, and every
+// bag (cyclic) plan, falls back to the full evaluation, a sort under
+// the key and truncation, checking the context before every answer. A
+// traced call returns its trace: "semijoin-down" and "ranked" for the
+// ordered search, the plain evaluation's phases for the fallback.
+// tuned lowers the parallel thresholds so tiny test inputs drive the
+// morsel machinery.
+func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, tuned, traced bool, emit func([]int) bool) (*obs.ExecTrace, error) {
+	perm := spec.perm(len(p.tb.Dist))
+	var prog *rankProgram
+	if p.mode == PlanYannakakis {
+		prog = p.rankProgramForSpec(perm)
 	}
-	sortAnswersBy(ans, perm, desc)
-	for i, t := range ans {
-		if limit > 0 && i >= limit {
-			return nil
-		}
-		if err := cqerr.Check(ctx); err != nil {
-			return err
-		}
-		if !yield(t) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// streamRanked runs one ranked evaluation end to end: classify the
-// key, then either the connex pipeline (reduce, build sorted views —
-// in parallel across visits when the budget allows — and enumerate) or
-// the fallback. tuned lowers the parallel thresholds so tiny test
-// inputs drive the morsel machinery.
-func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, tuned bool, yield func(relstr.Tuple) bool) error {
-	width := len(p.tb.Dist)
-	perm := spec.perm(width)
-	if p.mode != PlanYannakakis {
-		return p.rankFallback(ctx, sn, parallel, perm, spec.Desc, spec.Limit, yield)
-	}
-	prog := p.rankProgramForSpec(perm)
 	if prog == nil {
-		return p.rankFallback(ctx, sn, parallel, perm, spec.Desc, spec.Limit, yield)
+		p.stats.rankFallbacks.Add(1)
+		ans, tr, err := p.eval(ctx, sn, parallel, traced)
+		if err != nil {
+			return tr, err
+		}
+		sortAnswersBy(ans, perm, spec.Desc)
+		for i, t := range ans {
+			if spec.Limit > 0 && i >= spec.Limit {
+				break
+			}
+			if err := cqerr.Check(ctx); err != nil {
+				return tr, err
+			}
+			if !emit(t) {
+				break
+			}
+		}
+		return tr, nil
 	}
 	p.stats.rankedEvals.Add(1)
-	f := p.newForest(sn, parallel)
-	if tuned {
-		f.minPar, f.morsel = 1, 2
-	}
-	defer p.flush(f)
-	if err := f.runPasses(ctx, p.sched); err != nil {
-		return err
-	}
-	if f.anyEmpty() {
-		return nil
-	}
-	views := make([][][]int, len(prog.visits))
-	fns := make([]func() error, len(prog.visits))
-	for i := range prog.visits {
-		fns[i] = func() error {
-			views[i] = buildRankView(&f.nodes[prog.visits[i].node], &prog.visits[i], spec.Desc)
-			return nil
+	return p.call(sn, parallel, traced, func(f *forest) error {
+		if tuned {
+			f.minPar, f.morsel = 1, 2
 		}
-	}
-	if err := f.fanOut(fns); err != nil {
+		if err := f.runDown(ctx, prog.sched); err != nil || f.anyEmpty() {
+			return err
+		}
+		start := f.clock()
+		err := p.rankSearch(ctx, f, prog, spec, emit)
+		f.lap("ranked", start)
 		return err
-	}
-	return enumerateRanked(ctx, prog, views, width, spec.Limit, yield)
+	})
 }
 
 // StreamRankedOn enumerates answers in the spec's key order against a
-// snapshot and worker budget (the budget applies to the
-// semijoin reduction and the view builds; the ordered enumeration
-// itself is sequential). Connex keys stream with early termination at
-// Limit; others evaluate fully, sort, and truncate. The terminal-error
-// accessor follows the StreamOnErr contract.
+// snapshot and worker budget (the budget applies to the semijoin
+// reduction; the ordered search itself is sequential). Connex keys
+// stream with early termination at Limit; others evaluate fully, sort,
+// and truncate. The terminal-error accessor follows the StreamOnErr
+// contract.
 func (p *Plan) StreamRankedOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (iter.Seq[relstr.Tuple], func() error) {
 	var terminal error
 	seq := func(yield func(relstr.Tuple) bool) {
-		terminal = p.streamRanked(ctx, sn, parallel, spec, false, yield)
+		_, terminal = p.streamRanked(ctx, sn, parallel, spec, false, false, func(t []int) bool {
+			return yield(relstr.Tuple(t).Clone())
+		})
 	}
 	return seq, func() error { return terminal }
 }
@@ -525,13 +530,23 @@ func (p *Plan) StreamRankedOn(ctx context.Context, sn *relstr.Snapshot, parallel
 // the spec's key order (not the Answers default order unless the spec
 // is the natural ascending key).
 func (p *Plan) EvalRankedOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (Answers, error) {
-	seq, errf := p.StreamRankedOn(ctx, sn, parallel, spec)
-	out := []relstr.Tuple{}
-	for t := range seq {
-		out = append(out, t)
+	ans, _, err := p.evalRanked(ctx, sn, parallel, spec, false)
+	return ans, err
+}
+
+// EvalRankedTraceOn is EvalRankedOn with tracing: the same answers and
+// counters, plus an ExecTrace of this one call (see streamRanked).
+func (p *Plan) EvalRankedTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (Answers, *obs.ExecTrace, error) {
+	return p.evalRanked(ctx, sn, parallel, spec, true)
+}
+
+// evalRanked collects the ranked answers into one slab, cut into
+// tuples in emission order.
+func (p *Plan) evalRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, traced bool) (Answers, *obs.ExecTrace, error) {
+	var s answerSlab
+	tr, err := p.streamRanked(ctx, sn, parallel, spec, false, traced, s.add)
+	if err != nil {
+		return nil, tr, err
 	}
-	if err := errf(); err != nil {
-		return nil, err
-	}
-	return Answers(out), nil
+	return cutRows[relstr.Tuple](s.data, s.n, len(p.tb.Dist)), tr, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cqapprox/internal/cq"
@@ -34,8 +35,8 @@ func rankedOracle(t *testing.T, p *Plan, db *relstr.Structure, spec RankSpec) []
 func collectRanked(t *testing.T, p *Plan, src *relstr.Snapshot, par int, spec RankSpec, tuned bool) []relstr.Tuple {
 	t.Helper()
 	var got []relstr.Tuple
-	err := p.streamRanked(context.Background(), src, par, spec, tuned, func(tp relstr.Tuple) bool {
-		got = append(got, tp)
+	_, err := p.streamRanked(context.Background(), src, par, spec, tuned, false, func(tp []int) bool {
+		got = append(got, relstr.Tuple(tp).Clone())
 		return true
 	})
 	if err != nil {
@@ -56,22 +57,59 @@ func equalOrdered(a, b []relstr.Tuple) bool {
 	return true
 }
 
+// rankShapes are ranked shapes random queries rarely produce, each
+// with a key: a first visit that is not the GYO root (the reduction is
+// re-rooted there), two trees plus a headless component (a third tree
+// no visit reaches), and a root whose existential column repeats emit
+// tuples (the root group deduplicates).
+var rankShapes = []struct {
+	src   string
+	order []int
+}{
+	{"Q(x0,x1,x2,x3) :- E(x0,x1), E(x1,x2), E(x2,x3)", []int{3, 2, 1, 0}},
+	{"Q(x,u) :- E(x,y), F(u,v), G(a,b)", nil},
+	{"Q(x) :- E(x,y)", nil},
+}
+
+// rankShapeDB adds m random rows over n values to F and G, the
+// relations of rankShapes beyond E.
+func rankShapeDB(rng *rand.Rand, db *relstr.Structure, n, m int) *relstr.Structure {
+	for _, rel := range []string{"F", "G"} {
+		db.Declare(rel, 2)
+		for range m {
+			db.Add(rel, rng.Intn(n), rng.Intn(n))
+		}
+	}
+	return db
+}
+
 // FuzzRankedEquivalence asserts the ranked stream — connex pipeline or
 // fallback, the classifier decides — is byte-identical to the
 // sort-after-materialize oracle, across storage backends (per-call
 // structure and snapshot), serial and parallel budgets (with the
 // morsel thresholds tuned down so tiny inputs drive the fan-out),
 // random key prefixes, both directions, and random limits; cyclic
-// seeds additionally cover the bag-plan fallback.
+// seeds additionally cover the bag-plan fallback. A non-zero shape
+// picks a query of rankShapes instead of a random one.
 func FuzzRankedEquivalence(f *testing.F) {
-	f.Add(int64(1))
-	f.Add(int64(42))
-	f.Add(int64(-7))
-	f.Add(int64(2026))
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(42), uint8(0))
+	f.Add(int64(-7), uint8(0))
+	f.Add(int64(2026), uint8(0))
+	for k := range rankShapes {
+		f.Add(int64(k), uint8(k+1))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		q := randomQuery(rng, rng.Intn(4) != 0) // 1-in-4 seeds may be cyclic
-		db := randomDB(rng, 5, 9)
+		var q *cq.Query
+		var db *relstr.Structure
+		if k := int(shape) % (len(rankShapes) + 1); k > 0 {
+			q = cq.MustParse(rankShapes[k-1].src)
+			db = rankShapeDB(rng, randomDB(rng, 5, 9), 5, 6)
+		} else {
+			q = randomQuery(rng, rng.Intn(4) != 0) // 1-in-4 seeds may be cyclic
+			db = randomDB(rng, 5, 9)
+		}
 		p := NewPlan(q)
 
 		width := len(p.tb.Dist)
@@ -102,6 +140,87 @@ func FuzzRankedEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The rankShapes at their keys, against the oracle: both directions,
+// serial and parallel (tuned), and limits of one answer, a few answers
+// (the bounded selection: the first visit keeps at least eight rows
+// per requested answer), more than all answers, and none. Every call
+// takes the connex path. Isolated edges with the smallest and the
+// largest values extend to no chain, so a reduction not rooted at the
+// first visit would rank them first in one of the directions.
+func TestRankedShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	db := randomDB(rng, 12, 60)
+	rankShapeDB(rng, db, 12, 60)
+	for i := range 4 {
+		db.Add("E", -10-i, -20-i)
+		db.Add("E", 50+i, 60+i)
+	}
+	for i, sh := range rankShapes {
+		p := NewPlan(cq.MustParse(sh.src))
+		prog := p.rankProgramForSpec(RankSpec{Order: sh.order}.perm(len(p.tb.Dist)))
+		if prog == nil {
+			t.Fatalf("%s: no connex program", sh.src)
+		}
+		if first := prog.bp.steps[0].atom; i == 0 && (p.jt.Parent[first] == -1 || prog.sched == p.sched) {
+			t.Fatalf("%s: first visit %d is the join tree's root", sh.src, first)
+		}
+		all := len(rankedOracle(t, p, db, RankSpec{Order: sh.order}))
+		if all < 4 {
+			t.Fatalf("%s: only %d answers", sh.src, all)
+		}
+		for _, desc := range []bool{false, true} {
+			for _, limit := range []int{1, 3, all + 5, 0} {
+				spec := RankSpec{Order: sh.order, Desc: desc, Limit: limit}
+				want := rankedOracle(t, p, db, spec)
+				for _, par := range []int{1, 4} {
+					if got := collectRanked(t, p, relstr.Borrow(db), par, spec, par > 1); !equalOrdered(got, want) {
+						t.Fatalf("%s %+v par %d:\n  got  %v\n  want %v", sh.src, spec, par, got, want)
+					}
+				}
+			}
+		}
+		if st := p.IndexStats(); st.RankFallbacks != 0 {
+			t.Fatalf("%s: %d fallbacks", sh.src, st.RankFallbacks)
+		}
+	}
+}
+
+// Concurrent limited calls of one plan share its canonical program and
+// the search state it keeps between calls: each call must see only its
+// own (run under -race in CI's eval-race job).
+func TestRankedConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	db := randomDB(rng, 20, 120)
+	p := NewPlan(cq.MustParse("Q(x,y,z) :- E(x,y), E(y,z)"))
+	sn := relstr.NewSnapshot(db)
+	var specs []RankSpec
+	var wants [][]relstr.Tuple
+	for k := range 10 {
+		specs = append(specs, RankSpec{Desc: k%2 == 1, Limit: 1 + k/2})
+		wants = append(wants, rankedOracle(t, p, db, specs[k]))
+	}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				spec, want := specs[(w+i)%10], wants[(w+i)%10]
+				got, err := p.EvalRankedOn(context.Background(), sn, 1, spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !equalOrdered(got, want) {
+					t.Errorf("%+v: got %v, want %v", spec, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // The canonical classifier: connex exemplars stream, and the paper's
@@ -244,11 +363,13 @@ func TestRankedStopsAtCancel(t *testing.T) {
 	}
 }
 
-// Ranked views read non-root rows on their own, so streamRanked runs
-// the top-down pass as well. In Q(v0) :- E(v1,v0), E(v0,v1) the leaf
-// E(v1,v0) keeps the row (3,4) after the bottom-up pass although no
-// live root row agrees with it; without the top-down pass the
-// descending top 2 would be [(4) (3)] instead of [(3) (2)].
+// The bottom-up pass alone suffices only when it is rooted at the
+// first visit. In Q(v0) :- E(v1,v0), E(v0,v1) the first visit reads
+// v0 from its node's live rows; rooted anywhere else, the pass would
+// leave the row (3,4) live there although nothing agrees with it in the
+// other node, and the descending top 2 would be [(4) (3)] instead of
+// [(3) (2)]. Rooted at the first visit, every live row of its node
+// extends to an answer.
 func TestRankedNeedsTopDownPass(t *testing.T) {
 	db := relstr.New()
 	for _, e := range [][2]int{{2, 0}, {1, 1}, {1, 0}, {3, 4}, {2, 3}, {0, 2}, {3, 2}} {

@@ -44,13 +44,10 @@ func (a patom) distinctVars() []int {
 }
 
 // scheduleForAtoms derives the static program for a join forest of
-// atoms with the given parent links.
-func scheduleForAtoms(atoms []patom, parent []int) *schedule {
-	vars := make([][]int, len(atoms))
-	for i, a := range atoms {
-		vars[i] = a.distinctVars()
-	}
-	children := make([][]int, len(atoms))
+// atoms, whose distinct variables are vars, with the given parent
+// links.
+func scheduleForAtoms(vars [][]int, parent []int) *schedule {
+	children := make([][]int, len(vars))
 	for i, p := range parent {
 		if p >= 0 {
 			children[p] = append(children[p], i)
