@@ -22,7 +22,8 @@ type CountResult struct {
 	// Estimated reports whether sampling produced the result.
 	Estimated bool
 	// Mode names the path taken: "exact-dp" (multiplicity DP over the
-	// forest both semijoin passes reduced, no answer materialisation),
+	// forest the bottom-up semijoin pass reduced toward the node each
+	// count starts from, no answer materialisation),
 	// "exact-eval" (an acyclic plan's search, the one Eval runs over
 	// the bottom-up-reduced forest, its answers counted without being
 	// kept), "exact-enum" (the same count of a cyclic plan's bag

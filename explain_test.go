@@ -109,11 +109,11 @@ bag [0] v0 v1 v3: E(v0,v1) E(v3,v0)
 // TestEvalTraceChain3000 is the acceptance run: a traced evaluation
 // against the registered chain-3000 database must report non-zero
 // per-node row counts and a timed span for every phase it runs, within
-// the total. Every enumerating read runs the bottom-up pass alone:
-// every non-leaf node sees semijoin input, leaves see none, and no
-// top-down phase runs — for chain6, whose head lives in the root atom
-// (a direct plan), and for the full-head chain, whose search joins
-// across every node.
+// the total. Every read runs the one bottom-up pass: every non-leaf
+// node sees semijoin input and leaves see none — for chain6, whose head
+// lives in the root atom (a direct plan), and for the full-head chain,
+// whose search joins across every node — and an exact count reports
+// that pass and its count.
 func TestEvalTraceChain3000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3000-node database")
@@ -193,7 +193,6 @@ func TestEvalTraceChain3000(t *testing.T) {
 			t.Fatalf("%s: phases sum %d outside (0, total %d]", name, sum, tr.TotalNS)
 		}
 	}
-	// The direct plan runs no top-down pass.
 	phases("chain6", tr, "semijoin-down", "join", "project")
 
 	// Counting through the same binding carries its own trace.
@@ -207,6 +206,11 @@ func TestEvalTraceChain3000(t *testing.T) {
 	if res.Trace == nil || res.Trace.TotalNS <= 0 {
 		t.Fatalf("count trace missing: %+v", res.Trace)
 	}
+	// An exact DP count runs the same one pass, rooted at its core.
+	if res.Mode != "exact-dp" {
+		t.Fatalf("chain6 count mode %q, want exact-dp", res.Mode)
+	}
+	phases("chain6 count", res.Trace, "semijoin-down", "count")
 
 	// A plan that is not direct runs the same single pass.
 	full, err := e.PrepareExact(ctx, workload.FullChainQuery(3))

@@ -9,8 +9,9 @@
 //     plan's forest classifies as exactly countable (see eval's count
 //     schedule): unit trees, single-node distinct projections, and
 //     free-core multiplicity DPs, multiplied across trees over the
-//     forest both semijoin passes reduced (eval.PrepareCount). No
-//     answer tuple is ever materialised.
+//     forest the bottom-up semijoin pass reduced, rooted at the node
+//     each tree's count starts from (eval.PrepareCount). No answer
+//     tuple is ever materialised.
 //   - enumeration (eval.CountEnum): every other plan counts the
 //     distinct answers of the search Eval runs — no answer is kept
 //     beyond the search's dedup set, and nothing is sorted. The mode

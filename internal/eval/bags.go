@@ -120,12 +120,12 @@ type bagPlan struct {
 	reduced bool
 }
 
-// newBags starts a bag tree over atoms searching for head.
-func newBags(atoms []patom, head []int) *bagPlan {
-	bp := &bagPlan{atoms: atoms, avars: make([][]int, len(atoms)), head: head}
-	for i, a := range atoms {
-		bp.avars[i] = a.distinctVars()
-		for _, v := range bp.avars[i] {
+// newBags starts a bag tree over atoms, whose distinct variables are
+// avars, searching for head.
+func newBags(atoms []patom, avars [][]int, head []int) *bagPlan {
+	bp := &bagPlan{atoms: atoms, avars: avars, head: head}
+	for _, vs := range avars {
+		for _, v := range vs {
 			bp.numVars = max(bp.numVars, v+1)
 		}
 	}
@@ -139,7 +139,12 @@ func newBags(atoms []patom, head []int) *bagPlan {
 // decomposition of the tableau, rooted and merged as the package
 // comment describes.
 func decompose(tb *cq.Tableau) *bagPlan {
-	bp := newBags(atomList(tb.S), tb.Dist)
+	atoms := atomList(tb.S)
+	avars := make([][]int, len(atoms))
+	for i, a := range atoms {
+		avars[i] = a.distinctVars()
+	}
+	bp := newBags(atoms, avars, tb.Dist)
 	var verts []int                // dense vertex → variable
 	vid := make([]int, bp.numVars) // variable → dense vertex +1 (0: not seen)
 	addVar := func(v int) {
@@ -257,7 +262,7 @@ func decompose(tb *cq.Tableau) *bagPlan {
 // acyclic plan as a bag tree, each rooted at its node in roots: one bag
 // per node, holding the node's atom, in pre-order.
 func (p *Plan) joinTreeBags(head []int, roots ...int) *bagPlan {
-	bp := newBags(p.atoms, head)
+	bp := newBags(p.atoms, p.vars, head)
 	var walk func(i, from, parent int)
 	walk = func(i, from, parent int) {
 		b := len(bp.bags)

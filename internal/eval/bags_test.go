@@ -426,7 +426,7 @@ func TestStreamSearchReadsLiveRows(t *testing.T) {
 // matching child rows, twenty dangling root rows have none, and seven
 // child rows match no root row; the search must finish within a row
 // budget of the ten live root rows, and the child keeps its unmatched
-// rows (no top-down pass ran).
+// rows (the bottom-up pass never filters a child by its parent).
 func TestDirectSearchReadsRootOnly(t *testing.T) {
 	ctx := context.Background()
 	db := relstr.New()
@@ -455,7 +455,7 @@ func TestDirectSearchReadsRootOnly(t *testing.T) {
 		t.Fatalf("reduce: ok %v, err %v", ok, err)
 	}
 	if f.nodes[1].live != 37 {
-		t.Fatalf("S keeps %d live rows, want all 37: a direct plan runs no top-down pass", f.nodes[1].live)
+		t.Fatalf("S keeps %d live rows, want all 37: the bottom-up pass filters no child", f.nodes[1].live)
 	}
 	var got []relstr.Tuple
 	r := p.bags.forestRun(ctx, f, func(vals []int) bool {

@@ -17,16 +17,21 @@ import (
 )
 
 // Answer counting over the reduced forest. Counting the answers of an
-// acyclic CQ is #P-hard in general (projection is what hurts), but the
-// two-pass Yannakakis reduction leaves the forest globally consistent —
-// every surviving row extends to a full assignment of its tree — and on
+// acyclic CQ is #P-hard in general (projection is what hurts), but
+// after the bottom-up semijoin pass every live row extends to an
+// assignment of its subtree, and the live rows of each root are
+// exactly the rows that extend to an assignment of its whole tree. On
 // that invariant three exact cases become linear, decided per tree at
-// prepare time. Counting needs both passes where the search needs only
-// the bottom-up one: it reads non-root rows on their own — a pruned
-// core's DP starts below dangling existential subtrees, a countNode
-// projects a node that may sit below the root, a sampler weighs every
-// row — and a row the bottom-up pass leaves live need not agree with
-// any live row of its parent.
+// prepare time. Each count reads only the rows of the node it starts
+// from plus rows reached through matching child rows, so the pass is
+// rooted, per tree, at that node (countSchedule.sched): a countDP or
+// countNode tree at the top node of its pruned core — which sits below
+// the tree root when pruning removed a dangling existential root —
+// and every other tree at its root. A live row of a non-root node need
+// not agree with any live row of its parent, but no count reads such a
+// row on its own: a DP gives a row its number of extensions into the
+// subtree below it, and a sampler reaches a row only through a parent
+// row that extends.
 //
 //   - countUnit: the tree mentions no head variable. Its factor is 1
 //     (non-emptiness is already established by the reduction).
@@ -40,9 +45,10 @@ import (
 //
 // The pruning rule: repeatedly delete a leaf u whose head variables are
 // all shared with its unique neighbour. By the join-tree property u's
-// interface to the rest of the tree lies in that neighbour, and global
-// consistency guarantees every remaining row still extends through u —
-// so deleting u changes neither the head projection nor consistency.
+// interface to the rest of the tree lies in that neighbour, and once
+// the pass rooted at the core reduced u into the core every live core
+// row still extends through u — so deleting u changes the head
+// projection of no extending assignment.
 // This is a free-connex-style decomposition: when it bottoms out with
 // existential variables still interleaved between head variables
 // (countSample), exact counting is genuinely hard and the estimator
@@ -107,28 +113,47 @@ type countTree struct {
 
 // countSchedule is the static counting classification of a plan.
 type countSchedule struct {
-	trees []countTree
-	exact bool // no tree needs sampling
+	trees []countTree // aligned with the plan schedule's roots
+	exact bool        // no tree needs sampling
+	// sched is the counting pass: the plan's forest rooted at each
+	// tree's count root (the plan's schedule when no root moves).
+	sched *schedule
 }
 
-// newCountSchedule classifies every tree of the forest. vars are the
-// nodes' distinct-variable lists, parent the (re-rooted) forest links,
-// sched the evaluation schedule (for children/roots/column mappings),
-// head the query head (element ids, possibly repeated).
+// newCountSchedule classifies every tree of the forest and roots the
+// counting pass. vars are the nodes' distinct-variable lists, parent
+// the (re-rooted) forest links, sched the evaluation schedule (for
+// children/roots/column mappings), head the query head (element ids,
+// possibly repeated).
 func newCountSchedule(vars [][]int, parent []int, sched *schedule, head []int) *countSchedule {
 	headSet := map[int]bool{}
 	for _, v := range head {
 		headSet[v] = true
 	}
 	cs := &countSchedule{exact: true}
+	roots := make([]int, 0, len(sched.roots))
 	for _, r := range sched.roots {
 		t := buildCountTree(vars, parent, sched, headSet, r)
 		if t.kind == countSample {
 			cs.exact = false
 		}
 		cs.trees = append(cs.trees, t)
+		roots = append(roots, t.countRoot())
 	}
+	cs.sched = scheduleRootedAt(sched, vars, parent, roots)
 	return cs
+}
+
+// countRoot is the node the tree's count starts from, where the
+// counting pass roots the tree: the top of the pruned core for a DP or
+// a node count, whose live rows must be exactly the rows that extend;
+// the tree root otherwise (a sampler picks root rows in proportion to
+// their weight and descends through matching rows only).
+func (t *countTree) countRoot() int {
+	if t.kind == countDP || t.kind == countNode {
+		return t.core[len(t.core)-1]
+	}
+	return t.root
 }
 
 // downEdge finds the scheduled bottom-up step from child c into parent
@@ -287,8 +312,8 @@ func mulU64(a, b uint64) (uint64, bool) {
 // --- the per-call counting run -----------------------------------------
 
 // CountRun is the per-call state of one counting evaluation: the
-// reduced forest (both semijoin passes already run) plus lazily built
-// per-tree samplers. Exactly one of the Tree* accessors per tree is
+// forest reduced by the counting pass plus lazily built per-tree
+// samplers. Exactly one of the Tree* accessors per tree is
 // typically used; Close must be called when done (it folds the run's
 // counters into the plan).
 type CountRun struct {
@@ -299,11 +324,10 @@ type CountRun struct {
 	closed   bool
 }
 
-// PrepareCount runs the full two-pass Yannakakis reduction against sn
-// (both passes: the counting readers read non-root rows on their own,
-// see the comment at the top of this file) and returns the counting
-// state over the reduced forest; traced
-// attaches an execution trace (phases land in it as the run goes,
+// PrepareCount runs the bottom-up pass against sn, rooted at each
+// tree's count root (see the comment at the top of this file), and
+// returns the counting state over the reduced forest; traced attaches
+// an execution trace (phases land in it as the run goes,
 // TraceSnapshot renders it before Close). It fails with ErrNotAcyclic
 // on bag plans (counting those goes through CountEnum instead).
 func (p *Plan) PrepareCount(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (*CountRun, error) {
@@ -322,7 +346,7 @@ func (p *Plan) prepareCount(ctx context.Context, sn *relstr.Snapshot, parallel i
 	if traced {
 		f.trace = getExecTrace(len(f.nodes))
 	}
-	if err := f.runPasses(ctx, p.sched); err != nil {
+	if err := f.runDown(ctx, p.csched.sched); err != nil {
 		if tr := f.trace; tr != nil {
 			f.trace = nil
 			putExecTrace(tr)
@@ -407,10 +431,9 @@ func (r *CountRun) runDP(ctx context.Context, tree *countTree) (uint64, error) {
 	}
 	root := tree.core[len(tree.core)-1]
 	var total uint64
-	rc := cnt[root]
 	for _, w := range liveIDs(&r.f.nodes[root]) {
 		var ok bool
-		if total, ok = addU64(total, rc[w]); !ok {
+		if total, ok = addU64(total, cnt[root][w]); !ok {
 			return 0, ErrCountOverflow
 		}
 	}
@@ -422,9 +445,10 @@ func (r *CountRun) runDP(ctx context.Context, tree *countTree) (uint64, error) {
 // counts; dead rows keep count zero, so the index probe loops need no
 // liveness checks. The per-node loop is morsel-parallel over
 // word-aligned liveness ranges, exactly like the semijoin pass. It
-// returns every core node's per-row counts.
-func (f *forest) dpCounts(ctx context.Context, tree *countTree) (map[int][]uint64, error) {
-	cnt := map[int][]uint64{}
+// returns every core node's per-row counts, indexed by node (nil off
+// the core).
+func (f *forest) dpCounts(ctx context.Context, tree *countTree) ([][]uint64, error) {
+	cnt := make([][]uint64, len(f.nodes))
 	for k, i := range tree.core {
 		if err := cqerr.Check(ctx); err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -263,11 +264,13 @@ func TestCountNaiveFallback(t *testing.T) {
 	}
 }
 
-// The counting DP reads non-root rows on their own, so PrepareCount
-// runs the top-down pass as well. GYO roots this tree at Z, and the DP
-// prunes Z (its head variable y lies in B): the B and C rows with
-// y = 1 or 2 survive the bottom-up pass although no Z row agrees with
-// them, and a DP over them would count 12 answers instead of 4.
+// A pruned DP core can start below its tree root. GYO roots this tree
+// at Z, and the DP prunes Z (its head variable y lies in B): a pass
+// rooted at Z would leave the B and C rows with y = 1 or 2 live
+// although no Z row agrees with them, and a DP over them would count
+// 12 answers instead of 4. The counting pass is rooted at B, the top of
+// the core, which reduces Z into B. (The name recalls the top-down pass
+// that guarded this case before counts rooted their pass at the core.)
 func TestCountNeedsTopDownPass(t *testing.T) {
 	ctx := context.Background()
 	db := relstr.New()
@@ -285,6 +288,85 @@ func TestCountNeedsTopDownPass(t *testing.T) {
 			t.Fatalf("parallelism %d: count %d (err %v), want 4", par, n, err)
 		}
 	}
+}
+
+// TestQuickCountRootedAtCore holds the counting pass to its rooting:
+// every DP or node tree's count starts at the top of its pruned core,
+// which must root its tree in the counting schedule, and the exact
+// count must equal the reference evaluation's, serially and in
+// parallel with tuned thresholds. A hand-built plan first pins the
+// single-node core below its tree root: R–C–{L1, L2–M}, where R(a)
+// misses the head variable x and prunes into C, which holds it, so the
+// core is C alone; a pass rooted at R would leave C's rows with no R
+// partner live and count the x they carry.
+func TestQuickCountRootedAtCore(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, p *Plan, db *relstr.Structure) (moved int) {
+		t.Helper()
+		for ti := range p.csched.trees {
+			tree := &p.csched.trees[ti]
+			if tree.kind != countDP && tree.kind != countNode {
+				continue
+			}
+			top := tree.core[len(tree.core)-1]
+			if !slices.Contains(p.csched.sched.roots, top) {
+				t.Fatalf("%s: core top %d of tree %d is no root of the counting pass %v", name, top, ti, p.csched.sched.roots)
+			}
+			if top != tree.root {
+				moved++
+			}
+		}
+		want, err := p.EvalBaseline(ctx, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			if n, err := p.countForTest(ctx, relstr.Borrow(db), par); err != nil || n != uint64(len(want)) {
+				t.Fatalf("%s: parallelism %d: count %d (err %v), want %d", name, par, n, err, len(want))
+			}
+		}
+		return moved
+	}
+
+	q := cq.MustParse("Q(x) :- R(a), C(a,x,b,c), L1(x,b), L2(x,c,d), M(c,d)")
+	db := relstr.New()
+	db.Add("R", 1)
+	db.Add("M", 0, 0)
+	for k, a := range []int{1, 2, 1} {
+		x := 10 * (k + 1)
+		db.Add("C", a, x, 0, 0)
+		db.Add("L1", x, 0)
+		db.Add("L2", x, 0, 0)
+	}
+	p := NewPlan(q)
+	r := slices.IndexFunc(p.atoms, func(a patom) bool { return a.rel == "R" })
+	c := slices.IndexFunc(p.atoms, func(a patom) bool { return a.rel == "C" })
+	if p.jt.Parent[r] == -1 {
+		t.Fatalf("rerootForHead should root the tree at a node holding x: parents %v", p.jt.Parent)
+	}
+	check("head-rooted", p, db)
+	// Root the plan at R, as GYO could have, and rebuild its schedules.
+	p.jt.Parent = rerootAt(p.jt.Parent, forestAdj(p.jt.Parent), []int{r})
+	p.sched = scheduleForAtoms(p.vars, p.jt.Parent)
+	p.csched = newCountSchedule(p.vars, p.jt.Parent, p.sched, p.tb.Dist)
+	tree := &p.csched.trees[0]
+	if len(p.csched.trees) != 1 || tree.root != r || tree.kind != countNode || tree.node != c || len(p.sched.children[c]) != 2 {
+		t.Fatalf("want one node tree rooted at R counting C with two subtrees, got root %d kind %v node %d", tree.root, tree.kind, tree.node)
+	}
+	if check("R-rooted", p, db) != 1 {
+		t.Fatal("the R-rooted core did not start below its tree root")
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	moved := 0
+	for range 3000 {
+		q := randomQuery(rng, true)
+		moved += check(q.String(), NewPlan(q), randomDB(rng, 5, 9))
+	}
+	if moved == 0 {
+		t.Fatal("no random DP or node core started below its tree root")
+	}
+	t.Logf("%d random cores started below their tree root", moved)
 }
 
 // The sampler's normalising constant is the tree's full-join size and

@@ -83,42 +83,28 @@ func denseSteps(tr *execTrace) int64 {
 	return n
 }
 
-// stepBitmaps applies every step of both reduction passes to f and
-// returns the liveness words and live counts after each step.
+// stepBitmaps applies every step of the bottom-up pass of sched to f,
+// children before parents, and returns the liveness words and live
+// counts after each step.
 func stepBitmaps(f *forest, sched *schedule) [][]uint64 {
 	var out [][]uint64
-	record := func() {
-		var snap []uint64
-		for i := range f.nodes {
-			snap = append(snap, uint64(f.nodes[i].live))
-			snap = append(snap, f.nodes[i].words...)
-		}
-		out = append(out, snap)
-	}
-	var down, up func(i int)
+	var down func(i int)
 	down = func(i int) {
 		for _, c := range sched.children[i] {
 			down(c)
 		}
 		for _, st := range sched.downOf[i] {
 			f.semijoin(st)
-			record()
-		}
-	}
-	up = func(i int) {
-		for _, st := range sched.upOf[i] {
-			f.semijoin(st)
-			record()
-		}
-		for _, c := range sched.children[i] {
-			up(c)
+			var snap []uint64
+			for k := range f.nodes {
+				snap = append(snap, uint64(f.nodes[k].live))
+				snap = append(snap, f.nodes[k].words...)
+			}
+			out = append(out, snap)
 		}
 	}
 	for _, r := range sched.roots {
 		down(r)
-	}
-	for _, r := range sched.roots {
-		up(r)
 	}
 	return out
 }
@@ -145,8 +131,8 @@ func dpCountsOf(ctx context.Context, p *Plan, f *forest) []string {
 // morsels, once on the data as drawn and once with every value shifted
 // out of the dense bound, which keeps the row ids and forces the index
 // kernel. The liveness bitmaps must agree word for word after each
-// step, and so must the DP's per-row counts over the reduced forests.
-// The serial index run is the reference.
+// step of the counting pass, and so must the DP's per-row counts over
+// the reduced forests. The serial index run is the reference.
 func TestKernelParity(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -184,7 +170,7 @@ func TestKernelParity(t *testing.T) {
 			}
 			f := leg.forest(p, sn)
 			f.trace = getExecTrace(len(f.nodes))
-			got := stepBitmaps(f, p.sched)
+			got := stepBitmaps(f, p.csched.sched)
 			var dp []string
 			if !f.anyEmpty() {
 				dp = dpCountsOf(ctx, p, f)

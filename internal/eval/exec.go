@@ -21,13 +21,12 @@ import (
 //
 // Parallelism is morsel-driven: the probe loop of a semijoin step
 // splits its rows into fixed-size chunks (morselRows) claimed from an
-// atomic counter by up to `par` workers, and the two Yannakakis passes
-// additionally fan out across independent sibling subtrees.
+// atomic counter by up to `par` workers, and the bottom-up pass
+// additionally fans out across independent sibling subtrees.
 // Determinism is by construction: bitmap clearing is per-row
-// independent, so the liveness state after every pass is
-// byte-identical to a serial run's, except in the subtrees a serial
-// bottom-up pass skips below an emptied node (see down), whose tree
-// has no answer.
+// independent, so the liveness state after the pass is byte-identical
+// to a serial run's, except in the subtrees a serial pass skips below
+// an emptied node (see down), whose tree has no answer.
 
 const (
 	// morselRows is the fixed number of rows in one parallel work unit.
@@ -87,13 +86,14 @@ func fillAlive(words []uint64, n int) {
 
 // forest is the per-call state of one evaluation: the nodes and the
 // worker budget. Index-build and probe counters are atomics (parallel
-// sibling steps update them) folded into the plan totals by Plan.flush.
+// subtrees and morsels update them) folded into the plan totals by
+// Plan.flush.
 type forest struct {
 	nodes []execNode
 	par   int
 
 	// slots holds the par-1 extra-worker tokens of this evaluation.
-	// Every fan-out — sibling subtrees, sibling steps, morsels —
+	// Every fan-out — sibling subtrees, morsels —
 	// spawns a goroutine only while it can claim a token (the calling
 	// goroutine always participates without one), so the worker budget
 	// is a genuine global cap on the evaluation's concurrency even
@@ -355,39 +355,40 @@ func (k sjKernel) filter(t, s *execNode, lo, hi int) int {
 	return killed
 }
 
-// fanOut runs fns — independent units of tree-level work — spawning a
-// goroutine per fn only while an extra-worker token is free (the rest,
-// and always fns[0], run on the caller, so nested fan-outs stay within
-// the global budget). Every fn runs regardless of failures; the first
-// error (in fns order) is returned, so the outcome is deterministic.
-func (f *forest) fanOut(fns []func() error) error {
-	if f.par <= 1 || len(fns) <= 1 {
-		for _, fn := range fns {
-			if err := fn(); err != nil {
+// subtrees runs the bottom-up pass of the subtrees rooted at ids,
+// spawning a goroutine per subtree only while an extra-worker token is
+// free (the rest, and always ids[0], run on the caller, so nested
+// fan-outs stay within the global budget). Every subtree is reduced
+// regardless of failures; the first error (in ids order) is returned,
+// so the outcome is deterministic.
+func (f *forest) subtrees(ctx context.Context, sched *schedule, ids []int) error {
+	if f.par <= 1 || len(ids) <= 1 {
+		for _, i := range ids {
+			if err := f.down(ctx, sched, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, len(fns))
+	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
-	for i := 1; i < len(fns); i++ {
-		if f.tryWorker() {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer f.putWorker()
-				if tr := f.trace; tr != nil {
-					start := time.Now()
-					defer func() { tr.addWorker(time.Since(start)) }()
-				}
-				errs[i] = fns[i]()
-			}()
-		} else {
-			errs[i] = fns[i]()
+	for k := 1; k < len(ids); k++ {
+		if !f.tryWorker() {
+			errs[k] = f.down(ctx, sched, ids[k])
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer f.putWorker()
+			if tr := f.trace; tr != nil {
+				start := time.Now()
+				defer func() { tr.addWorker(time.Since(start)) }()
+			}
+			errs[k] = f.down(ctx, sched, ids[k])
+		}()
 	}
-	errs[0] = fns[0]()
+	errs[0] = f.down(ctx, sched, ids[0])
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -397,61 +398,20 @@ func (f *forest) fanOut(fns []func() error) error {
 	return nil
 }
 
-// subtrees runs one reduction pass (top-down when up is set) over the
-// subtrees rooted at ids, as fanOut runs its functions. Serial runs and
-// single subtrees recurse directly and build no closures.
-func (f *forest) subtrees(ctx context.Context, sched *schedule, ids []int, up bool) error {
-	if f.par <= 1 || len(ids) <= 1 {
-		for _, i := range ids {
-			if err := f.subtree(ctx, sched, i, up); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	fns := make([]func() error, len(ids))
-	for k, i := range ids {
-		fns[k] = func() error { return f.subtree(ctx, sched, i, up) }
-	}
-	return f.fanOut(fns)
-}
-
-// subtree runs the top-down (up) or bottom-up pass of i's subtree.
-func (f *forest) subtree(ctx context.Context, sched *schedule, i int, up bool) error {
-	if up {
-		return f.up(ctx, sched, i)
-	}
-	return f.down(ctx, sched, i)
-}
-
-// runPasses executes the schedule's two reduction passes over the
-// bitmaps, leaving the forest globally consistent: every live row of
-// every node extends to an assignment of its whole tree. Only
-// PrepareCount calls it: the counting DP and samplers read non-root
-// rows on their own. The search needs the bottom-up pass alone
-// (Plan.reduce), and ranked reads run that pass rooted at their first
-// visits (streamRanked). Independent
-// sibling subtrees run concurrently on a parallel forest: in the
-// bottom-up pass a node's steps only start after every child subtree
-// finished, and in the top-down pass the steps into distinct children
-// are themselves independent.
-func (f *forest) runPasses(ctx context.Context, sched *schedule) error {
-	if err := f.runDown(ctx, sched); err != nil {
-		return err
-	}
-	start := f.clock()
-	err := f.subtrees(ctx, sched, sched.roots, true)
-	f.lap("semijoin-up", start)
-	return err
-}
-
-// runDown executes the bottom-up pass alone. It leaves every live row
-// extending to an assignment of its subtree — each live root row to
-// one of its tree — and empties a root exactly when its tree has no
-// assignment. Every tree is reduced, even after another one emptied.
+// runDown executes the bottom-up pass, the forest's one reduction
+// pass. It leaves every live row extending to an assignment of its
+// subtree — each live root row to one of its tree — and empties a root
+// exactly when its tree has no assignment. Every tree is reduced, even
+// after another one emptied. A reader roots the pass at the node it
+// starts from (the schedule it passes): the search at the plan's roots
+// (Plan.reduce), a ranked read at its first visits (streamRanked), a
+// count at the node its count starts from (PrepareCount); only that
+// node's live rows are then exactly the rows that extend. Independent
+// sibling subtrees run concurrently on a parallel forest; a node's
+// steps start only after every child subtree finished.
 func (f *forest) runDown(ctx context.Context, sched *schedule) error {
 	start := f.clock()
-	err := f.subtrees(ctx, sched, sched.roots, false)
+	err := f.subtrees(ctx, sched, sched.roots)
 	f.lap("semijoin-down", start)
 	return err
 }
@@ -474,7 +434,7 @@ func (f *forest) down(ctx context.Context, sched *schedule, i int) error {
 				return nil
 			}
 		}
-	} else if err := f.subtrees(ctx, sched, kids, false); err != nil {
+	} else if err := f.subtrees(ctx, sched, kids); err != nil {
 		return err
 	}
 	if err := cqerr.Check(ctx); err != nil {
@@ -484,28 +444,4 @@ func (f *forest) down(ctx context.Context, sched *schedule, i int) error {
 		f.semijoin(st)
 	}
 	return nil
-}
-
-// up runs the top-down pass of i's subtree: i's steps filter distinct
-// children, so they fan out as sibling work; then the children's
-// subtrees recurse.
-func (f *forest) up(ctx context.Context, sched *schedule, i int) error {
-	if err := cqerr.Check(ctx); err != nil {
-		return err
-	}
-	steps := sched.upOf[i]
-	if f.par > 1 && len(steps) > 1 {
-		fns := make([]func() error, len(steps))
-		for k, st := range steps {
-			fns[k] = func() error { f.semijoin(st); return nil }
-		}
-		if err := f.fanOut(fns); err != nil {
-			return err
-		}
-	} else {
-		for _, st := range steps {
-			f.semijoin(st)
-		}
-	}
-	return f.subtrees(ctx, sched, sched.children[i], true)
 }

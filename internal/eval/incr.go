@@ -155,7 +155,7 @@ func (s *IncrState) initMaps() {
 		walk = func(i int) {
 			s.treeOf[i] = ti
 			s.seeded[i] = p.joinTreeBags(kept, i).compile(nil, i)
-			if k := len(sharedVars(p.atoms[i].distinctVars(), kept)); k > most {
+			if k := len(sharedVars(p.vars[i], kept)); k > most {
 				root, most = i, k
 			}
 			for _, c := range p.sched.children[i] {

@@ -49,9 +49,10 @@ type Plan struct {
 	mode PlanMode
 	// Yannakakis mode only:
 	atoms  []patom
+	vars   [][]int // per atom, its distinct variables (the view columns)
 	jt     hypergraph.JoinTree
 	sched  *schedule      // prepare-time index/probe program, reused per Eval
-	csched *countSchedule // prepare-time counting classification (see count.go)
+	csched *countSchedule // prepare-time counting classification and pass (see count.go)
 	// rerooted[i]: node i roots its tree only because rerootForHead
 	// reoriented it toward the head (Explain reports the decision).
 	rerooted []bool
@@ -171,21 +172,22 @@ func NewPlan(q *cq.Query) *Plan {
 		p.mode = PlanYannakakis
 		p.jt = jt
 		p.atoms = atomList(p.tb.S)
-		vars := make([][]int, len(p.atoms))
+		p.vars = make([][]int, len(p.atoms))
 		for i, a := range p.atoms {
-			vars[i] = a.distinctVars()
+			p.vars[i] = a.distinctVars()
 		}
 		// Re-root each tree of the forest at a node covering its head
 		// variables when one exists: the plan is then direct — the
 		// search reads only that node's rows, which the bottom-up pass
 		// alone finalises — instead of walking the tree.
-		p.jt.Parent = rerootForHead(jt.Parent, vars, p.tb.Dist)
+		p.jt.Parent = rerootForHead(jt.Parent, p.vars, p.tb.Dist)
 		p.rerooted = make([]bool, len(p.atoms))
 		for i := range p.atoms {
 			p.rerooted[i] = p.jt.Parent[i] == -1 && jt.Parent[i] != -1
 		}
-		p.sched = scheduleForAtoms(vars, p.jt.Parent)
-		p.csched = newCountSchedule(vars, p.jt.Parent, p.sched, p.tb.Dist)
+		p.sched = scheduleForAtoms(p.vars, p.jt.Parent)
+		// Counting roots its pass at the node each count starts from.
+		p.csched = newCountSchedule(p.vars, p.jt.Parent, p.sched, p.tb.Dist)
 		p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
 		// Classify the head's natural ascending key once: most ranked
 		// calls (and every limit-only call) use it, and Explain reports
@@ -314,7 +316,7 @@ func normPar(parallel int) int {
 
 // newForest builds the plan's per-call evaluation state against sn.
 func (p *Plan) newForest(sn *relstr.Snapshot, parallel int) *forest {
-	f := newForest(p.atoms, p.bags.avars, sn, normPar(parallel))
+	f := newForest(p.atoms, p.vars, sn, normPar(parallel))
 	if f.par > 1 {
 		p.stats.parEvals.Add(1)
 	}
@@ -525,9 +527,8 @@ func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, f *forest, emit 
 // search starts at the roots and reaches a child only through rows
 // agreeing with its parent's binding, so it never meets a dead end and
 // every existence check holds. Ranked reads run the same pass rooted
-// at their first visits (streamRanked); only PrepareCount, whose DP
-// and samplers read non-root rows on their own, runs the top-down
-// pass too (runPasses).
+// at their first visits (streamRanked), and counts rooted at the node
+// each count starts from (PrepareCount).
 func (p *Plan) reduce(ctx context.Context, f *forest) (bool, error) {
 	if err := f.runDown(ctx, p.sched); err != nil {
 		return false, err

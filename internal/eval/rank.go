@@ -97,11 +97,9 @@ type rankProgram struct {
 // so the deduplicated id sequence induces the same tuple order as the
 // full permutation.
 func dedupHeadIDs(head, perm []int) []int {
-	seen := map[int]bool{}
 	out := make([]int, 0, len(perm))
 	for _, p := range perm {
-		if v := head[p]; !seen[v] {
-			seen[v] = true
+		if v := head[p]; !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
@@ -110,12 +108,23 @@ func dedupHeadIDs(head, perm []int) []int {
 
 // rankProgramForSpec resolves the visit program for the spec's key:
 // the canonical (prepare-time) program when the key matches the head's
-// natural order, a freshly classified one otherwise. nil means the
+// natural order, a freshly classified one otherwise. An order that is a
+// prefix of the natural one resolves without allocating. nil means the
 // order is not tractable on this forest and the call must fall back.
 // Desc does not affect classification — a full reverse enumerates the
 // same program with flipped emit comparisons.
-func (p *Plan) rankProgramForSpec(perm []int) *rankProgram {
-	ids := dedupHeadIDs(p.tb.Dist, perm)
+func (p *Plan) rankProgramForSpec(spec RankSpec) *rankProgram {
+	natural := true
+	for k, pos := range spec.Order {
+		if pos != k {
+			natural = false
+			break
+		}
+	}
+	if natural {
+		return p.ranked
+	}
+	ids := dedupHeadIDs(p.tb.Dist, spec.perm(len(p.tb.Dist)))
 	if slices.Equal(ids, p.rankedIDs) {
 		return p.ranked
 	}
@@ -132,7 +141,7 @@ func (p *Plan) rankProgramForSpec(perm []int) *rankProgram {
 // is too. Returns nil when no program exists.
 func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 	n := len(p.atoms)
-	vars := p.bags.avars
+	vars := p.vars
 	adj := forestAdj(p.jt.Parent)
 	comp := make([]int, n)
 	for i := range comp {
@@ -247,7 +256,7 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 	if !try(0) {
 		return nil
 	}
-	prog := &rankProgram{sched: p.sched, keyWidth: 1}
+	prog := &rankProgram{keyWidth: 1}
 	var roots []int // each visited tree's first visit, which roots its pass
 	clear(treeVis)
 	for _, st := range steps {
@@ -257,9 +266,7 @@ func (p *Plan) buildRankProgram(orderIDs []int) *rankProgram {
 			roots = append(roots, st.atom)
 		}
 	}
-	if parent := rerootAt(p.jt.Parent, adj, roots); !slices.Equal(parent, p.jt.Parent) {
-		prog.sched = scheduleForAtoms(vars, parent)
-	}
+	prog.sched = scheduleRootedAt(p.sched, vars, p.jt.Parent, roots)
 	prog.bp = &bagPlan{atoms: p.atoms, avars: vars, head: p.tb.Dist, numVars: p.bags.numVars,
 		seed: -1, steps: slices.Clip(steps), lastHead: -1, numSteps: len(steps), reduced: true}
 	return prog
@@ -470,10 +477,9 @@ func sortAnswersBy(ts []relstr.Tuple, perm []int, desc bool) {
 // tuned lowers the parallel thresholds so tiny test inputs drive the
 // morsel machinery.
 func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, tuned, traced bool, emit func([]int) bool) (*obs.ExecTrace, error) {
-	perm := spec.perm(len(p.tb.Dist))
 	var prog *rankProgram
 	if p.mode == PlanYannakakis {
-		prog = p.rankProgramForSpec(perm)
+		prog = p.rankProgramForSpec(spec)
 	}
 	if prog == nil {
 		p.stats.rankFallbacks.Add(1)
@@ -481,7 +487,7 @@ func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel i
 		if err != nil {
 			return tr, err
 		}
-		sortAnswersBy(ans, perm, spec.Desc)
+		sortAnswersBy(ans, spec.perm(len(p.tb.Dist)), spec.Desc)
 		for i, t := range ans {
 			if spec.Limit > 0 && i >= spec.Limit {
 				break

@@ -159,7 +159,7 @@ func TestRankedShapes(t *testing.T) {
 	}
 	for i, sh := range rankShapes {
 		p := NewPlan(cq.MustParse(sh.src))
-		prog := p.rankProgramForSpec(RankSpec{Order: sh.order}.perm(len(p.tb.Dist)))
+		prog := p.rankProgramForSpec(RankSpec{Order: sh.order})
 		if prog == nil {
 			t.Fatalf("%s: no connex program", sh.src)
 		}

@@ -1,12 +1,14 @@
 package eval
 
 // The schedule is the static half of the semijoin reduction: every
-// column mapping the two Yannakakis passes need — which columns key
-// each semijoin probe — depends only on the join tree and the atoms'
+// column mapping the bottom-up pass needs — which columns key each
+// semijoin probe — depends only on the rooted join tree and the atoms'
 // variable lists, never on the data. A Plan therefore computes its
-// schedule once at prepare time (NewPlan) and every evaluation replays
-// it against per-database indexes; the answers are then enumerated by
-// the bag search over the reduced forest (bags.go).
+// schedules once at prepare time (NewPlan) — the search's, and one per
+// reader that roots the pass elsewhere (ranked programs, counting) —
+// and every evaluation replays one against per-database indexes; the
+// answers are then enumerated by the bag search over the reduced forest
+// (bags.go).
 
 // sjStep is one semijoin reduction step: filter target's rows to those
 // matching source on the aligned column pairs (tCols[k] in the target
@@ -20,7 +22,6 @@ type sjStep struct {
 type schedule struct {
 	children [][]int    // forest shape, for the executor's subtree fan-out
 	downOf   [][]sjStep // bottom-up steps into each node, one per child
-	upOf     [][]sjStep // top-down steps out of each node, one per child
 	roots    []int
 }
 
@@ -45,7 +46,6 @@ func newSchedule(vars [][]int, parent []int, children [][]int) *schedule {
 	sc := &schedule{
 		children: children,
 		downOf:   make([][]sjStep, len(vars)),
-		upOf:     make([][]sjStep, len(vars)),
 	}
 	for i := range vars {
 		if parent[i] == -1 {
@@ -54,8 +54,6 @@ func newSchedule(vars [][]int, parent []int, children [][]int) *schedule {
 		for _, c := range children[i] {
 			tc, scols := sharedCols(vars[i], vars[c])
 			sc.downOf[i] = append(sc.downOf[i], sjStep{target: i, source: c, tCols: tc, sCols: scols})
-			tc, scols = sharedCols(vars[c], vars[i])
-			sc.upOf[i] = append(sc.upOf[i], sjStep{target: c, source: i, tCols: tc, sCols: scols})
 		}
 	}
 	return sc

@@ -20,11 +20,10 @@ import (
 //
 // Counter concurrency matches the executor's structure: a node is the
 // *target* of semijoin steps from exactly one goroutine at a time (the
-// bottom-up steps into a node run serially after its child barrier;
-// the top-down pass targets each child once), but per-node counters
-// are atomics anyway — index builds/probes can be attributed from
-// concurrently fanned-out sibling steps, and the cost only exists
-// while tracing is on.
+// bottom-up steps into a node run serially after its child barrier),
+// but per-node counters are atomics anyway — index builds/probes can be
+// attributed from concurrently fanned-out sibling subtrees and
+// morsels, and the cost only exists while tracing is on.
 
 // execTrace is the pooled per-call trace frame.
 type execTrace struct {
@@ -241,7 +240,7 @@ func (p *Plan) Explain() *obs.PlanExplain {
 				Needed: needed[i],
 				Direct: len(head) == 1 && head[0] == i,
 			}
-			for _, v := range p.atoms[i].distinctVars() {
+			for _, v := range p.vars[i] {
 				ne.Vars = append(ne.Vars, fmt.Sprintf("v%d", v))
 			}
 			te.Nodes = append(te.Nodes, ne)

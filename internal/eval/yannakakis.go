@@ -55,3 +55,17 @@ func scheduleForAtoms(vars [][]int, parent []int) *schedule {
 	}
 	return newSchedule(vars, parent, children)
 }
+
+// scheduleRootedAt returns the schedule of the forest with parent links
+// parent, whose own schedule is sched, re-rooted so that each node of
+// roots (at most one per tree) roots its tree; trees holding none keep
+// their root. It returns sched itself when every node of roots is a
+// root already.
+func scheduleRootedAt(sched *schedule, vars [][]int, parent, roots []int) *schedule {
+	for _, r := range roots {
+		if parent[r] != -1 {
+			return scheduleForAtoms(vars, rerootAt(parent, forestAdj(parent), roots))
+		}
+	}
+	return sched
+}

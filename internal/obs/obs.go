@@ -16,11 +16,11 @@ import (
 )
 
 // Phase is one named timed span of a prepare or an evaluation. Prepare
-// phases: parse, minimize, search, plan. Eval phases: semijoin-down,
-// join (the answer search over the bottom-up-reduced forest) and
-// project (cutting the collected answers into tuples and sorting
-// them); counting by DP or sampler adds semijoin-up (those counts read
-// a forest reduced by both passes), count and count-estimate.
+// phases: parse, minimize, search, plan. Eval phases: semijoin-down
+// (the one, bottom-up reduction pass), join (the answer search over
+// the reduced forest) and project (cutting the collected answers into
+// tuples and sorting them); ranked reads report ranked (the ordered
+// search), and counting by DP or sampler count and count-estimate.
 type Phase struct {
 	Name string `json:"name"`
 	NS   int64  `json:"ns"`

@@ -195,13 +195,7 @@ func TestStreamLimit(t *testing.T) {
 		t.Fatalf("server produced %d answers past the limit of 5", n)
 	}
 	tr.CloseIdleConnections()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before request, %d after limited stream", baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, baseline)
 }
 
 // A ranked stream delivers the key order on the wire, truncated at

@@ -365,6 +365,20 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 }
 
+// waitGoroutines polls until the process runs no more goroutines than
+// baseline, the count taken before a test started its requests, and
+// fails after 10 s with both counts.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d still running", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // The register-once database flow: POST /v1/db freezes a snapshot,
 // eval/eval-bool/stream address it by name without re-shipping data,
 // results match the inline path exactly, and /v1/stats exposes the

@@ -183,13 +183,7 @@ func streamDisconnect(t *testing.T, req api.EvalRequest) {
 		t.Fatalf("server produced %d of %d answers, want 1: the disconnect came at answer 1", n, longPathAnswers)
 	}
 	tr.CloseIdleConnections()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before request, %d after disconnect", baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, baseline)
 }
 
 // A deadline expiring mid-stream truncates the NDJSON body with a

@@ -356,13 +356,7 @@ func TestSubscribeTeardownNoLeak(t *testing.T) {
 	conns[3].resp.Body.Close()
 
 	tr.CloseIdleConnections()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before subscribing, %d after teardown", baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, baseline)
 }
 
 // The typed client round-trips a subscription: init frame, a pushed

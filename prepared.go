@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 
 	"cqapprox/internal/eval"
 	"cqapprox/internal/obs"
@@ -151,24 +152,16 @@ func (p *PreparedQuery) rankSpec(cfg *optConfig) (eval.RankSpec, error) {
 	if len(cfg.order) == 0 {
 		return spec, nil
 	}
-	head := p.src.Head
-	seen := map[string]bool{}
-	for _, name := range cfg.order {
-		if seen[name] {
+	spec.Order = make([]int, len(cfg.order))
+	for k, name := range cfg.order {
+		if slices.Contains(cfg.order[:k], name) {
 			return spec, fmt.Errorf("%w: %q named twice", ErrBadOrder, name)
 		}
-		seen[name] = true
-		pos := -1
-		for i, h := range head {
-			if h == name {
-				pos = i
-				break
-			}
-		}
+		pos := slices.Index(p.src.Head, name)
 		if pos == -1 {
 			return spec, fmt.Errorf("%w: %q is not a head variable of %s", ErrBadOrder, name, p.src.Name)
 		}
-		spec.Order = append(spec.Order, pos)
+		spec.Order[k] = pos
 	}
 	return spec, nil
 }
