@@ -6,11 +6,15 @@ package cqapprox
 // (IncrementalEval.Advance) versus re-evaluating the bound query from
 // scratch on the changed snapshot — same query, same database, same
 // change. Both legs run against the same pair of pre-forked snapshots
-// (base, base plus one fact) with warm index caches, so the
-// copy-on-write fork — infrastructure either strategy pays identically
-// per update — stays out of both timers and the comparison isolates
-// the re-evaluation work. Each iteration alternates the insert and
-// the delete direction so every advance does real work. Tracked in the
+// (base, base plus one fact) with warm index caches, so the Delta and
+// FullReeval rows isolate the propagation and re-evaluation work. Each
+// iteration alternates the insert and the delete direction so every
+// advance does real work. The WriteRead row times the whole write path
+// instead, fork included: a registered database takes one insert and
+// one delete per iteration, each forked by Engine.ApplyDB and
+// propagated to a chain3 subscription, and then serves the TW(1)
+// approximation of the free 4-cycle on the new version — the engine
+// side of one perfbench update_live op, without HTTP. Tracked in the
 // committed BENCH_eval.json baseline and gated by CI's benchcheck;
 // TestIncrementalEvalSingleTupleSequence and FuzzIncrementalEquivalence
 // assert the diff-vs-oracle equivalence.
@@ -18,6 +22,7 @@ package cqapprox
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"cqapprox/internal/workload"
@@ -113,6 +118,92 @@ func BenchmarkIncrementalEval(b *testing.B) {
 	b.Run(fmt.Sprintf("Delta/chain3-edge/N%d", n), func(b *testing.B) {
 		benchAdvance(b, cases[0], db0, db1, del, ins)
 	})
+
+	b.Run(fmt.Sprintf("WriteRead/chain3+cycle4/N%d", n), func(b *testing.B) {
+		benchWriteRead(b, raw, n)
+	})
+}
+
+// benchWriteRead times, per iteration, one insert and one delete of E
+// on a registered copy of raw — each forked by ApplyDB and advanced
+// through a chain3 subscription — and then the TW(1) read of the free
+// 4-cycle on the resulting version. Each iteration inserts an edge
+// absent at that point and deletes a present one, so E keeps its size.
+func benchWriteRead(b *testing.B, raw *Structure, n int) {
+	ctx := context.Background()
+	eng := NewEngine()
+	db, _, err := eng.RegisterDB("live", raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chain, err := eng.PrepareExact(ctx, MustParse("Q(x0) :- E(x0,x1), E(x1,x2), E(x2,x3)"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	read, err := eng.Prepare(ctx, workload.CycleQueryFree(4), TW(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := read.Bind(db).Eval(ctx); err != nil { // warm the read's indexes
+		b.Fatal(err)
+	}
+	ie, err := chain.Bind(db).Incremental(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := newEdgeChurn(raw, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ins, del := ops.next()
+		for _, d := range []*Delta{NewDelta().Insert("E", ins[0], ins[1]), NewDelta().Delete("E", del[0], del[1])} {
+			up, err := eng.ApplyDB("live", d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ie.Advance(ctx, up.Next, up.Delta); err != nil {
+				b.Fatal(err)
+			}
+			db = up.Next
+		}
+		if _, err := read.Bind(db).Eval(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// edgeChurn draws a deterministic stream of (insert, delete) edge
+// pairs over nodes 0..n-1: each insert is absent and each delete
+// present at its point in the stream.
+type edgeChurn struct {
+	rng     *rand.Rand
+	n       int
+	edges   [][2]int
+	present map[[2]int]bool
+}
+
+func newEdgeChurn(s *Structure, n int) *edgeChurn {
+	c := &edgeChurn{rng: rand.New(rand.NewSource(1)), n: n, present: map[[2]int]bool{}}
+	for _, t := range s.Tuples("E") {
+		e := [2]int{t[0], t[1]}
+		c.present[e] = true
+		c.edges = append(c.edges, e)
+	}
+	return c
+}
+
+func (c *edgeChurn) next() (ins, del [2]int) {
+	for {
+		ins = [2]int{c.rng.Intn(c.n), c.rng.Intn(c.n)}
+		if ins[0] != ins[1] && !c.present[ins] {
+			break
+		}
+	}
+	k := c.rng.Intn(len(c.edges))
+	del = c.edges[k]
+	c.edges[k] = ins
+	delete(c.present, del)
+	c.present[ins] = true
+	return ins, del
 }
 
 // benchAdvance times IncrementalEval.Advance alternating db0 -> db1 by

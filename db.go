@@ -17,9 +17,10 @@ import (
 // name with Engine.RegisterDB so requests can refer to it without
 // re-shipping the data.
 //
-// Databases are immutable: Update applies a change set copy-on-write
-// and returns a new snapshot that keeps sharing the rows, views and
-// warm indexes of every untouched relation.
+// Databases are immutable: Update applies a change set in time
+// proportional to the change and returns a new snapshot that shares
+// every untouched relation, and the rows and warm indexes of every
+// touched one.
 type Database struct {
 	name string
 	snap *relstr.Snapshot
@@ -77,9 +78,13 @@ func (d *Database) Size() int { return d.snap.Size() }
 // accumulate the activity of every sharer.
 func (d *Database) Stats() SnapshotStats { return d.snap.Stats() }
 
-// Update forks a new snapshot with delta applied, copy-on-write:
-// untouched relations share rows and warm indexes with d. The fork
-// carries d's name but is not registered anywhere — use
+// Update forks a new snapshot with delta applied, in time proportional
+// to the delta: untouched relations share rows, views and warm indexes
+// with d; a touched relation shares d's rows (deleted facts are marked
+// dead, inserted ones appended) and extends d's indexes over the new
+// rows when a query first probes them. Evaluations of the fork return
+// exactly what they return on a fresh snapshot of the same facts. The
+// fork carries d's name but is not registered anywhere — use
 // Engine.UpdateDB to update a registered database in place.
 func (d *Database) Update(delta *Delta) (*Database, error) {
 	next, err := d.snap.Update(delta)
@@ -89,9 +94,10 @@ func (d *Database) Update(delta *Delta) (*Database, error) {
 	return &Database{name: d.name, snap: next}, nil
 }
 
-// Contents returns a mutable deep copy of the snapshot's facts (the
-// snapshot itself stays immutable).
-func (d *Database) Contents() *Structure { return d.snap.Structure().Clone() }
+// Contents returns a mutable deep copy of the snapshot's facts, each
+// relation's tuples in the order a structure built by replaying the
+// same changes keeps (the snapshot itself stays immutable).
+func (d *Database) Contents() *Structure { return d.snap.Contents() }
 
 // --- engine registry ---------------------------------------------------
 
@@ -203,7 +209,7 @@ func (e *Engine) ApplyDB(name string, delta *Delta) (*DBUpdate, error) {
 	}
 	// The fork runs under the registry lock, so concurrent UpdateDB
 	// calls on one name serialize and neither update is lost. The fork
-	// only copies the touched relations, and the registry lock is not
+	// costs the delta, and the registry lock is not
 	// the engine's cache lock: prepare traffic proceeds in parallel,
 	// as do evaluations against the current snapshot.
 	prev := el.Value.(*dbEntry).db

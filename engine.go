@@ -49,9 +49,10 @@ type Engine struct {
 
 	// The database registry: named snapshots with persistent shared
 	// indexes (see RegisterDB in db.go). Bounded by maxDBs with LRU
-	// eviction. Guarded by its own mutex so registry traffic — in
-	// particular an UpdateDB copy-on-write fork, which is O(touched
-	// relation) — never stalls prepare-cache hits or vice versa.
+	// eviction. Guarded by its own mutex so registry traffic never
+	// stalls prepare-cache hits or vice versa. An UpdateDB fork under
+	// it costs the delta (plus, once the delta's relations pass their
+	// compaction share, a copy of their live rows), not the relation.
 	dbMu         sync.Mutex
 	maxDBs       int
 	dbs          map[string]*list.Element // name → element in dbLRU (Value: *dbEntry)

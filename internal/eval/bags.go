@@ -787,6 +787,9 @@ func (r *bagRun) probe(st *bagStep) *bagProbe {
 		v = atomView(r.sn, r.bp.atoms[st.atom])
 		r.views[st.atom] = v
 	}
+	if sp.live == nil {
+		sp.live = v.Live() // no forest: the view's own liveness
+	}
 	if len(st.bound) == 0 {
 		return sp
 	}

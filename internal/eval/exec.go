@@ -161,8 +161,9 @@ func (f *forest) morselWordSize() int {
 }
 
 // newForest builds the evaluation state for a schedule's atoms, whose
-// distinct variables are vars, against sn: one atom view plus an
-// all-alive bitmap per node. The bitmaps come from one slab allocation
+// distinct variables are vars, against sn: one atom view plus a bitmap
+// per node seeded from the view's liveness (a snapshot version's
+// deleted rows start dead). The bitmaps come from one slab allocation
 // across all nodes.
 func newForest(atoms []patom, vars [][]int, sn *relstr.Snapshot, par int) *forest {
 	f := &forest{nodes: make([]execNode, len(atoms)), par: par}
@@ -170,18 +171,21 @@ func newForest(atoms []patom, vars [][]int, sn *relstr.Snapshot, par int) *fores
 	for i, a := range atoms {
 		v := atomView(sn, a)
 		rows := v.Rows()
-		f.nodes[i] = execNode{rows: rows, vars: vars[i], view: v, live: len(rows)}
+		f.nodes[i] = execNode{rows: rows, vars: vars[i], view: v, live: v.Len()}
 		total += (len(rows) + 63) / 64
 	}
 	slab := make([]uint64, total)
 	off := 0
 	for i := range f.nodes {
-		n := f.nodes[i].live
-		w := (n + 63) / 64
-		words := slab[off : off+w : off+w]
+		n := &f.nodes[i]
+		w := (len(n.rows) + 63) / 64
+		n.words = slab[off : off+w : off+w]
 		off += w
-		fillAlive(words, n)
-		f.nodes[i].words = words
+		if live := n.view.Live(); live != nil {
+			copy(n.words, live)
+		} else {
+			fillAlive(n.words, len(n.rows))
+		}
 	}
 	f.initSlots()
 	return f

@@ -78,7 +78,7 @@ type IncrState struct {
 	budget int
 
 	version uint64
-	answers Answers // sorted, deduplicated; rebuilt (never mutated) per Apply
+	answers Answers // sorted, deduplicated; replaced (never mutated) by an Apply that changes it
 
 	// Yannakakis-mode factored state (nil for bag plans, which
 	// always fall back):
@@ -307,7 +307,6 @@ type effChange struct {
 }
 
 func (s *IncrState) effective(d *relstr.Delta, oldSn, newSn *relstr.Snapshot) []effChange {
-	oldS, newS := oldSn.Structure(), newSn.Structure()
 	var out []effChange
 	for _, name := range d.Touched() {
 		if len(s.relNodes[name]) == 0 {
@@ -315,12 +314,12 @@ func (s *IncrState) effective(d *relstr.Delta, oldSn, newSn *relstr.Snapshot) []
 		}
 		var ins, del relstr.TupleSet
 		for _, t := range d.Inserts(name) {
-			if !oldS.Has(name, t...) && newS.Has(name, t...) {
+			if !oldSn.Has(name, t...) && newSn.Has(name, t...) {
 				ins.AddCopy(t)
 			}
 		}
 		for _, t := range d.Deletes(name) {
-			if oldS.Has(name, t...) && !newS.Has(name, t...) {
+			if oldSn.Has(name, t...) && !newSn.Has(name, t...) {
 				del.AddCopy(t)
 			}
 		}
@@ -373,8 +372,14 @@ func (s *IncrState) applyTree(ctx context.Context, ti int, eff []effChange, oldS
 	sortRows(removed)
 	addedAns := s.compose(ti, added)
 	removedAns := s.compose(ti, removed)
-	s.contribs[ti] = mergeRows(s.contribs[ti], added, removed)
-	s.answers = mergeRows(s.answers, addedAns, removedAns)
+	// A side with nothing to add or delete keeps its slice: mergeRows
+	// never mutates its base, and Answers is shared read-only.
+	if len(added)+len(removed) > 0 {
+		s.contribs[ti] = mergeRows(s.contribs[ti], added, removed)
+	}
+	if len(addedAns)+len(removedAns) > 0 {
+		s.answers = mergeRows(s.answers, addedAns, removedAns)
+	}
 	s.version = newSn.Version()
 	return &IncrDiff{Added: addedAns, Removed: removedAns}, nil
 }

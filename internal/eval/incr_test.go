@@ -3,10 +3,12 @@ package eval
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/relstr"
@@ -122,6 +124,65 @@ func TestIncrEmptyDeltaNoOp(t *testing.T) {
 	}
 	if diff.Fallback || len(diff.Added)+len(diff.Removed) != 0 {
 		t.Fatalf("empty delta diff = %+v", diff)
+	}
+}
+
+// An Apply whose effective delta changes no answer copies neither the
+// answer set nor the tree's contribution: the state keeps its slices,
+// and the pair of Applies below allocates about as often at 200×200
+// answers as at 20×20, and far fewer bytes than one copy of the
+// answers.
+func TestIncrEmptyDiffSharesAnswers(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlan(cq.MustParse("Q(x,w) :- E(x,y), F(y,w)"))
+	var allocs [2]float64
+	for k, n := range []int{20, 200} {
+		db := relstr.New()
+		for i := 0; i < n; i++ {
+			db.Add("E", i, 0)
+			db.Add("F", 0, i)
+		}
+		sn := relstr.NewSnapshot(db)
+		s, err := p.NewIncrState(ctx, sn, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// n+5 has no F edge: inserting and deleting E(0, n+5) is an
+		// effective change with no answer behind it.
+		ins := relstr.NewDelta().Insert("E", 0, n+5)
+		del := relstr.NewDelta().Delete("E", 0, n+5)
+		sn1, err := sn.Update(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans := s.Answers()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs[k] = testing.AllocsPerRun(runs, func() {
+			for _, step := range []struct {
+				d        *relstr.Delta
+				from, to *relstr.Snapshot
+			}{{ins, sn, sn1}, {del, sn1, sn}} {
+				diff, err := s.Apply(ctx, step.d, step.from, step.to)
+				if err != nil || diff.Fallback || len(diff.Added)+len(diff.Removed) != 0 {
+					t.Fatalf("diff %+v, err %v", diff, err)
+				}
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if got := s.Answers(); len(got) != n*n || &got[0] != &ans[0] {
+			t.Fatalf("n=%d: an Apply that changed no answer copied the answer set", n)
+		}
+		perPair := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		if copyBytes := uint64(n * n * int(unsafe.Sizeof(relstr.Tuple{}))); n == 200 && perPair > copyBytes/8 {
+			t.Fatalf("n=%d: an empty-diff Apply pair allocates %d bytes; one copy of the answers is %d", n, perPair, copyBytes)
+		}
+	}
+	// Pooled search state makes the count wobble (the race detector
+	// drops pooled items at random); a copy per answer would multiply it.
+	if allocs[1] > 2*allocs[0] {
+		t.Fatalf("an empty-diff Apply pair allocates %v times at 200×200 answers, %v at 20×20", allocs[1], allocs[0])
 	}
 }
 
@@ -607,7 +668,7 @@ func incrEquivalence(t *testing.T, seed int64, par int) {
 		if !sameAnswers(s.Answers(), fresh) {
 			t.Fatalf("seed %d step %d: maintained %v, fresh %v, q=%v", seed, step, s.Answers(), fresh, q)
 		}
-		structFresh, err := p.EvalOn(ctx, relstr.Borrow(next.Structure()), 1)
+		structFresh, err := p.EvalOn(ctx, relstr.Borrow(next.Contents()), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

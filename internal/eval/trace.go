@@ -109,7 +109,7 @@ func (tr *execTrace) snapshot(p *Plan, f *forest, total time.Duration) *obs.Exec
 		out.Nodes[i] = obs.NodeTrace{
 			ID:          i,
 			Atom:        atomString(p.atoms[i]),
-			Rows:        len(f.nodes[i].rows),
+			Rows:        f.nodes[i].view.Len(),
 			Live:        f.nodes[i].live,
 			SemijoinIn:  c.in.Load(),
 			SemijoinOut: c.out.Load(),

@@ -131,8 +131,7 @@ func (s *TupleSet) insert(t Tuple) {
 // Remove deletes t if present, reporting whether it was removed.
 // Removal preserves the insertion order of the remaining tuples. Row
 // ids above the removed row shift down by one, so the bucket links are
-// renumbered in place — two linear int passes, no rehashing (this
-// keeps single-tuple deletes on copy-on-write snapshot forks cheap).
+// renumbered in place — two linear int passes, no rehashing.
 func (s *TupleSet) Remove(t []int) bool {
 	if len(s.rows) == 0 {
 		return false
@@ -163,19 +162,6 @@ func (s *TupleSet) Remove(t []int) bool {
 		}
 	}
 	return true
-}
-
-// fork returns a copy of s that shares tuple storage: rows, bucket
-// table and chain links are copied wholesale, so a fork costs a few
-// memcpys instead of len(rows) hash inserts. Mutating the fork leaves
-// s untouched.
-func (s *TupleSet) fork() TupleSet {
-	return TupleSet{
-		rows: append([]Tuple(nil), s.rows...),
-		head: append([]int32(nil), s.head...),
-		next: append([]int32(nil), s.next...),
-		mask: s.mask,
-	}
 }
 
 // grow doubles the bucket table (at least to a small minimum) and

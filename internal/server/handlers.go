@@ -173,9 +173,10 @@ func (s *Server) resolve(ctx context.Context, req api.EvalRequest) (p *cqapprox.
 // the one-time indexing cost that later eval-by-name requests amortize
 // — or, when the request carries a delta instead of a database,
 // applies the change set copy-on-write to the existing registration.
-// The structure build / snapshot fork is data-sized work, so the
-// request holds an eval admission slot like the other data-touching
-// endpoints (taken after the decode, as everywhere else). Every
+// The structure build is data-sized work, so the request holds an eval
+// admission slot like the other data-touching endpoints (taken after
+// the decode, as everywhere else); a delta, whose fork costs the delta,
+// takes one too. Every
 // successful change is published to the name's /v1/subscribe watchers:
 // deltas carry the atomic (prev, next, delta) link so subscriptions
 // advance incrementally, replacements force a resynchronising
