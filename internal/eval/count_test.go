@@ -140,6 +140,32 @@ func FuzzCountEquivalence(f *testing.F) {
 				}
 			}
 		}
+		// The randomCoreQuery leg, drawn after the others so the existing
+		// seeds keep their queries: counts that often start below the
+		// plan's tree root, on the structure and relabelled snapshots.
+		kq := randomCoreQuery(rng)
+		cdb := randomCoreDB(rng, 5, 9)
+		cp := NewPlan(kq)
+		cwant, err := cp.EvalBaseline(ctx, cdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identity := []struct {
+			name string
+			f    func(int) int
+		}{{"snapshot", func(v int) int { return v }}}
+		for _, lb := range append(identity, fallbackLabels...) {
+			msrc := relstr.NewSnapshot(relabel(cdb, lb.f))
+			for _, par := range []int{1, 4} {
+				got, err := cp.countForTest(ctx, msrc, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != uint64(len(cwant)) {
+					t.Fatalf("core-leg count(%s, par=%d) = %d, want %d\n  q=%v", lb.name, par, got, len(cwant), kq)
+				}
+			}
+		}
 	})
 }
 
@@ -148,17 +174,25 @@ func TestQuickCountMatchesEval(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		// Both legs: randomQuery, then randomCoreQuery, whose counts
+		// often start below the plan's tree root.
 		q := randomQuery(rng, true)
 		db := randomDB(rng, 5, 9)
-		p := NewPlan(q)
-		want, err := p.EvalBaseline(ctx, db)
-		if err != nil {
-			return false
-		}
-		for _, par := range []int{1, 4} {
-			got, err := p.countForTest(ctx, relstr.Borrow(db), par)
-			if err != nil || got != uint64(len(want)) {
+		coreQ := randomCoreQuery(rng)
+		for _, c := range []struct {
+			q  *cq.Query
+			db *relstr.Structure
+		}{{q, db}, {coreQ, randomCoreDB(rng, 5, 9)}} {
+			p := NewPlan(c.q)
+			want, err := p.EvalBaseline(ctx, c.db)
+			if err != nil {
 				return false
+			}
+			for _, par := range []int{1, 4} {
+				got, err := p.countForTest(ctx, relstr.Borrow(c.db), par)
+				if err != nil || got != uint64(len(want)) {
+					return false
+				}
 			}
 		}
 		return true
@@ -367,6 +401,20 @@ func TestQuickCountRootedAtCore(t *testing.T) {
 		t.Fatal("no random DP or node core started below its tree root")
 	}
 	t.Logf("%d random cores started below their tree root", moved)
+
+	// The randomCoreQuery leg must put such a core under at least 10 %
+	// of its plans.
+	plans, below := 3000, 0
+	for range plans {
+		q := randomCoreQuery(rng)
+		if check(q.String(), NewPlan(q), randomCoreDB(rng, 5, 9)) > 0 {
+			below++
+		}
+	}
+	if below*10 < plans {
+		t.Fatalf("%d of %d randomCoreQuery plans count from a core below the tree root, want at least 10 %%", below, plans)
+	}
+	t.Logf("%d of %d randomCoreQuery plans count from a core below the tree root", below, plans)
 }
 
 // The sampler's normalising constant is the tree's full-join size and

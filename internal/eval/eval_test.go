@@ -176,11 +176,77 @@ func randomQuery(rng *rand.Rand, acyclicOnly bool) *cq.Query {
 	}
 }
 
+// randomCoreQuery is the generator leg whose DP or node count cores
+// often sit below the plan's tree root: a head-only core path of two or
+// three E or T atoms (every variable in the head, none of them covering
+// the rest), with three to six existential atoms hung off it — E and T
+// atoms with fresh variables and unary U filters — in shuffled order, so
+// GYO often roots the tree at an existential atom the count prunes.
+// The query is acyclic by construction: each atom meets the earlier
+// ones in one variable.
+func randomCoreQuery(rng *rand.Rand) *cq.Query {
+	q := &cq.Query{Name: "Q"}
+	nv := 0
+	fresh := func() string { nv++; return fmt.Sprintf("v%d", nv-1) }
+	x := fresh()
+	head := []string{x}
+	for k := 2 + rng.Intn(2); k > 0; k-- {
+		if rng.Intn(3) == 0 {
+			y, z := fresh(), fresh()
+			q.Atoms = append(q.Atoms, cq.Atom{Rel: "T", Args: []string{x, y, z}})
+			head, x = append(head, y, z), z
+		} else {
+			y := fresh()
+			q.Atoms = append(q.Atoms, cq.Atom{Rel: "E", Args: []string{x, y}})
+			head, x = append(head, y), y
+		}
+	}
+	vars := append([]string(nil), head...)
+	for k := 3 + rng.Intn(4); k > 0; k-- {
+		at := vars[rng.Intn(len(vars))]
+		switch rng.Intn(3) {
+		case 0:
+			e := fresh()
+			q.Atoms = append(q.Atoms, cq.Atom{Rel: "E", Args: []string{e, at}})
+			vars = append(vars, e)
+		case 1:
+			e, f := fresh(), fresh()
+			q.Atoms = append(q.Atoms, cq.Atom{Rel: "T", Args: []string{e, at, f}})
+			vars = append(vars, e, f)
+		default:
+			q.Atoms = append(q.Atoms, cq.Atom{Rel: "U", Args: []string{at}})
+		}
+	}
+	rng.Shuffle(len(q.Atoms), func(i, j int) { q.Atoms[i], q.Atoms[j] = q.Atoms[j], q.Atoms[i] })
+	rng.Shuffle(len(head), func(i, j int) { head[i], head[j] = head[j], head[i] })
+	if rng.Intn(4) == 0 {
+		head = append(head, head[0])
+	}
+	q.Head = head
+	return q
+}
+
+// randomDB draws m E edges over n nodes. U and T are declared for
+// randomCoreQuery's relations; randomCoreDB fills them.
 func randomDB(rng *rand.Rand, n, m int) *relstr.Structure {
 	db := relstr.New()
 	db.Declare("E", 2)
+	db.Declare("U", 1)
+	db.Declare("T", 3)
 	for i := 0; i < m; i++ {
 		db.Add("E", rng.Intn(n), rng.Intn(n))
+	}
+	return db
+}
+
+// randomCoreDB is randomDB plus about n/2 U facts and m T facts.
+func randomCoreDB(rng *rand.Rand, n, m int) *relstr.Structure {
+	db := randomDB(rng, n, m)
+	for i := 0; i < (n+1)/2; i++ {
+		db.Add("U", rng.Intn(n))
+	}
+	for i := 0; i < m; i++ {
+		db.Add("T", rng.Intn(n), rng.Intn(n), rng.Intn(n))
 	}
 	return db
 }

@@ -58,7 +58,7 @@ func TestGkGapWithinQuotientSpace(t *testing.T) {
 		img := qt.S.Map(f)
 		x := cq.FromTableau(img, nil, nil)
 		// Strictly between: P4 ⊂ X ⊂ Q.
-		if hom.ProperlyContained(x, q) && hom.ProperlyContained(p4q, x) {
+		if hom.Contained(x, q) && !hom.Contained(q, x) && hom.Contained(p4q, x) && !hom.Contained(x, p4q) {
 			found = true
 			return false
 		}

@@ -2,6 +2,7 @@ package hom
 
 import (
 	"context"
+	"slices"
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/relstr"
@@ -31,57 +32,54 @@ func CoreCtx(ctx context.Context, s *relstr.Structure, dist []int) (*relstr.Stru
 	for _, e := range s.Domain() {
 		retract[e] = e
 	}
-	fixed := map[int]bool{}
-	pre := map[int]int{}
-	for _, d := range dist {
-		fixed[d] = true
-		pre[d] = d
-	}
 	for {
-		improved := false
-		for _, v := range cur.Domain() {
-			if fixed[v] {
-				continue
-			}
-			sub := cur.Without(v)
-			h, ok, err := FindCtx(ctx, cur, sub, pre)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
-			}
-			cur = cur.Map(func(e int) int { return h[e] })
-			for orig, img := range retract {
-				retract[orig] = h[img]
-			}
-			improved = true
-			break
+		h, err := shrink(ctx, cur, dist)
+		if err != nil {
+			return nil, nil, err
 		}
-		if !improved {
+		if h == nil {
 			return cur, retract, nil
 		}
+		cur = cur.Map(func(e int) int { return h[e] })
+		for orig, img := range retract {
+			retract[orig] = h[img]
+		}
 	}
+}
+
+// shrink returns an endomorphism of s fixing dist pointwise whose
+// image avoids some element, trying the elements in ascending order,
+// or nil when (s, dist) is a core. s is compiled once, as both sides:
+// searching into s without v clears v from every domain and skips the
+// tuples containing it, which yields exactly the candidates a search
+// into s.Without(v) would.
+func shrink(ctx context.Context, s *relstr.Structure, dist []int) (map[int]int, error) {
+	src := compileSource(s)
+	sr := newSearch(ctx, src, compileTarget(s, nil))
+	var h map[int]int
+	emit := func() bool { h = sr.emit(); return false }
+	for v, e := range src.vals {
+		if slices.Contains(dist, e) {
+			continue
+		}
+		if sr.start(int32(v), nil, pairs(dist, dist)) {
+			sr.solve(0, nil, emit)
+		}
+		if err := sr.err(); err != nil {
+			return nil, err
+		}
+		if h != nil {
+			return h, nil
+		}
+	}
+	return nil, nil
 }
 
 // IsCore reports whether (s, dist) is a core: no homomorphism into a
 // strictly contained substructure fixing dist pointwise.
 func IsCore(s *relstr.Structure, dist []int) bool {
-	pre := map[int]int{}
-	fixed := map[int]bool{}
-	for _, d := range dist {
-		pre[d] = d
-		fixed[d] = true
-	}
-	for _, v := range s.Domain() {
-		if fixed[v] {
-			continue
-		}
-		if Exists(s, s.Without(v), pre) {
-			return false
-		}
-	}
-	return true
+	h, _ := shrink(nil, s, dist)
+	return h == nil
 }
 
 // Minimize returns the canonical minimal CQ equivalent to q: the query

@@ -287,7 +287,7 @@ func TestContainment(t *testing.T) {
 	if Contained(short, long) {
 		t.Fatal("edge query is not contained in path-2 query")
 	}
-	if !ProperlyContained(long, short) {
+	if !Contained(long, short) || Contained(short, long) {
 		t.Fatal("containment should be proper")
 	}
 	// Classic: C3 query vs loop query.

@@ -2,6 +2,8 @@ package hom
 
 import (
 	"context"
+	"iter"
+	"slices"
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/relstr"
@@ -24,33 +26,14 @@ func Maps(a, b Pointed) bool {
 
 // MapsCtx is Maps under a context.
 func MapsCtx(ctx context.Context, a, b Pointed) (bool, error) {
-	pre, ok := distMap(a.Dist, b.Dist)
-	if !ok {
-		return false, nil
-	}
-	return ExistsCtx(ctx, a.S, b.S, pre)
-}
-
-// distMap is the partial map sending ā to b̄ pointwise, or false if
-// the tuples differ in length or ā repeats an element b̄ does not.
-func distMap(a, b []int) (map[int]int, bool) {
-	if len(a) != len(b) {
-		return nil, false
-	}
-	pre := make(map[int]int, len(a))
-	for i, d := range a {
-		if w, ok := pre[d]; ok && w != b[i] {
-			return nil, false
-		}
-		pre[d] = b[i]
-	}
-	return pre, true
+	return mapsCtx(ctx, compileSource(a.S), compileTarget(b.S, nil), a.Dist, b.Dist)
 }
 
 // Compiled is a pointed structure prepared once for many Maps tests on
 // either side: its atoms and co-occurrence lists as a source, its
-// per-position tuple indexes as a target. It holds S by reference, so
-// S must not change after Compile.
+// per-position tuple lists and value masks as a target. It holds S by
+// reference, so S must not change after Compile; a Compiled is never
+// written after Compile, so searches may share it concurrently.
 type Compiled struct {
 	Pointed
 	src *source
@@ -59,29 +42,47 @@ type Compiled struct {
 
 // Compile prepares p for MapsCompiledCtx.
 func Compile(p Pointed) *Compiled {
-	c := &Compiled{Pointed: p, src: compileSource(p.S), tgt: newTarget(p.S)}
-	// Index every relation now, so later searches only read the target.
-	for _, rel := range p.S.Relations() {
-		c.tgt.index(rel)
-	}
-	return c
+	return &Compiled{Pointed: p, src: compileSource(p.S), tgt: compileTarget(p.S, nil)}
 }
 
 // MapsCompiledCtx is MapsCtx over compiled operands.
 func MapsCompiledCtx(ctx context.Context, a, b *Compiled) (bool, error) {
-	pre, ok := distMap(a.Dist, b.Dist)
-	if !ok {
-		return false, nil
-	}
-	p := newProblem(a.src, b.tgt, nil)
-	p.ctx = ctx
-	_, ok, err := p.find(pre)
-	return ok, err
+	return mapsCtx(ctx, a.src, b.tgt, a.Dist, b.Dist)
 }
 
-// Equivalentp reports homomorphic equivalence of pointed structures:
-// maps in both directions.
-func Equivalentp(a, b Pointed) bool { return Maps(a, b) && Maps(b, a) }
+// mapsCtx searches src → tgt sending ā to b̄ pointwise. The tuples
+// must have the same length, and ā may repeat an element only where
+// b̄ repeats its image.
+func mapsCtx(ctx context.Context, src *source, tgt *target, da, db []int) (bool, error) {
+	if len(da) != len(db) {
+		return false, nil
+	}
+	for i := range da {
+		if j := slices.Index(da[:i], da[i]); j >= 0 && db[j] != db[i] {
+			return false, nil
+		}
+	}
+	s := newSearch(ctx, src, tgt)
+	if !s.start(-1, nil, pairs(da, db)) {
+		return false, nil
+	}
+	s.solve(0, nil, nil)
+	if err := s.err(); err != nil {
+		return false, err
+	}
+	return s.found, nil
+}
+
+// pairs yields (a[i], b[i]) for every i.
+func pairs(a, b []int) iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		for i := range a {
+			if !yield(a[i], b[i]) {
+				return
+			}
+		}
+	}
+}
 
 // TableauOf returns the pointed structure of q's tableau.
 func TableauOf(q *cq.Query) Pointed {
@@ -97,11 +98,6 @@ func Contained(q1, q2 *cq.Query) bool {
 		return false
 	}
 	return Maps(TableauOf(q2), TableauOf(q1))
-}
-
-// ProperlyContained reports q1 ⊂ q2.
-func ProperlyContained(q1, q2 *cq.Query) bool {
-	return Contained(q1, q2) && !Contained(q2, q1)
 }
 
 // Equivalent reports q1 ≡ q2 (same answers on every database).

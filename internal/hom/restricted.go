@@ -9,52 +9,27 @@ import "cqapprox/internal/relstr"
 // justified by Lemma 4.5 of the paper (homomorphisms between balanced
 // digraphs of equal height preserve levels).
 func ExistsRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int) bool {
-	_, ok := FindRestricted(a, b, pre, allowed)
+	ok, _ := existsCtx(nil, a, b, pre, allowed)
 	return ok
 }
 
 // FindRestricted is Find under the candidate restriction allowed
 // (see ExistsRestricted).
 func FindRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int) (map[int]int, bool) {
-	p := compileRestricted(a, b, allowed)
-	assign, remaining, ok := p.prepare(pre)
-	if !ok {
-		return nil, false
-	}
-	var found map[int]int
-	p.solve(assign, remaining, p.initFrontier(assign), func() bool {
-		found = make(map[int]int, len(assign))
-		for k, v := range assign {
-			found[k] = v
-		}
-		return false
-	})
-	if found == nil {
-		return nil, false
-	}
-	return found, true
+	h, ok, _ := findCtx(nil, a, b, pre, allowed)
+	return h, ok
 }
 
 // ForEachRestricted enumerates homomorphisms under the candidate
 // restriction allowed; semantics otherwise match ForEach.
 func ForEachRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int, fn func(h map[int]int) bool) bool {
-	p := compileRestricted(a, b, allowed)
-	assign, remaining, ok := p.prepare(pre)
-	if !ok {
-		return true
-	}
-	return p.solve(assign, remaining, p.initFrontier(assign), func() bool {
-		h := make(map[int]int, len(assign))
-		for k, v := range assign {
-			h[k] = v
-		}
-		return fn(h)
-	})
+	done, _ := forEachCtx(nil, a, b, pre, allowed, fn)
+	return done
 }
 
 // CountRestricted counts homomorphisms under the candidate restriction.
 func CountRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int) int {
 	n := 0
-	ForEachRestricted(a, b, pre, allowed, func(map[int]int) bool { n++; return true })
+	forEachCtx(nil, a, b, pre, allowed, func(map[int]int) bool { n++; return true })
 	return n
 }

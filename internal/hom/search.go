@@ -3,62 +3,253 @@
 // cores, CQ minimization, containment and equivalence of CQs, and the
 // homomorphism preorder on tableaux.
 //
-// The search is a backtracking constraint solver with per-position
-// indexes on the target, dynamic most-constrained-variable selection,
-// and candidate filtering through partially assigned atoms. It is exact
-// (CQ evaluation / homomorphism existence is NP-complete; the paper's
-// Section 2).
+// Every entry point runs one dense backtracking kernel. Both sides are
+// renumbered densely in ascending element order; a domain is a bitset
+// over the target's ids; the target keeps, per relation, its tuples as
+// flat rows, the tuple ids per (position, value) and the mask of the
+// values at each position; the assignment and the frontier counts are
+// flat slices. The kernel picks the most constrained frontier element,
+// tries values in ascending order and filters candidates through the
+// partially assigned atoms. It is exact (CQ evaluation / homomorphism
+// existence is NP-complete; the paper's Section 2). Maps cross the API
+// boundary only: pre maps and restrictions in, homomorphisms and
+// retractions out.
 package hom
 
 import (
 	"context"
+	"iter"
+	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"cqapprox/internal/cqerr"
 	"cqapprox/internal/relstr"
 )
 
-// patom is an atom of the source structure, as element IDs.
-type patom struct {
-	rel  string
-	args []int
+// csr is a compressed adjacency list: row i is idx[off[i]:off[i+1]].
+type csr struct{ off, idx []int32 }
+
+func (c csr) row(i int32) []int32 { return c.idx[c.off[i]:c.off[i+1]] }
+
+// newCSR groups pairs — (row, entry), interleaved — into n rows,
+// keeping the entries' order within a row.
+func newCSR(n int, pairs []int32) csr {
+	buf := make([]int32, n+1+len(pairs)/2)
+	c := csr{off: buf[:n+1], idx: buf[n+1:]}
+	for k := 0; k < len(pairs); k += 2 {
+		c.off[pairs[k]+1]++
+	}
+	for i := 0; i < n; i++ {
+		c.off[i+1] += c.off[i]
+	}
+	for k := 0; k < len(pairs); k += 2 {
+		c.idx[c.off[pairs[k]]] = pairs[k+1]
+		c.off[pairs[k]]++
+	}
+	copy(c.off[1:], c.off[:n]) // each row's end is the next row's start
+	c.off[0] = 0
+	return c
 }
 
-// relIndex indexes the target's tuples of one relation by position and
-// value.
-type relIndex struct {
-	tuples   []relstr.Tuple
-	byPosVal []map[int][]int // position → value → tuple indices
+// idOf is the dense id of element e in the ascending element list vals.
+func idOf(vals []int, e int) (int32, bool) {
+	i := sort.SearchInts(vals, e)
+	return int32(i), i < len(vals) && vals[i] == e
 }
 
-// source is the compiled left-hand side of a homomorphism search: the
-// atoms of a structure and, per element, the atoms and the elements it
-// co-occurs with.
+// source is a structure compiled as the left-hand side of a search:
+// its atoms in (relation, insertion) order over dense ids, and per
+// element the atoms it occurs in and the elements it co-occurs with.
 type source struct {
-	atoms    []patom
-	varAtoms map[int][]int // element → indices into atoms
-	varNbrs  map[int][]int // element → co-occurring elements
-	dom      []int
+	vals   []int    // dense id → element, ascending
+	rels   []string // relations with atoms, ascending
+	ars    []int
+	atoms  []atom
+	atomOf csr
+	nbrs   csr
 }
 
-// target is the compiled right-hand side: per-position tuple indexes,
-// built on first use of each relation.
+// atom is one fact of the source; self marks an atom over one element.
+type atom struct {
+	rel  int
+	args []int32
+	self bool
+}
+
+func compileSource(a *relstr.Structure) *source {
+	src := &source{vals: a.Domain(), atoms: make([]atom, 0, a.NumFacts())}
+	flat := make([]int32, 0, a.Size())
+	atomOf, nbrs := make([]int32, 0, 2*a.Size()), make([]int32, 0, 2*a.Size()*(a.MaxArity()-1))
+	for _, name := range a.Relations() {
+		ts := a.Tuples(name)
+		if len(ts) == 0 {
+			continue
+		}
+		src.rels = append(src.rels, name)
+		src.ars = append(src.ars, a.Arity(name))
+		for _, t := range ts {
+			at := atom{rel: len(src.rels) - 1, args: flat[len(flat) : len(flat)+len(t)], self: true}
+			for _, e := range t {
+				id, _ := idOf(src.vals, e)
+				flat = append(flat, id)
+			}
+			ai := int32(len(src.atoms))
+			for p, x := range at.args {
+				if x != at.args[0] {
+					at.self = false
+				}
+				if slices.Index(at.args[:p], x) < 0 {
+					atomOf = append(atomOf, x, ai)
+					for q, y := range at.args {
+						if y != x && slices.Index(at.args[:q], y) < 0 {
+							nbrs = append(nbrs, x, y)
+						}
+					}
+				}
+			}
+			src.atoms = append(src.atoms, at)
+		}
+	}
+	src.atomOf, src.nbrs = newCSR(len(src.vals), atomOf), newCSR(len(src.vals), nbrs)
+	return src
+}
+
+// target is a structure compiled as the right-hand side of a search.
+// Its ids may cover values beyond the active domain (restriction
+// values, see compileTarget); all and the relations never hold them.
 type target struct {
-	s   *relstr.Structure
-	idx map[string]*relIndex
-	dom []int
+	vals []int // dense id → value, ascending
+	w    int   // words per mask
+	all  []uint64
+	iso  []uint64 // active-domain elements in no tuple
+	rels []trel   // ascending by name
 }
 
-// problem is a compiled homomorphism-search instance from a to b.
-type problem struct {
-	*source
-	tgt     *target
-	posCand map[int][]int // static candidate list per source element; nil = whole domain
-	unsat   bool
+// trel is one relation of the target: its tuples as flat rows, per
+// position the tuple ids by value and the mask of the values there,
+// and for a binary relation of a small target the mask of the other
+// position's values per (position, value).
+type trel struct {
+	name string
+	ar   int
+	rows []int32
+	by   []csr
+	pos  []uint64
+	nb   []uint64
+}
 
-	// Cooperative cancellation: when ctx is non-nil the solver polls it
-	// every cancelEvery search nodes and abandons the search, leaving
-	// canceled set so callers can distinguish "exhausted" from
+// nbWords bounds the target size, in mask words, up to which binary
+// relations keep per-value neighbour masks (2·n masks each). The masks
+// grow with the square of the target, 64 KiB per relation at the bound
+// (512 elements), and are rebuilt on every compile; past it candidates
+// come from the tuple scan, which costs the length of one tuple list.
+const nbWords = 8
+
+// compileTarget compiles b as the right-hand side of a search. Values
+// in extra outside b's active domain get ids too, so restrictions may
+// name them, but no relation or full domain contains them.
+func compileTarget(b *relstr.Structure, extra []int) *target {
+	dom := b.Domain()
+	vals := dom
+	if len(extra) > 0 {
+		vals = append(append([]int(nil), dom...), extra...)
+		sort.Ints(vals)
+		vals = slices.Compact(vals)
+	}
+	n := len(vals)
+	t := &target{vals: vals, w: (n + 63) / 64}
+	w := t.w
+	t.all, t.iso = make([]uint64, w), make([]uint64, w)
+	for _, e := range dom {
+		id, _ := idOf(vals, e)
+		set(t.all, id)
+	}
+	copy(t.iso, t.all)
+	for _, name := range b.Relations() {
+		ts := b.Tuples(name)
+		if len(ts) == 0 {
+			continue
+		}
+		ar := b.Arity(name)
+		r := trel{name: name, ar: ar, rows: make([]int32, 0, len(ts)*ar), by: make([]csr, ar), pos: make([]uint64, ar*w)}
+		for _, tu := range ts {
+			for p, e := range tu {
+				id, _ := idOf(vals, e)
+				r.rows = append(r.rows, id)
+				set(r.pos[p*w:], id)
+				clr(t.iso, id)
+			}
+		}
+		pairs := make([]int32, 2*len(ts))
+		for p := range r.by {
+			for i := range ts {
+				pairs[2*i], pairs[2*i+1] = r.rows[i*ar+p], int32(i)
+			}
+			r.by[p] = newCSR(n, pairs)
+		}
+		if r.ar == 2 && w <= nbWords {
+			r.nb = make([]uint64, 2*n*w)
+			for i := 0; i < len(r.rows); i += 2 {
+				x, y := int(r.rows[i]), int(r.rows[i+1])
+				set(r.nb[x*w:], int32(y))
+				set(r.nb[(n+y)*w:], int32(x))
+			}
+		}
+		t.rels = append(t.rels, r)
+	}
+	return t
+}
+
+func set(m []uint64, i int32)      { m[i>>6] |= 1 << (i & 63) }
+func clr(m []uint64, i int32)      { m[i>>6] &^= 1 << (i & 63) }
+func has(m []uint64, i int32) bool { return m[i>>6]>>(i&63)&1 != 0 }
+
+func and(dst, m []uint64) {
+	for i := range dst {
+		dst[i] &= m[i]
+	}
+}
+
+func count(m []uint64) int {
+	n := 0
+	for _, x := range m {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// Assignment states of a source element besides a target id: pinned
+// marks a pre-assigned element with no atoms and no restriction whose
+// value lies outside the target; it is reported as given.
+const (
+	unset  = -1
+	pinned = -2
+)
+
+// search is the state of one search from src into tgt. A Compiled
+// operand is never written; everything here belongs to one call.
+type search struct {
+	src *source
+	tgt *target
+
+	rel  []int32    // source relation → target relation, or -1
+	pos  [][]uint64 // source relation → position masks in the view
+	drop int32      // target element the view leaves out, or -1
+	vpos [][]uint64 // with a dropped element: target relation → position masks
+	all  []uint64   // with a dropped element: the active domain
+
+	dom    []uint64 // static domain per source element
+	assign []int32  // target id, unset or pinned per source element
+	front  []int32  // assigned co-occurring elements per source element
+	masks  []uint64 // two candidate masks per depth, then a scratch mask
+	pins   [][2]int
+	found  bool
+
+	// Cooperative cancellation: when ctx is non-nil the search polls
+	// it on its first node and every cancelEvery nodes after, and
+	// latches canceled so callers can tell "exhausted" from
 	// "interrupted by the context".
 	ctx      context.Context
 	steps    uint
@@ -70,533 +261,470 @@ type problem struct {
 // cancellation is observed within microseconds on realistic instances.
 const cancelEvery = 256
 
-// cancelled polls the problem's context (if any) at a bounded rate and
-// latches the result.
-func (p *problem) cancelled() bool {
-	if p.canceled {
-		return true
+func newSearch(ctx context.Context, src *source, tgt *target) *search {
+	n, w := len(src.vals), tgt.w
+	ints := make([]int32, len(src.rels)+2*n)
+	words := make([]uint64, (3*n+3)*w)
+	s := &search{src: src, tgt: tgt, ctx: ctx, drop: -1,
+		rel: ints[:len(src.rels)], assign: ints[len(src.rels) : len(src.rels)+n], front: ints[len(src.rels)+n:],
+		pos: make([][]uint64, len(src.rels)), dom: words[:n*w], masks: words[n*w:]}
+	j := 0
+	for i, name := range src.rels {
+		for j < len(tgt.rels) && tgt.rels[j].name < name {
+			j++
+		}
+		s.rel[i] = -1
+		if j < len(tgt.rels) && tgt.rels[j].name == name && tgt.rels[j].ar == src.ars[i] {
+			s.rel[i] = int32(j)
+		}
 	}
-	if p.ctx == nil {
-		return false
-	}
-	// Poll on the first node (so an already-expired context is seen
-	// even on tiny instances) and every cancelEvery nodes after.
-	p.steps++
-	if p.steps%cancelEvery == 1 && p.ctx.Err() != nil {
-		p.canceled = true
-	}
-	return p.canceled
+	return s
 }
 
-// cancelErr converts the latched cancellation flag into a typed error.
-func (p *problem) cancelErr() error {
-	if p.canceled {
-		return cqerr.Canceled(p.ctx)
+// start sets the view — the whole target, or with drop ≥ 0 the target
+// without that element and the tuples containing it — derives the
+// static domains (per element, the values at its positions in the
+// relations of its atoms, within allowed[e] when present) and installs
+// the pre-assignment. It reports false when a relation is missing, a
+// restricted domain is empty or pre contradicts the domains or the
+// atoms it fully assigns.
+func (s *search) start(drop int32, allowed map[int][]int, pre iter.Seq2[int, int]) bool {
+	w := s.tgt.w
+	s.drop, s.steps = drop, 0
+	all := s.tgt.all
+	if drop >= 0 {
+		all = s.view()
+	}
+	for j, r := range s.rel {
+		if r < 0 {
+			return false
+		}
+		if s.pos[j] = s.tgt.rels[r].pos; drop >= 0 {
+			s.pos[j] = s.vpos[r]
+		}
+		if count(s.pos[j][:w]) == 0 {
+			return false
+		}
+	}
+	for i := range s.src.vals {
+		d := s.dom[i*w : (i+1)*w]
+		free := true
+		if list, ok := allowed[s.src.vals[i]]; ok {
+			clear(d)
+			free = false
+			for _, v := range list {
+				id, _ := idOf(s.tgt.vals, v) // restriction values all have ids
+				set(d, id)
+			}
+		}
+		for _, ai := range s.src.atomOf.row(int32(i)) {
+			at := &s.src.atoms[ai]
+			for p, x := range at.args {
+				if x != int32(i) {
+					continue
+				}
+				if m := s.pos[at.rel][p*w : (p+1)*w]; free {
+					copy(d, m)
+					free = false
+				} else {
+					and(d, m)
+				}
+			}
+		}
+		if free {
+			copy(d, all)
+		} else if count(d) == 0 {
+			return false
+		}
+	}
+	return s.prepare(allowed, pre)
+}
+
+// view computes the masks of the target without s.drop, over the
+// tuples avoiding it: per relation the position masks, and the active
+// domain.
+func (s *search) view() []uint64 {
+	w, rels := s.tgt.w, s.tgt.rels
+	if s.vpos == nil {
+		s.vpos = make([][]uint64, len(rels))
+		for ri, r := range rels {
+			s.vpos[ri] = make([]uint64, r.ar*w)
+		}
+		s.all = make([]uint64, w)
+	}
+	copy(s.all, s.tgt.iso)
+	for ri, r := range rels {
+		m := s.vpos[ri]
+		clear(m)
+		for t := 0; t < len(r.rows); t += r.ar {
+			if row := r.rows[t : t+r.ar]; !slices.Contains(row, s.drop) {
+				for p, v := range row {
+					set(m[p*w:], v)
+					set(s.all, v)
+				}
+			}
+		}
+	}
+	clr(s.all, s.drop)
+	return s.all
+}
+
+// prepare clears the assignment and installs pre; see start.
+func (s *search) prepare(allowed map[int][]int, pre iter.Seq2[int, int]) bool {
+	w := s.tgt.w
+	for i := range s.assign {
+		s.assign[i], s.front[i] = unset, 0
+	}
+	s.pins = s.pins[:0]
+	for e, v := range pre {
+		i, ok := idOf(s.src.vals, e)
+		if !ok {
+			continue // pre may mention elements outside the active domain
+		}
+		if id, ok := idOf(s.tgt.vals, v); ok && has(s.dom[int(i)*w:], id) {
+			s.assign[i] = id
+		} else if _, ok := allowed[e]; !ok && len(s.src.atomOf.row(i)) == 0 {
+			s.assign[i] = pinned
+			s.pins = append(s.pins, [2]int{e, v})
+		} else {
+			return false
+		}
+	}
+	for ai := range s.src.atoms {
+		at := &s.src.atoms[ai]
+		if !slices.ContainsFunc(at.args, func(x int32) bool { return s.assign[x] < 0 }) && !s.holds(at) {
+			return false
+		}
+	}
+	for i, a := range s.assign {
+		if a >= 0 {
+			s.bump(int32(i), 1)
+		}
+	}
+	return true
+}
+
+func (s *search) bump(v int32, d int32) {
+	for _, u := range s.src.nbrs.row(v) {
+		s.front[u] += d
+	}
+}
+
+// cancelled polls the context (if any) at a bounded rate and latches
+// the result: on the first node, so an already-expired context is seen
+// even on tiny instances, and every cancelEvery nodes after.
+func (s *search) cancelled() bool {
+	if s.canceled || s.ctx == nil {
+		return s.canceled
+	}
+	s.steps++
+	if s.steps%cancelEvery == 1 && s.ctx.Err() != nil {
+		s.canceled = true
+	}
+	return s.canceled
+}
+
+func (s *search) err() error {
+	if s.canceled {
+		return cqerr.Canceled(s.ctx)
 	}
 	return nil
 }
 
-func compile(a, b *relstr.Structure) *problem { return compileRestricted(a, b, nil) }
-
-// compileRestricted additionally intersects each source element's
-// candidates with allowed[e] when present (used for level-based
-// restrictions on balanced digraphs, Lemma 4.5).
-func compileRestricted(a, b *relstr.Structure, allowed map[int][]int) *problem {
-	return newProblem(compileSource(a), newTarget(b), allowed)
+// tuples returns the relation of at and its tuples agreeing with the
+// assigned argument of at with the fewest; ok is false when no
+// argument of at is assigned.
+func (s *search) tuples(at *atom) (r *trel, list []int32, ok bool) {
+	r = &s.tgt.rels[s.rel[at.rel]]
+	for p, x := range at.args {
+		if v := s.assign[x]; v >= 0 {
+			if l := r.by[p].row(v); !ok || len(l) < len(list) {
+				list, ok = l, true
+			}
+		}
+	}
+	return r, list, ok
 }
 
-// compileSource compiles a as the left-hand side of a search.
-func compileSource(a *relstr.Structure) *source {
-	src := &source{
-		varAtoms: map[int][]int{},
-		varNbrs:  map[int][]int{},
-		dom:      a.Domain(),
-	}
-	for _, rel := range a.Relations() {
-		for _, t := range a.Tuples(rel) {
-			ai := len(src.atoms)
-			args := make([]int, len(t))
-			copy(args, t)
-			src.atoms = append(src.atoms, patom{rel: rel, args: args})
-			seen := map[int]bool{}
-			for _, e := range args {
-				if !seen[e] {
-					seen[e] = true
-					src.varAtoms[e] = append(src.varAtoms[e], ai)
-				}
+// match reports whether tuple t of r avoids the dropped element, agrees
+// with the assignment on at's assigned arguments and with itself on
+// at's repeated unassigned ones.
+func (s *search) match(at *atom, r *trel, t int32) bool {
+	row := r.rows[int(t)*r.ar:][:r.ar]
+	for p, x := range at.args {
+		if row[p] == s.drop {
+			return false
+		}
+		if v := s.assign[x]; v >= 0 {
+			if row[p] != v {
+				return false
 			}
-			for e := range seen {
-				for f := range seen {
-					if e != f {
-						src.varNbrs[e] = append(src.varNbrs[e], f)
-					}
-				}
-			}
-		}
-	}
-	return src
-}
-
-// newTarget wraps b as the right-hand side of a search; its indexes
-// are built per relation on first use.
-func newTarget(b *relstr.Structure) *target {
-	return &target{s: b, idx: map[string]*relIndex{}, dom: b.Domain()}
-}
-
-// index returns the per-position index of relation rel of the target,
-// or nil if the target holds no rel tuples. Only built indexes are
-// cached, so looking up an absent relation never writes.
-func (t *target) index(rel string) *relIndex {
-	if ri, ok := t.idx[rel]; ok {
-		return ri
-	}
-	bts := t.s.Tuples(rel)
-	if len(bts) == 0 {
-		return nil
-	}
-	ri := &relIndex{tuples: bts, byPosVal: make([]map[int][]int, t.s.Arity(rel))}
-	for pos := range ri.byPosVal {
-		ri.byPosVal[pos] = map[int][]int{}
-	}
-	for ti, tup := range bts {
-		for pos, v := range tup {
-			ri.byPosVal[pos][v] = append(ri.byPosVal[pos][v], ti)
-		}
-	}
-	t.idx[rel] = ri
-	return ri
-}
-
-// newProblem pairs a compiled source with a compiled target and derives
-// the static per-element candidate lists.
-func newProblem(src *source, tgt *target, allowed map[int][]int) *problem {
-	p := &problem{source: src, tgt: tgt, posCand: map[int][]int{}}
-	for _, at := range src.atoms {
-		if tgt.index(at.rel) == nil {
-			p.unsat = true
-			return p
-		}
-	}
-
-	// Static per-position candidate sets.
-	for _, e := range src.dom {
-		var cand map[int]bool
-		if allowed != nil {
-			if list, ok := allowed[e]; ok {
-				cand = map[int]bool{}
-				for _, v := range list {
-					cand[v] = true
-				}
-			}
-		}
-		for _, ai := range src.varAtoms[e] {
-			at := src.atoms[ai]
-			ri := tgt.idx[at.rel]
-			for pos, arg := range at.args {
-				if arg != e {
-					continue
-				}
-				vals := ri.byPosVal[pos]
-				if cand == nil {
-					cand = make(map[int]bool, len(vals))
-					for v := range vals {
-						cand[v] = true
-					}
-				} else {
-					for v := range cand {
-						if _, ok := vals[v]; !ok {
-							delete(cand, v)
-						}
-					}
-				}
-			}
-		}
-		if cand == nil {
-			p.posCand[e] = nil // unconstrained element: whole target domain
-			continue
-		}
-		list := make([]int, 0, len(cand))
-		for v := range cand {
-			list = append(list, v)
-		}
-		sort.Ints(list)
-		if len(list) == 0 {
-			p.unsat = true
-			return p
-		}
-		p.posCand[e] = list
-	}
-	return p
-}
-
-// candidates returns the feasible target values for source element v
-// under the partial assignment, by filtering target tuples through
-// every atom of v that has at least one assigned argument.
-func (p *problem) candidates(v int, assign map[int]int) []int {
-	var cand map[int]bool
-	base := p.posCand[v]
-	if base == nil {
-		base = p.tgt.dom
-	}
-	restrict := func(vals map[int]bool) {
-		if cand == nil {
-			cand = vals
-			return
-		}
-		for x := range cand {
-			if !vals[x] {
-				delete(cand, x)
-			}
-		}
-	}
-	for _, ai := range p.varAtoms[v] {
-		at := p.atoms[ai]
-		hasAssigned := false
-		for _, arg := range at.args {
-			if _, ok := assign[arg]; ok {
-				hasAssigned = true
-				break
-			}
-		}
-		if !hasAssigned {
-			continue
-		}
-		ri := p.tgt.idx[at.rel]
-		// Pick the assigned position with the fewest matching tuples.
-		bestPos, bestLen := -1, -1
-		for pos, arg := range at.args {
-			if val, ok := assign[arg]; ok {
-				l := len(ri.byPosVal[pos][val])
-				if bestPos == -1 || l < bestLen {
-					bestPos, bestLen = pos, l
-				}
-			}
-		}
-		val := assign[at.args[bestPos]]
-		vals := map[int]bool{}
-	tuples:
-		for _, ti := range ri.byPosVal[bestPos][val] {
-			t := ri.tuples[ti]
-			// Full pattern check: assigned args must match; repeated
-			// unassigned vars must agree within the tuple.
-			pat := map[int]int{}
-			for pos, arg := range at.args {
-				if w, ok := assign[arg]; ok {
-					if t[pos] != w {
-						continue tuples
-					}
-					continue
-				}
-				if prev, ok := pat[arg]; ok {
-					if prev != t[pos] {
-						continue tuples
-					}
-				} else {
-					pat[arg] = t[pos]
-				}
-			}
-			if w, ok := pat[v]; ok {
-				vals[w] = true
-			}
-		}
-		restrict(vals)
-		if len(cand) == 0 {
-			return nil
-		}
-	}
-	if cand == nil {
-		return base
-	}
-	out := make([]int, 0, len(cand))
-	for x := range cand {
-		// Respect the static positional candidates.
-		out = append(out, x)
-	}
-	if p.posCand[v] != nil {
-		allowed := map[int]bool{}
-		for _, x := range p.posCand[v] {
-			allowed[x] = true
-		}
-		filtered := out[:0]
-		for _, x := range out {
-			if allowed[x] {
-				filtered = append(filtered, x)
-			}
-		}
-		out = filtered
-	}
-	sort.Ints(out)
-	return out
-}
-
-// atomSatisfied checks, after assigning element v, every atom of v that
-// became fully assigned.
-func (p *problem) atomsOK(v int, assign map[int]int) bool {
-	for _, ai := range p.varAtoms[v] {
-		at := p.atoms[ai]
-		ri := p.tgt.idx[at.rel]
-		full := true
-		img := make([]int, len(at.args))
-		for pos, arg := range at.args {
-			w, ok := assign[arg]
-			if !ok {
-				full = false
-				break
-			}
-			img[pos] = w
-		}
-		if !full {
-			continue
-		}
-		// Membership check via the smallest index list.
-		bestPos, bestLen := 0, -1
-		for pos := range img {
-			l := len(ri.byPosVal[pos][img[pos]])
-			if bestLen == -1 || l < bestLen {
-				bestPos, bestLen = pos, l
-			}
-		}
-		found := false
-	search:
-		for _, ti := range ri.byPosVal[bestPos][img[bestPos]] {
-			t := ri.tuples[ti]
-			for pos := range img {
-				if t[pos] != img[pos] {
-					continue search
-				}
-			}
-			found = true
-			break
-		}
-		if !found {
+		} else if q := slices.Index(at.args[:p], x); q >= 0 && row[q] != row[p] {
 			return false
 		}
 	}
 	return true
 }
 
-// selectVar picks the next element to assign: the most-constrained
-// frontier element (one sharing an atom with an assigned element), or —
-// when the frontier is empty, e.g. at the start or on a fresh connected
-// component — the element with the smallest static candidate list.
-// It returns the index into remaining and the candidate values.
-func (p *problem) selectVar(assign map[int]int, remaining []int, frontier map[int]int) (int, []int) {
-	bestI := -1
-	var bestCand []int
-	onFrontier := false
-	for i, v := range remaining {
-		if frontier[v] > 0 {
-			c := p.candidates(v, assign)
-			if !onFrontier || len(c) < len(bestCand) {
-				bestI, bestCand, onFrontier = i, c, true
-				if len(c) == 0 {
-					return bestI, bestCand
-				}
-			}
+// holds reports whether the fully assigned atom at maps to a tuple.
+func (s *search) holds(at *atom) bool {
+	r, list, _ := s.tuples(at)
+	for _, t := range list {
+		if s.match(at, r, t) {
+			return true
 		}
 	}
-	if onFrontier {
-		return bestI, bestCand
-	}
-	// Fresh component: smallest static candidate list.
-	bestLen := -1
-	for i, v := range remaining {
-		l := len(p.posCand[v])
-		if p.posCand[v] == nil {
-			l = len(p.tgt.dom)
-		}
-		if bestLen == -1 || l < bestLen {
-			bestI, bestLen = i, l
-		}
-	}
-	v := remaining[bestI]
-	if p.posCand[v] == nil {
-		return bestI, p.tgt.dom
-	}
-	return bestI, p.posCand[v]
+	return false
 }
 
-// solve enumerates assignments of the elements in remaining, extending
-// assign. frontier counts, per unassigned element, how many of its
-// co-occurring elements are assigned. fn is invoked on every complete
-// assignment; if it returns false the search stops and solve returns
-// false ("interrupted"); otherwise solve returns true after exhausting
-// the space.
-func (p *problem) solve(assign map[int]int, remaining []int, frontier map[int]int, fn func() bool) bool {
-	if p.cancelled() {
-		return false
-	}
-	if len(remaining) == 0 {
-		return fn()
-	}
-	bestI, bestCand := p.selectVar(assign, remaining, frontier)
-	if len(bestCand) == 0 {
-		return true // dead end: continue overall search
-	}
-	v := remaining[bestI]
-	rest := make([]int, 0, len(remaining)-1)
-	rest = append(rest, remaining[:bestI]...)
-	rest = append(rest, remaining[bestI+1:]...)
-	for _, w := range p.varNbrs[v] {
-		frontier[w]++
-	}
-	for _, val := range bestCand {
-		assign[v] = val
-		if p.atomsOK(v, assign) {
-			if !p.solve(assign, rest, frontier, fn) {
-				delete(assign, v)
-				for _, w := range p.varNbrs[v] {
-					frontier[w]--
+// cands writes into out the candidates of the unassigned element i —
+// its static domain cut by every atom of i with an assigned argument —
+// and returns how many there are.
+func (s *search) cands(i int32, out []uint64) int {
+	w := s.tgt.w
+	copy(out, s.dom[int(i)*w:])
+	tmp := s.masks[len(s.masks)-w:]
+	for _, ai := range s.src.atomOf.row(i) {
+		at := &s.src.atoms[ai]
+		if at.self {
+			continue
+		}
+		if r := &s.tgt.rels[s.rel[at.rel]]; r.nb != nil {
+			// A binary atom: one value mask of the other argument. The
+			// dropped element only ever adds its own bit, outside out.
+			p := 0
+			if at.args[0] == i {
+				p = 1
+			}
+			v := s.assign[at.args[p]]
+			if v < 0 {
+				continue
+			}
+			and(out, r.nb[(p*len(s.tgt.vals)+int(v))*w:])
+		} else {
+			r, list, ok := s.tuples(at)
+			if !ok {
+				continue
+			}
+			ip := slices.Index(at.args, i)
+			clear(tmp)
+			for _, t := range list {
+				if s.match(at, r, t) {
+					set(tmp, r.rows[int(t)*r.ar+ip])
 				}
-				return false
+			}
+			and(out, tmp)
+		}
+		if count(out) == 0 {
+			return 0
+		}
+	}
+	return count(out)
+}
+
+// pick chooses the next element as the map-based solver did: among the
+// unassigned elements flagged in among, or else on the frontier (those
+// co-occurring with an assigned element), the one with the fewest
+// candidates; with neither, the one with the smallest static domain.
+// Ties go to the smallest element. It returns -1 when there is nothing
+// to choose, and the candidates in one of depth's masks.
+func (s *search) pick(depth int, among []bool) (int32, int, []uint64) {
+	w := s.tgt.w
+	cur, best := s.masks[2*depth*w:(2*depth+1)*w], s.masks[(2*depth+1)*w:(2*depth+2)*w]
+	v, n := int32(-1), 0
+	for i, a := range s.assign {
+		if a != unset || (among == nil && s.front[i] == 0) || (among != nil && !among[i]) {
+			continue
+		}
+		if c := s.cands(int32(i), cur); v < 0 || c < n {
+			v, n, cur, best = int32(i), c, best, cur
+			if c == 0 {
+				break
 			}
 		}
-		delete(assign, v)
 	}
-	for _, w := range p.varNbrs[v] {
-		frontier[w]--
+	if v >= 0 || among != nil {
+		return v, n, best
+	}
+	for i, a := range s.assign {
+		if c := count(s.dom[i*w : (i+1)*w]); a == unset && (v < 0 || c < n) {
+			v, n = int32(i), c
+		}
+	}
+	if v >= 0 {
+		copy(best, s.dom[int(v)*w:])
+	}
+	return v, n, best
+}
+
+// solve extends the assignment depth elements deep. With among set it
+// first assigns the flagged elements and, once they are all assigned,
+// calls fn only if the rest of the assignment completes; otherwise it
+// calls fn on every complete assignment. A nil fn stops at the first
+// one and sets found. solve returns false when fn or the context
+// stopped it, true once the space is exhausted.
+func (s *search) solve(depth int, among []bool, fn func() bool) bool {
+	if s.cancelled() {
+		return false
+	}
+	v, n, cand := s.pick(depth, among)
+	if v < 0 {
+		if among != nil {
+			s.found = false
+			if s.solve(depth, nil, nil); !s.found {
+				return true
+			}
+		}
+		if fn == nil {
+			s.found = true
+			return false
+		}
+		return fn()
+	}
+	if n == 0 {
+		return true // dead end: continue overall search
+	}
+	s.bump(v, 1)
+	done := true
+values:
+	for wi, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			s.assign[v] = int32(wi*64 + bits.TrailingZeros64(word))
+			if s.selfOK(v) && !s.solve(depth+1, among, fn) {
+				done = false
+				break values
+			}
+		}
+	}
+	s.assign[v] = unset
+	s.bump(v, -1)
+	return done
+}
+
+// selfOK checks the atoms over v alone, the only atoms the candidates
+// of v do not already guarantee once v is assigned.
+func (s *search) selfOK(v int32) bool {
+	for _, ai := range s.src.atomOf.row(v) {
+		if at := &s.src.atoms[ai]; at.self && !s.holds(at) {
+			return false
+		}
 	}
 	return true
 }
 
-// initFrontier counts assigned neighbors for the initial assignment.
-func (p *problem) initFrontier(assign map[int]int) map[int]int {
-	frontier := map[int]int{}
-	for e := range assign {
-		for _, w := range p.varNbrs[e] {
-			frontier[w]++
+// emit copies the complete assignment into a fresh homomorphism.
+func (s *search) emit() map[int]int {
+	h := make(map[int]int, len(s.assign))
+	for i, a := range s.assign {
+		if a >= 0 {
+			h[s.src.vals[i]] = s.tgt.vals[a]
 		}
 	}
-	return frontier
+	for _, p := range s.pins {
+		h[p[0]] = p[1]
+	}
+	return h
 }
 
-// prepare validates the pre-assignment and returns the initial
-// assignment plus the list of unassigned elements, or ok=false if pre
-// is immediately inconsistent.
-func (p *problem) prepare(pre map[int]int) (assign map[int]int, remaining []int, ok bool) {
-	if p.unsat {
-		return nil, nil, false
+// value is the image of element e under the current assignment; 0
+// for an element outside the source.
+func (s *search) value(e int) int {
+	if i, ok := idOf(s.src.vals, e); ok && s.assign[i] >= 0 {
+		return s.tgt.vals[s.assign[i]]
 	}
-	assign = make(map[int]int, len(pre))
-	inDom := map[int]bool{}
-	for _, e := range p.dom {
-		inDom[e] = true
-	}
-	for e, w := range pre {
-		if !inDom[e] {
-			continue // pre may mention elements outside the active domain
-		}
-		assign[e] = w
-	}
-	// Check atoms already fully assigned and positional feasibility.
-	for e := range assign {
-		if !p.atomsOK(e, assign) {
-			return nil, nil, false
-		}
-		if pc := p.posCand[e]; pc != nil {
-			i := sort.SearchInts(pc, assign[e])
-			if i >= len(pc) || pc[i] != assign[e] {
-				return nil, nil, false
-			}
+	for _, p := range s.pins {
+		if p[0] == e {
+			return p[1]
 		}
 	}
-	for _, e := range p.dom {
-		if _, done := assign[e]; !done {
-			remaining = append(remaining, e)
-		}
+	return 0
+}
+
+// newCall compiles a → b for one search under pre and allowed, or
+// returns nil when the instance fails before the search starts.
+func newCall(ctx context.Context, a, b *relstr.Structure, pre map[int]int, allowed map[int][]int) *search {
+	var extra []int
+	for _, list := range allowed {
+		extra = append(extra, list...)
 	}
-	return assign, remaining, true
+	s := newSearch(ctx, compileSource(a), compileTarget(b, extra))
+	if !s.start(-1, allowed, maps.All(pre)) {
+		return nil
+	}
+	return s
+}
+
+func findCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int, allowed map[int][]int) (map[int]int, bool, error) {
+	var h map[int]int
+	_, err := forEachCtx(ctx, a, b, pre, allowed, func(g map[int]int) bool { h = g; return false })
+	if err != nil {
+		return nil, false, err
+	}
+	return h, h != nil, nil
+}
+
+func forEachCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int, allowed map[int][]int, fn func(h map[int]int) bool) (bool, error) {
+	s := newCall(ctx, a, b, pre, allowed)
+	if s == nil {
+		return true, nil
+	}
+	var f func() bool // nil: stop at the first homomorphism
+	if fn != nil {
+		f = func() bool { return fn(s.emit()) }
+	}
+	done := s.solve(0, nil, f)
+	if err := s.err(); err != nil {
+		return false, err
+	}
+	return done, nil
 }
 
 // Exists reports whether there is a homomorphism from a to b extending
 // the partial map pre.
 func Exists(a, b *relstr.Structure, pre map[int]int) bool {
-	_, ok := Find(a, b, pre)
+	ok, _ := existsCtx(nil, a, b, pre, nil)
 	return ok
+}
+
+func existsCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int, allowed map[int][]int) (bool, error) {
+	done, err := forEachCtx(ctx, a, b, pre, allowed, nil)
+	return !done && err == nil, err
 }
 
 // ExistsCtx is Exists under a context: it returns cqerr-wrapped
 // cancellation when ctx expires mid-search.
 func ExistsCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int) (bool, error) {
-	_, ok, err := findCtx(ctx, a, b, pre)
-	return ok, err
+	return existsCtx(ctx, a, b, pre, nil)
 }
 
 // Find returns a homomorphism from a to b extending pre, if one exists.
 func Find(a, b *relstr.Structure, pre map[int]int) (map[int]int, bool) {
-	h, ok, _ := findCtx(nil, a, b, pre)
+	h, ok, _ := findCtx(nil, a, b, pre, nil)
 	return h, ok
 }
 
 // FindCtx is Find under a context.
 func FindCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int) (map[int]int, bool, error) {
-	return findCtx(ctx, a, b, pre)
-}
-
-func findCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int) (map[int]int, bool, error) {
-	p := compile(a, b)
-	p.ctx = ctx
-	return p.find(pre)
-}
-
-// find returns the first solution extending pre.
-func (p *problem) find(pre map[int]int) (map[int]int, bool, error) {
-	assign, remaining, ok := p.prepare(pre)
-	if !ok {
-		return nil, false, nil
-	}
-	var found map[int]int
-	p.solve(assign, remaining, p.initFrontier(assign), func() bool {
-		found = make(map[int]int, len(assign))
-		for k, v := range assign {
-			found[k] = v
-		}
-		return false // stop at first solution
-	})
-	if err := p.cancelErr(); err != nil {
-		return nil, false, err
-	}
-	if found == nil {
-		return nil, false, nil
-	}
-	return found, true, nil
+	return findCtx(ctx, a, b, pre, nil)
 }
 
 // ForEach enumerates every homomorphism from a to b extending pre,
 // invoking fn on each. If fn returns false the enumeration stops early
 // and ForEach returns false; otherwise it returns true.
 func ForEach(a, b *relstr.Structure, pre map[int]int, fn func(h map[int]int) bool) bool {
-	done, _ := ForEachCtx(nil, a, b, pre, fn)
+	done, _ := forEachCtx(nil, a, b, pre, nil, fn)
 	return done
 }
 
 // ForEachCtx is ForEach under a context. It returns (false, non-nil)
 // when the context expired before the enumeration finished.
 func ForEachCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int, fn func(h map[int]int) bool) (bool, error) {
-	p := compile(a, b)
-	p.ctx = ctx
-	assign, remaining, ok := p.prepare(pre)
-	if !ok {
-		return true, nil
-	}
-	done := p.solve(assign, remaining, p.initFrontier(assign), func() bool {
-		h := make(map[int]int, len(assign))
-		for k, v := range assign {
-			h[k] = v
-		}
-		return fn(h)
-	})
-	if err := p.cancelErr(); err != nil {
-		return false, err
-	}
-	return done, nil
+	return forEachCtx(ctx, a, b, pre, nil, fn)
 }
 
 // Count returns the number of homomorphisms from a to b extending pre.
 func Count(a, b *relstr.Structure, pre map[int]int) int {
-	n := 0
-	ForEach(a, b, pre, func(map[int]int) bool { n++; return true })
-	return n
+	return CountRestricted(a, b, pre, nil)
 }
 
 // Project enumerates the distinct values taken by the projection
@@ -615,81 +743,27 @@ func Project(a, b *relstr.Structure, pre map[int]int, proj []int, fn func(vals [
 // already delivered to fn remain valid (they are sound regardless of
 // where the search stopped).
 func ProjectCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int, proj []int, fn func(vals []int) bool) (bool, error) {
-	p := compile(a, b)
-	p.ctx = ctx
-	assign, remaining, ok := p.prepare(pre)
-	if !ok {
+	s := newCall(ctx, a, b, pre, nil)
+	if s == nil {
 		return true, nil
 	}
-	// Split remaining into projection elements (assigned first) and the
-	// rest (existence-checked).
-	isProj := map[int]bool{}
+	// The projection elements are assigned first, each tuple of their
+	// values once; the rest is only checked for a completion, so every
+	// tuple reaches fn once.
+	among := make([]bool, len(s.assign))
 	for _, e := range proj {
-		isProj[e] = true
-	}
-	var projRemaining, rest []int
-	for _, e := range remaining {
-		if isProj[e] {
-			projRemaining = append(projRemaining, e)
-		} else {
-			rest = append(rest, e)
+		if i, ok := idOf(s.src.vals, e); ok {
+			among[i] = true
 		}
 	}
-	var seen relstr.TupleSet
-	var assignProj func(rem []int) bool
-	assignProj = func(rem []int) bool {
-		if p.cancelled() {
-			return false
+	done := s.solve(0, among, func() bool {
+		vals := make([]int, len(proj))
+		for k, e := range proj {
+			vals[k] = s.value(e)
 		}
-		if len(rem) == 0 {
-			// All projection elements assigned; does a completion exist?
-			complete := false
-			p.solve(assign, rest, p.initFrontier(assign), func() bool { complete = true; return false })
-			if !complete {
-				return true
-			}
-			vals := make([]int, len(proj))
-			for i, e := range proj {
-				vals[i] = assign[e]
-			}
-			if !seen.Add(vals) {
-				return true
-			}
-			return fn(vals)
-		}
-		// MRV within the projection elements.
-		bestI := -1
-		var bestCand []int
-		for i, v := range rem {
-			c := p.candidates(v, assign)
-			if bestI == -1 || len(c) < len(bestCand) {
-				bestI, bestCand = i, c
-				if len(c) == 0 {
-					break
-				}
-			}
-		}
-		if len(bestCand) == 0 {
-			return true
-		}
-		v := rem[bestI]
-		next := make([]int, 0, len(rem)-1)
-		next = append(next, rem[:bestI]...)
-		next = append(next, rem[bestI+1:]...)
-		for _, val := range bestCand {
-			assign[v] = val
-			if p.atomsOK(v, assign) {
-				if !assignProj(next) {
-					delete(assign, v)
-					return false
-				}
-			}
-			delete(assign, v)
-		}
-		return true
-	}
-	done := assignProj(projRemaining)
-	if err := p.cancelErr(); err != nil {
+		return fn(vals)
+	})
+	if err := s.err(); err != nil {
 		return false, err
 	}
 	return done, nil

@@ -13,6 +13,7 @@ package relstr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -220,13 +221,17 @@ func (s *Structure) Size() int {
 
 // Domain returns the active domain in ascending order.
 func (s *Structure) Domain() []int {
-	set := s.DomainSet()
-	out := make([]int, 0, len(set))
-	for e := range set {
+	out := make([]int, 0, s.Size()+len(s.extra))
+	for _, r := range s.rels {
+		for _, t := range r.set.Rows() {
+			out = append(out, t...)
+		}
+	}
+	for e := range s.extra {
 		out = append(out, e)
 	}
 	sort.Ints(out)
-	return out
+	return slices.Clip(slices.Compact(out))
 }
 
 // DomainSet returns the active domain as a set. The returned map is

@@ -6,7 +6,9 @@ import (
 	"iter"
 	"slices"
 
+	"cqapprox/internal/core"
 	"cqapprox/internal/eval"
+	"cqapprox/internal/hom"
 	"cqapprox/internal/obs"
 	"cqapprox/internal/relstr"
 )
@@ -122,6 +124,37 @@ func (p *PreparedQuery) Approximations() []*Query {
 // approximation search examined (0 on PrepareExact and, by design, on
 // every cache hit — the point of preparing once).
 func (p *PreparedQuery) CandidatesInspected() int { return p.inspected }
+
+// Verify re-proves the prepare's result with fresh homomorphism tests.
+// For a class C it checks that the chosen query Q′ is contained in the
+// original query (Q′ ⊆ Q), lies in C (Q′ ∈ C), and is maximal: no
+// C-query of the search space over the prepare's own Options lies
+// strictly between Q′ and Q. core.IsApproximation decides all three;
+// only when it fails are the first two re-checked, to name the property
+// that broke. For PrepareExact it checks Q′ ≡ the minimized query. It
+// returns an error naming the failed property, and nil when all hold.
+// Verify repeats the exponential search, so it costs as much as the
+// prepare did.
+func (p *PreparedQuery) Verify() error {
+	if p.class == nil {
+		if !hom.Equivalent(p.chosen, p.min) {
+			return fmt.Errorf("cqapprox: verify: Q′ ≡ min(Q) fails: %v is not equivalent to %v", p.chosen, p.min)
+		}
+		return nil
+	}
+	ok, err := core.IsApproximation(p.min, p.chosen, p.class, p.opt)
+	switch {
+	case err != nil:
+		return fmt.Errorf("cqapprox: verify: %w", err)
+	case ok:
+		return nil
+	case !p.class.Contains(p.chosen.Tableau().S):
+		return fmt.Errorf("cqapprox: verify: Q′ ∈ %s fails for %v", p.class.Name(), p.chosen)
+	case !hom.Contained(p.chosen, p.src):
+		return fmt.Errorf("cqapprox: verify: Q′ ⊆ Q fails: %v is not contained in %v", p.chosen, p.src)
+	}
+	return fmt.Errorf("cqapprox: verify: maximality fails: a %s-query lies strictly between %v and %v", p.class.Name(), p.chosen, p.min)
+}
 
 // CacheHit reports whether the Prepare that returned this value was
 // served from the engine's cache (including being handed an in-flight
