@@ -31,26 +31,38 @@ func sameAnswerSets(a, b Answers) bool {
 // and every one of their semijoin keys is one column of dense ids, so
 // they build no index at all: each step tests a dense key summary. The TW(1)
 // approximation of the free 4-cycle, E(x0,x1), E(x1,x0), joins on a
-// two-column key, which only the index serves — it is the query that
-// warms and then reuses the cache.
+// two-column key, which a dense summary serves too; on the same graph
+// with every id shifted out of the dense bound only the index does, so
+// that is the query and database that warm and then reuse the cache.
 func TestRegisteredDBIndexReuse(t *testing.T) {
 	engine := NewEngine()
 	ctx := context.Background()
-	db := workload.EvalBenchDB(300)
-	d, _, err := engine.RegisterDB("bench", db)
+	dense := workload.EvalBenchDB(300)
+	shifted := shiftOut(dense)
+	d, _, err := engine.RegisterDB("bench", dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, _, err := engine.RegisterDB("shifted", shifted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		q        *Query
 		class    Class // nil: exact
+		shifted  bool
 		noBuilds bool
 	}{
-		{workload.ChainQuery(6), nil, true},
-		{workload.StarQuery(5), nil, true},
-		{workload.CycleQueryFree(4), TW(1), false},
+		{workload.ChainQuery(6), nil, false, true},
+		{workload.StarQuery(5), nil, false, true},
+		{workload.CycleQueryFree(4), TW(1), false, true},
+		{workload.CycleQueryFree(4), TW(1), true, false},
 	} {
 		q := c.q
+		db, d := dense, d
+		if c.shifted {
+			db, d = shifted, ds
+		}
 		var p *PreparedQuery
 		var err error
 		if c.class == nil {
@@ -108,9 +120,30 @@ func TestRegisteredDBIndexReuse(t *testing.T) {
 			t.Fatalf("%s: streamed %d answers, want %d", q.Name, len(streamed), len(want))
 		}
 	}
-	if st := d.Stats(); st.IndexBuilds == 0 || st.IndexHits == 0 || st.IndexesCached == 0 {
+	if st := d.Stats(); st.IndexBuilds != 0 {
+		t.Fatalf("dense snapshot built indexes: %+v", st)
+	}
+	if st := ds.Stats(); st.IndexBuilds == 0 || st.IndexHits == 0 || st.IndexesCached == 0 {
 		t.Fatalf("snapshot cache never exercised: %+v", st)
 	}
+}
+
+// shiftOut returns db with every value moved far above the executor's
+// dense key bound, so every semijoin step on it probes a view index.
+// The shift is injective, so every answer count is unchanged.
+func shiftOut(db *Structure) *Structure {
+	out := NewStructure()
+	for _, name := range db.Relations() {
+		out.Declare(name, db.Arity(name))
+		for _, t := range db.Tuples(name) {
+			vals := make([]int, len(t))
+			for i, v := range t {
+				vals[i] = v + 1<<40
+			}
+			out.Add(name, vals...)
+		}
+	}
+	return out
 }
 
 func compareTuples(a, b Tuple) int {

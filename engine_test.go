@@ -517,7 +517,7 @@ func TestIndexStats(t *testing.T) {
 	if s := p.IndexStats(); s.Evals != 0 {
 		t.Fatalf("stats before any Eval: %+v", s)
 	}
-	db := testDB()
+	db := shiftOut(testDB()) // out of the dense key bound: the two-column step probes an index
 	if _, err := p.Eval(ctx, db); err != nil {
 		t.Fatal(err)
 	}
@@ -546,5 +546,74 @@ func TestIndexStats(t *testing.T) {
 	}
 	if cs := e.CacheStats(); cs.Indexes.Evals != 3 || cs.Indexes.IndexBuilds != p.IndexStats().IndexBuilds {
 		t.Fatalf("engine cache stats: %+v", cs.Indexes)
+	}
+}
+
+// One-column heads dedup and order their answers through a bitset while
+// the values are small non-negative ids, and through a hash set and a
+// sort from the first value that is not. Either way Eval must return
+// NaiveEval's answers in its order, on acyclic and cyclic plans alike,
+// with negative, huge and mixed ids.
+func TestOneColumnEvalIDs(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine()
+	base := workload.EvalBenchDB(120)
+	queries := []*Query{
+		MustParse("Q(x) :- E(x,y), E(y,x)"),
+		MustParse("Q(x) :- E(x,y), E(y,z)"),
+		MustParse("Q(y) :- E(x,y), R1(y,z), R2(z,x)"),
+	}
+	var dbs []*Structure
+	for _, lab := range []struct {
+		name string
+		f    func(int) int
+	}{
+		{"dense", func(v int) int { return v }},
+		{"negative", func(v int) int { return -v - 1 }},
+		{"huge", func(v int) int { return v + 1<<40 }},
+		{"mixed", func(v int) int {
+			switch v % 5 {
+			case 0:
+				return v + 1<<40
+			case 1:
+				return -v
+			}
+			return v
+		}},
+	} {
+		db := NewStructure()
+		for _, name := range base.Relations() {
+			for _, tup := range base.Tuples(name) {
+				db.Add(name, lab.f(tup[0]), lab.f(tup[1]))
+			}
+		}
+		dbs = append(dbs, db)
+	}
+	// Mutual edges in search order: 1 and 5 are found in the bitset,
+	// 2^40 moves them into the hash set, and 1 and -3 come after it.
+	spill := NewStructure()
+	for _, e := range [][2]int{{1, 5}, {5, 1}, {1 << 40, 7}, {7, 1 << 40}, {1, 6}, {6, 1}, {-3, 1}, {1, -3}} {
+		spill.Add("E", e[0], e[1])
+		spill.Add("R1", e[0], e[1])
+		spill.Add("R2", e[0], e[0]) // the triangle query closes on loops
+	}
+	for _, db := range append(dbs, spill) {
+		for _, q := range queries {
+			p, err := e.PrepareExact(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.Eval(ctx, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := NaiveEval(q, db)
+			if len(want) == 0 {
+				t.Fatalf("db %d %v: no answers", len(dbs), q)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v: Eval = %v\nwant %v", q, got, want)
+			}
+		}
 	}
 }

@@ -63,8 +63,9 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/cqerr"
@@ -118,6 +119,11 @@ type bagPlan struct {
 	// where every existence check holds, so its existence bags have no
 	// program and its runs no memo.
 	reduced bool
+	// found is how many head tuples the last complete run found: the
+	// next run reserves that many in its seen set (flatSet.reserve), and
+	// Eval in its answer slab, rather than regrowing buffers a pooled
+	// run gave up.
+	found atomic.Int64
 }
 
 // newBags starts a bag tree over atoms, whose distinct variables are
@@ -667,7 +673,13 @@ type bagRun struct {
 	stats  opStats
 }
 
-var bagRunPool = sync.Pool{New: func() any { return new(bagRun) }}
+// bagRuns holds released runs. Kept across GCs, they make the
+// allocations of a call independent of GC timing; a released run first
+// drops every buffer above maxPooled elements (2 MiB of int keys), so
+// the pool never pins a large answer set.
+var bagRuns = make(freeList[bagRun], runtime.GOMAXPROCS(0))
+
+const maxPooled = 1 << 18
 
 // resized returns s with length n, zeroed, reusing its capacity.
 func resized[T any](s []T, n int) []T {
@@ -680,7 +692,7 @@ func resized[T any](s []T, n int) []T {
 }
 
 func (bp *bagPlan) newRun(ctx context.Context, sn *relstr.Snapshot, emit func([]int) bool) *bagRun {
-	r := bagRunPool.Get().(*bagRun)
+	r := bagRuns.get()
 	r.start(bp, ctx, sn, emit)
 	return r
 }
@@ -698,6 +710,11 @@ func (r *bagRun) start(bp *bagPlan, ctx context.Context, sn *relstr.Snapshot, em
 	r.bind = resized(r.bind, bp.numVars)
 	r.tuple = resized(r.tuple, len(bp.head))
 	r.seen.reset(len(bp.head))
+	if len(bp.head) != 1 {
+		r.seen.reserve(int(bp.found.Load()))
+	} else if sn != nil { // a bitset over the data's size (flatSet.limit)
+		r.seen.limit = bitLimit(sn.NumFacts(), 0)
+	}
 	if bp.reduced {
 		return // no existence check runs
 	}
@@ -716,8 +733,15 @@ func (r *bagRun) start(bp *bagPlan, ctx context.Context, sn *relstr.Snapshot, em
 }
 
 func (r *bagRun) release() {
+	if !r.stop {
+		r.bp.found.Store(int64(r.seen.n))
+	}
 	r.drop()
-	bagRunPool.Put(r)
+	r.seen.trim()
+	for i := range r.memo {
+		r.memo[i].keys.trim()
+	}
+	bagRuns.put(r)
 }
 
 // drop clears r's references to the call's data, keeping its buffers.
@@ -962,7 +986,7 @@ func (r *bagRun) head(i int) int {
 	bp := r.bp
 	if i == len(bp.steps) {
 		r.fillTuple()
-		if _, added := r.seen.add(r.tuple); added && !r.emit(r.tuple) {
+		if r.seen.add(r.tuple) && !r.emit(r.tuple) {
 			r.stop = true
 		}
 		if r.stop {
@@ -980,7 +1004,7 @@ func (r *bagRun) head(i int) int {
 		r.bindRow(st, rows[id])
 		if i == bp.lastHead {
 			r.fillTuple()
-			if r.seen.find(r.tuple) >= 0 {
+			if r.seen.has(r.tuple) {
 				continue // this head tuple already has its witness
 			}
 		}
@@ -1010,9 +1034,10 @@ func (r *bagRun) fillTuple() {
 // bottom-up pass: each atom reads its forest node's view and liveness
 // bitmap. Every live row extends to an assignment of its subtree and a
 // bag is reached only through its parent's live binding, so the search
-// never meets a dead end and runs no existence check.
-func (bp *bagPlan) forestRun(ctx context.Context, f *forest, emit func([]int) bool) *bagRun {
-	r := bp.newRun(ctx, nil, emit)
+// never meets a dead end and runs no existence check. sn, the snapshot
+// f was built from, only sizes a one-column head's seen set.
+func (bp *bagPlan) forestRun(ctx context.Context, sn *relstr.Snapshot, f *forest, emit func([]int) bool) *bagRun {
+	r := bp.newRun(ctx, sn, emit)
 	r.readForest(f)
 	return r
 }
@@ -1039,22 +1064,75 @@ func (p *Plan) finish(r *bagRun) error {
 
 // flatSet is an insertion-ordered hash set of fixed-width int keys
 // stored back to back in one slab (key id k occupies keys[k*w:(k+1)*w]),
-// so a set of n keys costs a handful of allocations rather than n.
+// so a set of n keys costs a handful of allocations rather than n. A
+// one-column set given a limit keeps its keys in a bitset instead
+// (bits, bit v set ⇔ v present) while they lie in [0, limit); the
+// first key outside moves them into the table (limit 0).
 type flatSet struct {
-	w    int
-	n    int
-	keys []int
-	head []int32 // bucket → first key id +1 (0 = empty)
-	next []int32 // key id → next key id +1 in the same bucket
-	mask uint64
+	w     int
+	n     int
+	keys  []int
+	head  []int32 // bucket → first key id +1 (0 = empty)
+	next  []int32 // key id → next key id +1 in the same bucket
+	mask  uint64
+	limit int
+	bits  []uint64
 }
 
-// reset empties the set for keys of width w, keeping its capacity.
+// trim drops the set's buffers when they exceed maxPooled elements, so
+// a pooled owner does not pin them.
+func (s *flatSet) trim() {
+	if cap(s.keys) > maxPooled || cap(s.head) > maxPooled || cap(s.bits) > maxPooled {
+		*s = flatSet{}
+	}
+}
+
+// reserve readies an empty set for n keys: each buffer is allocated at
+// most once, and no rehash runs before the n-th key.
+func (s *flatSet) reserve(n int) {
+	s.keys, s.next = slices.Grow(s.keys, n*s.w), slices.Grow(s.next, n)
+	if size := max(16, 1<<bits.Len(uint(n*4/3))); len(s.head) < size {
+		s.head, s.mask = resized(s.head, size), uint64(size-1)
+	}
+}
+
+// reset empties the set for keys of width w, keeping its capacity. A
+// pooled set may carry a large table from an earlier call, so a sparse
+// one clears only the buckets its keys used; keys held in bits (limit
+// > 0) left the table clear.
 func (s *flatSet) reset(w int) {
-	s.w, s.n = w, 0
+	if s.limit == 0 && s.n*8 < len(s.head) {
+		for k := 0; k < s.n; k++ {
+			s.head[hashKey(s.keys[k*s.w:(k+1)*s.w])&s.mask] = 0
+		}
+	} else if s.limit == 0 {
+		clear(s.head)
+	}
+	s.w, s.n, s.limit = w, 0, 0
 	s.keys = s.keys[:0]
 	s.next = s.next[:0]
-	clear(s.head)
+	s.bits = s.bits[:0]
+}
+
+// has reports whether key is in the set.
+func (s *flatSet) has(key []int) bool {
+	if s.limit > 0 {
+		v := uint(key[0]) // a negative key wraps to a huge uint and misses
+		return v < uint(len(s.bits))<<6 && s.bits[v>>6]&(1<<(v&63)) != 0
+	}
+	return s.find(key) >= 0
+}
+
+// ascending writes the keys of a one-column set whose bitset holds
+// them (limit > 0) into out, len s.n, in ascending order.
+func (s *flatSet) ascending(out []int) {
+	k := 0
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			out[k] = w<<6 | bits.TrailingZeros64(word)
+			k++
+		}
+	}
 }
 
 func hashKey(key []int) uint64 {
@@ -1084,12 +1162,29 @@ func (s *flatSet) find(key []int) int32 {
 	return -1
 }
 
-// add inserts key if absent, returning its id and whether it is new.
-func (s *flatSet) add(key []int) (int32, bool) {
-	if id := s.find(key); id >= 0 {
-		return id, false
+// add inserts key if absent and reports whether it is new.
+func (s *flatSet) add(key []int) bool {
+	if s.has(key) {
+		return false
 	}
-	return s.insert(key), true
+	if s.limit > 0 && uint(key[0]) >= uint(s.limit) { // move the bitset into the table
+		vals := make([]int, s.n)
+		s.ascending(vals)
+		s.n, s.limit = 0, 0
+		for k := range vals {
+			s.insert(vals[k : k+1])
+		}
+	}
+	if s.limit == 0 {
+		s.insert(key)
+		return true
+	}
+	if v := key[0]; v>>6 >= len(s.bits) {
+		s.bits = grow(s.bits, v>>6+1)
+	}
+	s.bits[key[0]>>6] |= 1 << uint(key[0]&63)
+	s.n++
+	return true
 }
 
 // insert appends a key known to be absent and returns its id.

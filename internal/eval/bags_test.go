@@ -405,7 +405,7 @@ func TestStreamSearchReadsLiveRows(t *testing.T) {
 			t.Fatalf("%s reduce: ok %v, err %v", src, ok, err)
 		}
 		var got []relstr.Tuple
-		r := p.forestBags(p.tb.Dist, 0).forestRun(ctx, f, func(vals []int) bool {
+		r := p.forestBags(p.tb.Dist, 0).forestRun(ctx, nil, f, func(vals []int) bool {
 			got = append(got, relstr.Tuple(vals).Clone())
 			return true
 		})
@@ -458,7 +458,7 @@ func TestDirectSearchReadsRootOnly(t *testing.T) {
 		t.Fatalf("S keeps %d live rows, want all 37: the bottom-up pass filters no child", f.nodes[1].live)
 	}
 	var got []relstr.Tuple
-	r := p.bags.forestRun(ctx, f, func(vals []int) bool {
+	r := p.bags.forestRun(ctx, nil, f, func(vals []int) bool {
 		got = append(got, relstr.Tuple(vals).Clone())
 		return true
 	})

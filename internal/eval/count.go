@@ -462,7 +462,7 @@ func (f *forest) dpCounts(ctx context.Context, tree *countTree) ([][]uint64, err
 		ok := f.countDP(node, steps, out)
 		for _, st := range steps {
 			if st.buf != nil {
-				putKeyBuf(st.buf)
+				keyBufs.put(st.buf)
 			}
 		}
 		if !ok {
@@ -486,11 +486,11 @@ func (f *forest) resolveDP(i int, e dpEdge, cnt []uint64) dpStep {
 	}
 	st := dpStep{tCols: e.tCols, cnt: cnt}
 	if len(e.sCols) == 1 {
-		buf := getKeyBuf()
+		buf := keyBufs.get()
 		if st.sums, st.ovf, st.dense = keySums(child, e.sCols[0], sumLimit(node.live, child.live), cnt, buf); st.dense {
 			st.buf = buf
 		} else {
-			putKeyBuf(buf)
+			keyBufs.put(buf)
 		}
 	}
 	if st.dense {
@@ -937,7 +937,7 @@ func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
 func (p *Plan) CountEnum(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (uint64, *obs.ExecTrace, error) {
 	var n uint64
 	tr, err := p.call(sn, parallel, traced, func(f *forest) error {
-		return p.search(ctx, sn, f, func([]int) bool { n++; return true })
+		return p.search(ctx, sn, f, func([]int) bool { n++; return true }, nil)
 	})
 	return n, tr, err
 }

@@ -26,7 +26,7 @@ func (p *Plan) countForTest(ctx context.Context, src *relstr.Snapshot, par int) 
 		f := p.tunedForest(src, par)
 		defer p.flush(f)
 		var n uint64
-		err := p.search(ctx, src, f, func([]int) bool { n++; return true })
+		err := p.search(ctx, src, f, func([]int) bool { n++; return true }, nil)
 		return n, err
 	}
 	run, err := p.prepareCount(ctx, src, par, true, false)

@@ -205,6 +205,79 @@ func TestKernelParity(t *testing.T) {
 	if dense == 0 {
 		t.Fatal("the dense kernel never ran")
 	}
+	t.Run("steps", func(t *testing.T) { stepParity(t, rng) })
+}
+
+// stepParity holds the grouped kernel to the index kernel on single
+// steps the random plans rarely draw: keys of two and three columns
+// whose source has a hub — one first-column value with hundreds of
+// partners — and, in some draws, a first-column value out of the dense
+// bound, which sends the step to the index. Each step runs serially
+// and under a parallel budget with one-word morsels, on the rows as
+// drawn and shifted out of the bound; the surviving target rows must
+// agree bit for bit with the serial index run.
+func stepParity(t *testing.T, rng *rand.Rand) {
+	grouped := 0
+	for iter := 0; iter < 60; iter++ {
+		w := 2 + iter%2
+		vars := []int{0, 1, 2}[:w]
+		draw := func(n, dom int) rel {
+			r := rel{vars: vars}
+			seen := map[[3]int]bool{}
+			for k := 0; k < n; k++ {
+				var key [3]int
+				for i := range w {
+					key[i] = rng.Intn(dom)
+				}
+				if k%3 == 0 {
+					key[0] = 3 // the hub
+				}
+				if !seen[key] {
+					seen[key] = true
+					r.rows = append(r.rows, slices.Clone(key[:w]))
+				}
+			}
+			return r
+		}
+		target, source := draw(200+rng.Intn(600), 20), draw(100+rng.Intn(600), 20)
+		outOfBound := iter%4 == 3
+		if outOfBound {
+			source.rows = append(source.rows, append([]int{1 << 40}, source.rows[0][1:]...))
+		}
+		cols := []int{0, 1, 2}[:w]
+		step := sjStep{target: 0, source: 1, tCols: cols, sCols: cols}
+		var want []uint64
+		for _, leg := range []struct {
+			shifted bool
+			par     int
+		}{{true, 1}, {false, 1}, {false, 4}, {true, 4}} {
+			tg, sc := target, source
+			if leg.shifted {
+				tg, sc = relabelRel(target, shiftOut), relabelRel(source, shiftOut)
+			}
+			f := pairForest(tg, sc, relstr.NewView(sc.rows), leg.par)
+			f.morsel = 64
+			f.trace = getExecTrace(2)
+			f.semijoin(step)
+			isDense := f.trace.nodes[0].dense.Load() == 1
+			putExecTrace(f.trace)
+			if isDense != (!leg.shifted && !outOfBound) {
+				t.Fatalf("iter %d shifted=%v par=%d: dense = %v", iter, leg.shifted, leg.par, isDense)
+			}
+			if isDense {
+				grouped++
+			}
+			got := append([]uint64{uint64(f.nodes[0].live)}, f.nodes[0].words...)
+			if want == nil {
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Fatalf("iter %d w=%d shifted=%v par=%d: survivors diverge:\n  got  %v\n  want %v", iter, w, leg.shifted, leg.par, got, want)
+			}
+		}
+	}
+	if grouped == 0 {
+		t.Fatal("the grouped kernel never ran")
+	}
 }
 
 // TestCountDPKeyOverflow pins the DP's overflow rule on both kernels:
@@ -236,7 +309,7 @@ func TestCountDPKeyOverflow(t *testing.T) {
 				out := make([]uint64, len(parent.rows))
 				ok := f.countDP(&f.nodes[0], []dpStep{st}, out)
 				if st.buf != nil {
-					putKeyBuf(st.buf)
+					keyBufs.put(st.buf)
 				}
 				if ok == readOverflow {
 					t.Fatalf("shifted=%v par=%d readOverflow=%v: ok = %v", shifted, par, readOverflow, ok)
@@ -249,12 +322,14 @@ func TestCountDPKeyOverflow(t *testing.T) {
 	}
 }
 
-// TestDenseKernelChoice pins which kernel one step runs. A one-column
-// key whose live source values lie inside the bound is summarised
-// densely with no index build; a value beyond the bound, or a key of
-// two columns, builds and probes the index. The DP's sum array has the
-// tighter bound: a key the semijoin's bitset covers can still send the
-// DP edge to the index. Every choice kills the same rows.
+// TestDenseKernelChoice pins which kernel one step runs. A key whose
+// live source values lie inside the bound in its first column is
+// summarised densely with no index build — a bitset for one column,
+// groups for two or more, a hub key's included; a first-column value
+// beyond the bound builds and probes the index. The DP's sum array has
+// the tighter bound: a key the semijoin's bitset covers can still send
+// the DP edge to the index. Every choice kills the same rows, serially
+// and under a parallel budget with one-word morsels.
 func TestDenseKernelChoice(t *testing.T) {
 	src := rel{vars: []int{0, 1}}
 	for v := 0; v < 100; v++ {
@@ -262,23 +337,47 @@ func TestDenseKernelChoice(t *testing.T) {
 	}
 	wideSrc := rel{vars: src.vars, rows: append(slices.Clone(src.rows), []int{1000, 1})}
 	farSrc := rel{vars: src.vars, rows: append(slices.Clone(src.rows), []int{1 << 20, 1})}
+	hubSrc := rel{vars: src.vars}
+	for v := 0; v < 5000; v++ {
+		hubSrc.rows = append(hubSrc.rows, []int{5, 2 * v}) // key 5's partners are the even values
+	}
+	src3 := rel{vars: []int{0, 1, 2}}
+	for v := 0; v < 100; v++ {
+		src3.rows = append(src3.rows, []int{v, v % 7, v % 3})
+	}
 	target := rel{vars: []int{0, 1}, rows: [][]int{{5, 5}, {5, 6}, {500, 3}}}
+	target3 := rel{vars: []int{0, 1, 2}, rows: [][]int{{5, 5, 2}, {5, 6, 2}, {5, 5, 1}, {500, 3, 0}}}
+	wideTarget := rel{vars: []int{0, 1}}
+	for v := 0; v < 300; v++ {
+		wideTarget.rows = append(wideTarget.rows, []int{v, v % 5})
+	}
 	one := sjStep{target: 0, source: 1, tCols: []int{0}, sCols: []int{0}}
 	two := sjStep{target: 0, source: 1, tCols: []int{0, 1}, sCols: []int{0, 1}}
+	three := sjStep{target: 0, source: 1, tCols: []int{0, 1, 2}, sCols: []int{0, 1, 2}}
 	for _, c := range []struct {
 		name      string
+		target    rel
 		src       rel
 		step      sjStep
+		par       int
 		dense     bool
 		survivors int
 		dpDense   bool
 	}{
-		{"one column", src, one, true, 2, true},
-		{"beyond the sum bound", wideSrc, one, true, 2, false},
-		{"beyond the bit bound", farSrc, one, false, 2, false},
-		{"two columns", src, two, false, 1, false},
+		{"one column", target, src, one, 1, true, 2, true},
+		{"beyond the sum bound", target, wideSrc, one, 1, true, 2, false},
+		{"beyond the bit bound", target, farSrc, one, 1, false, 2, false},
+		{"two columns", target, src, two, 1, true, 1, false},
+		{"two columns, first beyond the bit bound", target, farSrc, two, 1, false, 1, false},
+		{"two columns, hub key", target, hubSrc, two, 1, true, 1, false},
+		{"three columns", target3, src3, three, 1, true, 1, false},
+		// 300 target rows in five one-word morsels; v%5 == v%7 for v < 100
+		// only when v%35 < 5, so 15 rows survive.
+		{"two columns, parallel one-word morsels", wideTarget, src, two, 4, true, 15, false},
+		{"two columns shifted, parallel one-word morsels", relabelRel(wideTarget, shiftOut), relabelRel(src, shiftOut), two, 4, false, 15, false},
 	} {
-		f := pairForest(target, c.src, relstr.NewView(c.src.rows), 1)
+		f := pairForest(c.target, c.src, relstr.NewView(c.src.rows), c.par)
+		f.morsel = 64
 		f.trace = getExecTrace(2)
 		f.semijoin(c.step)
 		nt := &f.trace.nodes[0]
@@ -298,7 +397,7 @@ func TestDenseKernelChoice(t *testing.T) {
 				t.Fatalf("%s: DP dense = %v, want %v", c.name, st.dense, c.dpDense)
 			}
 			if st.buf != nil {
-				putKeyBuf(st.buf)
+				keyBufs.put(st.buf)
 			}
 		}
 		putExecTrace(f.trace)

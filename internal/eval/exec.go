@@ -205,10 +205,12 @@ func (f *forest) anyEmpty() bool {
 
 // semijoin applies one scheduled reduction step over the bitmaps:
 // target rows with no alive source partner on the aligned columns die.
-// A one-column key of small non-negative ints runs the dense kernel
-// (dense.go): one serial pass sets a bitset of the source's live key
-// values, and each target row is tested with one word read. Every
-// other step probes through the source view's index cache. Large
+// A key whose first column holds small non-negative ints runs the
+// dense kernel (dense.go): one serial pass summarises the source's
+// live keys — a bitset for one column, each target row then tested
+// with one word read; groups by the first column for more, each target
+// row then a scan or binary search of its group. Every other step probes
+// through the source view's index cache. Large
 // targets fan their word ranges out in morsels to as many extra
 // workers as the budget has free — the caller always works too, so a
 // step never stalls on an exhausted budget. Both kernels kill exactly
@@ -238,10 +240,12 @@ func (f *forest) semijoin(st sjStep) {
 		nt.probes.Add(uint64(t.live))
 	}
 	k := sjKernel{tCols: st.tCols}
-	if len(st.sCols) == 1 {
-		buf := getKeyBuf()
-		defer putKeyBuf(buf)
-		k.keys, k.dense = keySet(s, st.sCols[0], bitLimit(t.live, s.live), buf)
+	buf := keyBufs.get()
+	defer keyBufs.put(buf)
+	if limit := bitLimit(t.live, s.live); len(st.sCols) == 1 {
+		k.keys, k.dense = keySet(s, st.sCols[0], limit, buf)
+	} else {
+		k.groups, k.dense = groupKeys(s, st.sCols, limit, buf)
 	}
 	if k.dense {
 		if nt != nil {
@@ -306,13 +310,15 @@ func (f *forest) index(s *execNode, sCols []int, nt *nodeTraceCtr) *relstr.Index
 }
 
 // sjKernel is one semijoin step's resolved probe: the dense bitset of
-// the source's live key values, or the source view's index.
+// the source's live key values or their groups, or the source view's
+// index.
 type sjKernel struct {
-	dense bool
-	keys  []uint64 // dense: bit v set ⇔ some live source row has key v
-	ix    *relstr.Index
-	full  bool // index: the source is unfiltered, skip its liveness
-	tCols []int
+	dense  bool
+	keys   []uint64  // dense, one column: bit v set ⇔ some live source row has key v
+	groups keyGroups // dense, more columns
+	ix     *relstr.Index
+	full   bool // index: the source is unfiltered, skip its liveness
+	tCols  []int
 }
 
 // filter tests the live target rows of the word range [lo, hi),
@@ -321,13 +327,11 @@ type sjKernel struct {
 // disjoint ranges never write the same word.
 func (k sjKernel) filter(t, s *execNode, lo, hi int) int {
 	killed := 0
-	if k.dense {
+	if k.dense && len(k.tCols) == 1 { // the hot loop: one word read per row
 		col, n := k.tCols[0], uint(len(k.keys))<<6
 		for w := lo; w < hi; w++ {
-			word := t.words[w]
-			for word != 0 {
+			for word := t.words[w]; word != 0; word &= word - 1 {
 				b := bits.TrailingZeros64(word)
-				word &= word - 1
 				// A negative key wraps to a huge uint and misses, as it must.
 				if v := uint(t.rows[w<<6|b][col]); v >= n || k.keys[v>>6]&(1<<(v&63)) == 0 {
 					t.words[w] &^= 1 << uint(b)
@@ -338,16 +342,15 @@ func (k sjKernel) filter(t, s *execNode, lo, hi int) int {
 		return killed
 	}
 	for w := lo; w < hi; w++ {
-		word := t.words[w]
-		for word != 0 {
+		for word := t.words[w]; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
-			word &= word - 1
 			row := t.rows[w<<6|b]
-			ok := false
-			for sid := k.ix.First(row, k.tCols); sid >= 0; sid = k.ix.Next(sid, row, k.tCols) {
-				if k.full || s.alive(sid) {
-					ok = true
-					break
+			ok := k.dense && k.groups.has(row, k.tCols)
+			if !k.dense {
+				for sid := k.ix.First(row, k.tCols); sid >= 0; sid = k.ix.Next(sid, row, k.tCols) {
+					if ok = k.full || s.alive(sid); ok {
+						break
+					}
 				}
 			}
 			if !ok {

@@ -209,7 +209,7 @@ func (p *Plan) evalTuned(ctx context.Context, src *relstr.Snapshot, par int) (An
 	f := p.tunedForest(src, par)
 	defer p.flush(f)
 	var s answerSlab
-	if err := p.search(ctx, src, f, s.add); err != nil {
+	if err := p.search(ctx, src, f, s.add, &s); err != nil {
 		return nil, err
 	}
 	return s.answers(len(p.tb.Dist)), nil

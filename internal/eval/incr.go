@@ -200,7 +200,7 @@ func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 			continue
 		}
 		var slab answerSlab
-		search := s.trees[ti].forestRun(ctx, f, slab.add)
+		search := s.trees[ti].forestRun(ctx, sn, f, slab.add)
 		search.run()
 		if err := p.finish(search); err != nil {
 			return err

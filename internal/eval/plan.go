@@ -336,7 +336,10 @@ func (p *Plan) Eval(ctx context.Context, db *relstr.Structure) (Answers, error) 
 // budgets; what varies is whether sn's views and indexes are already
 // warm (a registered snapshot) or built on first use (a borrowed one)
 // and how many cores the semijoin reduction uses. The search collects
-// the answers into one slab, which is cut into tuples and sorted.
+// the answers into one slab, which is cut into tuples and sorted; for a
+// one-column head whose values the search kept in a bitset the slab is
+// first rewritten in ascending order off it, which leaves the sort one
+// pass.
 // Bag (cyclic) plans search serially and ignore the budget.
 func (p *Plan) EvalOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, error) {
 	ans, _, err := p.eval(ctx, sn, parallel, false)
@@ -348,8 +351,8 @@ func (p *Plan) EvalOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (A
 func (p *Plan) eval(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (Answers, *obs.ExecTrace, error) {
 	var ans Answers
 	tr, err := p.call(sn, parallel, traced, func(f *forest) error {
-		var s answerSlab
-		if err := p.search(ctx, sn, f, s.add); err != nil {
+		s := answerSlab{data: make([]int, 0, int(p.bags.found.Load())*len(p.tb.Dist))}
+		if err := p.search(ctx, sn, f, s.add, &s); err != nil {
 			return err
 		}
 		start := f.clock()
@@ -372,7 +375,9 @@ func (s *answerSlab) add(t []int) bool {
 	return true
 }
 
-// answers cuts the slab into tuples of width w sharing it, sorted.
+// answers cuts the slab into tuples of width w sharing it, sorted. A
+// slab a one-column run already rewrote in ascending order costs the
+// sort one pass.
 func (s *answerSlab) answers(w int) Answers {
 	return sortAnswers(cutRows[relstr.Tuple](s.data, s.n, w))
 }
@@ -423,7 +428,7 @@ func (p *Plan) exists(ctx context.Context, sn *relstr.Snapshot, f *forest) (bool
 	err := p.search(ctx, sn, nil, func([]int) bool {
 		found = true
 		return false
-	})
+	}, nil)
 	if found {
 		return true, nil
 	}
@@ -455,7 +460,7 @@ func (p *Plan) StreamOnErr(ctx context.Context, sn *relstr.Snapshot, parallel in
 			return yield(relstr.Tuple(vals).Clone())
 		}
 		if _, err := p.call(sn, parallel, false, func(f *forest) error {
-			return p.search(ctx, sn, f, emit)
+			return p.search(ctx, sn, f, emit, nil)
 		}); err != nil {
 			terminal = err
 		}
@@ -502,20 +507,24 @@ func (p *Plan) call(sn *relstr.Snapshot, parallel int, traced bool, read func(f 
 // the call only) until it returns false, and returns the cancellation
 // that cut the search short, if any. A bag plan (f nil) searches its
 // decomposition against sn; an acyclic plan reduces its forest f and
-// searches the live rows, timed as the trace's "join" phase.
-func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, f *forest, emit func([]int) bool) error {
+// searches the live rows, timed as the trace's "join" phase. When emit
+// fills the slab out, a one-column head's run rewrites it in ascending
+// order off its seen set (flatSet.ascending).
+func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, f *forest, emit func([]int) bool, out *answerSlab) error {
+	var r *bagRun
 	if f == nil {
-		r := p.bags.newRun(ctx, sn, emit)
-		r.run()
+		r = p.bags.newRun(ctx, sn, emit)
 		p.stats.evals.Add(1)
-		return p.finish(r)
-	}
-	if ok, err := p.reduce(ctx, f); !ok {
+	} else if ok, err := p.reduce(ctx, f); !ok {
 		return err
+	} else {
+		r = p.bags.forestRun(ctx, sn, f, emit)
 	}
 	start := f.clock()
-	r := p.bags.forestRun(ctx, f, emit)
 	r.run()
+	if out != nil && r.err == nil && r.seen.limit > 0 {
+		r.seen.ascending(out.data)
+	}
 	err := p.finish(r)
 	f.lap("join", start)
 	return err

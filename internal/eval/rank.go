@@ -395,7 +395,7 @@ func (s *rankRun) group(st *bagStep) ([]int, int) {
 		for _, c := range st.free {
 			s.tup = append(s.tup, rows[id][c])
 		}
-		if _, added := s.seen.add(s.tup); !added {
+		if !s.seen.add(s.tup) {
 			continue
 		}
 		if len(ids) < k {

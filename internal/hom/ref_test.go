@@ -389,15 +389,17 @@ func (p *refProblem) selectVar(assign map[int]int, remaining []int, frontier map
 	if onFrontier {
 		return bestI, bestCand
 	}
-	// Fresh component: smallest static candidate list.
-	bestLen := -1
+	// Fresh component: smallest static candidate list, elements in no
+	// atom last.
+	bestLen, bestFree := -1, false
 	for i, v := range remaining {
 		l := len(p.posCand[v])
 		if p.posCand[v] == nil {
 			l = len(p.tgt.dom)
 		}
-		if bestLen == -1 || l < bestLen {
-			bestI, bestLen = i, l
+		free := len(p.varAtoms[v]) == 0
+		if bestLen == -1 || (bestFree && !free) || (free == bestFree && l < bestLen) {
+			bestI, bestLen, bestFree = i, l, free
 		}
 	}
 	v := remaining[bestI]

@@ -8,9 +8,9 @@
 // over the target's ids; the target keeps, per relation, its tuples as
 // flat rows, the tuple ids per (position, value) and the mask of the
 // values at each position; the assignment and the frontier counts are
-// flat slices. The kernel picks the most constrained frontier element,
-// tries values in ascending order and filters candidates through the
-// partially assigned atoms. It is exact (CQ evaluation / homomorphism
+// flat slices. The kernel picks the most constrained frontier element
+// (elements in no atom last), tries values in ascending order and
+// filters candidates through the partially assigned atoms. It is exact (CQ evaluation / homomorphism
 // existence is NP-complete; the paper's Section 2). Maps cross the API
 // boundary only: pre maps and restrictions in, homomorphisms and
 // retractions out.
@@ -525,9 +525,12 @@ func (s *search) cands(i int32, out []uint64) int {
 // pick chooses the next element as the map-based solver did: among the
 // unassigned elements flagged in among, or else on the frontier (those
 // co-occurring with an assigned element), the one with the fewest
-// candidates; with neither, the one with the smallest static domain.
-// Ties go to the smallest element. It returns -1 when there is nothing
-// to choose, and the candidates in one of depth's masks.
+// candidates; with neither, the one with the smallest static domain,
+// taking elements in no atom only once none in an atom is left: they
+// constrain nothing, so picking them first would make a failing search
+// retry the rest once per combination of their values. Ties go to the
+// smallest element. It returns -1 when there is nothing to choose, and
+// the candidates in one of depth's masks.
 func (s *search) pick(depth int, among []bool) (int32, int, []uint64) {
 	w := s.tgt.w
 	cur, best := s.masks[2*depth*w:(2*depth+1)*w], s.masks[(2*depth+1)*w:(2*depth+2)*w]
@@ -546,9 +549,14 @@ func (s *search) pick(depth int, among []bool) (int32, int, []uint64) {
 	if v >= 0 || among != nil {
 		return v, n, best
 	}
+	free := false // v is in no atom
 	for i, a := range s.assign {
-		if c := count(s.dom[i*w : (i+1)*w]); a == unset && (v < 0 || c < n) {
-			v, n = int32(i), c
+		if a != unset {
+			continue
+		}
+		f := s.src.atomOf.off[i] == s.src.atomOf.off[i+1]
+		if c := count(s.dom[i*w : (i+1)*w]); v < 0 || (free && !f) || (f == free && c < n) {
+			v, n, free = int32(i), c, f
 		}
 	}
 	if v >= 0 {

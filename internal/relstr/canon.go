@@ -6,29 +6,6 @@ import (
 	"strings"
 )
 
-// Signature returns an isomorphism-invariant string for (s, dist):
-// structures with different signatures are guaranteed non-isomorphic.
-// It is based on iterated color refinement (1-dimensional
-// Weisfeiler–Leman adapted to relational structures), so it is a cheap
-// prefilter; equal signatures do not imply isomorphism.
-func Signature(s *Structure, dist []int) string {
-	colors := refine(s, dist)
-	hist := map[string]int{}
-	for _, c := range colors {
-		hist[c]++
-	}
-	keys := make([]string, 0, len(hist))
-	for k := range hist {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s×%d;", k, hist[k])
-	}
-	return b.String()
-}
-
 // refine computes stable refinement colors for every domain element.
 func refine(s *Structure, dist []int) map[int]string {
 	dom := s.Domain()

@@ -84,18 +84,6 @@ func DisjointUnion(s, o *Structure) (*Structure, int) {
 	return out, offset
 }
 
-// Normalize returns an isomorphic copy of s whose domain is
-// {0, …, n−1} following the ascending order of the original domain,
-// together with the renaming old→new.
-func (s *Structure) Normalize() (*Structure, map[int]int) {
-	dom := s.Domain()
-	ren := make(map[int]int, len(dom))
-	for i, e := range dom {
-		ren[e] = i
-	}
-	return s.Map(func(e int) int { return ren[e] }), ren
-}
-
 // Partition represents a partition of a finite element set as a map
 // from element to block representative (the minimum element of the
 // block).

@@ -331,12 +331,6 @@ func (s *Structure) ContainedIn(o *Structure) bool {
 	return true
 }
 
-// ProperlyContainedIn reports whether s ⊆ o fact-wise and some relation
-// of o has a fact missing from s.
-func (s *Structure) ProperlyContainedIn(o *Structure) bool {
-	return s.ContainedIn(o) && s.NumFacts() < o.NumFacts()
-}
-
 // String renders the structure deterministically, e.g.
 // "E(0,1) E(1,2) R(0,0,3)".
 func (s *Structure) String() string {

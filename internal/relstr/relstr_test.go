@@ -125,7 +125,7 @@ func TestInducedAndWithout(t *testing.T) {
 	if sub.NumFacts() != 1 || !sub.Has("E", 0, 1) {
 		t.Fatalf("Without(2) = %v", sub)
 	}
-	if !sub.ContainedIn(s) || !sub.ProperlyContainedIn(s) {
+	if !sub.ContainedIn(s) || s.ContainedIn(sub) {
 		t.Fatal("induced substructure containment broken")
 	}
 }
@@ -141,24 +141,6 @@ func TestDisjointUnion(t *testing.T) {
 	}
 	if u.NumFacts() != 2 || !u.Has("E", 0, 1) || !u.Has("E", off, off+1) {
 		t.Fatalf("DisjointUnion = %v", u)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	s := New()
-	s.Add("E", 10, 20)
-	s.Add("E", 20, 30)
-	n, ren := s.Normalize()
-	if n.DomainSize() != 3 {
-		t.Fatalf("normalized domain size = %d", n.DomainSize())
-	}
-	if !n.Has("E", ren[10], ren[20]) || !n.Has("E", ren[20], ren[30]) {
-		t.Fatalf("Normalize lost edges: %v", n)
-	}
-	for _, e := range n.Domain() {
-		if e < 0 || e > 2 {
-			t.Fatalf("normalized element %d out of range", e)
-		}
 	}
 }
 
@@ -319,18 +301,6 @@ func TestIsomorphicCycleVsPath(t *testing.T) {
 	path.Add("E", 0, 2)
 	if Isomorphic(cyc, path, nil, nil) {
 		t.Fatal("directed 3-cycle vs transitive triangle should differ")
-	}
-}
-
-func TestSignatureInvariance(t *testing.T) {
-	a := New()
-	a.Add("E", 0, 1)
-	a.Add("E", 1, 2)
-	a.Add("E", 2, 0)
-	perm := map[int]int{0: 7, 1: 3, 2: 5}
-	b := a.Map(func(e int) int { return perm[e] })
-	if Signature(a, nil) != Signature(b, nil) {
-		t.Fatal("signature not invariant under renaming")
 	}
 }
 

@@ -239,8 +239,9 @@ func TestStats(t *testing.T) {
 	post(t, ts, "/v1/prepare", `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1"}`)
 	// The loop gives the approximation an answer: on a graph without
 	// one, its loop atom is empty and the reduction stops before any
-	// index is built.
-	post(t, ts, "/v1/eval", `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1","database":{"E":[[1,2],[2,1],[2,2]]}}`)
+	// index is built. The ids lie beyond the executor's dense key bound
+	// (2^40 + k), so its two-column step probes an index.
+	post(t, ts, "/v1/eval", `{"query":"Q(x) :- E(x,y), E(y,z), E(z,x)","class":"TW1","database":{"E":[[1099511627777,1099511627778],[1099511627778,1099511627777],[1099511627778,1099511627778]]}}`)
 	post(t, ts, "/v1/eval", `not json`)
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
