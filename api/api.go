@@ -328,9 +328,11 @@ type CountResponse struct {
 	Estimate float64 `json:"estimate"`
 	// Estimated reports whether sampling produced the result.
 	Estimated bool `json:"estimated"`
-	// Mode names the counting path: "exact-dp", "exact-eval",
-	// "exact-enum" (the bag search's answers counted, cyclic plans) or
-	// "estimate".
+	// Mode names the counting path: "exact-dp" (no tree of an acyclic
+	// plan samples: DP and single-node search counts), "exact-eval"
+	// (some tree's search enumerates it), "exact-enum" (the bag
+	// search's answers counted, cyclic plans) or "estimate"; see
+	// cqapprox.CountResult.
 	Mode string `json:"mode"`
 	// Samples and Batches report the estimator's effort (zero when
 	// exact).

@@ -3,89 +3,43 @@ package cqapprox
 import (
 	"context"
 
-	"cqapprox/internal/count"
 	"cqapprox/internal/eval"
 	"cqapprox/internal/relstr"
 )
 
-// CountResult is the outcome of Count or EstimateCount: the answer
-// count (exact, or the rounded estimate), how it was obtained, and —
-// for estimates — the sampling effort and the accuracy knobs in
-// effect.
-type CountResult struct {
-	// Count is the number of distinct answers; exact when Estimated is
-	// false, the rounded Estimate otherwise.
-	Count uint64
-	// Estimate is the raw, possibly fractional estimate (float64(Count)
-	// for exact results).
-	Estimate float64
-	// Estimated reports whether sampling produced the result.
-	Estimated bool
-	// Mode names the path taken: "exact-dp" (multiplicity DP over the
-	// forest the bottom-up semijoin pass reduced toward the node each
-	// count starts from, no answer materialisation),
-	// "exact-eval" (an acyclic plan's search, the one Eval runs over
-	// the bottom-up-reduced forest, its answers counted without being
-	// kept), "exact-enum" (the same count of a cyclic plan's bag
-	// search), or "estimate" (the sampling estimator).
-	Mode string
-	// Samples and Batches report the estimator's effort (zero when
-	// exact).
-	Samples int
-	Batches int
-	// Epsilon and Delta echo the accuracy target of an estimate.
-	Epsilon float64
-	Delta   float64
-	// Trace is the execution trace of this count, present only when the
-	// call opted in with WithTrace; nil otherwise.
-	Trace *ExecTrace `json:"trace,omitempty"`
-}
+// CountResult is the outcome of Count or EstimateCount: Count, the
+// number of distinct answers (exact, or the rounded Estimate when
+// Estimated), and Mode, the path taken — "exact-dp" (multiplicity DPs
+// and single-node searches over the forest the bottom-up semijoin pass
+// reduced toward the node each count starts from, no answer
+// materialisation), "exact-eval" (an acyclic plan's search, the one
+// Eval runs, its answers counted without being kept), "exact-enum"
+// (the same count of a cyclic plan's bag search) or "estimate" (the
+// sampling estimator, with its Samples, Batches, Epsilon and Delta).
+// Trace is set only when the call opted in with WithTrace.
+type CountResult = eval.CountResult
 
-func fromCount(r count.Result) *CountResult {
-	return &CountResult{
-		Count:     r.Count,
-		Estimate:  r.Estimate,
-		Estimated: r.Estimated,
-		Mode:      r.Mode,
-		Samples:   r.Samples,
-		Batches:   r.Batches,
-		Epsilon:   r.Epsilon,
-		Delta:     r.Delta,
-	}
-}
-
-// countOn dispatches one counting call to the exact or estimating
-// subsystem entry point, traced or not. Counting shares the unified
+// countOn dispatches one counting call to the plan's exact or
+// estimating entry point, traced or not. Counting shares the unified
 // option config (options.go): WithEvalParallelism overrides the
 // default worker budget, WithTrace attaches the trace, and the
 // estimator knobs land in cfg.count.
 func countOn(ctx context.Context, pl *eval.Plan, sn *relstr.Snapshot, par int, estimate bool, opts []CountOption) (*CountResult, error) {
 	cfg := optConfigOf(opts)
 	par = cfg.parallelism(par)
-	var (
-		res count.Result
-		tr  *ExecTrace
-		err error
-	)
 	if estimate {
-		res, tr, err = count.Estimate(ctx, pl, sn, par, cfg.count, cfg.trace)
-	} else {
-		res, tr, err = count.Exact(ctx, pl, sn, par, cfg.trace)
+		return pl.EstimateCount(ctx, sn, par, cfg.count, cfg.trace)
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := fromCount(res)
-	out.Trace = tr
-	return out, nil
+	return pl.Count(ctx, sn, par, cfg.trace)
 }
 
 // Count returns the exact number of distinct answers of the prepared
 // (approximated) query on db — without materialising them when the
-// plan permits. Acyclic plans whose head structure is free-connex-like
-// count by a multiplicity DP over the Yannakakis-reduced forest in
-// O(|D|·|Q'|); every other plan counts the answers of the search Eval
-// runs without keeping them (see CountResult.Mode). The worker budget
+// plan permits. A tree of an acyclic plan whose head structure is
+// free-connex-like counts by a multiplicity DP over the
+// Yannakakis-reduced forest in O(|D|·|Q'|); every other tree, and a
+// cyclic plan, counts the answers of the search Eval runs without
+// keeping them (see CountResult.Mode). The worker budget
 // (WithEvalParallelism, else the engine default) applies to the
 // reduction, DP and join passes. The error is ErrCountOverflow when
 // the count exceeds uint64.

@@ -53,9 +53,9 @@ package eval
 // search reaches a bag only through its parent's live binding, so it
 // never meets a dead end and skips every existence check; such a
 // program lays out no existence bag program at all (forestBags).
-// Every acyclic enumeration — Eval, streams and the counts that
-// enumerate — runs the whole join forest this way (Plan.search), and
-// IncrState's re-evaluation each tree. Ranked reads resolve the probes
+// Every acyclic enumeration — Eval and streams — runs the whole join
+// forest this way (Plan.search), and the counts of node and sample
+// trees and IncrState's re-evaluation each tree. Ranked reads resolve the probes
 // of their visit steps the same way, over a forest reduced toward
 // their first visits (rank.go).
 

@@ -101,9 +101,9 @@ func checkBagPlan(t *testing.T, q *cq.Query, db *relstr.Structure) {
 		if err := errf(); err != nil || !sameAnswers(sortAnswers(streamed), want) {
 			t.Fatalf("%s Stream of %v: got %v (err %v), want %v", src.name, q, streamed, err, want)
 		}
-		n, _, err := p.CountEnum(ctx, src.s, 1, false)
-		if err != nil || n != uint64(len(want)) {
-			t.Fatalf("%s Count of %v = %d (err %v), want %d", src.name, q, n, err, len(want))
+		res, err := p.Count(ctx, src.s, 1, false)
+		if err != nil || res.Count != uint64(len(want)) {
+			t.Fatalf("%s Count of %v = %+v (err %v), want %d", src.name, q, res, err, len(want))
 		}
 	}
 }
@@ -338,7 +338,7 @@ func TestBagCancellation(t *testing.T) {
 			return errf()
 		},
 		"count": func(ctx context.Context) error {
-			_, _, err := empty.CountEnum(ctx, relstr.Borrow(db), 1, false)
+			_, err := empty.Count(ctx, relstr.Borrow(db), 1, false)
 			return err
 		},
 	}

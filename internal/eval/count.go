@@ -1,9 +1,77 @@
 package eval
 
+// Answer counting: exact counts over the reduced forest or the plan's
+// search, and an FPRAS-style sampling estimator for the acyclic plans
+// whose counts are not free-connex.
+//
+// Counting the answers of an acyclic CQ is #P-hard in general
+// (projection is what hurts), but after the bottom-up semijoin pass
+// every live row extends to an assignment of its subtree, and the live
+// rows of each root are exactly the rows that extend to an assignment
+// of its whole tree. Each tree of the forest is classified once, at
+// prepare time, and counted by one of two kernels:
+//
+//   - countUnit: the tree mentions no head variable. Its factor is 1
+//     (non-emptiness is already established by the reduction).
+//   - countDP: after pruning dangling existential subtrees, every
+//     variable of the remaining core is free. Distinct head tuples then
+//     correspond one-to-one to full join rows of the core, counted by a
+//     bottom-up multiplicity DP — no row is ever materialised.
+//   - countNode: the tree's head variables all live inside one node of
+//     the pruned core; countSample: existential variables stay
+//     interleaved between head variables. Both count the distinct
+//     tuples the plan's bag search emits over the tree: a node tree's
+//     search reads its one node's live rows, and a sample tree's
+//     enumerates the tree, never meeting a dead end. Answers are not
+//     kept beyond the search's seen set. A node whose columns the head
+//     covers needs no search: its live rows are the distinct answers.
+//
+// The count of a tree reads only the rows of the node it starts from
+// plus rows reached through matching child rows, so the pass is rooted,
+// per tree, at that node (countSchedule.sched): a countDP or countNode
+// tree at the top node of its pruned core — which sits below the tree
+// root when pruning removed a dangling existential root — and every
+// other tree at its root. The search of a reduced forest skips every
+// existence check, so a tree's search program is rooted where its pass
+// is: the plan's own program when that is the plan's root, else one
+// compiled at NewPlan. A live row of a non-root node need not agree
+// with any live row of its parent, but no count reads such a row on
+// its own: a DP gives a row its number of extensions into the subtree
+// below it, the search and the sampler reach a row only through a
+// parent row that extends.
+//
+// The pruning rule: repeatedly delete a leaf u whose head variables are
+// all shared with its unique neighbour. By the join-tree property u's
+// interface to the rest of the tree lies in that neighbour, and once
+// the pass rooted at the core reduced u into the core every live core
+// row still extends through u — so deleting u changes the head
+// projection of no extending assignment. This is a free-connex-style
+// decomposition: when it bottoms out with existential variables still
+// interleaved between head variables (countSample), exact counting is
+// genuinely hard, and the estimator can take over.
+//
+// Trees are variable-disjoint, so the answer count is the product of
+// the per-tree factors. Repeated head variables are counted once: two
+// head tuples are equal iff they agree on the distinct head variables,
+// so every case counts assignments of the distinct-variable set.
+//
+// The exact count (Plan.Count) names its path in the result's mode:
+// "exact-dp" when no tree samples, "exact-eval" when some tree of an
+// acyclic plan enumerates through the search, and "exact-enum" for a
+// bag (cyclic) plan, which counts its decomposition search's answers.
+// The estimate (Plan.EstimateCount) replaces only the "exact-eval"
+// case: each sample tree gets a Karp–Luby-shaped estimator — sample
+// uniform full assignments from the tree's weighted DP, divide the
+// assignment total N by the sampled head projection's multiplicity m
+// for an unbiased per-sample estimate of the distinct-projection
+// count, then median-of-means across batches for the (ε, δ) guarantee.
+// Every other tree keeps its exact factor; the result is the product.
+
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -16,52 +84,307 @@ import (
 	"cqapprox/internal/relstr"
 )
 
-// Answer counting over the reduced forest. Counting the answers of an
-// acyclic CQ is #P-hard in general (projection is what hurts), but
-// after the bottom-up semijoin pass every live row extends to an
-// assignment of its subtree, and the live rows of each root are
-// exactly the rows that extend to an assignment of its whole tree. On
-// that invariant three exact cases become linear, decided per tree at
-// prepare time. Each count reads only the rows of the node it starts
-// from plus rows reached through matching child rows, so the pass is
-// rooted, per tree, at that node (countSchedule.sched): a countDP or
-// countNode tree at the top node of its pruned core — which sits below
-// the tree root when pruning removed a dangling existential root —
-// and every other tree at its root. A live row of a non-root node need
-// not agree with any live row of its parent, but no count reads such a
-// row on its own: a DP gives a row its number of extensions into the
-// subtree below it, and a sampler reaches a row only through a parent
-// row that extends.
-//
-//   - countUnit: the tree mentions no head variable. Its factor is 1
-//     (non-emptiness is already established by the reduction).
-//   - countDP: after pruning dangling existential subtrees, every
-//     variable of the remaining core is free. Distinct head tuples then
-//     correspond one-to-one to full join rows of the core, counted by a
-//     bottom-up multiplicity DP — no row is ever materialised.
-//   - countNode: the tree's head variables all live inside one node of
-//     the pruned core; the count is the node's distinct projection onto
-//     those columns (output-sized dedup, no join).
-//
-// The pruning rule: repeatedly delete a leaf u whose head variables are
-// all shared with its unique neighbour. By the join-tree property u's
-// interface to the rest of the tree lies in that neighbour, and once
-// the pass rooted at the core reduced u into the core every live core
-// row still extends through u — so deleting u changes the head
-// projection of no extending assignment.
-// This is a free-connex-style decomposition: when it bottoms out with
-// existential variables still interleaved between head variables
-// (countSample), exact counting is genuinely hard and the estimator
-// takes over.
-//
-// Trees are variable-disjoint, so the answer count is the product of
-// the per-tree factors. Repeated head variables are counted once: two
-// head tuples are equal iff they agree on the distinct head variables,
-// so every case counts assignments of the distinct-variable set.
-
 // ErrCountOverflow reports that an exact answer count does not fit in
 // uint64.
 var ErrCountOverflow = errors.New("eval: answer count overflows uint64")
+
+// Count modes (CountResult.Mode).
+const (
+	ModeExactDP   = "exact-dp"
+	ModeExactEval = "exact-eval"
+	ModeExactEnum = "exact-enum"
+	ModeEstimate  = "estimate"
+)
+
+// CountOptions tune an estimated count. The zero value is usable:
+// every field falls back to its default.
+type CountOptions struct {
+	// Epsilon is the relative error target (default 0.1).
+	Epsilon float64
+	// Delta is the failure probability (default 0.05): the estimate is
+	// within (1±ε) of the true count with probability ≥ 1-δ.
+	Delta float64
+	// Seed makes runs reproducible (default 1). Same plan, database,
+	// options and seed ⇒ same estimate.
+	Seed int64
+	// MaxSamples caps the total samples drawn across the whole call
+	// (default 200000); the per-batch size shrinks to fit.
+	MaxSamples int
+}
+
+// Defaults of CountOptions.
+const (
+	DefaultEpsilon    = 0.1
+	DefaultDelta      = 0.05
+	DefaultSeed       = 1
+	DefaultMaxSamples = 200000
+)
+
+func (o CountOptions) withDefaults() CountOptions {
+	if o.Epsilon <= 0 {
+		o.Epsilon = DefaultEpsilon
+	}
+	if o.Delta <= 0 {
+		o.Delta = DefaultDelta
+	}
+	if o.Seed == 0 {
+		o.Seed = DefaultSeed
+	}
+	if o.MaxSamples <= 0 {
+		o.MaxSamples = DefaultMaxSamples
+	}
+	return o
+}
+
+// CountResult is the outcome of a counting call: the answer count
+// (exact, or the rounded estimate), how it was obtained, and — for
+// estimates — the sampling effort and the accuracy knobs in effect.
+type CountResult struct {
+	// Count is the number of distinct answers; exact when Estimated is
+	// false, the rounded Estimate otherwise.
+	Count uint64
+	// Estimate is the raw, possibly fractional estimate (float64(Count)
+	// for exact results).
+	Estimate float64
+	// Estimated reports whether sampling produced the result.
+	Estimated bool
+	// Mode names the path taken: "exact-dp" (the per-tree product of
+	// DP and search counts over the forest the bottom-up semijoin pass
+	// reduced toward the node each count starts from), "exact-eval"
+	// (the same product where some tree's search enumerates it),
+	// "exact-enum" (the answers of a cyclic plan's bag search counted
+	// without being kept), or "estimate" (the sampling estimator).
+	Mode string
+	// Samples and Batches report the estimator's effort (zero when
+	// exact).
+	Samples int
+	Batches int
+	// Epsilon and Delta echo the accuracy target of an estimate.
+	Epsilon float64
+	Delta   float64
+	// Trace is the execution trace of this count, present only when the
+	// call asked for one; nil otherwise.
+	Trace *obs.ExecTrace `json:"trace,omitempty"`
+}
+
+// Count returns the exact answer count of the plan on sn with the
+// given worker budget; traced attaches the call's trace (see
+// EvalTraceOn). An acyclic plan reduces its forest with the counting
+// pass and multiplies the per-tree factors, timed as the "count" phase
+// — or as "join" when some tree enumerates, as the search is in Eval.
+// A bag plan counts its search's answers and traces total time only.
+// The error is ErrCountOverflow when the count exceeds uint64.
+func (p *Plan) Count(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (*CountResult, error) {
+	var n uint64
+	tr, err := p.call(sn, parallel, traced, func(f *forest) (err error) {
+		n, err = p.countExact(ctx, sn, f)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	mode := ModeExactDP
+	switch {
+	case p.mode != PlanYannakakis:
+		mode = ModeExactEnum
+	case !p.csched.exact:
+		mode = ModeExactEval
+	}
+	p.stats.exactCounts.Add(1)
+	return &CountResult{Count: n, Estimate: float64(n), Mode: mode, Trace: tr}, nil
+}
+
+// countExact is Count's read of f: the per-tree product over the
+// forest reduced by the counting pass, or for a bag plan (f nil) the
+// count of its search's answers.
+func (p *Plan) countExact(ctx context.Context, sn *relstr.Snapshot, f *forest) (uint64, error) {
+	var n uint64
+	if f == nil {
+		err := p.search(ctx, sn, nil, func([]int) bool { n++; return true }, nil)
+		return n, err
+	}
+	if err := f.runDown(ctx, p.csched.sched); err != nil {
+		return 0, err
+	}
+	phase := "count"
+	if !p.csched.exact {
+		if f.anyEmpty() {
+			return 0, nil
+		}
+		phase = "join"
+	}
+	start := f.clock()
+	n, err := p.exactProduct(ctx, sn, f)
+	f.lap(phase, start)
+	return n, err
+}
+
+// exactProduct multiplies the exact factors of every tree of f.
+func (p *Plan) exactProduct(ctx context.Context, sn *relstr.Snapshot, f *forest) (uint64, error) {
+	if f.anyEmpty() {
+		return 0, nil
+	}
+	total := uint64(1)
+	for i := range p.csched.trees {
+		n, err := p.treeCount(ctx, sn, f, &p.csched.trees[i])
+		if err != nil {
+			return 0, err
+		}
+		var ok bool
+		if total, ok = mulU64(total, n); !ok {
+			return 0, ErrCountOverflow
+		}
+	}
+	return total, nil
+}
+
+// treeCount is the exact distinct-head-projection count of tree t on
+// f, a forest the counting pass reduced and left non-empty.
+func (p *Plan) treeCount(ctx context.Context, sn *relstr.Snapshot, f *forest, t *countTree) (uint64, error) {
+	switch t.kind {
+	case countUnit:
+		return 1, nil
+	case countDP:
+		return f.runDP(ctx, t)
+	case countNode:
+		// A head that covers the node's columns counts its live rows,
+		// which are distinct, where the search would hash every one.
+		if node := &f.nodes[t.countRoot()]; len(node.vars) == len(t.headVars) {
+			return uint64(node.live), nil
+		}
+	}
+	var n uint64
+	err := p.runSearch(ctx, sn, f, t.bags, func([]int) bool { n++; return true }, nil)
+	return n, err
+}
+
+// EstimateCount returns the answer count of the plan on sn, sampling
+// only where the exact count would enumerate (the "exact-eval" plans);
+// traced attaches the call's trace, with the sampling in a
+// "count-estimate" phase. Every other plan returns Count's exact
+// result — estimation never makes a cheap count worse.
+func (p *Plan) EstimateCount(ctx context.Context, sn *relstr.Snapshot, parallel int, opts CountOptions, traced bool) (*CountResult, error) {
+	if p.mode != PlanYannakakis || p.csched.exact {
+		return p.Count(ctx, sn, parallel, traced)
+	}
+	var res *CountResult
+	tr, err := p.call(sn, parallel, traced, func(f *forest) (err error) {
+		res, err = p.estimate(ctx, sn, f, opts.withDefaults())
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if res.Estimated {
+		p.stats.estCounts.Add(1)
+		p.stats.sampleBatches.Add(uint64(res.Batches))
+	} else {
+		p.stats.exactCounts.Add(1)
+	}
+	res.Trace = tr
+	return res, nil
+}
+
+// estimate is EstimateCount's read of f: the exact factors of the
+// trees that count exactly times a median-of-means estimate per sample
+// tree. A zero factor answers exactly.
+func (p *Plan) estimate(ctx context.Context, sn *relstr.Snapshot, f *forest, opts CountOptions) (*CountResult, error) {
+	if err := f.runDown(ctx, p.csched.sched); err != nil || f.anyEmpty() {
+		return &CountResult{Mode: ModeExactDP}, err
+	}
+	start := f.clock()
+	var sampled []*countTree
+	est := 1.0
+	for i := range p.csched.trees {
+		t := &p.csched.trees[i]
+		if t.kind == countSample {
+			sampled = append(sampled, t)
+			continue
+		}
+		n, err := p.treeCount(ctx, sn, f, t)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			f.lap("count", start)
+			return &CountResult{Mode: ModeExactDP}, nil
+		}
+		est *= float64(n)
+	}
+
+	// Split the accuracy budget across the k sampled trees: per-tree
+	// relative error ε/k and failure δ/k make the product of the tree
+	// estimates land within (1±ε) with probability ≥ 1-δ (union bound;
+	// Π(1±ε/k) ⊆ 1±ε for ε ≤ 1).
+	k := float64(len(sampled))
+	rng := rand.New(rand.NewSource(opts.Seed))
+	res := &CountResult{Estimated: true, Mode: ModeEstimate, Epsilon: opts.Epsilon, Delta: opts.Delta}
+	for _, t := range sampled {
+		mean, samples, batches, err := estimateTree(ctx, f.sampler(t), rng, opts.Epsilon/k, opts.Delta/k, opts.MaxSamples/len(sampled))
+		if err != nil {
+			return nil, err
+		}
+		est *= mean
+		res.Samples += samples
+		res.Batches += batches
+	}
+	f.lap("count-estimate", start)
+	res.Count, res.Estimate = uint64(math.Round(est)), est
+	return res, nil
+}
+
+// estimateTree runs the median-of-means estimator on one sampling
+// tree: a pilot round sizes the batches from the empirical variance
+// (Chebyshev, per-batch failure ≤ 1/4), then the median of
+// B = Θ(log 1/δ) batch means boosts the confidence to 1-δ. It returns
+// the estimate with the samples and batches it took.
+func estimateTree(ctx context.Context, s *treeSampler, rng *rand.Rand, eps, delta float64, budget int) (mean float64, samples, batches int, err error) {
+	if s.total <= 0 {
+		return 0, 0, 0, fmt.Errorf("eval: sampling an empty tree")
+	}
+	const pilot = 64
+	m2 := 0.0
+	for i := 0; i < pilot; i++ {
+		x, err := treeSample(s, rng)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		d := x - mean
+		mean += d / float64(i+1)
+		m2 += d * (x - mean)
+	}
+	variance := m2 / float64(pilot-1)
+	if variance == 0 {
+		// Every pilot sample agreed — the tree's projection multiplicity
+		// is uniform and the pilot mean is already the exact ratio.
+		return mean, pilot, 1, nil
+	}
+	size := max(16, int(math.Ceil(4*variance/(eps*eps*mean*mean))))
+	b := int(math.Ceil(8 * math.Log(1/delta)))
+	if b%2 == 0 {
+		b++
+	}
+	if budget > 0 && size*b > budget {
+		size = max(1, budget/b)
+	}
+	means := make([]float64, b)
+	for i := range means {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, 0, err
+		}
+		sum := 0.0
+		for j := 0; j < size; j++ {
+			x, err := treeSample(s, rng)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			sum += x
+		}
+		means[i] = sum / float64(size)
+	}
+	slices.Sort(means)
+	return means[b/2], pilot + size*b, b, nil
+}
 
 // countKind classifies how one tree of the forest is counted.
 type countKind int
@@ -102,13 +425,14 @@ type countTree struct {
 	headVars []int      // distinct head variables occurring in the tree
 	kind     countKind
 
-	// countDP: the pruned core, postorder, with its child edges.
+	// countDP and countNode: the pruned core, postorder, with its child
+	// edges.
 	core      []int
 	coreSteps [][]dpEdge
 
-	// countNode: the covering node and the head-variable columns in it.
-	node int
-	cols []int
+	// countNode and countSample: the search program over the tree,
+	// rooted at its count root, emitting headVars.
+	bags *bagPlan
 }
 
 // countSchedule is the static counting classification of a plan.
@@ -120,27 +444,32 @@ type countSchedule struct {
 	sched *schedule
 }
 
-// newCountSchedule classifies every tree of the forest and roots the
-// counting pass. vars are the nodes' distinct-variable lists, parent
-// the (re-rooted) forest links, sched the evaluation schedule (for
-// children/roots/column mappings), head the query head (element ids,
-// possibly repeated).
-func newCountSchedule(vars [][]int, parent []int, sched *schedule, head []int) *countSchedule {
+// newCountSchedule classifies every tree of the plan's forest, roots
+// the counting pass, and gives every node or sample tree its search
+// program: the plan's own when the tree is the forest and its count
+// root the plan's root, else one rooted at its count root.
+func (p *Plan) newCountSchedule() *countSchedule {
 	headSet := map[int]bool{}
-	for _, v := range head {
+	for _, v := range p.tb.Dist {
 		headSet[v] = true
 	}
 	cs := &countSchedule{exact: true}
-	roots := make([]int, 0, len(sched.roots))
-	for _, r := range sched.roots {
-		t := buildCountTree(vars, parent, sched, headSet, r)
-		if t.kind == countSample {
-			cs.exact = false
+	roots := make([]int, 0, len(p.sched.roots))
+	for _, r := range p.sched.roots {
+		t := buildCountTree(p.vars, p.jt.Parent, p.sched, headSet, r)
+		root := t.countRoot()
+		if t.kind == countNode || t.kind == countSample {
+			if len(p.sched.roots) == 1 && root == r {
+				t.bags = p.bags
+			} else {
+				t.bags = p.forestBags(t.headVars, root)
+			}
 		}
+		cs.exact = cs.exact && t.kind != countSample
 		cs.trees = append(cs.trees, t)
-		roots = append(roots, t.countRoot())
+		roots = append(roots, root)
 	}
-	cs.sched = scheduleRootedAt(sched, vars, parent, roots)
+	cs.sched = scheduleRootedAt(p.sched, p.vars, p.jt.Parent, roots)
 	return cs
 }
 
@@ -168,7 +497,7 @@ func downEdge(sched *schedule, i, c int) dpEdge {
 }
 
 func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int]bool, root int) countTree {
-	t := countTree{root: root, node: -1}
+	t := countTree{root: root}
 	var post func(i int)
 	post = func(i int) {
 		for _, c := range sched.children[i] {
@@ -268,10 +597,6 @@ func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int
 		// Pruning never discards a head variable, so the single core
 		// node covers them all: distinct projection.
 		t.kind = countNode
-		t.node = t.core[0]
-		for _, v := range t.headVars {
-			t.cols = append(t.cols, indexOf(vars[t.node], v))
-		}
 		return t
 	}
 	allFree := true
@@ -290,13 +615,6 @@ func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int
 	return t
 }
 
-// ExactCountable reports whether every tree of the plan's forest counts
-// exactly without enumeration (no countSample tree). False for bag
-// (cyclic) plans.
-func (p *Plan) ExactCountable() bool {
-	return p.mode == PlanYannakakis && p.csched.exact
-}
-
 // --- checked uint64 arithmetic -----------------------------------------
 
 func addU64(a, b uint64) (uint64, bool) {
@@ -309,108 +627,9 @@ func mulU64(a, b uint64) (uint64, bool) {
 	return lo, hi == 0
 }
 
-// --- the per-call counting run -----------------------------------------
+// --- the counting kernels ----------------------------------------------
 
-// CountRun is the per-call state of one counting evaluation: the
-// forest reduced by the counting pass plus lazily built per-tree
-// samplers. Exactly one of the Tree* accessors per tree is
-// typically used; Close must be called when done (it folds the run's
-// counters into the plan).
-type CountRun struct {
-	p        *Plan
-	f        *forest
-	empty    bool
-	samplers []*treeSampler
-	closed   bool
-}
-
-// PrepareCount runs the bottom-up pass against sn, rooted at each
-// tree's count root (see the comment at the top of this file), and
-// returns the counting state over the reduced forest; traced attaches
-// an execution trace (phases land in it as the run goes,
-// TraceSnapshot renders it before Close). It fails with ErrNotAcyclic
-// on bag plans (counting those goes through CountEnum instead).
-func (p *Plan) PrepareCount(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (*CountRun, error) {
-	return p.prepareCount(ctx, sn, parallel, false, traced)
-}
-
-// prepareCount is PrepareCount with the test-only tuned thresholds.
-func (p *Plan) prepareCount(ctx context.Context, sn *relstr.Snapshot, parallel int, tuned, traced bool) (*CountRun, error) {
-	if p.mode != PlanYannakakis {
-		return nil, ErrNotAcyclic
-	}
-	f := p.newForest(sn, parallel)
-	if tuned {
-		f.minPar, f.morsel = 1, 2
-	}
-	if traced {
-		f.trace = getExecTrace(len(f.nodes))
-	}
-	if err := f.runDown(ctx, p.csched.sched); err != nil {
-		if tr := f.trace; tr != nil {
-			f.trace = nil
-			putExecTrace(tr)
-		}
-		p.flush(f)
-		return nil, err
-	}
-	return &CountRun{
-		p:        p,
-		f:        f,
-		empty:    f.anyEmpty(),
-		samplers: make([]*treeSampler, len(p.csched.trees)),
-	}, nil
-}
-
-// Close releases the run's trace and folds its counters into the
-// plan. Safe to call once.
-func (r *CountRun) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	if tr := r.f.trace; tr != nil {
-		r.f.trace = nil
-		putExecTrace(tr)
-	}
-	r.p.flush(r.f)
-}
-
-// Empty reports that some relation lost every row: the answer count is
-// zero regardless of tree classification.
-func (r *CountRun) Empty() bool { return r.empty }
-
-// Trees returns the number of trees in the forest.
-func (r *CountRun) Trees() int { return len(r.p.csched.trees) }
-
-// TreeExactOK reports whether tree t counts exactly (its kind is not
-// countSample).
-func (r *CountRun) TreeExactOK(t int) bool {
-	return r.p.csched.trees[t].kind != countSample
-}
-
-// TreeExact returns the exact distinct-head-projection count of tree t.
-// ok is false for countSample trees (use TreeSample); the
-// error is ErrCountOverflow when the count exceeds uint64.
-func (r *CountRun) TreeExact(ctx context.Context, t int) (n uint64, ok bool, err error) {
-	if r.empty {
-		return 0, true, nil
-	}
-	tree := &r.p.csched.trees[t]
-	switch tree.kind {
-	case countUnit:
-		return 1, true, nil
-	case countNode:
-		return r.f.countDistinct(&r.f.nodes[tree.node], tree.cols), true, nil
-	case countDP:
-		n, err := r.runDP(ctx, tree)
-		return n, true, err
-	default:
-		return 0, false, nil
-	}
-}
-
-// dpStep is a dpEdge resolved against the run's views: the child's
+// dpStep is a dpEdge resolved against the forest's views: the child's
 // per-key count sums (the dense kernel) or its probe index plus its
 // (already computed) per-row counts.
 type dpStep struct {
@@ -424,14 +643,14 @@ type dpStep struct {
 
 // runDP executes the multiplicity DP over tree.core and sums the
 // root's live counts.
-func (r *CountRun) runDP(ctx context.Context, tree *countTree) (uint64, error) {
-	cnt, err := r.f.dpCounts(ctx, tree)
+func (f *forest) runDP(ctx context.Context, tree *countTree) (uint64, error) {
+	cnt, err := f.dpCounts(ctx, tree)
 	if err != nil {
 		return 0, err
 	}
 	root := tree.core[len(tree.core)-1]
 	var total uint64
-	for _, w := range liveIDs(&r.f.nodes[root]) {
+	for _, w := range liveIDs(&f.nodes[root]) {
 		var ok bool
 		if total, ok = addU64(total, cnt[root][w]); !ok {
 			return 0, ErrCountOverflow
@@ -595,71 +814,6 @@ func countDPRange(node *execNode, steps []dpStep, out []uint64, lo, hi int) bool
 	return true
 }
 
-// countDistinct counts the distinct projections of a node's live rows
-// onto cols — the countNode case. When cols covers every column the
-// projection permutes distinct rows and the live count is the answer;
-// otherwise rows dedup into chunk-local tuple sets merged in chunk
-// order, counting instead of materialising answers.
-func (f *forest) countDistinct(node *execNode, cols []int) uint64 {
-	if len(cols) == len(node.vars) {
-		return uint64(node.live)
-	}
-	rows := node.aliveRows()
-	if f.par <= 1 || len(rows) < f.parMin() {
-		var seen relstr.TupleSet
-		buf := make([]int, len(cols))
-		for _, row := range rows {
-			for i, j := range cols {
-				buf[i] = row[j]
-			}
-			seen.AddCopy(buf)
-		}
-		return uint64(seen.Len())
-	}
-	mr := f.morselSize()
-	chunks := (len(rows) + mr - 1) / mr
-	if tr := f.trace; tr != nil {
-		tr.addChunks(chunks)
-	}
-	parts := make([]*relstr.TupleSet, chunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func() {
-		buf := make([]int, len(cols))
-		for {
-			c := int(next.Add(1) - 1)
-			if c >= chunks {
-				return
-			}
-			var seen relstr.TupleSet
-			for _, row := range rows[c*mr : min((c+1)*mr, len(rows))] {
-				for i, j := range cols {
-					buf[i] = row[j]
-				}
-				seen.AddCopy(buf)
-			}
-			parts[c] = &seen
-		}
-	}
-	for k := 1; k < chunks && f.tryWorker(); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer f.putWorker()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	var seen relstr.TupleSet
-	for _, p := range parts {
-		for _, t := range p.Rows() {
-			seen.Add(t)
-		}
-	}
-	return uint64(seen.Len())
-}
-
 // --- sampling estimator support ----------------------------------------
 
 // treeSampler supports the FPRAS-style estimator on one countSample
@@ -704,14 +858,10 @@ type sampleStep struct {
 	tCols []int
 }
 
-// sampler lazily builds the tree's sampling state (the full DP runs
-// once; every sample reuses it).
-func (r *CountRun) sampler(t int) (*treeSampler, error) {
-	if s := r.samplers[t]; s != nil {
-		return s, nil
-	}
-	f := r.f
-	tree := &r.p.csched.trees[t]
+// sampler builds the sampling state of a countSample tree over f, a
+// forest the counting pass reduced: the full DP runs once, and every
+// sample reuses it.
+func (f *forest) sampler(tree *countTree) *treeSampler {
 	pos := make([]int, len(f.nodes))
 	for k, i := range tree.nodes {
 		pos[i] = k
@@ -781,26 +931,14 @@ func (r *CountRun) sampler(t int) (*treeSampler, error) {
 		s.rootIx = ix
 		s.pin = make([]int, len(cols))
 	}
-	r.samplers[t] = s
-	return s, nil
+	return s
 }
 
-// TreeSample draws one uniform full assignment of tree t, computes the
-// multiplicity m of its head projection, and returns the unbiased
-// per-sample estimate N/m of the tree's distinct-projection count.
-func (r *CountRun) TreeSample(t int, rng *rand.Rand) (float64, error) {
-	s, err := r.sampler(t)
-	if err != nil {
-		return 0, err
-	}
-	if s.total <= 0 {
-		return 0, fmt.Errorf("eval: sampling an empty tree")
-	}
-	return treeSample(s, rng)
-}
-
-// treeSample is the per-sample step of TreeSample: the seam the tests
-// swap for the reference O(forest) sampler to check the two agree.
+// treeSample draws one uniform full assignment of the tree, computes
+// the multiplicity m of its head projection, and returns the unbiased
+// per-sample estimate N/m of the tree's distinct-projection count. It
+// is the seam the tests swap for the reference O(forest) step
+// (refSample) to check the two agree.
 var treeSample = (*treeSampler).sample
 
 func (s *treeSampler) sample(rng *rand.Rand) (float64, error) {
@@ -924,20 +1062,4 @@ func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
 		c *= sum
 	}
 	return c
-}
-
-// --- enumeration fallbacks ---------------------------------------------
-
-// CountEnum counts the distinct answers the plan's search enumerates
-// — over the decomposition for a bag plan, over the bottom-up-reduced
-// forest with the worker budget for an acyclic one — without keeping
-// them beyond the search's dedup set. It is the exact count of every
-// plan that is not ExactCountable. traced returns the call's trace
-// (see EvalTraceOn), nil otherwise.
-func (p *Plan) CountEnum(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (uint64, *obs.ExecTrace, error) {
-	var n uint64
-	tr, err := p.call(sn, parallel, traced, func(f *forest) error {
-		return p.search(ctx, sn, f, func([]int) bool { n++; return true }, nil)
-	})
-	return n, tr, err
 }

@@ -10,48 +10,24 @@ import (
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/relstr"
+	"cqapprox/internal/workload"
 )
 
-// countForTest is the exact count through the counting subsystem with
-// the parallel thresholds forced down (see evalTuned): the DP/dedup
-// product for exactly countable plans, and otherwise CountEnum's count
-// of the search's answers — over a tuned forest for acyclic plans with
-// a sampling tree, the bag search for cyclic plans.
+// countForTest is the exact count of Plan.Count with the parallel
+// thresholds forced down (see tunedForest): the per-tree product over a
+// tuned forest for acyclic plans, the bag search's count for cyclic
+// ones.
 func (p *Plan) countForTest(ctx context.Context, src *relstr.Snapshot, par int) (uint64, error) {
-	if !p.ExactCountable() {
-		if p.mode != PlanYannakakis {
-			n, _, err := p.CountEnum(ctx, src, par, false)
-			return n, err
-		}
-		f := p.tunedForest(src, par)
-		defer p.flush(f)
-		var n uint64
-		err := p.search(ctx, src, f, func([]int) bool { n++; return true }, nil)
-		return n, err
-	}
-	run, err := p.prepareCount(ctx, src, par, true, false)
-	if err != nil {
-		return 0, err
-	}
-	defer run.Close()
-	if run.Empty() {
-		return 0, nil
-	}
-	total := uint64(1)
-	for t := 0; t < run.Trees(); t++ {
-		n, ok, err := run.TreeExact(ctx, t)
+	if p.mode != PlanYannakakis {
+		res, err := p.Count(ctx, src, par, false)
 		if err != nil {
 			return 0, err
 		}
-		if !ok {
-			panic("countForTest: sampling tree on an ExactCountable plan")
-		}
-		var mulOK bool
-		if total, mulOK = mulU64(total, n); !mulOK {
-			return 0, ErrCountOverflow
-		}
+		return res.Count, nil
 	}
-	return total, nil
+	f := p.tunedForest(src, par)
+	defer p.flush(f)
+	return p.countExact(ctx, src, f)
 }
 
 // FuzzCountEquivalence asserts the exact count equals the length of
@@ -60,8 +36,8 @@ func (p *Plan) countForTest(ctx context.Context, src *relstr.Snapshot, par int) 
 // the same data relabelled outside the dense bound (values shifted by
 // 2^40, and negated), where every DP edge takes the index fallback. A second
 // leg draws a projecting query (one the estimator samples), checks its
-// exact count the same way, and checks every TreeSample value against
-// the reference sampler step.
+// exact count the same way, and checks every sample the estimator
+// draws against the reference sampler step.
 func FuzzCountEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -89,7 +65,7 @@ func FuzzCountEquivalence(f *testing.F) {
 				}
 				if got != uint64(len(want)) {
 					t.Fatalf("count(%s, par=%d) = %d, want %d (countable=%v)\n  q=%v\n  answers=%v",
-						src.name, par, got, len(want), p.ExactCountable(), q, want)
+						src.name, par, got, len(want), p.csched.exact, q, want)
 				}
 			}
 		}
@@ -258,43 +234,35 @@ func TestCountClassification(t *testing.T) {
 		if got := p.csched.trees[0].kind; got != c.kind {
 			t.Errorf("%s: kind = %v, want %v", c.src, got, c.kind)
 		}
-		if got := p.ExactCountable(); got == c.sampling {
+		if got := p.Explain().ExactCountable; got == c.sampling {
 			t.Errorf("%s: ExactCountable = %v", c.src, got)
 		}
 	}
 	// Naive plans are never exactly countable through the forest.
-	if NewPlan(cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")).ExactCountable() {
+	if NewPlan(cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")).Explain().ExactCountable {
 		t.Error("cyclic plan claims ExactCountable")
 	}
 }
 
-// PrepareCount refuses bag plans; CountEnum covers them, and counts
-// acyclic plans too.
+// Count covers bag plans by counting their search's answers, and
+// acyclic plans with a sample tree by counting the search over the
+// reduced forest.
 func TestCountNaiveFallback(t *testing.T) {
 	ctx := context.Background()
-	q := cq.MustParse("Q(x) :- E(x,y), E(y,z), E(z,x)")
 	db := graphDB([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{0, 0})
-	p := NewPlan(q)
-	if _, err := p.PrepareCount(ctx, relstr.Borrow(db), 1, false); err != ErrNotAcyclic {
-		t.Fatalf("PrepareCount on bag plan: err = %v, want ErrNotAcyclic", err)
-	}
-	want, err := p.EvalBaseline(ctx, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := p.CountEnum(ctx, relstr.Borrow(db), 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != uint64(len(want)) {
-		t.Fatalf("CountEnum = %d, want %d", got, len(want))
-	}
-	acyclic := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
-	if want, err = acyclic.EvalBaseline(ctx, db); err != nil {
-		t.Fatal(err)
-	}
-	if got, _, err = acyclic.CountEnum(ctx, relstr.Borrow(db), 1, false); err != nil || got != uint64(len(want)) {
-		t.Fatalf("CountEnum on acyclic plan = %d (err %v), want %d", got, err, len(want))
+	for _, c := range []struct{ src, mode string }{
+		{"Q(x) :- E(x,y), E(y,z), E(z,x)", ModeExactEnum},
+		{"Q(x,z) :- E(x,y), E(y,z)", ModeExactEval},
+	} {
+		p := NewPlan(cq.MustParse(c.src))
+		want, err := p.EvalBaseline(ctx, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Count(ctx, relstr.Borrow(db), 1, false)
+		if err != nil || res.Count != uint64(len(want)) || res.Mode != c.mode {
+			t.Fatalf("%s: Count = %+v (err %v), want %d by %s", c.src, res, err, len(want), c.mode)
+		}
 	}
 }
 
@@ -314,7 +282,7 @@ func TestCountNeedsTopDownPass(t *testing.T) {
 		db.Add("C", i%3, i+10)
 	}
 	p := NewPlan(cq.MustParse("Q(x,y,z) :- Z(y), B(x,y), C(y,z)"))
-	if ex := p.Explain(); !p.ExactCountable() || ex.Trees[0].CountKind != "dp" || ex.Trees[0].Nodes[0].Atom != "Z(v1)" {
+	if ex := p.Explain(); !ex.ExactCountable || ex.Trees[0].CountKind != "dp" || ex.Trees[0].Nodes[0].Atom != "Z(v1)" {
 		t.Fatalf("want an exactly countable DP tree rooted at Z: %s", ex.Text())
 	}
 	for _, par := range []int{1, 4} {
@@ -382,10 +350,14 @@ func TestQuickCountRootedAtCore(t *testing.T) {
 	// Root the plan at R, as GYO could have, and rebuild its schedules.
 	p.jt.Parent = rerootAt(p.jt.Parent, forestAdj(p.jt.Parent), []int{r})
 	p.sched = scheduleForAtoms(p.vars, p.jt.Parent)
-	p.csched = newCountSchedule(p.vars, p.jt.Parent, p.sched, p.tb.Dist)
+	p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
+	p.csched = p.newCountSchedule()
 	tree := &p.csched.trees[0]
-	if len(p.csched.trees) != 1 || tree.root != r || tree.kind != countNode || tree.node != c || len(p.sched.children[c]) != 2 {
-		t.Fatalf("want one node tree rooted at R counting C with two subtrees, got root %d kind %v node %d", tree.root, tree.kind, tree.node)
+	if len(p.csched.trees) != 1 || tree.root != r || tree.kind != countNode || tree.countRoot() != c || len(p.sched.children[c]) != 2 {
+		t.Fatalf("want one node tree rooted at R counting C with two subtrees, got root %d kind %v count root %d", tree.root, tree.kind, tree.countRoot())
+	}
+	if tree.bags == p.bags || tree.bags.roots[0] != 0 || tree.bags.bags[0].atoms[0] != c {
+		t.Fatal("the node tree must search a program rooted at C, not the plan's")
 	}
 	if check("R-rooted", p, db) != 1 {
 		t.Fatal("the R-rooted core did not start below its tree root")
@@ -427,7 +399,7 @@ func TestCountSamplerConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := randomDB(rng, 12, 60)
 	p := NewPlan(q)
-	if p.ExactCountable() {
+	if p.csched.exact {
 		t.Fatal("expected a sampling plan")
 	}
 	want, err := p.EvalBaseline(ctx, db)
@@ -437,18 +409,15 @@ func TestCountSamplerConverges(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("degenerate test database")
 	}
-	run, err := p.PrepareCount(ctx, relstr.Borrow(db), 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer run.Close()
-	if run.Trees() != 1 || run.TreeExactOK(0) {
+	if len(p.csched.trees) != 1 || p.csched.trees[0].kind != countSample {
 		t.Fatal("expected one sampling tree")
 	}
-	sampler, err := run.sampler(0)
-	if err != nil {
+	f := p.newForest(relstr.Borrow(db), 1)
+	defer p.flush(f)
+	if err := f.runDown(ctx, p.csched.sched); err != nil {
 		t.Fatal(err)
 	}
+	sampler := f.sampler(&p.csched.trees[0])
 	total := sampler.total
 	// N is the number of (x,y,z) assignments: count them naively.
 	full := NewPlan(cq.MustParse("Q(x,y,z) :- E(x,y), E(y,z)"))
@@ -463,7 +432,7 @@ func TestCountSamplerConverges(t *testing.T) {
 	sum := 0.0
 	const draws = 4000
 	for i := 0; i < draws; i++ {
-		x, err := run.TreeSample(0, srng)
+		x, err := sampler.sample(srng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,5 +475,268 @@ func TestCountEmpty(t *testing.T) {
 	}
 	if got != 0 {
 		t.Fatalf("count on empty F = %d", got)
+	}
+}
+
+func pathDB(rng *rand.Rand, n, m int) *relstr.Structure {
+	db := relstr.New()
+	db.Declare("E", 2)
+	for i := 0; i < m; i++ {
+		db.Add("E", rng.Intn(n), rng.Intn(n))
+	}
+	return db
+}
+
+func naiveCount(p *Plan, db *relstr.Structure) uint64 {
+	return uint64(len(Naive(p.Query(), db)))
+}
+
+// Count picks the right mode per plan shape and always matches the
+// reference evaluation.
+func TestExactModes(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(3))
+	db := pathDB(rng, 8, 30)
+	cases := []struct {
+		src  string
+		mode string
+	}{
+		{"Q(x,y,z) :- E(x,y), E(y,z)", ModeExactDP},
+		{"Q(x,y) :- E(x,y), E(y,z)", ModeExactDP},
+		{"Q() :- E(x,y)", ModeExactDP},
+		{"Q(x,z) :- E(x,y), E(y,z)", ModeExactEval},
+		{"Q(x) :- E(x,y), E(y,z), E(z,x)", ModeExactEnum},
+	}
+	for _, c := range cases {
+		p := NewPlan(cq.MustParse(c.src))
+		res, err := p.Count(ctx, relstr.Borrow(db), 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != c.mode {
+			t.Errorf("%s: mode = %s, want %s", c.src, res.Mode, c.mode)
+		}
+		if res.Estimated {
+			t.Errorf("%s: exact result marked estimated", c.src)
+		}
+		if want := naiveCount(p, db); res.Count != want {
+			t.Errorf("%s: count = %d, want %d", c.src, res.Count, want)
+		}
+	}
+}
+
+// Count equals the reference on random inputs across both backends.
+func TestQuickExact(t *testing.T) {
+	ctx := context.Background()
+	queries := []string{
+		"Q(x,y,z) :- E(x,y), E(y,z)",
+		"Q(x,y) :- E(x,y), E(y,z)",
+		"Q(x,z) :- E(x,y), E(y,z)",
+		"Q(x,x) :- E(x,y), E(y,x)",
+		"Q(y) :- E(x,y)",
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		db := pathDB(rng, 6, 18)
+		snap := relstr.NewSnapshot(db)
+		for _, src := range queries {
+			p := NewPlan(cq.MustParse(src))
+			want := naiveCount(p, db)
+			for _, s := range []*relstr.Snapshot{relstr.Borrow(db), snap} {
+				res, err := p.Count(ctx, s, 2, false)
+				if err != nil || res.Count != want {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Fixed-seed estimates land within the requested ε of the true count
+// on a sampling-classified query, and are deterministic per seed.
+func TestEstimateWithinEpsilon(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
+	rng := rand.New(rand.NewSource(11))
+	db := pathDB(rng, 15, 120)
+	want := naiveCount(p, db)
+	if want == 0 {
+		t.Fatal("degenerate database")
+	}
+	const eps = 0.1
+	for seed := int64(1); seed <= 5; seed++ {
+		res, err := p.EstimateCount(ctx, relstr.Borrow(db), 1, CountOptions{Epsilon: eps, Seed: seed}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Estimated || res.Mode != ModeEstimate {
+			t.Fatalf("seed %d: mode = %s, estimated = %v", seed, res.Mode, res.Estimated)
+		}
+		if res.Samples == 0 || res.Batches == 0 {
+			t.Fatalf("seed %d: no sampling effort recorded", seed)
+		}
+		if rel := math.Abs(res.Estimate-float64(want)) / float64(want); rel > eps {
+			t.Errorf("seed %d: estimate %v vs true %d, rel err %.4f > ε=%v",
+				seed, res.Estimate, want, rel, eps)
+		}
+		again, err := p.EstimateCount(ctx, relstr.Borrow(db), 1, CountOptions{Epsilon: eps, Seed: seed}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Estimate != res.Estimate || again.Samples != res.Samples {
+			t.Errorf("seed %d: estimate not deterministic (%v/%d vs %v/%d)",
+				seed, res.Estimate, res.Samples, again.Estimate, again.Samples)
+		}
+	}
+}
+
+// EstimateCount degrades to the exact paths when sampling has nothing
+// to do.
+func TestEstimateExactShortcuts(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	db := pathDB(rng, 8, 30)
+	for _, src := range []string{
+		"Q(x,y,z) :- E(x,y), E(y,z)",     // fully countable
+		"Q(x) :- E(x,y), E(y,z), E(z,x)", // bag plan
+	} {
+		p := NewPlan(cq.MustParse(src))
+		res, err := p.EstimateCount(ctx, relstr.Borrow(db), 1, CountOptions{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimated {
+			t.Errorf("%s: estimate sampled where exact is free", src)
+		}
+		if want := naiveCount(p, db); res.Count != want {
+			t.Errorf("%s: count = %d, want %d", src, res.Count, want)
+		}
+	}
+	// Empty answer set on a sampling plan: exact zero without sampling.
+	p := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), F(y,z)"))
+	empty := relstr.New()
+	empty.Declare("E", 2)
+	empty.Declare("F", 2)
+	empty.Add("E", 1, 2)
+	res, err := p.EstimateCount(ctx, relstr.Borrow(empty), 1, CountOptions{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Estimated || res.Count != 0 {
+		t.Fatalf("empty db: count = %d, estimated = %v", res.Count, res.Estimated)
+	}
+}
+
+// Counting calls feed the plan's statistics: exact vs estimated, with
+// batch totals.
+func TestCountStats(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(9))
+	db := pathDB(rng, 10, 50)
+	p := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
+	if _, err := p.Count(ctx, relstr.Borrow(db), 1, false); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.EstimateCount(ctx, relstr.Borrow(db), 1, CountOptions{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.IndexStats()
+	if st.ExactCounts != 1 {
+		t.Errorf("ExactCounts = %d, want 1", st.ExactCounts)
+	}
+	if st.EstimatedCounts != 1 {
+		t.Errorf("EstimatedCounts = %d, want 1", st.EstimatedCounts)
+	}
+	if st.SampleBatches != uint64(res.Batches) || st.SampleBatches == 0 {
+		t.Errorf("SampleBatches = %d, want %d", st.SampleBatches, res.Batches)
+	}
+}
+
+// Option defaulting.
+func TestOptionsDefaults(t *testing.T) {
+	o := CountOptions{}.withDefaults()
+	if o.Epsilon != DefaultEpsilon || o.Delta != DefaultDelta ||
+		o.Seed != DefaultSeed || o.MaxSamples != DefaultMaxSamples {
+		t.Fatalf("defaults = %+v", o)
+	}
+	o = CountOptions{Epsilon: 0.2, Delta: 0.01, Seed: 9, MaxSamples: 10}.withDefaults()
+	if o.Epsilon != 0.2 || o.Delta != 0.01 || o.Seed != 9 || o.MaxSamples != 10 {
+		t.Fatalf("explicit options clobbered: %+v", o)
+	}
+}
+
+// EstimateCount returns the same Estimate, Samples and Batches with
+// the production sampler as with the reference O(forest) step, for
+// every seed, on random projecting queries.
+func TestQuickEstimateMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	estimate := func(p *Plan, src *relstr.Snapshot, seed int64) *CountResult {
+		res, err := p.EstimateCount(ctx, src, 1, CountOptions{Epsilon: 0.25, Seed: seed}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	defer func() { treeSample = (*treeSampler).sample }()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		q := randomProjectingQuery(rng)
+		p := NewPlan(q)
+		src := relstr.Borrow(randomProjectingDB(rng))
+		for s := int64(1); s <= 3; s++ {
+			treeSample = (*treeSampler).sample
+			got := estimate(p, src, seed+s)
+			treeSample = refSample
+			want := estimate(p, src, seed+s)
+			if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) ||
+				got.Samples != want.Samples || got.Batches != want.Batches || got.Mode != want.Mode {
+				t.Logf("q=%v seed %d: got %+v, reference %+v", q, seed+s, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A node tree counts its node's live rows when the head covers the
+// node (the first query), and otherwise through the plan's search,
+// whose seen set the pooled run keeps across calls (the second): the
+// allocations of an exact count do not grow with the number of answers
+// (2,284 → 23,328 for the first query, 291 → 2,922 for the second, from
+// N = 300 to N = 3000).
+func TestNodeCountAllocsFlat(t *testing.T) {
+	ctx := context.Background()
+	for _, src := range []string{"Q(x,y) :- E(x,y), E(y,z)", "Q(x0) :- E(x0,x1), E(x1,x0)"} {
+		p := NewPlan(cq.MustParse(src))
+		if kind := p.csched.trees[0].kind; kind != countNode {
+			t.Fatalf("%s: kind %v, want node", src, kind)
+		}
+		var allocs [2]float64
+		for k, n := range []int{300, 3000} {
+			sn := relstr.NewSnapshot(workload.EvalBenchDB(n))
+			want, err := p.EvalOn(ctx, sn, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs[k] = testing.AllocsPerRun(20, func() {
+				if res, err := p.Count(ctx, sn, 1, false); err != nil || res.Count != uint64(len(want)) {
+					t.Fatalf("%s N=%d: Count = %+v (err %v), want %d", src, n, res, err, len(want))
+				}
+			})
+		}
+		// Pooled search state makes the count wobble (the race detector
+		// drops pooled items at random); a tuple per answer would
+		// multiply it tenfold.
+		if allocs[1] > 2*allocs[0] {
+			t.Errorf("%s: %v allocs per count at N=300, %v at N=3000", src, allocs[0], allocs[1])
+		}
 	}
 }

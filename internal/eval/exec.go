@@ -111,9 +111,8 @@ type forest struct {
 	probes atomic.Uint64
 
 	// trace is the call's ANALYZE frame, nil unless the caller opted
-	// in (a traced Plan.call, or PrepareCount with traced set). Every
-	// hot-path hook is a single nil check — the trace-off path records
-	// nothing and allocates nothing.
+	// in (a traced Plan.call). Every hot-path hook is a single nil
+	// check — the trace-off path records nothing and allocates nothing.
 	trace *execTrace
 }
 
@@ -412,7 +411,7 @@ func (f *forest) subtrees(ctx context.Context, sched *schedule, ids []int) error
 // after another one emptied. A reader roots the pass at the node it
 // starts from (the schedule it passes): the search at the plan's roots
 // (Plan.reduce), a ranked read at its first visits (streamRanked), a
-// count at the node its count starts from (PrepareCount); only that
+// count at the node its count starts from (Plan.Count); only that
 // node's live rows are then exactly the rows that extend. Independent
 // sibling subtrees run concurrently on a parallel forest; a node's
 // steps start only after every child subtree finished.

@@ -139,18 +139,6 @@ func (p *Plan) IndexStats() IndexStats {
 	}
 }
 
-// RecordCount folds one finished counting call into the plan totals:
-// an exact count, or an estimated one with the number of
-// median-of-means batches it ran.
-func (p *Plan) RecordCount(estimated bool, batches uint64) {
-	if estimated {
-		p.stats.estCounts.Add(1)
-		p.stats.sampleBatches.Add(batches)
-	} else {
-		p.stats.exactCounts.Add(1)
-	}
-}
-
 // flush folds a finished evaluation's forest counters into the plan
 // totals.
 func (p *Plan) flush(f *forest) {
@@ -186,9 +174,9 @@ func NewPlan(q *cq.Query) *Plan {
 			p.rerooted[i] = p.jt.Parent[i] == -1 && jt.Parent[i] != -1
 		}
 		p.sched = scheduleForAtoms(p.vars, p.jt.Parent)
-		// Counting roots its pass at the node each count starts from.
-		p.csched = newCountSchedule(p.vars, p.jt.Parent, p.sched, p.tb.Dist)
 		p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
+		// Counting roots its pass at the node each count starts from.
+		p.csched = p.newCountSchedule()
 		// Classify the head's natural ascending key once: most ranked
 		// calls (and every limit-only call) use it, and Explain reports
 		// the connex/fallback decision from it.
@@ -507,27 +495,37 @@ func (p *Plan) call(sn *relstr.Snapshot, parallel int, traced bool, read func(f 
 // the call only) until it returns false, and returns the cancellation
 // that cut the search short, if any. A bag plan (f nil) searches its
 // decomposition against sn; an acyclic plan reduces its forest f and
-// searches the live rows, timed as the trace's "join" phase. When emit
-// fills the slab out, a one-column head's run rewrites it in ascending
-// order off its seen set (flatSet.ascending).
+// searches the live rows, timed as the trace's "join" phase.
 func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, f *forest, emit func([]int) bool, out *answerSlab) error {
-	var r *bagRun
-	if f == nil {
-		r = p.bags.newRun(ctx, sn, emit)
-		p.stats.evals.Add(1)
-	} else if ok, err := p.reduce(ctx, f); !ok {
-		return err
-	} else {
-		r = p.bags.forestRun(ctx, sn, f, emit)
+	if f != nil {
+		if ok, err := p.reduce(ctx, f); !ok {
+			return err
+		}
 	}
 	start := f.clock()
+	err := p.runSearch(ctx, sn, f, p.bags, emit, out)
+	f.lap("join", start)
+	return err
+}
+
+// runSearch runs search program bp — over the live rows of f, reduced
+// toward bp's roots, or against sn when f is nil — reporting each
+// distinct head tuple to emit. When emit fills the slab out, a
+// one-column head's run rewrites it in ascending order off its seen set
+// (flatSet.ascending).
+func (p *Plan) runSearch(ctx context.Context, sn *relstr.Snapshot, f *forest, bp *bagPlan, emit func([]int) bool, out *answerSlab) error {
+	var r *bagRun
+	if f == nil {
+		r = bp.newRun(ctx, sn, emit)
+		p.stats.evals.Add(1)
+	} else {
+		r = bp.forestRun(ctx, sn, f, emit)
+	}
 	r.run()
 	if out != nil && r.err == nil && r.seen.limit > 0 {
 		r.seen.ascending(out.data)
 	}
-	err := p.finish(r)
-	f.lap("join", start)
-	return err
+	return p.finish(r)
 }
 
 // reduce runs the bottom-up semijoin pass over f and reports whether
@@ -537,7 +535,7 @@ func (p *Plan) search(ctx context.Context, sn *relstr.Snapshot, f *forest, emit 
 // agreeing with its parent's binding, so it never meets a dead end and
 // every existence check holds. Ranked reads run the same pass rooted
 // at their first visits (streamRanked), and counts rooted at the node
-// each count starts from (PrepareCount).
+// each count starts from (Plan.Count).
 func (p *Plan) reduce(ctx context.Context, f *forest) (bool, error) {
 	if err := f.runDown(ctx, p.sched); err != nil {
 		return false, err

@@ -474,9 +474,7 @@ func sortAnswersBy(ts []relstr.Tuple, perm []int, desc bool) {
 // the key and truncation, checking the context before every answer. A
 // traced call returns its trace: "semijoin-down" and "ranked" for the
 // ordered search, the plain evaluation's phases for the fallback.
-// tuned lowers the parallel thresholds so tiny test inputs drive the
-// morsel machinery.
-func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, tuned, traced bool, emit func([]int) bool) (*obs.ExecTrace, error) {
+func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, traced bool, emit func([]int) bool) (*obs.ExecTrace, error) {
 	var prog *rankProgram
 	if p.mode == PlanYannakakis {
 		prog = p.rankProgramForSpec(spec)
@@ -503,17 +501,20 @@ func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel i
 	}
 	p.stats.rankedEvals.Add(1)
 	return p.call(sn, parallel, traced, func(f *forest) error {
-		if tuned {
-			f.minPar, f.morsel = 1, 2
-		}
-		if err := f.runDown(ctx, prog.sched); err != nil || f.anyEmpty() {
-			return err
-		}
-		start := f.clock()
-		err := p.rankSearch(ctx, f, prog, spec, emit)
-		f.lap("ranked", start)
-		return err
+		return p.rankOn(ctx, f, prog, spec, emit)
 	})
+}
+
+// rankOn reduces f bottom-up toward prog's first visits and runs the
+// ordered search over it.
+func (p *Plan) rankOn(ctx context.Context, f *forest, prog *rankProgram, spec RankSpec, emit func([]int) bool) error {
+	if err := f.runDown(ctx, prog.sched); err != nil || f.anyEmpty() {
+		return err
+	}
+	start := f.clock()
+	err := p.rankSearch(ctx, f, prog, spec, emit)
+	f.lap("ranked", start)
+	return err
 }
 
 // StreamRankedOn enumerates answers in the spec's key order against a
@@ -525,7 +526,7 @@ func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel i
 func (p *Plan) StreamRankedOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (iter.Seq[relstr.Tuple], func() error) {
 	var terminal error
 	seq := func(yield func(relstr.Tuple) bool) {
-		_, terminal = p.streamRanked(ctx, sn, parallel, spec, false, false, func(t []int) bool {
+		_, terminal = p.streamRanked(ctx, sn, parallel, spec, false, func(t []int) bool {
 			return yield(relstr.Tuple(t).Clone())
 		})
 	}
@@ -550,7 +551,7 @@ func (p *Plan) EvalRankedTraceOn(ctx context.Context, sn *relstr.Snapshot, paral
 // tuples in emission order.
 func (p *Plan) evalRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, traced bool) (Answers, *obs.ExecTrace, error) {
 	var s answerSlab
-	tr, err := p.streamRanked(ctx, sn, parallel, spec, false, traced, s.add)
+	tr, err := p.streamRanked(ctx, sn, parallel, spec, traced, s.add)
 	if err != nil {
 		return nil, tr, err
 	}

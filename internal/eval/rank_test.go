@@ -31,14 +31,27 @@ func rankedOracle(t *testing.T, p *Plan, db *relstr.Structure, spec RankSpec) []
 	return out
 }
 
-// collectRanked drains one ranked stream.
+// collectRanked drains one ranked stream; tuned runs a connex key over
+// a tuned forest (see tunedForest).
 func collectRanked(t *testing.T, p *Plan, src *relstr.Snapshot, par int, spec RankSpec, tuned bool) []relstr.Tuple {
 	t.Helper()
 	var got []relstr.Tuple
-	_, err := p.streamRanked(context.Background(), src, par, spec, tuned, false, func(tp []int) bool {
+	emit := func(tp []int) bool {
 		got = append(got, relstr.Tuple(tp).Clone())
 		return true
-	})
+	}
+	var prog *rankProgram
+	if tuned && p.mode == PlanYannakakis {
+		prog = p.rankProgramForSpec(spec)
+	}
+	var err error
+	if prog != nil {
+		f := p.tunedForest(src, par)
+		err = p.rankOn(context.Background(), f, prog, spec, emit)
+		p.flush(f)
+	} else {
+		_, err = p.streamRanked(context.Background(), src, par, spec, false, emit)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func randomProjectingQuery(rng *rand.Rand) *cq.Query {
 		for i, nh := 0, 2+rng.Intn(3); i < nh; i++ {
 			q.Head = append(q.Head, fmt.Sprintf("v%d", rng.Intn(nv)))
 		}
-		if p := NewPlan(q); p.mode == PlanYannakakis && !p.ExactCountable() {
+		if p := NewPlan(q); p.mode == PlanYannakakis && !p.csched.exact {
 			return q
 		}
 	}
@@ -133,30 +133,25 @@ func randomProjectingDB(rng *rand.Rand) *relstr.Structure {
 }
 
 // samplesMatchRef draws a stream of samples from every sampling tree
-// of p on src through TreeSample and through the reference step, from
+// of p on src, over a tuned forest the counting pass reduced, through
+// the estimator's step and through the reference step, from
 // identically seeded generators, and reports the first value that
 // differs in any bit. Equal streams make every estimator built on them
 // equal too.
 func samplesMatchRef(ctx context.Context, p *Plan, src *relstr.Snapshot, par int, seed int64, draws int) error {
-	run, err := p.prepareCount(ctx, src, par, true, false)
-	if err != nil {
+	f := p.tunedForest(src, par)
+	defer p.flush(f)
+	if err := f.runDown(ctx, p.csched.sched); err != nil || f.anyEmpty() {
 		return err
 	}
-	defer run.Close()
-	if run.Empty() {
-		return nil
-	}
-	for t := 0; t < run.Trees(); t++ {
-		if run.TreeExactOK(t) {
+	for t := range p.csched.trees {
+		if p.csched.trees[t].kind != countSample {
 			continue
 		}
-		s, err := run.sampler(t)
-		if err != nil {
-			return err
-		}
+		s := f.sampler(&p.csched.trees[t])
 		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		for i := 0; i < draws; i++ {
-			a, errA := run.TreeSample(t, got)
+			a, errA := s.sample(got)
 			b, errB := refSample(s, want)
 			if errA != nil || errB != nil {
 				return fmt.Errorf("tree %d sample %d: errors %v / reference %v", t, i, errA, errB)
@@ -169,7 +164,7 @@ func samplesMatchRef(ctx context.Context, p *Plan, src *relstr.Snapshot, par int
 	return nil
 }
 
-// Every TreeSample value equals the reference step's, bit for bit, on
+// Every sampled value equals the reference step's, bit for bit, on
 // random projecting queries across both backends and serial/parallel
 // reductions.
 func TestQuickSamplerMatchesReference(t *testing.T) {

@@ -154,24 +154,6 @@ func (f *forest) lap(name string, start time.Time) {
 	}
 }
 
-// TracePhase records one caller-timed phase (e.g. "count",
-// "count-estimate") on a traced run; no-op on untraced runs.
-func (r *CountRun) TracePhase(name string, d time.Duration) {
-	if tr := r.f.trace; tr != nil {
-		tr.phase(name, d)
-	}
-}
-
-// TraceSnapshot renders the run's trace; nil on untraced runs. Call
-// before Close.
-func (r *CountRun) TraceSnapshot(total time.Duration) *obs.ExecTrace {
-	tr := r.f.trace
-	if tr == nil {
-		return nil
-	}
-	return tr.snapshot(r.p, r.f, total)
-}
-
 // --- EXPLAIN -----------------------------------------------------------
 
 // atomString renders an atom over the minimized tableau's element ids.

@@ -1,14 +1,8 @@
 package eval
 
 import (
-	"errors"
-
 	"cqapprox/internal/relstr"
 )
-
-// ErrNotAcyclic reports a cyclic query where an acyclic join tree is
-// required (PrepareCount on a bag plan).
-var ErrNotAcyclic = errors.New("eval: query is not acyclic")
 
 // atomList extracts the atoms of a tableau in the deterministic order
 // used by hypergraph.FromStructure (relations sorted, tuples in

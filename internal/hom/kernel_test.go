@@ -35,6 +35,8 @@ var kernelRels = []struct {
 // off+3i, so dense ids differ from the values): each relation is
 // missing, declared empty or holds a few random tuples, repeated
 // arguments included, and with extras some elements sit in no tuple.
+// Those lie between random elements (off+3i-1 or off+3i-2, i ≤ n), so
+// their dense ids fall below, among and above the others.
 func drawStructure(rng *rand.Rand, n, off int, extras bool) *relstr.Structure {
 	s := relstr.New()
 	elem := func() int { return off + 3*rng.Intn(n) }
@@ -57,7 +59,7 @@ func drawStructure(rng *rand.Rand, n, off int, extras bool) *relstr.Structure {
 		return s
 	}
 	for k := rng.Intn(3); k > 0; k-- {
-		s.AddElement(off + 3*(n+rng.Intn(2)))
+		s.AddElement(off + 3*rng.Intn(n+1) - 1 - rng.Intn(2))
 	}
 	return s
 }

@@ -6,8 +6,8 @@
 // carry stable text renderings for the CLI and golden tests.
 //
 // The package is a leaf: it depends on nothing in the repository, so
-// internal/eval, internal/count, the root API, api and internal/server
-// can all import it without cycles.
+// internal/eval, the root API, api and internal/server can all import
+// it without cycles.
 package obs
 
 import (

@@ -23,7 +23,7 @@ import (
 
 	"cqapprox"
 	"cqapprox/api"
-	"cqapprox/internal/count"
+	"cqapprox/internal/eval"
 )
 
 // verb names a materialising evaluation; the name is also the
@@ -167,10 +167,10 @@ func (c call) merge(p *cqapprox.PreparedQuery, parts []legResult) (legResult, er
 		// (or the default every shard used) and the undivided δ.
 		sum.Epsilon, sum.Delta = c.req.Epsilon, c.req.Delta
 		if sum.Epsilon == 0 {
-			sum.Epsilon = count.DefaultEpsilon
+			sum.Epsilon = eval.DefaultEpsilon
 		}
 		if sum.Delta == 0 {
-			sum.Delta = count.DefaultDelta
+			sum.Delta = eval.DefaultDelta
 		}
 	}
 	return out, nil
@@ -186,7 +186,7 @@ func (c call) shard(i, n int) call {
 		return c
 	}
 	if c.req.Delta == 0 {
-		c.req.Delta = count.DefaultDelta
+		c.req.Delta = eval.DefaultDelta
 	}
 	c.req.Delta /= float64(n)
 	if c.req.Seed != nil {

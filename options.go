@@ -1,7 +1,7 @@
 package cqapprox
 
 import (
-	"cqapprox/internal/count"
+	"cqapprox/internal/eval"
 )
 
 // The unified per-call option surface. Evaluation and counting share
@@ -27,7 +27,7 @@ type optConfig struct {
 	limit int
 
 	// Counting accuracy (Count/EstimateCount).
-	count count.Options
+	count eval.CountOptions
 }
 
 // EvalOption tunes one evaluation call (Eval, EvalBool, Answers,
