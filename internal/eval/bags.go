@@ -985,8 +985,18 @@ func (r *bagRun) existStep(b *bagNode, i int) bool {
 func (r *bagRun) head(i int) int {
 	bp := r.bp
 	if i == len(bp.steps) {
-		r.fillTuple()
-		if r.seen.add(r.tuple) && !r.emit(r.tuple) {
+		// Past lastHead the tuple is fixed and was checked absent there,
+		// so it enters the set without a second probe — only now, with
+		// its witness found.
+		if bp.lastHead < 0 {
+			r.fillTuple()
+			if !r.seen.add(r.tuple) {
+				return bp.lastHead
+			}
+		} else {
+			r.seen.put(r.tuple)
+		}
+		if !r.emit(r.tuple) {
 			r.stop = true
 		}
 		if r.stop {
@@ -1167,6 +1177,12 @@ func (s *flatSet) add(key []int) bool {
 	if s.has(key) {
 		return false
 	}
+	s.put(key)
+	return true
+}
+
+// put inserts a key known to be absent.
+func (s *flatSet) put(key []int) {
 	if s.limit > 0 && uint(key[0]) >= uint(s.limit) { // move the bitset into the table
 		vals := make([]int, s.n)
 		s.ascending(vals)
@@ -1177,14 +1193,13 @@ func (s *flatSet) add(key []int) bool {
 	}
 	if s.limit == 0 {
 		s.insert(key)
-		return true
+		return
 	}
 	if v := key[0]; v>>6 >= len(s.bits) {
 		s.bits = grow(s.bits, v>>6+1)
 	}
 	s.bits[key[0]>>6] |= 1 << uint(key[0]&63)
 	s.n++
-	return true
 }
 
 // insert appends a key known to be absent and returns its id.

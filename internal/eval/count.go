@@ -11,14 +11,18 @@ package eval
 // of its whole tree. Each tree of the forest is classified once, at
 // prepare time, and counted by one of two kernels:
 //
-//   - countUnit: the tree mentions no head variable. Its factor is 1
+//   - kindUnit: the tree mentions no head variable. Its factor is 1
 //     (non-emptiness is already established by the reduction).
-//   - countDP: after pruning dangling existential subtrees, every
+//   - kindDP: after pruning dangling existential subtrees, every
 //     variable of the remaining core is free. Distinct head tuples then
-//     correspond one-to-one to full join rows of the core, counted by a
-//     bottom-up multiplicity DP — no row is ever materialised.
-//   - countNode: the tree's head variables all live inside one node of
-//     the pruned core; countSample: existential variables stay
+//     correspond one-to-one to full join rows of the core, counted by
+//     the bottom-up pass itself: the core's nodes carry per-row uint64
+//     weights, each weighted step multiplies a row's weight by the sum
+//     of its partners' (sum and product in place of the Boolean step's
+//     or and and, exec.go), and the count is the sum of the count
+//     root's weights — no row is ever materialised.
+//   - kindNode: the tree's head variables all live inside one node of
+//     the pruned core; kindSample: existential variables stay
 //     interleaved between head variables. Both count the distinct
 //     tuples the plan's bag search emits over the tree: a node tree's
 //     search reads its one node's live rows, and a sample tree's
@@ -28,7 +32,7 @@ package eval
 //
 // The count of a tree reads only the rows of the node it starts from
 // plus rows reached through matching child rows, so the pass is rooted,
-// per tree, at that node (countSchedule.sched): a countDP or countNode
+// per tree, at that node (countSchedule.sched): a kindDP or kindNode
 // tree at the top node of its pruned core — which sits below the tree
 // root when pruning removed a dangling existential root — and every
 // other tree at its root. The search of a reduced forest skips every
@@ -36,8 +40,8 @@ package eval
 // is: the plan's own program when that is the plan's root, else one
 // compiled at NewPlan. A live row of a non-root node need not agree
 // with any live row of its parent, but no count reads such a row on
-// its own: a DP gives a row its number of extensions into the subtree
-// below it, the search and the sampler reach a row only through a
+// its own: a weight is a row's number of extensions into the subtree
+// below it, and the search and the sampler reach a row only through a
 // parent row that extends.
 //
 // The pruning rule: repeatedly delete a leaf u whose head variables are
@@ -47,7 +51,7 @@ package eval
 // row still extends through u — so deleting u changes the head
 // projection of no extending assignment. This is a free-connex-style
 // decomposition: when it bottoms out with existential variables still
-// interleaved between head variables (countSample), exact counting is
+// interleaved between head variables (kindSample), exact counting is
 // genuinely hard, and the estimator can take over.
 //
 // Trees are variable-disjoint, so the answer count is the product of
@@ -60,12 +64,15 @@ package eval
 // acyclic plan enumerates through the search, and "exact-enum" for a
 // bag (cyclic) plan, which counts its decomposition search's answers.
 // The estimate (Plan.EstimateCount) replaces only the "exact-eval"
-// case: each sample tree gets a Karp–Luby-shaped estimator — sample
-// uniform full assignments from the tree's weighted DP, divide the
-// assignment total N by the sampled head projection's multiplicity m
-// for an unbiased per-sample estimate of the distinct-projection
-// count, then median-of-means across batches for the (ε, δ) guarantee.
-// Every other tree keeps its exact factor; the result is the product.
+// case: its pass weighs every node of every sample tree too, and each
+// sample tree gets a Karp–Luby-shaped estimator — sample uniform full
+// assignments in proportion to those weights, divide the assignment
+// total N by the sampled head projection's multiplicity m for an
+// unbiased per-sample estimate of the distinct-projection count, then
+// median-of-means across batches for the (ε, δ) guarantee. Every other
+// tree keeps its exact factor; the result is the product. Weights are
+// exact, so a tree with 2^64 or more full assignments fails the
+// estimate with ErrCountOverflow, as a dp tree fails the exact count.
 
 import (
 	"context"
@@ -76,10 +83,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"cqapprox/internal/cqerr"
 	"cqapprox/internal/obs"
 	"cqapprox/internal/relstr"
 )
@@ -150,7 +154,8 @@ type CountResult struct {
 	Estimated bool
 	// Mode names the path taken: "exact-dp" (the per-tree product of
 	// DP and search counts over the forest the bottom-up semijoin pass
-	// reduced toward the node each count starts from), "exact-eval"
+	// reduced, and for dp trees weighed, toward the node each count
+	// starts from), "exact-eval"
 	// (the same product where some tree's search enumerates it),
 	// "exact-enum" (the answers of a cyclic plan's bag search counted
 	// without being kept), or "estimate" (the sampling estimator).
@@ -170,10 +175,12 @@ type CountResult struct {
 // Count returns the exact answer count of the plan on sn with the
 // given worker budget; traced attaches the call's trace (see
 // EvalTraceOn). An acyclic plan reduces its forest with the counting
-// pass and multiplies the per-tree factors, timed as the "count" phase
-// — or as "join" when some tree enumerates, as the search is in Eval.
-// A bag plan counts its search's answers and traces total time only.
-// The error is ErrCountOverflow when the count exceeds uint64.
+// pass, whose weighted steps run every dp tree's DP inside the
+// "semijoin-down" phase, and multiplies the per-tree factors, timed as
+// the "count" phase (which sums the count roots' weights) — or as
+// "join" when some tree enumerates, as the search is in Eval. A bag
+// plan counts its search's answers and traces total time only. The
+// error is ErrCountOverflow when the count exceeds uint64.
 func (p *Plan) Count(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (*CountResult, error) {
 	var n uint64
 	tr, err := p.call(sn, parallel, traced, func(f *forest) (err error) {
@@ -194,9 +201,9 @@ func (p *Plan) Count(ctx context.Context, sn *relstr.Snapshot, parallel int, tra
 	return &CountResult{Count: n, Estimate: float64(n), Mode: mode, Trace: tr}, nil
 }
 
-// countExact is Count's read of f: the per-tree product over the
-// forest reduced by the counting pass, or for a bag plan (f nil) the
-// count of its search's answers.
+// countExact is Count's read of f: the product of the exact factors of
+// every tree of the forest reduced by the counting pass, or for a bag
+// plan (f nil) the count of its search's answers.
 func (p *Plan) countExact(ctx context.Context, sn *relstr.Snapshot, f *forest) (uint64, error) {
 	var n uint64
 	if f == nil {
@@ -206,7 +213,7 @@ func (p *Plan) countExact(ctx context.Context, sn *relstr.Snapshot, f *forest) (
 	if err := f.runDown(ctx, p.csched.sched); err != nil {
 		return 0, err
 	}
-	phase := "count"
+	phase := "count" // an exact plan times even an empty product
 	if !p.csched.exact {
 		if f.anyEmpty() {
 			return 0, nil
@@ -214,39 +221,36 @@ func (p *Plan) countExact(ctx context.Context, sn *relstr.Snapshot, f *forest) (
 		phase = "join"
 	}
 	start := f.clock()
-	n, err := p.exactProduct(ctx, sn, f)
-	f.lap(phase, start)
-	return n, err
-}
-
-// exactProduct multiplies the exact factors of every tree of f.
-func (p *Plan) exactProduct(ctx context.Context, sn *relstr.Snapshot, f *forest) (uint64, error) {
+	defer f.lap(phase, start)
 	if f.anyEmpty() {
 		return 0, nil
 	}
-	total := uint64(1)
+	if f.overflow.Load() {
+		return 0, ErrCountOverflow
+	}
+	n = 1
 	for i := range p.csched.trees {
-		n, err := p.treeCount(ctx, sn, f, &p.csched.trees[i])
+		c, err := p.treeCount(ctx, sn, f, &p.csched.trees[i])
 		if err != nil {
 			return 0, err
 		}
 		var ok bool
-		if total, ok = mulU64(total, n); !ok {
+		if n, ok = mulU64(n, c); !ok {
 			return 0, ErrCountOverflow
 		}
 	}
-	return total, nil
+	return n, nil
 }
 
 // treeCount is the exact distinct-head-projection count of tree t on
 // f, a forest the counting pass reduced and left non-empty.
 func (p *Plan) treeCount(ctx context.Context, sn *relstr.Snapshot, f *forest, t *countTree) (uint64, error) {
 	switch t.kind {
-	case countUnit:
+	case kindUnit:
 		return 1, nil
-	case countDP:
-		return f.runDP(ctx, t)
-	case countNode:
+	case kindDP:
+		return f.runDP(t)
+	case kindNode:
 		// A head that covers the node's columns counts its live rows,
 		// which are distinct, where the search would hash every one.
 		if node := &f.nodes[t.countRoot()]; len(node.vars) == len(t.headVars) {
@@ -262,7 +266,10 @@ func (p *Plan) treeCount(ctx context.Context, sn *relstr.Snapshot, f *forest, t 
 // only where the exact count would enumerate (the "exact-eval" plans);
 // traced attaches the call's trace, with the sampling in a
 // "count-estimate" phase. Every other plan returns Count's exact
-// result — estimation never makes a cheap count worse.
+// result — estimation never makes a cheap count worse. The sampler's
+// weights are exact uint64s, so the error is ErrCountOverflow when a
+// sampled tree has 2^64 or more full assignments, even where Count
+// returns the exact count of the same plan.
 func (p *Plan) EstimateCount(ctx context.Context, sn *relstr.Snapshot, parallel int, opts CountOptions, traced bool) (*CountResult, error) {
 	if p.mode != PlanYannakakis || p.csched.exact {
 		return p.Count(ctx, sn, parallel, traced)
@@ -287,17 +294,20 @@ func (p *Plan) EstimateCount(ctx context.Context, sn *relstr.Snapshot, parallel 
 
 // estimate is EstimateCount's read of f: the exact factors of the
 // trees that count exactly times a median-of-means estimate per sample
-// tree. A zero factor answers exactly.
+// tree. An empty forest answers an exact zero.
 func (p *Plan) estimate(ctx context.Context, sn *relstr.Snapshot, f *forest, opts CountOptions) (*CountResult, error) {
-	if err := f.runDown(ctx, p.csched.sched); err != nil || f.anyEmpty() {
+	if err := f.runDown(ctx, p.csched.est); err != nil || f.anyEmpty() {
 		return &CountResult{Mode: ModeExactDP}, err
+	}
+	if f.overflow.Load() {
+		return nil, ErrCountOverflow
 	}
 	start := f.clock()
 	var sampled []*countTree
 	est := 1.0
 	for i := range p.csched.trees {
 		t := &p.csched.trees[i]
-		if t.kind == countSample {
+		if t.kind == kindSample {
 			sampled = append(sampled, t)
 			continue
 		}
@@ -305,11 +315,7 @@ func (p *Plan) estimate(ctx context.Context, sn *relstr.Snapshot, f *forest, opt
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 {
-			f.lap("count", start)
-			return &CountResult{Mode: ModeExactDP}, nil
-		}
-		est *= float64(n)
+		est *= float64(n) // at least 1 on a non-empty reduced forest
 	}
 
 	// Split the accuracy budget across the k sampled trees: per-tree
@@ -320,7 +326,11 @@ func (p *Plan) estimate(ctx context.Context, sn *relstr.Snapshot, f *forest, opt
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := &CountResult{Estimated: true, Mode: ModeEstimate, Epsilon: opts.Epsilon, Delta: opts.Delta}
 	for _, t := range sampled {
-		mean, samples, batches, err := estimateTree(ctx, f.sampler(t), rng, opts.Epsilon/k, opts.Delta/k, opts.MaxSamples/len(sampled))
+		s, err := f.sampler(t, p.csched.est)
+		if err != nil {
+			return nil, err
+		}
+		mean, samples, batches, err := estimateTree(ctx, s, rng, opts.Epsilon/k, opts.Delta/k, opts.MaxSamples/len(sampled))
 		if err != nil {
 			return nil, err
 		}
@@ -390,47 +400,25 @@ func estimateTree(ctx context.Context, s *treeSampler, rng *rand.Rand, eps, delt
 type countKind int
 
 const (
-	countUnit countKind = iota
-	countDP
-	countNode
-	countSample
+	kindUnit countKind = iota
+	kindDP
+	kindNode
+	kindSample
 )
 
-func (k countKind) String() string {
-	switch k {
-	case countUnit:
-		return "unit"
-	case countDP:
-		return "dp"
-	case countNode:
-		return "node"
-	default:
-		return "sample"
-	}
-}
-
-// dpEdge is one parent→child probe of a counting DP: probe the child's
-// index keyed on sCols with the parent row's tCols (the same column
-// alignment the semijoin schedule uses).
-type dpEdge struct {
-	child        int
-	tCols, sCols []int
-}
+func (k countKind) String() string { return [...]string{"unit", "dp", "node", "sample"}[k] }
 
 // countTree is the prepare-time counting program of one tree.
 type countTree struct {
 	root     int
-	nodes    []int      // all tree nodes, postorder (children before parents)
-	steps    [][]dpEdge // aligned with nodes: every child edge (the sampler's DP)
-	headVars []int      // distinct head variables occurring in the tree
+	nodes    []int // all tree nodes, postorder (children before parents)
+	headVars []int // distinct head variables occurring in the tree
 	kind     countKind
 
-	// countDP and countNode: the pruned core, postorder, with its child
-	// edges.
-	core      []int
-	coreSteps [][]dpEdge
+	// kindDP and kindNode: the pruned core, postorder.
+	core []int
 
-	// countNode and countSample: the search program over the tree,
+	// kindNode and kindSample: the search program over the tree,
 	// rooted at its count root, emitting headVars.
 	bags *bagPlan
 }
@@ -439,9 +427,11 @@ type countTree struct {
 type countSchedule struct {
 	trees []countTree // aligned with the plan schedule's roots
 	exact bool        // no tree needs sampling
-	// sched is the counting pass: the plan's forest rooted at each
-	// tree's count root (the plan's schedule when no root moves).
-	sched *schedule
+	// sched is Count's pass: the plan's forest rooted at each tree's
+	// count root (the plan's schedule when no root moves), weighing the
+	// core of every dp tree. est is EstimateCount's, which also weighs
+	// every node of every sample tree (nil when no tree samples).
+	sched, est *schedule
 }
 
 // newCountSchedule classifies every tree of the plan's forest, roots
@@ -455,21 +445,36 @@ func (p *Plan) newCountSchedule() *countSchedule {
 	}
 	cs := &countSchedule{exact: true}
 	roots := make([]int, 0, len(p.sched.roots))
+	dp, sampled := make([]bool, len(p.atoms)), make([]bool, len(p.atoms))
 	for _, r := range p.sched.roots {
 		t := buildCountTree(p.vars, p.jt.Parent, p.sched, headSet, r)
+		switch t.kind {
+		case kindDP:
+			for _, i := range t.core {
+				dp[i], sampled[i] = true, true
+			}
+		case kindSample:
+			for _, i := range t.nodes {
+				sampled[i] = true
+			}
+		}
 		root := t.countRoot()
-		if t.kind == countNode || t.kind == countSample {
+		if t.kind == kindNode || t.kind == kindSample {
 			if len(p.sched.roots) == 1 && root == r {
 				t.bags = p.bags
 			} else {
 				t.bags = p.forestBags(t.headVars, root)
 			}
 		}
-		cs.exact = cs.exact && t.kind != countSample
+		cs.exact = cs.exact && t.kind != kindSample
 		cs.trees = append(cs.trees, t)
 		roots = append(roots, root)
 	}
-	cs.sched = scheduleRootedAt(p.sched, p.vars, p.jt.Parent, roots)
+	rooted := scheduleRootedAt(p.sched, p.vars, p.jt.Parent, roots)
+	cs.sched = weighSchedule(rooted, dp)
+	if !cs.exact {
+		cs.est = weighSchedule(rooted, sampled)
+	}
 	return cs
 }
 
@@ -479,21 +484,10 @@ func (p *Plan) newCountSchedule() *countSchedule {
 // the tree root otherwise (a sampler picks root rows in proportion to
 // their weight and descends through matching rows only).
 func (t *countTree) countRoot() int {
-	if t.kind == countDP || t.kind == countNode {
+	if t.kind == kindDP || t.kind == kindNode {
 		return t.core[len(t.core)-1]
 	}
 	return t.root
-}
-
-// downEdge finds the scheduled bottom-up step from child c into parent
-// i and returns it as a dpEdge.
-func downEdge(sched *schedule, i, c int) dpEdge {
-	for _, st := range sched.downOf[i] {
-		if st.source == c {
-			return dpEdge{child: c, tCols: st.tCols, sCols: st.sCols}
-		}
-	}
-	panic(fmt.Sprintf("eval: no scheduled step %d→%d", c, i))
 }
 
 func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int]bool, root int) countTree {
@@ -506,13 +500,6 @@ func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int
 		t.nodes = append(t.nodes, i)
 	}
 	post(root)
-	for _, i := range t.nodes {
-		var edges []dpEdge
-		for _, c := range sched.children[i] {
-			edges = append(edges, downEdge(sched, i, c))
-		}
-		t.steps = append(t.steps, edges)
-	}
 	seen := map[int]bool{}
 	for _, i := range t.nodes {
 		for _, v := range vars[i] {
@@ -523,42 +510,27 @@ func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int
 		}
 	}
 	if len(t.headVars) == 0 {
-		t.kind = countUnit
+		t.kind = kindUnit
 		return t
 	}
 
 	// Prune dangling existential subtrees: delete a leaf whose head
 	// variables its unique neighbour already carries, repeatedly.
-	alive := map[int]bool{}
-	deg := map[int]int{}
+	alive, deg := make([]bool, len(vars)), make([]int, len(vars))
 	for _, i := range t.nodes {
 		alive[i] = true
-	}
-	for _, i := range t.nodes {
 		for _, c := range sched.children[i] {
 			deg[i]++
 			deg[c]++
 		}
 	}
-	neighbours := func(i int) []int {
-		var ns []int
-		if p := parent[i]; p != -1 && alive[p] {
-			ns = append(ns, p)
-		}
+	neighbour := func(i int) int { // the only one of a node of degree 1
 		for _, c := range sched.children[i] {
 			if alive[c] {
-				ns = append(ns, c)
+				return c
 			}
 		}
-		return ns
-	}
-	prunable := func(u, nb int) bool {
-		for _, v := range vars[u] {
-			if headSet[v] && !slices.Contains(vars[nb], v) {
-				return false
-			}
-		}
-		return true
+		return parent[i]
 	}
 	left := len(t.nodes)
 	queue := append([]int{}, t.nodes...)
@@ -568,9 +540,9 @@ func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int
 		if !alive[u] || deg[u] != 1 {
 			continue
 		}
-		nb := neighbours(u)[0]
-		if !prunable(u, nb) {
-			continue
+		nb := neighbour(u)
+		if slices.ContainsFunc(vars[u], func(v int) bool { return headSet[v] && !slices.Contains(vars[nb], v) }) {
+			continue // u carries a head variable nb lacks
 		}
 		alive[u] = false
 		left--
@@ -579,39 +551,24 @@ func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int
 			queue = append(queue, nb)
 		}
 	}
-	for k, i := range t.nodes {
-		if !alive[i] {
-			continue
+	for _, i := range t.nodes {
+		if alive[i] {
+			t.core = append(t.core, i)
 		}
-		t.core = append(t.core, i)
-		var edges []dpEdge
-		for _, e := range t.steps[k] {
-			if alive[e.child] {
-				edges = append(edges, e)
-			}
-		}
-		t.coreSteps = append(t.coreSteps, edges)
 	}
 
 	if len(t.core) == 1 {
 		// Pruning never discards a head variable, so the single core
 		// node covers them all: distinct projection.
-		t.kind = countNode
+		t.kind = kindNode
 		return t
 	}
-	allFree := true
+	t.kind = kindDP
 	for _, i := range t.core {
-		for _, v := range vars[i] {
-			if !headSet[v] {
-				allFree = false
-			}
+		if slices.ContainsFunc(vars[i], func(v int) bool { return !headSet[v] }) {
+			t.kind = kindSample
 		}
 	}
-	if allFree {
-		t.kind = countDP
-		return t
-	}
-	t.kind = countSample
 	return t
 }
 
@@ -627,206 +584,46 @@ func mulU64(a, b uint64) (uint64, bool) {
 	return lo, hi == 0
 }
 
+// sumU64 sums ws, and reports false when the sum overflows.
+func sumU64(ws []uint64) (uint64, bool) {
+	var sum uint64
+	ok := true
+	for _, w := range ws {
+		if sum, ok = addU64(sum, w); !ok {
+			break
+		}
+	}
+	return sum, ok
+}
+
 // --- the counting kernels ----------------------------------------------
 
-// dpStep is a dpEdge resolved against the forest's views: the child's
-// per-key count sums (the dense kernel) or its probe index plus its
-// (already computed) per-row counts.
-type dpStep struct {
-	dense     bool
-	sums, ovf []uint64 // dense: see keySums
-	buf       *keyBuf  // dense: sums' pooled storage
-	ix        *relstr.Index
-	tCols     []int
-	cnt       []uint64
-}
-
-// runDP executes the multiplicity DP over tree.core and sums the
-// root's live counts.
-func (f *forest) runDP(ctx context.Context, tree *countTree) (uint64, error) {
-	cnt, err := f.dpCounts(ctx, tree)
-	if err != nil {
-		return 0, err
+// runDP is a dp tree's count: the sum of its count root's weights, each
+// live row's number of extensions into the core below it, which the
+// weighted steps of the counting pass left (a dead row weighs 0).
+func (f *forest) runDP(tree *countTree) (uint64, error) {
+	n, ok := sumU64(f.nodes[tree.countRoot()].wt)
+	if !ok {
+		return 0, ErrCountOverflow
 	}
-	root := tree.core[len(tree.core)-1]
-	var total uint64
-	for _, w := range liveIDs(&f.nodes[root]) {
-		var ok bool
-		if total, ok = addU64(total, cnt[root][w]); !ok {
-			return 0, ErrCountOverflow
-		}
-	}
-	return total, nil
-}
-
-// dpCounts runs the DP bottom-up over tree.core: each live row's count
-// is the product over children of the sum of matching child-row
-// counts; dead rows keep count zero, so the index probe loops need no
-// liveness checks. The per-node loop is morsel-parallel over
-// word-aligned liveness ranges, exactly like the semijoin pass. It
-// returns every core node's per-row counts, indexed by node (nil off
-// the core).
-func (f *forest) dpCounts(ctx context.Context, tree *countTree) ([][]uint64, error) {
-	cnt := make([][]uint64, len(f.nodes))
-	for k, i := range tree.core {
-		if err := cqerr.Check(ctx); err != nil {
-			return nil, err
-		}
-		node := &f.nodes[i]
-		steps := make([]dpStep, len(tree.coreSteps[k]))
-		for j, e := range tree.coreSteps[k] {
-			steps[j] = f.resolveDP(i, e, cnt[e.child])
-		}
-		out := make([]uint64, len(node.rows))
-		ok := f.countDP(node, steps, out)
-		for _, st := range steps {
-			if st.buf != nil {
-				keyBufs.put(st.buf)
-			}
-		}
-		if !ok {
-			return nil, ErrCountOverflow
-		}
-		cnt[i] = out
-	}
-	return cnt, nil
-}
-
-// resolveDP resolves the DP edge e into node i, choosing the kernel the
-// way the semijoin does (dense.go). Either way node i's live rows count
-// as probes.
-func (f *forest) resolveDP(i int, e dpEdge, cnt []uint64) dpStep {
-	node, child := &f.nodes[i], &f.nodes[e.child]
-	f.probes.Add(uint64(node.live))
-	var nt *nodeTraceCtr
-	if tr := f.trace; tr != nil {
-		nt = &tr.nodes[i]
-		nt.probes.Add(uint64(node.live))
-	}
-	st := dpStep{tCols: e.tCols, cnt: cnt}
-	if len(e.sCols) == 1 {
-		buf := keyBufs.get()
-		if st.sums, st.ovf, st.dense = keySums(child, e.sCols[0], sumLimit(node.live, child.live), cnt, buf); st.dense {
-			st.buf = buf
-		} else {
-			keyBufs.put(buf)
-		}
-	}
-	if st.dense {
-		if nt != nil {
-			nt.dense.Add(1)
-		}
-	} else {
-		st.ix = f.index(child, e.sCols, nt)
-	}
-	return st
-}
-
-// liveIDs returns the row ids of a node's live rows.
-func liveIDs(n *execNode) []int32 {
-	out := make([]int32, 0, n.live)
-	for w, word := range n.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			out = append(out, int32(w<<6|b))
-		}
-	}
-	return out
-}
-
-// countDP fills out[id] for node's live rows, morsel-parallel when the
-// node is large. Returns false on uint64 overflow.
-func (f *forest) countDP(node *execNode, steps []dpStep, out []uint64) bool {
-	nw := len(node.words)
-	if f.par <= 1 || node.live < f.parMin() {
-		return countDPRange(node, steps, out, 0, nw)
-	}
-	mw := f.morselWordSize()
-	chunks := (nw + mw - 1) / mw
-	if tr := f.trace; tr != nil {
-		tr.addChunks(chunks)
-	}
-	var next atomic.Int64
-	var overflowed atomic.Bool
-	var wg sync.WaitGroup
-	work := func() {
-		for {
-			c := int(next.Add(1) - 1)
-			if c >= chunks || overflowed.Load() {
-				return
-			}
-			if !countDPRange(node, steps, out, c*mw, min((c+1)*mw, nw)) {
-				overflowed.Store(true)
-			}
-		}
-	}
-	for k := 1; k < chunks && f.tryWorker(); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer f.putWorker()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return !overflowed.Load()
-}
-
-// countDPRange computes the per-row counts for the live rows of the
-// word range [lo, hi). Ranges are word-aligned, so parallel workers
-// never write the same rows.
-func countDPRange(node *execNode, steps []dpStep, out []uint64, lo, hi int) bool {
-	for w := lo; w < hi; w++ {
-		word := node.words[w]
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			id := int32(w<<6 | b)
-			row := node.rows[id]
-			c := uint64(1)
-			for _, st := range steps {
-				var s uint64
-				var ok bool
-				if st.dense {
-					// A key out of range (negative ones wrap) has no partner.
-					if v := uint(row[st.tCols[0]]); v < uint(len(st.sums)) {
-						if st.ovf != nil && st.ovf[v>>6]&(1<<(v&63)) != 0 {
-							return false
-						}
-						s = st.sums[v]
-					}
-				} else {
-					for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
-						if s, ok = addU64(s, st.cnt[sid]); !ok {
-							return false
-						}
-					}
-				}
-				if c, ok = mulU64(c, s); !ok {
-					return false
-				}
-			}
-			out[id] = c
-		}
-	}
-	return true
+	return n, nil
 }
 
 // --- sampling estimator support ----------------------------------------
 
-// treeSampler supports the FPRAS-style estimator on one countSample
-// tree: the full-join multiplicity DP in float64 (total = N, the
-// number of complete assignments of the tree), uniform top-down
-// sampling of one assignment proportional to the DP weights, and the
+// treeSampler supports the FPRAS-style estimator on one kindSample
+// tree: the full-join multiplicity weights the counting pass computed
+// (total = N, the number of complete assignments of the tree), uniform
+// top-down sampling of one assignment proportional to them, and the
 // pinned count of the multiplicity m of a sampled head projection.
 // N/m is then an unbiased estimate of the number of distinct head
-// projections. The DP runs once per call; a sample costs the rows it
-// matches, not the forest (see multiplicity).
+// projections. The weights are exact uint64s read as float64, exact
+// below 2^53; a sample costs the rows it matches, not the forest (see
+// multiplicity).
 type treeSampler struct {
 	nodes  []sampleNode // aligned with tree.nodes (postorder, root last)
 	total  float64
+	live   []int32   // the root's live row ids, ascending
 	prefix []float64 // running sums of the root's live weights, in live order
 	hv     []int     // the sampled head assignment, aligned with tree.headVars
 
@@ -841,9 +638,8 @@ type treeSampler struct {
 // sampleNode is one tree node's sampling state.
 type sampleNode struct {
 	rows  [][]int
-	w     []float64 // full-join DP weight per row (0 for dead rows)
-	live  []int32   // live row ids, ascending
-	head  [][2]int  // (column, hv position) of each head variable in the node
+	w     []uint64 // the pass's full-join weight per row (0 for dead rows)
+	head  [][2]int // (column, hv position) of each head variable in the node
 	steps []sampleStep
 	// pinned: the node's subtree holds a head variable, so its rows
 	// must agree with the sampled head values.
@@ -858,10 +654,11 @@ type sampleStep struct {
 	tCols []int
 }
 
-// sampler builds the sampling state of a countSample tree over f, a
-// forest the counting pass reduced: the full DP runs once, and every
-// sample reuses it.
-func (f *forest) sampler(tree *countTree) *treeSampler {
+// sampler builds the sampling state of a kindSample tree over f, a
+// forest reduced and weighed by the counting pass sched, whose steps
+// into a node are the edges a sample descends. It fails with
+// ErrCountOverflow when the tree has 2^64 or more full assignments.
+func (f *forest) sampler(tree *countTree, sched *schedule) (*treeSampler, error) {
 	pos := make([]int, len(f.nodes))
 	for k, i := range tree.nodes {
 		pos[i] = k
@@ -870,52 +667,35 @@ func (f *forest) sampler(tree *countTree) *treeSampler {
 		nodes: make([]sampleNode, len(tree.nodes)),
 		hv:    make([]int, len(tree.headVars)),
 	}
-	// Full-join DP, postorder: weight of a live row = product over
-	// children of the summed weights of its matching rows (dead rows
-	// stay 0).
 	for k, i := range tree.nodes {
 		node := &f.nodes[i]
 		sn := &s.nodes[k]
-		sn.rows = node.rows
-		sn.live = liveIDs(node)
-		sn.w = make([]float64, len(node.rows))
+		sn.rows, sn.w = node.rows, node.wt
 		for j, v := range node.vars {
 			if h := slices.Index(tree.headVars, v); h >= 0 {
 				sn.head = append(sn.head, [2]int{j, h})
 			}
 		}
 		sn.pinned = len(sn.head) > 0
-		for _, e := range tree.steps[k] {
-			ix, built := f.nodes[e.child].view.Index(e.sCols)
-			if built {
-				f.builds.Add(1)
-			}
-			sn.steps = append(sn.steps, sampleStep{child: pos[e.child], ix: ix, tCols: e.tCols})
-			sn.pinned = sn.pinned || s.nodes[pos[e.child]].pinned
-		}
-		f.probes.Add(uint64(node.live))
-		if tr := f.trace; tr != nil {
-			tr.nodes[i].probes.Add(uint64(node.live))
-		}
-		for _, id := range sn.live {
-			row := node.rows[id]
-			c := 1.0
-			for _, st := range sn.steps {
-				sum := 0.0
-				cw := s.nodes[st.child].w
-				for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
-					sum += cw[sid]
-				}
-				c *= sum
-			}
-			sn.w[id] = c
+		for _, st := range sched.downOf[i] {
+			c := pos[st.source]
+			sn.steps = append(sn.steps, sampleStep{child: c, ix: f.index(&f.nodes[st.source], st.sCols, nil), tCols: st.tCols})
+			sn.pinned = sn.pinned || s.nodes[c].pinned
 		}
 	}
 	root := &s.nodes[len(s.nodes)-1]
-	s.prefix = make([]float64, len(root.live))
-	for j, id := range root.live {
-		s.total += root.w[id]
-		s.prefix[j] = s.total
+	live := f.nodes[tree.root].live
+	s.live, s.prefix = make([]int32, 0, live), make([]float64, 0, live)
+	var n uint64
+	for id, w := range root.w {
+		var ok bool
+		if n, ok = addU64(n, w); !ok {
+			return nil, ErrCountOverflow
+		}
+		if w > 0 { // live
+			s.total += float64(w)
+			s.live, s.prefix = append(s.live, int32(id)), append(s.prefix, s.total)
+		}
 	}
 	if len(root.head) > 0 {
 		cols := make([]int, len(root.head))
@@ -924,14 +704,10 @@ func (f *forest) sampler(tree *countTree) *treeSampler {
 			cols[j] = hc[0]
 			s.pinCols[j] = j
 		}
-		ix, built := f.nodes[tree.root].view.Index(cols)
-		if built {
-			f.builds.Add(1)
-		}
-		s.rootIx = ix
+		s.rootIx = f.index(&f.nodes[tree.root], cols, nil)
 		s.pin = make([]int, len(cols))
 	}
-	return s
+	return s, nil
 }
 
 // treeSample draws one uniform full assignment of the tree, computes
@@ -958,15 +734,14 @@ func (s *treeSampler) sample(rng *rand.Rand) (float64, error) {
 func (s *treeSampler) pickRoot(rng *rand.Rand) int32 {
 	target := rng.Float64() * s.total
 	j := sort.Search(len(s.prefix), func(j int) bool { return s.prefix[j] > target })
-	live := s.nodes[len(s.nodes)-1].live
-	if j == len(live) {
+	if j == len(s.live) {
 		j-- // float rounding: fall back to the last candidate
 	}
-	return live[j]
+	return s.live[j]
 }
 
 // descend fixes node k to row id, records its head values, and samples
-// one matching row per child proportional to the child's DP weights.
+// one matching row per child proportional to the child's weights.
 func (s *treeSampler) descend(rng *rand.Rand, k int, id int32) {
 	n := &s.nodes[k]
 	row := n.rows[id]
@@ -978,7 +753,7 @@ func (s *treeSampler) descend(rng *rand.Rand, k int, id int32) {
 		sum := 0.0
 		last := int32(-1)
 		for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
-			sum += cw[sid]
+			sum += float64(cw[sid])
 			if cw[sid] > 0 {
 				last = sid
 			}
@@ -987,7 +762,7 @@ func (s *treeSampler) descend(rng *rand.Rand, k int, id int32) {
 		acc := 0.0
 		chosen := last
 		for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
-			acc += cw[sid]
+			acc += float64(cw[sid])
 			if acc > target && cw[sid] > 0 {
 				chosen = sid
 				break
@@ -1008,7 +783,7 @@ func (s *treeSampler) multiplicity() float64 {
 	if s.rootIx == nil {
 		// No head variable at the root: every live root row is a
 		// candidate (correct, but a scan of the root).
-		for _, id := range rn.live {
+		for _, id := range s.live {
 			m += s.pinnedWeight(root, id)
 		}
 		return m
@@ -1027,11 +802,11 @@ func (s *treeSampler) multiplicity() float64 {
 // pinnedWeight counts the assignments of node k's subtree that extend
 // row id (which already agrees with the sampled head values) and agree
 // with them everywhere below. A child subtree without head variables
-// contributes its cached DP weights; a pinned one recurses into the
-// live matching rows that hold the sampled values. Sums run in index
-// chain order like the full DP's, and dead or disagreeing rows — which
-// a full pinned DP would weigh 0 — are skipped, so the result is the
-// same float the full DP computes.
+// contributes the weights the pass left; a pinned one recurses into
+// the live matching rows that hold the sampled values. Sums run in
+// index chain order, and dead or disagreeing rows — which a full pinned
+// DP would weigh 0 — are skipped, so the result is the same float the
+// full pinned DP computes.
 func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
 	n := &s.nodes[k]
 	row := n.rows[id]
@@ -1042,7 +817,7 @@ func (s *treeSampler) pinnedWeight(k int, id int32) float64 {
 	rows:
 		for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
 			if !child.pinned {
-				sum += child.w[sid]
+				sum += float64(child.w[sid])
 				continue
 			}
 			if child.w[sid] == 0 {

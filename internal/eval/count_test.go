@@ -2,6 +2,8 @@ package eval
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -34,10 +36,12 @@ func (p *Plan) countForTest(ctx context.Context, src *relstr.Snapshot, par int) 
 // the reference evaluation on random acyclic queries and databases,
 // across both storage backends and serial/parallel execution, and on
 // the same data relabelled outside the dense bound (values shifted by
-// 2^40, and negated), where every DP edge takes the index fallback. A second
-// leg draws a projecting query (one the estimator samples), checks its
-// exact count the same way, and checks every sample the estimator
-// draws against the reference sampler step.
+// 2^40, and negated), where every weighted step takes the index
+// fallback. A second leg draws a projecting query (one the estimator
+// samples), checks its exact count the same way, and checks every
+// sample the estimator draws against the reference sampler step. Later
+// legs draw counts that start below the tree root, and variable-disjoint
+// components linked by zero-column edges.
 func FuzzCountEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -142,6 +146,30 @@ func FuzzCountEquivalence(f *testing.F) {
 				}
 			}
 		}
+		// The randomDisconnectedQuery leg, drawn last: variable-disjoint
+		// components, whose dp cores take weighted zero-column steps.
+		dq := randomDisconnectedQuery(rng)
+		ddb := randomCoreDB(rng, 5, 9)
+		dp := NewPlan(dq)
+		dwant, err := dp.EvalBaseline(ctx, ddb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lb := range append(identity, fallbackLabels...) {
+			msrc := relstr.NewSnapshot(relabel(ddb, lb.f))
+			for _, par := range []int{1, 4} {
+				got, err := dp.countForTest(ctx, msrc, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != uint64(len(dwant)) {
+					t.Fatalf("disconnected count(%s, par=%d) = %d, want %d\n  q=%v", lb.name, par, got, len(dwant), dq)
+				}
+				if err := samplesMatchRef(ctx, dp, msrc, par, seed, 50); err != nil {
+					t.Fatalf("q=%v: %v", dq, err)
+				}
+			}
+		}
 	})
 }
 
@@ -150,15 +178,16 @@ func TestQuickCountMatchesEval(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		// Both legs: randomQuery, then randomCoreQuery, whose counts
-		// often start below the plan's tree root.
+		// Three legs: randomQuery, randomCoreQuery, whose counts often
+		// start below the plan's tree root, and randomDisconnectedQuery.
 		q := randomQuery(rng, true)
 		db := randomDB(rng, 5, 9)
 		coreQ := randomCoreQuery(rng)
+		coreDB := randomCoreDB(rng, 5, 9)
 		for _, c := range []struct {
 			q  *cq.Query
 			db *relstr.Structure
-		}{{q, db}, {coreQ, randomCoreDB(rng, 5, 9)}} {
+		}{{q, db}, {coreQ, coreDB}, {randomDisconnectedQuery(rng), randomCoreDB(rng, 5, 9)}} {
 			p := NewPlan(c.q)
 			want, err := p.EvalBaseline(ctx, c.db)
 			if err != nil {
@@ -216,12 +245,12 @@ func TestCountClassification(t *testing.T) {
 		kind     countKind
 		sampling bool
 	}{
-		{"Q() :- E(x,y), E(y,z)", countUnit, false},
-		{"Q(x,y) :- E(x,y), E(y,z)", countNode, false},
-		{"Q(y) :- E(x,y), E(y,z)", countNode, false},
-		{"Q(x,y,z) :- E(x,y), E(y,z)", countDP, false},
-		{"Q(x,z) :- E(x,y), E(y,z)", countSample, true},
-		{"Q(x,w) :- E(x,y), E(y,z), E(z,w)", countSample, true},
+		{"Q() :- E(x,y), E(y,z)", kindUnit, false},
+		{"Q(x,y) :- E(x,y), E(y,z)", kindNode, false},
+		{"Q(y) :- E(x,y), E(y,z)", kindNode, false},
+		{"Q(x,y,z) :- E(x,y), E(y,z)", kindDP, false},
+		{"Q(x,z) :- E(x,y), E(y,z)", kindSample, true},
+		{"Q(x,w) :- E(x,y), E(y,z), E(z,w)", kindSample, true},
 	}
 	for _, c := range cases {
 		p := NewPlan(cq.MustParse(c.src))
@@ -307,7 +336,7 @@ func TestQuickCountRootedAtCore(t *testing.T) {
 		t.Helper()
 		for ti := range p.csched.trees {
 			tree := &p.csched.trees[ti]
-			if tree.kind != countDP && tree.kind != countNode {
+			if tree.kind != kindDP && tree.kind != kindNode {
 				continue
 			}
 			top := tree.core[len(tree.core)-1]
@@ -353,7 +382,7 @@ func TestQuickCountRootedAtCore(t *testing.T) {
 	p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
 	p.csched = p.newCountSchedule()
 	tree := &p.csched.trees[0]
-	if len(p.csched.trees) != 1 || tree.root != r || tree.kind != countNode || tree.countRoot() != c || len(p.sched.children[c]) != 2 {
+	if len(p.csched.trees) != 1 || tree.root != r || tree.kind != kindNode || tree.countRoot() != c || len(p.sched.children[c]) != 2 {
 		t.Fatalf("want one node tree rooted at R counting C with two subtrees, got root %d kind %v count root %d", tree.root, tree.kind, tree.countRoot())
 	}
 	if tree.bags == p.bags || tree.bags.roots[0] != 0 || tree.bags.bags[0].atoms[0] != c {
@@ -409,15 +438,18 @@ func TestCountSamplerConverges(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("degenerate test database")
 	}
-	if len(p.csched.trees) != 1 || p.csched.trees[0].kind != countSample {
+	if len(p.csched.trees) != 1 || p.csched.trees[0].kind != kindSample {
 		t.Fatal("expected one sampling tree")
 	}
 	f := p.newForest(relstr.Borrow(db), 1)
 	defer p.flush(f)
-	if err := f.runDown(ctx, p.csched.sched); err != nil {
+	if err := f.runDown(ctx, p.csched.est); err != nil {
 		t.Fatal(err)
 	}
-	sampler := f.sampler(&p.csched.trees[0])
+	sampler, err := f.sampler(&p.csched.trees[0], p.csched.est)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := sampler.total
 	// N is the number of (x,y,z) assignments: count them naively.
 	full := NewPlan(cq.MustParse("Q(x,y,z) :- E(x,y), E(y,z)"))
@@ -716,7 +748,7 @@ func TestNodeCountAllocsFlat(t *testing.T) {
 	ctx := context.Background()
 	for _, src := range []string{"Q(x,y) :- E(x,y), E(y,z)", "Q(x0) :- E(x0,x1), E(x1,x0)"} {
 		p := NewPlan(cq.MustParse(src))
-		if kind := p.csched.trees[0].kind; kind != countNode {
+		if kind := p.csched.trees[0].kind; kind != kindNode {
 			t.Fatalf("%s: kind %v, want node", src, kind)
 		}
 		var allocs [2]float64
@@ -737,6 +769,73 @@ func TestNodeCountAllocsFlat(t *testing.T) {
 		// multiply it tenfold.
 		if allocs[1] > 2*allocs[0] {
 			t.Errorf("%s: %v allocs per count at N=300, %v at N=3000", src, allocs[0], allocs[1])
+		}
+	}
+}
+
+// GYO links variable-disjoint atoms by a zero-column edge, so
+// Q(x,y,w,v) :- E(x,y), F(w,v) is one dp tree whose weighted step
+// multiplies each row's weight by the other atom's total: the count is
+// |E|·|F|, serially and in parallel.
+func TestCountZeroColumnDP(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlan(cq.MustParse("Q(x,y,w,v) :- E(x,y), F(w,v)"))
+	if len(p.csched.trees) != 1 || p.csched.trees[0].kind != kindDP {
+		t.Fatalf("want one dp tree: %s", p.Explain().Text())
+	}
+	r := p.csched.sched.roots[0]
+	if st := p.csched.sched.downOf[r]; len(st) != 1 || !st[0].weighted || len(st[0].tCols) != 0 {
+		t.Fatalf("want one weighted zero-column step, got %+v", st)
+	}
+	db := relstr.New()
+	for i := range 7 {
+		db.Add("E", i, i+1)
+	}
+	for i := range 5 {
+		db.Add("F", i, 2*i)
+	}
+	for _, par := range []int{1, 4} {
+		if n, err := p.countForTest(ctx, relstr.Borrow(db), par); err != nil || n != 35 {
+			t.Fatalf("par=%d: count %d (err %v), want 35", par, n, err)
+		}
+	}
+}
+
+// A sample tree's weights are exact uint64s, so a tree with 2^64 or
+// more full assignments makes EstimateCount fail with
+// ErrCountOverflow, as an exact dp count would. GYO hangs k existential
+// leaves A_i(h,y_i) in a chain below Y(x,h) and Z(h,z), and each leaf
+// multiplies the assignments of the 16 answers by 16: with k = 15 the
+// weights fit and their sum, 2^64, does not; with k = 16 the Y row's own
+// weight overflows. Count still returns the exact 16 through the
+// search, which weighs nothing.
+func TestEstimateSampleTreeOverflow(t *testing.T) {
+	ctx := context.Background()
+	for _, k := range []int{15, 16} {
+		src := "Q(x,z) :- Y(x,h), Z(h,z)"
+		db := relstr.New()
+		db.Add("Y", 17, 0)
+		for i := 1; i <= 16; i++ {
+			db.Add("Z", 0, i)
+		}
+		for i := range k {
+			src += fmt.Sprintf(", A%02d(h,y%d)", i, i)
+			for j := range 16 {
+				db.Add(fmt.Sprintf("A%02d", i), 0, j)
+			}
+		}
+		p := NewPlan(cq.MustParse(src))
+		if len(p.csched.trees) != 1 || p.csched.trees[0].kind != kindSample {
+			t.Fatalf("k=%d: want one sample tree: %s", k, p.Explain().Text())
+		}
+		for _, par := range []int{1, 4} {
+			if _, err := p.EstimateCount(ctx, relstr.Borrow(db), par, CountOptions{}, false); !errors.Is(err, ErrCountOverflow) {
+				t.Fatalf("k=%d par=%d: EstimateCount err = %v, want ErrCountOverflow", k, par, err)
+			}
+			res, err := p.Count(ctx, relstr.Borrow(db), par, false)
+			if err != nil || res.Count != 16 || res.Mode != ModeExactEval {
+				t.Fatalf("k=%d par=%d: Count = %+v (err %v), want 16 by %s", k, par, res, err, ModeExactEval)
+			}
 		}
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"sync/atomic"
 )
 
-// Dense key-summary kernels. The executor's two per-row probe loops —
-// the semijoin step and the counting DP — test every live target row
-// against the source side. Through a hash index that is one bucket
-// chain walk per target row, repeated for every target row sharing a
-// key. When the key's first column holds small non-negative ints
+// Dense key-summary kernels. The executor's one per-row probe loop,
+// the semijoin step — Boolean, or weighted for the counting DP — tests
+// every live target row against the source side. Through a hash index
+// that is one bucket chain walk per target row, repeated for every
+// target row sharing a key. When the key's first column holds small non-negative ints
 // (dense element ids, the common case) the step instead summarises the
 // source once, and each target row then costs one array read or one
 // binary search: O(|S_live|+|T_live|) plus the search, no index build,
@@ -22,27 +22,27 @@ import (
 // live rows by their first key column with a counting sort, keeping
 // the other key columns flat in each group (keyGroups). A probe scans
 // a small group and binary-searches a larger, sorted one, so it stays
-// O(log d) on a hub key with d partners. The DP's key is one column:
-// an array of per-key count sums.
+// O(log d) on a hub key with d partners. A weighted step's summary is
+// an array of per-key weight sums, for a one-column key only.
 //
 // The bitset and the group offsets cover first-column keys in
 // [0, bitLimit): eight bits per row on both sides plus a constant, so
 // the bitset costs at most about a byte per row against about twelve
-// for a chained index, and the offsets at most 32 bytes per row. The
-// DP's sum array spends eight bytes per key, so it covers only
-// [0, sumLimit): one key per row on both sides plus a constant. A
+// for a chained index, and the offsets at most 32 bytes per row. A
+// weighted step's sum array spends eight bytes per key, so it covers
+// only [0, sumLimit): one key per row on both sides plus a constant. A
 // source key outside the bound (negative, huge, or sparse values) and
-// every DP key of two or more columns fall back to the view index. The
-// choice depends only on the data; every kernel kills and counts
-// exactly the same rows, so answers never depend on it.
+// every weighted key of two or more columns fall back to the view
+// index. The choice depends only on the data; every kernel kills and
+// weighs exactly the same rows, so answers never depend on it.
 
 // bitLimit is the exclusive bound on the first-column key values a
 // semijoin's summary covers for a step between tLive target and sLive
 // source rows.
 func bitLimit(tLive, sLive int) int { return 8*(tLive+sLive) + 4096 }
 
-// sumLimit is the exclusive bound on the key values a DP edge's sum
-// array covers for tLive parent and sLive child rows.
+// sumLimit is the exclusive bound on the key values a weighted step's
+// sum array covers for tLive target and sLive source rows.
 func sumLimit(tLive, sLive int) int { return tLive + sLive + 512 }
 
 // keyBuf is a pooled summary buffer. Sibling steps run concurrently,
@@ -112,13 +112,12 @@ func keySet(s *execNode, col, limit int, buf *keyBuf) (set []uint64, ok bool) {
 
 // keySums fills buf with, per value at column col of s's live rows,
 // the sum of cnt over the rows holding it, and returns it. ovf marks
-// (as a bitset over the same keys, nil when none did) the keys whose
-// sum overflows uint64 — an error only if a live parent row reads one,
-// exactly as on the index path. ok is false when a value lies outside
-// [0, limit).
+// (as a bitset over the keys up to the largest it holds, nil when none
+// did) the keys whose sum overflows uint64 — an overflow only if a live
+// target row reads one, exactly as on the index path. ok is false when
+// a value lies outside [0, limit).
 func keySums(s *execNode, col, limit int, cnt []uint64, buf *keyBuf) (sums, ovf []uint64, ok bool) {
 	sums = buf.w[:0]
-	var over []int
 	for w, word := range s.words {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
@@ -133,17 +132,12 @@ func keySums(s *execNode, col, limit int, cnt []uint64, buf *keyBuf) (sums, ovf 
 				sums = grow(sums, v+1)
 			}
 			if sums[v], ok = addU64(sums[v], cnt[id]); !ok {
-				over = append(over, v)
+				ovf = grow(ovf, max(len(ovf), v>>6+1))
+				ovf[v>>6] |= 1 << uint(v&63)
 			}
 		}
 	}
 	buf.w = sums
-	if len(over) > 0 {
-		ovf = make([]uint64, (len(sums)+63)/64)
-		for _, v := range over {
-			ovf[v>>6] |= 1 << uint(v&63)
-		}
-	}
 	return sums, ovf, true
 }
 

@@ -2,11 +2,11 @@ package eval
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"cqapprox/internal/cq"
 	"cqapprox/internal/relstr"
 )
 
@@ -84,8 +84,8 @@ func denseSteps(tr *execTrace) int64 {
 }
 
 // stepBitmaps applies every step of the bottom-up pass of sched to f,
-// children before parents, and returns the liveness words and live
-// counts after each step.
+// children before parents, weighing nodes as down does, and returns the
+// live counts, liveness words and weights after each step.
 func stepBitmaps(f *forest, sched *schedule) [][]uint64 {
 	var out [][]uint64
 	var down func(i int)
@@ -94,13 +94,20 @@ func stepBitmaps(f *forest, sched *schedule) [][]uint64 {
 			down(c)
 		}
 		for _, st := range sched.downOf[i] {
+			if st.weighted {
+				f.nodes[i].weigh()
+			}
 			f.semijoin(st)
 			var snap []uint64
 			for k := range f.nodes {
 				snap = append(snap, uint64(f.nodes[k].live))
 				snap = append(snap, f.nodes[k].words...)
+				snap = append(snap, f.nodes[k].wt...)
 			}
 			out = append(out, snap)
+		}
+		if sched.weighted != nil && sched.weighted[i] {
+			f.nodes[i].weigh()
 		}
 	}
 	for _, r := range sched.roots {
@@ -109,20 +116,7 @@ func stepBitmaps(f *forest, sched *schedule) [][]uint64 {
 	return out
 }
 
-// dpCountsOf runs the counting DP of every dp tree on a reduced forest,
-// rendering each tree's per-node counts (or its error) as text.
-func dpCountsOf(ctx context.Context, p *Plan, f *forest) []string {
-	var out []string
-	for ti := range p.csched.trees {
-		tree := &p.csched.trees[ti]
-		if tree.kind != countDP {
-			continue
-		}
-		cnt, err := f.dpCounts(ctx, tree)
-		out = append(out, fmt.Sprint(cnt, err))
-	}
-	return out
-}
+func randomAcyclicQuery(rng *rand.Rand) *cq.Query { return randomQuery(rng, true) }
 
 // TestKernelParity holds the dense kernel to the index kernel step by
 // step: on random plans and databases (dense ids, and a sparse variant
@@ -130,11 +124,11 @@ func dpCountsOf(ctx context.Context, p *Plan, f *forest) []string {
 // step runs serially and under a parallel budget with one-word
 // morsels, once on the data as drawn and once with every value shifted
 // out of the dense bound, which keeps the row ids and forces the index
-// kernel. The liveness bitmaps must agree word for word after each
-// step of the counting pass, and so must the DP's per-row counts over
-// the reduced forests. The serial index run is the reference.
+// kernel. The liveness bitmaps and the per-row weights must agree word
+// for word after each step of both counting passes — Count's, which
+// weighs the dp cores, and EstimateCount's, which also weighs the
+// sample trees. The serial index run is the reference.
 func TestKernelParity(t *testing.T) {
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	legs := []forestLeg{
 		{"index", true, 1},
@@ -142,15 +136,17 @@ func TestKernelParity(t *testing.T) {
 		{"dense-parallel", false, 4},
 		{"index-parallel", true, 4},
 	}
-	plans := 0
+	plans, weighted := 0, 0
 	var dense int64
-	for iter := 0; iter < 80; iter++ {
-		q := randomQuery(rng, true)
+	for iter := 0; iter < 120; iter++ {
+		// Three generators: random shapes, dp and node cores below the
+		// tree root, and sample trees.
+		q := []func(*rand.Rand) *cq.Query{randomAcyclicQuery, randomCoreQuery, randomProjectingQuery}[iter%3](rng)
 		p := NewPlan(q)
 		if p.mode != PlanYannakakis {
 			continue
 		}
-		db := randomDB(rng, 12+rng.Intn(40), 100+rng.Intn(400))
+		db := randomCoreDB(rng, 12+rng.Intn(40), 100+rng.Intn(400))
 		if iter%4 == 3 {
 			db = relabel(db, func(v int) int {
 				if v%2 == 1 {
@@ -161,50 +157,51 @@ func TestKernelParity(t *testing.T) {
 		}
 		plans++
 		drawn, shifted := relstr.NewSnapshot(db), relstr.NewSnapshot(relabel(db, shiftOut))
-		var want [][]uint64
-		var wantDP []string
-		for _, leg := range legs {
-			sn := drawn
-			if leg.shifted {
-				sn = shifted
-			}
-			f := leg.forest(p, sn)
-			f.trace = getExecTrace(len(f.nodes))
-			got := stepBitmaps(f, p.csched.sched)
-			var dp []string
-			if !f.anyEmpty() {
-				dp = dpCountsOf(ctx, p, f)
-			}
-			n := denseSteps(f.trace)
-			putExecTrace(f.trace)
-			f.trace = nil
-			if leg.shifted && n != 0 {
-				t.Fatalf("q=%v %s: %d dense steps on shifted data", q, leg.name, n)
-			}
-			dense += n
-			if want == nil {
-				want, wantDP = got, dp
+		for _, sched := range []*schedule{p.csched.sched, p.csched.est} {
+			if sched == nil {
 				continue
 			}
-			if len(got) != len(want) {
-				t.Fatalf("q=%v %s: %d steps, want %d", q, leg.name, len(got), len(want))
+			if sched.weighted != nil {
+				weighted++
 			}
-			for k := range got {
-				if !slices.Equal(got[k], want[k]) {
-					t.Fatalf("q=%v %s: bitmaps diverge after step %d:\n  got  %v\n  want %v", q, leg.name, k, got[k], want[k])
+			var want [][]uint64
+			for _, leg := range legs {
+				sn := drawn
+				if leg.shifted {
+					sn = shifted
 				}
-			}
-			if !slices.Equal(dp, wantDP) {
-				t.Fatalf("q=%v %s: DP counts diverge:\n  got  %v\n  want %v", q, leg.name, dp, wantDP)
+				f := leg.forest(p, sn)
+				f.trace = getExecTrace(len(f.nodes))
+				got := stepBitmaps(f, sched)
+				n := denseSteps(f.trace)
+				putExecTrace(f.trace)
+				f.trace = nil
+				if leg.shifted && n != 0 {
+					t.Fatalf("q=%v %s: %d dense steps on shifted data", q, leg.name, n)
+				}
+				dense += n
+				if want == nil {
+					want = got
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("q=%v %s: %d steps, want %d", q, leg.name, len(got), len(want))
+				}
+				for k := range got {
+					if !slices.Equal(got[k], want[k]) {
+						t.Fatalf("q=%v %s: bitmaps or weights diverge after step %d:\n  got  %v\n  want %v", q, leg.name, k, got[k], want[k])
+					}
+				}
 			}
 		}
 	}
-	if plans < 40 {
-		t.Fatalf("only %d acyclic plans drawn", plans)
+	if plans < 100 || weighted < 60 {
+		t.Fatalf("only %d acyclic plans drawn, %d weighted passes", plans, weighted)
 	}
 	if dense == 0 {
 		t.Fatal("the dense kernel never ran")
 	}
+	t.Logf("%d plans, %d weighted passes, %d dense steps", plans, weighted, dense)
 	t.Run("steps", func(t *testing.T) { stepParity(t, rng) })
 }
 
@@ -280,42 +277,89 @@ func stepParity(t *testing.T, rng *rand.Rand) {
 	}
 }
 
-// TestCountDPKeyOverflow pins the DP's overflow rule on both kernels:
-// a key whose child-count sum overflows uint64 is an error only when a
-// live parent row reads it, exactly as on the index path, where the
-// sum is only ever formed for a live parent row. The index leg runs
-// the same rows shifted out of the dense bound.
+// weighedForest builds a forest of rels whose first node parents the
+// others, with the schedule that weighs every node, so every step is
+// weighted; a parallel budget runs one-word morsels.
+func weighedForest(par int, rels ...rel) (*forest, *schedule) {
+	f := &forest{nodes: make([]execNode, len(rels)), par: par, minPar: 1, morsel: 2}
+	vars, parent, weighted := make([][]int, len(rels)), make([]int, len(rels)), make([]bool, len(rels))
+	for i, r := range rels {
+		f.nodes[i] = execNode{rows: r.rows, vars: r.vars, view: relstr.NewView(r.rows), words: allAlive(len(r.rows)), live: len(r.rows)}
+		vars[i], parent[i], weighted[i] = r.vars, 0, true
+	}
+	parent[0] = -1
+	f.initSlots()
+	return f, weighSchedule(scheduleForAtoms(vars, parent), weighted)
+}
+
+// TestCountDPKeyOverflow pins the overflow rule of the weighted step on
+// both kernels, serially and in parallel: a key whose child-weight sum
+// overflows uint64 makes the count overflow only when a parent row
+// that reads it survives every step of its node — not when the row is
+// dead, nor when a later step kills it — exactly as on the index path,
+// where the sum is only ever formed for a live parent row. The index
+// legs run the same rows shifted out of the dense bound. A zero-column
+// step multiplies by the child's total weight, and overflows with it.
 func TestCountDPKeyOverflow(t *testing.T) {
+	ctx := context.Background()
 	parent := rel{vars: []int{0}, rows: [][]int{{1}, {2}}}
 	child := rel{vars: []int{0, 1}, rows: [][]int{{1, 10}, {1, 11}, {2, 12}}}
-	cnt := []uint64{1 << 63, 1 << 63, 7} // key 1 sums to 2^64; key 2 to 7
-	edge := dpEdge{child: 1, tCols: []int{0}, sCols: []int{0}}
+	only2 := rel{vars: []int{0}, rows: [][]int{{2}}} // kills the parent row with key 1
+	cnt := []uint64{1 << 63, 1 << 63, 7}             // key 1 sums to 2^64; key 2 to 7
 	for _, shifted := range []bool{false, true} {
-		l, r := parent, child
+		l, r, k := parent, child, only2
 		if shifted {
-			l, r = relabelRel(parent, shiftOut), relabelRel(child, shiftOut)
+			l, r, k = relabelRel(parent, shiftOut), relabelRel(child, shiftOut), relabelRel(only2, shiftOut)
 		}
 		for _, par := range []int{1, 4} {
-			for _, readOverflow := range []bool{false, true} {
-				f := pairForest(l, r, relstr.NewView(r.rows), par)
-				if !readOverflow {
-					f.nodes[0].words[0] &^= 1 // the parent row with key 1 dies
+			for _, c := range []struct {
+				name     string
+				rels     []rel
+				dead     bool // the parent row with key 1 starts dead
+				overflow bool
+			}{
+				{"read", []rel{l, r}, false, true},
+				{"dead", []rel{l, r}, true, false},
+				{"killed by a later step", []rel{l, r, k}, false, false},
+			} {
+				f, sched := weighedForest(par, c.rels...)
+				f.nodes[1].wt = slices.Clone(cnt)
+				if c.dead {
+					f.nodes[0].words[0] &^= 1
 					f.nodes[0].live--
 				}
-				st := f.resolveDP(0, edge, cnt)
-				if st.dense == shifted {
-					t.Fatalf("shifted=%v: dense kernel = %v", shifted, st.dense)
+				f.trace = getExecTrace(len(f.nodes))
+				if err := f.runDown(ctx, sched); err != nil {
+					t.Fatal(err)
 				}
-				out := make([]uint64, len(parent.rows))
-				ok := f.countDP(&f.nodes[0], []dpStep{st}, out)
-				if st.buf != nil {
-					keyBufs.put(st.buf)
+				dense := denseSteps(f.trace)
+				putExecTrace(f.trace)
+				want := int64(len(c.rels) - 1)
+				if shifted {
+					want = 0
 				}
-				if ok == readOverflow {
-					t.Fatalf("shifted=%v par=%d readOverflow=%v: ok = %v", shifted, par, readOverflow, ok)
+				if dense != want {
+					t.Fatalf("shifted=%v %s: %d dense steps, want %d", shifted, c.name, dense, want)
 				}
-				if ok && out[1] != 7 {
-					t.Fatalf("shifted=%v par=%d: key 2 counts %d, want 7", shifted, par, out[1])
+				if f.overflow.Load() != c.overflow {
+					t.Fatalf("shifted=%v par=%d %s: overflow = %v", shifted, par, c.name, !c.overflow)
+				}
+				if !c.overflow && (f.nodes[0].live != 1 || f.nodes[0].wt[1] != 7) {
+					t.Fatalf("shifted=%v par=%d %s: %d live, key 2 weighs %d, want 1 and 7", shifted, par, c.name, f.nodes[0].live, f.nodes[0].wt[1])
+				}
+			}
+			disjoint := rel{vars: []int{5}, rows: [][]int{{7}, {8}}}
+			for _, w := range [][2]uint64{{3, 4}, {1 << 63, 1 << 63}} {
+				f, sched := weighedForest(par, l, disjoint)
+				if st := sched.downOf[0][0]; !st.weighted || len(st.tCols) != 0 {
+					t.Fatalf("want a weighted zero-column step, got %+v", st)
+				}
+				f.nodes[1].wt = w[:]
+				if err := f.runDown(ctx, sched); err != nil {
+					t.Fatal(err)
+				}
+				if over := w[0] == 1<<63; f.overflow.Load() != over || !over && !slices.Equal(f.nodes[0].wt, []uint64{7, 7}) {
+					t.Fatalf("par=%d zero columns over %v: overflow = %v, weights %v", par, w, f.overflow.Load(), f.nodes[0].wt)
 				}
 			}
 		}
@@ -326,11 +370,19 @@ func TestCountDPKeyOverflow(t *testing.T) {
 // live source values lie inside the bound in its first column is
 // summarised densely with no index build — a bitset for one column,
 // groups for two or more, a hub key's included; a first-column value
-// beyond the bound builds and probes the index. The DP's sum array has
-// the tighter bound: a key the semijoin's bitset covers can still send
-// the DP edge to the index. Every choice kills the same rows, serially
+// beyond the bound builds and probes the index. A weighted step's sum
+// array has the tighter bound: a key the semijoin's bitset covers can
+// still send the weighted step to the index, and a weighted key of two
+// or more columns always takes it. Every choice kills the same rows, serially
 // and under a parallel budget with one-word morsels.
 func TestDenseKernelChoice(t *testing.T) {
+	cols := func(row, cs []int) []int {
+		out := make([]int, len(cs))
+		for i, c := range cs {
+			out[i] = row[c]
+		}
+		return out
+	}
 	src := rel{vars: []int{0, 1}}
 	for v := 0; v < 100; v++ {
 		src.rows = append(src.rows, []int{v, v % 7})
@@ -390,17 +442,35 @@ func TestDenseKernelChoice(t *testing.T) {
 		if f.nodes[0].live != c.survivors {
 			t.Fatalf("%s: %d survivors, want %d", c.name, f.nodes[0].live, c.survivors)
 		}
-		if len(c.step.sCols) == 1 {
-			cnt := make([]uint64, len(c.src.rows))
-			st := f.resolveDP(0, dpEdge{child: 1, tCols: c.step.tCols, sCols: c.step.sCols}, cnt)
-			if st.dense != c.dpDense {
-				t.Fatalf("%s: DP dense = %v, want %v", c.name, st.dense, c.dpDense)
+		putExecTrace(f.trace)
+
+		// The weighted step: the same survivors, each weighing its number
+		// of source partners.
+		f = pairForest(c.target, c.src, relstr.NewView(c.src.rows), c.par)
+		f.morsel = 64
+		f.trace = getExecTrace(2)
+		f.nodes[0].weigh()
+		f.nodes[1].weigh()
+		weighted := c.step
+		weighted.weighted = true
+		f.semijoin(weighted)
+		if got := f.trace.nodes[0].dense.Load() == 1; got != c.dpDense {
+			t.Fatalf("%s: weighted dense = %v, want %v", c.name, got, c.dpDense)
+		}
+		if f.nodes[0].live != c.survivors {
+			t.Fatalf("%s: %d weighted survivors, want %d", c.name, f.nodes[0].live, c.survivors)
+		}
+		for id, row := range c.target.rows {
+			var want uint64
+			for _, srow := range c.src.rows {
+				if slices.Equal(cols(row, c.step.tCols), cols(srow, c.step.sCols)) {
+					want++
+				}
 			}
-			if st.buf != nil {
-				keyBufs.put(st.buf)
+			if got := f.nodes[0].wt[id]; got != want {
+				t.Fatalf("%s: row %v weighs %d, want %d", c.name, row, got, want)
 			}
 		}
 		putExecTrace(f.trace)
-		f.trace = nil
 	}
 }

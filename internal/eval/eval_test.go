@@ -304,3 +304,23 @@ func assertSameAnswers(t *testing.T, a, b Answers) {
 		t.Fatalf("answer sets differ:\n  a = %v\n  b = %v", a, b)
 	}
 }
+
+// randomDisconnectedQuery is the generator leg of variable-disjoint
+// components: two randomCoreQuery draws, the second's variables
+// renamed apart, under one head. GYO links the components by a
+// zero-column edge, so dp cores and sample trees span them.
+func randomDisconnectedQuery(rng *rand.Rand) *cq.Query {
+	q, r := randomCoreQuery(rng), randomCoreQuery(rng)
+	rename := func(v string) string { return "w" + v }
+	for _, a := range r.Atoms {
+		b := cq.Atom{Rel: a.Rel}
+		for _, v := range a.Args {
+			b.Args = append(b.Args, rename(v))
+		}
+		q.Atoms = append(q.Atoms, b)
+	}
+	for _, v := range r.Head {
+		q.Head = append(q.Head, rename(v))
+	}
+	return q
+}

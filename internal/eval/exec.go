@@ -16,8 +16,11 @@ import (
 // liveness is a bitmap per node (never in-place row filtering, so
 // backing rows stay shared and immutable), and semijoin steps test a
 // dense summary of the source's live keys or probe the views' hash
-// indexes (dense.go). The answers are then enumerated by the bag search
-// over the reduced forest's live rows (bags.go, forestRun).
+// indexes (dense.go). A counting pass also carries per-row weights on
+// the nodes it counts over, and its weighted steps run the counting DP
+// in the same kernel (count.go). The answers are then enumerated by
+// the bag search over the reduced forest's live rows (bags.go,
+// forestRun).
 //
 // Parallelism is morsel-driven: the probe loop of a semijoin step
 // splits its rows into fixed-size chunks (morselRows) claimed from an
@@ -40,13 +43,15 @@ const (
 
 // execNode is one join-forest node under the executor: the
 // view's rows, the call-local liveness bitmap that stands in for
-// in-place filtering, and the view whose index cache serves probes.
+// in-place filtering, the view whose index cache serves probes, and —
+// on a node a counting pass weighs — the per-row weights.
 type execNode struct {
 	rows  [][]int
 	vars  []int
 	view  *relstr.View
 	words []uint64 // bit id set ⇔ row id alive
 	live  int
+	wt    []uint64 // weighted nodes only: a row's extensions into its subtree, 0 once dead
 }
 
 func (n *execNode) alive(id int32) bool {
@@ -54,24 +59,23 @@ func (n *execNode) alive(id int32) bool {
 }
 
 func (n *execNode) clearAll() {
-	for w := range n.words {
-		n.words[w] = 0
-	}
+	clear(n.words)
+	clear(n.wt)
 	n.live = 0
 }
 
-// aliveRows materialises the surviving rows (headers shared with the
-// view; rows are never mutated downstream).
-func (n *execNode) aliveRows() [][]int {
-	out := make([][]int, 0, n.live)
+// weigh gives a node its per-row weights before its first weighted
+// step: 1 for a live row, 0 for a dead one. Later calls keep them.
+func (n *execNode) weigh() {
+	if n.wt != nil {
+		return
+	}
+	n.wt = make([]uint64, len(n.rows))
 	for w, word := range n.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			out = append(out, n.rows[w<<6|b])
+		for ; word != 0; word &= word - 1 {
+			n.wt[w<<6|bits.TrailingZeros64(word)] = 1
 		}
 	}
-	return out
 }
 
 // fillAlive sets the first n bits of words (len (n+63)/64).
@@ -109,6 +113,9 @@ type forest struct {
 
 	builds atomic.Uint64
 	probes atomic.Uint64
+	// overflow: some live row of a weighted node weighs 2^64 or more,
+	// so the count the weights make overflows uint64 (see settle).
+	overflow atomic.Bool
 
 	// trace is the call's ANALYZE frame, nil unless the caller opted
 	// in (a traced Plan.call). Every hot-path hook is a single nil
@@ -215,10 +222,21 @@ func (f *forest) anyEmpty() bool {
 // step never stalls on an exhausted budget. Both kernels kill exactly
 // the rows with no alive partner, so the bitmaps after the step do not
 // depend on which one ran.
-func (f *forest) semijoin(st sjStep) {
+//
+// A weighted step (see weighSchedule) is the counting DP's step in the
+// same loop: its one-column summary sums the source's live weights per
+// key (keySums), and its index probe sums the weights along the chain
+// (a dead row weighs 0, so no liveness test); a zero-column step reads
+// the source's total weight. Each live target row's weight is
+// multiplied by its sum, and a row whose sum is 0 dies — exactly the
+// rows the Boolean step kills. semijoin reports whether some row's
+// sum or product overflowed uint64: such a row stays live at weight 0
+// until settle, since only a row that survives every step of its node
+// makes the count overflow.
+func (f *forest) semijoin(st sjStep) (overflowed bool) {
 	t, s := &f.nodes[st.target], &f.nodes[st.source]
 	if t.live == 0 {
-		return
+		return false
 	}
 	var nt *nodeTraceCtr
 	if tr := f.trace; tr != nil {
@@ -229,10 +247,10 @@ func (f *forest) semijoin(st sjStep) {
 	}
 	if s.live == 0 {
 		t.clearAll()
-		return
+		return false
 	}
-	if len(st.tCols) == 0 {
-		return // no shared variables and the source is non-empty
+	if len(st.tCols) == 0 && !st.weighted {
+		return false // no shared variables and the source is non-empty
 	}
 	f.probes.Add(uint64(t.live))
 	if nt != nil {
@@ -241,57 +259,90 @@ func (f *forest) semijoin(st sjStep) {
 	k := sjKernel{tCols: st.tCols}
 	buf := keyBufs.get()
 	defer keyBufs.put(buf)
-	if limit := bitLimit(t.live, s.live); len(st.sCols) == 1 {
+	switch limit := bitLimit(t.live, s.live); {
+	case st.weighted:
+		k.wt, k.sw = t.wt, s.wt
+		if len(st.sCols) == 0 {
+			k.total, k.totalOK = sumU64(s.wt)
+		} else if len(st.sCols) == 1 {
+			k.sums, k.ovf, k.dense = keySums(s, st.sCols[0], sumLimit(t.live, s.live), s.wt, buf)
+		}
+	case len(st.sCols) == 1:
 		k.keys, k.dense = keySet(s, st.sCols[0], limit, buf)
-	} else {
+	default:
 		k.groups, k.dense = groupKeys(s, st.sCols, limit, buf)
 	}
 	if k.dense {
 		if nt != nil {
 			nt.dense.Add(1)
 		}
-	} else {
+	} else if len(st.sCols) > 0 {
 		k.ix = f.index(s, st.sCols, nt)
 		k.full = s.live == len(s.rows) // skip liveness checks while the source is unfiltered
 	}
 	nw := len(t.words)
 	if f.par <= 1 || t.live < f.parMin() {
-		t.live -= k.filter(t, s, 0, nw)
-		return
+		killed, over := k.run(t, s, 0, nw)
+		t.live -= killed
+		return over
 	}
 	mw := f.morselWordSize()
 	chunks := (nw + mw - 1) / mw
 	if tr := f.trace; tr != nil {
 		tr.addChunks(chunks)
 	}
-	var next, killed atomic.Int64
-	var wg sync.WaitGroup
-	kern := k // never reassigned: the escaping closure copies it, k stays on the stack
+	// The workers' shared state, the kernel included, in one allocation.
+	sh := &struct {
+		k            sjKernel
+		next, killed atomic.Int64
+		over         atomic.Bool
+		wg           sync.WaitGroup
+	}{k: k}
 	work := func() int {
 		n := 0
 		for {
-			c := int(next.Add(1) - 1)
+			c := int(sh.next.Add(1) - 1)
 			if c >= chunks {
 				return n
 			}
-			n += kern.filter(t, s, c*mw, min((c+1)*mw, nw))
+			m, over := sh.k.run(t, s, c*mw, min((c+1)*mw, nw))
+			n += m
+			if over {
+				sh.over.Store(true)
+			}
 		}
 	}
 	for i := 1; i < chunks && f.tryWorker(); i++ {
-		wg.Add(1)
+		sh.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer sh.wg.Done()
 			defer f.putWorker()
 			if tr := f.trace; tr != nil {
 				start := time.Now()
 				defer func() { tr.addWorker(time.Since(start)) }()
 			}
-			killed.Add(int64(work()))
+			sh.killed.Add(int64(work()))
 		}()
 	}
 	mine := work()
-	wg.Wait()
-	t.live -= mine + int(killed.Load())
+	sh.wg.Wait()
+	t.live -= mine + int(sh.killed.Load())
+	return sh.over.Load()
+}
+
+// settle closes the steps into a weighted node: a live row its steps
+// left at weight 0 overflowed, which marks the forest's count
+// overflowed, and takes weight 1, so its parents still find it as a
+// partner and liveness stays exactly the Boolean pass's.
+func (f *forest) settle(n *execNode) {
+	for w, word := range n.words {
+		for ; word != 0; word &= word - 1 {
+			if id := w<<6 | bits.TrailingZeros64(word); n.wt[id] == 0 {
+				n.wt[id] = 1
+				f.overflow.Store(true)
+			}
+		}
+	}
 }
 
 // index returns the source view's index keyed on sCols, building it on
@@ -310,7 +361,8 @@ func (f *forest) index(s *execNode, sCols []int, nt *nodeTraceCtr) *relstr.Index
 
 // sjKernel is one semijoin step's resolved probe: the dense bitset of
 // the source's live key values or their groups, or the source view's
-// index.
+// index; for a weighted step, the per-key weight sums, the index and
+// the source's weights, or the source's total weight.
 type sjKernel struct {
 	dense  bool
 	keys   []uint64  // dense, one column: bit v set ⇔ some live source row has key v
@@ -318,6 +370,62 @@ type sjKernel struct {
 	ix     *relstr.Index
 	full   bool // index: the source is unfiltered, skip its liveness
 	tCols  []int
+
+	wt, sw    []uint64 // weighted: the target's and the source's weights (wt nil ⇔ Boolean)
+	sums, ovf []uint64 // weighted, dense: see keySums
+	total     uint64   // weighted, zero columns: the source's total weight
+	totalOK   bool     // … which fits in uint64
+}
+
+// run applies the step to the live target rows of the word range
+// [lo, hi) and returns the number of kills and whether some weight
+// overflowed.
+func (k *sjKernel) run(t, s *execNode, lo, hi int) (killed int, over bool) {
+	if k.wt == nil {
+		return k.filter(t, s, lo, hi), false
+	}
+	for w := lo; w < hi; w++ {
+		for word := t.words[w]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			id := w<<6 | b
+			sum, ok := k.sum(t.rows[id])
+			if ok && sum == 0 {
+				t.words[w] &^= 1 << uint(b)
+				k.wt[id] = 0
+				killed++
+				continue
+			}
+			if ok {
+				k.wt[id], ok = mulU64(k.wt[id], sum)
+			}
+			if !ok {
+				k.wt[id], over = 0, true
+			}
+		}
+	}
+	return killed, over
+}
+
+// sum is the summed weight of row's source partners, and false when it
+// overflows uint64.
+func (k *sjKernel) sum(row []int) (uint64, bool) {
+	switch {
+	case len(k.tCols) == 0:
+		return k.total, k.totalOK
+	case k.dense:
+		// A key out of range (negative ones wrap) has no partner.
+		v := uint(row[k.tCols[0]])
+		if v >= uint(len(k.sums)) {
+			return 0, true
+		}
+		return k.sums[v], v>>6 >= uint(len(k.ovf)) || k.ovf[v>>6]&(1<<(v&63)) == 0
+	}
+	var sum uint64
+	ok := true
+	for sid := k.ix.First(row, k.tCols); sid >= 0 && ok; sid = k.ix.Next(sid, row, k.tCols) {
+		sum, ok = addU64(sum, k.sw[sid])
+	}
+	return sum, ok
 }
 
 // filter tests the live target rows of the word range [lo, hi),
@@ -412,9 +520,12 @@ func (f *forest) subtrees(ctx context.Context, sched *schedule, ids []int) error
 // starts from (the schedule it passes): the search at the plan's roots
 // (Plan.reduce), a ranked read at its first visits (streamRanked), a
 // count at the node its count starts from (Plan.Count); only that
-// node's live rows are then exactly the rows that extend. Independent
-// sibling subtrees run concurrently on a parallel forest; a node's
-// steps start only after every child subtree finished.
+// node's live rows are then exactly the rows that extend. A counting
+// schedule's weighted nodes leave the pass with their weights: each
+// live row's number of extensions into the weighted part of its
+// subtree. Independent sibling subtrees run concurrently on a parallel
+// forest; a node's steps start only after every child subtree
+// finished.
 func (f *forest) runDown(ctx context.Context, sched *schedule) error {
 	start := f.clock()
 	err := f.subtrees(ctx, sched, sched.roots)
@@ -425,9 +536,11 @@ func (f *forest) runDown(ctx context.Context, sched *schedule) error {
 // down runs the bottom-up pass of i's subtree: children first (in
 // parallel when the budget allows), then i's own reduction steps —
 // which share a target and therefore stay ordered, each
-// morsel-parallel inside. A serial pass stops at the first child left
-// empty and empties i: i's root then empties too, so the skipped
-// subtrees change no answer.
+// morsel-parallel inside. A weighted node takes its weights after its
+// Boolean steps, which the schedule puts first, and settles any
+// overflow once its last step ran. A serial pass stops at the first
+// child left empty and empties i: i's root then empties too, so the
+// skipped subtrees change no answer.
 func (f *forest) down(ctx context.Context, sched *schedule, i int) error {
 	kids := sched.children[i]
 	if f.par <= 1 || len(kids) <= 1 {
@@ -446,8 +559,18 @@ func (f *forest) down(ctx context.Context, sched *schedule, i int) error {
 	if err := cqerr.Check(ctx); err != nil {
 		return err
 	}
+	t, over := &f.nodes[i], false
 	for _, st := range sched.downOf[i] {
-		f.semijoin(st)
+		if st.weighted {
+			t.weigh()
+		}
+		over = f.semijoin(st) || over
+	}
+	if sched.weighted != nil && sched.weighted[i] {
+		t.weigh() // a node with no weighted step into it weighs 1 per live row
+		if over {
+			f.settle(t)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -403,4 +404,18 @@ func TestIndexedEmptyRelations(t *testing.T) {
 	if got := Eval(q, relstr.New()); len(got) != 0 {
 		t.Fatalf("answers on empty db = %v", got)
 	}
+}
+
+// aliveRows materialises the surviving rows (headers shared with the
+// view; rows are never mutated downstream).
+func (n *execNode) aliveRows() [][]int {
+	out := make([][]int, 0, n.live)
+	for w, word := range n.words {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			out = append(out, n.rows[w<<6|b])
+		}
+	}
+	return out
 }

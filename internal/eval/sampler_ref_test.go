@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ import (
 // multiplicity; descend (and so the sampled assignment) is shared.
 func refSample(s *treeSampler, rng *rand.Rand) (float64, error) {
 	root := len(s.nodes) - 1
-	id := pickWeightedRef(rng, s.total, s.nodes[root].live, s.nodes[root].w)
+	id := pickWeightedRef(rng, s.total, s.live, s.nodes[root].w)
 	s.descend(rng, root, id)
 	m := boundCountRef(s)
 	if m <= 0 {
@@ -32,12 +33,12 @@ func refSample(s *treeSampler, rng *rand.Rand) (float64, error) {
 }
 
 // pickWeightedRef selects one of ids with probability w[id]/total.
-func pickWeightedRef(rng *rand.Rand, total float64, ids []int32, w []float64) int32 {
+func pickWeightedRef(rng *rand.Rand, total float64, ids []int32, w []uint64) int32 {
 	target := rng.Float64() * total
 	acc := 0.0
 	pick := ids[len(ids)-1]
 	for _, id := range ids {
-		acc += w[id]
+		acc += float64(w[id])
 		if acc > target {
 			return id
 		}
@@ -54,8 +55,10 @@ func boundCountRef(s *treeSampler) float64 {
 		n := &s.nodes[k]
 		wb[k] = make([]float64, len(n.rows))
 	rows:
-		for _, id := range n.live {
-			row := n.rows[id]
+		for id, row := range n.rows {
+			if n.w[id] == 0 {
+				continue // dead rows weigh 0
+			}
 			for _, hc := range n.head {
 				if row[hc[0]] != s.hv[hc[1]] {
 					continue rows
@@ -75,7 +78,7 @@ func boundCountRef(s *treeSampler) float64 {
 	}
 	root := len(s.nodes) - 1
 	m := 0.0
-	for _, id := range s.nodes[root].live {
+	for _, id := range s.live {
 		m += wb[root][id]
 	}
 	return m
@@ -133,22 +136,62 @@ func randomProjectingDB(rng *rand.Rand) *relstr.Structure {
 }
 
 // samplesMatchRef draws a stream of samples from every sampling tree
-// of p on src, over a tuned forest the counting pass reduced, through
-// the estimator's step and through the reference step, from
-// identically seeded generators, and reports the first value that
-// differs in any bit. Equal streams make every estimator built on them
-// equal too.
+// of p on src, over a tuned forest the estimator's counting pass
+// reduced and weighed, through the estimator's step and through the
+// reference step, from identically seeded generators, and reports the
+// first value that differs in any bit. Equal streams make every
+// estimator built on them equal too. It first holds the pass to the
+// Boolean one — the same live rows — and every weight to the product,
+// over the row's children, of its partners' weights.
 func samplesMatchRef(ctx context.Context, p *Plan, src *relstr.Snapshot, par int, seed int64, draws int) error {
-	f := p.tunedForest(src, par)
+	if p.csched.est == nil {
+		return nil
+	}
+	f, bf := p.tunedForest(src, par), p.tunedForest(src, par)
 	defer p.flush(f)
-	if err := f.runDown(ctx, p.csched.sched); err != nil || f.anyEmpty() {
+	defer p.flush(bf)
+	if err := f.runDown(ctx, p.csched.est); err != nil {
 		return err
 	}
+	if err := bf.runDown(ctx, scheduleRootedAt(p.sched, p.vars, p.jt.Parent, p.csched.est.roots)); err != nil {
+		return err
+	}
+	for i := range f.nodes {
+		if !slices.Equal(f.nodes[i].words, bf.nodes[i].words) {
+			return fmt.Errorf("node %d: weighted pass leaves %v live, Boolean pass %v", i, f.nodes[i].words, bf.nodes[i].words)
+		}
+	}
+	if f.anyEmpty() {
+		return nil
+	}
 	for t := range p.csched.trees {
-		if p.csched.trees[t].kind != countSample {
+		tree := &p.csched.trees[t]
+		if tree.kind != kindSample {
 			continue
 		}
-		s := f.sampler(&p.csched.trees[t])
+		s, err := f.sampler(tree, p.csched.est)
+		if err != nil {
+			return err
+		}
+		for k, i := range tree.nodes {
+			n := &s.nodes[k]
+			for id, row := range n.rows {
+				var want uint64
+				if f.nodes[i].alive(int32(id)) {
+					want = 1
+					for _, st := range n.steps {
+						var sum uint64
+						for sid := st.ix.First(row, st.tCols); sid >= 0; sid = st.ix.Next(sid, row, st.tCols) {
+							sum += s.nodes[st.child].w[sid]
+						}
+						want *= sum
+					}
+				}
+				if n.w[id] != want {
+					return fmt.Errorf("tree %d node %d row %d weighs %d, want %d", t, i, id, n.w[id], want)
+				}
+			}
+		}
 		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		for i := 0; i < draws; i++ {
 			a, errA := s.sample(got)

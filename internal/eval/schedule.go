@@ -1,5 +1,7 @@
 package eval
 
+import "slices"
+
 // The schedule is the static half of the semijoin reduction: every
 // column mapping the bottom-up pass needs — which columns key each
 // semijoin probe — depends only on the rooted join tree and the atoms'
@@ -12,10 +14,13 @@ package eval
 
 // sjStep is one semijoin reduction step: filter target's rows to those
 // matching source on the aligned column pairs (tCols[k] in the target
-// row pairs with sCols[k] in the source row).
+// row pairs with sCols[k] in the source row). A weighted step runs
+// between two nodes that carry per-row weights: it multiplies each
+// target row's weight by the summed weights of its source partners.
 type sjStep struct {
 	target, source int
 	tCols, sCols   []int
+	weighted       bool
 }
 
 // schedule is a full static program for one join forest.
@@ -23,6 +28,9 @@ type schedule struct {
 	children [][]int    // forest shape, for the executor's subtree fan-out
 	downOf   [][]sjStep // bottom-up steps into each node, one per child
 	roots    []int
+	// weighted marks the nodes that carry per-row weights (counting
+	// passes only, see weighSchedule; nil elsewhere).
+	weighted []bool
 }
 
 // sharedCols returns the aligned column pairs of the variables common
@@ -54,6 +62,28 @@ func newSchedule(vars [][]int, parent []int, children [][]int) *schedule {
 		for _, c := range children[i] {
 			tc, scols := sharedCols(vars[i], vars[c])
 			sc.downOf[i] = append(sc.downOf[i], sjStep{target: i, source: c, tCols: tc, sCols: scols})
+		}
+	}
+	return sc
+}
+
+// weighSchedule returns a copy of sched whose nodes marked in weighted
+// carry per-row weights: a step between two of them is weighted, and
+// runs after the target's Boolean steps, so weights start on the rows
+// those left. It returns sched itself when no node is marked.
+func weighSchedule(sched *schedule, weighted []bool) *schedule {
+	if !slices.Contains(weighted, true) {
+		return sched
+	}
+	sc := &schedule{children: sched.children, roots: sched.roots, weighted: weighted,
+		downOf: make([][]sjStep, len(sched.downOf))}
+	for i, steps := range sched.downOf {
+		for _, pass := range []bool{false, true} {
+			for _, st := range steps {
+				if st.weighted = weighted[i] && weighted[st.source]; st.weighted == pass {
+					sc.downOf[i] = append(sc.downOf[i], st)
+				}
+			}
 		}
 	}
 	return sc
