@@ -584,27 +584,18 @@ func mulU64(a, b uint64) (uint64, bool) {
 	return lo, hi == 0
 }
 
-// sumU64 sums ws, and reports false when the sum overflows.
-func sumU64(ws []uint64) (uint64, bool) {
-	var sum uint64
-	ok := true
-	for _, w := range ws {
-		if sum, ok = addU64(sum, w); !ok {
-			break
-		}
-	}
-	return sum, ok
-}
-
 // --- the counting kernels ----------------------------------------------
 
 // runDP is a dp tree's count: the sum of its count root's weights, each
 // live row's number of extensions into the core below it, which the
 // weighted steps of the counting pass left (a dead row weighs 0).
 func (f *forest) runDP(tree *countTree) (uint64, error) {
-	n, ok := sumU64(f.nodes[tree.countRoot()].wt)
-	if !ok {
-		return 0, ErrCountOverflow
+	var n uint64
+	for _, w := range f.nodes[tree.countRoot()].wt {
+		var ok bool
+		if n, ok = addU64(n, w); !ok {
+			return 0, ErrCountOverflow
+		}
 	}
 	return n, nil
 }

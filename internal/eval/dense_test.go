@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -298,8 +299,10 @@ func weighedForest(par int, rels ...rel) (*forest, *schedule) {
 // that reads it survives every step of its node — not when the row is
 // dead, nor when a later step kills it — exactly as on the index path,
 // where the sum is only ever formed for a live parent row. The index
-// legs run the same rows shifted out of the dense bound. A zero-column
-// step multiplies by the child's total weight, and overflows with it.
+// legs run the same rows shifted out of the dense bound. Across trees
+// the count overflows in the product of the trees' counts: two star
+// components of 2^32 answers each (hub degree 256, four leaves) fit
+// one by one, and their product, 2^64, does not.
 func TestCountDPKeyOverflow(t *testing.T) {
 	ctx := context.Background()
 	parent := rel{vars: []int{0}, rows: [][]int{{1}, {2}}}
@@ -348,19 +351,28 @@ func TestCountDPKeyOverflow(t *testing.T) {
 					t.Fatalf("shifted=%v par=%d %s: %d live, key 2 weighs %d, want 1 and 7", shifted, par, c.name, f.nodes[0].live, f.nodes[0].wt[1])
 				}
 			}
-			disjoint := rel{vars: []int{5}, rows: [][]int{{7}, {8}}}
-			for _, w := range [][2]uint64{{3, 4}, {1 << 63, 1 << 63}} {
-				f, sched := weighedForest(par, l, disjoint)
-				if st := sched.downOf[0][0]; !st.weighted || len(st.tCols) != 0 {
-					t.Fatalf("want a weighted zero-column step, got %+v", st)
-				}
-				f.nodes[1].wt = w[:]
-				if err := f.runDown(ctx, sched); err != nil {
-					t.Fatal(err)
-				}
-				if over := w[0] == 1<<63; f.overflow.Load() != over || !over && !slices.Equal(f.nodes[0].wt, []uint64{7, 7}) {
-					t.Fatalf("par=%d zero columns over %v: overflow = %v, weights %v", par, w, f.overflow.Load(), f.nodes[0].wt)
-				}
+		}
+	}
+	stars := relstr.New()
+	for i := range 256 {
+		stars.Add("E", 0, i)
+		stars.Add("F", 0, i)
+	}
+	for k, src := range []string{
+		"Q(h,a,b,c,d) :- E(h,a), E(h,b), E(h,c), E(h,d)",
+		"Q(h,a,b,c,d,g,i,j,k,l) :- E(h,a), E(h,b), E(h,c), E(h,d), F(g,i), F(g,j), F(g,k), F(g,l)",
+	} {
+		p := NewPlan(cq.MustParse(src))
+		if len(p.csched.trees) != k+1 || slices.ContainsFunc(p.csched.trees, func(ct countTree) bool { return ct.kind != kindDP }) {
+			t.Fatalf("%s: want %d dp trees: %s", src, k+1, p.Explain().Text())
+		}
+		for _, par := range []int{1, 4} {
+			res, err := p.Count(ctx, relstr.Borrow(stars), par, false)
+			if k == 0 && (err != nil || res.Count != 1<<32) {
+				t.Fatalf("%s par=%d: Count = %+v (err %v), want 2^32", src, par, res, err)
+			}
+			if k == 1 && !errors.Is(err, ErrCountOverflow) {
+				t.Fatalf("%s par=%d: err = %v, want ErrCountOverflow", src, par, err)
 			}
 		}
 	}

@@ -307,8 +307,8 @@ func assertSameAnswers(t *testing.T, a, b Answers) {
 
 // randomDisconnectedQuery is the generator leg of variable-disjoint
 // components: two randomCoreQuery draws, the second's variables
-// renamed apart, under one head. GYO links the components by a
-// zero-column edge, so dp cores and sample trees span them.
+// renamed apart, under one head. Each component is a join tree of its
+// own, so counts and deltas multiply across trees.
 func randomDisconnectedQuery(rng *rand.Rand) *cq.Query {
 	q, r := randomCoreQuery(rng), randomCoreQuery(rng)
 	rename := func(v string) string { return "w" + v }
@@ -323,4 +323,78 @@ func randomDisconnectedQuery(rng *rand.Rand) *cq.Query {
 		q.Head = append(q.Head, rename(v))
 	}
 	return q
+}
+
+// TestPlanTreesAreComponents pins the join forest's shape: the trees of
+// an acyclic plan are exactly the connected components of its
+// shared-variable graph (GYO chains no variable-disjoint atoms), so no
+// step of the search's, the count's or the estimate's pass has an
+// empty key.
+func TestPlanTreesAreComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gens := []func(*rand.Rand) *cq.Query{
+		func(rng *rand.Rand) *cq.Query { return randomQuery(rng, true) },
+		randomDisconnectedQuery,
+		randomProjectingQuery,
+	}
+	multi := 0
+	for k := range 1500 {
+		q := gens[k%len(gens)](rng)
+		p := NewPlan(q)
+		if p.mode != PlanYannakakis {
+			continue
+		}
+		// The components, by union-find over shared variables.
+		comp := make([]int, len(p.atoms))
+		for i := range comp {
+			comp[i] = i
+		}
+		var find func(i int) int
+		find = func(i int) int {
+			if comp[i] != i {
+				comp[i] = find(comp[i])
+			}
+			return comp[i]
+		}
+		for i := range p.vars {
+			for j := range i {
+				if len(sharedVars(p.vars[i], p.vars[j])) > 0 {
+					comp[find(i)] = find(j)
+				}
+			}
+		}
+		root := func(i int) int {
+			for p.jt.Parent[i] != -1 {
+				i = p.jt.Parent[i]
+			}
+			return i
+		}
+		for i := range p.atoms {
+			for j := range i {
+				if (root(i) == root(j)) != (find(i) == find(j)) {
+					t.Fatalf("%v: atoms %d and %d: same tree %v, same component %v (parents %v)",
+						q, i, j, root(i) == root(j), find(i) == find(j), p.jt.Parent)
+				}
+			}
+		}
+		if len(p.sched.roots) > 1 {
+			multi++
+		}
+		for _, sc := range []*schedule{p.sched, p.csched.sched, p.csched.est} {
+			if sc == nil {
+				continue
+			}
+			for _, steps := range sc.downOf {
+				for _, st := range steps {
+					if len(st.tCols) == 0 {
+						t.Fatalf("%v: step %d→%d has an empty key", q, st.source, st.target)
+					}
+				}
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no plan with two or more trees drawn")
+	}
+	t.Logf("%d plans with two or more trees", multi)
 }

@@ -211,6 +211,8 @@ func (f *forest) anyEmpty() bool {
 
 // semijoin applies one scheduled reduction step over the bitmaps:
 // target rows with no alive source partner on the aligned columns die.
+// Every step has at least one key column: a join tree is one connected
+// component, so a child shares a variable with its parent.
 // A key whose first column holds small non-negative ints runs the
 // dense kernel (dense.go): one serial pass summarises the source's
 // live keys — a bitset for one column, each target row then tested
@@ -226,13 +228,12 @@ func (f *forest) anyEmpty() bool {
 // A weighted step (see weighSchedule) is the counting DP's step in the
 // same loop: its one-column summary sums the source's live weights per
 // key (keySums), and its index probe sums the weights along the chain
-// (a dead row weighs 0, so no liveness test); a zero-column step reads
-// the source's total weight. Each live target row's weight is
-// multiplied by its sum, and a row whose sum is 0 dies — exactly the
-// rows the Boolean step kills. semijoin reports whether some row's
-// sum or product overflowed uint64: such a row stays live at weight 0
-// until settle, since only a row that survives every step of its node
-// makes the count overflow.
+// (a dead row weighs 0, so no liveness test). Each live target row's
+// weight is multiplied by its sum, and a row whose sum is 0 dies —
+// exactly the rows the Boolean step kills. semijoin reports whether
+// some row's sum or product overflowed uint64: such a row stays live
+// at weight 0 until settle, since only a row that survives every step
+// of its node makes the count overflow.
 func (f *forest) semijoin(st sjStep) (overflowed bool) {
 	t, s := &f.nodes[st.target], &f.nodes[st.source]
 	if t.live == 0 {
@@ -249,9 +250,6 @@ func (f *forest) semijoin(st sjStep) (overflowed bool) {
 		t.clearAll()
 		return false
 	}
-	if len(st.tCols) == 0 && !st.weighted {
-		return false // no shared variables and the source is non-empty
-	}
 	f.probes.Add(uint64(t.live))
 	if nt != nil {
 		nt.probes.Add(uint64(t.live))
@@ -262,9 +260,7 @@ func (f *forest) semijoin(st sjStep) (overflowed bool) {
 	switch limit := bitLimit(t.live, s.live); {
 	case st.weighted:
 		k.wt, k.sw = t.wt, s.wt
-		if len(st.sCols) == 0 {
-			k.total, k.totalOK = sumU64(s.wt)
-		} else if len(st.sCols) == 1 {
+		if len(st.sCols) == 1 {
 			k.sums, k.ovf, k.dense = keySums(s, st.sCols[0], sumLimit(t.live, s.live), s.wt, buf)
 		}
 	case len(st.sCols) == 1:
@@ -276,7 +272,7 @@ func (f *forest) semijoin(st sjStep) (overflowed bool) {
 		if nt != nil {
 			nt.dense.Add(1)
 		}
-	} else if len(st.sCols) > 0 {
+	} else {
 		k.ix = f.index(s, st.sCols, nt)
 		k.full = s.live == len(s.rows) // skip liveness checks while the source is unfiltered
 	}
@@ -361,8 +357,8 @@ func (f *forest) index(s *execNode, sCols []int, nt *nodeTraceCtr) *relstr.Index
 
 // sjKernel is one semijoin step's resolved probe: the dense bitset of
 // the source's live key values or their groups, or the source view's
-// index; for a weighted step, the per-key weight sums, the index and
-// the source's weights, or the source's total weight.
+// index; for a weighted step, the per-key weight sums, or the index and
+// the source's weights.
 type sjKernel struct {
 	dense  bool
 	keys   []uint64  // dense, one column: bit v set ⇔ some live source row has key v
@@ -373,8 +369,6 @@ type sjKernel struct {
 
 	wt, sw    []uint64 // weighted: the target's and the source's weights (wt nil ⇔ Boolean)
 	sums, ovf []uint64 // weighted, dense: see keySums
-	total     uint64   // weighted, zero columns: the source's total weight
-	totalOK   bool     // … which fits in uint64
 }
 
 // run applies the step to the live target rows of the word range
@@ -409,10 +403,7 @@ func (k *sjKernel) run(t, s *execNode, lo, hi int) (killed int, over bool) {
 // sum is the summed weight of row's source partners, and false when it
 // overflows uint64.
 func (k *sjKernel) sum(row []int) (uint64, bool) {
-	switch {
-	case len(k.tCols) == 0:
-		return k.total, k.totalOK
-	case k.dense:
+	if k.dense {
 		// A key out of range (negative ones wrap) has no partner.
 		v := uint(row[k.tCols[0]])
 		if v >= uint(len(k.sums)) {

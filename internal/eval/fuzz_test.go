@@ -54,14 +54,16 @@ func decodeRels(data []byte) (l, r rel, ok bool) {
 	}
 	nl := 1 + int(data[0])%3
 	nr := 1 + int(data[1])%3
-	shared := int(data[2]) % (min(nl, nr) + 1)
+	shared := max(1, int(data[2])%(min(nl, nr)+1))
 	data = data[3:]
 	l.vars = make([]int, nl)
 	for i := range l.vars {
 		l.vars[i] = i
 	}
 	// r shares `shared` variables with l (the trailing ones, so the
-	// aligned columns differ between the two sides), then fresh ids.
+	// aligned columns differ between the two sides), then fresh ids. At
+	// least one is shared, as in every step of a schedule: each join
+	// tree is one connected component.
 	r.vars = make([]int, nr)
 	for i := range r.vars {
 		if i < shared {
@@ -139,8 +141,8 @@ func allAlive(n int) []uint64 {
 
 // FuzzJoinEquivalence asserts the executor's semijoin agrees with the
 // string-keyed reference implementation it replaced, on arbitrary
-// relation pairs (including empty relations, disjoint variable sets,
-// and tiny value domains that force bucket collisions). The semijoin
+// relation pairs sharing at least one variable (including empty
+// relations and tiny value domains that force bucket collisions). The semijoin
 // is held to the oracle through three views: a standalone view
 // (NewView, as incremental maintenance builds over its seed rows), a
 // snapshot view (the evaluation path), and the standalone view again
@@ -152,7 +154,7 @@ func allAlive(n int) []uint64 {
 func FuzzJoinEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0})                                  // empty relations
 	f.Add([]byte{1, 1, 1, 1, 2, 2, 1, 3, 3})                // small overlap
-	f.Add([]byte{2, 2, 0, 0, 1, 2, 1, 0, 2, 2, 0, 1})       // no shared vars
+	f.Add([]byte{2, 2, 0, 0, 1, 2, 1, 0, 2, 2, 0, 1})       // one shared var, empty source
 	f.Add([]byte{2, 2, 2, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 2}) // full overlap
 	f.Add([]byte{0, 2, 1, 3, 3, 3, 3, 2, 1, 0, 3, 1, 2, 0}) // collisions
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -7,16 +7,19 @@ package eval
 // proportional to the change, emitting an exact answer-set diff
 // instead of recomputing.
 //
-// The algorithm factors the answer set through the forest: trees of
-// the join forest share no variables, so the answers are the head
-// projection of the cross product over trees of each tree's
-// *contribution* — the projection of the tree's satisfying assignments
-// onto its root's kept variables (exactly the free variables occurring
-// in the tree). A delta confined to one tree therefore only moves that
-// tree's contribution; the answer diff is the changed contribution
-// rows crossed with the other trees' unchanged contributions.
+// The algorithm factors the answer set through the forest: each tree
+// of the join forest is one connected component of the query, so the
+// answers are the head projection of the cross product over trees of
+// each tree's *contribution* — the projection of the tree's satisfying
+// assignments onto its root's kept variables (exactly the free
+// variables occurring in the tree; none for a tree without head
+// variables, whose contribution is the unit row or nothing). A delta
+// only moves the contributions of the trees it touches; the answer
+// diff of one tree's change is its changed contribution rows crossed
+// with the other trees' contributions, and the changes of several
+// touched trees apply one after another (applyTrees).
 //
-// Within the touched tree the work is delta-sized, and all of it is the
+// Within a touched tree the work is delta-sized, and all of it is the
 // bag search of bags.go run over the join tree: a join tree is a tree
 // decomposition with one bag per node, so each node's tree is compiled
 // once per state into bag programs rooted where the work starts.
@@ -44,11 +47,10 @@ package eval
 // assignment of its subtree, which is all a search from the root needs).
 //
 // Everything is budgeted — every row a search visits, seed rows
-// included, is charged: when the budget runs out, the delta spans
-// several trees or a Boolean (no kept variables) tree, or the plan is a
-// bag plan, Apply falls back to a full re-evaluation and reports it —
-// the diff is still exact, computed as the sorted set difference
-// against the previous answers. The fallback and incremental counters
+// included, is charged: when the budget runs out, or the plan is a bag
+// plan, Apply falls back to a full re-evaluation and reports it — the
+// diff is still exact, computed as the sorted set difference against
+// the previous answers. The fallback and incremental counters
 // surface through IndexStats and Explain.
 
 import (
@@ -82,12 +84,11 @@ type IncrState struct {
 
 	// Yannakakis-mode factored state (nil for bag plans, which
 	// always fall back):
-	contribs   [][][]int // per tree, sorted rows over treeVars[t]
-	treeVars   [][]int   // kept (free) variables per tree; empty = Boolean tree
+	contribs   [][][]int // per tree, sorted rows over its kept (free) variables
 	answerCols []int     // head position → column in the trees' concatenated kept variables
 	treeOf     []int     // node → tree index
 	relNodes   map[string][]int
-	trees      []*bagPlan // tree → search emitting its contribution from the reduced forest
+	trees      []*bagPlan // tree → search emitting its contribution (head: the kept variables) from the reduced forest
 	seeded     []*bagPlan // node → candidate search of its tree seeded at the node
 	members    []*bagPlan // tree → membership search, the kept variables pre-bound
 }
@@ -141,14 +142,12 @@ func (s *IncrState) initMaps() {
 	for i, a := range p.atoms {
 		s.relNodes[a.rel] = append(s.relNodes[a.rel], i)
 	}
-	s.treeVars = make([][]int, len(p.sched.roots))
 	s.trees = make([]*bagPlan, len(p.sched.roots))
 	s.members = make([]*bagPlan, len(p.sched.roots))
 	var cat []int
 	for ti, r := range p.sched.roots {
 		kept := p.csched.trees[ti].headVars
 		cat = append(cat, kept...)
-		s.treeVars[ti] = kept
 		s.trees[ti] = p.forestBags(kept, r)
 		root, most := r, -1
 		var walk func(i int)
@@ -194,8 +193,9 @@ func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 		if f.nodes[r].live == 0 {
 			// After the bottom-up pass a root is empty iff its tree has
 			// no assignment; the pass reduces every tree, empty or not.
-			// The search runs no existence check, so a Boolean tree's
-			// unit contribution depends on this test.
+			// The search runs no existence check, so the unit
+			// contribution of a tree without kept variables depends on
+			// this test.
 			contribs[ti] = [][]int{}
 			continue
 		}
@@ -205,7 +205,7 @@ func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 		if err := p.finish(search); err != nil {
 			return err
 		}
-		rows := cutRows[[]int](slab.data, slab.n, len(s.treeVars[ti]))
+		rows := cutRows[[]int](slab.data, slab.n, len(s.trees[ti].head))
 		sortRows(rows)
 		contribs[ti] = rows
 	}
@@ -231,9 +231,10 @@ func (s *IncrState) fallbackTo(ctx context.Context, sn *relstr.Snapshot, reason 
 // state reflects) to newSn = oldSn.Update(d), returning the exact
 // answer diff. A nil delta (full replacement) or a version mismatch
 // (missed intermediate updates) resynchronises via a full
-// re-evaluation; so do bag plans, deltas spanning several trees or a
-// Boolean tree, and propagations past the budget — all reported as
-// Fallback with a Reason and counted in IndexStats.IncrFallbacks.
+// re-evaluation; so do bag plans and propagations past the budget —
+// all reported as Fallback with a Reason and counted in
+// IndexStats.IncrFallbacks. A delta touching several join trees
+// propagates through each of them.
 func (s *IncrState) Apply(ctx context.Context, d *relstr.Delta, oldSn, newSn *relstr.Snapshot) (*IncrDiff, error) {
 	if newSn == nil {
 		return nil, errors.New("eval: Apply requires the updated snapshot")
@@ -272,21 +273,7 @@ func (s *IncrState) advance(ctx context.Context, d *relstr.Delta, oldSn, newSn *
 		s.p.stats.incrEvals.Add(1)
 		return &IncrDiff{}, "", nil
 	}
-	ti := -1
-	for _, e := range eff {
-		for _, n := range s.relNodes[e.rel] {
-			switch t := s.treeOf[n]; {
-			case ti == -1:
-				ti = t
-			case ti != t:
-				return nil, "delta spans multiple join trees", nil
-			}
-		}
-	}
-	if len(s.treeVars[ti]) == 0 {
-		return nil, "delta touches a Boolean tree", nil
-	}
-	diff, err := s.applyTree(ctx, ti, eff, oldSn, newSn)
+	diff, err := s.applyTrees(ctx, eff, oldSn, newSn)
 	if err == errIncrBudget {
 		return nil, "incremental work larger than budget", nil
 	}
@@ -330,58 +317,89 @@ func (s *IncrState) effective(d *relstr.Delta, oldSn, newSn *relstr.Snapshot) []
 	return out
 }
 
-// applyTree propagates the effective changes — all confined to tree ti
-// — and updates the state. State mutation happens only after every
-// candidate and membership check succeeded, so a budget abort leaves
-// the state untouched for the fallback.
-func (s *IncrState) applyTree(ctx context.Context, ti int, eff []effChange, oldSn, newSn *relstr.Snapshot) (*IncrDiff, error) {
+// treeDelta is one tree's share of an Apply: the candidate
+// contributions its searches found, then its contribution diff.
+type treeDelta struct {
+	addSeen, remSeen relstr.TupleSet
+	added, removed   [][]int // sorted
+}
+
+// applyTrees propagates the effective changes through every tree they
+// touch and updates the state. Every candidate and membership search
+// runs first, under the one budget, and state mutation happens only
+// after all of them succeeded, so a budget abort leaves the state
+// untouched for the fallback. The touched trees' contributions then
+// change one after another: each change's answer diff — its
+// contribution rows crossed with the other trees' current
+// contributions — folds into the Apply's diff (foldDiff).
+func (s *IncrState) applyTrees(ctx context.Context, eff []effChange, oldSn, newSn *relstr.Snapshot) (*IncrDiff, error) {
 	budget := s.budget
-	var addSeen, remSeen relstr.TupleSet
+	ds := make([]treeDelta, len(s.trees))
 	for _, e := range eff {
 		for _, n := range s.relNodes[e.rel] {
-			if err := s.candidates(ctx, n, e.ins, newSn, &budget, &addSeen); err != nil {
+			d := &ds[s.treeOf[n]]
+			if err := s.candidates(ctx, n, e.ins, newSn, &budget, &d.addSeen); err != nil {
 				return nil, err
 			}
-			if err := s.candidates(ctx, n, e.del, oldSn, &budget, &remSeen); err != nil {
+			if err := s.candidates(ctx, n, e.del, oldSn, &budget, &d.remSeen); err != nil {
 				return nil, err
 			}
 		}
 	}
-	// Insert candidates already contributed before the delta are not
-	// new; delete candidates still derivable on the new snapshot stay.
-	var added [][]int
-	for _, c := range tuplesToRows(addSeen.Rows()) {
-		if !containsRow(s.contribs[ti], c) {
-			added = append(added, c)
-		}
-	}
-	var removed [][]int
-	if remSeen.Len() > 0 {
-		r := s.members[ti].newRun(ctx, newSn, nil)
-		r.budget = &budget
-		for _, c := range tuplesToRows(remSeen.Rows()) {
-			if !r.holds(c) && r.err == nil {
-				removed = append(removed, c)
+	for ti := range ds {
+		d := &ds[ti]
+		// Insert candidates already contributed before the delta are not
+		// new; delete candidates still derivable on the new snapshot stay.
+		for _, c := range tuplesToRows(d.addSeen.Rows()) {
+			if !containsRow(s.contribs[ti], c) {
+				d.added = append(d.added, c)
 			}
 		}
-		if err := s.p.finish(r); err != nil {
-			return nil, err
+		if d.remSeen.Len() > 0 {
+			r := s.members[ti].newRun(ctx, newSn, nil)
+			r.budget = &budget
+			for _, c := range tuplesToRows(d.remSeen.Rows()) {
+				if !r.holds(c) && r.err == nil {
+					d.removed = append(d.removed, c)
+				}
+			}
+			if err := s.p.finish(r); err != nil {
+				return nil, err
+			}
 		}
+		sortRows(d.added)
+		sortRows(d.removed)
 	}
-	sortRows(added)
-	sortRows(removed)
-	addedAns := s.compose(ti, added)
-	removedAns := s.compose(ti, removed)
-	// A side with nothing to add or delete keeps its slice: mergeRows
-	// never mutates its base, and Answers is shared read-only.
+	// A tree or an answer set with nothing to add or delete keeps its
+	// slice: mergeRows never mutates its base, and Answers is shared
+	// read-only.
+	var added, removed Answers
+	for ti := range ds {
+		d := &ds[ti]
+		if len(d.added)+len(d.removed) == 0 {
+			continue
+		}
+		a, r := s.compose(ti, d.added), s.compose(ti, d.removed)
+		s.contribs[ti] = mergeRows(s.contribs[ti], d.added, d.removed)
+		added, removed = foldDiff(added, removed, a, r)
+	}
 	if len(added)+len(removed) > 0 {
-		s.contribs[ti] = mergeRows(s.contribs[ti], added, removed)
-	}
-	if len(addedAns)+len(removedAns) > 0 {
-		s.answers = mergeRows(s.answers, addedAns, removedAns)
+		s.answers = mergeRows(s.answers, added, removed)
 	}
 	s.version = newSn.Version()
-	return &IncrDiff{Added: addedAns, Removed: removedAns}, nil
+	return &IncrDiff{Added: added, Removed: removed}, nil
+}
+
+// foldDiff folds one step's answer diff (a, r) into the diff (added,
+// removed) of the steps before it, all sorted: an answer the step adds
+// that an earlier step removed was an answer all along, and one it
+// removes that an earlier step added never was.
+func foldDiff(added, removed, a, r Answers) (Answers, Answers) {
+	if len(added)+len(removed) == 0 {
+		return a, r
+	}
+	return mergeRows(minusRows(added, r), minusRows(a, removed), nil),
+		mergeRows(minusRows(removed, a), minusRows(r, added), nil)
 }
 
 // candidates adds to out the contributions of node n's tree on sn that
@@ -446,7 +464,7 @@ func (s *IncrState) compose(ti int, rows [][]int) Answers {
 			return Answers{}
 		}
 		if len(part) == 1 && len(part[0]) == 0 {
-			continue // unit contribution (Boolean tree): no columns
+			continue // unit contribution: a tree without kept variables
 		}
 		next := make([][]int, 0, len(acc)*len(part))
 		for _, a := range acc {
@@ -477,9 +495,24 @@ func rowCompare[R ~[]int](a, b R) int { return relstr.Compare(relstr.Tuple(a), r
 
 func sortRows[R ~[]int](rows []R) { slices.SortFunc(rows, rowCompare[R]) }
 
-func containsRow(sorted [][]int, c []int) bool {
-	_, ok := slices.BinarySearchFunc(sorted, c, rowCompare[[]int])
+func containsRow[R ~[]int](sorted []R, c R) bool {
+	_, ok := slices.BinarySearchFunc(sorted, c, rowCompare[R])
 	return ok
+}
+
+// minusRows returns the rows of sorted a that are not in sorted b; a
+// itself when b is empty.
+func minusRows[R ~[]int](a, b []R) []R {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]R, 0, len(a))
+	for _, r := range a {
+		if !containsRow(b, r) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func tuplesToRows(ts []relstr.Tuple) [][]int {

@@ -285,14 +285,18 @@ func TestIncrSelfJoinAndRepeatedVars(t *testing.T) {
 	}
 }
 
-// Disconnected queries: GYO links variable-disjoint atoms into one
-// tree through zero-column cross-product edges, so deltas on either
-// side (or both) propagate incrementally — the searches scan the
-// neighbour's view across a zero-column edge.
+// Disconnected queries: each connected component is its own join tree,
+// and the answers are the cross product of the trees' contributions. A
+// delta on either side, or on both in one Apply, propagates
+// incrementally: the touched trees change one after another, each
+// change's diff crossed with the other tree's current contribution.
 func TestIncrCrossProductTrees(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParse("Q(x,u) :- E(x,y), F(u,v)")
 	p := NewPlan(q)
+	if len(p.sched.roots) != 2 {
+		t.Fatalf("want one join tree per component, got roots %v", p.sched.roots)
+	}
 	db := relstr.New()
 	db.Add("E", 1, 2)
 	db.Add("F", 7, 8)
@@ -316,29 +320,82 @@ func TestIncrCrossProductTrees(t *testing.T) {
 	}
 	assertDiff(t, diff, wantAdd, wantRem)
 	sn = next
-	// Both sides in one delta: still exact.
-	d := relstr.NewDelta().Insert("E", 5, 6).Insert("F", 9, 10)
-	next, err = sn.Update(d)
+	// Both trees in one delta: still incremental and exact, including
+	// an answer one tree's change adds and the other's removes.
+	for _, tc := range []struct {
+		d    *relstr.Delta
+		want Answers
+	}{
+		{relstr.NewDelta().Insert("E", 5, 6).Insert("F", 9, 10),
+			Answers{{1, 7}, {1, 9}, {3, 7}, {3, 9}, {5, 7}, {5, 9}}},
+		{relstr.NewDelta().Insert("E", 11, 12).Delete("F", 7, 8),
+			Answers{{1, 9}, {3, 9}, {5, 9}, {11, 9}}},
+		{relstr.NewDelta().Delete("E", 1, 2).Delete("E", 3, 4).Delete("E", 5, 6).Insert("F", 13, 14),
+			Answers{{11, 9}, {11, 13}}},
+	} {
+		next, err = sn.Update(tc.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAdd, wantRem = oracleDiff(t, p, sn, next)
+		diff, err = s.Apply(ctx, tc.d, sn, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff.Fallback {
+			t.Fatalf("two-tree delta fell back: %s", diff.Reason)
+		}
+		assertDiff(t, diff, wantAdd, wantRem)
+		if !sameAnswers(s.Answers(), tc.want) {
+			t.Fatalf("answers = %v, want %v", s.Answers(), tc.want)
+		}
+		sn = next
+	}
+}
+
+// A delta on one component costs that component: inserting one E row
+// into Q(x,w) :- E(x,y), F(w,v) adds one answer per F row, and the
+// searches visit the seed alone, not F, so a budget far below |F|
+// propagates all of them.
+func TestIncrComponentDeltaWithinBudget(t *testing.T) {
+	ctx := context.Background()
+	p := NewPlan(cq.MustParse("Q(x,w) :- E(x,y), F(w,v)"))
+	db := relstr.New()
+	db.Add("E", 0, 1)
+	for w := range 1000 {
+		db.Add("F", w, w)
+	}
+	sn := relstr.NewSnapshot(db)
+	s, err := p.NewIncrState(ctx, sn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAdd, wantRem = oracleDiff(t, p, sn, next)
-	diff, err = s.Apply(ctx, d, sn, next)
+	s.budget = 64
+	d := relstr.NewDelta().Insert("E", 2, 3)
+	next, err := sn.Update(d)
 	if err != nil {
 		t.Fatal(err)
+	}
+	wantAdd, wantRem := oracleDiff(t, p, sn, next)
+	diff, err := s.Apply(ctx, d, sn, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff.Fallback {
+		t.Fatalf("one-component delta fell back: %s", diff.Reason)
+	}
+	if len(wantAdd) != 1000 || len(wantRem) != 0 {
+		t.Fatalf("oracle diff +%d -%d, want +1000", len(wantAdd), len(wantRem))
 	}
 	assertDiff(t, diff, wantAdd, wantRem)
-	if !sameAnswers(s.Answers(), Answers{{1, 7}, {1, 9}, {3, 7}, {3, 9}, {5, 7}, {5, 9}}) {
-		t.Fatalf("answers = %v", s.Answers())
-	}
 }
 
 // Deletes re-check each candidate with a first-hit membership search
 // on the new snapshot: a candidate keeping another witness stays (no
 // fallback, nothing removed), one whose last witness died is removed,
-// and a variable-disjoint node — searched with nothing bound — keeps
-// every answer while it has a row and empties them all when its last
-// tuple goes.
+// and a variable-disjoint node — a Boolean tree of its own, re-checked
+// with nothing bound — keeps every answer while it has a row and
+// empties them all when its last tuple goes.
 func TestIncrDeleteMembership(t *testing.T) {
 	ctx := context.Background()
 	chain3 := "Q(x0) :- E(x0,x1), E(x1,x2), E(x2,x3)"
@@ -413,8 +470,10 @@ func TestIncrDeleteMembership(t *testing.T) {
 	}
 }
 
-// Fallback taxonomy: Boolean trees, bag (cyclic) plans, tiny budgets, full
-// replacements and stale state all resynchronise with an exact diff.
+// Fallback taxonomy: bag (cyclic) plans, tiny budgets, full
+// replacements and stale state all resynchronise with an exact diff. A
+// Boolean tree's delta propagates: its unit or empty contribution flows
+// through the same candidate and membership searches.
 func TestIncrFallbacks(t *testing.T) {
 	ctx := context.Background()
 
@@ -432,8 +491,8 @@ func TestIncrFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !diff.Fallback || diff.Reason == "" {
-			t.Fatalf("Boolean tree should fall back, got %+v", diff)
+		if diff.Fallback || len(wantRem) != 1 {
+			t.Fatalf("Boolean tree delta should propagate its one removed answer, got %+v (oracle -%v)", diff, wantRem)
 		}
 		assertDiff(t, diff, wantAdd, wantRem)
 	})

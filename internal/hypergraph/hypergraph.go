@@ -112,43 +112,24 @@ func (h *Hypergraph) ExtendEdge(i int, vs ...int) *Hypergraph {
 	return out
 }
 
-// JoinTree is a join tree over edge indexes: Parent[i] is the parent of
-// edge i, or -1 for roots. A valid join tree satisfies the
-// connectedness condition: for every vertex, the edges containing it
-// form a connected subtree.
+// JoinTree is a join forest over edge indexes: Parent[i] is the parent
+// of edge i, or -1 for roots, one root per tree. A valid join tree
+// satisfies the connectedness condition: for every vertex, the edges
+// containing it form a connected subtree.
 type JoinTree struct {
 	Parent []int
 }
 
-// Roots returns the indices with no parent.
-func (jt JoinTree) Roots() []int {
-	var out []int
-	for i, p := range jt.Parent {
-		if p == -1 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Children returns a child-list representation.
-func (jt JoinTree) Children() [][]int {
-	ch := make([][]int, len(jt.Parent))
-	for i, p := range jt.Parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], i)
-		}
-	}
-	return ch
-}
-
 // GYO runs the Graham–Yu–Özsoyoğlu reduction and reports whether h is
-// α-acyclic; when it is, a join tree over the original edge indexes is
-// returned. The reduction repeatedly (a) deletes "ear vertices" that
-// occur in a single remaining edge and (b) deletes edges contained in
-// another remaining edge, recording the witness as the join-tree
-// parent. The hypergraph is acyclic iff every edge is eventually
-// deleted (the last edge per connected component empties out).
+// α-acyclic; when it is, a join forest over the original edge indexes
+// is returned, with one tree per connected component of h. The
+// reduction repeatedly (a) deletes "ear vertices" that occur in a
+// single remaining edge and (b) deletes edges contained in another
+// remaining edge, recording the witness as the join-tree parent. An
+// edge whose remaining vertices are all gone shares none with any
+// other remaining edge: it is the last edge of its component, and
+// roots that component's tree. The hypergraph is acyclic iff every
+// remaining edge empties out.
 func (h *Hypergraph) GYO() (JoinTree, bool) {
 	n := len(h.Edges)
 	jt := JoinTree{Parent: make([]int, n)}
@@ -169,7 +150,6 @@ func (h *Hypergraph) GYO() (JoinTree, bool) {
 	for i := range alive {
 		alive[i] = true
 	}
-	aliveCount := n
 	for {
 		changed := false
 		// (a) ear vertices: occurrence count 1 among alive edges.
@@ -194,9 +174,10 @@ func (h *Hypergraph) GYO() (JoinTree, bool) {
 				}
 			}
 		}
-		// (b) subsumed edges; deterministic order.
+		// (b) subsumed edges; deterministic order. An emptied edge is
+		// its component's root, never subsumed.
 		for i := 0; i < n; i++ {
-			if !alive[i] {
+			if !alive[i] || len(work[i]) == 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
@@ -205,7 +186,6 @@ func (h *Hypergraph) GYO() (JoinTree, bool) {
 				}
 				if subset(work[i], work[j]) {
 					alive[i] = false
-					aliveCount--
 					jt.Parent[i] = j
 					changed = true
 					break
@@ -221,19 +201,6 @@ func (h *Hypergraph) GYO() (JoinTree, bool) {
 	for i := range work {
 		if alive[i] && len(work[i]) > 0 {
 			return JoinTree{}, false
-		}
-	}
-	// Link multiple empty roots into a chain so the tree is connected;
-	// they share no vertices, so connectedness is unaffected.
-	if aliveCount > 1 {
-		prev := -1
-		for i := range work {
-			if alive[i] {
-				if prev != -1 {
-					jt.Parent[prev] = i
-				}
-				prev = i
-			}
 		}
 	}
 	return jt, true
@@ -257,30 +224,34 @@ func (h *Hypergraph) IsAcyclic() bool {
 	return ok
 }
 
-// ValidJoinTree checks the join-tree connectedness condition of jt for
-// h: for every vertex v, the set of edges containing v induces a
-// connected subtree.
+// ValidJoinTree checks that jt is a forest over h's edges — every
+// parent chain ends at a root — satisfying the join-tree connectedness
+// condition: for every vertex v, the set of edges containing v induces
+// a connected subtree.
 func (h *Hypergraph) ValidJoinTree(jt JoinTree) bool {
 	n := len(h.Edges)
 	if len(jt.Parent) != n {
 		return false
 	}
-	// Adjacency of the tree.
+	for _, p := range jt.Parent {
+		if p < -1 || p >= n {
+			return false
+		}
+	}
+	// Adjacency of the forest; a parent chain longer than n has a cycle.
 	adj := make([][]int, n)
-	roots := 0
 	for i, p := range jt.Parent {
 		if p == -1 {
-			roots++
 			continue
-		}
-		if p < 0 || p >= n {
-			return false
 		}
 		adj[i] = append(adj[i], p)
 		adj[p] = append(adj[p], i)
-	}
-	if n > 0 && roots != 1 {
-		return false
+		for k := 0; p != -1; k++ {
+			if k == n {
+				return false
+			}
+			p = jt.Parent[p]
+		}
 	}
 	for _, v := range h.Vertices() {
 		var with []int

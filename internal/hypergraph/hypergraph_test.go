@@ -63,41 +63,46 @@ func TestBermanCyclicTernary(t *testing.T) {
 }
 
 func TestJoinTreeValid(t *testing.T) {
-	cases := []*Hypergraph{
-		New([]int{0, 1, 2}, []int{2, 3}, []int{3, 4, 5}),
-		New([]int{0, 1}, []int{1, 2}, []int{1, 3}),
-		New([]int{0, 1, 2}, []int{0, 1}, []int{1, 2}, []int{0, 2}),
-		New([]int{0}, []int{0, 1}, []int{0, 1}),
-		// Disconnected.
-		New([]int{0, 1}, []int{5, 6}),
+	cases := []struct {
+		h     *Hypergraph
+		roots int
+	}{
+		{New([]int{0, 1, 2}, []int{2, 3}, []int{3, 4, 5}), 1},
+		{New([]int{0, 1}, []int{1, 2}, []int{1, 3}), 1},
+		{New([]int{0, 1, 2}, []int{0, 1}, []int{1, 2}, []int{0, 2}), 1},
+		{New([]int{0}, []int{0, 1}, []int{0, 1}), 1},
+		// Disconnected: one tree per component.
+		{New([]int{0, 1}, []int{5, 6}), 2},
+		{New([]int{0, 1}, []int{5, 6}, []int{1, 2}, []int{6}), 2},
 	}
-	for i, h := range cases {
-		jt, ok := h.GYO()
+	for i, c := range cases {
+		jt, ok := c.h.GYO()
 		if !ok {
 			t.Fatalf("case %d should be acyclic", i)
 		}
-		if !h.ValidJoinTree(jt) {
+		if !c.h.ValidJoinTree(jt) {
 			t.Fatalf("case %d: invalid join tree %v", i, jt.Parent)
 		}
+		roots := 0
+		for _, p := range jt.Parent {
+			if p == -1 {
+				roots++
+			}
+		}
+		if roots != c.roots {
+			t.Fatalf("case %d: join tree %v has %d roots, want %d", i, jt.Parent, roots, c.roots)
+		}
 	}
-}
-
-func TestJoinTreeRootsAndChildren(t *testing.T) {
+	// A parent array with a cycle is no forest, even where every
+	// vertex's edges are adjacent.
 	h := New([]int{0, 1}, []int{1, 2}, []int{2, 3})
-	jt, ok := h.GYO()
-	if !ok {
-		t.Fatal("path hypergraph should be acyclic")
+	for _, parent := range [][]int{{1, 0, 1}, {1, 2, 0}, {1, 2, 1}} {
+		if h.ValidJoinTree(JoinTree{Parent: parent}) {
+			t.Fatalf("parent array %v has a cycle, yet validates", parent)
+		}
 	}
-	if len(jt.Roots()) != 1 {
-		t.Fatalf("roots = %v, want exactly one", jt.Roots())
-	}
-	ch := jt.Children()
-	total := 0
-	for _, c := range ch {
-		total += len(c)
-	}
-	if total != len(h.Edges)-1 {
-		t.Fatalf("children count = %d, want %d", total, len(h.Edges)-1)
+	if h.ValidJoinTree(JoinTree{Parent: []int{1, 2, 3}}) {
+		t.Fatal("a parent out of range validates")
 	}
 }
 
