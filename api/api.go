@@ -54,7 +54,7 @@ func (o *Options) ToOptions(def cqapprox.Options) cqapprox.Options {
 // Database is a relational database on the wire: relation name →
 // list of tuples. All tuples of one relation must have equal, nonzero
 // length (the relation's arity).
-type Database map[string][][]int
+type Database map[string]Rows
 
 // ToStructure validates d and converts it to a relational structure.
 func (d Database) ToStructure() (*cqapprox.Structure, error) {
@@ -78,9 +78,11 @@ func (d Database) ToStructure() (*cqapprox.Structure, error) {
 }
 
 // FromAnswers converts an answer set to its wire form (never nil, so
-// an empty set encodes as [] rather than null).
-func FromAnswers(a cqapprox.Answers) [][]int {
-	out := make([][]int, len(a))
+// an empty set encodes as [] rather than null). Encoders that write
+// answers straight from the engine's tuples (AppendEvalResponse and its
+// kin) need no conversion.
+func FromAnswers(a cqapprox.Answers) Rows {
+	out := make(Rows, len(a))
 	for i, t := range a {
 		out[i] = []int(t)
 	}
@@ -226,8 +228,8 @@ type PeerEvalRequest struct {
 // PeerEvalResponse is the body of a successful POST /v1/peer/eval;
 // which fields are meaningful follows the request's Mode.
 type PeerEvalResponse struct {
-	Answers [][]int `json:"answers,omitempty"` // mode "eval"
-	Result  bool    `json:"result,omitempty"`  // mode "bool"
+	Answers Rows `json:"answers,omitempty"` // mode "eval"
+	Result  bool `json:"result,omitempty"`  // mode "bool"
 
 	// The mode "count" fields, mirroring CountResponse.
 	Count     uint64  `json:"count,omitempty"`
@@ -289,8 +291,8 @@ type EvalRequest struct {
 
 // EvalResponse is the body of a successful POST /v1/eval.
 type EvalResponse struct {
-	Answers [][]int `json:"answers"`
-	Count   int     `json:"count"`
+	Answers Rows `json:"answers"`
+	Count   int  `json:"count"`
 	// Trace is the execution trace, present only when the request set
 	// EvalRequest.Trace.
 	Trace *cqapprox.ExecTrace `json:"trace,omitempty"`
@@ -414,8 +416,8 @@ type SubscribeRequest struct {
 // Reason says why.
 type DiffFrame struct {
 	Version  uint64     `json:"version"`
-	Added    [][]int    `json:"added,omitempty"`
-	Removed  [][]int    `json:"removed,omitempty"`
+	Added    Rows       `json:"added,omitempty"`
+	Removed  Rows       `json:"removed,omitempty"`
 	Init     bool       `json:"init,omitempty"`
 	Resync   bool       `json:"resync,omitempty"`
 	Fallback bool       `json:"fallback,omitempty"`

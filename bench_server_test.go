@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"cqapprox"
+	"cqapprox/api"
 	"cqapprox/client"
 	"cqapprox/internal/server"
 	"cqapprox/internal/workload"
@@ -44,6 +45,39 @@ func BenchmarkServerThroughputCounting(b *testing.B) {
 // shape — and reports the mean traced-vs-untraced eval latency.
 func BenchmarkServerThroughputTraced(b *testing.B) {
 	benchServerThroughput(b, 0.5, 0.25, 0.1)
+}
+
+// BenchmarkServerReadAfterWrite is one registered read through the
+// typed client: the TW(1) approximation of CycleQueryFree(4) on
+// EvalBenchDB(3000), 2,922 answers, the shape of the read after a write
+// in perfbench's update_live. The executor is about half of it; the
+// rest is the answers' trip over the wire (encode, HTTP, decode).
+func BenchmarkServerReadAfterWrite(b *testing.B) {
+	eng := cqapprox.NewEngine()
+	if _, _, err := eng.RegisterDB("raw", workload.EvalBenchDB(3000)); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(eng, server.Config{}).Handler())
+	defer ts.Close()
+	c := client.New(ts.URL).WithHTTPClient(ts.Client())
+	q := workload.CycleQueryFree(4)
+	q.Name = "Q"
+	req := api.EvalRequest{Query: q.String(), Class: "TW1", DB: "raw"}
+	ctx := context.Background()
+	res, err := c.Eval(ctx, req) // prepare and warm the indexes
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(res.Answers) != 2922 {
+		b.Fatalf("%d answers, want 2922", len(res.Answers))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Eval(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchServerThroughput(b *testing.B, registeredShare, countShare, traceShare float64) {

@@ -23,6 +23,7 @@ import (
 	"iter"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"cqapprox/api"
@@ -126,12 +127,52 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if resp.StatusCode != http.StatusOK {
 		return decodeAPIError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	bp := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(bp)
+	data, err := readBody(bp, resp)
+	if err != nil {
+		return err
+	}
+	// The answer-bearing responses decode themselves; handing them to
+	// json.Unmarshal would scan their rows once more before the call.
+	if u, ok := out.(json.Unmarshaler); ok {
+		return u.UnmarshalJSON(data)
+	}
+	return json.Unmarshal(data, out)
+}
+
+// bodyPool recycles the buffers response bodies are read into: decoded
+// values never alias them. Buffers past 1 MiB are left to the
+// collector.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= 1<<20 {
+		bodyPool.Put(b)
+	}
+}
+
+// readBody reads resp's body to EOF into buf and returns its bytes.
+// Reading to EOF matters beyond decoding: net/http reuses a keep-alive
+// connection only once its last response was read to the end, and a
+// decoder that stops after the JSON value leaves a chunked body's
+// terminator unread.
+func readBody(buf *bytes.Buffer, resp *http.Response) ([]byte, error) {
+	buf.Reset()
+	if resp.ContentLength > 0 {
+		buf.Grow(int(resp.ContentLength))
+	}
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 func decodeAPIError(resp *http.Response) error {
 	var envelope api.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == nil {
+	body, err := io.ReadAll(resp.Body)
+	if err == nil {
+		err = json.Unmarshal(body, &envelope)
+	}
+	if err != nil || envelope.Error == nil {
 		return &APIError{Status: resp.StatusCode, Info: api.ErrorInfo{
 			Code: api.CodeInternal, Message: fmt.Sprintf("undecodable error body (http %d)", resp.StatusCode),
 		}}
@@ -280,6 +321,7 @@ func (c *Client) Stream(ctx context.Context, req api.EvalRequest) (iter.Seq[[]in
 		}
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 64*1024), 16<<20)
+		var flat []int // the backing the yielded tuples are cut from
 		for sc.Scan() {
 			line := bytes.TrimSpace(sc.Bytes())
 			if len(line) == 0 {
@@ -294,11 +336,15 @@ func (c *Client) Stream(ctx context.Context, req api.EvalRequest) (iter.Seq[[]in
 				}
 				return
 			}
-			var tup []int
-			if err := json.Unmarshal(line, &tup); err != nil {
+			if cap(flat)-len(flat) < 64 {
+				flat = make([]int, 0, 1024)
+			}
+			tup, grown, err := api.DecodeRow(line, flat)
+			if err != nil {
 				terminal = fmt.Errorf("cqapproxd: undecodable stream line %q: %w", line, err)
 				return
 			}
+			flat = grown
 			if !yield(tup) {
 				return // consumer broke: Body.Close cancels the server
 			}
@@ -350,7 +396,7 @@ func (c *Client) Subscribe(ctx context.Context, req api.SubscribeRequest) (iter.
 				continue
 			}
 			var f api.DiffFrame
-			if err := json.Unmarshal(line, &f); err != nil {
+			if err := f.UnmarshalJSON(line); err != nil {
 				terminal = fmt.Errorf("cqapproxd: undecodable diff frame %q: %w", line, err)
 				return
 			}

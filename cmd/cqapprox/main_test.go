@@ -208,3 +208,27 @@ func TestLoadDBErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// The exact bytes of eval -json and eval -stream -json: the server's
+// wire encoding, trailing newlines included.
+func TestEvalJSONGolden(t *testing.T) {
+	dir := t.TempDir()
+	dbPath := filepath.Join(dir, "graph.txt")
+	if err := os.WriteFile(dbPath, []byte("E 1 2\nE 2 -3\nE -3 9223372036854775807\nE 0 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-q", "Q(x,z) :- E(x,y), E(y,z)"}, "{\"answers\":[[0,0],[1,-3],[2,9223372036854775807]],\"count\":3}\n"},
+		{[]string{"-q", "Q(x,z) :- E(x,y), E(y,z)", "-stream"}, "[1,-3]\n[2,9223372036854775807]\n[0,0]\n"},
+		{[]string{"-q", "Q(x) :- E(x,x), E(x,y), E(y,x)", "-class", "TW1"}, "{\"answers\":[[0]],\"count\":1}\n"},
+		{[]string{"-q", "Q(x) :- F(x,y)"}, "{\"answers\":[],\"count\":0}\n"},
+	} {
+		args := append([]string{"-db", dbPath, "-json"}, tc.args...)
+		if got := captureStdout(t, func() error { return cmdEval(args) }); got != tc.want {
+			t.Errorf("eval %v:\n got %q\nwant %q", tc.args, got, tc.want)
+		}
+	}
+}

@@ -499,5 +499,5 @@ func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cluster.peerEvals.Add(1)
-	writeJSON(w, http.StatusOK, res.peerResponse())
+	writeJSON(w, http.StatusOK, peerBody(res))
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"cqapprox"
 	"cqapprox/api"
@@ -83,11 +85,55 @@ func mapError(err error) *apiError {
 	}
 }
 
+// wireBody is a response body or NDJSON line that encodes itself: the
+// answer-bearing ones, whose rows go through the api rows codec instead
+// of reflection. Its bytes are what encoding/json would write.
+type wireBody interface {
+	appendJSON(dst []byte) ([]byte, error)
+}
+
+// bodyPool recycles the buffers wire bodies are encoded into. Buffers
+// past maxPooledBody are left to the collector.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// appendLine encodes b into the pooled buffer *bp, newline-terminated
+// as encoding/json's Encoder ends a value.
+func appendLine(bp *[]byte, b wireBody) ([]byte, error) {
+	line, err := b.appendJSON((*bp)[:0])
+	if err == nil {
+		line = append(line, '\n')
+	}
+	*bp = line
+	return line, err
+}
+
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
+}
+
 // writeJSON writes v as the complete JSON response body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	b, ok := v.(wireBody)
+	if !ok {
+		w.WriteHeader(status)
+		_ = json.NewEncoder(w).Encode(v)
+		return
+	}
+	bp := bodyPool.Get().(*[]byte)
+	defer putBody(bp)
+	body, err := appendLine(bp, b)
+	if err != nil {
+		w.WriteHeader(status) // as when encoding/json's Encoder fails: the status, no body
+		return
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 // writeError writes e as the standard error envelope; 429s advertise a

@@ -403,7 +403,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCall(w, r, call{verbEval, api.CountRequest{EvalRequest: req}}, func(res legResult) any {
-		return api.EvalResponse{Answers: api.FromAnswers(res.ans), Count: len(res.ans), Trace: res.trace}
+		return evalBody(res)
 	})
 }
 
@@ -501,7 +501,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 		}
-		enc := json.NewEncoder(w) // Encode appends \n: exactly one answer per line
 		if db.pl != nil {
 			// Streams enumerate lazily; a scatter would have to
 			// materialise every shard's answers before the first line.
@@ -510,8 +509,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		c := call{req: api.CountRequest{EvalRequest: req}}
 		seq, errf := p.Bind(db.db).AnswersErr(ctx, c.opts(db.par)...)
 		n := 0
+		var line []byte
 		for t := range seq {
-			if err := enc.Encode([]int(t)); err != nil {
+			line = append(api.AppendRow(line[:0], t), '\n') // exactly one answer per line
+			if _, err := w.Write(line); err != nil {
 				return // client gone; ctx cancellation is already unwinding seq
 			}
 			flush()
@@ -526,7 +527,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// never report errors.
 			s.metrics.byName[epStream].errors.Add(1)
 			info := mapError(err).info
-			_ = enc.Encode(api.ErrorResponse{Error: &info})
+			_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: &info})
 			flush()
 		}
 	})

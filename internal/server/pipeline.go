@@ -196,11 +196,25 @@ func (c call) shard(i, n int) call {
 	return c
 }
 
-// peerResponse encodes a leg result in the /v1/peer/eval wire form;
-// legFromPeer decodes it. Fields a verb leaves zero are omitted.
-func (r legResult) peerResponse() api.PeerEvalResponse {
-	return api.PeerEvalResponse{
-		Answers:   api.FromAnswers(r.ans),
+// evalBody is a leg result as the /v1/eval body and peerBody as the
+// /v1/peer/eval body (legFromPeer decodes it; fields a verb leaves zero
+// are omitted). Both write the answers straight from the engine's
+// tuples.
+type (
+	evalBody legResult
+	peerBody legResult
+)
+
+func (r evalBody) appendJSON(dst []byte) ([]byte, error) {
+	ans := r.ans
+	if ans == nil {
+		ans = cqapprox.Answers{} // an empty set encodes as [], never null
+	}
+	return api.AppendEvalResponse(dst, &api.EvalResponse{Count: len(ans), Trace: r.trace}, ans)
+}
+
+func (r peerBody) appendJSON(dst []byte) ([]byte, error) {
+	return api.AppendPeerEvalResponse(dst, &api.PeerEvalResponse{
 		Result:    r.ok,
 		Count:     r.count.Count,
 		Estimate:  r.count.Estimate,
@@ -208,7 +222,7 @@ func (r legResult) peerResponse() api.PeerEvalResponse {
 		Mode:      r.count.Mode,
 		Samples:   r.count.Samples,
 		Batches:   r.count.Batches,
-	}
+	}, r.ans)
 }
 
 func legFromPeer(resp *api.PeerEvalResponse) legResult {

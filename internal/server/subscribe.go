@@ -25,7 +25,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"slices"
 	"strings"
@@ -205,10 +204,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // Encode appends \n: one frame per line
 	frames := 0
-	push := func(f api.DiffFrame) bool {
-		if err := enc.Encode(f); err != nil {
+	push := func(f frame) bool {
+		bp := bodyPool.Get().(*[]byte)
+		line, _ := appendLine(bp, f) // one frame per line; frames always encode
+		_, err := w.Write(line)
+		putBody(bp)
+		if err != nil {
 			return false // client gone
 		}
 		// Count before Flush: a client that reads stats right after
@@ -223,7 +225,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	if !push(api.DiffFrame{Version: ie.Version(), Added: api.FromAnswers(ie.Answers()), Init: true}) {
+	if !push(frame{DiffFrame: api.DiffFrame{Version: ie.Version(), Init: true}, added: ie.Answers()}) {
 		return
 	}
 
@@ -238,10 +240,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-sub.kicked:
 			s.subStats.slowDrops.Add(1)
 			s.metrics.byName[epSubscribe].errors.Add(1)
-			push(api.DiffFrame{Version: ie.Version(), Error: &api.ErrorInfo{
+			push(frame{DiffFrame: api.DiffFrame{Version: ie.Version(), Error: &api.ErrorInfo{
 				Code:    api.CodeSlowConsumer,
 				Message: "subscriber fell behind the update stream and the server is configured to disconnect slow consumers; re-subscribe for a fresh init frame",
-			}})
+			}}})
 			return
 		case ev = <-sub.ch:
 		}
@@ -288,13 +290,24 @@ func (s *Server) coalesce(ctx context.Context, sub *subscriber, batch []subEvent
 	}
 }
 
+// frame is a diff frame on its way out: its rows are the engine's
+// tuples, which api.AppendDiffFrame writes without converting them.
+type frame struct {
+	api.DiffFrame
+	added, removed []cqapprox.Tuple
+}
+
+func (f frame) appendJSON(dst []byte) ([]byte, error) {
+	return api.AppendDiffFrame(dst, &f.DiffFrame, f.added, f.removed), nil
+}
+
 // advanceBatch drives the maintained state through one coalesced batch
 // of updates and folds the per-update diffs into a single net frame.
 // An overflow (resync policy) discards the patch semantics: the state
 // resynchronises against the database's current registration and the
 // frame carries the complete answer set instead.
-func (s *Server) advanceBatch(ctx context.Context, ie *cqapprox.IncrementalEval, sub *subscriber, dbName string, batch []subEvent) (api.DiffFrame, bool) {
-	var frame api.DiffFrame
+func (s *Server) advanceBatch(ctx context.Context, ie *cqapprox.IncrementalEval, sub *subscriber, dbName string, batch []subEvent) (frame, bool) {
+	var out frame
 	net := map[string]netEntry{}
 	for _, ev := range batch {
 		delta := ev.delta
@@ -306,10 +319,10 @@ func (s *Server) advanceBatch(ctx context.Context, ie *cqapprox.IncrementalEval,
 		}
 		diff, err := ie.Advance(ctx, ev.next, delta)
 		if err != nil {
-			return frame, false
+			return out, false
 		}
 		if diff.Fallback {
-			frame.Fallback, frame.Reason = true, diff.Reason
+			out.Fallback, out.Reason = true, diff.Reason
 		}
 		accumulate(net, diff)
 	}
@@ -320,18 +333,14 @@ func (s *Server) advanceBatch(ctx context.Context, ie *cqapprox.IncrementalEval,
 		s.subStats.resyncs.Add(1)
 		if cur, ok := s.eng.DB(dbName); ok && cur.Version() != ie.Version() {
 			if _, err := ie.Advance(ctx, cur, nil); err != nil {
-				return frame, false
+				return out, false
 			}
 		}
-		return api.DiffFrame{
-			Version: ie.Version(),
-			Added:   api.FromAnswers(ie.Answers()),
-			Resync:  true,
-		}, true
+		return frame{DiffFrame: api.DiffFrame{Version: ie.Version(), Resync: true}, added: ie.Answers()}, true
 	}
-	frame.Version = ie.Version()
-	frame.Added, frame.Removed = netDiff(net)
-	return frame, true
+	out.Version = ie.Version()
+	out.added, out.removed = netDiff(net)
+	return out, true
 }
 
 // netEntry tracks one tuple's net membership change across a batch.
@@ -359,13 +368,13 @@ func accumulate(net map[string]netEntry, d *cqapprox.AnswerDiff) {
 
 // netDiff extracts the surviving net changes, each side sorted in the
 // canonical answer order.
-func netDiff(net map[string]netEntry) (added, removed [][]int) {
+func netDiff(net map[string]netEntry) (added, removed []cqapprox.Tuple) {
 	for _, e := range net {
 		switch {
 		case e.sign > 0:
-			added = append(added, []int(e.tuple))
+			added = append(added, e.tuple)
 		case e.sign < 0:
-			removed = append(removed, []int(e.tuple))
+			removed = append(removed, e.tuple)
 		}
 	}
 	slices.SortFunc(added, slices.Compare)
