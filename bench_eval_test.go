@@ -68,7 +68,7 @@ func BenchmarkIndexedJoinBool(b *testing.B) {
 	db := workload.EvalBenchDB(3000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := p.EvalBool(ctx, db)
+		ok, err := p.Bind(Borrow(db)).EvalBool(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -319,7 +319,7 @@ func BenchmarkPreparedStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		for range p.Answers(ctx, db) {
+		for range p.Bind(Borrow(db)).Answers(ctx) {
 			n++
 		}
 		if n == 0 {

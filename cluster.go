@@ -40,15 +40,11 @@ func (p *PreparedQuery) CountSummable(partitioned func(rel string) bool) bool {
 // ranked key and truncated. Each part must itself be the result of
 // evaluating this query (under the same options) on one shard.
 func (p *PreparedQuery) MergeAnswers(parts []Answers, opts ...EvalOption) (Answers, error) {
-	cfg := optConfigOf(opts)
-	if !cfg.ranked() {
-		return eval.MergeAnswerSets(parts), nil
-	}
-	spec, err := p.rankSpec(&cfg)
+	r, err := p.read(opts)
 	if err != nil {
 		return nil, err
 	}
-	return eval.MergeRankedAnswers(parts, len(p.src.Head), spec), nil
+	return eval.MergeAnswers(parts, len(p.src.Head), r.Rank), nil
 }
 
 // ForwardOrder translates ranked-evaluation order names from the
@@ -63,13 +59,12 @@ func (p *PreparedQuery) ForwardOrder(order []string) ([]string, error) {
 	if len(order) == 0 {
 		return nil, nil
 	}
-	cfg := optConfig{order: order}
-	spec, err := p.rankSpec(&cfg)
+	r, err := p.read([]EvalOption{WithOrder(order...)})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(spec.Order))
-	for i, pos := range spec.Order {
+	out := make([]string, len(r.Rank.Order))
+	for i, pos := range r.Rank.Order {
 		if pos >= len(p.chosen.Head) {
 			return nil, fmt.Errorf("%w: head width mismatch between query and approximation", ErrBadOrder)
 		}

@@ -15,7 +15,9 @@
 //
 // The input is a file argument or stdin ("-"). Under -count=N the
 // minimum of the samples is compared — the fastest run is the least
-// noise-disturbed one. The allocation gate only fires where both sides
+// noise-disturbed one. -update records N as the baseline's count, and
+// a compare refuses a run whose compared rows have fewer samples than
+// that, rather than gate on one cold first call. The allocation gate only fires where both sides
 // report the metric: baseline entries without allocs_per_op, and runs
 // without -benchmem, skip it. Benchmarks present in the output but
 // missing from the baseline are reported (and added by -update);
@@ -67,6 +69,7 @@ func main() {
 		if *note != "" {
 			rep.Note = *note
 		}
+		rep.Count = benchfmt.SampleCount(samples)
 		for name, s := range samples {
 			e := benchfmt.Entry{NsPerOp: benchfmt.Best(s.Ns)}
 			if len(s.Allocs) > 0 {
@@ -83,6 +86,9 @@ func main() {
 
 	rep, err := benchfmt.Load(*baselinePath)
 	if err != nil {
+		fatal(err)
+	}
+	if err := rep.CheckCount(samples); err != nil {
 		fatal(err)
 	}
 	regressions := 0

@@ -56,7 +56,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"iter"
 	"os"
 	"strconv"
 	"strings"
@@ -386,11 +385,7 @@ func cmdEval(args []string) error {
 	if *stream && q.IsBoolean() {
 		return fmt.Errorf("-stream requires a non-Boolean query (a Boolean query has a single true/false answer)")
 	}
-	ranked := *order != "" || *desc || *limit != 0
-	if ranked && *trace {
-		return fmt.Errorf("-trace is incompatible with -order, -desc and -limit")
-	}
-	if ranked && q.IsBoolean() {
+	if (*order != "" || *desc || *limit != 0) && q.IsBoolean() {
 		return fmt.Errorf("-order, -desc and -limit require a non-Boolean query")
 	}
 	if *limit < 0 {
@@ -413,46 +408,19 @@ func cmdEval(args []string) error {
 	ctx, cancel := withTimeout(*timeout)
 	defer cancel()
 
-	// -class swaps the query for its prepared C-approximation.
-	var p *cqapprox.PreparedQuery
-	if *className != "" {
-		c, err := classFromName(*className)
-		if err != nil {
-			return err
-		}
-		if p, err = engine.Prepare(ctx, q, c); err != nil {
-			return err
-		}
-		if !*jsonOut { // the comment line would corrupt machine-readable output
-			fmt.Printf("# evaluating %s-approximation %v (plan: %s)\n", c.Name(), p.Approx(), p.PlanMode())
-		}
-	} else if p, err = engine.PrepareExact(ctx, q); err != nil {
+	p, err := prepare(ctx, q, *className, "evaluating", *jsonOut)
+	if err != nil {
 		return err
 	}
 	if *parallel > 1 {
 		evalOpts = append(evalOpts, cqapprox.WithEvalParallelism(*parallel))
 	}
-	// -db-register snapshots the file into the engine's registry and
-	// evaluates through the snapshot's persistent indexes — the same
-	// path cqapproxd's eval-by-name requests take.
-	var bound *cqapprox.BoundQuery
-	if *dbRegister != "" {
-		d, _, err := engine.RegisterDB(*dbRegister, db)
-		if err != nil {
-			return err
-		}
-		bound = p.Bind(d)
+	b, err := bind(p, db, *dbRegister)
+	if err != nil {
+		return err
 	}
 	if *stream {
-		var (
-			seq  iter.Seq[cqapprox.Tuple]
-			errf func() error
-		)
-		if bound != nil {
-			seq, errf = bound.AnswersErr(ctx, evalOpts...)
-		} else {
-			seq, errf = p.AnswersErr(ctx, db, evalOpts...)
-		}
+		seq, errf := b.AnswersErr(ctx, evalOpts...)
 		n := 0
 		for t := range seq {
 			if *jsonOut {
@@ -477,15 +445,10 @@ func cmdEval(args []string) error {
 			ok bool
 			tr *cqapprox.ExecTrace
 		)
-		switch {
-		case *trace && bound != nil:
-			ok, tr, err = bound.EvalBoolTrace(ctx, evalOpts...)
-		case *trace:
-			ok, tr, err = p.EvalBoolTrace(ctx, db, evalOpts...)
-		case bound != nil:
-			ok, err = bound.EvalBool(ctx, evalOpts...)
-		default:
-			ok, err = p.EvalBool(ctx, db, evalOpts...)
+		if *trace {
+			ok, tr, err = b.EvalBoolTrace(ctx, evalOpts...)
+		} else {
+			ok, err = b.EvalBool(ctx, evalOpts...)
 		}
 		if err != nil {
 			return err
@@ -503,15 +466,10 @@ func cmdEval(args []string) error {
 		ans cqapprox.Answers
 		tr  *cqapprox.ExecTrace
 	)
-	switch {
-	case *trace && bound != nil:
-		ans, tr, err = bound.EvalTrace(ctx, evalOpts...)
-	case *trace:
-		ans, tr, err = p.EvalTrace(ctx, db, evalOpts...)
-	case bound != nil:
-		ans, err = bound.Eval(ctx, evalOpts...)
-	default:
-		ans, err = p.Eval(ctx, db, evalOpts...)
+	if *trace {
+		ans, tr, err = b.EvalTrace(ctx, evalOpts...)
+	} else {
+		ans, err = b.Eval(ctx, evalOpts...)
 	}
 	if err != nil {
 		return err
@@ -528,6 +486,42 @@ func cmdEval(args []string) error {
 	fmt.Printf("(%d answers)\n", len(ans))
 	fmt.Print(tr.Text())
 	return nil
+}
+
+// prepare prepares q exactly or, with -class, its C-approximation,
+// announcing the approximation (what it is doing: verb) on a comment
+// line unless jsonOut, which the line would corrupt.
+func prepare(ctx context.Context, q *cqapprox.Query, className, verb string, jsonOut bool) (*cqapprox.PreparedQuery, error) {
+	if className == "" {
+		return engine.PrepareExact(ctx, q)
+	}
+	c, err := classFromName(className)
+	if err != nil {
+		return nil, err
+	}
+	p, err := engine.Prepare(ctx, q, c)
+	if err != nil {
+		return nil, err
+	}
+	if !jsonOut {
+		fmt.Printf("# %s %s-approximation %v (plan: %s)\n", verb, c.Name(), p.Approx(), p.PlanMode())
+	}
+	return p, nil
+}
+
+// bind pairs p with the loaded database. -db-register (name) snapshots
+// it into the engine's registry and reads through the snapshot's
+// persistent indexes — the same path cqapproxd's eval-by-name requests
+// take; without it the structure is borrowed for this one read.
+func bind(p *cqapprox.PreparedQuery, db *cqapprox.Structure, name string) (*cqapprox.BoundQuery, error) {
+	if name == "" {
+		return p.Bind(cqapprox.Borrow(db)), nil
+	}
+	d, _, err := engine.RegisterDB(name, db)
+	if err != nil {
+		return nil, err
+	}
+	return p.Bind(d), nil
 }
 
 // cmdCount counts answers through the prepared plan without
@@ -587,46 +581,22 @@ func cmdCount(args []string) error {
 	ctx, cancel := withTimeout(*timeout)
 	defer cancel()
 
-	var p *cqapprox.PreparedQuery
-	if *className != "" {
-		c, err := classFromName(*className)
-		if err != nil {
-			return err
-		}
-		if p, err = engine.Prepare(ctx, q, c); err != nil {
-			return err
-		}
-		if !*jsonOut {
-			fmt.Printf("# counting %s-approximation %v (plan: %s)\n", c.Name(), p.Approx(), p.PlanMode())
-		}
-	} else if p, err = engine.PrepareExact(ctx, q); err != nil {
+	p, err := prepare(ctx, q, *className, "counting", *jsonOut)
+	if err != nil {
 		return err
 	}
-
+	b, err := bind(p, db, *dbRegister)
+	if err != nil {
+		return err
+	}
 	var res *cqapprox.CountResult
-	if *dbRegister != "" {
-		d, _, err := engine.RegisterDB(*dbRegister, db)
-		if err != nil {
-			return err
-		}
-		b := p.Bind(d)
-		if *estimate {
-			res, err = b.EstimateCount(ctx, opts...)
-		} else {
-			res, err = b.Count(ctx, opts...)
-		}
-		if err != nil {
-			return err
-		}
+	if *estimate {
+		res, err = b.EstimateCount(ctx, opts...)
 	} else {
-		if *estimate {
-			res, err = p.EstimateCount(ctx, db, opts...)
-		} else {
-			res, err = p.Count(ctx, db, opts...)
-		}
-		if err != nil {
-			return err
-		}
+		res, err = b.Count(ctx, opts...)
+	}
+	if err != nil {
+		return err
 	}
 	if *jsonOut {
 		return emitJSON(api.CountResponse{

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -229,6 +231,90 @@ func TestEvalJSONGolden(t *testing.T) {
 		args := append([]string{"-db", dbPath, "-json"}, tc.args...)
 		if got := captureStdout(t, func() error { return cmdEval(args) }); got != tc.want {
 			t.Errorf("eval %v:\n got %q\nwant %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+// splitTrace splits eval -trace output into its answer lines (the
+// "(n answers)" summary included) and the names of the trace's phases,
+// dropping the timings, which differ between runs.
+func splitTrace(out string) (answers string, phases []string) {
+	head, trace, _ := strings.Cut(out, "trace: ")
+	for _, line := range strings.Split(trace, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "phase" {
+			phases = append(phases, f[1])
+		}
+	}
+	return head, phases
+}
+
+// eval and count read an inline file and a -db-register snapshot of it
+// through one path: the same query and file print byte-identical
+// output either way, and a traced eval the same answer lines and
+// phase names.
+func TestInlineMatchesRegistered(t *testing.T) {
+	dbPath := filepath.Join(t.TempDir(), "graph.txt")
+	if err := os.WriteFile(dbPath, []byte("E 1 2\nE 2 3\nE 3 4\nE 4 5\nE 5 2\nE 6 6\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const path = "Q(x,z) :- E(x,y), E(y,z)"
+	for i, tc := range []struct {
+		cmd  func([]string) error
+		args []string
+	}{
+		{cmdEval, []string{"-q", path}},
+		{cmdEval, []string{"-q", "Q() :- E(x,y), E(y,z), E(z,x)"}},
+		{cmdEval, []string{"-q", path, "-json"}},
+		{cmdEval, []string{"-q", path, "-order", "z,x", "-desc", "-limit", "3"}},
+		{cmdEval, []string{"-q", path, "-trace"}},
+		{cmdEval, []string{"-q", "Q() :- E(x,x)", "-trace"}},
+		{cmdCount, []string{"-q", path}},
+		{cmdCount, []string{"-q", path, "-estimate", "-seed", "7"}},
+	} {
+		args := append([]string{"-db", dbPath}, tc.args...)
+		inline := captureStdout(t, func() error { return tc.cmd(args) })
+		registered := captureStdout(t, func() error {
+			return tc.cmd(append(args, "-db-register", fmt.Sprint("g", i)))
+		})
+		if slices.Contains(tc.args, "-trace") {
+			ia, ip := splitTrace(inline)
+			ra, rp := splitTrace(registered)
+			if ia != ra || !slices.Equal(ip, rp) || len(ip) == 0 {
+				t.Errorf("%v: inline %q %v, registered %q %v", tc.args, ia, ip, ra, rp)
+			}
+			continue
+		}
+		if inline != registered {
+			t.Errorf("%v: inline %q, registered %q", tc.args, inline, registered)
+		}
+	}
+}
+
+// -trace combines with -order, -desc and -limit: the traced ranked eval
+// prints exactly the untraced answers, and its trace the path the key
+// took — the pass rooted at the first visit plus the ordered search on
+// a connex key, the plain evaluation's phases on the fallback of the
+// projected path query.
+func TestEvalTraceRanked(t *testing.T) {
+	dbPath := filepath.Join(t.TempDir(), "graph.txt")
+	if err := os.WriteFile(dbPath, []byte("E 1 2\nE 2 1\nE 2 2\nE 2 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query, order string
+		phases       []string
+	}{
+		{"Q(x,y,z) :- E(x,y), E(y,z)", "z,y,x", []string{"semijoin-down", "ranked"}},
+		{"Q(x,z) :- E(x,y), E(y,z)", "z,x", []string{"semijoin-down", "join", "project"}},
+	} {
+		args := []string{"-q", tc.query, "-db", dbPath, "-order", tc.order, "-desc", "-limit", "2"}
+		plain := captureStdout(t, func() error { return cmdEval(args) })
+		answers, phases := splitTrace(captureStdout(t, func() error { return cmdEval(append(args, "-trace")) }))
+		if answers != plain || !strings.HasSuffix(plain, "(2 answers)\n") {
+			t.Errorf("%s: traced answers %q, untraced %q", tc.query, answers, plain)
+		}
+		if !slices.Equal(phases, tc.phases) {
+			t.Errorf("%s: phases %v, want %v", tc.query, phases, tc.phases)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func TestCountPublicAPI(t *testing.T) {
 		}
 		want := uint64(len(ans))
 
-		res, err := p.Count(ctx, db)
+		res, err := p.Bind(Borrow(db)).Count(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestCountPublicAPI(t *testing.T) {
 				q.Name, bres.Count, bres.Mode, want, res.Mode)
 		}
 
-		est, err := p.EstimateCount(ctx, db, WithEpsilon(0.1), WithSeed(3))
+		est, err := p.Bind(Borrow(db)).EstimateCount(ctx, WithEpsilon(0.1), WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +80,11 @@ func TestCountParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := p.Count(ctx, db)
+	serial, err := p.Bind(Borrow(db)).Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := p.Count(ctx, db, WithEvalParallelism(4))
+	par, err := p.Bind(Borrow(db)).Count(ctx, WithEvalParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestCountCacheStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Count(ctx, db); err != nil {
+	if _, err := p.Bind(Borrow(db)).Count(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.EstimateCount(ctx, db, WithSeed(1)); err != nil {
+	if _, err := p.Bind(Borrow(db)).EstimateCount(ctx, WithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
 	st := engine.CacheStats()

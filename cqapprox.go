@@ -31,9 +31,10 @@
 //	p, err := engine.Prepare(ctx, q, cqapprox.TW(1))
 //
 //	// Execute many times, on many databases, from many goroutines.
-//	answers, err := p.Eval(ctx, db)        // O(|db|·|Q'|) via Yannakakis
-//	ok, err := p.EvalBool(ctx, db)         // answer existence
-//	for t := range p.Answers(ctx, db) { …} // stream without materialising
+//	b := p.Bind(cqapprox.Borrow(db))
+//	answers, err := b.Eval(ctx)        // O(|db|·|Q'|) via Yannakakis
+//	ok, err := b.EvalBool(ctx)         // answer existence
+//	for t := range b.Answers(ctx) { …} // stream without materialising
 //
 //	// Preparing an equivalent query again is a cache hit: no search.
 //	p2, _ := engine.Prepare(ctx, cqapprox.MustParse("Q(a) :- E(a,b), E(b,c), E(c,a)"), cqapprox.TW(1))
@@ -301,7 +302,7 @@ func EvalBool(q *Query, db *Structure) bool {
 		// Legacy compatibility — see Eval.
 		return eval.EvalBool(q, db)
 	}
-	ok, _ := p.EvalBool(context.Background(), db)
+	ok, _ := p.Bind(Borrow(db)).EvalBool(context.Background())
 	return ok
 }
 
@@ -312,7 +313,7 @@ func EvalBoolCtx(ctx context.Context, q *Query, db *Structure) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return p.EvalBool(ctx, db)
+	return p.Bind(Borrow(db)).EvalBool(ctx)
 }
 
 // NaiveEval evaluates q by backtracking search (|db|^O(|q|)).

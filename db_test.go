@@ -481,16 +481,16 @@ func TestInlineSharedStructure(t *testing.T) {
 					check(f, "Eval", ans)
 					kept[w] = append(kept[w], ans)
 
-					ok, err := f.p.EvalBool(ctx, db)
+					ok, err := f.p.Bind(Borrow(db)).EvalBool(ctx)
 					if err != nil || ok != (len(f.want) > 0) {
 						t.Errorf("EvalBool of %v = %v, %v; naive has %d answers", f.p.Query(), ok, err, len(f.want))
 					}
-					res, err := f.p.Count(ctx, db)
+					res, err := f.p.Bind(Borrow(db)).Count(ctx)
 					if err != nil || res.Count != uint64(len(f.want)) {
 						t.Errorf("Count of %v = %+v, %v; naive %d", f.p.Query(), res, err, len(f.want))
 					}
 					var streamed Answers
-					for tup := range f.p.Answers(ctx, db) {
+					for tup := range f.p.Bind(Borrow(db)).Answers(ctx) {
 						streamed = append(streamed, tup)
 					}
 					slices.SortFunc(streamed, compareTuples)

@@ -114,7 +114,7 @@ func TestEnginePreparedEval(t *testing.T) {
 			t.Fatalf("unsound answer %v", tup)
 		}
 	}
-	ok, err := p.EvalBool(ctx, db)
+	ok, err := p.Bind(Borrow(db)).EvalBool(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPreparedAnswersStreaming(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	n := 0
-	for tup := range p.Answers(ctx, db) {
+	for tup := range p.Bind(Borrow(db)).Answers(ctx) {
 		if !want.Contains(tup) {
 			t.Fatalf("streamed wrong answer %v", tup)
 		}
@@ -191,21 +191,21 @@ func TestPreparedAnswersStreaming(t *testing.T) {
 		t.Fatalf("streamed %d answers, want %d", n, len(want))
 	}
 	// Early break must not hang or panic.
-	for range p.Answers(ctx, db) {
+	for range p.Bind(Borrow(db)).Answers(ctx) {
 		break
 	}
 	// A pre-cancelled context yields nothing, and AnswersErr
 	// distinguishes that truncation from a genuinely empty answer set.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	seq2, errf := p.AnswersErr(canceled, db)
+	seq2, errf := p.Bind(Borrow(db)).AnswersErr(canceled)
 	for range seq2 {
 		t.Fatal("cancelled stream must not yield")
 	}
 	if err := errf(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("truncated stream must report ErrCanceled, got %v", err)
 	}
-	seq3, errf3 := p.AnswersErr(ctx, db)
+	seq3, errf3 := p.Bind(Borrow(db)).AnswersErr(ctx)
 	for range seq3 {
 	}
 	if err := errf3(); err != nil {
@@ -341,7 +341,7 @@ func TestEngineConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for range p.Answers(ctx, db) {
+				for range p.Bind(Borrow(db)).Answers(ctx) {
 				}
 			}
 		}()
@@ -525,7 +525,7 @@ func TestIndexStats(t *testing.T) {
 	if s1.Evals != 1 || s1.IndexBuilds == 0 || s1.IndexProbes == 0 {
 		t.Fatalf("stats after Eval: %+v", s1)
 	}
-	if _, err := p.EvalBool(ctx, db); err != nil {
+	if _, err := p.Bind(Borrow(db)).EvalBool(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if s2 := p.IndexStats(); s2.Evals != 2 || s2.IndexBuilds <= s1.IndexBuilds {

@@ -49,16 +49,18 @@ func main() {
 		db.Add("E", e[0], e[1])
 	}
 
-	// Execute many: the same PreparedQuery serves any database.
+	// Execute many: the same PreparedQuery serves any database. Bind
+	// pairs it with one; Borrow wraps a structure without copying it.
 	exact := cqapprox.NaiveEval(q, db)
-	approx, err := p.Eval(ctx, db)
+	b := p.Bind(cqapprox.Borrow(db))
+	approx, err := b.Eval(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("exact answers:    ", exact)
 	fmt.Println("approx answers:   ", approx)
 
-	ok, err := p.EvalBool(ctx, db)
+	ok, err := b.EvalBool(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func main() {
 
 	// Stream without materialising — break any time, cancel any time.
 	fmt.Print("streamed:          ")
-	for t := range p.Answers(ctx, db) {
+	for t := range b.Answers(ctx) {
 		fmt.Print(t, " ")
 	}
 	fmt.Println()

@@ -1,11 +1,6 @@
 package cqapprox
 
-import (
-	"context"
-
-	"cqapprox/internal/obs"
-	"cqapprox/internal/relstr"
-)
+import "cqapprox/internal/obs"
 
 // PlanExplain is the EXPLAIN view of a prepared query: the static plan
 // structure — the mode ("yannakakis" or "bags"), approximation class
@@ -47,51 +42,4 @@ func (p *PreparedQuery) Explain() *PlanExplain {
 		ex.Prepare = append([]Phase{}, p.prep...)
 	}
 	return ex
-}
-
-// EvalTrace is Eval plus an execution trace of this one call: the
-// answers are identical (and the plan's cumulative counters advance
-// exactly as for Eval); the trace additionally reports per-node rows
-// in/out per semijoin pass, surviving rows per node, index builds and
-// probes, per-phase wall times, and morsel/worker accounting when the
-// evaluation ran parallel. Every option applies. A ranked call
-// (WithOrder, WithDescending, WithLimit) whose key streams out of the
-// join forest reports the bottom-up pass rooted at its first visit
-// ("semijoin-down") and the ordered search ("ranked"); one that falls
-// back reports the phases of the plain evaluation it sorts.
-func (p *PreparedQuery) EvalTrace(ctx context.Context, db *Structure, opts ...EvalOption) (Answers, *ExecTrace, error) {
-	return p.evalTraceOn(ctx, relstr.Borrow(db), opts)
-}
-
-// evalTraceOn is evalOn with tracing.
-func (p *PreparedQuery) evalTraceOn(ctx context.Context, sn *relstr.Snapshot, opts []EvalOption) (Answers, *ExecTrace, error) {
-	cfg := optConfigOf(opts)
-	par := cfg.parallelism(p.Parallelism())
-	if !cfg.ranked() {
-		return p.plan.EvalTraceOn(ctx, sn, par)
-	}
-	spec, err := p.rankSpec(&cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.plan.EvalRankedTraceOn(ctx, sn, par, spec)
-}
-
-// EvalBoolTrace is EvalBool plus an execution trace; the reduction
-// stops at the bottom-up semijoin pass, exactly like EvalBool.
-func (p *PreparedQuery) EvalBoolTrace(ctx context.Context, db *Structure, opts ...EvalOption) (bool, *ExecTrace, error) {
-	return p.plan.EvalBoolTraceOn(ctx, relstr.Borrow(db), p.budget(opts))
-}
-
-// EvalTrace is PreparedQuery.EvalTrace over the binding's snapshot;
-// the trace's index-build counters then reflect only builds the
-// snapshot's persistent cache had not already absorbed.
-func (b *BoundQuery) EvalTrace(ctx context.Context, opts ...EvalOption) (Answers, *ExecTrace, error) {
-	return b.p.evalTraceOn(ctx, b.db.snap, opts)
-}
-
-// EvalBoolTrace is PreparedQuery.EvalBoolTrace over the binding's
-// snapshot.
-func (b *BoundQuery) EvalBoolTrace(ctx context.Context, opts ...EvalOption) (bool, *ExecTrace, error) {
-	return b.p.plan.EvalBoolTraceOn(ctx, b.db.snap, b.p.budget(opts))
 }

@@ -55,7 +55,8 @@ type IncrementalEval struct {
 // are not supported on the incremental surface (maintained answers are
 // always the full set in default order).
 func (b *BoundQuery) Incremental(ctx context.Context, opts ...EvalOption) (*IncrementalEval, error) {
-	st, err := b.p.plan.NewIncrState(ctx, b.db.snap, b.p.budget(opts))
+	r, _ := b.p.read(opts)
+	st, err := b.p.plan.NewIncrState(ctx, b.db.snap, r.Par)
 	if err != nil {
 		return nil, err
 	}

@@ -40,6 +40,10 @@ type Report struct {
 	// Note documents how the numbers were produced (command line,
 	// machine class) — advisory, not compared.
 	Note string `json:"note,omitempty"`
+	// Count is the -count the rows were measured under: the compare
+	// refuses a row with fewer samples, whose minimum could be one cold
+	// first call. Zero (an older file) checks nothing.
+	Count int `json:"count,omitempty"`
 	// Benchmarks maps a benchmark name (GOMAXPROCS suffix stripped,
 	// e.g. "BenchmarkIndexedJoin/chain6/N3000") to its baseline.
 	Benchmarks map[string]Entry `json:"benchmarks"`
@@ -129,6 +133,31 @@ func Best(samples []float64) float64 {
 		}
 	}
 	return best
+}
+
+// SampleCount is the -count a run was measured under: the fewest
+// samples of any of its benchmarks (0 for an empty run).
+func SampleCount(samples map[string]*Samples) int {
+	n := 0
+	for _, s := range samples {
+		if n == 0 || len(s.Ns) < n {
+			n = len(s.Ns)
+		}
+	}
+	return n
+}
+
+// CheckCount reports an error naming the benchmark of samples with
+// fewer samples than the report's Count, if any (the first in name
+// order). Only rows the report holds are checked: those are the ones a
+// compare gates on.
+func (r *Report) CheckCount(samples map[string]*Samples) error {
+	for _, name := range r.Names() {
+		if s, ran := samples[name]; ran && len(s.Ns) < r.Count {
+			return fmt.Errorf("%s has %d sample(s), but the baseline was measured under -count=%d: rerun with -count=%d or more", name, len(s.Ns), r.Count, r.Count)
+		}
+	}
+	return nil
 }
 
 // Names returns the report's benchmark names in sorted order.

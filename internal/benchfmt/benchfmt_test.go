@@ -49,9 +49,39 @@ func TestParseGoBench(t *testing.T) {
 	}
 }
 
+// A baseline measured under -count=5 refuses a compared row with fewer
+// samples, so the gate never rests on one cold first call; rows it
+// does not hold, and older files without a count, are not checked.
+func TestCheckCount(t *testing.T) {
+	got, err := ParseGoBench(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := SampleCount(got); n != 1 {
+		t.Fatalf("sample count = %d, want 1 (the fewest of any row)", n)
+	}
+	r := &Report{Count: 2, Benchmarks: map[string]Entry{"BenchmarkIndexedJoin/chain6/N300": {NsPerOp: 1}}}
+	if err := r.CheckCount(got); err != nil {
+		t.Fatalf("two samples under count 2: %v", err)
+	}
+	r.Count = 5
+	if err := r.CheckCount(got); err == nil || !strings.Contains(err.Error(), "BenchmarkIndexedJoin/chain6/N300 has 2 sample(s)") {
+		t.Fatalf("two samples under count 5: %v", err)
+	}
+	r.Benchmarks = map[string]Entry{"BenchmarkNotRun": {NsPerOp: 1}}
+	if err := r.CheckCount(got); err != nil {
+		t.Fatalf("a row that did not run: %v", err)
+	}
+	r.Count = 0
+	r.Benchmarks = map[string]Entry{"BenchmarkServerThroughput": {NsPerOp: 1}}
+	if err := r.CheckCount(got); err != nil {
+		t.Fatalf("a baseline without a count: %v", err)
+	}
+}
+
 func TestReportRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	r := &Report{Note: "test", Benchmarks: map[string]Entry{
+	r := &Report{Note: "test", Count: 5, Benchmarks: map[string]Entry{
 		"BenchmarkA": {NsPerOp: 123, AllocsPerOp: Allocs(17)},
 		"BenchmarkB": {NsPerOp: 4.5e6},
 		"BenchmarkC": {NsPerOp: 9, AllocsPerOp: Allocs(0)}, // zero is a recorded promise, not absence
@@ -63,7 +93,7 @@ func TestReportRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Note != "test" || len(got.Benchmarks) != 3 || got.Benchmarks["BenchmarkB"].NsPerOp != 4.5e6 {
+	if got.Note != "test" || got.Count != 5 || len(got.Benchmarks) != 3 || got.Benchmarks["BenchmarkB"].NsPerOp != 4.5e6 {
 		t.Fatalf("roundtrip = %+v", got)
 	}
 	if a := got.Benchmarks["BenchmarkA"].AllocsPerOp; a == nil || *a != 17 {

@@ -85,23 +85,23 @@ func checkBagPlan(t *testing.T, q *cq.Query, db *relstr.Structure) {
 		name string
 		s    *relstr.Snapshot
 	}{{"struct", relstr.Borrow(db)}, {"snapshot", snap}} {
-		got, err := p.EvalOn(ctx, src.s, 1)
+		got, _, err := p.Eval(ctx, src.s, Read{Par: 1})
 		if err != nil || !sameAnswers(got, want) {
 			t.Fatalf("%s Eval of %v: got %v (err %v), want %v", src.name, q, got, err, want)
 		}
-		ok, err := p.EvalBoolOn(ctx, src.s, 1)
+		ok, _, err := p.Bool(ctx, src.s, Read{Par: 1})
 		if err != nil || ok != (len(want) > 0) {
 			t.Fatalf("%s EvalBool of %v = %v (err %v) with %d answers", src.name, q, ok, err, len(want))
 		}
 		var streamed []relstr.Tuple
-		seq, errf := p.StreamOnErr(ctx, src.s, 1)
+		seq, errf := p.Stream(ctx, src.s, Read{Par: 1})
 		for a := range seq {
 			streamed = append(streamed, a)
 		}
 		if err := errf(); err != nil || !sameAnswers(sortAnswers(streamed), want) {
 			t.Fatalf("%s Stream of %v: got %v (err %v), want %v", src.name, q, streamed, err, want)
 		}
-		res, err := p.Count(ctx, src.s, 1, false)
+		res, err := p.Count(ctx, src.s, Read{Par: 1})
 		if err != nil || res.Count != uint64(len(want)) {
 			t.Fatalf("%s Count of %v = %+v (err %v), want %d", src.name, q, res, err, len(want))
 		}
@@ -318,27 +318,27 @@ func TestBagCancellation(t *testing.T) {
 		}
 	}
 	empty := NewPlan(cq.MustParse("Q(x) :- E(x,a), E(a,b), E(b,c), E(c,d), E(d,x)"))
-	if ok, err := empty.EvalBool(context.Background(), db); err != nil || ok {
+	if ok, _, err := empty.Bool(context.Background(), relstr.Borrow(db), Read{}); err != nil || ok {
 		t.Fatalf("odd cycle on an even graph: %v, %v", ok, err)
 	}
 	snap := relstr.NewSnapshot(db)
 	verbs := map[string]func(ctx context.Context) error{
 		"eval": func(ctx context.Context) error {
-			_, err := empty.EvalOn(ctx, snap, 1)
+			_, _, err := empty.Eval(ctx, snap, Read{Par: 1})
 			return err
 		},
 		"bool": func(ctx context.Context) error {
-			_, err := empty.EvalBoolOn(ctx, relstr.Borrow(db), 1)
+			_, _, err := empty.Bool(ctx, relstr.Borrow(db), Read{Par: 1})
 			return err
 		},
 		"stream": func(ctx context.Context) error {
-			seq, errf := empty.StreamOnErr(ctx, snap, 1)
+			seq, errf := empty.Stream(ctx, snap, Read{Par: 1})
 			for range seq {
 			}
 			return errf()
 		},
 		"count": func(ctx context.Context) error {
-			_, err := empty.Count(ctx, relstr.Borrow(db), 1, false)
+			_, err := empty.Count(ctx, relstr.Borrow(db), Read{Par: 1})
 			return err
 		},
 	}
@@ -358,7 +358,7 @@ func TestBagCancellation(t *testing.T) {
 	// within the first.
 	tri := NewPlan(cq.MustParse("Q() :- E(x,y), E(y,z), E(z,x)"))
 	ctx := newDeadlineAfterPolls(2)
-	ok, err := tri.EvalBool(ctx, cycleDB(3))
+	ok, _, err := tri.Bool(ctx, relstr.Borrow(cycleDB(3)), Read{})
 	if err != nil || !ok {
 		t.Fatalf("witness before cancellation: %v, %v", ok, err)
 	}
@@ -494,7 +494,7 @@ func TestStreamStopsAtCancel(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		seq, errf := p.StreamOnErr(ctx, relstr.Borrow(db), 1)
+		seq, errf := p.Stream(ctx, relstr.Borrow(db), Read{Par: 1})
 		for range seq {
 			n++
 			cancel()

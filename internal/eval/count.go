@@ -63,16 +63,17 @@ package eval
 // "exact-dp" when no tree samples, "exact-eval" when some tree of an
 // acyclic plan enumerates through the search, and "exact-enum" for a
 // bag (cyclic) plan, which counts its decomposition search's answers.
-// The estimate (Plan.EstimateCount) replaces only the "exact-eval"
-// case: its pass weighs every node of every sample tree too, and each
-// sample tree gets a Karp–Luby-shaped estimator — sample uniform full
-// assignments in proportion to those weights, divide the assignment
-// total N by the sampled head projection's multiplicity m for an
-// unbiased per-sample estimate of the distinct-projection count, then
-// median-of-means across batches for the (ε, δ) guarantee. Every other
-// tree keeps its exact factor; the result is the product. Weights are
-// exact, so a tree with 2^64 or more full assignments fails the
-// estimate with ErrCountOverflow, as a dp tree fails the exact count.
+// The estimate (Plan.Count of a Read with Estimate) replaces only the
+// "exact-eval" case: its pass weighs every node of every sample tree
+// too, and each sample tree gets a Karp–Luby-shaped estimator —
+// sample uniform full assignments in proportion to those weights,
+// divide the assignment total N by the sampled head projection's
+// multiplicity m for an unbiased per-sample estimate of the
+// distinct-projection count, then median-of-means across batches for
+// the (ε, δ) guarantee. Every other tree keeps its exact factor; the
+// result is the product. Weights are exact, so a tree with 2^64 or
+// more full assignments fails the estimate with ErrCountOverflow, as a
+// dp tree fails the exact count.
 
 import (
 	"context"
@@ -172,18 +173,29 @@ type CountResult struct {
 	Trace *obs.ExecTrace `json:"trace,omitempty"`
 }
 
-// Count returns the exact answer count of the plan on sn with the
-// given worker budget; traced attaches the call's trace (see
-// EvalTraceOn). An acyclic plan reduces its forest with the counting
-// pass, whose weighted steps run every dp tree's DP inside the
-// "semijoin-down" phase, and multiplies the per-tree factors, timed as
-// the "count" phase (which sums the count roots' weights) — or as
-// "join" when some tree enumerates, as the search is in Eval. A bag
-// plan counts its search's answers and traces total time only. The
-// error is ErrCountOverflow when the count exceeds uint64.
-func (p *Plan) Count(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (*CountResult, error) {
+// Count returns the answer count of the plan on sn, with the read's
+// trace in CountResult.Trace. The exact count of an acyclic plan
+// reduces its forest with the counting pass, whose weighted steps run
+// every dp tree's DP inside the "semijoin-down" phase, and multiplies
+// the per-tree factors, timed as the "count" phase (which sums the
+// count roots' weights) — or as "join" when some tree enumerates, as
+// the search is in Eval. A bag plan counts its search's answers and
+// traces total time only. The error is ErrCountOverflow when the count
+// exceeds uint64.
+//
+// A read with Estimate samples only where the exact count would
+// enumerate (the "exact-eval" plans), under r.Count, with the sampling
+// in a "count-estimate" phase. Every other plan returns the exact
+// count — estimation never makes a cheap count worse. The sampler's
+// weights are exact uint64s, so the error is ErrCountOverflow when a
+// sampled tree has 2^64 or more full assignments, even where the exact
+// count of the same plan succeeds.
+func (p *Plan) Count(ctx context.Context, sn *relstr.Snapshot, r Read) (*CountResult, error) {
+	if r.Estimate && p.mode == PlanYannakakis && !p.csched.exact {
+		return p.estimateCount(ctx, sn, r)
+	}
 	var n uint64
-	tr, err := p.call(sn, parallel, traced, func(f *forest) (err error) {
+	tr, err := p.call(sn, r, func(f *forest) (err error) {
 		n, err = p.countExact(ctx, sn, f)
 		return err
 	})
@@ -262,21 +274,11 @@ func (p *Plan) treeCount(ctx context.Context, sn *relstr.Snapshot, f *forest, t 
 	return n, err
 }
 
-// EstimateCount returns the answer count of the plan on sn, sampling
-// only where the exact count would enumerate (the "exact-eval" plans);
-// traced attaches the call's trace, with the sampling in a
-// "count-estimate" phase. Every other plan returns Count's exact
-// result — estimation never makes a cheap count worse. The sampler's
-// weights are exact uint64s, so the error is ErrCountOverflow when a
-// sampled tree has 2^64 or more full assignments, even where Count
-// returns the exact count of the same plan.
-func (p *Plan) EstimateCount(ctx context.Context, sn *relstr.Snapshot, parallel int, opts CountOptions, traced bool) (*CountResult, error) {
-	if p.mode != PlanYannakakis || p.csched.exact {
-		return p.Count(ctx, sn, parallel, traced)
-	}
+// estimateCount is Count's estimating read of an "exact-eval" plan.
+func (p *Plan) estimateCount(ctx context.Context, sn *relstr.Snapshot, r Read) (*CountResult, error) {
 	var res *CountResult
-	tr, err := p.call(sn, parallel, traced, func(f *forest) (err error) {
-		res, err = p.estimate(ctx, sn, f, opts.withDefaults())
+	tr, err := p.call(sn, r, func(f *forest) (err error) {
+		res, err = p.estimate(ctx, sn, f, r.Count.withDefaults())
 		return err
 	})
 	if err != nil {
@@ -292,7 +294,7 @@ func (p *Plan) EstimateCount(ctx context.Context, sn *relstr.Snapshot, parallel 
 	return res, nil
 }
 
-// estimate is EstimateCount's read of f: the exact factors of the
+// estimate is estimateCount's read of f: the exact factors of the
 // trees that count exactly times a median-of-means estimate per sample
 // tree. An empty forest answers an exact zero.
 func (p *Plan) estimate(ctx context.Context, sn *relstr.Snapshot, f *forest, opts CountOptions) (*CountResult, error) {
@@ -429,7 +431,7 @@ type countSchedule struct {
 	exact bool        // no tree needs sampling
 	// sched is Count's pass: the plan's forest rooted at each tree's
 	// count root (the plan's schedule when no root moves), weighing the
-	// core of every dp tree. est is EstimateCount's, which also weighs
+	// core of every dp tree. est is the estimate's, which also weighs
 	// every node of every sample tree (nil when no tree samples).
 	sched, est *schedule
 }

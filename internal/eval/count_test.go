@@ -21,7 +21,7 @@ import (
 // ones.
 func (p *Plan) countForTest(ctx context.Context, src *relstr.Snapshot, par int) (uint64, error) {
 	if p.mode != PlanYannakakis {
-		res, err := p.Count(ctx, src, par, false)
+		res, err := p.Count(ctx, src, Read{Par: par})
 		if err != nil {
 			return 0, err
 		}
@@ -288,7 +288,7 @@ func TestCountNaiveFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Count(ctx, relstr.Borrow(db), 1, false)
+		res, err := p.Count(ctx, relstr.Borrow(db), Read{Par: 1})
 		if err != nil || res.Count != uint64(len(want)) || res.Mode != c.mode {
 			t.Fatalf("%s: Count = %+v (err %v), want %d by %s", c.src, res, err, len(want), c.mode)
 		}
@@ -542,7 +542,7 @@ func TestExactModes(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := NewPlan(cq.MustParse(c.src))
-		res, err := p.Count(ctx, relstr.Borrow(db), 1, false)
+		res, err := p.Count(ctx, relstr.Borrow(db), Read{Par: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -576,7 +576,7 @@ func TestQuickExact(t *testing.T) {
 			p := NewPlan(cq.MustParse(src))
 			want := naiveCount(p, db)
 			for _, s := range []*relstr.Snapshot{relstr.Borrow(db), snap} {
-				res, err := p.Count(ctx, s, 2, false)
+				res, err := p.Count(ctx, s, Read{Par: 2})
 				if err != nil || res.Count != want {
 					return false
 				}
@@ -602,7 +602,7 @@ func TestEstimateWithinEpsilon(t *testing.T) {
 	}
 	const eps = 0.1
 	for seed := int64(1); seed <= 5; seed++ {
-		res, err := p.EstimateCount(ctx, relstr.Borrow(db), 1, CountOptions{Epsilon: eps, Seed: seed}, false)
+		res, err := p.Count(ctx, relstr.Borrow(db), Read{Estimate: true, Count: CountOptions{Epsilon: eps, Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -616,7 +616,7 @@ func TestEstimateWithinEpsilon(t *testing.T) {
 			t.Errorf("seed %d: estimate %v vs true %d, rel err %.4f > ε=%v",
 				seed, res.Estimate, want, rel, eps)
 		}
-		again, err := p.EstimateCount(ctx, relstr.Borrow(db), 1, CountOptions{Epsilon: eps, Seed: seed}, false)
+		again, err := p.Count(ctx, relstr.Borrow(db), Read{Estimate: true, Count: CountOptions{Epsilon: eps, Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -627,7 +627,7 @@ func TestEstimateWithinEpsilon(t *testing.T) {
 	}
 }
 
-// EstimateCount degrades to the exact paths when sampling has nothing
+// An estimated Count degrades to the exact paths when sampling has nothing
 // to do.
 func TestEstimateExactShortcuts(t *testing.T) {
 	ctx := context.Background()
@@ -638,7 +638,7 @@ func TestEstimateExactShortcuts(t *testing.T) {
 		"Q(x) :- E(x,y), E(y,z), E(z,x)", // bag plan
 	} {
 		p := NewPlan(cq.MustParse(src))
-		res, err := p.EstimateCount(ctx, relstr.Borrow(db), 1, CountOptions{}, false)
+		res, err := p.Count(ctx, relstr.Borrow(db), Read{Par: 1, Estimate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -655,7 +655,7 @@ func TestEstimateExactShortcuts(t *testing.T) {
 	empty.Declare("E", 2)
 	empty.Declare("F", 2)
 	empty.Add("E", 1, 2)
-	res, err := p.EstimateCount(ctx, relstr.Borrow(empty), 1, CountOptions{}, false)
+	res, err := p.Count(ctx, relstr.Borrow(empty), Read{Par: 1, Estimate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,10 +671,10 @@ func TestCountStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := pathDB(rng, 10, 50)
 	p := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
-	if _, err := p.Count(ctx, relstr.Borrow(db), 1, false); err != nil {
+	if _, err := p.Count(ctx, relstr.Borrow(db), Read{Par: 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.EstimateCount(ctx, relstr.Borrow(db), 1, CountOptions{}, false)
+	res, err := p.Count(ctx, relstr.Borrow(db), Read{Par: 1, Estimate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,13 +703,13 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// EstimateCount returns the same Estimate, Samples and Batches with
+// An estimated Count returns the same Estimate, Samples and Batches with
 // the production sampler as with the reference O(forest) step, for
 // every seed, on random projecting queries.
 func TestQuickEstimateMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	estimate := func(p *Plan, src *relstr.Snapshot, seed int64) *CountResult {
-		res, err := p.EstimateCount(ctx, src, 1, CountOptions{Epsilon: 0.25, Seed: seed}, false)
+		res, err := p.Count(ctx, src, Read{Estimate: true, Count: CountOptions{Epsilon: 0.25, Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -755,12 +755,12 @@ func TestNodeCountAllocsFlat(t *testing.T) {
 		var allocs [2]float64
 		for k, n := range []int{300, 3000} {
 			sn := relstr.NewSnapshot(workload.EvalBenchDB(n))
-			want, err := p.EvalOn(ctx, sn, 1)
+			want, _, err := p.Eval(ctx, sn, Read{Par: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			allocs[k] = testing.AllocsPerRun(20, func() {
-				if res, err := p.Count(ctx, sn, 1, false); err != nil || res.Count != uint64(len(want)) {
+				if res, err := p.Count(ctx, sn, Read{Par: 1}); err != nil || res.Count != uint64(len(want)) {
 					t.Fatalf("%s N=%d: Count = %+v (err %v), want %d", src, n, res, err, len(want))
 				}
 			})
@@ -794,7 +794,7 @@ func TestCountComponentProduct(t *testing.T) {
 			t.Fatalf("%s: want two exact trees: %s", src, p.Explain().Text())
 		}
 		for _, par := range []int{1, 4} {
-			res, err := p.Count(ctx, relstr.Borrow(db), par, false)
+			res, err := p.Count(ctx, relstr.Borrow(db), Read{Par: par})
 			if err != nil || res.Count != 35 || res.Mode != ModeExactDP {
 				t.Fatalf("%s par=%d: Count = %+v (err %v), want 35 by %s", src, par, res, err, ModeExactDP)
 			}
@@ -803,7 +803,7 @@ func TestCountComponentProduct(t *testing.T) {
 }
 
 // A sample tree's weights are exact uint64s, so a tree with 2^64 or
-// more full assignments makes EstimateCount fail with
+// more full assignments makes an estimated Count fail with
 // ErrCountOverflow, as an exact dp count would. GYO hangs k existential
 // leaves A_i(h,y_i) in a chain below Y(x,h) and Z(h,z), and each leaf
 // multiplies the assignments of the 16 answers by 16: with k = 15 the
@@ -830,10 +830,10 @@ func TestEstimateSampleTreeOverflow(t *testing.T) {
 			t.Fatalf("k=%d: want one sample tree: %s", k, p.Explain().Text())
 		}
 		for _, par := range []int{1, 4} {
-			if _, err := p.EstimateCount(ctx, relstr.Borrow(db), par, CountOptions{}, false); !errors.Is(err, ErrCountOverflow) {
-				t.Fatalf("k=%d par=%d: EstimateCount err = %v, want ErrCountOverflow", k, par, err)
+			if _, err := p.Count(ctx, relstr.Borrow(db), Read{Par: par, Estimate: true}); !errors.Is(err, ErrCountOverflow) {
+				t.Fatalf("k=%d par=%d: estimated Count err = %v, want ErrCountOverflow", k, par, err)
 			}
-			res, err := p.Count(ctx, relstr.Borrow(db), par, false)
+			res, err := p.Count(ctx, relstr.Borrow(db), Read{Par: par})
 			if err != nil || res.Count != 16 || res.Mode != ModeExactEval {
 				t.Fatalf("k=%d par=%d: Count = %+v (err %v), want 16 by %s", k, par, res, err, ModeExactEval)
 			}

@@ -127,7 +127,7 @@ func randomAcyclicQuery(rng *rand.Rand) *cq.Query { return randomQuery(rng, true
 // out of the dense bound, which keeps the row ids and forces the index
 // kernel. The liveness bitmaps and the per-row weights must agree word
 // for word after each step of both counting passes — Count's, which
-// weighs the dp cores, and EstimateCount's, which also weighs the
+// weighs the dp cores, and the estimate's, which also weighs the
 // sample trees. The serial index run is the reference.
 func TestKernelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -367,7 +367,7 @@ func TestCountDPKeyOverflow(t *testing.T) {
 			t.Fatalf("%s: want %d dp trees: %s", src, k+1, p.Explain().Text())
 		}
 		for _, par := range []int{1, 4} {
-			res, err := p.Count(ctx, relstr.Borrow(stars), par, false)
+			res, err := p.Count(ctx, relstr.Borrow(stars), Read{Par: par})
 			if k == 0 && (err != nil || res.Count != 1<<32) {
 				t.Fatalf("%s par=%d: Count = %+v (err %v), want 2^32", src, par, res, err)
 			}

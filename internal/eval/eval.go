@@ -13,8 +13,10 @@
 //
 // A Plan (NewPlan) fixes the strategy once per query — Yannakakis over
 // a GYO join tree when the query is acyclic, the bag search otherwise
-// — and every evaluation runs through it; Eval and EvalBool are the
-// one-shot forms. Enumeration has one kernel, the bag search: cyclic
+// — and every evaluation runs through it: one Read request, resolved
+// from a call's options, into one of four read verbs (Plan.Eval, Bool,
+// Stream, Count). The package-level Eval and EvalBool are the one-shot
+// forms, a zero Read over a borrowed structure. Enumeration has one kernel, the bag search: cyclic
 // plans run it over their decomposition, and every acyclic answer —
 // Eval, streams, exact counts that enumerate, incremental
 // re-evaluation — is enumerated by it over the reduced join forest (a
@@ -111,15 +113,16 @@ func NaiveBoolCtx(ctx context.Context, q *cq.Query, db *relstr.Structure) (bool,
 }
 
 // Eval evaluates q on db through a fresh Plan: Yannakakis when q is
-// acyclic, otherwise the bag search.
+// acyclic, otherwise the bag search. db is borrowed, not copied, and
+// the read is the zero Read: serial, plain and untraced.
 func Eval(q *cq.Query, db *relstr.Structure) Answers {
-	ans, _ := NewPlan(q).Eval(nil, db)
+	ans, _, _ := NewPlan(q).Eval(nil, relstr.Borrow(db), Read{})
 	return ans
 }
 
 // EvalBool is the Boolean variant of Eval.
 func EvalBool(q *cq.Query, db *relstr.Structure) bool {
-	ok, _ := NewPlan(q).EvalBool(nil, db)
+	ok, _, _ := NewPlan(q).Bool(nil, relstr.Borrow(db), Read{})
 	return ok
 }
 

@@ -70,7 +70,7 @@ func yannakakis(t *testing.T, q *cq.Query, db *relstr.Structure) Answers {
 	if p.Mode() != PlanYannakakis {
 		t.Fatalf("%v: plan mode %v, want yannakakis", q, p.Mode())
 	}
-	ans, err := p.Eval(context.Background(), db)
+	ans, _, err := p.Eval(context.Background(), relstr.Borrow(db), Read{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestYannakakisRejectsCyclic(t *testing.T) {
 func TestYannakakisBooleanSemijoinOnly(t *testing.T) {
 	q := cq.MustParse("Q() :- E(x,y), E(y,z)")
 	p := NewPlan(q)
-	ok, err := p.EvalBool(context.Background(), graphDB([2]int{0, 1}, [2]int{1, 2}))
+	ok, _, err := p.Bool(context.Background(), relstr.Borrow(graphDB([2]int{0, 1}, [2]int{1, 2})), Read{})
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	ok, err = p.EvalBool(context.Background(), graphDB([2]int{0, 1}, [2]int{2, 3}))
+	ok, _, err = p.Bool(context.Background(), relstr.Borrow(graphDB([2]int{0, 1}, [2]int{2, 3})), Read{})
 	if err != nil || ok {
 		t.Fatalf("disconnected edges have no path: ok=%v err=%v", ok, err)
 	}
@@ -258,7 +258,7 @@ func TestQuickYannakakisEquivNaive(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomQuery(rng, true)
 		db := randomDB(rng, 5, 8)
-		fast, err := NewPlan(q).Eval(context.Background(), db)
+		fast, _, err := NewPlan(q).Eval(context.Background(), relstr.Borrow(db), Read{})
 		if err != nil {
 			return false
 		}
@@ -275,7 +275,7 @@ func TestQuickBoolAgree(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomQuery(rng, true)
 		db := randomDB(rng, 5, 6)
-		ok, err := NewPlan(q).EvalBool(context.Background(), db)
+		ok, _, err := NewPlan(q).Bool(context.Background(), relstr.Borrow(db), Read{})
 		if err != nil {
 			return false
 		}

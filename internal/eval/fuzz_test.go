@@ -204,10 +204,11 @@ func (p *Plan) tunedForest(src *relstr.Snapshot, par int) *forest {
 	return f
 }
 
-// evalTuned is EvalOn over a tuned forest.
+// evalTuned is a plain Eval over a tuned forest.
 func (p *Plan) evalTuned(ctx context.Context, src *relstr.Snapshot, par int) (Answers, error) {
 	if p.mode != PlanYannakakis {
-		return p.EvalOn(ctx, src, par)
+		ans, _, err := p.Eval(ctx, src, Read{Par: par})
+		return ans, err
 	}
 	f := p.tunedForest(src, par)
 	defer p.flush(f)
@@ -221,7 +222,8 @@ func (p *Plan) evalTuned(ctx context.Context, src *relstr.Snapshot, par int) (An
 // evalBoolTuned is evalTuned for answer existence.
 func (p *Plan) evalBoolTuned(ctx context.Context, src *relstr.Snapshot, par int) (bool, error) {
 	if p.mode != PlanYannakakis {
-		return p.EvalBoolOn(ctx, src, par)
+		ok, _, err := p.Bool(ctx, src, Read{Par: par})
+		return ok, err
 	}
 	f := p.tunedForest(src, par)
 	defer p.flush(f)
@@ -233,7 +235,7 @@ func (p *Plan) evalBoolTuned(ctx context.Context, src *relstr.Snapshot, par int)
 // answer.
 func streamSet(ctx context.Context, p *Plan, src *relstr.Snapshot, par int) (Answers, error) {
 	var seen relstr.TupleSet
-	seq, errf := p.StreamOnErr(ctx, src, par)
+	seq, errf := p.Stream(ctx, src, Read{Par: par})
 	for a := range seq {
 		if !seen.Add(a) {
 			return nil, fmt.Errorf("stream repeats answer %v", a)
@@ -265,7 +267,7 @@ func FuzzParallelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := p.Eval(ctx, db)
+		serial, _, err := p.Eval(ctx, relstr.Borrow(db), Read{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +368,7 @@ func TestIndexedRepeatedVariables(t *testing.T) {
 		if p.Mode() != PlanYannakakis {
 			t.Fatalf("%s: expected acyclic plan", src)
 		}
-		got, err := p.Eval(ctx, db)
+		got, _, err := p.Eval(ctx, relstr.Borrow(db), Read{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,14 +393,14 @@ func TestIndexedEmptyRelations(t *testing.T) {
 	db.Add("E", 1, 2)
 	// F is empty: the disconnected cross product must be empty.
 	p := NewPlan(q)
-	got, err := p.Eval(ctx, db)
+	got, _, err := p.Eval(ctx, relstr.Borrow(db), Read{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("answers on empty F = %v", got)
 	}
-	ok, err := p.EvalBool(ctx, db)
+	ok, _, err := p.Bool(ctx, relstr.Borrow(db), Read{})
 	if err != nil || ok {
 		t.Fatalf("EvalBool = %v, %v", ok, err)
 	}

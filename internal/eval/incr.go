@@ -175,7 +175,7 @@ func (s *IncrState) initMaps() {
 func (s *IncrState) recompute(ctx context.Context, sn *relstr.Snapshot) error {
 	p := s.p
 	if p.mode != PlanYannakakis {
-		ans, err := p.EvalOn(ctx, sn, s.par)
+		ans, _, err := p.eval(ctx, sn, Read{Par: s.par})
 		if err != nil {
 			return err
 		}

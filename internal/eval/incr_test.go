@@ -34,11 +34,11 @@ func advance(t *testing.T, s *IncrState, sn *relstr.Snapshot, d *relstr.Delta) (
 func oracleDiff(t *testing.T, p *Plan, oldSn, newSn *relstr.Snapshot) (added, removed Answers) {
 	t.Helper()
 	ctx := context.Background()
-	before, err := p.EvalOn(ctx, oldSn, 1)
+	before, _, err := p.Eval(ctx, oldSn, Read{Par: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := p.EvalOn(ctx, newSn, 1)
+	after, _, err := p.Eval(ctx, newSn, Read{Par: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestIncrConcurrentWithBagSearches(t *testing.T) {
 	db := randomDB(rand.New(rand.NewSource(5)), 8, 30)
 	db.Declare("Unread", 1)
 	base := relstr.NewSnapshot(db)
-	wantCyclic, err := cyclic.EvalOn(ctx, base, 1)
+	wantCyclic, _, err := cyclic.Eval(ctx, base, Read{Par: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +634,7 @@ func TestIncrConcurrentWithBagSearches(t *testing.T) {
 			defer wg.Done()
 			if g%2 == 1 {
 				for i := 0; i < 20; i++ {
-					if got, err := cyclic.EvalOn(ctx, base, 1); err != nil || !sameAnswers(got, wantCyclic) {
+					if got, _, err := cyclic.Eval(ctx, base, Read{Par: 1}); err != nil || !sameAnswers(got, wantCyclic) {
 						t.Errorf("goroutine %d: cyclic answers %v (%v), want %v", g, got, err, wantCyclic)
 						return
 					}
@@ -657,7 +657,7 @@ func TestIncrConcurrentWithBagSearches(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if fresh, err := acyclic.EvalOn(ctx, next, 1); err != nil || !sameAnswers(s.Answers(), fresh) {
+				if fresh, _, err := acyclic.Eval(ctx, next, Read{Par: 1}); err != nil || !sameAnswers(s.Answers(), fresh) {
 					t.Errorf("goroutine %d step %d: maintained %v, fresh %v (%v)", g, i, s.Answers(), fresh, err)
 					return
 				}
@@ -720,14 +720,14 @@ func incrEquivalence(t *testing.T, seed int64, par int) {
 				seed, step, diff.Fallback, diff.Reason, diff.Added, wantAdd, diff.Removed, wantRem, q, d)
 		}
 		// The maintained set equals a fresh evaluation on both backends.
-		fresh, err := p.EvalOn(ctx, next, 1)
+		fresh, _, err := p.Eval(ctx, next, Read{Par: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameAnswers(s.Answers(), fresh) {
 			t.Fatalf("seed %d step %d: maintained %v, fresh %v, q=%v", seed, step, s.Answers(), fresh, q)
 		}
-		structFresh, err := p.EvalOn(ctx, relstr.Borrow(next.Contents()), 1)
+		structFresh, _, err := p.Eval(ctx, relstr.Borrow(next.Contents()), Read{Par: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

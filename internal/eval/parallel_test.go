@@ -47,7 +47,7 @@ func TestParallelProductionThresholds(t *testing.T) {
 		if p.Mode() != PlanYannakakis {
 			t.Fatalf("%s: expected acyclic plan", src)
 		}
-		want, err := p.Eval(ctx, db)
+		want, _, err := p.Eval(ctx, relstr.Borrow(db), Read{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,14 +55,14 @@ func TestParallelProductionThresholds(t *testing.T) {
 			name string
 			s    func() *relstr.Snapshot
 		}{{"struct", func() *relstr.Snapshot { return relstr.Borrow(db) }}, {"snapshot", func() *relstr.Snapshot { return snap }}} {
-			got, err := p.EvalOn(ctx, backend.s(), 8)
+			got, _, err := p.Eval(ctx, backend.s(), Read{Par: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameAnswers(got, want) {
 				t.Fatalf("%s/%s: parallel answers diverge (%d vs %d)", src, backend.name, len(got), len(want))
 			}
-			ok, err := p.EvalBoolOn(ctx, backend.s(), 8)
+			ok, _, err := p.Bool(ctx, backend.s(), Read{Par: 8})
 			if err != nil || ok != (len(want) > 0) {
 				t.Fatalf("%s/%s: parallel bool = %v, err %v", src, backend.name, ok, err)
 			}
@@ -78,7 +78,7 @@ func TestParallelConcurrentPlanUse(t *testing.T) {
 	db := bigDB(11, 400, 5000)
 	snap := relstr.NewSnapshot(db)
 	p := NewPlan(cq.MustParse("Q(x0) :- E(x0,x1), E(x1,x2), E(x2,x3)"))
-	want, err := p.Eval(ctx, db)
+	want, _, err := p.Eval(ctx, relstr.Borrow(db), Read{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestParallelConcurrentPlanUse(t *testing.T) {
 				if g%2 == 0 {
 					src = snap
 				}
-				got, err := p.EvalOn(ctx, src, 4)
+				got, _, err := p.Eval(ctx, src, Read{Par: 4})
 				if err != nil {
 					errs <- err
 					return

@@ -22,46 +22,39 @@ import (
 	"cqapprox/internal/relstr"
 )
 
-// MergeAnswerSets recombines per-shard answer sets into the global
-// one: concatenate, re-sort under the shared lexicographic tuple
-// order, and deduplicate (shards overlap on answers witnessed through
-// replicated relations only). The result is byte-identical to a
-// single-node evaluation's Answers.
-func MergeAnswerSets(parts []Answers) Answers {
+// MergeAnswers recombines per-shard answer sets into the global one
+// under the read's key: concatenate, sort, deduplicate (shards overlap
+// on answers witnessed through replicated relations only) and truncate
+// at the limit. A plain spec sorts under the shared lexicographic
+// tuple order; an ordered one under its full-permutation key. Each
+// shard's set was itself evaluated under the same spec — a top-k under
+// the same total order when ranked, and the global top-k is contained
+// in the union of per-shard top-k sets — so the merge is exact and the
+// result byte-identical to a single-node Plan.Eval's. width is the
+// answer tuple width (the head length).
+func MergeAnswers(parts []Answers, width int, spec RankSpec) Answers {
+	var all []relstr.Tuple
 	switch len(parts) {
 	case 0:
 		return nil
 	case 1:
-		return dedupSorted(sortAnswers(parts[0]))
+		all = parts[0]
+	default:
+		total := 0
+		for _, p := range parts {
+			total += len(p)
+		}
+		all = make([]relstr.Tuple, 0, total)
+		for _, p := range parts {
+			all = append(all, p...)
+		}
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+	if spec.ordered() {
+		sortAnswersBy(all, spec.perm(width), spec.Desc)
+	} else {
+		sortAnswers(all)
 	}
-	all := make([]relstr.Tuple, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	return dedupSorted(sortAnswers(all))
-}
-
-// MergeRankedAnswers recombines per-shard ranked (top-k) answer sets:
-// concatenate, sort under the spec's full-permutation key, dedup, and
-// truncate at the limit. Each shard's set was itself a top-k under the
-// same total order, and the global top-k is contained in the union of
-// per-shard top-k sets, so the merge is exact. width is the answer
-// tuple width (the head length).
-func MergeRankedAnswers(parts []Answers, width int, spec RankSpec) Answers {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	all := make([]relstr.Tuple, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sortAnswersBy(all, spec.perm(width), spec.Desc)
-	all = slices.CompactFunc(all, func(a, b relstr.Tuple) bool { return relstr.Compare(a, b) == 0 })
+	all = dedupSorted(all)
 	if spec.Limit > 0 && len(all) > spec.Limit {
 		all = all[:spec.Limit:spec.Limit]
 	}

@@ -78,7 +78,7 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 	q := randomClusterQuery(rng)
 	db := randomClusterDB(rng, 5, 7)
 	p := NewPlan(q)
-	want, err := p.Eval(ctx, db)
+	want, _, err := p.Eval(ctx, relstr.Borrow(db), Read{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 	}
 	var wantRanked Answers
 	if rankable {
-		if wantRanked, err = p.EvalRankedOn(ctx, relstr.Borrow(db), 1, spec); err != nil {
+		if wantRanked, _, err = p.Eval(ctx, relstr.Borrow(db), Read{Par: 1, Rank: spec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,12 +186,12 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 				countSum += n
 			}
 			if rankable {
-				if ranked[s], err = p.EvalRankedOn(ctx, shard, 1, spec); err != nil {
+				if ranked[s], _, err = p.Eval(ctx, shard, Read{Par: 1, Rank: spec}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if merged := MergeAnswerSets(parts); !sameAnswers(merged, want) {
+		if merged := MergeAnswers(parts, len(q.Head), RankSpec{}); !sameAnswers(merged, want) {
 			t.Fatalf("%s: merged scatter answers diverge (%d shards, partitioned %v):\n  merged %v\n  single %v\n  q=%v",
 				b.name, nShards, partitioned, merged, want, q)
 		}
@@ -203,7 +203,7 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 				b.name, countSum, len(want), nShards, partitioned, q)
 		}
 		if rankable {
-			if merged := MergeRankedAnswers(ranked, len(q.Head), spec); !sameAnswers(merged, wantRanked) {
+			if merged := MergeAnswers(ranked, len(q.Head), spec); !sameAnswers(merged, wantRanked) {
 				t.Fatalf("%s: merged ranked answers diverge under %+v:\n  merged %v\n  single %v\n  q=%v",
 					b.name, spec, merged, wantRanked, q)
 			}
@@ -214,7 +214,7 @@ func checkClusterEquivalence(t *testing.T, seed int64) {
 // FuzzClusterEquivalence asserts scatter-gather evaluation is
 // byte-identical to single-node: per-shard evaluation over 1–4 shards
 // (consistent-hash tuple ownership, replicated relations everywhere)
-// merged through MergeAnswerSets / MergeRankedAnswers equals the
+// merged through MergeAnswers, plain and ranked, equals the
 // single-node answer set, existence and summed exact counts included,
 // with each shard evaluated borrowed and deep-copied.
 func FuzzClusterEquivalence(f *testing.F) {

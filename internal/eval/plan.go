@@ -41,8 +41,8 @@ func (m PlanMode) String() string {
 // Plan is a compiled evaluation strategy for one query, reusable across
 // databases and safe for concurrent use (all fields are immutable after
 // NewPlan). The static work — tableau construction, GYO join-tree
-// computation, acyclicity analysis — happens once in NewPlan; Eval and
-// StreamOnErr only do per-database work.
+// computation, acyclicity analysis — happens once in NewPlan; the four
+// read verbs (Eval, Bool, Stream, Count) only do per-database work.
 type Plan struct {
 	q    *cq.Query
 	tb   *cq.Tableau
@@ -94,7 +94,7 @@ type planStats struct {
 // IndexStats is a snapshot of the indexed runtime's counters for one
 // plan: how many per-relation hash indexes its evaluations built, how
 // many rows were tested against a probe source (index probe or dense
-// key summary), how many evaluations (Eval/EvalBool/stream reductions)
+// key summary), how many evaluations (Eval/Bool/Stream reductions)
 // ran, and how many of those ran with a parallel worker budget. The count counters track the answer
 // counting subsystem: counts answered exactly (DP, dedup or
 // enumeration), counts answered by the sampling estimator, and the
@@ -151,8 +151,8 @@ func (p *Plan) flush(f *forest) {
 // over a GYO join tree when q is acyclic, the bag search over a tree
 // decomposition otherwise. For acyclic queries the semijoin schedule
 // and the search program over the join forest are computed here, once,
-// and replayed by every Eval/EvalBool/StreamOnErr call; for cyclic ones
-// the decomposition and its search programs are.
+// and replayed by every read; for cyclic ones the decomposition and its
+// search programs are.
 func NewPlan(q *cq.Query) *Plan {
 	p := &Plan{q: q, tb: q.Tableau(), mode: PlanBags}
 	h := hypergraph.FromStructure(p.tb.S)
@@ -311,34 +311,61 @@ func (p *Plan) newForest(sn *relstr.Snapshot, parallel int) *forest {
 	return f
 }
 
-// Eval evaluates the plan's query on db, materialising the full
-// deduplicated, sorted answer set. Serial; db is borrowed, not copied,
-// for the call. Use EvalOn for a snapshot and worker budget.
-func (p *Plan) Eval(ctx context.Context, db *relstr.Structure) (Answers, error) {
-	return p.EvalOn(ctx, relstr.Borrow(db), 1)
+// Read is one read request: every choice of a call, resolved from its
+// options once before it reaches the plan, and the one argument of the
+// plan's four read verbs — Eval, Bool, Stream and Count. The zero
+// value is a serial, plain, exact, untraced read.
+type Read struct {
+	// Par is the worker budget of the reductions; below two is serial.
+	Par int
+	// Rank orders and truncates the answers of Eval and Stream. An
+	// Order or Desc makes both ranked; a Limit alone ranks Eval under
+	// the head's natural ascending key, and cuts a Stream short, which
+	// keeps the plain enumeration's first-answer latency.
+	Rank RankSpec
+	// Estimate has Count sample, under Count's accuracy knobs, where
+	// the exact count would enumerate.
+	Estimate bool
+	Count    CountOptions
+	// Trace returns the call's execution trace with its result (Stream,
+	// whose trace would be complete only after the last answer, has no
+	// slot for one and ignores it).
+	Trace bool
 }
 
-// EvalOn evaluates the plan's query against snapshot sn with the given
-// worker budget (values below two mean serial). Answers — content and
-// order — are identical across snapshots of equal data and across
-// budgets; what varies is whether sn's views and indexes are already
-// warm (a registered snapshot) or built on first use (a borrowed one)
-// and how many cores the semijoin reduction uses. The search collects
+// Eval materialises the plan's answers on sn. A plain read returns the
+// full deduplicated answer set in sorted order; a ranked one (see
+// Read.Rank) at most Rank.Limit answers in the key's order, streamed
+// out of the reduced forest where the key is connex and sorted after a
+// full evaluation otherwise. Answers — content and order — are
+// identical across snapshots of equal data and across budgets; what
+// varies is whether sn's views and indexes are already warm (a
+// registered snapshot) or built on first use (a borrowed one) and how
+// many cores the semijoin reduction uses. The plain search collects
 // the answers into one slab, which is cut into tuples and sorted; for a
 // one-column head whose values the search kept in a bitset the slab is
 // first rewritten in ascending order off it, which leaves the sort one
-// pass.
-// Bag (cyclic) plans search serially and ignore the budget.
-func (p *Plan) EvalOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, error) {
-	ans, _, err := p.eval(ctx, sn, parallel, false)
-	return ans, err
+// pass. A traced plain read reports the bottom-up reduction pass
+// ("semijoin-down"), the search ("join") and the slab cut plus sort
+// ("project"); a traced ranked one reports what streamRanked ran. Bag
+// (cyclic) plans search serially, ignore the budget and trace the
+// total time only (see call).
+func (p *Plan) Eval(ctx context.Context, sn *relstr.Snapshot, r Read) (Answers, *obs.ExecTrace, error) {
+	if !r.Rank.ranked() {
+		return p.eval(ctx, sn, r)
+	}
+	var s answerSlab
+	tr, err := p.streamRanked(ctx, sn, r, s.add)
+	if err != nil {
+		return nil, tr, err
+	}
+	return cutRows[relstr.Tuple](s.data, s.n, len(p.tb.Dist)), tr, nil
 }
 
-// eval is EvalOn, traced when traced is set; the slab cut plus sort is
-// the trace's "project" phase.
-func (p *Plan) eval(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (Answers, *obs.ExecTrace, error) {
+// eval is the plain read of Eval, whose ranked fallback runs it too.
+func (p *Plan) eval(ctx context.Context, sn *relstr.Snapshot, r Read) (Answers, *obs.ExecTrace, error) {
 	var ans Answers
-	tr, err := p.call(sn, parallel, traced, func(f *forest) error {
+	tr, err := p.call(sn, r, func(f *forest) error {
 		s := answerSlab{data: make([]int, 0, int(p.bags.found.Load())*len(p.tb.Dist))}
 		if err := p.search(ctx, sn, f, s.add, &s); err != nil {
 			return err
@@ -380,24 +407,13 @@ func cutRows[R ~[]int](data []int, n, w int) []R {
 	return out
 }
 
-// EvalBool reports whether the query has at least one answer on db
+// Bool reports whether the query has at least one answer on sn
 // (Boolean evaluation / answer existence). For acyclic plans this is
-// the single leaves→root semijoin pass, O(|D|·|Q|).
-func (p *Plan) EvalBool(ctx context.Context, db *relstr.Structure) (bool, error) {
-	return p.EvalBoolOn(ctx, relstr.Borrow(db), 1)
-}
-
-// EvalBoolOn is EvalBool against a snapshot and worker budget;
-// see EvalOn.
-func (p *Plan) EvalBoolOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (bool, error) {
-	ok, _, err := p.evalBool(ctx, sn, parallel, false)
-	return ok, err
-}
-
-// evalBool is EvalBoolOn, traced when traced is set.
-func (p *Plan) evalBool(ctx context.Context, sn *relstr.Snapshot, parallel int, traced bool) (bool, *obs.ExecTrace, error) {
+// the single leaves→root semijoin pass, O(|D|·|Q|); its trace has that
+// pass only. Rank is ignored.
+func (p *Plan) Bool(ctx context.Context, sn *relstr.Snapshot, r Read) (bool, *obs.ExecTrace, error) {
 	var ok bool
-	tr, err := p.call(sn, parallel, traced, func(f *forest) (err error) {
+	tr, err := p.call(sn, r, func(f *forest) (err error) {
 		ok, err = p.exists(ctx, sn, f)
 		return err
 	})
@@ -423,13 +439,16 @@ func (p *Plan) exists(ctx context.Context, sn *relstr.Snapshot, f *forest) (bool
 	return false, err
 }
 
-// StreamOnErr enumerates distinct answers against snapshot sn one at
-// a time without materialising the full answer set, in discovery order
-// (not sorted). It runs the search EvalOn collects from: for acyclic
-// plans the forest is first reduced bottom-up — O(|D|·|Q|), with the
-// worker budget — and the bag search then enumerates the reduced join
-// forest's live rows, never meeting a dead end; bag plans stream the
-// answers of their search as it finds them.
+// Stream enumerates distinct answers against snapshot sn one at a
+// time without materialising the full answer set. An ordered read
+// (Rank.Order or Rank.Desc) streams in the key's order through the
+// ranked pipeline (see Eval). Any other read runs the search Eval
+// collects from, in discovery order (not sorted), and stops after
+// Rank.Limit answers when one is set: for acyclic plans the forest is
+// first reduced bottom-up — O(|D|·|Q|), with the worker budget — and
+// the bag search then enumerates the reduced join forest's live rows,
+// never meeting a dead end; bag plans stream the answers of their
+// search as it finds them. Trace is ignored.
 //
 // Iteration stops early when ctx is cancelled (checked before every
 // answer) or the consumer breaks. After the iteration ends, the
@@ -438,16 +457,24 @@ func (p *Plan) exists(ctx context.Context, sn *relstr.Snapshot, f *forest) (bool
 // stream is thereby distinguishable from a genuinely empty answer set.
 // Every delivered tuple is a correct answer regardless of where
 // iteration stopped.
-func (p *Plan) StreamOnErr(ctx context.Context, sn *relstr.Snapshot, parallel int) (iter.Seq[relstr.Tuple], func() error) {
+func (p *Plan) Stream(ctx context.Context, sn *relstr.Snapshot, r Read) (iter.Seq[relstr.Tuple], func() error) {
+	r.Trace = false
 	var terminal error
 	seq := func(yield func(relstr.Tuple) bool) {
+		if r.Rank.ordered() {
+			_, terminal = p.streamRanked(ctx, sn, r, func(t []int) bool {
+				return yield(relstr.Tuple(t).Clone())
+			})
+			return
+		}
+		out := truncated(yield, r.Rank.Limit)
 		emit := func(vals []int) bool {
 			if terminal = cqerr.Check(ctx); terminal != nil {
 				return false
 			}
-			return yield(relstr.Tuple(vals).Clone())
+			return out(relstr.Tuple(vals).Clone())
 		}
-		if _, err := p.call(sn, parallel, false, func(f *forest) error {
+		if _, err := p.call(sn, r, func(f *forest) error {
 			return p.search(ctx, sn, f, emit, nil)
 		}); err != nil {
 			terminal = err
@@ -456,29 +483,41 @@ func (p *Plan) StreamOnErr(ctx context.Context, sn *relstr.Snapshot, parallel in
 	return seq, func() error { return terminal }
 }
 
+// truncated stops yield after limit answers; limit ≤ 0 is unlimited.
+func truncated(yield func(relstr.Tuple) bool, limit int) func(relstr.Tuple) bool {
+	if limit <= 0 {
+		return yield
+	}
+	n := 0
+	return func(t relstr.Tuple) bool {
+		n++
+		return yield(t) && n < limit
+	}
+}
+
 // call runs read — one evaluation of the plan against sn — and folds
 // its counters into the plan totals. An acyclic plan's read gets a
-// fresh forest of sn's views with the worker budget parallel; a bag
+// fresh forest of sn's views with the worker budget r.Par; a bag
 // plan's gets nil (its search runs serially against sn). A traced call
 // returns its trace: the forest's phases and per-node counters, or the
 // total time only for a bag plan, whose search keeps no per-node row
 // counts.
-func (p *Plan) call(sn *relstr.Snapshot, parallel int, traced bool, read func(f *forest) error) (*obs.ExecTrace, error) {
+func (p *Plan) call(sn *relstr.Snapshot, r Read, read func(f *forest) error) (*obs.ExecTrace, error) {
 	var start time.Time
-	if traced {
+	if r.Trace {
 		start = time.Now()
 	}
 	if p.mode != PlanYannakakis {
 		err := read(nil)
-		if !traced {
+		if !r.Trace {
 			return nil, err
 		}
 		return &obs.ExecTrace{Mode: p.mode.String(), Parallelism: 1,
 			TotalNS: time.Since(start).Nanoseconds()}, err
 	}
-	f := p.newForest(sn, parallel)
+	f := p.newForest(sn, r.Par)
 	defer p.flush(f)
-	if !traced {
+	if !r.Trace {
 		return nil, read(f)
 	}
 	tr := getExecTrace(len(f.nodes))

@@ -35,7 +35,6 @@ package eval
 import (
 	"cmp"
 	"context"
-	"iter"
 	"slices"
 	"sync/atomic"
 
@@ -55,6 +54,15 @@ type RankSpec struct {
 	Desc  bool
 	Limit int
 }
+
+// ordered reports whether the spec asks for a specific answer order:
+// an explicit key or a direction, not just a limit.
+func (s RankSpec) ordered() bool { return len(s.Order) > 0 || s.Desc }
+
+// ranked reports whether an Eval under the spec needs the ranked
+// machinery: an order, or a limit worth terminating early for, which
+// ranks under the head's natural ascending key.
+func (s RankSpec) ranked() bool { return s.ordered() || s.Limit > 0 }
 
 // perm expands the spec into a full head-position permutation.
 func (s RankSpec) perm(width int) []int {
@@ -466,22 +474,23 @@ func sortAnswersBy(ts []relstr.Tuple, perm []int, desc bool) {
 	})
 }
 
-// streamRanked runs one ranked evaluation end to end, passing each
-// answer to emit (a buffer valid for the call only) until it returns
-// false. A connex key reduces the forest bottom-up toward the program's
-// first visits and runs the ordered search; any other key, and every
-// bag (cyclic) plan, falls back to the full evaluation, a sort under
-// the key and truncation, checking the context before every answer. A
-// traced call returns its trace: "semijoin-down" and "ranked" for the
+// streamRanked runs one ranked read end to end, passing each answer
+// to emit (a buffer valid for the call only) until it returns false. A
+// connex key reduces the forest bottom-up toward the program's first
+// visits and runs the ordered search; any other key, and every bag
+// (cyclic) plan, falls back to the full evaluation, a sort under the
+// key and truncation, checking the context before every answer. A
+// traced read returns its trace: "semijoin-down" and "ranked" for the
 // ordered search, the plain evaluation's phases for the fallback.
-func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, traced bool, emit func([]int) bool) (*obs.ExecTrace, error) {
+func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, r Read, emit func([]int) bool) (*obs.ExecTrace, error) {
+	spec := r.Rank
 	var prog *rankProgram
 	if p.mode == PlanYannakakis {
 		prog = p.rankProgramForSpec(spec)
 	}
 	if prog == nil {
 		p.stats.rankFallbacks.Add(1)
-		ans, tr, err := p.eval(ctx, sn, parallel, traced)
+		ans, tr, err := p.eval(ctx, sn, r)
 		if err != nil {
 			return tr, err
 		}
@@ -500,7 +509,7 @@ func (p *Plan) streamRanked(ctx context.Context, sn *relstr.Snapshot, parallel i
 		return tr, nil
 	}
 	p.stats.rankedEvals.Add(1)
-	return p.call(sn, parallel, traced, func(f *forest) error {
+	return p.call(sn, r, func(f *forest) error {
 		return p.rankOn(ctx, f, prog, spec, emit)
 	})
 }
@@ -515,45 +524,4 @@ func (p *Plan) rankOn(ctx context.Context, f *forest, prog *rankProgram, spec Ra
 	err := p.rankSearch(ctx, f, prog, spec, emit)
 	f.lap("ranked", start)
 	return err
-}
-
-// StreamRankedOn enumerates answers in the spec's key order against a
-// snapshot and worker budget (the budget applies to the semijoin
-// reduction; the ordered search itself is sequential). Connex keys
-// stream with early termination at Limit; others evaluate fully, sort,
-// and truncate. The terminal-error accessor follows the StreamOnErr
-// contract.
-func (p *Plan) StreamRankedOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (iter.Seq[relstr.Tuple], func() error) {
-	var terminal error
-	seq := func(yield func(relstr.Tuple) bool) {
-		_, terminal = p.streamRanked(ctx, sn, parallel, spec, false, func(t []int) bool {
-			return yield(relstr.Tuple(t).Clone())
-		})
-	}
-	return seq, func() error { return terminal }
-}
-
-// EvalRankedOn materialises StreamRankedOn: at most Limit answers, in
-// the spec's key order (not the Answers default order unless the spec
-// is the natural ascending key).
-func (p *Plan) EvalRankedOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (Answers, error) {
-	ans, _, err := p.evalRanked(ctx, sn, parallel, spec, false)
-	return ans, err
-}
-
-// EvalRankedTraceOn is EvalRankedOn with tracing: the same answers and
-// counters, plus an ExecTrace of this one call (see streamRanked).
-func (p *Plan) EvalRankedTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec) (Answers, *obs.ExecTrace, error) {
-	return p.evalRanked(ctx, sn, parallel, spec, true)
-}
-
-// evalRanked collects the ranked answers into one slab, cut into
-// tuples in emission order.
-func (p *Plan) evalRanked(ctx context.Context, sn *relstr.Snapshot, parallel int, spec RankSpec, traced bool) (Answers, *obs.ExecTrace, error) {
-	var s answerSlab
-	tr, err := p.streamRanked(ctx, sn, parallel, spec, traced, s.add)
-	if err != nil {
-		return nil, tr, err
-	}
-	return cutRows[relstr.Tuple](s.data, s.n, len(p.tb.Dist)), tr, nil
 }

@@ -50,7 +50,7 @@ func collectRanked(t *testing.T, p *Plan, src *relstr.Snapshot, par int, spec Ra
 		err = p.rankOn(context.Background(), f, prog, spec, emit)
 		p.flush(f)
 	} else {
-		_, err = p.streamRanked(context.Background(), src, par, spec, false, emit)
+		_, err = p.streamRanked(context.Background(), src, Read{Par: par, Rank: spec}, emit)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestRankedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range 20 {
 				spec, want := specs[(w+i)%10], wants[(w+i)%10]
-				got, err := p.EvalRankedOn(context.Background(), sn, 1, spec)
+				got, _, err := p.Eval(context.Background(), sn, Read{Par: 1, Rank: spec})
 				if err != nil {
 					t.Error(err)
 					return
@@ -277,7 +277,7 @@ func TestRankedTopK(t *testing.T) {
 	// Connex: full-head path query ordered by (z,y,x).
 	p := NewPlan(cq.MustParse("Q(x,y,z) :- E(x,y), E(y,z)"))
 	spec := RankSpec{Order: []int{2, 1, 0}, Limit: 3}
-	got, err := p.EvalRankedOn(ctx, relstr.Borrow(db), 1, spec)
+	got, _, err := p.Eval(ctx, relstr.Borrow(db), Read{Par: 1, Rank: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestRankedTopK(t *testing.T) {
 	}
 
 	// Descending is the full reverse of the unlimited ascending order.
-	asc, err := p.EvalRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{Order: []int{2, 1, 0}})
+	asc, _, err := p.Eval(ctx, relstr.Borrow(db), Read{Rank: RankSpec{Order: []int{2, 1, 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, err := p.EvalRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{Order: []int{2, 1, 0}, Desc: true})
+	desc, _, err := p.Eval(ctx, relstr.Borrow(db), Read{Rank: RankSpec{Order: []int{2, 1, 0}, Desc: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestRankedTopK(t *testing.T) {
 	// Fallback: the projected path query has no connex program for any
 	// key; answers still arrive ordered and truncated.
 	pf := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
-	got, err = pf.EvalRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{Order: []int{1, 0}, Limit: 3})
+	got, _, err = pf.Eval(ctx, relstr.Borrow(db), Read{Rank: RankSpec{Order: []int{1, 0}, Limit: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestRankedStreamBreak(t *testing.T) {
 	ctx := context.Background()
 	db := graphDB([2]int{1, 2}, [2]int{2, 1}, [2]int{2, 2})
 	p := NewPlan(cq.MustParse("Q(x,y,z) :- E(x,y), E(y,z)"))
-	seq, errf := p.StreamRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{})
+	seq, errf := p.Stream(ctx, relstr.Borrow(db), Read{Par: 1, Rank: RankSpec{Order: []int{0}}})
 	n := 0
 	for range seq {
 		n++
@@ -343,7 +343,7 @@ func TestRankedStreamBreak(t *testing.T) {
 }
 
 // A ranked stream checks its context before every answer on both
-// paths, as StreamOnErr does: a consumer that cancels after the first
+// paths, as the plain stream does: a consumer that cancels after the first
 // answer gets no second one, and the stream reports the cancellation.
 func TestRankedStopsAtCancel(t *testing.T) {
 	db := relstr.New()
@@ -364,7 +364,7 @@ func TestRankedStopsAtCancel(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		seq, errf := p.StreamRankedOn(ctx, relstr.Borrow(db), 1, RankSpec{})
+		seq, errf := p.Stream(ctx, relstr.Borrow(db), Read{Par: 1, Rank: RankSpec{Order: []int{0}}})
 		for range seq {
 			n++
 			cancel()

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"cqapprox/internal/obs"
-	"cqapprox/internal/relstr"
 )
 
 // Tracing (ANALYZE) support for the semijoin executor. A traced call
@@ -120,21 +118,6 @@ func (tr *execTrace) snapshot(p *Plan, f *forest, total time.Duration) *obs.Exec
 		}
 	}
 	return out
-}
-
-// --- traced entry points -----------------------------------------------
-
-// EvalTraceOn is EvalOn with tracing: same answers, same counters,
-// plus an ExecTrace of this one call — the bottom-up reduction pass,
-// the search ("join") and the slab cut plus sort ("project"). Bag plans
-// return a trace with the total time only (see call).
-func (p *Plan) EvalTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (Answers, *obs.ExecTrace, error) {
-	return p.eval(ctx, sn, parallel, true)
-}
-
-// EvalBoolTraceOn is EvalBoolOn with tracing; see EvalTraceOn.
-func (p *Plan) EvalBoolTraceOn(ctx context.Context, sn *relstr.Snapshot, parallel int) (bool, *obs.ExecTrace, error) {
-	return p.evalBool(ctx, sn, parallel, true)
 }
 
 // clock starts timing a trace phase: the current time on a traced

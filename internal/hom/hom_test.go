@@ -84,7 +84,7 @@ func TestExistsEmptyTargetRelation(t *testing.T) {
 func TestFindReturnsValidHom(t *testing.T) {
 	a := dicycle(6)
 	b := dicycle(3)
-	h, ok := Find(a, b, nil)
+	h, ok := find(a, b, nil)
 	if !ok {
 		t.Fatal("no hom found")
 	}
@@ -98,11 +98,11 @@ func TestFindReturnsValidHom(t *testing.T) {
 func TestFindWithPre(t *testing.T) {
 	a := dipath(2) // 0→1→2
 	b := dipath(4)
-	h, ok := Find(a, b, map[int]int{0: 1})
+	h, ok := find(a, b, map[int]int{0: 1})
 	if !ok || h[0] != 1 || h[1] != 2 || h[2] != 3 {
 		t.Fatalf("h = %v, ok = %v", h, ok)
 	}
-	if _, ok := Find(a, b, map[int]int{0: 4}); ok {
+	if _, ok := find(a, b, map[int]int{0: 4}); ok {
 		t.Fatal("pre mapping start of path to sink should fail")
 	}
 }
@@ -122,20 +122,20 @@ func TestPreInconsistentWithAtoms(t *testing.T) {
 
 func TestCountHoms(t *testing.T) {
 	// Single edge into K2↔: 2 homs (0↦0,1↦1) and (0↦1,1↦0).
-	if n := Count(dipath(1), k2both(), nil); n != 2 {
+	if n := CountRestricted(dipath(1), k2both(), nil, nil); n != 2 {
 		t.Fatalf("Count(edge→K2↔) = %d, want 2", n)
 	}
 	// Single edge into loop: 1 hom.
-	if n := Count(dipath(1), loop(), nil); n != 1 {
+	if n := CountRestricted(dipath(1), loop(), nil, nil); n != 1 {
 		t.Fatalf("Count(edge→loop) = %d, want 1", n)
 	}
 	// Edge into path of length 2: 0→1,1→2: 2 homs.
-	if n := Count(dipath(1), dipath(2), nil); n != 2 {
+	if n := CountRestricted(dipath(1), dipath(2), nil, nil); n != 2 {
 		t.Fatalf("Count(edge→P2) = %d, want 2", n)
 	}
 	// C4 into K2↔: homs = proper 2-colorings with orientation... count
 	// directly: each node maps to 0/1 alternating; 2 choices.
-	if n := Count(dicycle(4), k2both(), nil); n != 2 {
+	if n := CountRestricted(dicycle(4), k2both(), nil, nil); n != 2 {
 		t.Fatalf("Count(C4→K2↔) = %d, want 2", n)
 	}
 }
@@ -164,7 +164,7 @@ func TestProjectEvaluatesQueries(t *testing.T) {
 	db.Add("E", 11, 10)
 	db.Add("E", 11, 12)
 	var got []int
-	Project(tb.S, db, nil, tb.Dist, func(vals []int) bool {
+	project(tb.S, db, nil, tb.Dist, func(vals []int) bool {
 		got = append(got, vals[0])
 		return true
 	})
@@ -182,7 +182,7 @@ func TestProjectBooleanQuery(t *testing.T) {
 	tb := q.Tableau()
 	tri := dicycle(3)
 	calls := 0
-	Project(tb.S, tri, nil, tb.Dist, func(vals []int) bool {
+	project(tb.S, tri, nil, tb.Dist, func(vals []int) bool {
 		if len(vals) != 0 {
 			t.Fatalf("Boolean answer has values %v", vals)
 		}
@@ -193,7 +193,7 @@ func TestProjectBooleanQuery(t *testing.T) {
 		t.Fatalf("Boolean true should emit exactly one empty tuple, got %d", calls)
 	}
 	calls = 0
-	Project(tb.S, dipath(5), nil, tb.Dist, func([]int) bool { calls++; return true })
+	project(tb.S, dipath(5), nil, tb.Dist, func([]int) bool { calls++; return true })
 	if calls != 0 {
 		t.Fatal("Boolean false should emit nothing")
 	}
@@ -385,12 +385,12 @@ func TestQuickComposition(t *testing.T) {
 			return s
 		}
 		a, b := mk(4, 5), mk(4, 7)
-		h, ok := Find(a, b, nil)
+		h, ok := find(a, b, nil)
 		if !ok {
 			return true
 		}
 		c := mk(3, 8)
-		g, ok := Find(b, c, nil)
+		g, ok := find(b, c, nil)
 		if !ok {
 			return true
 		}

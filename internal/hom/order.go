@@ -20,13 +20,8 @@ type Pointed struct {
 // sending a.Dist pointwise to b.Dist. Both tuples must have the same
 // length.
 func Maps(a, b Pointed) bool {
-	ok, _ := MapsCtx(nil, a, b)
+	ok, _ := mapsCtx(nil, compileSource(a.S), compileTarget(b.S, nil), a.Dist, b.Dist)
 	return ok
-}
-
-// MapsCtx is Maps under a context.
-func MapsCtx(ctx context.Context, a, b Pointed) (bool, error) {
-	return mapsCtx(ctx, compileSource(a.S), compileTarget(b.S, nil), a.Dist, b.Dist)
 }
 
 // Compiled is a pointed structure prepared once for many Maps tests on
@@ -45,7 +40,7 @@ func Compile(p Pointed) *Compiled {
 	return &Compiled{Pointed: p, src: compileSource(p.S), tgt: compileTarget(p.S, nil)}
 }
 
-// MapsCompiledCtx is MapsCtx over compiled operands.
+// MapsCompiledCtx is Maps under a context, over compiled operands.
 func MapsCompiledCtx(ctx context.Context, a, b *Compiled) (bool, error) {
 	return mapsCtx(ctx, a.src, b.tgt, a.Dist, b.Dist)
 }

@@ -781,7 +781,7 @@ func refCompilePointed(p Pointed) *refCompiled {
 	return c
 }
 
-// refMapsCompiledCtx is MapsCtx over compiled operands.
+// refMapsCompiledCtx is the reference MapsCompiledCtx.
 func refMapsCompiledCtx(ctx context.Context, a, b *refCompiled) (bool, error) {
 	pre, ok := refDistMap(a.Dist, b.Dist)
 	if !ok {

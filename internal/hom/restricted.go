@@ -13,16 +13,9 @@ func ExistsRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][
 	return ok
 }
 
-// FindRestricted is Find under the candidate restriction allowed
-// (see ExistsRestricted).
-func FindRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int) (map[int]int, bool) {
-	h, ok, _ := findCtx(nil, a, b, pre, allowed)
-	return h, ok
-}
-
-// ForEachRestricted enumerates homomorphisms under the candidate
+// forEachRestricted enumerates homomorphisms under the candidate
 // restriction allowed; semantics otherwise match ForEach.
-func ForEachRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int, fn func(h map[int]int) bool) bool {
+func forEachRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int, fn func(h map[int]int) bool) bool {
 	done, _ := forEachCtx(nil, a, b, pre, allowed, fn)
 	return done
 }

@@ -699,21 +699,10 @@ func existsCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int, all
 	return !done && err == nil, err
 }
 
-// ExistsCtx is Exists under a context: it returns cqerr-wrapped
-// cancellation when ctx expires mid-search.
-func ExistsCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int) (bool, error) {
-	return existsCtx(ctx, a, b, pre, nil)
-}
-
-// Find returns a homomorphism from a to b extending pre, if one exists.
-func Find(a, b *relstr.Structure, pre map[int]int) (map[int]int, bool) {
+// find returns a homomorphism from a to b extending pre, if one exists.
+func find(a, b *relstr.Structure, pre map[int]int) (map[int]int, bool) {
 	h, ok, _ := findCtx(nil, a, b, pre, nil)
 	return h, ok
-}
-
-// FindCtx is Find under a context.
-func FindCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int) (map[int]int, bool, error) {
-	return findCtx(ctx, a, b, pre, nil)
 }
 
 // ForEach enumerates every homomorphism from a to b extending pre,
@@ -724,32 +713,21 @@ func ForEach(a, b *relstr.Structure, pre map[int]int, fn func(h map[int]int) boo
 	return done
 }
 
-// ForEachCtx is ForEach under a context. It returns (false, non-nil)
-// when the context expired before the enumeration finished.
-func ForEachCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int, fn func(h map[int]int) bool) (bool, error) {
-	return forEachCtx(ctx, a, b, pre, nil, fn)
-}
-
-// Count returns the number of homomorphisms from a to b extending pre.
-func Count(a, b *relstr.Structure, pre map[int]int) int {
-	return CountRestricted(a, b, pre, nil)
-}
-
-// Project enumerates the distinct values taken by the projection
-// elements proj across all homomorphisms from a to b extending pre.
-// For each distinct tuple of values for proj that extends to a full
-// homomorphism, fn is called once. This is CQ evaluation when a is a
-// tableau, proj its distinguished tuple and b a database. If fn returns
-// false enumeration stops early (Project then returns false).
-func Project(a, b *relstr.Structure, pre map[int]int, proj []int, fn func(vals []int) bool) bool {
+// project is ProjectCtx without a context.
+func project(a, b *relstr.Structure, pre map[int]int, proj []int, fn func(vals []int) bool) bool {
 	done, _ := ProjectCtx(nil, a, b, pre, proj, fn)
 	return done
 }
 
-// ProjectCtx is Project under a context. It returns (false, non-nil)
-// when the context expired before the enumeration finished; answers
-// already delivered to fn remain valid (they are sound regardless of
-// where the search stopped).
+// ProjectCtx enumerates the distinct values taken by the projection
+// elements proj across all homomorphisms from a to b extending pre.
+// For each distinct tuple of values for proj that extends to a full
+// homomorphism, fn is called once. This is CQ evaluation when a is a
+// tableau, proj its distinguished tuple and b a database. If fn returns
+// false enumeration stops early (ProjectCtx then returns false). It
+// returns (false, non-nil) when the context expired before the
+// enumeration finished; answers already delivered to fn remain valid
+// (they are sound regardless of where the search stopped).
 func ProjectCtx(ctx context.Context, a, b *relstr.Structure, pre map[int]int, proj []int, fn func(vals []int) bool) (bool, error) {
 	s := newCall(ctx, a, b, pre, nil)
 	if s == nil {

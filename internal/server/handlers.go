@@ -397,11 +397,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	ranked := len(req.Order) > 0 || req.Descending || req.Limit > 0
-	if req.Trace && ranked {
-		writeError(w, errBadRequest("trace cannot be combined with order, descending or limit"))
-		return
-	}
 	s.serveCall(w, r, call{verbEval, api.CountRequest{EvalRequest: req}}, func(res legResult) any {
 		return evalBody(res)
 	})

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -90,6 +92,41 @@ func TestEvalRanked(t *testing.T) {
 	}
 }
 
+// A traced ranked eval returns exactly the untraced answers, and its
+// trace names the path the key took: the pass rooted at the first
+// visit plus the ordered search on a connex key, the plain
+// evaluation's phases on the fallback of the projected path query,
+// whose existential y bridges the two head variables.
+func TestEvalRankedTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		query  string
+		order  []string
+		phases []string
+	}{
+		{"Q(x,y,z) :- E(x,y), E(y,z)", []string{"z", "y", "x"}, []string{"semijoin-down", "ranked"}},
+		{"Q(x,z) :- E(x,y), E(y,z)", []string{"z", "x"}, []string{"semijoin-down", "join", "project"}},
+	} {
+		req := api.EvalRequest{Query: c.query, Exact: true, Database: smokeDB, Order: c.order, Descending: true, Limit: 2}
+		plain := decodeEval(t, postJSON(t, ts.URL+"/v1/eval", req))
+		req.Trace = true
+		traced := decodeEval(t, postJSON(t, ts.URL+"/v1/eval", req))
+		if fmt.Sprint(traced.Answers) != fmt.Sprint(plain.Answers) || len(plain.Answers) != 2 {
+			t.Errorf("%s: traced answers %v, untraced %v", c.query, traced.Answers, plain.Answers)
+		}
+		if plain.Trace != nil || traced.Trace == nil {
+			t.Fatalf("%s: untraced trace %v, traced trace %v", c.query, plain.Trace, traced.Trace)
+		}
+		var phases []string
+		for _, ph := range traced.Trace.Phases {
+			phases = append(phases, ph.Name)
+		}
+		if !slices.Equal(phases, c.phases) {
+			t.Errorf("%s: phases %v, want %v", c.query, phases, c.phases)
+		}
+	}
+}
+
 // The ranked knobs are validated up front: unknown order variables map
 // to bad_request through ErrBadOrder, negative limits and knobs on
 // endpoints that cannot honor them are rejected before any work.
@@ -115,12 +152,6 @@ func TestRankKnobValidation(t *testing.T) {
 		{"negative limit", "/v1/eval", func() any {
 			r := base
 			r.Limit = -1
-			return r
-		}()},
-		{"trace with order", "/v1/eval", func() any {
-			r := base
-			r.Order = []string{"x"}
-			r.Trace = true
 			return r
 		}()},
 		{"order on eval-bool", "/v1/eval/bool", func() any {

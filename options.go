@@ -8,10 +8,12 @@ import (
 // one internal option-config pattern: every knob is a function over
 // optConfig, EvalOption and CountOption are aliases of the same
 // underlying type, and the shared knobs (WithEvalParallelism,
-// WithTrace) compose with either family. Knobs a call cannot honor are
-// inert there: estimator accuracy knobs on Eval, ordering knobs on
-// Count, WithTrace on Eval/Answers (whose signatures carry no trace —
-// use EvalTrace, or Count's WithTrace, to observe one).
+// WithTrace) compose with either family. PreparedQuery.read resolves
+// a call's options once into the executor's request (eval.Read). Knobs
+// a call cannot honor are inert there: estimator accuracy knobs on
+// Eval, ordering knobs on EvalBool and Count, WithTrace on
+// Eval/EvalBool/Answers (whose signatures carry no trace — use
+// EvalTrace or EvalBoolTrace, or Count's WithTrace, to observe one).
 
 // optConfig is the resolved option set of one evaluation or counting
 // call.
@@ -30,22 +32,14 @@ type optConfig struct {
 	count eval.CountOptions
 }
 
-// EvalOption tunes one evaluation call (Eval, EvalBool, Answers,
-// AnswersErr, and their BoundQuery equivalents).
+// EvalOption tunes one read of a BoundQuery (Eval, EvalBool, Answers,
+// AnswersErr, their traced forms, and PreparedQuery.Eval/EvalTrace).
 type EvalOption = func(*optConfig)
 
 // CountOption tunes Count and EstimateCount. It is the same underlying
 // type as EvalOption: the shared knobs (WithEvalParallelism, WithTrace)
 // apply to both families.
 type CountOption = EvalOption
-
-func optConfigOf(opts []EvalOption) optConfig {
-	var c optConfig
-	for _, opt := range opts {
-		opt(&c)
-	}
-	return c
-}
 
 // parallelism resolves the call's worker budget: the option's value
 // when WithEvalParallelism was given, otherwise the default def.
@@ -58,15 +52,6 @@ func (c *optConfig) parallelism(def int) int {
 	}
 	return c.par
 }
-
-// ordered reports whether the call asked for a specific answer order
-// (ranked enumeration, not just truncation).
-func (c *optConfig) ordered() bool { return len(c.order) > 0 || c.desc }
-
-// ranked reports whether the call needs the ranked machinery at all:
-// an explicit order, a direction, or a limit worth terminating early
-// for.
-func (c *optConfig) ranked() bool { return c.ordered() || c.limit > 0 }
 
 // WithOrder sorts the answers by the named head variables, most
 // significant first (each must be a distinct head variable of the
@@ -132,9 +117,10 @@ func WithMaxSamples(n int) CountOption {
 
 // WithTrace attaches an execution trace to the call where the result
 // can carry one: Count and EstimateCount report it in
-// CountResult.Trace. Eval and Answers accept the option but have no
-// trace slot — use EvalTrace for a traced evaluation. Off by default;
-// untraced calls pay nothing for the machinery.
+// CountResult.Trace. Eval, EvalBool and Answers accept the option but
+// have no trace slot — use EvalTrace or EvalBoolTrace for a traced
+// evaluation. Off by default; untraced calls pay nothing for the
+// machinery.
 func WithTrace() CountOption {
 	return func(c *optConfig) { c.trace = true }
 }

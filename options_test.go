@@ -82,7 +82,7 @@ func TestEvalOptionsRanked(t *testing.T) {
 
 	// The ordered stream delivers the same sequence as ranked Eval.
 	var streamed []Tuple
-	seq, errf := p.AnswersErr(ctx, db, WithOrder("z", "y", "x"), WithLimit(3))
+	seq, errf := p.Bind(Borrow(db)).AnswersErr(ctx, WithOrder("z", "y", "x"), WithLimit(3))
 	for tup := range seq {
 		streamed = append(streamed, tup)
 	}
@@ -95,7 +95,7 @@ func TestEvalOptionsRanked(t *testing.T) {
 
 	// Limit-only stream: an arbitrary prefix of exactly k answers.
 	n := 0
-	for range p.Answers(ctx, db, WithLimit(2)) {
+	for range p.Bind(Borrow(db)).Answers(ctx, WithLimit(2)) {
 		n++
 	}
 	if n != 2 {
@@ -149,7 +149,7 @@ func TestEvalOptionsBadOrder(t *testing.T) {
 	if _, err := p.Eval(ctx, db, WithOrder("x", "x")); !errors.Is(err, ErrBadOrder) {
 		t.Fatalf("repeated order var: got %v, want ErrBadOrder", err)
 	}
-	seq, errf := p.AnswersErr(ctx, db, WithOrder("nope"))
+	seq, errf := p.Bind(Borrow(db)).AnswersErr(ctx, WithOrder("nope"))
 	for range seq {
 		t.Fatal("invalid order yielded an answer")
 	}
@@ -205,7 +205,7 @@ func TestEvalOptionsParallelism(t *testing.T) {
 
 	// Shared plumbing: WithTrace and WithEvalParallelism compose on a
 	// counting call exactly like on an evaluation.
-	res, err := p.Count(ctx, db, WithTrace(), WithEvalParallelism(4))
+	res, err := p.Bind(Borrow(db)).Count(ctx, WithTrace(), WithEvalParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"cqapprox/internal/eval"
 	"cqapprox/internal/hom"
 	"cqapprox/internal/obs"
-	"cqapprox/internal/relstr"
 )
 
 // PreparedQuery is the result of Engine.Prepare: a query whose static,
@@ -40,13 +39,6 @@ func (p *PreparedQuery) Parallelism() int {
 		return 1
 	}
 	return p.par
-}
-
-// budget resolves one call's worker budget: WithEvalParallelism when
-// given, otherwise the default.
-func (p *PreparedQuery) budget(opts []EvalOption) int {
-	cfg := optConfigOf(opts)
-	return cfg.parallelism(p.Parallelism())
 }
 
 // Query returns a copy of the original query this PreparedQuery was
@@ -175,11 +167,29 @@ func (p *PreparedQuery) PlanMode() string { return p.plan.Mode().String() }
 // the whole cache.
 func (p *PreparedQuery) IndexStats() IndexStats { return p.plan.IndexStats() }
 
+// read resolves one call's options into the executor's request, once
+// — the facade's one option resolver, which every read method below,
+// MergeAnswers and ForwardOrder run through down to the plan. The
+// worker budget is WithEvalParallelism's, else the default; WithTrace
+// and the estimator knobs carry over. The ordering knobs resolve
+// against the original query's head (see rankSpec), the one way a read
+// can fail: only Eval and Answers order their answers, so a Boolean
+// read or a count ignores the error, and the Read that comes with it
+// has a zero Rank.
+func (p *PreparedQuery) read(opts []EvalOption) (eval.Read, error) {
+	var cfg optConfig
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	spec, err := p.rankSpec(&cfg)
+	return eval.Read{Par: cfg.parallelism(p.Parallelism()), Rank: spec, Count: cfg.count, Trace: cfg.trace}, err
+}
+
 // rankSpec resolves the call's ordering options against the query's
 // head: each WithOrder name must be a distinct head variable of the
 // original query (repeated head variables resolve to their first
 // position — later repeats compare equal anyway). The error wraps
-// ErrBadOrder.
+// ErrBadOrder and comes with a zero spec.
 func (p *PreparedQuery) rankSpec(cfg *optConfig) (eval.RankSpec, error) {
 	spec := eval.RankSpec{Desc: cfg.desc, Limit: cfg.limit}
 	if len(cfg.order) == 0 {
@@ -188,136 +198,32 @@ func (p *PreparedQuery) rankSpec(cfg *optConfig) (eval.RankSpec, error) {
 	spec.Order = make([]int, len(cfg.order))
 	for k, name := range cfg.order {
 		if slices.Contains(cfg.order[:k], name) {
-			return spec, fmt.Errorf("%w: %q named twice", ErrBadOrder, name)
+			return eval.RankSpec{}, fmt.Errorf("%w: %q named twice", ErrBadOrder, name)
 		}
 		pos := slices.Index(p.src.Head, name)
 		if pos == -1 {
-			return spec, fmt.Errorf("%w: %q is not a head variable of %s", ErrBadOrder, name, p.src.Name)
+			return eval.RankSpec{}, fmt.Errorf("%w: %q is not a head variable of %s", ErrBadOrder, name, p.src.Name)
 		}
 		spec.Order[k] = pos
 	}
 	return spec, nil
 }
 
-// evalOn dispatches one materialising evaluation: ranked (ordered
-// and/or limited — limit-only uses the head's natural ascending key,
-// so early termination still applies) or the plain full evaluation.
-func (p *PreparedQuery) evalOn(ctx context.Context, sn *relstr.Snapshot, opts []EvalOption) (Answers, error) {
-	cfg := optConfigOf(opts)
-	par := cfg.parallelism(p.Parallelism())
-	if !cfg.ranked() {
-		return p.plan.EvalOn(ctx, sn, par)
-	}
-	spec, err := p.rankSpec(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.plan.EvalRankedOn(ctx, sn, par, spec)
-}
-
-// answersOn dispatches one streaming evaluation: explicitly ordered
-// streams go through the ranked pipeline; limit-only streams keep the
-// plain enumeration's first-answer latency and simply stop after k
-// answers (an unordered prefix).
-func (p *PreparedQuery) answersOn(ctx context.Context, sn *relstr.Snapshot, opts []EvalOption) (iter.Seq[Tuple], func() error) {
-	cfg := optConfigOf(opts)
-	par := cfg.parallelism(p.Parallelism())
-	if cfg.ordered() {
-		spec, err := p.rankSpec(&cfg)
-		if err != nil {
-			return errSeq(err)
-		}
-		return p.plan.StreamRankedOn(ctx, sn, par, spec)
-	}
-	seq, errf := p.plan.StreamOnErr(ctx, sn, par)
-	if cfg.limit > 0 {
-		seq = truncateSeq(seq, cfg.limit)
-	}
-	return seq, errf
-}
-
-// errSeq is the empty stream carrying a terminal error (option
-// validation failures on the streaming entry points).
-func errSeq(err error) (iter.Seq[Tuple], func() error) {
-	return func(func(Tuple) bool) {}, func() error { return err }
-}
-
-// truncateSeq stops a stream after the first k tuples.
-func truncateSeq(seq iter.Seq[Tuple], k int) iter.Seq[Tuple] {
-	return func(yield func(Tuple) bool) {
-		n := 0
-		for t := range seq {
-			if !yield(t) {
-				return
-			}
-			if n++; n >= k {
-				return
-			}
-		}
-	}
-}
-
-// Eval evaluates the prepared (approximated) query on db, returning
-// the deduplicated answer set. Only per-database work happens here:
-// O(|D|·|Q'|) plus output cost for acyclic plans. Options select the
-// per-call behavior: WithOrder/WithDescending sort the answers under
-// the requested key (plans whose join forest admits the key stream it
-// directly out of the reduced forest; others evaluate, sort and
-// truncate — Explain reports the classification), WithLimit(k) returns
-// only the first k answers of the order with early termination where
-// the plan allows, and WithEvalParallelism overrides the worker budget
-// for this call. Without options the full answer set arrives in the
-// default sorted order.
+// Eval evaluates the prepared (approximated) query on db: it is
+// p.Bind(Borrow(db)).Eval, a read whose hash indexes are derived for
+// this call only. See BoundQuery.Eval.
 func (p *PreparedQuery) Eval(ctx context.Context, db *Structure, opts ...EvalOption) (Answers, error) {
-	return p.evalOn(ctx, relstr.Borrow(db), opts)
+	return p.Bind(Borrow(db)).Eval(ctx, opts...)
 }
 
-// EvalBool reports whether the prepared query has at least one answer
-// on db. For acyclic plans this is a single semijoin pass, O(|D|·|Q'|).
-// WithEvalParallelism applies; ordering options are meaningless for a
-// Boolean result and are ignored.
-func (p *PreparedQuery) EvalBool(ctx context.Context, db *Structure, opts ...EvalOption) (bool, error) {
-	return p.plan.EvalBoolOn(ctx, relstr.Borrow(db), p.budget(opts))
-}
-
-// Answers streams the distinct answers of the prepared query on db one
-// at a time without materialising the full result set — suitable for
-// very large outputs:
-//
-//	for t := range p.Answers(ctx, db) {
-//		process(t) // break any time
-//	}
-//
-// Acyclic plans first run the Yannakakis semijoin reduction (O(|D|·|Q'|))
-// so the enumeration only touches tuples that can participate in an
-// answer. Plain streams arrive in discovery order; WithOrder /
-// WithDescending switch to the ranked pipeline and deliver the key
-// order, and WithLimit(k) ends the stream after k answers (ordered
-// when an order was requested, any-k otherwise). Iteration ends early
-// on ctx cancellation; every delivered tuple is a correct answer
-// regardless. To distinguish a cancelled (truncated) stream from an
-// exhausted one — or to see an order-validation error — use
-// AnswersErr.
-func (p *PreparedQuery) Answers(ctx context.Context, db *Structure, opts ...EvalOption) iter.Seq[Tuple] {
-	seq, _ := p.answersOn(ctx, relstr.Borrow(db), opts)
-	return seq
-}
-
-// AnswersErr is Answers plus a terminal-error accessor: call the
-// returned function after the loop — nil means the enumeration ran to
-// completion (or the consumer broke), a non-nil ErrCanceled-wrapped
-// error means cancellation truncated it (and an ErrBadOrder-wrapped
-// error reports invalid WithOrder variables, before any answer):
-//
-//	seq, errf := p.AnswersErr(ctx, db)
-//	for t := range seq { process(t) }
-//	if err := errf(); err != nil { /* truncated */ }
-func (p *PreparedQuery) AnswersErr(ctx context.Context, db *Structure, opts ...EvalOption) (iter.Seq[Tuple], func() error) {
-	return p.answersOn(ctx, relstr.Borrow(db), opts)
+// EvalTrace is Eval plus an execution trace of this one call: it is
+// p.Bind(Borrow(db)).EvalTrace. See BoundQuery.EvalTrace.
+func (p *PreparedQuery) EvalTrace(ctx context.Context, db *Structure, opts ...EvalOption) (Answers, *ExecTrace, error) {
+	return p.Bind(Borrow(db)).EvalTrace(ctx, opts...)
 }
 
 // Bind pairs the prepared query with a database snapshot, yielding the
-// evaluation surface over the snapshot's persistent shared indexes:
+// query's read surface:
 //
 //	d, _, _ := engine.RegisterDB("social", structure) // index once
 //	b := p.Bind(d)
@@ -325,22 +231,22 @@ func (p *PreparedQuery) AnswersErr(ctx context.Context, db *Structure, opts ...E
 //	ok, err := b.EvalBool(ctx)
 //	for t := range b.Answers(ctx) { … }
 //
-// Where Eval(ctx, *Structure) re-derives hash indexes per call, a
-// bound evaluation probes indexes owned by the snapshot — built on
-// first use, then reused by every prepared query and every call that
-// binds the same snapshot. Bind itself does no work; a BoundQuery is
-// immutable and safe for concurrent use.
+// A registered or Snapshot database owns persistent shared indexes —
+// built on first use, then reused by every prepared query and every
+// call that binds the same snapshot. A one-off structure reads through
+// p.Bind(cqapprox.Borrow(s)) instead, whose indexes live for one call.
+// Bind itself does no work; a BoundQuery is immutable and safe for
+// concurrent use.
 func (p *PreparedQuery) Bind(db *Database) *BoundQuery {
 	return &BoundQuery{p: p, db: db}
 }
 
 // BoundQuery is a PreparedQuery bound to a Database snapshot: the
-// fully static pairing of a compiled plan with indexed data. Both
-// halves are immutable, so a BoundQuery may serve concurrent
-// evaluations from many goroutines. Evaluations run through the same
-// unified executor as the unbound forms — the only difference is the
-// storage backend: views and hash indexes come from the snapshot's
-// persistent shared cache instead of being derived per call.
+// fully static pairing of a compiled plan with data. Both halves are
+// immutable, so a BoundQuery may serve concurrent reads from many
+// goroutines. Every read resolves its options once into one request
+// (PreparedQuery.read) and runs one of the plan's four read verbs on
+// the snapshot.
 type BoundQuery struct {
 	p  *PreparedQuery
 	db *Database
@@ -352,30 +258,107 @@ func (b *BoundQuery) Prepared() *PreparedQuery { return b.p }
 // Database returns the snapshot half of the binding.
 func (b *BoundQuery) Database() *Database { return b.db }
 
+// untraced drops the trace of a read whose method has no slot for it.
+func untraced[T any](v T, _ *ExecTrace, err error) (T, error) { return v, err }
+
+// eval is the binding's materialising read; traced is EvalTrace's.
+func (b *BoundQuery) eval(ctx context.Context, opts []EvalOption, traced bool) (Answers, *ExecTrace, error) {
+	r, err := b.p.read(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.Trace = traced
+	return b.p.plan.Eval(ctx, b.db.snap, r)
+}
+
+// evalBool is the binding's Boolean read, which ignores the ordering
+// knobs; traced is EvalBoolTrace's.
+func (b *BoundQuery) evalBool(ctx context.Context, opts []EvalOption, traced bool) (bool, *ExecTrace, error) {
+	r, _ := b.p.read(opts)
+	r.Trace = traced
+	return b.p.plan.Bool(ctx, b.db.snap, r)
+}
+
 // Eval evaluates the bound query, returning the deduplicated answer
-// set — identical to p.Eval against the equivalent structure, minus
-// the per-call index builds. The same EvalOption surface applies; see
-// PreparedQuery.Eval.
+// set. Only per-database work happens here: O(|D|·|Q'|) plus output
+// cost for acyclic plans. Options select the per-call behavior:
+// WithOrder/WithDescending sort the answers under the requested key
+// (plans whose join forest admits the key stream it directly out of
+// the reduced forest; others evaluate, sort and truncate — Explain
+// reports the classification), WithLimit(k) returns only the first k
+// answers of the order with early termination where the plan allows,
+// and WithEvalParallelism overrides the worker budget for this call.
+// Without options the full answer set arrives in the default sorted
+// order.
 func (b *BoundQuery) Eval(ctx context.Context, opts ...EvalOption) (Answers, error) {
-	return b.p.evalOn(ctx, b.db.snap, opts)
+	return untraced(b.eval(ctx, opts, false))
+}
+
+// EvalTrace is Eval plus an execution trace of this one call: the
+// answers are identical (and the plan's cumulative counters advance
+// exactly as for Eval); the trace additionally reports per-node rows
+// in/out per semijoin pass, surviving rows per node, index builds and
+// probes — only those the snapshot's persistent cache had not already
+// absorbed —, per-phase wall times, and morsel/worker accounting when
+// the evaluation ran parallel. Every option applies. A ranked call
+// (WithOrder, WithDescending, WithLimit) whose key streams out of the
+// join forest reports the bottom-up pass rooted at its first visit
+// ("semijoin-down") and the ordered search ("ranked"); one that falls
+// back reports the phases of the plain evaluation it sorts.
+func (b *BoundQuery) EvalTrace(ctx context.Context, opts ...EvalOption) (Answers, *ExecTrace, error) {
+	return b.eval(ctx, opts, true)
 }
 
 // EvalBool reports whether the bound query has at least one answer
-// (a single probe-only semijoin pass for acyclic plans).
-// WithEvalParallelism applies; ordering options are ignored.
+// (a single semijoin pass for acyclic plans, O(|D|·|Q'|)).
+// WithEvalParallelism applies; ordering options are meaningless for a
+// Boolean result and are ignored.
 func (b *BoundQuery) EvalBool(ctx context.Context, opts ...EvalOption) (bool, error) {
-	return b.p.plan.EvalBoolOn(ctx, b.db.snap, b.p.budget(opts))
+	return untraced(b.evalBool(ctx, opts, false))
 }
 
-// Answers streams the distinct answers of the bound query; see
-// PreparedQuery.Answers for the contract and option behavior.
+// EvalBoolTrace is EvalBool plus an execution trace; the reduction
+// stops at the bottom-up semijoin pass, exactly like EvalBool.
+func (b *BoundQuery) EvalBoolTrace(ctx context.Context, opts ...EvalOption) (bool, *ExecTrace, error) {
+	return b.evalBool(ctx, opts, true)
+}
+
+// Answers streams the distinct answers of the bound query one at a
+// time without materialising the full result set — suitable for very
+// large outputs:
+//
+//	for t := range p.Bind(cqapprox.Borrow(db)).Answers(ctx) {
+//		process(t) // break any time
+//	}
+//
+// Acyclic plans first run the Yannakakis semijoin reduction
+// (O(|D|·|Q'|)) so the enumeration only touches tuples that can
+// participate in an answer. Plain streams arrive in discovery order;
+// WithOrder / WithDescending switch to the ranked pipeline and deliver
+// the key order, and WithLimit(k) ends the stream after k answers
+// (ordered when an order was requested, any-k otherwise). Iteration
+// ends early on ctx cancellation; every delivered tuple is a correct
+// answer regardless. To distinguish a cancelled (truncated) stream
+// from an exhausted one — or to see an order-validation error — use
+// AnswersErr.
 func (b *BoundQuery) Answers(ctx context.Context, opts ...EvalOption) iter.Seq[Tuple] {
-	seq, _ := b.p.answersOn(ctx, b.db.snap, opts)
+	seq, _ := b.AnswersErr(ctx, opts...)
 	return seq
 }
 
-// AnswersErr is Answers plus the terminal-error accessor; see
-// PreparedQuery.AnswersErr.
+// AnswersErr is Answers plus a terminal-error accessor: call the
+// returned function after the loop — nil means the enumeration ran to
+// completion (or the consumer broke), a non-nil ErrCanceled-wrapped
+// error means cancellation truncated it (and an ErrBadOrder-wrapped
+// error reports invalid WithOrder variables, before any answer):
+//
+//	seq, errf := b.AnswersErr(ctx)
+//	for t := range seq { process(t) }
+//	if err := errf(); err != nil { /* truncated */ }
 func (b *BoundQuery) AnswersErr(ctx context.Context, opts ...EvalOption) (iter.Seq[Tuple], func() error) {
-	return b.p.answersOn(ctx, b.db.snap, opts)
+	r, err := b.p.read(opts)
+	if err != nil {
+		return func(func(Tuple) bool) {}, func() error { return err }
+	}
+	return b.p.plan.Stream(ctx, b.db.snap, r)
 }
