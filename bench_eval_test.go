@@ -242,6 +242,46 @@ func BenchmarkNonDirectEval(b *testing.B) {
 	}
 }
 
+// The leaf chain: warm BoundQuery.Eval of Q(x,z) :- H1(x,h), H2(h,z),
+// L(h,y0), …, L(h,y11) on its registered 33-fact database (16
+// answers), with the head atoms named A/B (sorting before the leaves)
+// and Y/Z (after them). At 15 variables the exact prepare keeps the
+// twelve redundant leaves, so the plan must leave them to existence
+// checks below the head atoms; a search binding them visits 16^12
+// rows.
+func BenchmarkLeafChain(b *testing.B) {
+	ctx := context.Background()
+	engine := NewEngine(WithParallelism(1))
+	for _, c := range []struct{ name, h1, h2 string }{{"AB", "A", "B"}, {"YZ", "Y", "Z"}} {
+		p, err := engine.PrepareExact(ctx, workload.LeafChainQuery(12, c.h1, c.h2, "L"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := len(p.Approx().Atoms); n != 14 {
+			b.Fatalf("%s: the prepared query has %d atoms, want all 14", c.name, n)
+		}
+		d, _, err := engine.RegisterDB("leafchain"+c.name, workload.LeafChainDB(c.h1, c.h2, "L"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bq := p.Bind(d)
+		if _, err := bq.Eval(ctx); err != nil { // warm the shared indexes outside the timer
+			b.Fatal(err)
+		}
+		b.Run(c.name+"/k12", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ans, err := bq.Eval(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(ans) != 16 {
+					b.Fatalf("%d answers, want 16", len(ans))
+				}
+			}
+		})
+	}
+}
+
 // Bag mode: warm Eval of cyclic TW(2)/HTW(2) approximations, which
 // plan as a search over a tree decomposition, on a registered N=300
 // database (the social graph plus a ternary R that the prepare_cold

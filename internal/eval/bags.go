@@ -55,9 +55,12 @@ package eval
 // program lays out no existence bag program at all (forestBags).
 // Every acyclic enumeration — Eval and streams — runs the whole join
 // forest this way (Plan.search), and the counts of node and sample
-// trees and IncrState's re-evaluation each tree. Ranked reads resolve the probes
-// of their visit steps the same way, over a forest reduced toward
-// their first visits (rank.go).
+// trees and IncrState's re-evaluation each tree. NewPlan roots every
+// join tree at the top of its pruned head core, so a subtree that
+// carries no head variable outside its separator hangs below the core
+// as an existence bag, and these searches never visit its rows. Ranked
+// reads resolve the probes of their visit steps the same way, over a
+// forest reduced toward their first visits (rank.go).
 
 import (
 	"context"
@@ -718,8 +721,12 @@ func (r *bagRun) start(bp *bagPlan, ctx context.Context, sn *relstr.Snapshot, em
 	if bp.reduced {
 		return // no existence check runs
 	}
+	// The two grow apart: append rounds each capacity to its own size
+	// class.
 	if cap(r.memo) < len(bp.bags) {
 		r.memo = append(r.memo[:cap(r.memo)], make([]bagMemo, len(bp.bags)-cap(r.memo))...)
+	}
+	if cap(r.keys) < len(bp.bags) {
 		r.keys = append(r.keys[:cap(r.keys)], make([][]int, len(bp.bags)-cap(r.keys))...)
 	}
 	r.memo, r.keys = r.memo[:len(bp.bags)], r.keys[:len(bp.bags)]

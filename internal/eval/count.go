@@ -19,7 +19,7 @@ package eval
 //     the bottom-up pass itself: the core's nodes carry per-row uint64
 //     weights, each weighted step multiplies a row's weight by the sum
 //     of its partners' (sum and product in place of the Boolean step's
-//     or and and, exec.go), and the count is the sum of the count
+//     or and and, exec.go), and the count is the sum of the tree
 //     root's weights — no row is ever materialised.
 //   - kindNode: the tree's head variables all live inside one node of
 //     the pruned core; kindSample: existential variables stay
@@ -30,26 +30,25 @@ package eval
 //     kept beyond the search's seen set. A node whose columns the head
 //     covers needs no search: its live rows are the distinct answers.
 //
-// The count of a tree reads only the rows of the node it starts from
-// plus rows reached through matching child rows, so the pass is rooted,
-// per tree, at that node (countSchedule.sched): a kindDP or kindNode
-// tree at the top node of its pruned core — which sits below the tree
-// root when pruning removed a dangling existential root — and every
-// other tree at its root. The search of a reduced forest skips every
-// existence check, so a tree's search program is rooted where its pass
-// is: the plan's own program when that is the plan's root, else one
-// compiled at NewPlan. A live row of a non-root node need not agree
-// with any live row of its parent, but no count reads such a row on
-// its own: a weight is a row's number of extensions into the subtree
-// below it, and the search and the sampler reach a row only through a
-// parent row that extends.
+// The count of a tree reads only the rows of its root plus rows
+// reached through matching child rows, and NewPlan roots every tree at
+// the top of its pruned core, so each count starts at the tree's root
+// and the counting pass is the plan's own pass (countSchedule.sched),
+// which weighs the nodes it counts. The pruned subtrees hang below the
+// core, and the search of a reduced forest skips them as existence
+// checks: a tree's search program is the plan's own when the tree is
+// the forest, else one over the tree compiled at NewPlan. A live row of
+// a non-root node need not agree with any live row of its parent, but
+// no count reads such a row on its own: a weight is a row's number of
+// extensions into the subtree below it, and the search and the sampler
+// reach a row only through a parent row that extends.
 //
 // The pruning rule: repeatedly delete a leaf u whose head variables are
 // all shared with its unique neighbour. By the join-tree property u's
 // interface to the rest of the tree lies in that neighbour, and once
-// the pass rooted at the core reduced u into the core every live core
-// row still extends through u — so deleting u changes the head
-// projection of no extending assignment. This is a free-connex-style
+// the pass reduced u into the core every live core row still extends
+// through u — so deleting u changes the head projection of no
+// extending assignment. This is a free-connex-style
 // decomposition: when it bottoms out with existential variables still
 // interleaved between head variables (kindSample), exact counting is
 // genuinely hard, and the estimator can take over.
@@ -85,6 +84,7 @@ import (
 	"slices"
 	"sort"
 
+	"cqapprox/internal/cqerr"
 	"cqapprox/internal/obs"
 	"cqapprox/internal/relstr"
 )
@@ -155,8 +155,7 @@ type CountResult struct {
 	Estimated bool
 	// Mode names the path taken: "exact-dp" (the per-tree product of
 	// DP and search counts over the forest the bottom-up semijoin pass
-	// reduced, and for dp trees weighed, toward the node each count
-	// starts from), "exact-eval"
+	// reduced, and for dp trees weighed), "exact-eval"
 	// (the same product where some tree's search enumerates it),
 	// "exact-enum" (the answers of a cyclic plan's bag search counted
 	// without being kept), or "estimate" (the sampling estimator).
@@ -178,7 +177,7 @@ type CountResult struct {
 // reduces its forest with the counting pass, whose weighted steps run
 // every dp tree's DP inside the "semijoin-down" phase, and multiplies
 // the per-tree factors, timed as the "count" phase (which sums the
-// count roots' weights) — or as "join" when some tree enumerates, as
+// dp roots' weights) — or as "join" when some tree enumerates, as
 // the search is in Eval. A bag plan counts its search's answers and
 // traces total time only. The error is ErrCountOverflow when the count
 // exceeds uint64.
@@ -265,7 +264,7 @@ func (p *Plan) treeCount(ctx context.Context, sn *relstr.Snapshot, f *forest, t 
 	case kindNode:
 		// A head that covers the node's columns counts its live rows,
 		// which are distinct, where the search would hash every one.
-		if node := &f.nodes[t.countRoot()]; len(node.vars) == len(t.headVars) {
+		if node := &f.nodes[t.root]; len(node.vars) == len(t.headVars) {
 			return uint64(node.live), nil
 		}
 	}
@@ -349,15 +348,22 @@ func (p *Plan) estimate(ctx context.Context, sn *relstr.Snapshot, f *forest, opt
 // tree: a pilot round sizes the batches from the empirical variance
 // (Chebyshev, per-batch failure ≤ 1/4), then the median of
 // B = Θ(log 1/δ) batch means boosts the confidence to 1-δ. It returns
-// the estimate with the samples and batches it took.
+// the estimate with the samples and batches it took, or the
+// cancellation of ctx, which it polls before every sample.
 func estimateTree(ctx context.Context, s *treeSampler, rng *rand.Rand, eps, delta float64, budget int) (mean float64, samples, batches int, err error) {
 	if s.total <= 0 {
 		return 0, 0, 0, fmt.Errorf("eval: sampling an empty tree")
 	}
+	draw := func() (float64, error) {
+		if err := cqerr.Check(ctx); err != nil {
+			return 0, err
+		}
+		return treeSample(s, rng)
+	}
 	const pilot = 64
 	m2 := 0.0
 	for i := 0; i < pilot; i++ {
-		x, err := treeSample(s, rng)
+		x, err := draw()
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -381,12 +387,9 @@ func estimateTree(ctx context.Context, s *treeSampler, rng *rand.Rand, eps, delt
 	}
 	means := make([]float64, b)
 	for i := range means {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, 0, err
-		}
 		sum := 0.0
 		for j := 0; j < size; j++ {
-			x, err := treeSample(s, rng)
+			x, err := draw()
 			if err != nil {
 				return 0, 0, 0, err
 			}
@@ -421,7 +424,7 @@ type countTree struct {
 	core []int
 
 	// kindNode and kindSample: the search program over the tree,
-	// rooted at its count root, emitting headVars.
+	// emitting headVars.
 	bags *bagPlan
 }
 
@@ -429,24 +432,18 @@ type countTree struct {
 type countSchedule struct {
 	trees []countTree // aligned with the plan schedule's roots
 	exact bool        // no tree needs sampling
-	// sched is Count's pass: the plan's forest rooted at each tree's
-	// count root (the plan's schedule when no root moves), weighing the
-	// core of every dp tree. est is the estimate's, which also weighs
-	// every node of every sample tree (nil when no tree samples).
+	// sched is Count's pass: the plan's schedule weighing the core of
+	// every dp tree. est is the estimate's, which also weighs every
+	// node of every sample tree (nil when no tree samples).
 	sched, est *schedule
 }
 
-// newCountSchedule classifies every tree of the plan's forest, roots
-// the counting pass, and gives every node or sample tree its search
-// program: the plan's own when the tree is the forest and its count
-// root the plan's root, else one rooted at its count root.
-func (p *Plan) newCountSchedule() *countSchedule {
-	headSet := map[int]bool{}
-	for _, v := range p.tb.Dist {
-		headSet[v] = true
-	}
+// newCountSchedule classifies every tree of the plan's forest, each
+// rooted at the top of its pruned core (NewPlan), weighs the counting
+// passes, and gives every node or sample tree its search program: the
+// plan's own when the tree is the forest, else one over the tree.
+func (p *Plan) newCountSchedule(headSet map[int]bool) *countSchedule {
 	cs := &countSchedule{exact: true}
-	roots := make([]int, 0, len(p.sched.roots))
 	dp, sampled := make([]bool, len(p.atoms)), make([]bool, len(p.atoms))
 	for _, r := range p.sched.roots {
 		t := buildCountTree(p.vars, p.jt.Parent, p.sched, headSet, r)
@@ -460,38 +457,28 @@ func (p *Plan) newCountSchedule() *countSchedule {
 				sampled[i] = true
 			}
 		}
-		root := t.countRoot()
 		if t.kind == kindNode || t.kind == kindSample {
-			if len(p.sched.roots) == 1 && root == r {
+			if len(p.sched.roots) == 1 {
 				t.bags = p.bags
 			} else {
-				t.bags = p.forestBags(t.headVars, root)
+				t.bags = p.forestBags(t.headVars, r)
 			}
 		}
 		cs.exact = cs.exact && t.kind != kindSample
 		cs.trees = append(cs.trees, t)
-		roots = append(roots, root)
 	}
-	rooted := scheduleRootedAt(p.sched, p.vars, p.jt.Parent, roots)
-	cs.sched = weighSchedule(rooted, dp)
+	cs.sched = weighSchedule(p.sched, dp)
 	if !cs.exact {
-		cs.est = weighSchedule(rooted, sampled)
+		cs.est = weighSchedule(p.sched, sampled)
 	}
 	return cs
 }
 
-// countRoot is the node the tree's count starts from, where the
-// counting pass roots the tree: the top of the pruned core for a DP or
-// a node count, whose live rows must be exactly the rows that extend;
-// the tree root otherwise (a sampler picks root rows in proportion to
-// their weight and descends through matching rows only).
-func (t *countTree) countRoot() int {
-	if t.kind == kindDP || t.kind == kindNode {
-		return t.core[len(t.core)-1]
-	}
-	return t.root
-}
-
+// buildCountTree classifies the tree rooted at root: its nodes and head
+// variables, and the core the pruning rule leaves. Rerooted at the top
+// of that core, the tree keeps it: the pruning removes the same nodes
+// in any order, except which node of a last pair survives, and from the
+// core's top it removes every other node before it reaches the top.
 func buildCountTree(vars [][]int, parent []int, sched *schedule, headSet map[int]bool, root int) countTree {
 	t := countTree{root: root}
 	var post func(i int)
@@ -588,12 +575,12 @@ func mulU64(a, b uint64) (uint64, bool) {
 
 // --- the counting kernels ----------------------------------------------
 
-// runDP is a dp tree's count: the sum of its count root's weights, each
+// runDP is a dp tree's count: the sum of its root's weights, each
 // live row's number of extensions into the core below it, which the
 // weighted steps of the counting pass left (a dead row weighs 0).
 func (f *forest) runDP(tree *countTree) (uint64, error) {
 	var n uint64
-	for _, w := range f.nodes[tree.countRoot()].wt {
+	for _, w := range f.nodes[tree.root].wt {
 		var ok bool
 		if n, ok = addU64(n, w); !ok {
 			return 0, ErrCountOverflow

@@ -11,6 +11,8 @@ import (
 	"testing/quick"
 
 	"cqapprox/internal/cq"
+	"cqapprox/internal/cqerr"
+	"cqapprox/internal/hypergraph"
 	"cqapprox/internal/relstr"
 	"cqapprox/internal/workload"
 )
@@ -295,13 +297,14 @@ func TestCountNaiveFallback(t *testing.T) {
 	}
 }
 
-// A pruned DP core can start below its tree root. GYO roots this tree
-// at Z, and the DP prunes Z (its head variable y lies in B): a pass
-// rooted at Z would leave the B and C rows with y = 1 or 2 live
-// although no Z row agrees with them, and a DP over them would count
-// 12 answers instead of 4. The counting pass is rooted at B, the top of
-// the core, which reduces Z into B. (The name recalls the top-down pass
-// that guarded this case before counts rooted their pass at the core.)
+// A pruned DP core must not start below its tree root. GYO alone
+// roots this tree at Z, and the DP prunes Z (its head variable y lies
+// in B): a pass rooted at Z would leave the B and C rows with y = 1 or
+// 2 live although no Z row agrees with them, and a DP over them would
+// count 12 answers instead of 4. NewPlan roots the tree at C, the top
+// of the core, and Z hangs below it as an existence check, which the
+// pass reduces into the core. (The name recalls the top-down pass that
+// guarded this case before counts rooted their pass at the core.)
 func TestCountNeedsTopDownPass(t *testing.T) {
 	ctx := context.Background()
 	db := relstr.New()
@@ -311,9 +314,10 @@ func TestCountNeedsTopDownPass(t *testing.T) {
 		db.Add("C", i%3, i+10)
 	}
 	p := NewPlan(cq.MustParse("Q(x,y,z) :- Z(y), B(x,y), C(y,z)"))
-	if ex := p.Explain(); !ex.ExactCountable || ex.Trees[0].CountKind != "dp" || ex.Trees[0].Nodes[0].Atom != "Z(v1)" {
-		t.Fatalf("want an exactly countable DP tree rooted at Z: %s", ex.Text())
+	if ex := p.Explain(); !ex.ExactCountable || ex.Trees[0].CountKind != "dp" || ex.Trees[0].Nodes[0].Atom != "C(v1,v2)" {
+		t.Fatalf("want an exactly countable DP tree rooted at C: %s", ex.Text())
 	}
+	assertRootsInHeadCore(t, "Z-B-C", p)
 	for _, par := range []int{1, 4} {
 		if n, err := p.countForTest(ctx, relstr.Borrow(db), par); err != nil || n != 4 {
 			t.Fatalf("parallelism %d: count %d (err %v), want 4", par, n, err)
@@ -321,29 +325,24 @@ func TestCountNeedsTopDownPass(t *testing.T) {
 	}
 }
 
-// TestQuickCountRootedAtCore holds the counting pass to its rooting:
-// every DP or node tree's count starts at the top of its pruned core,
-// which must root its tree in the counting schedule, and the exact
-// count must equal the reference evaluation's, serially and in
-// parallel with tuned thresholds. A hand-built plan first pins the
-// single-node core below its tree root: R–C–{L1, L2–M}, where R(a)
-// misses the head variable x and prunes into C, which holds it, so the
-// core is C alone; a pass rooted at R would leave C's rows with no R
-// partner live and count the x they carry.
+// TestQuickCountRootedAtCore holds the counting pass to the plan's
+// rooting: every DP or node tree's count starts at its tree root, the
+// top of its pruned core, and the exact count must equal the reference
+// evaluation's, serially and in parallel with tuned thresholds. A
+// hand-built plan first pins a single-node core away from an
+// existential leaf: R–C–{L1, L2–M}, where R(a) misses the head
+// variable x and prunes into C, which holds it; a pass rooted at R
+// would leave C's rows with no R partner live and count the x they
+// carry, so R must hang below the core as an existence check. The
+// random legs count how often the rooting moved a tree off GYO's root.
 func TestQuickCountRootedAtCore(t *testing.T) {
 	ctx := context.Background()
 	check := func(name string, p *Plan, db *relstr.Structure) (moved int) {
 		t.Helper()
-		for ti := range p.csched.trees {
-			tree := &p.csched.trees[ti]
-			if tree.kind != kindDP && tree.kind != kindNode {
-				continue
-			}
-			top := tree.core[len(tree.core)-1]
-			if !slices.Contains(p.csched.sched.roots, top) {
-				t.Fatalf("%s: core top %d of tree %d is no root of the counting pass %v", name, top, ti, p.csched.sched.roots)
-			}
-			if top != tree.root {
+		assertRootsInHeadCore(t, name, p)
+		jt, _ := hypergraph.FromStructure(p.tb.S).GYO(p.tb.Dist)
+		for _, tree := range p.csched.trees {
+			if (tree.kind == kindDP || tree.kind == kindNode) && jt.Parent[tree.root] != -1 {
 				moved++
 			}
 		}
@@ -371,26 +370,11 @@ func TestQuickCountRootedAtCore(t *testing.T) {
 	}
 	p := NewPlan(q)
 	r := slices.IndexFunc(p.atoms, func(a patom) bool { return a.rel == "R" })
-	c := slices.IndexFunc(p.atoms, func(a patom) bool { return a.rel == "C" })
-	if p.jt.Parent[r] == -1 {
-		t.Fatalf("rerootForHead should root the tree at a node holding x: parents %v", p.jt.Parent)
+	tree := &p.csched.trees[0]
+	if len(p.csched.trees) != 1 || tree.kind != kindNode || slices.Contains(tree.core, r) || tree.bags != p.bags {
+		t.Fatalf("want one node tree searched by the plan's program, R outside its core: %s", p.Explain().Text())
 	}
 	check("head-rooted", p, db)
-	// Root the plan at R, as GYO could have, and rebuild its schedules.
-	p.jt.Parent = rerootAt(p.jt.Parent, forestAdj(p.jt.Parent), []int{r})
-	p.sched = scheduleForAtoms(p.vars, p.jt.Parent)
-	p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
-	p.csched = p.newCountSchedule()
-	tree := &p.csched.trees[0]
-	if len(p.csched.trees) != 1 || tree.root != r || tree.kind != kindNode || tree.countRoot() != c || len(p.sched.children[c]) != 2 {
-		t.Fatalf("want one node tree rooted at R counting C with two subtrees, got root %d kind %v count root %d", tree.root, tree.kind, tree.countRoot())
-	}
-	if tree.bags == p.bags || tree.bags.roots[0] != 0 || tree.bags.bags[0].atoms[0] != c {
-		t.Fatal("the node tree must search a program rooted at C, not the plan's")
-	}
-	if check("R-rooted", p, db) != 1 {
-		t.Fatal("the R-rooted core did not start below its tree root")
-	}
 
 	rng := rand.New(rand.NewSource(11))
 	moved := 0
@@ -398,10 +382,10 @@ func TestQuickCountRootedAtCore(t *testing.T) {
 		q := randomQuery(rng, true)
 		moved += check(q.String(), NewPlan(q), randomDB(rng, 5, 9))
 	}
-	t.Logf("%d random cores started below their tree root", moved)
+	t.Logf("%d random cores moved off GYO's root", moved)
 
-	// The randomCoreQuery leg must put such a core under at least 10 %
-	// of its plans: randomQuery's small trees rarely prune their root.
+	// The randomCoreQuery leg must move the root under at least 10 % of
+	// its plans: randomQuery's small trees rarely prune their root.
 	plans, below := 3000, 0
 	for range plans {
 		q := randomCoreQuery(rng)
@@ -411,12 +395,12 @@ func TestQuickCountRootedAtCore(t *testing.T) {
 		}
 	}
 	if moved == 0 {
-		t.Fatal("no random DP or node core started below its tree root")
+		t.Fatal("no random DP or node core moved off GYO's root")
 	}
 	if below*10 < plans {
-		t.Fatalf("%d of %d randomCoreQuery plans count from a core below the tree root, want at least 10 %%", below, plans)
+		t.Fatalf("%d of %d randomCoreQuery plans moved a count root off GYO's root, want at least 10 %%", below, plans)
 	}
-	t.Logf("%d of %d randomCoreQuery plans count from a core below the tree root", below, plans)
+	t.Logf("%d of %d randomCoreQuery plans moved a count root off GYO's root", below, plans)
 }
 
 // The sampler's normalising constant is the tree's full-join size and
@@ -736,6 +720,31 @@ func TestQuickEstimateMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An estimate stops at a cancellation within one sample: the stub
+// sampler cancels the context on its first draw and returns the same
+// value every time, so a sampler that polled only between batches would
+// finish its pilot round with zero variance and return an estimate.
+func TestEstimateStopsAtCancel(t *testing.T) {
+	p := NewPlan(cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"))
+	db := pathDB(rand.New(rand.NewSource(11)), 15, 120)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	defer func() { treeSample = (*treeSampler).sample }()
+	draws := 0
+	treeSample = func(*treeSampler, *rand.Rand) (float64, error) {
+		draws++
+		cancel()
+		return 1, nil
+	}
+	res, err := p.Count(ctx, relstr.Borrow(db), Read{Estimate: true})
+	if !errors.Is(err, cqerr.ErrCanceled) {
+		t.Fatalf("estimate after a cancellation: %+v, err %v; want ErrCanceled", res, err)
+	}
+	if draws != 1 {
+		t.Fatalf("%d samples drawn, want the one that cancelled", draws)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -397,4 +398,67 @@ func TestPlanTreesAreComponents(t *testing.T) {
 		t.Fatal("no plan with two or more trees drawn")
 	}
 	t.Logf("%d plans with two or more trees", multi)
+}
+
+// assertRootsInHeadCore checks the plan's one rooting: every tree with
+// head variables is rooted in its pruned core, and every node outside
+// the core lies under an existence bag of the plan's search program,
+// which a search over a reduced forest never visits.
+func assertRootsInHeadCore(t *testing.T, name string, p *Plan) {
+	t.Helper()
+	bagOf := make([]int, len(p.atoms))
+	for b, bag := range p.bags.bags {
+		bagOf[bag.atoms[0]] = b
+	}
+	for ti := range p.csched.trees {
+		tree := &p.csched.trees[ti]
+		if tree.kind == kindUnit {
+			continue
+		}
+		if !slices.Contains(tree.core, tree.root) {
+			t.Fatalf("%s: tree %d is rooted at %d, outside its core %v", name, ti, tree.root, tree.core)
+		}
+		for _, i := range tree.nodes {
+			if slices.Contains(tree.core, i) {
+				continue
+			}
+			b := bagOf[i]
+			for b >= 0 && !p.bags.bags[b].exist {
+				b = p.bags.bags[b].parent
+			}
+			if b < 0 {
+				t.Fatalf("%s: node %d of tree %d lies outside the core %v and under no existence bag", name, i, ti, tree.core)
+			}
+		}
+	}
+}
+
+// TestPlanRootsInHeadCore holds every acyclic plan to its rooting: each
+// tree with head variables is rooted in its pruned head core, and the
+// pruned nodes are existence checks of the search.
+func TestPlanRootsInHeadCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	gens := []func(*rand.Rand) *cq.Query{
+		func(rng *rand.Rand) *cq.Query { return randomQuery(rng, true) },
+		randomCoreQuery,
+		randomProjectingQuery,
+	}
+	pruned := 0
+	for k := range 3000 {
+		q := gens[k%len(gens)](rng)
+		p := NewPlan(q)
+		if p.mode != PlanYannakakis {
+			continue
+		}
+		assertRootsInHeadCore(t, q.String(), p)
+		for _, tree := range p.csched.trees {
+			if tree.kind != kindUnit && len(tree.core) < len(tree.nodes) {
+				pruned++
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no tree with pruned nodes drawn")
+	}
+	t.Logf("%d trees with pruned nodes", pruned)
 }

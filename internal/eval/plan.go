@@ -53,9 +53,6 @@ type Plan struct {
 	jt     hypergraph.JoinTree
 	sched  *schedule      // prepare-time index/probe program, reused per Eval
 	csched *countSchedule // prepare-time counting classification and pass (see count.go)
-	// rerooted[i]: node i roots its tree only because rerootForHead
-	// reoriented it toward the head (Explain reports the decision).
-	rerooted []bool
 	// ranked is the canonical lex-connex visit program (the head's
 	// natural ascending key), nil when that order is not tractable on
 	// this forest; rankedIDs is its key-id sequence, the cache key
@@ -149,34 +146,42 @@ func (p *Plan) flush(f *forest) {
 
 // NewPlan analyses q and fixes the best applicable engine: Yannakakis
 // over a GYO join tree when q is acyclic, the bag search over a tree
-// decomposition otherwise. For acyclic queries the semijoin schedule
-// and the search program over the join forest are computed here, once,
-// and replayed by every read; for cyclic ones the decomposition and its
-// search programs are.
+// decomposition otherwise. For acyclic queries the join forest is
+// rooted once, and its semijoin schedule, its counting classification
+// and the search program over it are computed here, once, and replayed
+// by every read; for cyclic ones the decomposition and its search
+// programs are.
 func NewPlan(q *cq.Query) *Plan {
 	p := &Plan{q: q, tb: q.Tableau(), mode: PlanBags}
 	h := hypergraph.FromStructure(p.tb.S)
-	if jt, ok := h.GYO(); ok {
+	if jt, ok := h.GYO(p.tb.Dist); ok {
 		p.mode = PlanYannakakis
-		p.jt = jt
 		p.atoms = atomList(p.tb.S)
 		p.vars = make([][]int, len(p.atoms))
 		for i, a := range p.atoms {
 			p.vars[i] = a.distinctVars()
 		}
-		// Re-root each tree of the forest at a node covering its head
-		// variables when one exists: the plan is then direct — the
-		// search reads only that node's rows, which the bottom-up pass
-		// alone finalises — instead of walking the tree.
-		p.jt.Parent = rerootForHead(jt.Parent, p.vars, p.tb.Dist)
-		p.rerooted = make([]bool, len(p.atoms))
-		for i := range p.atoms {
-			p.rerooted[i] = p.jt.Parent[i] == -1 && jt.Parent[i] != -1
+		headSet := map[int]bool{}
+		for _, v := range p.tb.Dist {
+			headSet[v] = true
 		}
+		// Root each tree at the top of its pruned head core (a tree
+		// without head variables keeps GYO's root). Every pruned
+		// existential subtree then hangs below the core with all of its
+		// head variables in its separator, so the search program makes
+		// it an existence bag and a read of the reduced forest never
+		// visits it; and every count starts at its tree's root.
+		var tops []int
+		sched := scheduleForAtoms(p.vars, jt.Parent)
+		for _, r := range sched.roots {
+			if t := buildCountTree(p.vars, jt.Parent, sched, headSet, r); len(t.core) > 0 {
+				tops = append(tops, t.core[len(t.core)-1])
+			}
+		}
+		p.jt.Parent = rerootAt(jt.Parent, forestAdj(jt.Parent), tops)
 		p.sched = scheduleForAtoms(p.vars, p.jt.Parent)
 		p.bags = p.forestBags(p.tb.Dist, p.sched.roots...)
-		// Counting roots its pass at the node each count starts from.
-		p.csched = p.newCountSchedule()
+		p.csched = p.newCountSchedule(headSet)
 		// Classify the head's natural ascending key once: most ranked
 		// calls (and every limit-only call) use it, and Explain reports
 		// the connex/fallback decision from it.
@@ -186,65 +191,6 @@ func NewPlan(q *cq.Query) *Plan {
 		p.bags = decompose(p.tb).compile(nil, -1)
 	}
 	return p
-}
-
-// rerootForHead returns a parent array for the same undirected forest,
-// re-rooting each tree at its first node whose variables contain every
-// head variable occurring in that tree (join-tree validity — the
-// connected-subtree property per variable — is direction-independent).
-// Trees with no such node keep their root.
-func rerootForHead(parent []int, vars [][]int, head []int) []int {
-	n := len(parent)
-	adj := forestAdj(parent)
-	headSet := map[int]bool{}
-	for _, v := range head {
-		headSet[v] = true
-	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var roots []int
-	for r := 0; r < n; r++ {
-		if comp[r] != -1 || parent[r] != -1 {
-			continue
-		}
-		// Collect the tree and the head variables it mentions.
-		tree := []int{r}
-		comp[r] = r
-		for k := 0; k < len(tree); k++ {
-			for _, w := range adj[tree[k]] {
-				if comp[w] == -1 {
-					comp[w] = r
-					tree = append(tree, w)
-				}
-			}
-		}
-		want := map[int]bool{}
-		for _, i := range tree {
-			for _, v := range vars[i] {
-				if headSet[v] {
-					want[v] = true
-				}
-			}
-		}
-		if len(want) == 0 {
-			continue
-		}
-		for _, i := range tree {
-			covered := 0
-			for _, v := range vars[i] {
-				if want[v] {
-					covered++
-				}
-			}
-			if covered == len(want) {
-				roots = append(roots, i)
-				break
-			}
-		}
-	}
-	return rerootAt(parent, adj, roots)
 }
 
 // rerootAt returns a parent array for the same undirected forest, whose
@@ -573,8 +519,8 @@ func (p *Plan) runSearch(ctx context.Context, sn *relstr.Snapshot, f *forest, bp
 // search starts at the roots and reaches a child only through rows
 // agreeing with its parent's binding, so it never meets a dead end and
 // every existence check holds. Ranked reads run the same pass rooted
-// at their first visits (streamRanked), and counts rooted at the node
-// each count starts from (Plan.Count).
+// at their first visits (streamRanked); counts run it on the same
+// rooting, weighing the nodes they count (Plan.Count).
 func (p *Plan) reduce(ctx context.Context, f *forest) (bool, error) {
 	if err := f.runDown(ctx, p.sched); err != nil {
 		return false, err

@@ -153,7 +153,7 @@ func samplesMatchRef(ctx context.Context, p *Plan, src *relstr.Snapshot, par int
 	if err := f.runDown(ctx, p.csched.est); err != nil {
 		return err
 	}
-	if err := bf.runDown(ctx, scheduleRootedAt(p.sched, p.vars, p.jt.Parent, p.csched.est.roots)); err != nil {
+	if err := bf.runDown(ctx, p.sched); err != nil {
 		return err
 	}
 	for i := range f.nodes {

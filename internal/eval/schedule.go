@@ -6,11 +6,11 @@ import "slices"
 // column mapping the bottom-up pass needs — which columns key each
 // semijoin probe — depends only on the rooted join tree and the atoms'
 // variable lists, never on the data. A Plan therefore computes its
-// schedules once at prepare time (NewPlan) — the search's, and one per
-// reader that roots the pass elsewhere (ranked programs, counting) —
-// and every evaluation replays one against per-database indexes; the
-// answers are then enumerated by the bag search over the reduced forest
-// (bags.go).
+// schedules once at prepare time (NewPlan) — the search's, which the
+// counting passes weigh, and one per ranked program that roots the pass
+// at its first visits — and every evaluation replays one against
+// per-database indexes; the answers are then enumerated by the bag
+// search over the reduced forest (bags.go).
 
 // sjStep is one semijoin reduction step: filter target's rows to those
 // matching source on the aligned column pairs (tCols[k] in the target

@@ -192,7 +192,6 @@ func (p *Plan) Explain() *obs.PlanExplain {
 	for ti, r := range p.sched.roots {
 		te := obs.TreeExplain{
 			Root:      r,
-			Rerooted:  p.rerooted[r],
 			CountKind: p.csched.trees[ti].kind.String(),
 		}
 		var walk func(i, depth int)

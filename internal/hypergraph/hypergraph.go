@@ -125,12 +125,15 @@ type JoinTree struct {
 // is returned, with one tree per connected component of h. The
 // reduction repeatedly (a) deletes "ear vertices" that occur in a
 // single remaining edge and (b) deletes edges contained in another
-// remaining edge, recording the witness as the join-tree parent. An
-// edge whose remaining vertices are all gone shares none with any
-// other remaining edge: it is the last edge of its component, and
-// roots that component's tree. The hypergraph is acyclic iff every
-// remaining edge empties out.
-func (h *Hypergraph) GYO() (JoinTree, bool) {
+// remaining edge, recording the witness as the join-tree parent. Among
+// several witnesses the parent is the one whose original edge holds the
+// most vertices of head, ties going to the lowest index, so edges
+// without head vertices hang off the head-holding ones rather than
+// chaining among themselves. An edge whose remaining vertices are all
+// gone shares none with any other remaining edge: it is the last edge
+// of its component, and roots that component's tree. The hypergraph is
+// acyclic iff every remaining edge empties out.
+func (h *Hypergraph) GYO(head []int) (JoinTree, bool) {
 	n := len(h.Edges)
 	jt := JoinTree{Parent: make([]int, n)}
 	for i := range jt.Parent {
@@ -146,9 +149,19 @@ func (h *Hypergraph) GYO() (JoinTree, bool) {
 			work[i][v] = true
 		}
 	}
+	isHead := map[int]bool{}
+	for _, v := range head {
+		isHead[v] = true
+	}
 	alive := make([]bool, n)
-	for i := range alive {
+	heads := make([]int, n) // per edge, its original head vertices
+	for i, e := range h.Edges {
 		alive[i] = true
+		for _, v := range e {
+			if isHead[v] {
+				heads[i]++
+			}
+		}
 	}
 	for {
 		changed := false
@@ -180,16 +193,16 @@ func (h *Hypergraph) GYO() (JoinTree, bool) {
 			if !alive[i] || len(work[i]) == 0 {
 				continue
 			}
+			w := -1
 			for j := 0; j < n; j++ {
-				if i == j || !alive[j] {
-					continue
+				if i != j && alive[j] && subset(work[i], work[j]) && (w < 0 || heads[j] > heads[w]) {
+					w = j
 				}
-				if subset(work[i], work[j]) {
-					alive[i] = false
-					jt.Parent[i] = j
-					changed = true
-					break
-				}
+			}
+			if w >= 0 {
+				alive[i] = false
+				jt.Parent[i] = w
+				changed = true
 			}
 		}
 		if !changed {
@@ -220,7 +233,7 @@ func subset(a, b map[int]bool) bool {
 
 // IsAcyclic reports α-acyclicity of h.
 func (h *Hypergraph) IsAcyclic() bool {
-	_, ok := h.GYO()
+	_, ok := h.GYO(nil)
 	return ok
 }
 

@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -76,7 +77,7 @@ func TestJoinTreeValid(t *testing.T) {
 		{New([]int{0, 1}, []int{5, 6}, []int{1, 2}, []int{6}), 2},
 	}
 	for i, c := range cases {
-		jt, ok := c.h.GYO()
+		jt, ok := c.h.GYO(nil)
 		if !ok {
 			t.Fatalf("case %d should be acyclic", i)
 		}
@@ -103,6 +104,28 @@ func TestJoinTreeValid(t *testing.T) {
 	}
 	if h.ValidJoinTree(JoinTree{Parent: []int{1, 2, 3}}) {
 		t.Fatal("a parent out of range validates")
+	}
+}
+
+// TestGYOPrefersHeadWitness pins the witness rule: an edge subsumed by
+// several others hangs off the one holding the most head vertices, the
+// lowest index among equals. Without a head the leaves {1,3} and {1,4}
+// chain toward the last edge; with head {0,2} every edge hangs off
+// {1,2}, the only witness holding a head vertex.
+func TestGYOPrefersHeadWitness(t *testing.T) {
+	h := New([]int{0, 1}, []int{1, 3}, []int{1, 4}, []int{1, 2})
+	for _, c := range []struct {
+		head   []int
+		parent []int
+	}{
+		{nil, []int{1, 2, 3, -1}},
+		{[]int{0, 2}, []int{3, 3, 3, -1}},
+		{[]int{4}, []int{2, 2, 3, -1}},
+	} {
+		jt, ok := h.GYO(c.head)
+		if !ok || !slices.Equal(jt.Parent, c.parent) {
+			t.Fatalf("head %v: parents %v (acyclic %v), want %v", c.head, jt.Parent, ok, c.parent)
+		}
 	}
 }
 
@@ -187,7 +210,13 @@ func TestQuickHyperTreesAcyclic(t *testing.T) {
 			edge := append(shared, take(1+rng.Intn(2))...)
 			h.AddEdge(edge)
 		}
-		jt, ok := h.GYO()
+		var head []int
+		for _, v := range h.Vertices() {
+			if rng.Intn(3) == 0 {
+				head = append(head, v)
+			}
+		}
+		jt, ok := h.GYO(head)
 		return ok && h.ValidJoinTree(jt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

@@ -74,9 +74,6 @@ type PlanExplain struct {
 // TreeExplain describes one tree of the join forest.
 type TreeExplain struct {
 	Root int `json:"root"`
-	// Rerooted: the tree was reoriented at prepare time toward a node
-	// covering its head variables (what makes a plan direct).
-	Rerooted bool `json:"rerooted,omitempty"`
 	// CountKind is the counting classification: unit, node, dp or
 	// sample.
 	CountKind string        `json:"count_kind"`
@@ -153,11 +150,7 @@ func (e *PlanExplain) Text() string {
 		fmt.Fprintf(&b, "direct: %s\n", e.Direct)
 	}
 	for i, t := range e.Trees {
-		fmt.Fprintf(&b, "tree %d: count=%s", i, t.CountKind)
-		if t.Rerooted {
-			b.WriteString(", rerooted")
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "tree %d: count=%s\n", i, t.CountKind)
 		for _, n := range t.Nodes {
 			b.WriteString(strings.Repeat("  ", n.Depth+1))
 			fmt.Fprintf(&b, "[%d] %s", n.ID, n.Atom)

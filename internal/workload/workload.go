@@ -285,6 +285,38 @@ func EvalBenchDB(n int) *relstr.Structure {
 	return db
 }
 
+// LeafChainQuery returns Q(x,z) :- H1(x,h), H2(h,z), L(h,y0), …,
+// L(h,y{k-1}) with H1, H2 and L named h1, h2 and leaf: two head atoms
+// joined at h, and k existential leaves hanging off h. Every leaf is
+// redundant, so minimizing the query folds them, but a plan of the
+// query as written must not pay for them either: a search that binds
+// the leaves before the head atoms visits |L|^k bindings for the
+// answers of the two head atoms alone. The names decide how the atoms
+// sort in the tableau, which is the order GYO reads them in.
+func LeafChainQuery(k int, h1, h2, leaf string) *cq.Query {
+	q := &cq.Query{Name: "Q", Head: []string{"x", "z"}, Atoms: []cq.Atom{
+		{Rel: h1, Args: []string{"x", "h"}},
+		{Rel: h2, Args: []string{"h", "z"}},
+	}}
+	for i := 0; i < k; i++ {
+		q.Atoms = append(q.Atoms, cq.Atom{Rel: leaf, Args: []string{"h", fmt.Sprintf("y%d", i)}})
+	}
+	return q
+}
+
+// LeafChainDB returns the database of LeafChainQuery with the same
+// names: h1(17,0), h2(0,1…16) and leaf(0,1…16), on which the query has
+// the 16 answers (17, z) for z in 1…16.
+func LeafChainDB(h1, h2, leaf string) *relstr.Structure {
+	db := relstr.New()
+	db.Add(h1, 17, 0)
+	for z := 1; z <= 16; z++ {
+		db.Add(h2, 0, z)
+		db.Add(leaf, 0, z)
+	}
+	return db
+}
+
 // ClusterQuerySuite returns the fact-and-dimension queries shaped for
 // the sharded cluster: each query references the (large, partitioned)
 // fact relation E exactly once, with the small dimension relations
