@@ -11,7 +11,9 @@ import (
 // BenchmarkApproxSearch times the approximation search alone — the
 // "search" phase of Prepare — on the minimized query, for the pairs
 // that dominate prepare_cold's search time (T3 and C6+chord into AC)
-// and two graph-based references.
+// and two graph-based references. It reports the candidates each
+// search inspects as candidates/op, a count benchcheck gates against
+// any growth.
 func BenchmarkApproxSearch(b *testing.B) {
 	classes := []struct {
 		name string
@@ -28,11 +30,15 @@ func BenchmarkApproxSearch(b *testing.B) {
 			min := hom.Minimize(q)
 			b.Run(cl.name+"/"+q.Name, func(b *testing.B) {
 				b.ReportAllocs()
+				inspected := 0
 				for i := 0; i < b.N; i++ {
-					if _, err := core.ApproximationsWithStats(min, cl.c, opt); err != nil {
+					res, err := core.ApproximationsWithStats(min, cl.c, opt)
+					if err != nil {
 						b.Fatal(err)
 					}
+					inspected = res.CandidatesInspected
 				}
+				b.ReportMetric(float64(inspected), "candidates/op")
 			})
 		}
 	}

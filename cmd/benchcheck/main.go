@@ -2,8 +2,10 @@
 // `go test -bench` output against a committed BENCH_*.json baseline
 // and fails (exit 1) when any benchmark regressed beyond the allowed
 // percentage in ns/op — or, for baselines carrying allocs/op (recorded
-// from -benchmem runs), in allocations per op. With -update it
-// (re)writes the baseline (both metrics) from the measured numbers
+// from -benchmem runs), in allocations per op — or when a recorded
+// work count (a custom <unit>/op metric such as candidates/op, which
+// does not depend on the host) grew at all. With -update it
+// (re)writes the baseline (all three) from the measured numbers
 // instead.
 //
 // Usage:
@@ -75,6 +77,12 @@ func main() {
 			if len(s.Allocs) > 0 {
 				e.AllocsPerOp = benchfmt.Allocs(benchfmt.Best(s.Allocs))
 			}
+			for unit, v := range s.Metrics {
+				if e.Metrics == nil {
+					e.Metrics = map[string]float64{}
+				}
+				e.Metrics[unit] = benchfmt.Best(v)
+			}
 			rep.Benchmarks[name] = e
 		}
 		if err := rep.Save(*baselinePath); err != nil {
@@ -132,6 +140,15 @@ func main() {
 					name, bestAllocs, baseAllocs, *maxRegress)
 			}
 		}
+		// Work gate: a recorded count is deterministic, so any growth
+		// is a regression.
+		for unit, base := range rep.Benchmarks[name].Metrics {
+			if v := s.Metrics[unit]; len(v) > 0 && benchfmt.Best(v) > base {
+				regressions++
+				fmt.Printf("REGRESSION %-52s %12g %s vs baseline %9g (work grew)\n",
+					name, benchfmt.Best(v), unit, base)
+			}
+		}
 	}
 	for name, s := range samples {
 		if _, known := rep.Benchmarks[name]; !known {
@@ -143,7 +160,7 @@ func main() {
 		fatal(fmt.Errorf("no benchmark in the input matches the baseline %s", *baselinePath))
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: %d benchmark(s) regressed more than %.0f%%\n", regressions, *maxRegress)
+		fmt.Fprintf(os.Stderr, "benchcheck: %d regression(s): more than %.0f%% in time or allocations, or work grew\n", regressions, *maxRegress)
 		os.Exit(1)
 	}
 	fmt.Printf("benchcheck: %d benchmark(s) within %.0f%% of %s\n", compared, *maxRegress, *baselinePath)

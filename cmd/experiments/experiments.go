@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"cqapprox"
@@ -116,6 +117,11 @@ func expTrichotomy() error {
 	fmt.Printf("%-42s %-22s %-10s %s\n", "query", "kind", "#approx", "approximation")
 	for _, src := range cases {
 		q := cq.MustParse(src)
+		// The trichotomy is about queries outside TW(1); one inside is
+		// its own approximation.
+		if cyclic, err := core.IsCyclicGraphQuery(q); err != nil || !cyclic {
+			return fmt.Errorf("%s: not an oriented cycle (%v)", src, err)
+		}
 		kind, err := core.ClassifyGraphTableau(q)
 		if err != nil {
 			return err
@@ -211,6 +217,19 @@ func expDichotomy() error {
 			fmt.Printf("%-40s %4d %12v %12v %8v\n", src, k, colorable, loopFree, agree)
 			if !agree {
 				return fmt.Errorf("%s, k=%d: dichotomy violated", src, k)
+			}
+			if q.IsBoolean() {
+				// Corollary 5.11: a nontrivial approximation exists iff
+				// T_Q is (k+1)-colorable, iff Q_triv(k+1) — tableau
+				// K_{k+1}↔, treewidth k — is contained in Q.
+				nontrivial, err := core.NontrivialTWkApproximationExists(q, k)
+				if err != nil {
+					return err
+				}
+				found := slices.ContainsFunc(apps, func(a *cq.Query) bool { return !core.IsTrivialQuery(a) })
+				if nontrivial != found || nontrivial != hom.Contained(core.TrivialK(k+1), q) {
+					return fmt.Errorf("%s, k=%d: Corollary 5.11 violated", src, k)
+				}
 			}
 		}
 	}

@@ -69,7 +69,6 @@ import (
 	"cqapprox/internal/eval"
 	"cqapprox/internal/hom"
 	"cqapprox/internal/htw"
-	"cqapprox/internal/hypergraph"
 	"cqapprox/internal/relstr"
 	"cqapprox/internal/tw"
 )
@@ -328,7 +327,7 @@ func NaiveEvalCtx(ctx context.Context, q *Query, db *Structure) (Answers, error)
 func Treewidth(q *Query) int { return tw.StructureTreewidth(q.Tableau().S) }
 
 // IsAcyclic reports α-acyclicity of q's hypergraph.
-func IsAcyclic(q *Query) bool { return hypergraph.AcyclicStructure(q.Tableau().S) }
+func IsAcyclic(q *Query) bool { return core.AC().Contains(q.Tableau().S) }
 
 // HypertreeWidth returns the hypertree width of q's hypergraph.
 func HypertreeWidth(q *Query) int { return htw.StructureWidth(q.Tableau().S) }

@@ -20,19 +20,24 @@ import (
 // so a recorded 0 allocs/op baseline (which the gate protects — a
 // regression from zero is the one it must catch) stays distinguishable
 // from "allocations never measured" (nil; the gate skips those).
+// Metrics holds the benchmark's own b.ReportMetric counts per op, by
+// unit (e.g. "candidates/op"): work that does not depend on the host.
 type Entry struct {
-	NsPerOp     float64  `json:"ns_per_op"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Allocs wraps a measured allocs/op value for Entry.AllocsPerOp.
 func Allocs(v float64) *float64 { return &v }
 
 // Samples are one benchmark's measurements across -count repetitions.
-// Allocs is empty when the run did not report allocations.
+// Allocs is empty when the run did not report allocations; Metrics
+// holds the custom <unit>/op metrics by unit.
 type Samples struct {
-	Ns     []float64
-	Allocs []float64
+	Ns      []float64
+	Allocs  []float64
+	Metrics map[string][]float64
 }
 
 // Report is the on-disk shape of a BENCH_*.json file.
@@ -82,12 +87,12 @@ func (r *Report) Save(path string) error {
 //
 //	BenchmarkIndexedJoin/chain6/N300-8   237   1443496 ns/op   12 allocs/op
 //
-// The trailing -<procs> is stripped from the name; metrics other than
-// ns/op and allocs/op (B/op, custom units) are ignored.
+// The trailing -<procs> is stripped from the name; B/op and metrics
+// not per op (e.g. evals/s) are ignored.
 var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op`)
 
-// allocsField matches the allocs/op metric anywhere in the line tail.
-var allocsField = regexp.MustCompile(`\s([0-9.]+(?:e[+-]?\d+)?) allocs/op`)
+// opField matches one <value> <unit>/op metric in the line tail.
+var opField = regexp.MustCompile(`\s([0-9.]+(?:e[+-]?\d+)?) (\S+/op)`)
 
 // ParseGoBench collects the ns/op (and, when reported under -benchmem,
 // allocs/op) samples per benchmark name from `go test -bench` output
@@ -111,12 +116,21 @@ func ParseGoBench(r io.Reader) (map[string]*Samples, error) {
 			out[m[1]] = s
 		}
 		s.Ns = append(s.Ns, v)
-		if am := allocsField.FindStringSubmatch(sc.Text()); am != nil {
-			a, err := strconv.ParseFloat(am[1], 64)
+		for _, f := range opField.FindAllStringSubmatch(sc.Text()[len(m[0]):], -1) {
+			a, err := strconv.ParseFloat(f[1], 64)
 			if err != nil {
 				return nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
 			}
-			s.Allocs = append(s.Allocs, a)
+			switch f[2] {
+			case "B/op":
+			case "allocs/op":
+				s.Allocs = append(s.Allocs, a)
+			default:
+				if s.Metrics == nil {
+					s.Metrics = map[string][]float64{}
+				}
+				s.Metrics[f[2]] = append(s.Metrics[f[2]], a)
+			}
 		}
 	}
 	return out, sc.Err()

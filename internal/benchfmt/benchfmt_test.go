@@ -15,6 +15,8 @@ BenchmarkIndexedJoin/chain6/N300-8         	     240	   1401210 ns/op
 BenchmarkIndexedJoin/star5/N1000-8         	     230	   1580214 ns/op
 BenchmarkPreparedReuse_Warm/OLTP-8         	  150000	      7521 ns/op	 1024 B/op	      12 allocs/op
 BenchmarkServerThroughput-8                	    5000	    211000 ns/op	     4821 evals/s
+BenchmarkApproxSearch/AC/T3-8              	     400	   1300000 ns/op	       168.0 candidates/op	  459439 B/op	    4788 allocs/op
+BenchmarkApproxSearch/AC/T3-8              	     410	   1290000 ns/op	       168.0 candidates/op	  459439 B/op	    4788 allocs/op
 PASS
 ok  	cqapprox	5.078s
 `
@@ -24,7 +26,7 @@ func TestParseGoBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 {
+	if len(got) != 5 {
 		t.Fatalf("parsed %d benchmarks: %v", len(got), got)
 	}
 	chain := got["BenchmarkIndexedJoin/chain6/N300"]
@@ -44,8 +46,39 @@ func TestParseGoBench(t *testing.T) {
 	if v := got["BenchmarkServerThroughput"]; len(v.Ns) != 1 || v.Ns[0] != 211000 {
 		t.Fatalf("throughput sample = %v (custom metrics must not confuse the parser)", v.Ns)
 	}
-	if v := got["BenchmarkServerThroughput"]; len(v.Allocs) != 0 {
-		t.Fatalf("throughput allocs = %v (evals/s must not parse as allocs)", v.Allocs)
+	if v := got["BenchmarkServerThroughput"]; len(v.Allocs) != 0 || len(v.Metrics) != 0 {
+		t.Fatalf("throughput allocs = %v, metrics = %v (evals/s is not a per-op metric)", v.Allocs, v.Metrics)
+	}
+	if v := got["BenchmarkPreparedReuse_Warm/OLTP"]; len(v.Metrics) != 0 {
+		t.Fatalf("warm metrics = %v (B/op is not recorded)", v.Metrics)
+	}
+}
+
+// A custom <unit>/op metric parses per sample, next to allocs/op, and
+// round-trips through a report.
+func TestParseGoBenchMetrics(t *testing.T) {
+	got, err := ParseGoBench(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := got["BenchmarkApproxSearch/AC/T3"]
+	if c := s.Metrics["candidates/op"]; len(c) != 2 || c[0] != 168 || c[1] != 168 {
+		t.Fatalf("candidates/op samples = %v", s.Metrics)
+	}
+	if len(s.Metrics) != 1 || len(s.Allocs) != 2 || s.Allocs[0] != 4788 || Best(s.Ns) != 1290000 {
+		t.Fatalf("approx samples = %+v", s)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_test.json")
+	r := &Report{Benchmarks: map[string]Entry{"BenchmarkApproxSearch/AC/T3": {NsPerOp: 1, Metrics: map[string]float64{"candidates/op": 168}}}}
+	if err := r.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := back.Benchmarks["BenchmarkApproxSearch/AC/T3"].Metrics; m["candidates/op"] != 168 {
+		t.Fatalf("metrics roundtrip = %v", m)
 	}
 }
 

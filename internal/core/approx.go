@@ -158,9 +158,9 @@ func IsApproximation(q, cand *cq.Query, c Class, opt Options) (bool, error) {
 		return ok
 	}
 	better := false
-	err := forEachCandidate(nil, q, c, opt, nil, func(p hom.Pointed) bool {
+	err := forEachCandidate(nil, q.Tableau(), c, opt, nil, func(p *flatCand) bool {
 		// cand ⊂ X ⊆ q ⟺ T_X → T_cand and T_cand ↛ T_X.
-		x := hom.Compile(p)
+		x := hom.CompileTarget(&p.Dense, p.dist).WithSource()
 		if maps(x, candP) && !maps(candP, x) {
 			better = true
 			return false
@@ -198,7 +198,8 @@ func approxFront(ctx context.Context, q *cq.Query, c Class, opt Options, order [
 	// core of a class member stays in the class (cores are images of
 	// retractions, so every covering hyperedge keeps covering its
 	// image); the membership re-check below is a defensive guard.
-	if tb := q.Tableau(); c.Contains(tb.S) {
+	tb := q.Tableau()
+	if c.Contains(tb.S) {
 		coreS, retract, err := hom.CoreCtx(ctx, tb.S, tb.Dist)
 		if err != nil {
 			return nil, 0, err
@@ -209,7 +210,7 @@ func approxFront(ctx context.Context, q *cq.Query, c Class, opt Options, order [
 		return []hom.Pointed{{S: tb.S, Dist: tb.Dist}}, 1, nil
 	}
 	f := &front{ctx: ctx}
-	err := forEachCandidate(ctx, q, c, opt, order, f.offer)
+	err := forEachCandidate(ctx, tb, c, opt, order, f.offer)
 	if f.err != nil {
 		return nil, 0, f.err
 	}
@@ -279,9 +280,10 @@ func sortKey(p hom.Pointed) string {
 // offer runs front maintenance for one candidate; it returns false to
 // stop the sweep once a search was cancelled. A candidate maps to and
 // from exactly what its core does, so the domination scan runs on the
-// candidate itself and only one that survives it — or ties with a
-// member — pays for its core.
-func (f *front) offer(p hom.Pointed) bool {
+// candidate itself, compiled as a target only. It is compiled as a
+// source once a member maps into it, and built as a Structure only
+// once it survives the scan or ties with a member, to take its core.
+func (f *front) offer(c *flatCand) bool {
 	f.inspected++
 	// The Maps searches poll ctx too: they are worst-case exponential,
 	// so cancellation must reach inside them, not just between
@@ -293,17 +295,22 @@ func (f *front) offer(p hom.Pointed) bool {
 		}
 		return ok
 	}
-	raw := hom.Compile(p)
+	raw := hom.CompileTarget(&c.Dense, c.dist)
 	for i, y := range f.members {
 		if maps(y.c, raw) {
 			// y is ⊆-better or equivalent: the candidate adds nothing,
 			// but an equivalent one may be the lesser representative.
-			if maps(raw, y.c) {
+			// It is equivalent only if it holds a copy of y, its core.
+			if c.numFacts() < y.S.NumFacts() {
+				return f.err == nil
+			}
+			if raw = raw.WithSource(); maps(raw, y.c) {
 				// The candidate's core is as large as y, so a candidate
 				// no larger than y is its own core.
+				p := c.pointed()
 				cand := &member{Pointed: p, c: raw}
-				if p.S.NumFacts() > y.S.NumFacts() {
-					cand = f.core(p)
+				if c.numFacts() > y.S.NumFacts() {
+					cand = f.core(p, raw)
 				}
 				if cand != nil && cand.less(y) {
 					if cand.c == nil {
@@ -318,11 +325,13 @@ func (f *front) offer(p hom.Pointed) bool {
 			return false
 		}
 	}
-	cand := f.core(p)
+	cand := f.core(c.pointed(), raw)
 	if cand == nil {
 		return false
 	}
-	cand.c = hom.Compile(cand.Pointed)
+	if cand.c == nil {
+		cand.c = hom.Compile(cand.Pointed)
+	}
 	// No member maps into the candidate, so cand ⥿ y reduces to
 	// cand → y.
 	kept := f.members[:0]
@@ -338,9 +347,11 @@ func (f *front) offer(p hom.Pointed) bool {
 	return true
 }
 
-// core returns the core of p as a prospective, not yet compiled
-// member, or nil after recording a cancellation.
-func (f *front) core(p hom.Pointed) *member {
+// core returns the core of p as a prospective member, or nil after
+// recording a cancellation. When p is its own core the member takes
+// raw, p compiled, as its compiled form; otherwise it is not compiled
+// yet.
+func (f *front) core(p hom.Pointed, raw *hom.Compiled) *member {
 	coreS, retract, err := hom.CoreCtx(f.ctx, p.S, p.Dist)
 	if err != nil {
 		if f.err == nil {
@@ -348,7 +359,12 @@ func (f *front) core(p hom.Pointed) *member {
 		}
 		return nil
 	}
-	return &member{Pointed: hom.Pointed{S: coreS, Dist: mapDist(p.Dist, retract)}}
+	m := &member{Pointed: hom.Pointed{S: coreS, Dist: mapDist(p.Dist, retract)}}
+	// A retraction avoiding an element drops the facts holding it.
+	if coreS.NumFacts() == p.S.NumFacts() {
+		m.c = raw.WithSource()
+	}
+	return m
 }
 
 // mapDist applies a retraction to a distinguished tuple.

@@ -26,6 +26,11 @@ import (
 
 // Class is a class of conjunctive queries defined through a property of
 // their tableaux. Implementations must be decidable membership tests.
+//
+// The built-in classes test the search's candidates on their flat form,
+// one vertex bitmask per atom, and their Contains flattens its input
+// into that form. The search hands any other implementation each
+// candidate as a built Structure, through Contains.
 type Class interface {
 	// Name is a short identifier such as "TW(1)" or "AC". Within one
 	// concrete implementation type, Name must uniquely identify the
@@ -45,14 +50,36 @@ type Class interface {
 	GraphBased() bool
 }
 
+// maskClass is implemented by the built-in classes, whose membership
+// depends on the query's (hyper)graph alone. containsMasks tests the
+// tableau given as one vertex bitmask per atom over the vertices
+// 0…n−1, n ≤ 64.
+type maskClass interface {
+	containsMasks(n int, edges []uint64) bool
+}
+
+// containsStructure is a built-in class's Contains: s flattened to
+// edge masks over its elements renumbered densely, or past 64 elements,
+// where masks do not reach, the general test.
+func containsStructure(c maskClass, s *relstr.Structure, general func() bool) bool {
+	d := hom.DenseOf(s)
+	if len(d.Vals) > 64 {
+		return general()
+	}
+	return c.containsMasks(len(d.Vals), edgeMasks(nil, d))
+}
+
 // twClass is TW(k): queries whose Gaifman graph has treewidth ≤ k.
 type twClass struct{ k int }
 
 func (c twClass) Name() string { return fmt.Sprintf("TW(%d)", c.k) }
 func (c twClass) Contains(s *relstr.Structure) bool {
-	return tw.StructureTreewidthAtMost(s, c.k)
+	return containsStructure(c, s, func() bool { return tw.StructureTreewidthAtMost(s, c.k) })
 }
 func (c twClass) GraphBased() bool { return true }
+func (c twClass) containsMasks(n int, edges []uint64) bool {
+	return tw.FromMasks(n, edges).TreewidthAtMost(c.k)
+}
 
 // TW returns the graph-based class of treewidth-≤ k queries.
 func TW(k int) Class {
@@ -65,10 +92,12 @@ func TW(k int) Class {
 // acClass is AC: α-acyclic queries (hypertree width 1).
 type acClass struct{}
 
-func (acClass) Name() string                      { return "AC" }
-func (acClass) Contains(s *relstr.Structure) bool { return hypergraph.AcyclicStructure(s) }
-func (acClass) GraphBased() bool                  { return false }
-func (acClass) containsEdges(edges []uint64) bool { return hypergraph.AcyclicMasks(edges) }
+func (acClass) Name() string { return "AC" }
+func (c acClass) Contains(s *relstr.Structure) bool {
+	return containsStructure(c, s, func() bool { return hypergraph.FromStructure(s).IsAcyclic() })
+}
+func (acClass) GraphBased() bool                         { return false }
+func (acClass) containsMasks(_ int, edges []uint64) bool { return hypergraph.AcyclicMasks(edges) }
 
 // AC returns the hypergraph-based class of acyclic queries.
 func AC() Class { return acClass{} }
@@ -78,10 +107,10 @@ type htwClass struct{ k int }
 
 func (c htwClass) Name() string { return fmt.Sprintf("HTW(%d)", c.k) }
 func (c htwClass) Contains(s *relstr.Structure) bool {
-	return htw.StructureAtMost(s, c.k)
+	return containsStructure(c, s, func() bool { return htw.StructureAtMost(s, c.k) })
 }
 func (c htwClass) GraphBased() bool { return false }
-func (c htwClass) containsEdges(edges []uint64) bool {
+func (c htwClass) containsMasks(_ int, edges []uint64) bool {
 	return htw.AtMost(hypergraph.FromMasks(edges), c.k)
 }
 
@@ -99,10 +128,10 @@ type ghtwClass struct{ k int }
 
 func (c ghtwClass) Name() string { return fmt.Sprintf("GHTW(%d)", c.k) }
 func (c ghtwClass) Contains(s *relstr.Structure) bool {
-	return htw.GHTWAtMost(hypergraph.FromStructure(s), c.k)
+	return containsStructure(c, s, func() bool { return htw.GHTWAtMost(hypergraph.FromStructure(s), c.k) })
 }
 func (c ghtwClass) GraphBased() bool { return false }
-func (c ghtwClass) containsEdges(edges []uint64) bool {
+func (c ghtwClass) containsMasks(_ int, edges []uint64) bool {
 	return htw.GHTWAtMost(hypergraph.FromMasks(edges), c.k)
 }
 

@@ -51,10 +51,10 @@ func refApproxFront(q *cq.Query, c Class, opt Options) ([]hom.Pointed, error) {
 
 // refPartitions enumerates all set partitions of elems in
 // restricted-growth order, each as element → block representative.
-func refPartitions(elems []int, fn func(relstr.Partition) bool) bool {
+func refPartitions(elems []int, fn func(map[int]int) bool) bool {
 	n := len(elems)
 	if n == 0 {
-		return fn(relstr.Partition{})
+		return fn(map[int]int{})
 	}
 	rgs := make([]int, n)
 	var rec func(i, maxBlock int) bool
@@ -64,7 +64,7 @@ func refPartitions(elems []int, fn func(relstr.Partition) bool) bool {
 			for b := range rep {
 				rep[b] = -1
 			}
-			p := make(relstr.Partition, n)
+			p := make(map[int]int, n)
 			for j, e := range elems {
 				b := rgs[j]
 				if rep[b] == -1 {
@@ -95,12 +95,12 @@ func refForEachCandidate(ctx context.Context, q *cq.Query, c Class, opt Options,
 	dom := tb.S.Domain()
 	seen := map[string]bool{}
 	var canceled error
-	refPartitions(dom, func(p relstr.Partition) bool {
+	refPartitions(dom, func(p map[int]int) bool {
 		if err := cqerr.Check(ctx); err != nil {
 			canceled = err
 			return false
 		}
-		img := tb.S.QuotientBy(p)
+		img := tb.S.Map(func(e int) int { return p[e] })
 		dist := make([]int, len(tb.Dist))
 		for i, d := range tb.Dist {
 			if r, ok := p[d]; ok {

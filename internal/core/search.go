@@ -2,20 +2,147 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/cqerr"
 	"cqapprox/internal/hom"
-	"cqapprox/internal/hypergraph"
 	"cqapprox/internal/relstr"
 )
 
+// The candidate search runs on a flat tableau. T_Q is compiled once per
+// search into its atoms, grouped by relation, with their arguments
+// given as positions of the partition order. A quotient relabels that
+// array by a partition's restricted-growth string and drops duplicate
+// atoms; an extension appends pool atoms to it. A candidate is never a
+// map-backed Structure while it is searched: the built-in classes test
+// it on one vertex bitmask per atom (maskClass), and the front compiles
+// its homomorphism operands straight from the flat atoms. Only a
+// user-defined class gets a built Structure to test, through Contains.
+
+// flatCand is a candidate tableau in flat form: the hom.Dense whose Vals are
+// its labels — block representatives, the least element of each block,
+// then fresh variables above them — and whose rows give each atom over
+// dense ids 0…len(Vals)−1, in T_Q's relation order, with its
+// distinguished tuple in labels. Labels are what two candidates are
+// compared by, and what a built Structure is labelled with.
+type flatCand struct {
+	hom.Dense
+	dist []int
+}
+
+func (c *flatCand) numFacts() int {
+	n := 0
+	for _, r := range c.Rels {
+		n += len(r.Rows) / r.Arity
+	}
+	return n
+}
+
+// pointed builds the candidate as a Structure labelled by c.Vals.
+func (c *flatCand) pointed() hom.Pointed {
+	s := relstr.New()
+	args := make([]int, 0, 8)
+	for _, r := range c.Rels {
+		for t := 0; t < len(r.Rows); t += r.Arity {
+			args = args[:0]
+			for _, id := range r.Rows[t : t+r.Arity] {
+				args = append(args, c.Vals[id])
+			}
+			s.Add(r.Name, args...)
+		}
+	}
+	return hom.Pointed{S: s, Dist: c.dist}
+}
+
+// hash is an order-independent hash of the facts, in labels, and of the
+// distinguished tuple.
+func (c *flatCand) hash() uint64 {
+	var h uint64
+	for ri, r := range c.Rels {
+		for t := 0; t < len(r.Rows); t += r.Arity {
+			f := uint64(ri) + 1
+			for _, id := range r.Rows[t : t+r.Arity] {
+				f = f*0x100000001B3 ^ uint64(c.Vals[id])
+			}
+			h += f * 0x9E3779B97F4A7C15
+		}
+	}
+	for _, d := range c.dist {
+		h = h*0x9E3779B97F4A7C15 + uint64(d) + 1
+	}
+	return h
+}
+
+// equal reports whether c and o have the same labels, the same facts
+// and the same distinguished tuple. Equal fact sets imply equal labels,
+// and then equal dense ids.
+func (c *flatCand) equal(o *flatCand) bool {
+	if !slices.Equal(c.Vals, o.Vals) || !slices.Equal(c.dist, o.dist) {
+		return false
+	}
+	for ri, r := range c.Rels {
+		rows := o.Rels[ri].Rows
+		if len(r.Rows) != len(rows) {
+			return false
+		}
+		for t := 0; t < len(r.Rows); t += r.Arity {
+			if !hasRow(rows, r.Rows[t:t+r.Arity]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// hasRow reports whether the flat rows of row's arity hold row.
+func hasRow(rows, row []int32) bool {
+	for t := 0; t < len(rows); t += len(row) {
+		if slices.Equal(rows[t:t+len(row)], row) {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *flatCand) clone() *flatCand {
+	out := &flatCand{Dense: hom.Dense{Vals: slices.Clone(c.Vals), Rels: slices.Clone(c.Rels)}, dist: slices.Clone(c.dist)}
+	n := 0
+	for _, r := range c.Rels {
+		n += len(r.Rows)
+	}
+	rows := make([]int32, 0, n)
+	for i, r := range c.Rels {
+		rows = append(rows, r.Rows...)
+		out.Rels[i].Rows = rows[len(rows)-len(r.Rows):]
+	}
+	return out
+}
+
+// edgeMasks appends one vertex bitmask per atom of d to dst: bit i set
+// iff dense id i occurs in the atom. d must have at most 64 elements.
+func edgeMasks(dst []uint64, d *hom.Dense) []uint64 {
+	for _, r := range d.Rels {
+		for t := 0; t < len(r.Rows); t += r.Arity {
+			var m uint64
+			for _, id := range r.Rows[t : t+r.Arity] {
+				m |= 1 << uint(id)
+			}
+			dst = append(dst, m)
+		}
+	}
+	return dst
+}
+
 // forEachCandidate enumerates the candidate tableaux of C-queries
-// contained in q: the quotients of T_Q that belong to C, and — for
-// hypergraph-based classes — out-of-class quotients extended with up
-// to MaxExtraAtoms extra atoms over the quotient's variables plus
-// FreshVars fresh variables per atom. Every candidate is contained in
-// q by construction (the quotient map is a homomorphism from T_Q).
+// contained in the query Q with tableau tb: the quotients of T_Q that
+// belong to C, and — for hypergraph-based classes — out-of-class
+// quotients extended with up to MaxExtraAtoms extra atoms over the
+// quotient's variables plus FreshVars fresh variables per atom. Every
+// candidate is contained in Q by construction (the quotient map is a
+// homomorphism from T_Q).
+// Equal candidates reached from different partitions or extensions are
+// passed to fn once; fn may keep the candidate, which never changes.
 //
 // Partitions are visited finest first, and a partition coarsening one
 // whose quotient is in C is skipped together with all its extensions:
@@ -28,31 +155,37 @@ import (
 // count, never the candidates. fn returning false stops the
 // enumeration. A non-nil ctx is polled once per partition; expiry
 // stops the enumeration and surfaces a cqerr.ErrCanceled-wrapped error.
-func forEachCandidate(ctx context.Context, q *cq.Query, c Class, opt Options, order []int, fn func(hom.Pointed) bool) error {
-	tb := q.Tableau()
+func forEachCandidate(ctx context.Context, tb *cq.Tableau, c Class, opt Options, order []int, fn func(*flatCand) bool) error {
 	if order == nil {
 		order = tb.S.Domain()
 	}
-	sw := &sweep{
-		tb:   tb,
-		c:    c,
-		opt:  opt,
-		fn:   fn,
-		seen: map[uint64][]hom.Pointed{},
-	}
-	if ec, ok := c.(edgeClass); ok {
-		sw.edges = ec
-	}
 	n := len(order)
+	sw := &sweep{c: c, opt: opt, fn: fn, seen: map[uint64][]*flatCand{}}
+	sw.masks, _ = c.(maskClass)
 	sw.words = (n*(n-1)/2 + 63) / 64
 	sw.mask = make([]uint64, sw.words)
-	maxElem := 0
-	for _, e := range order {
-		maxElem = max(maxElem, e)
+	// T_Q's elements are 0…n−1; an argument is its element's position
+	// in order.
+	pos := make([]int32, n)
+	for i, e := range order {
+		pos[e] = int32(i)
 	}
-	repOf := make([]int, maxElem+1)
-	quotient := func(e int) int { return repOf[e] }
-	blockRep := make([]int, n)
+	for _, name := range tb.S.Relations() {
+		r := hom.DenseRel{Name: name, Arity: tb.S.Arity(name)}
+		for _, t := range tb.S.Tuples(name) {
+			for _, e := range t {
+				r.Rows = append(r.Rows, pos[e])
+			}
+		}
+		sw.tableau = append(sw.tableau, r)
+	}
+	sw.cur.Rels = make([]hom.DenseRel, len(sw.tableau))
+	for i, r := range sw.tableau {
+		sw.cur.Rels[i] = hom.DenseRel{Name: r.Name, Arity: r.Arity, Rows: make([]int32, 0, len(r.Rows))}
+	}
+	sw.cur.dist = make([]int, len(tb.Dist))
+	rep := make([]int, n)
+	id := make([]int32, n)
 	var canceled error
 	relstr.ForEachPartition(n, func(block []int, k int) bool {
 		if err := cqerr.Check(ctx); err != nil {
@@ -62,52 +195,66 @@ func forEachCandidate(ctx context.Context, q *cq.Query, c Class, opt Options, or
 		if sw.coarsensInClass(block) {
 			return true
 		}
+		// Label each block by its least element; dense ids follow the
+		// labels.
 		for b := 0; b < k; b++ {
-			blockRep[b] = -1
+			rep[b] = -1
 		}
 		for i, e := range order {
-			if r := blockRep[block[i]]; r == -1 || e < r {
-				blockRep[block[i]] = e
+			if r := rep[block[i]]; r == -1 || e < r {
+				rep[block[i]] = e
 			}
 		}
-		for i, e := range order {
-			repOf[e] = blockRep[block[i]]
+		sw.cur.Vals = append(sw.cur.Vals[:0], rep[:k]...)
+		slices.Sort(sw.cur.Vals)
+		for b := 0; b < k; b++ {
+			i, _ := slices.BinarySearch(sw.cur.Vals, rep[b])
+			id[b] = int32(i)
 		}
-		img := tb.S.Map(quotient)
-		dist := make([]int, len(tb.Dist))
+		for ri, r := range sw.tableau {
+			rows := sw.cur.Rels[ri].Rows[:0]
+			for t := 0; t < len(r.Rows); t += r.Arity {
+				start := len(rows)
+				for _, p := range r.Rows[t : t+r.Arity] {
+					rows = append(rows, id[block[p]])
+				}
+				if hasRow(rows[:start], rows[start:]) {
+					rows = rows[:start]
+				}
+			}
+			sw.cur.Rels[ri].Rows = rows
+		}
 		for i, d := range tb.Dist {
-			dist[i] = repOf[d]
+			sw.cur.dist[i] = rep[block[pos[d]]]
 		}
-		if c.Contains(img) {
+		sw.edges = edgeMasks(sw.edges[:0], &sw.cur.Dense)
+		if sw.contains() {
 			sw.finest = append(sw.finest, sw.mask...)
-			return sw.offer(img, dist, img.SetHash(), nil)
+			return sw.offer()
 		}
 		// Hypergraph-based classes: extensions may acyclify an
 		// out-of-class quotient.
 		if !c.GraphBased() && opt.MaxExtraAtoms > 0 {
-			return sw.extend(img, dist)
+			return sw.extend()
 		}
 		return true
 	})
 	return canceled
 }
 
-// edgeClass is implemented by hypergraph-based classes whose membership
-// depends on the query hypergraph alone. The extension search asks it
-// about a candidate given as one vertex bitmask per atom (vertices
-// 0…63), before building the candidate. containsEdges may overwrite
-// edges.
-type edgeClass interface {
-	containsEdges(edges []uint64) bool
-}
-
 // sweep is the state of one candidate enumeration.
 type sweep struct {
-	tb    *cq.Tableau
 	c     Class
-	edges edgeClass // nil: test extensions by building them
+	masks maskClass // nil: test candidates through Contains
 	opt   Options
-	fn    func(hom.Pointed) bool
+	fn    func(*flatCand) bool
+
+	// tableau is T_Q's atoms per relation, over positions of the
+	// partition order; cur is the candidate under test, a quotient with
+	// the current extension's atoms appended.
+	tableau []hom.DenseRel
+	cur     flatCand
+	edges   []uint64 // cur's edge masks, one per atom
 
 	// words is the length of a same-block-pair bitmask: bit
 	// j(j−1)/2+i is set iff positions i < j share a block. mask is the
@@ -118,26 +265,22 @@ type sweep struct {
 	mask   []uint64
 	finest []uint64
 
-	// seen holds the candidates passed to fn by the hash of their
-	// facts and distinguished tuple, so equal candidates reached from
-	// different partitions or extensions are offered once.
-	seen map[uint64][]hom.Pointed
+	// seen holds the candidates passed to fn by hash.
+	seen map[uint64][]*flatCand
 
-	// Extension scratch, reused across quotients.
-	rels     []string
-	arity    []int
+	// Extension scratch, reused across quotients: the pool of extra
+	// atoms, the pool indices of the current extension and the
+	// quotient's row count per relation.
 	pool     []poolAtom
-	poolArgs []int
-	chosen   []int    // pool indices of the current extension
-	args     []int    // the chosen atoms' arguments, fresh ones offset
-	imgEdges []uint64 // the quotient's edge masks
-	scratch  []uint64
+	poolArgs []int32
+	chosen   []int
+	baseLen  []int
 }
 
-// poolAtom is a candidate extra atom: relation rels[rel] over
-// poolArgs[off:off+arity[rel]], fresh variables numbered from the
-// quotient's freshBase.
-type poolAtom struct{ rel, off int }
+// poolAtom is a candidate extra atom: relation rel over
+// poolArgs[off:off+arity], where an argument past the quotient's k
+// elements is fresh variable arg−k; fresh counts them.
+type poolAtom struct{ rel, off, fresh int }
 
 // coarsensInClass computes the current partition's pair mask and
 // reports whether some stored in-class partition refines it.
@@ -167,101 +310,44 @@ func (sw *sweep) coarsensInClass(block []int) bool {
 	return false
 }
 
-// candKey combines a set hash of facts with the distinguished tuple.
-func candKey(factHash uint64, dist []int) uint64 {
-	h := factHash
-	for _, d := range dist {
-		h = h*0x9E3779B97F4A7C15 + uint64(d) + 1
+// contains tests cur against the class: on its edge masks, in edges,
+// for a built-in class, on a built Structure for any other or past 64
+// elements.
+func (sw *sweep) contains() bool {
+	if n := len(sw.cur.Vals); sw.masks != nil && n <= 64 {
+		return sw.masks.containsMasks(n, sw.edges)
 	}
-	return h
+	return sw.c.Contains(sw.cur.pointed().S)
 }
 
-// offer passes the in-class candidate base ∪ extra (extra holds atom
-// pool indices of sw.chosen, with arguments in sw.args) to fn unless
-// an equal candidate was offered before. base is built already; the
-// extension is built only once it is known to be new.
-func (sw *sweep) offer(base *relstr.Structure, dist []int, factHash uint64, extra []int) bool {
-	key := candKey(factHash, dist)
-	for _, p := range sw.seen[key] {
-		if sw.sameCandidate(p, base, dist, extra) {
+// offer passes a copy of cur to fn unless an equal candidate was passed
+// before.
+func (sw *sweep) offer() bool {
+	h := sw.cur.hash()
+	for _, o := range sw.seen[h] {
+		if o.equal(&sw.cur) {
 			return true
 		}
 	}
-	s := base
-	if len(extra) > 0 {
-		s = base.Clone()
-		sw.addChosen(s)
-	}
-	p := hom.Pointed{S: s, Dist: dist}
-	sw.seen[key] = append(sw.seen[key], p)
-	return sw.fn(p)
-}
-
-// sameCandidate reports whether p equals base plus the chosen atoms,
-// with the same distinguished tuple.
-func (sw *sweep) sameCandidate(p hom.Pointed, base *relstr.Structure, dist []int, extra []int) bool {
-	if p.S.NumFacts() != base.NumFacts()+len(extra) || !relstr.Tuple(p.Dist).Equal(dist) || !base.ContainedIn(p.S) {
-		return false
-	}
-	off := 0
-	for _, pi := range extra {
-		rel := sw.pool[pi].rel
-		a := sw.arity[rel]
-		if !p.S.Has(sw.rels[rel], sw.args[off:off+a]...) {
-			return false
-		}
-		off += a
-	}
-	return true
-}
-
-// addChosen adds the current extension's atoms to s.
-func (sw *sweep) addChosen(s *relstr.Structure) {
-	off := 0
-	for _, pi := range sw.chosen {
-		rel := sw.pool[pi].rel
-		a := sw.arity[rel]
-		s.Add(sw.rels[rel], sw.args[off:off+a]...)
-		off += a
-	}
+	c := sw.cur.clone()
+	sw.seen[h] = append(sw.seen[h], c)
+	return sw.fn(c)
 }
 
 // extend offers the in-class extensions of the out-of-class quotient
-// img by 1..MaxExtraAtoms atoms. It returns false if fn stopped the
+// cur by 1..MaxExtraAtoms atoms. It returns false if fn stopped the
 // enumeration.
-func (sw *sweep) extend(img *relstr.Structure, dist []int) bool {
-	if sw.rels == nil {
-		schema := sw.tb.S
-		sw.rels = schema.Relations()
-		for _, r := range sw.rels {
-			sw.arity = append(sw.arity, schema.Arity(r))
-		}
+func (sw *sweep) extend() bool {
+	k := len(sw.cur.Vals)
+	sw.buildPool(k)
+	sw.baseLen = sw.baseLen[:0]
+	for _, r := range sw.cur.Rels {
+		sw.baseLen = append(sw.baseLen, len(r.Rows))
 	}
-	domain := img.Domain()
-	freshBase := 0
-	for _, e := range domain {
-		if e >= freshBase {
-			freshBase = e + 1
-		}
-	}
-	sw.buildPool(img, domain, freshBase)
-	// The edge-mask class test applies when every element, fresh ones
-	// included, fits in a bitmask.
-	edges := sw.edges
-	if freshBase+sw.opt.MaxExtraAtoms*sw.opt.FreshVars > 64 {
-		edges = nil
-	}
-	if edges != nil {
-		var ok bool
-		if sw.imgEdges, ok = hypergraph.AppendEdgeMasks(sw.imgEdges[:0], img); !ok {
-			edges = nil
-		}
-	}
-	imgHash := img.SetHash()
 	sw.chosen = sw.chosen[:0]
 	var rec func(start int) bool
 	rec = func(start int) bool {
-		if len(sw.chosen) > 0 && !sw.tryExtension(img, dist, imgHash, freshBase, edges) {
+		if len(sw.chosen) > 0 && !sw.tryExtension(k) {
 			return false
 		}
 		if len(sw.chosen) == sw.opt.MaxExtraAtoms {
@@ -280,92 +366,74 @@ func (sw *sweep) extend(img *relstr.Structure, dist []int) bool {
 	return rec(0)
 }
 
-// buildPool generates the candidate extra atoms for a quotient: tuples
-// over domain ∪ {fresh}, canonicalised so fresh variables appear in
-// first-use order. Fresh variables are local to one atom (Claim 6.2's
-// renamed extension tuples).
-func (sw *sweep) buildPool(img *relstr.Structure, domain []int, freshBase int) {
+// buildPool generates the candidate extra atoms for the quotient cur
+// over k elements: tuples over its elements and fresh variables, the
+// fresh ones in first-use order. Fresh variables are local to one atom
+// (Claim 6.2's renamed extension tuples).
+func (sw *sweep) buildPool(k int) {
 	sw.pool, sw.poolArgs = sw.pool[:0], sw.poolArgs[:0]
-	for ri, r := range sw.rels {
-		arity := sw.arity[ri]
-		vals := make([]int, arity)
+	for ri, r := range sw.cur.Rels {
+		vals := make([]int32, r.Arity)
 		var gen func(pos, freshUsed int)
 		gen = func(pos, freshUsed int) {
-			if pos == arity {
-				// Skip atoms already present.
-				if img.Has(r, vals...) {
+			if pos == r.Arity {
+				// Skip atoms already present, and fully fresh ones: they
+				// are trivially satisfied and never minimal.
+				if !slices.ContainsFunc(vals, func(a int32) bool { return a < int32(k) }) || hasRow(r.Rows, vals) {
 					return
 				}
-				// At least one position must touch the image domain so
-				// the atom constrains the query (fully fresh atoms are
-				// trivially satisfied and never minimal).
-				for _, a := range vals {
-					if a < freshBase {
-						sw.pool = append(sw.pool, poolAtom{rel: ri, off: len(sw.poolArgs)})
-						sw.poolArgs = append(sw.poolArgs, vals...)
-						return
-					}
-				}
+				sw.pool = append(sw.pool, poolAtom{rel: ri, off: len(sw.poolArgs), fresh: freshUsed})
+				sw.poolArgs = append(sw.poolArgs, vals...)
 				return
 			}
-			for _, e := range domain {
-				vals[pos] = e
+			for e := 0; e < k; e++ {
+				vals[pos] = int32(e)
 				gen(pos+1, freshUsed)
 			}
 			// Reuse an already-introduced fresh variable or introduce
 			// the next one (canonical first-use order).
 			for f := 0; f <= freshUsed && f < sw.opt.FreshVars; f++ {
-				vals[pos] = freshBase + f
-				nu := freshUsed
-				if f == freshUsed {
-					nu++
-				}
-				gen(pos+1, nu)
+				vals[pos] = int32(k + f)
+				gen(pos+1, max(freshUsed, f+1))
 			}
 		}
 		gen(0, 0)
 	}
 }
 
-// tryExtension tests img plus the chosen pool atoms against the class —
-// on edge masks when edges is non-nil, before anything is built — and
-// offers it if it is in the class. Fresh variables are disjoint across
-// atoms: the atom in slot j shifts them by j·FreshVars.
-func (sw *sweep) tryExtension(img *relstr.Structure, dist []int, imgHash uint64, freshBase int, edges edgeClass) bool {
-	sw.args = sw.args[:0]
-	hash := imgHash
-	if edges != nil {
-		sw.scratch = append(sw.scratch[:0], sw.imgEdges...)
+// tryExtension appends the chosen pool atoms to the quotient cur over k
+// elements, and their masks to its edges, offers the result if it is in
+// the class and truncates both back. Fresh variables are disjoint
+// across atoms: the atom in slot j labels its fresh variable f as the
+// quotient's largest label plus 1 + j·FreshVars + f.
+func (sw *sweep) tryExtension(k int) bool {
+	freshBase := 0
+	if k > 0 {
+		freshBase = sw.cur.Vals[k-1] + 1
 	}
+	next := int32(k) // dense id of the slot's first fresh variable
+	atoms := len(sw.edges)
 	for slot, pi := range sw.chosen {
 		at := sw.pool[pi]
-		start := len(sw.args)
-		for _, a := range sw.poolArgs[at.off : at.off+sw.arity[at.rel]] {
-			if a >= freshBase {
-				a += slot * sw.opt.FreshVars
+		r := &sw.cur.Rels[at.rel]
+		var m uint64
+		for _, a := range sw.poolArgs[at.off : at.off+r.Arity] {
+			if a >= int32(k) {
+				a += next - int32(k)
 			}
-			sw.args = append(sw.args, a)
+			r.Rows = append(r.Rows, a)
+			m |= 1 << uint(a)
 		}
-		t := sw.args[start:]
-		hash += relstr.FactHash(sw.rels[at.rel], t)
-		if edges != nil {
-			m, _ := hypergraph.TupleMask(t)
-			sw.scratch = append(sw.scratch, m)
+		sw.edges = append(sw.edges, m)
+		for f := 0; f < at.fresh; f++ {
+			sw.cur.Vals = append(sw.cur.Vals, freshBase+slot*sw.opt.FreshVars+f)
 		}
+		next += int32(at.fresh)
 	}
-	if edges != nil {
-		if !edges.containsEdges(sw.scratch) {
-			return true
-		}
-		return sw.offer(img, dist, hash, sw.chosen)
+	ok := !sw.contains() || sw.offer()
+	sw.cur.Vals, sw.edges = sw.cur.Vals[:k], sw.edges[:atoms]
+	for ri, n := range sw.baseLen {
+		sw.cur.Rels[ri].Rows = sw.cur.Rels[ri].Rows[:n]
 	}
-	// No mask test: build the extension and ask the class. Extensions
-	// that fail are not remembered; the test repeats if the same one
-	// comes up again.
-	ext := img.Clone()
-	sw.addChosen(ext)
-	if !sw.c.Contains(ext) {
-		return true
-	}
-	return sw.offer(ext, dist, hash, nil)
+	return ok
 }

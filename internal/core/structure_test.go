@@ -1,10 +1,15 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/hom"
+	"cqapprox/internal/htw"
+	"cqapprox/internal/hypergraph"
+	"cqapprox/internal/relstr"
+	"cqapprox/internal/tw"
 )
 
 func TestClassifyGraphTableau(t *testing.T) {
@@ -267,5 +272,46 @@ func TestACAndHTW1Agree(t *testing.T) {
 		if AC().Contains(tb.S) != HTW(1).Contains(tb.S) {
 			t.Errorf("%s: AC and HTW(1) disagree", src)
 		}
+	}
+}
+
+// The built-in classes' Contains flattens a structure to edge masks
+// over its elements renumbered densely, and past 64 elements takes the
+// general test; both agree with the definitions.
+func TestBuiltinContainsMatchesDefinitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		s := relstr.New()
+		for k := 1 + rng.Intn(7); k > 0; k-- {
+			e := func() int { return 3 * rng.Intn(6) } // sparse element ids
+			if rng.Intn(2) == 0 {
+				s.Add("E", e(), e())
+			} else {
+				s.Add("R", e(), e(), e())
+			}
+		}
+		h := hypergraph.FromStructure(s)
+		for _, c := range []struct {
+			c    Class
+			want bool
+		}{
+			{TW(1), tw.StructureTreewidthAtMost(s, 1)},
+			{TW(2), tw.StructureTreewidthAtMost(s, 2)},
+			{AC(), h.IsAcyclic()},
+			{HTW(2), htw.AtMost(h, 2)},
+			{GHTW(2), htw.GHTWAtMost(h, 2)},
+		} {
+			if got := c.c.Contains(s); got != c.want {
+				t.Fatalf("%s.Contains(%v) = %v, want %v", c.c.Name(), s, got, c.want)
+			}
+		}
+	}
+	path, cycle := relstr.New(), relstr.New()
+	for i := 0; i < 70; i++ {
+		path.Add("E", i, i+1)
+		cycle.Add("E", i, (i+1)%70)
+	}
+	if !AC().Contains(path) || AC().Contains(cycle) || !AC().Contains(relstr.New()) {
+		t.Fatal("AC: the 71-element path and the empty structure are acyclic, the 70-cycle is not")
 	}
 }

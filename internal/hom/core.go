@@ -24,45 +24,80 @@ func Core(s *relstr.Structure, dist []int) (*relstr.Structure, map[int]int) {
 }
 
 // CoreCtx is Core under a context: cancellation aborts the retraction
-// search and returns a cqerr-wrapped error.
+// search and returns a cqerr-wrapped error. The retraction runs on the
+// dense form; the core is built once, as the image of s.
 func CoreCtx(ctx context.Context, s *relstr.Structure, dist []int) (*relstr.Structure, map[int]int, error) {
-	cur := s.Clone()
-	// retract maps original elements to their current images.
-	retract := map[int]int{}
-	for _, e := range s.Domain() {
-		retract[e] = e
+	d := DenseOf(s)
+	vals := d.Vals
+	img := make([]int32, len(vals)) // per element of s, its image's id in d
+	for i := range img {
+		img[i] = int32(i)
 	}
 	for {
-		h, err := shrink(ctx, cur, dist)
+		h, err := shrink(ctx, d, dist)
 		if err != nil {
 			return nil, nil, err
 		}
 		if h == nil {
-			return cur, retract, nil
+			break
 		}
-		cur = cur.Map(func(e int) int { return h[e] })
-		for orig, img := range retract {
-			retract[orig] = h[img]
+		d = d.image(h)
+		for i, x := range img {
+			img[i] = h[x]
 		}
 	}
+	retract := make(map[int]int, len(vals))
+	for i, e := range vals {
+		retract[e] = d.Vals[img[i]]
+	}
+	return s.Map(func(e int) int { return retract[e] }), retract, nil
 }
 
-// shrink returns an endomorphism of s fixing dist pointwise whose
-// image avoids some element, trying the elements in ascending order,
-// or nil when (s, dist) is a core. s is compiled once, as both sides:
-// searching into s without v clears v from every domain and skips the
-// tuples containing it, which yields exactly the candidates a search
-// into s.Without(v) would.
-func shrink(ctx context.Context, s *relstr.Structure, dist []int) (map[int]int, error) {
-	src := compileSource(s)
-	sr := newSearch(ctx, src, compileTarget(s, nil))
-	var h map[int]int
-	emit := func() bool { h = sr.emit(); return false }
-	for v, e := range src.vals {
+// image returns d mapped by h and renumbered, and rewrites h to map
+// each of d's ids to its image's new id. Duplicate rows are kept: the
+// kernel reads rows as a set.
+func (d *Dense) image(h []int32) *Dense {
+	id := make([]int32, len(d.Vals))
+	for _, x := range h {
+		id[x] = 1
+	}
+	out := &Dense{Rels: make([]DenseRel, len(d.Rels))}
+	for i, e := range d.Vals {
+		if id[i] != 0 {
+			id[i] = int32(len(out.Vals))
+			out.Vals = append(out.Vals, e)
+		}
+	}
+	for i, x := range h {
+		h[i] = id[x]
+	}
+	for ri, r := range d.Rels {
+		r.Rows = slices.Clone(r.Rows)
+		for k, x := range r.Rows {
+			r.Rows[k] = h[x]
+		}
+		out.Rels[ri] = r
+	}
+	return out
+}
+
+// shrink returns an endomorphism of d fixing dist pointwise whose
+// image avoids some element, as the image id of each id, trying the
+// elements in ascending order, or nil when (d, dist) is a core. d is
+// compiled once, as both sides: searching into d without v clears v
+// from every domain and skips the tuples containing it, which yields
+// exactly the candidates a search into the substructure without v
+// would.
+func shrink(ctx context.Context, d *Dense, dist []int) ([]int32, error) {
+	var sr search
+	sr.init(ctx, compileSource(d), compileTarget(d, nil))
+	var h []int32
+	emit := func() bool { h = slices.Clone(sr.assign); return false }
+	for v, e := range d.Vals {
 		if slices.Contains(dist, e) {
 			continue
 		}
-		if sr.start(int32(v), nil, pairs(dist, dist)) {
+		if sr.start(int32(v), nil, dist, dist) {
 			sr.solve(0, nil, emit)
 		}
 		if err := sr.err(); err != nil {
@@ -78,7 +113,7 @@ func shrink(ctx context.Context, s *relstr.Structure, dist []int) (map[int]int, 
 // IsCore reports whether (s, dist) is a core: no homomorphism into a
 // strictly contained substructure fixing dist pointwise.
 func IsCore(s *relstr.Structure, dist []int) bool {
-	h, _ := shrink(nil, s, dist)
+	h, _ := shrink(nil, DenseOf(s), dist)
 	return h == nil
 }
 

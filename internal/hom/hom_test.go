@@ -420,7 +420,7 @@ func TestQuickQuotientIsHom(t *testing.T) {
 		ok := true
 		dom := s.Domain()
 		relstr.ForEachPartition(len(dom), func(block []int, _ int) bool {
-			p := relstr.Partition{}
+			p := map[int]int{}
 			first := map[int]int{}
 			for j, e := range dom {
 				if _, ok := first[block[j]]; !ok {
@@ -428,7 +428,7 @@ func TestQuickQuotientIsHom(t *testing.T) {
 				}
 				p[e] = first[block[j]]
 			}
-			q := s.QuotientBy(p)
+			q := s.Map(func(e int) int { return p[e] })
 			if !Exists(s, q, nil) {
 				ok = false
 				return false

@@ -466,3 +466,37 @@ func TestIsolatedElementsDeferred(t *testing.T) {
 		t.Fatalf("ForEach order %v, reference %v", got, want)
 	}
 }
+
+// TestKernelDefersAtomFreePicks pins the deferral of atom-free picks
+// on a fixed instance: every target element fills every position of
+// every relation, so the atom-free source element 0 ties with the atom
+// elements on its static domain and comes first on ties by id. Picked
+// first, it would reorder ForEach and the projections against the
+// reference solver.
+func TestKernelDefersAtomFreePicks(t *testing.T) {
+	b := relstr.New()
+	for x := 0; x < 2; x++ {
+		b.Add("U", x)
+		for y := 0; y < 2; y++ {
+			b.Add("E", x, y)
+		}
+	}
+	a := relstr.New()
+	a.AddElement(0)
+	a.Add("E", 5, 6)
+	a.Add("U", 6)
+	c := kernelCase{a: a, b: b, proj: []int{0, 5}, distA: []int{5}, distB: []int{1}}
+	if err := checkKernel(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkBrute(c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// forEachRestricted enumerates homomorphisms under the candidate
+// restriction allowed; semantics otherwise match ForEach.
+func forEachRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int, fn func(h map[int]int) bool) bool {
+	done, _ := forEachCtx(nil, a, b, pre, allowed, fn)
+	return done
+}

@@ -2,7 +2,6 @@ package hom
 
 import (
 	"context"
-	"iter"
 	"slices"
 
 	"cqapprox/internal/cq"
@@ -20,29 +19,45 @@ type Pointed struct {
 // sending a.Dist pointwise to b.Dist. Both tuples must have the same
 // length.
 func Maps(a, b Pointed) bool {
-	ok, _ := mapsCtx(nil, compileSource(a.S), compileTarget(b.S, nil), a.Dist, b.Dist)
+	ok, _ := mapsCtx(nil, compileSource(DenseOf(a.S)), compileTarget(DenseOf(b.S), nil), a.Dist, b.Dist)
 	return ok
 }
 
-// Compiled is a pointed structure prepared once for many Maps tests on
-// either side: its atoms and co-occurrence lists as a source, its
-// per-position tuple lists and value masks as a target. It holds S by
-// reference, so S must not change after Compile; a Compiled is never
-// written after Compile, so searches may share it concurrently.
+// Compiled is a pointed structure prepared once for many Maps tests:
+// as a target (per-position tuple lists and value masks) and, when
+// compiled as one, as a source (atoms and co-occurrence lists). A
+// Compiled is never written after it is built, so searches may share
+// it concurrently.
 type Compiled struct {
-	Pointed
-	src *source
-	tgt *target
+	d    *Dense
+	dist []int
+	src  *source // nil: a target only
+	tgt  *target
 }
 
-// Compile prepares p for MapsCompiledCtx.
+// Compile prepares p for MapsCompiledCtx on either side.
 func Compile(p Pointed) *Compiled {
-	return &Compiled{Pointed: p, src: compileSource(p.S), tgt: compileTarget(p.S, nil)}
+	return CompileTarget(DenseOf(p.S), p.Dist).WithSource()
 }
 
-// MapsCompiledCtx is Maps under a context, over compiled operands.
+// CompileTarget prepares d with distinguished tuple dist as the target
+// of MapsCompiledCtx. It keeps d, which must not change after.
+func CompileTarget(d *Dense, dist []int) *Compiled {
+	return &Compiled{d: d, dist: dist, tgt: compileTarget(d, nil)}
+}
+
+// WithSource returns c prepared as a source as well.
+func (c *Compiled) WithSource() *Compiled {
+	if c.src != nil {
+		return c
+	}
+	return &Compiled{d: c.d, dist: c.dist, src: compileSource(c.d), tgt: c.tgt}
+}
+
+// MapsCompiledCtx is Maps under a context, over compiled operands: a
+// must be compiled as a source.
 func MapsCompiledCtx(ctx context.Context, a, b *Compiled) (bool, error) {
-	return mapsCtx(ctx, a.src, b.tgt, a.Dist, b.Dist)
+	return mapsCtx(ctx, a.src, b.tgt, a.dist, b.dist)
 }
 
 // mapsCtx searches src → tgt sending ā to b̄ pointwise. The tuples
@@ -57,8 +72,9 @@ func mapsCtx(ctx context.Context, src *source, tgt *target, da, db []int) (bool,
 			return false, nil
 		}
 	}
-	s := newSearch(ctx, src, tgt)
-	if !s.start(-1, nil, pairs(da, db)) {
+	var s search
+	s.init(ctx, src, tgt)
+	if !s.start(-1, nil, da, db) {
 		return false, nil
 	}
 	s.solve(0, nil, nil)
@@ -66,17 +82,6 @@ func mapsCtx(ctx context.Context, src *source, tgt *target, da, db []int) (bool,
 		return false, err
 	}
 	return s.found, nil
-}
-
-// pairs yields (a[i], b[i]) for every i.
-func pairs(a, b []int) iter.Seq2[int, int] {
-	return func(yield func(int, int) bool) {
-		for i := range a {
-			if !yield(a[i], b[i]) {
-				return
-			}
-		}
-	}
 }
 
 // TableauOf returns the pointed structure of q's tableau.

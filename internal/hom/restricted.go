@@ -13,13 +13,6 @@ func ExistsRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][
 	return ok
 }
 
-// forEachRestricted enumerates homomorphisms under the candidate
-// restriction allowed; semantics otherwise match ForEach.
-func forEachRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int, fn func(h map[int]int) bool) bool {
-	done, _ := forEachCtx(nil, a, b, pre, allowed, fn)
-	return done
-}
-
 // CountRestricted counts homomorphisms under the candidate restriction.
 func CountRestricted(a, b *relstr.Structure, pre map[int]int, allowed map[int][]int) int {
 	n := 0

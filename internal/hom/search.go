@@ -18,8 +18,6 @@ package hom
 
 import (
 	"context"
-	"iter"
-	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -34,10 +32,12 @@ type csr struct{ off, idx []int32 }
 func (c csr) row(i int32) []int32 { return c.idx[c.off[i]:c.off[i+1]] }
 
 // newCSR groups pairs — (row, entry), interleaved — into n rows,
-// keeping the entries' order within a row.
-func newCSR(n int, pairs []int32) csr {
-	buf := make([]int32, n+1+len(pairs)/2)
-	c := csr{off: buf[:n+1], idx: buf[n+1:]}
+// keeping the entries' order within a row. It takes its storage from
+// the front of buf, which must hold n+1+len(pairs)/2 zeroed ids, and
+// returns the rest.
+func newCSR(n int, pairs, buf []int32) (csr, []int32) {
+	m := n + 1 + len(pairs)/2
+	c := csr{off: buf[: n+1 : n+1], idx: buf[n+1 : m : m]}
 	for k := 0; k < len(pairs); k += 2 {
 		c.off[pairs[k]+1]++
 	}
@@ -50,7 +50,7 @@ func newCSR(n int, pairs []int32) csr {
 	}
 	copy(c.off[1:], c.off[:n]) // each row's end is the next row's start
 	c.off[0] = 0
-	return c
+	return c, buf[m:]
 }
 
 // idOf is the dense id of element e in the ascending element list vals.
@@ -59,13 +59,48 @@ func idOf(vals []int, e int) (int32, bool) {
 	return int32(i), i < len(vals) && vals[i] == e
 }
 
+// Dense is a structure in the kernel's input form: its active domain
+// ascending (dense id → element) and the relations holding tuples,
+// ascending by name, each with its tuples as flat rows of dense ids.
+// A compiled form keeps d's slices, which must not change after.
+type Dense struct {
+	Vals []int
+	Rels []DenseRel
+}
+
+// DenseRel is one relation of a Dense structure.
+type DenseRel struct {
+	Name  string
+	Arity int
+	Rows  []int32
+}
+
+// DenseOf returns s in dense form.
+func DenseOf(s *relstr.Structure) *Dense {
+	d := &Dense{Vals: s.Domain()}
+	for _, name := range s.Relations() {
+		ts := s.Tuples(name)
+		if len(ts) == 0 {
+			continue
+		}
+		r := DenseRel{Name: name, Arity: s.Arity(name), Rows: make([]int32, 0, len(ts)*s.Arity(name))}
+		for _, t := range ts {
+			for _, e := range t {
+				id, _ := idOf(d.Vals, e)
+				r.Rows = append(r.Rows, id)
+			}
+		}
+		d.Rels = append(d.Rels, r)
+	}
+	return d
+}
+
 // source is a structure compiled as the left-hand side of a search:
-// its atoms in (relation, insertion) order over dense ids, and per
-// element the atoms it occurs in and the elements it co-occurs with.
+// its atoms in (relation, row) order over dense ids, and per element
+// the atoms it occurs in and the elements it co-occurs with.
 type source struct {
-	vals   []int    // dense id → element, ascending
-	rels   []string // relations with atoms, ascending
-	ars    []int
+	vals   []int      // dense id → element, ascending
+	rels   []DenseRel // relations with atoms, ascending
 	atoms  []atom
 	atomOf csr
 	nbrs   csr
@@ -78,41 +113,46 @@ type atom struct {
 	self bool
 }
 
-func compileSource(a *relstr.Structure) *source {
-	src := &source{vals: a.Domain(), atoms: make([]atom, 0, a.NumFacts())}
-	flat := make([]int32, 0, a.Size())
-	atomOf, nbrs := make([]int32, 0, 2*a.Size()), make([]int32, 0, 2*a.Size()*(a.MaxArity()-1))
-	for _, name := range a.Relations() {
-		ts := a.Tuples(name)
-		if len(ts) == 0 {
-			continue
-		}
-		src.rels = append(src.rels, name)
-		src.ars = append(src.ars, a.Arity(name))
-		for _, t := range ts {
-			at := atom{rel: len(src.rels) - 1, args: flat[len(flat) : len(flat)+len(t)], self: true}
-			for _, e := range t {
-				id, _ := idOf(src.vals, e)
-				flat = append(flat, id)
-			}
+func compileSource(d *Dense) *source {
+	size, facts, maxAr := 0, 0, 0
+	for _, r := range d.Rels {
+		size, facts, maxAr = size+len(r.Rows), facts+len(r.Rows)/r.Arity, max(maxAr, r.Arity)
+	}
+	src := &source{vals: d.Vals, rels: d.Rels, atoms: make([]atom, 0, facts)}
+	// One allocation holds the (row, entry) pairs of both lists, then
+	// the lists.
+	n := len(src.vals)
+	ints := make([]int32, 2*size*maxAr+2*(n+1)+size*maxAr)
+	pairs, buf := ints[:0:2*size*maxAr], ints[2*size*maxAr:]
+	for ri, r := range d.Rels {
+		for t := 0; t < len(r.Rows); t += r.Arity {
+			at := atom{rel: ri, args: r.Rows[t : t+r.Arity], self: true}
 			ai := int32(len(src.atoms))
 			for p, x := range at.args {
 				if x != at.args[0] {
 					at.self = false
 				}
 				if slices.Index(at.args[:p], x) < 0 {
-					atomOf = append(atomOf, x, ai)
-					for q, y := range at.args {
-						if y != x && slices.Index(at.args[:q], y) < 0 {
-							nbrs = append(nbrs, x, y)
-						}
-					}
+					pairs = append(pairs, x, ai)
 				}
 			}
 			src.atoms = append(src.atoms, at)
 		}
 	}
-	src.atomOf, src.nbrs = newCSR(len(src.vals), atomOf), newCSR(len(src.vals), nbrs)
+	atomPairs := len(pairs)
+	for _, at := range src.atoms {
+		for p, x := range at.args {
+			if slices.Index(at.args[:p], x) < 0 {
+				for q, y := range at.args {
+					if y != x && slices.Index(at.args[:q], y) < 0 {
+						pairs = append(pairs, x, y)
+					}
+				}
+			}
+		}
+	}
+	src.atomOf, buf = newCSR(n, pairs[:atomPairs], buf)
+	src.nbrs, _ = newCSR(n, pairs[atomPairs:], buf)
 	return src
 }
 
@@ -147,50 +187,63 @@ type trel struct {
 // come from the tuple scan, which costs the length of one tuple list.
 const nbWords = 8
 
-// compileTarget compiles b as the right-hand side of a search. Values
-// in extra outside b's active domain get ids too, so restrictions may
+// compileTarget compiles d as the right-hand side of a search. Values
+// in extra outside d's active domain get ids too, so restrictions may
 // name them, but no relation or full domain contains them.
-func compileTarget(b *relstr.Structure, extra []int) *target {
-	dom := b.Domain()
-	vals := dom
+func compileTarget(d *Dense, extra []int) *target {
+	vals, remap := d.Vals, []int32(nil)
 	if len(extra) > 0 {
-		vals = append(append([]int(nil), dom...), extra...)
-		sort.Ints(vals)
-		vals = slices.Compact(vals)
+		vals = slices.Compact(slices.Sorted(slices.Values(append(slices.Clone(d.Vals), extra...))))
+		remap = make([]int32, len(d.Vals))
+		for i, e := range d.Vals {
+			remap[i], _ = idOf(vals, e)
+		}
 	}
 	n := len(vals)
-	t := &target{vals: vals, w: (n + 63) / 64}
-	w := t.w
-	t.all, t.iso = make([]uint64, w), make([]uint64, w)
-	for _, e := range dom {
-		id, _ := idOf(vals, e)
+	w := (n + 63) / 64
+	maxRows, words, ids, positions := 0, 2*w, 0, 0
+	for _, dr := range d.Rels {
+		maxRows = max(maxRows, len(dr.Rows)/dr.Arity)
+		ids, positions = ids+dr.Arity*(n+1)+len(dr.Rows), positions+dr.Arity
+		if words += dr.Arity * w; dr.Arity == 2 && w <= nbWords {
+			words += 2 * n * w
+		}
+	}
+	masks := make([]uint64, words)
+	take := func(k int) []uint64 { m := masks[:k:k]; masks = masks[k:]; return m }
+	t := &target{vals: vals, w: w, all: take(w), iso: take(w), rels: make([]trel, 0, len(d.Rels))}
+	for i := range d.Vals {
+		id := int32(i)
+		if remap != nil {
+			id = remap[i]
+		}
 		set(t.all, id)
 	}
 	copy(t.iso, t.all)
-	for _, name := range b.Relations() {
-		ts := b.Tuples(name)
-		if len(ts) == 0 {
-			continue
-		}
-		ar := b.Arity(name)
-		r := trel{name: name, ar: ar, rows: make([]int32, 0, len(ts)*ar), by: make([]csr, ar), pos: make([]uint64, ar*w)}
-		for _, tu := range ts {
-			for p, e := range tu {
-				id, _ := idOf(vals, e)
-				r.rows = append(r.rows, id)
-				set(r.pos[p*w:], id)
-				clr(t.iso, id)
+	ints, bys := make([]int32, 2*maxRows+ids), make([]csr, positions)
+	pairs, buf := ints[:2*maxRows], ints[2*maxRows:]
+	for _, dr := range d.Rels {
+		ar, nt := dr.Arity, len(dr.Rows)/dr.Arity
+		r := trel{name: dr.Name, ar: ar, rows: dr.Rows, by: bys[:ar:ar], pos: take(ar * w)}
+		bys = bys[ar:]
+		if remap != nil {
+			r.rows = make([]int32, len(dr.Rows))
+			for i, id := range dr.Rows {
+				r.rows[i] = remap[id]
 			}
 		}
-		pairs := make([]int32, 2*len(ts))
+		for i, id := range r.rows {
+			set(r.pos[i%ar*w:], id)
+			clr(t.iso, id)
+		}
 		for p := range r.by {
-			for i := range ts {
+			for i := 0; i < nt; i++ {
 				pairs[2*i], pairs[2*i+1] = r.rows[i*ar+p], int32(i)
 			}
-			r.by[p] = newCSR(n, pairs)
+			r.by[p], buf = newCSR(n, pairs[:2*nt], buf)
 		}
 		if r.ar == 2 && w <= nbWords {
-			r.nb = make([]uint64, 2*n*w)
+			r.nb = take(2 * n * w)
 			for i := 0; i < len(r.rows); i += 2 {
 				x, y := int(r.rows[i]), int(r.rows[i+1])
 				set(r.nb[x*w:], int32(y))
@@ -235,7 +288,6 @@ type search struct {
 	tgt *target
 
 	rel  []int32    // source relation → target relation, or -1
-	pos  [][]uint64 // source relation → position masks in the view
 	drop int32      // target element the view leaves out, or -1
 	vpos [][]uint64 // with a dropped element: target relation → position masks
 	all  []uint64   // with a dropped element: the active domain
@@ -261,24 +313,24 @@ type search struct {
 // cancellation is observed within microseconds on realistic instances.
 const cancelEvery = 256
 
-func newSearch(ctx context.Context, src *source, tgt *target) *search {
+// init sets s up for a search from src into tgt.
+func (s *search) init(ctx context.Context, src *source, tgt *target) {
 	n, w := len(src.vals), tgt.w
 	ints := make([]int32, len(src.rels)+2*n)
 	words := make([]uint64, (3*n+3)*w)
-	s := &search{src: src, tgt: tgt, ctx: ctx, drop: -1,
+	*s = search{src: src, tgt: tgt, ctx: ctx, drop: -1,
 		rel: ints[:len(src.rels)], assign: ints[len(src.rels) : len(src.rels)+n], front: ints[len(src.rels)+n:],
-		pos: make([][]uint64, len(src.rels)), dom: words[:n*w], masks: words[n*w:]}
+		dom: words[:n*w], masks: words[n*w:]}
 	j := 0
-	for i, name := range src.rels {
-		for j < len(tgt.rels) && tgt.rels[j].name < name {
+	for i, r := range src.rels {
+		for j < len(tgt.rels) && tgt.rels[j].name < r.Name {
 			j++
 		}
 		s.rel[i] = -1
-		if j < len(tgt.rels) && tgt.rels[j].name == name && tgt.rels[j].ar == src.ars[i] {
+		if j < len(tgt.rels) && tgt.rels[j].name == r.Name && tgt.rels[j].ar == r.Arity {
 			s.rel[i] = int32(j)
 		}
 	}
-	return s
 }
 
 // start sets the view — the whole target, or with drop ≥ 0 the target
@@ -288,7 +340,7 @@ func newSearch(ctx context.Context, src *source, tgt *target) *search {
 // the pre-assignment. It reports false when a relation is missing, a
 // restricted domain is empty or pre contradicts the domains or the
 // atoms it fully assigns.
-func (s *search) start(drop int32, allowed map[int][]int, pre iter.Seq2[int, int]) bool {
+func (s *search) start(drop int32, allowed map[int][]int, preA, preB []int) bool {
 	w := s.tgt.w
 	s.drop, s.steps = drop, 0
 	all := s.tgt.all
@@ -296,13 +348,7 @@ func (s *search) start(drop int32, allowed map[int][]int, pre iter.Seq2[int, int
 		all = s.view()
 	}
 	for j, r := range s.rel {
-		if r < 0 {
-			return false
-		}
-		if s.pos[j] = s.tgt.rels[r].pos; drop >= 0 {
-			s.pos[j] = s.vpos[r]
-		}
-		if count(s.pos[j][:w]) == 0 {
+		if r < 0 || count(s.pos(j)[:w]) == 0 {
 			return false
 		}
 	}
@@ -323,7 +369,7 @@ func (s *search) start(drop int32, allowed map[int][]int, pre iter.Seq2[int, int
 				if x != int32(i) {
 					continue
 				}
-				if m := s.pos[at.rel][p*w : (p+1)*w]; free {
+				if m := s.pos(at.rel)[p*w : (p+1)*w]; free {
 					copy(d, m)
 					free = false
 				} else {
@@ -337,7 +383,17 @@ func (s *search) start(drop int32, allowed map[int][]int, pre iter.Seq2[int, int
 			return false
 		}
 	}
-	return s.prepare(allowed, pre)
+	return s.prepare(allowed, preA, preB)
+}
+
+// pos returns the position masks, in the view, of the target relation
+// of source relation j.
+func (s *search) pos(j int) []uint64 {
+	if r := s.rel[j]; s.drop < 0 {
+		return s.tgt.rels[r].pos
+	} else {
+		return s.vpos[r]
+	}
 }
 
 // view computes the masks of the target without s.drop, over the
@@ -370,13 +426,14 @@ func (s *search) view() []uint64 {
 }
 
 // prepare clears the assignment and installs pre; see start.
-func (s *search) prepare(allowed map[int][]int, pre iter.Seq2[int, int]) bool {
+func (s *search) prepare(allowed map[int][]int, preA, preB []int) bool {
 	w := s.tgt.w
 	for i := range s.assign {
 		s.assign[i], s.front[i] = unset, 0
 	}
 	s.pins = s.pins[:0]
-	for e, v := range pre {
+	for k, e := range preA {
+		v := preB[k]
 		i, ok := idOf(s.src.vals, e)
 		if !ok {
 			continue // pre may mention elements outside the active domain
@@ -655,8 +712,13 @@ func newCall(ctx context.Context, a, b *relstr.Structure, pre map[int]int, allow
 	for _, list := range allowed {
 		extra = append(extra, list...)
 	}
-	s := newSearch(ctx, compileSource(a), compileTarget(b, extra))
-	if !s.start(-1, allowed, maps.All(pre)) {
+	var preA, preB []int
+	for e, v := range pre {
+		preA, preB = append(preA, e), append(preB, v)
+	}
+	s := &search{}
+	s.init(ctx, compileSource(DenseOf(a)), compileTarget(DenseOf(b), extra))
+	if !s.start(-1, allowed, preA, preB) {
 		return nil
 	}
 	return s

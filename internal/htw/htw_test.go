@@ -190,11 +190,11 @@ func TestQuickCoreOfAcyclicIsAcyclic(t *testing.T) {
 				s.Add("R", rng.Intn(n), rng.Intn(n), rng.Intn(n))
 			}
 		}
-		if !hypergraph.AcyclicStructure(s) {
+		if !hypergraph.FromStructure(s).IsAcyclic() {
 			return true
 		}
 		core, _ := hom.Core(s, nil)
-		return hypergraph.AcyclicStructure(core)
+		return hypergraph.FromStructure(core).IsAcyclic()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -237,114 +237,6 @@ func (h *Hypergraph) IsAcyclic() bool {
 	return ok
 }
 
-// ValidJoinTree checks that jt is a forest over h's edges — every
-// parent chain ends at a root — satisfying the join-tree connectedness
-// condition: for every vertex v, the set of edges containing v induces
-// a connected subtree.
-func (h *Hypergraph) ValidJoinTree(jt JoinTree) bool {
-	n := len(h.Edges)
-	if len(jt.Parent) != n {
-		return false
-	}
-	for _, p := range jt.Parent {
-		if p < -1 || p >= n {
-			return false
-		}
-	}
-	// Adjacency of the forest; a parent chain longer than n has a cycle.
-	adj := make([][]int, n)
-	for i, p := range jt.Parent {
-		if p == -1 {
-			continue
-		}
-		adj[i] = append(adj[i], p)
-		adj[p] = append(adj[p], i)
-		for k := 0; p != -1; k++ {
-			if k == n {
-				return false
-			}
-			p = jt.Parent[p]
-		}
-	}
-	for _, v := range h.Vertices() {
-		var with []int
-		for i, e := range h.Edges {
-			if containsSorted(e, v) {
-				with = append(with, i)
-			}
-		}
-		if len(with) <= 1 {
-			continue
-		}
-		inSet := map[int]bool{}
-		for _, i := range with {
-			inSet[i] = true
-		}
-		// BFS within the restriction.
-		seen := map[int]bool{with[0]: true}
-		queue := []int{with[0]}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			for _, y := range adj[x] {
-				if inSet[y] && !seen[y] {
-					seen[y] = true
-					queue = append(queue, y)
-				}
-			}
-		}
-		if len(seen) != len(with) {
-			return false
-		}
-	}
-	return true
-}
-
-func containsSorted(e []int, v int) bool {
-	i := sort.SearchInts(e, v)
-	return i < len(e) && e[i] == v
-}
-
-// AcyclicStructure reports whether the CQ with tableau s is acyclic
-// (α-acyclic hypergraph). Structures whose elements all lie in 0…63
-// run GYO on bitmasks; the rest take the general GYO.
-func AcyclicStructure(s *relstr.Structure) bool {
-	var buf [16]uint64
-	if edges, ok := AppendEdgeMasks(buf[:0], s); ok {
-		return AcyclicMasks(edges)
-	}
-	return FromStructure(s).IsAcyclic()
-}
-
-// AppendEdgeMasks appends one vertex bitmask per tuple of s to dst —
-// bit e set iff element e occurs in the tuple. It reports false, with
-// dst unspecified, if some element lies outside 0…63.
-func AppendEdgeMasks(dst []uint64, s *relstr.Structure) ([]uint64, bool) {
-	for _, rel := range s.Relations() {
-		for _, t := range s.Tuples(rel) {
-			m, ok := TupleMask(t)
-			if !ok {
-				return dst, false
-			}
-			dst = append(dst, m)
-		}
-	}
-	return dst, true
-}
-
-// TupleMask returns the vertex bitmask of one tuple, or false if some
-// element lies outside 0…63.
-func TupleMask(t []int) (uint64, bool) {
-	var m uint64
-	for _, e := range t {
-		if e < 0 || e >= 64 {
-			return 0, false
-		}
-		m |= 1 << uint(e)
-	}
-	return m, true
-}
-
 // subsumedMask reports whether edge i of edges is contained in another
 // edge.
 func subsumedMask(edges []uint64, i int) bool {
@@ -373,9 +265,10 @@ func FromMasks(edges []uint64) *Hypergraph {
 // atom (duplicates and empty edges allowed). It repeatedly strips ear
 // vertices — those in exactly one live edge — and removes edges
 // contained in another live edge; the hypergraph is α-acyclic iff no
-// non-empty edge survives. edges is used as scratch and overwritten.
+// non-empty edge survives. edges is not modified.
 func AcyclicMasks(edges []uint64) bool {
-	live := edges
+	var buf [32]uint64
+	live := append(buf[:0], edges...)
 	for {
 		// Ear vertices: seen in exactly one live edge.
 		var once, twice uint64

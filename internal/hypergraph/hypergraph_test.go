@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -53,12 +54,12 @@ func TestBermanCyclicTernary(t *testing.T) {
 	// The tableau of Q():-R(x,u,y),R(y,v,z),R(z,w,x) (paper intro):
 	// edges {x,u,y},{y,v,z},{z,w,x} form a β-cycle; α-cyclic as well.
 	q := cq.MustParse("Q() :- R(x,u,y), R(y,v,z), R(z,w,x)")
-	if AcyclicStructure(q.Tableau().S) {
+	if FromStructure(q.Tableau().S).IsAcyclic() {
 		t.Fatal("ternary cycle query should be cyclic")
 	}
 	// Example 6.6's Q'3 = same + R(x1,x3,x5): acyclic.
 	q3 := cq.MustParse("Q() :- R(x1,x2,x3), R(x3,x4,x5), R(x5,x6,x1), R(x1,x3,x5)")
-	if !AcyclicStructure(q3.Tableau().S) {
+	if !FromStructure(q3.Tableau().S).IsAcyclic() {
 		t.Fatal("Q'3 of Example 6.6 should be acyclic")
 	}
 }
@@ -81,7 +82,7 @@ func TestJoinTreeValid(t *testing.T) {
 		if !ok {
 			t.Fatalf("case %d should be acyclic", i)
 		}
-		if !c.h.ValidJoinTree(jt) {
+		if !validJoinTree(c.h, jt) {
 			t.Fatalf("case %d: invalid join tree %v", i, jt.Parent)
 		}
 		roots := 0
@@ -98,11 +99,11 @@ func TestJoinTreeValid(t *testing.T) {
 	// vertex's edges are adjacent.
 	h := New([]int{0, 1}, []int{1, 2}, []int{2, 3})
 	for _, parent := range [][]int{{1, 0, 1}, {1, 2, 0}, {1, 2, 1}} {
-		if h.ValidJoinTree(JoinTree{Parent: parent}) {
+		if validJoinTree(h, JoinTree{Parent: parent}) {
 			t.Fatalf("parent array %v has a cycle, yet validates", parent)
 		}
 	}
-	if h.ValidJoinTree(JoinTree{Parent: []int{1, 2, 3}}) {
+	if validJoinTree(h, JoinTree{Parent: []int{1, 2, 3}}) {
 		t.Fatal("a parent out of range validates")
 	}
 }
@@ -217,9 +218,77 @@ func TestQuickHyperTreesAcyclic(t *testing.T) {
 			}
 		}
 		jt, ok := h.GYO(head)
-		return ok && h.ValidJoinTree(jt)
+		return ok && validJoinTree(h, jt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// validJoinTree checks that jt is a forest over h's edges — every
+// parent chain ends at a root — satisfying the join-tree connectedness
+// condition: for every vertex v, the set of edges containing v induces
+// a connected subtree.
+func validJoinTree(h *Hypergraph, jt JoinTree) bool {
+	n := len(h.Edges)
+	if len(jt.Parent) != n {
+		return false
+	}
+	for _, p := range jt.Parent {
+		if p < -1 || p >= n {
+			return false
+		}
+	}
+	// Adjacency of the forest; a parent chain longer than n has a cycle.
+	adj := make([][]int, n)
+	for i, p := range jt.Parent {
+		if p == -1 {
+			continue
+		}
+		adj[i] = append(adj[i], p)
+		adj[p] = append(adj[p], i)
+		for k := 0; p != -1; k++ {
+			if k == n {
+				return false
+			}
+			p = jt.Parent[p]
+		}
+	}
+	for _, v := range h.Vertices() {
+		var with []int
+		for i, e := range h.Edges {
+			if containsSorted(e, v) {
+				with = append(with, i)
+			}
+		}
+		if len(with) <= 1 {
+			continue
+		}
+		inSet := map[int]bool{}
+		for _, i := range with {
+			inSet[i] = true
+		}
+		// BFS within the restriction.
+		seen := map[int]bool{with[0]: true}
+		queue := []int{with[0]}
+		for len(queue) > 0 {
+			x := queue[0]
+			queue = queue[1:]
+			for _, y := range adj[x] {
+				if inSet[y] && !seen[y] {
+					seen[y] = true
+					queue = append(queue, y)
+				}
+			}
+		}
+		if len(seen) != len(with) {
+			return false
+		}
+	}
+	return true
+}
+
+func containsSorted(e []int, v int) bool {
+	i := sort.SearchInts(e, v)
+	return i < len(e) && e[i] == v
 }

@@ -2,6 +2,7 @@ package relstr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -184,7 +185,17 @@ func (c *canonSearch) dfs(colors map[int]string) bool {
 		}
 		return true
 	}
+	// Twins — elements whose swap maps every fact to a fact — lead to
+	// subtrees that the swap maps onto each other, rendering the same
+	// leaves: one element per twin class is individualized. Twin-ness
+	// is an isomorphism-invariant equivalence, so the size of the
+	// pruned tree is an invariant too.
+	var reps []int
 	for _, e := range byColor[targetColor] {
+		if slices.ContainsFunc(reps, func(r int) bool { return c.twins(r, e) }) {
+			continue
+		}
+		reps = append(reps, e)
 		next := make(map[int]string, len(colors))
 		for k, v := range colors {
 			next[k] = v
@@ -192,6 +203,33 @@ func (c *canonSearch) dfs(colors map[int]string) bool {
 		next[e] = next[e] + "*"
 		if !c.dfs(refineFrom(c.s, next)) {
 			return false
+		}
+	}
+	return true
+}
+
+// twins reports whether swapping a and b maps every fact of c.s to a
+// fact. The two share a color class, so neither is distinguished.
+func (c *canonSearch) twins(a, b int) bool {
+	swap := func(e int) int {
+		switch e {
+		case a:
+			return b
+		case b:
+			return a
+		}
+		return e
+	}
+	img := make([]int, 0, c.s.MaxArity())
+	for _, name := range c.s.Relations() {
+		for _, t := range c.s.Tuples(name) {
+			img = img[:0]
+			for _, e := range t {
+				img = append(img, swap(e))
+			}
+			if !slices.Equal(img, t) && !c.s.Has(name, img...) {
+				return false
+			}
 		}
 	}
 	return true

@@ -37,33 +37,6 @@ func mix64(h uint64) uint64 {
 	return h ^ (h >> 31)
 }
 
-// FactHash hashes the fact name(t). SetHash sums it over a
-// structure's facts, so the hash of a structure grown by facts it did
-// not hold is the old hash plus theirs.
-func FactHash(name string, t []int) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a over the relation name
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	for _, v := range t {
-		h = mix64(h ^ uint64(v))
-	}
-	return mix64(h)
-}
-
-// SetHash returns an order-independent hash of the facts of s: equal
-// structures hash equally whatever their insertion order. Registered
-// extra elements do not contribute.
-func (s *Structure) SetHash() uint64 {
-	var h uint64
-	for name, r := range s.rels {
-		for _, t := range r.set.Rows() {
-			h += FactHash(name, t)
-		}
-	}
-	return h
-}
-
 // TupleSet is a deduplicated, insertion-ordered set of integer tuples,
 // indexed by an open-addressed bucket table over integer hashes. The
 // zero value is ready to use. Not safe for concurrent mutation.

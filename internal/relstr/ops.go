@@ -1,7 +1,5 @@
 package relstr
 
-import "sort"
-
 // Map returns the homomorphic image of s under f: the structure whose
 // facts are R(f(t̄)) for every fact R(t̄) of s. Registered extra
 // elements are mapped as well. f must be defined (total) on the active
@@ -84,23 +82,6 @@ func DisjointUnion(s, o *Structure) (*Structure, int) {
 	return out, offset
 }
 
-// Partition represents a partition of a finite element set as a map
-// from element to block representative (the minimum element of the
-// block).
-type Partition map[int]int
-
-// QuotientBy returns the quotient of s by the partition p: every
-// element is replaced by its block representative. Elements absent from
-// p map to themselves.
-func (s *Structure) QuotientBy(p Partition) *Structure {
-	return s.Map(func(e int) int {
-		if r, ok := p[e]; ok {
-			return r
-		}
-		return e
-	})
-}
-
 // ForEachPartition enumerates the set partitions of the positions
 // 0…n−1 finest first: all partitions into n blocks, then n−1, …, then
 // the single block. Partitions with more blocks come first, so every
@@ -142,29 +123,4 @@ func ForEachPartition(n int, fn func(block []int, k int) bool) bool {
 		}
 	}
 	return true
-}
-
-// Blocks returns the blocks of p over the given universe, each sorted,
-// with blocks ordered by their representative.
-func (p Partition) Blocks(universe []int) [][]int {
-	by := map[int][]int{}
-	for _, e := range universe {
-		r, ok := p[e]
-		if !ok {
-			r = e
-		}
-		by[r] = append(by[r], e)
-	}
-	reps := make([]int, 0, len(by))
-	for r := range by {
-		reps = append(reps, r)
-	}
-	sort.Ints(reps)
-	out := make([][]int, 0, len(reps))
-	for _, r := range reps {
-		b := by[r]
-		sort.Ints(b)
-		out = append(out, b)
-	}
-	return out
 }

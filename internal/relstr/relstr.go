@@ -308,29 +308,6 @@ func (s *Structure) Equal(o *Structure) bool {
 	return true
 }
 
-// ContainedIn reports whether every fact of s is a fact of o (the
-// paper's "D1 is contained in D2": relation-wise ⊆).
-func (s *Structure) ContainedIn(o *Structure) bool {
-	for name, r := range s.rels {
-		or, ok := o.rels[name]
-		if !ok {
-			if r.set.Len() == 0 {
-				continue
-			}
-			return false
-		}
-		if or.arity != r.arity {
-			return false
-		}
-		for _, t := range r.set.Rows() {
-			if !or.set.Has(t) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // String renders the structure deterministically, e.g.
 // "E(0,1) E(1,2) R(0,0,3)".
 func (s *Structure) String() string {

@@ -3,6 +3,8 @@ package relstr
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -91,7 +93,7 @@ func TestCloneIndependence(t *testing.T) {
 	if s.Has("E", 2, 3) {
 		t.Fatal("Clone shares state with original")
 	}
-	if !s.ContainedIn(c) || c.ContainedIn(s) {
+	if !containedIn(s, c) || containedIn(c, s) {
 		t.Fatal("containment after clone+add is wrong")
 	}
 }
@@ -125,7 +127,7 @@ func TestInducedAndWithout(t *testing.T) {
 	if sub.NumFacts() != 1 || !sub.Has("E", 0, 1) {
 		t.Fatalf("Without(2) = %v", sub)
 	}
-	if !sub.ContainedIn(s) || s.ContainedIn(sub) {
+	if !containedIn(sub, s) || containedIn(s, sub) {
 		t.Fatal("induced substructure containment broken")
 	}
 }
@@ -215,9 +217,8 @@ func TestPartitionBlocks(t *testing.T) {
 		p := partitionOf(elems, block)
 		if p[0] == p[1] && p[2] != p[0] {
 			found = true
-			blocks := p.Blocks(elems)
-			if len(blocks) != 2 || len(blocks[0]) != 2 || blocks[0][0] != 0 || blocks[0][1] != 1 {
-				t.Errorf("Blocks = %v", blocks)
+			if p[0] != 0 || p[2] != 2 || fmt.Sprint(block) != "[0 0 1]" {
+				t.Errorf("partition {0,1}{2} = %v from %v", p, block)
 			}
 			return false
 		}
@@ -228,11 +229,10 @@ func TestPartitionBlocks(t *testing.T) {
 	}
 }
 
-// partitionOf is the Partition of the sorted elems that the
-// restricted-growth string block describes: each element maps to the
-// least element of its block.
-func partitionOf(elems, block []int) Partition {
-	p := make(Partition, len(elems))
+// partitionOf maps each of the sorted elems to the least element of
+// its block in the restricted-growth string block.
+func partitionOf(elems, block []int) map[int]int {
+	p := make(map[int]int, len(elems))
 	rep := map[int]int{}
 	for j, e := range elems {
 		r, ok := rep[block[j]]
@@ -245,14 +245,24 @@ func partitionOf(elems, block []int) Partition {
 	return p
 }
 
+// quotientBy is the quotient of s by the partition p, given as element
+// → block representative: s.Map by p, elements absent from p fixed.
+func quotientBy(s *Structure, p map[int]int) *Structure {
+	return s.Map(func(e int) int {
+		if r, ok := p[e]; ok {
+			return r
+		}
+		return e
+	})
+}
+
 func TestQuotientByContainsImageFacts(t *testing.T) {
 	s := New()
 	s.Add("R", 1, 2, 3)
 	s.Add("R", 3, 4, 5)
-	p := Partition{1: 1, 3: 1, 5: 1, 2: 2, 4: 2}
-	q := s.QuotientBy(p)
+	q := quotientBy(s, map[int]int{1: 1, 3: 1, 5: 1, 2: 2, 4: 2})
 	if !q.Has("R", 1, 2, 1) || !q.Has("R", 1, 2, 1) {
-		t.Fatalf("QuotientBy = %v", q)
+		t.Fatalf("quotient = %v", q)
 	}
 	if q.DomainSize() != 2 {
 		t.Fatalf("quotient domain = %v", q.Domain())
@@ -335,7 +345,7 @@ func TestQuickQuotientShrinks(t *testing.T) {
 		}
 		ok := true
 		ForEachPartition(len(dom), func(block []int, _ int) bool {
-			q := s.QuotientBy(partitionOf(dom, block))
+			q := quotientBy(s, partitionOf(dom, block))
 			if q.NumFacts() > s.NumFacts() || q.DomainSize() > s.DomainSize() {
 				ok = false
 				return false
@@ -356,4 +366,69 @@ func randomStructure(rng *rand.Rand, n, edges int) *Structure {
 		s.Add("E", rng.Intn(n), rng.Intn(n))
 	}
 	return s
+}
+
+// leafChain is A(x,h), B(h,z), L(h,y0), …, L(h,y(k−1)) over elements
+// x, h, z, y0… given by name, with the facts in the given order and
+// the distinguished tuple (x, z).
+func leafChain(k int, name func(int) int, reversed bool) (*Structure, []int) {
+	type fact struct {
+		rel  string
+		args []int
+	}
+	facts := []fact{{"A", []int{0, 1}}, {"B", []int{1, 2}}}
+	for i := 0; i < k; i++ {
+		facts = append(facts, fact{"L", []int{1, 3 + i}})
+	}
+	if reversed {
+		slices.Reverse(facts)
+	}
+	s := New()
+	for _, f := range facts {
+		s.Add(f.rel, name(f.args[0]), name(f.args[1]))
+	}
+	return s, []int{name(0), name(2)}
+}
+
+// The canonical-form search individualizes one leaf per twin class: a
+// 12-leaf chain, whose leaves are all interchangeable, completes the
+// exact search in a single labelling, and a renamed, reordered copy
+// gets the same exact key.
+func TestCanonicalKeyPrunesTwins(t *testing.T) {
+	s, dist := leafChain(12, func(e int) int { return e }, false)
+	c := &canonSearch{s: s, dist: dist}
+	if !c.dfs(refine(s, dist)) || c.leaves != 1 {
+		t.Fatalf("the 12-leaf chain rendered %d leaves, want 1", c.leaves)
+	}
+	key := CanonicalKey(s, dist)
+	if !strings.HasPrefix(key, "c|") {
+		t.Fatalf("key %q is not exact", key)
+	}
+	r, rdist := leafChain(12, func(e int) int { return 100 - 7*e }, true)
+	if got := CanonicalKey(r, rdist); got != key {
+		t.Fatalf("renamed copy has key %q, want %q", got, key)
+	}
+}
+
+// containedIn reports whether every fact of s is a fact of o (the
+// paper's "D1 is contained in D2": relation-wise ⊆).
+func containedIn(s, o *Structure) bool {
+	for name, r := range s.rels {
+		or, ok := o.rels[name]
+		if !ok {
+			if r.set.Len() == 0 {
+				continue
+			}
+			return false
+		}
+		if or.arity != r.arity {
+			return false
+		}
+		for _, t := range r.set.Rows() {
+			if !or.set.Has(t) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -55,7 +55,9 @@ const triangleTW1Key = "Y3xuMztkMCw7RSgyKTowLDJ8MSwwfDIsMQBjb3JlLnR3Q2xhc3M6VFco
 // renaming at prepare time, sorted answer sets, fixed error strings).
 func TestEndpointGolden(t *testing.T) {
 	c11 := "Q() :- E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x5), E(x5,x6), E(x6,x7), E(x7,x8), E(x8,x9), E(x9,x10), E(x10,x0)"
-	c9 := "Q() :- E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x5), E(x5,x6), E(x6,x7), E(x7,x8), E(x8,x0)"
+	// C10 into TW(1) searches Bell(10) partitions, about a quarter of
+	// a second on a 2-vCPU host: far past the 30 ms deadline below.
+	c10 := "Q() :- E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x5), E(x5,x6), E(x6,x7), E(x7,x8), E(x8,x9), E(x9,x0)"
 	steps := []struct {
 		name       string
 		path, body string
@@ -198,7 +200,7 @@ func TestEndpointGolden(t *testing.T) {
 		{
 			name:       "deadline mid-search: 504 canceled",
 			path:       "/v1/prepare",
-			body:       `{"query":"` + c9 + `","class":"TW1","timeout_ms":30}`,
+			body:       `{"query":"` + c10 + `","class":"TW1","timeout_ms":30}`,
 			wantStatus: 504,
 			wantBody:   `{"error":{"code":"canceled","message":"canceled: context deadline exceeded"}}`,
 		},

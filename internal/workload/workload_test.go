@@ -92,7 +92,7 @@ func TestTernaryCycleQuery(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if hypergraph.AcyclicStructure(q.Tableau().S) {
+	if hypergraph.FromStructure(q.Tableau().S).IsAcyclic() {
 		t.Fatal("ternary cycle should be cyclic")
 	}
 	if q.NumVars() != 6 {
