@@ -36,6 +36,24 @@ func preparedBenchCase(b *testing.B, engine *Engine, c workload.EvalBenchCase) *
 	return p
 }
 
+// benchProbes runs call b.N times and reports the index probes one call
+// makes (the plan's IndexStats().IndexProbes delta) as probes/op. The
+// count depends on the plan's shape and the data, not on the host, so
+// the benchmark fails if two calls probe different counts.
+func benchProbes(b *testing.B, p *PreparedQuery, call func()) {
+	var per uint64
+	for i := 0; i < b.N; i++ {
+		before := p.IndexStats().IndexProbes
+		call()
+		n := p.IndexStats().IndexProbes - before
+		if i > 0 && n != per {
+			b.Fatalf("call %d probed %d rows, call %d probed %d", i, n, i-1, per)
+		}
+		per = n
+	}
+	b.ReportMetric(float64(per), "probes/op")
+}
+
 func BenchmarkIndexedJoin(b *testing.B) {
 	ctx := context.Background()
 	engine := NewEngine()
@@ -44,7 +62,7 @@ func BenchmarkIndexedJoin(b *testing.B) {
 		for _, n := range c.Sizes {
 			db := workload.EvalBenchDB(n)
 			b.Run(fmt.Sprintf("%s/N%d", c.Name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
+				benchProbes(b, p, func() {
 					ans, err := p.Eval(ctx, db)
 					if err != nil {
 						b.Fatal(err)
@@ -52,7 +70,7 @@ func BenchmarkIndexedJoin(b *testing.B) {
 					if len(ans) == 0 {
 						b.Fatal("no answers")
 					}
-				}
+				})
 			})
 		}
 	}
@@ -269,7 +287,7 @@ func BenchmarkLeafChain(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(c.name+"/k12", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			benchProbes(b, p, func() {
 				ans, err := bq.Eval(ctx)
 				if err != nil {
 					b.Fatal(err)
@@ -277,7 +295,7 @@ func BenchmarkLeafChain(b *testing.B) {
 				if len(ans) != 16 {
 					b.Fatalf("%d answers, want 16", len(ans))
 				}
-			}
+			})
 		})
 	}
 }
@@ -322,11 +340,11 @@ func BenchmarkCyclicEval(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			benchProbes(b, p, func() {
 				if _, err := bq.Eval(ctx); err != nil {
 					b.Fatal(err)
 				}
-			}
+			})
 		})
 	}
 }

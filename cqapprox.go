@@ -68,9 +68,7 @@ import (
 	"cqapprox/internal/cq"
 	"cqapprox/internal/eval"
 	"cqapprox/internal/hom"
-	"cqapprox/internal/htw"
 	"cqapprox/internal/relstr"
-	"cqapprox/internal/tw"
 )
 
 // Query is a conjunctive query in rule form (see Parse).
@@ -324,10 +322,10 @@ func NaiveEvalCtx(ctx context.Context, q *Query, db *Structure) (Answers, error)
 }
 
 // Treewidth returns the treewidth of q (of its Gaifman graph).
-func Treewidth(q *Query) int { return tw.StructureTreewidth(q.Tableau().S) }
+func Treewidth(q *Query) int { return core.Treewidth(q.Tableau().S) }
 
 // IsAcyclic reports α-acyclicity of q's hypergraph.
 func IsAcyclic(q *Query) bool { return core.AC().Contains(q.Tableau().S) }
 
 // HypertreeWidth returns the hypertree width of q's hypergraph.
-func HypertreeWidth(q *Query) int { return htw.StructureWidth(q.Tableau().S) }
+func HypertreeWidth(q *Query) int { return core.HypertreeWidth(q.Tableau().S) }

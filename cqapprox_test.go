@@ -2,6 +2,8 @@ package cqapprox
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -63,6 +65,20 @@ func TestFacadeMinimizeAndEquivalence(t *testing.T) {
 	m := Minimize(q)
 	if len(m.Atoms) != 1 || !Equivalent(q, m) || !IsMinimized(m) {
 		t.Fatalf("Minimize = %v", m)
+	}
+}
+
+// The treewidth of a path query answers past the exact computation's
+// 24 variables, and past 64: a forest needs no elimination order.
+func TestFacadeTreewidthOfLongPaths(t *testing.T) {
+	for _, n := range []int{30, 70} {
+		var atoms []string
+		for i := 0; i < n; i++ {
+			atoms = append(atoms, fmt.Sprintf("E(x%d,x%d)", i, i+1))
+		}
+		if w := Treewidth(MustParse("Q() :- " + strings.Join(atoms, ", "))); w != 1 {
+			t.Fatalf("the %d-atom path has treewidth %d, want 1", n, w)
+		}
 	}
 }
 

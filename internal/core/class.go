@@ -27,10 +27,10 @@ import (
 // Class is a class of conjunctive queries defined through a property of
 // their tableaux. Implementations must be decidable membership tests.
 //
-// The built-in classes test the search's candidates on their flat form,
-// one vertex bitmask per atom, and their Contains flattens its input
-// into that form. The search hands any other implementation each
-// candidate as a built Structure, through Contains.
+// The built-in classes test a tableau on its hypergraph, one edge per
+// atom (flatClass), at any size; their Contains flattens its input into
+// that form. The search hands any other implementation each candidate
+// as a built Structure, through Contains.
 type Class interface {
 	// Name is a short identifier such as "TW(1)" or "AC". Within one
 	// concrete implementation type, Name must uniquely identify the
@@ -50,36 +50,37 @@ type Class interface {
 	GraphBased() bool
 }
 
-// maskClass is implemented by the built-in classes, whose membership
-// depends on the query's (hyper)graph alone. containsMasks tests the
-// tableau given as one vertex bitmask per atom over the vertices
-// 0…n−1, n ≤ 64.
-type maskClass interface {
-	containsMasks(n int, edges []uint64) bool
+// flatClass is implemented by the built-in classes, whose membership
+// depends on the query's (hyper)graph alone: containsFlat tests the
+// tableau given as its hypergraph.
+type flatClass interface {
+	containsFlat(h hypergraph.Hypergraph) bool
 }
 
-// containsStructure is a built-in class's Contains: s flattened to
-// edge masks over its elements renumbered densely, or past 64 elements,
-// where masks do not reach, the general test.
-func containsStructure(c maskClass, s *relstr.Structure, general func() bool) bool {
+// hypergraphOf returns the hypergraph of s: one edge per fact, over its
+// elements renumbered densely.
+func hypergraphOf(s *relstr.Structure) hypergraph.Hypergraph {
 	d := hom.DenseOf(s)
-	if len(d.Vals) > 64 {
-		return general()
-	}
-	return c.containsMasks(len(d.Vals), edgeMasks(nil, d))
+	w := hypergraph.Words(len(d.Vals))
+	return hypergraph.Hypergraph{N: len(d.Vals), W: w, E: edgeSets(nil, d, w)}
 }
+
+// Treewidth returns the treewidth of the CQ with tableau s (of its
+// Gaifman graph G(Q)). A forest answers at any size; past that, the
+// exact computation is limited to tw.MaxExactN elements, and panics
+// beyond.
+func Treewidth(s *relstr.Structure) int { return tw.Gaifman(hypergraphOf(s)).Treewidth() }
+
+// HypertreeWidth returns the hypertree width of the CQ with tableau s.
+func HypertreeWidth(s *relstr.Structure) int { return htw.Width(hypergraphOf(s)) }
 
 // twClass is TW(k): queries whose Gaifman graph has treewidth ≤ k.
 type twClass struct{ k int }
 
-func (c twClass) Name() string { return fmt.Sprintf("TW(%d)", c.k) }
-func (c twClass) Contains(s *relstr.Structure) bool {
-	return containsStructure(c, s, func() bool { return tw.StructureTreewidthAtMost(s, c.k) })
-}
-func (c twClass) GraphBased() bool { return true }
-func (c twClass) containsMasks(n int, edges []uint64) bool {
-	return tw.FromMasks(n, edges).TreewidthAtMost(c.k)
-}
+func (c twClass) Name() string                              { return fmt.Sprintf("TW(%d)", c.k) }
+func (c twClass) Contains(s *relstr.Structure) bool         { return c.containsFlat(hypergraphOf(s)) }
+func (c twClass) GraphBased() bool                          { return true }
+func (c twClass) containsFlat(h hypergraph.Hypergraph) bool { return tw.AtMost(h, c.k) }
 
 // TW returns the graph-based class of treewidth-≤ k queries.
 func TW(k int) Class {
@@ -92,12 +93,10 @@ func TW(k int) Class {
 // acClass is AC: α-acyclic queries (hypertree width 1).
 type acClass struct{}
 
-func (acClass) Name() string { return "AC" }
-func (c acClass) Contains(s *relstr.Structure) bool {
-	return containsStructure(c, s, func() bool { return hypergraph.FromStructure(s).IsAcyclic() })
-}
-func (acClass) GraphBased() bool                         { return false }
-func (acClass) containsMasks(_ int, edges []uint64) bool { return hypergraph.AcyclicMasks(edges) }
+func (acClass) Name() string                              { return "AC" }
+func (c acClass) Contains(s *relstr.Structure) bool       { return c.containsFlat(hypergraphOf(s)) }
+func (acClass) GraphBased() bool                          { return false }
+func (acClass) containsFlat(h hypergraph.Hypergraph) bool { return h.Acyclic() }
 
 // AC returns the hypergraph-based class of acyclic queries.
 func AC() Class { return acClass{} }
@@ -105,14 +104,10 @@ func AC() Class { return acClass{} }
 // htwClass is HTW(k): hypertree width ≤ k.
 type htwClass struct{ k int }
 
-func (c htwClass) Name() string { return fmt.Sprintf("HTW(%d)", c.k) }
-func (c htwClass) Contains(s *relstr.Structure) bool {
-	return containsStructure(c, s, func() bool { return htw.StructureAtMost(s, c.k) })
-}
-func (c htwClass) GraphBased() bool { return false }
-func (c htwClass) containsMasks(_ int, edges []uint64) bool {
-	return htw.AtMost(hypergraph.FromMasks(edges), c.k)
-}
+func (c htwClass) Name() string                              { return fmt.Sprintf("HTW(%d)", c.k) }
+func (c htwClass) Contains(s *relstr.Structure) bool         { return c.containsFlat(hypergraphOf(s)) }
+func (c htwClass) GraphBased() bool                          { return false }
+func (c htwClass) containsFlat(h hypergraph.Hypergraph) bool { return htw.AtMost(h, c.k) }
 
 // HTW returns the hypergraph-based class of hypertree-width-≤ k
 // queries. HTW(1) coincides with AC.
@@ -126,14 +121,10 @@ func HTW(k int) Class {
 // ghtwClass is GHTW(k): generalized hypertree width ≤ k.
 type ghtwClass struct{ k int }
 
-func (c ghtwClass) Name() string { return fmt.Sprintf("GHTW(%d)", c.k) }
-func (c ghtwClass) Contains(s *relstr.Structure) bool {
-	return containsStructure(c, s, func() bool { return htw.GHTWAtMost(hypergraph.FromStructure(s), c.k) })
-}
-func (c ghtwClass) GraphBased() bool { return false }
-func (c ghtwClass) containsMasks(_ int, edges []uint64) bool {
-	return htw.GHTWAtMost(hypergraph.FromMasks(edges), c.k)
-}
+func (c ghtwClass) Name() string                              { return fmt.Sprintf("GHTW(%d)", c.k) }
+func (c ghtwClass) Contains(s *relstr.Structure) bool         { return c.containsFlat(hypergraphOf(s)) }
+func (c ghtwClass) GraphBased() bool                          { return false }
+func (c ghtwClass) containsFlat(h hypergraph.Hypergraph) bool { return htw.GHTWAtMost(h, c.k) }
 
 // GHTW returns the hypergraph-based class of generalized-hypertree-
 // width-≤ k queries.

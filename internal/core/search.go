@@ -7,6 +7,7 @@ import (
 	"cqapprox/internal/cq"
 	"cqapprox/internal/cqerr"
 	"cqapprox/internal/hom"
+	"cqapprox/internal/hypergraph"
 	"cqapprox/internal/relstr"
 )
 
@@ -16,9 +17,10 @@ import (
 // array by a partition's restricted-growth string and drops duplicate
 // atoms; an extension appends pool atoms to it. A candidate is never a
 // map-backed Structure while it is searched: the built-in classes test
-// it on one vertex bitmask per atom (maskClass), and the front compiles
-// its homomorphism operands straight from the flat atoms. Only a
-// user-defined class gets a built Structure to test, through Contains.
+// it on its hypergraph (flatClass), one word per atom up to 64
+// elements, and the front compiles its homomorphism operands straight
+// from the flat atoms. Only a user-defined class gets a built Structure
+// to test, through Contains.
 
 // flatCand is a candidate tableau in flat form: the hom.Dense whose Vals are
 // its labels — block representatives, the least element of each block,
@@ -119,16 +121,16 @@ func (c *flatCand) clone() *flatCand {
 	return out
 }
 
-// edgeMasks appends one vertex bitmask per atom of d to dst: bit i set
-// iff dense id i occurs in the atom. d must have at most 64 elements.
-func edgeMasks(dst []uint64, d *hom.Dense) []uint64 {
+// edgeSets appends one vertex set of w words per atom of d to dst: bit
+// i%64 of word i/64 set iff dense id i occurs in the atom.
+func edgeSets(dst []uint64, d *hom.Dense, w int) []uint64 {
 	for _, r := range d.Rels {
 		for t := 0; t < len(r.Rows); t += r.Arity {
-			var m uint64
+			at := len(dst)
+			dst = append(dst, make([]uint64, w)...)
 			for _, id := range r.Rows[t : t+r.Arity] {
-				m |= 1 << uint(id)
+				dst[at+int(id>>6)] |= 1 << uint(id&63)
 			}
-			dst = append(dst, m)
 		}
 	}
 	return dst
@@ -161,7 +163,9 @@ func forEachCandidate(ctx context.Context, tb *cq.Tableau, c Class, opt Options,
 	}
 	n := len(order)
 	sw := &sweep{c: c, opt: opt, fn: fn, seen: map[uint64][]*flatCand{}}
-	sw.masks, _ = c.(maskClass)
+	sw.flat, _ = c.(flatClass)
+	// An extension adds at most MaxExtraAtoms·FreshVars elements.
+	sw.vw = hypergraph.Words(n + opt.MaxExtraAtoms*opt.FreshVars)
 	sw.words = (n*(n-1)/2 + 63) / 64
 	sw.mask = make([]uint64, sw.words)
 	// T_Q's elements are 0…n−1; an argument is its element's position
@@ -227,7 +231,7 @@ func forEachCandidate(ctx context.Context, tb *cq.Tableau, c Class, opt Options,
 		for i, d := range tb.Dist {
 			sw.cur.dist[i] = rep[block[pos[d]]]
 		}
-		sw.edges = edgeMasks(sw.edges[:0], &sw.cur.Dense)
+		sw.edges = edgeSets(sw.edges[:0], &sw.cur.Dense, sw.vw)
 		if sw.contains() {
 			sw.finest = append(sw.finest, sw.mask...)
 			return sw.offer()
@@ -244,17 +248,18 @@ func forEachCandidate(ctx context.Context, tb *cq.Tableau, c Class, opt Options,
 
 // sweep is the state of one candidate enumeration.
 type sweep struct {
-	c     Class
-	masks maskClass // nil: test candidates through Contains
-	opt   Options
-	fn    func(*flatCand) bool
+	c    Class
+	flat flatClass // nil: test candidates through Contains
+	opt  Options
+	fn   func(*flatCand) bool
 
 	// tableau is T_Q's atoms per relation, over positions of the
 	// partition order; cur is the candidate under test, a quotient with
 	// the current extension's atoms appended.
 	tableau []hom.DenseRel
 	cur     flatCand
-	edges   []uint64 // cur's edge masks, one per atom
+	edges   []uint64 // cur's hypergraph: one vertex set of vw words per atom
+	vw      int
 
 	// words is the length of a same-block-pair bitmask: bit
 	// j(j−1)/2+i is set iff positions i < j share a block. mask is the
@@ -310,12 +315,11 @@ func (sw *sweep) coarsensInClass(block []int) bool {
 	return false
 }
 
-// contains tests cur against the class: on its edge masks, in edges,
-// for a built-in class, on a built Structure for any other or past 64
-// elements.
+// contains tests cur against the class: on its hypergraph, in edges,
+// for a built-in class, on a built Structure for any other.
 func (sw *sweep) contains() bool {
-	if n := len(sw.cur.Vals); sw.masks != nil && n <= 64 {
-		return sw.masks.containsMasks(n, sw.edges)
+	if sw.flat != nil {
+		return sw.flat.containsFlat(hypergraph.Hypergraph{N: len(sw.cur.Vals), W: sw.vw, E: sw.edges})
 	}
 	return sw.c.Contains(sw.cur.pointed().S)
 }
@@ -402,8 +406,8 @@ func (sw *sweep) buildPool(k int) {
 }
 
 // tryExtension appends the chosen pool atoms to the quotient cur over k
-// elements, and their masks to its edges, offers the result if it is in
-// the class and truncates both back. Fresh variables are disjoint
+// elements, and their vertex sets to its edges, offers the result if it
+// is in the class and truncates both back. Fresh variables are disjoint
 // across atoms: the atom in slot j labels its fresh variable f as the
 // quotient's largest label plus 1 + j·FreshVars + f.
 func (sw *sweep) tryExtension(k int) bool {
@@ -416,15 +420,15 @@ func (sw *sweep) tryExtension(k int) bool {
 	for slot, pi := range sw.chosen {
 		at := sw.pool[pi]
 		r := &sw.cur.Rels[at.rel]
-		var m uint64
+		e := len(sw.edges)
+		sw.edges = append(sw.edges, make([]uint64, sw.vw)...)
 		for _, a := range sw.poolArgs[at.off : at.off+r.Arity] {
 			if a >= int32(k) {
 				a += next - int32(k)
 			}
 			r.Rows = append(r.Rows, a)
-			m |= 1 << uint(a)
+			sw.edges[e+int(a>>6)] |= 1 << uint(a&63)
 		}
-		sw.edges = append(sw.edges, m)
 		for f := 0; f < at.fresh; f++ {
 			sw.cur.Vals = append(sw.cur.Vals, freshBase+slot*sw.opt.FreshVars+f)
 		}

@@ -275,29 +275,33 @@ func TestACAndHTW1Agree(t *testing.T) {
 	}
 }
 
-// The built-in classes' Contains flattens a structure to edge masks
-// over its elements renumbered densely, and past 64 elements takes the
-// general test; both agree with the definitions.
+// The built-in classes' Contains flattens a structure to its
+// hypergraph over its elements renumbered densely, at any size; it
+// agrees with the width tests on the hypergraph over the elements as
+// they are.
 func TestBuiltinContainsMatchesDefinitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		s := relstr.New()
+		var edges [][]int
 		for k := 1 + rng.Intn(7); k > 0; k-- {
 			e := func() int { return 3 * rng.Intn(6) } // sparse element ids
 			if rng.Intn(2) == 0 {
-				s.Add("E", e(), e())
+				edges = append(edges, []int{e(), e()})
+				s.Add("E", edges[len(edges)-1]...)
 			} else {
-				s.Add("R", e(), e(), e())
+				edges = append(edges, []int{e(), e(), e()})
+				s.Add("R", edges[len(edges)-1]...)
 			}
 		}
-		h := hypergraph.FromStructure(s)
+		h := hypergraph.New(16, edges...)
 		for _, c := range []struct {
 			c    Class
 			want bool
 		}{
-			{TW(1), tw.StructureTreewidthAtMost(s, 1)},
-			{TW(2), tw.StructureTreewidthAtMost(s, 2)},
-			{AC(), h.IsAcyclic()},
+			{TW(1), tw.AtMost(h, 1)},
+			{TW(2), tw.AtMost(h, 2)},
+			{AC(), h.Acyclic()},
 			{HTW(2), htw.AtMost(h, 2)},
 			{GHTW(2), htw.GHTWAtMost(h, 2)},
 		} {
@@ -313,5 +317,35 @@ func TestBuiltinContainsMatchesDefinitions(t *testing.T) {
 	}
 	if !AC().Contains(path) || AC().Contains(cycle) || !AC().Contains(relstr.New()) {
 		t.Fatal("AC: the 71-element path and the empty structure are acyclic, the 70-cycle is not")
+	}
+}
+
+// TW(k) answers on forests of any size without the exact treewidth
+// computation, which is limited to tw.MaxExactN elements: long paths
+// and a 70-leaf star are in TW(1) and TW(2) with treewidth 1, and a
+// 70-cycle is not in TW(1).
+func TestTWOnLongForests(t *testing.T) {
+	path := func(n int) *relstr.Structure {
+		s := relstr.New()
+		for i := 0; i < n; i++ {
+			s.Add("E", i, i+1)
+		}
+		return s
+	}
+	star, cycle := relstr.New(), relstr.New()
+	for i := 0; i < 70; i++ {
+		star.Add("E", 0, i+1)
+		cycle.Add("E", i, (i+1)%70)
+	}
+	for name, s := range map[string]*relstr.Structure{"30-path": path(30), "70-path": path(70), "70-star": star} {
+		if !TW(1).Contains(s) || !TW(2).Contains(s) {
+			t.Fatalf("the %s is in TW(1) and TW(2)", name)
+		}
+		if w := Treewidth(s); w != 1 {
+			t.Fatalf("the %s has treewidth %d, want 1", name, w)
+		}
+	}
+	if TW(1).Contains(cycle) {
+		t.Fatal("the 70-cycle is not in TW(1)")
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"cqapprox/internal/cq"
 	"cqapprox/internal/cqerr"
+	"cqapprox/internal/hypergraph"
 	"cqapprox/internal/relstr"
 	"cqapprox/internal/tw"
 )
@@ -217,16 +218,21 @@ func TestBagDecomposition(t *testing.T) {
 	for _, src := range approx {
 		q := cq.MustParse(src)
 		tb := q.Tableau()
-		g, _ := tw.FromStructure(tb.S)
+		n := tb.S.DomainSize()
+		var atoms [][]int
 		var edges [][2]int
-		for u := 0; u < g.N; u++ {
-			for v := u + 1; v < g.N; v++ {
-				if g.HasEdge(u, v) {
-					edges = append(edges, [2]int{u, v})
+		for _, rel := range tb.S.Relations() {
+			for _, t := range tb.S.Tuples(rel) {
+				atoms = append(atoms, t)
+				for i := range t {
+					for j := i + 1; j < len(t); j++ {
+						edges = append(edges, [2]int{t[i], t[j]})
+					}
 				}
 			}
 		}
-		d := tw.GreedyDecompose(g.N, edges)
+		g := tw.Gaifman(hypergraph.New(n, atoms...))
+		d := tw.GreedyDecompose(n, edges)
 		if !d.Valid(g) {
 			t.Fatalf("%s: greedy decomposition invalid: %+v", src, d)
 		}
@@ -249,13 +255,14 @@ func TestBagDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		n := 1 + rng.Intn(9)
-		g := tw.NewGraph(n)
+		var pairs [][]int
 		var edges [][2]int
 		for k := rng.Intn(2 * n); k > 0; k-- {
 			e := [2]int{rng.Intn(n), rng.Intn(n)}
 			edges = append(edges, e)
-			g.AddEdge(e[0], e[1])
+			pairs = append(pairs, e[:])
 		}
+		g := tw.Gaifman(hypergraph.New(n, pairs...))
 		d := tw.GreedyDecompose(n, edges)
 		if !d.Valid(g) || d.Width < g.Treewidth() {
 			t.Fatalf("graph %v: greedy decomposition %+v (treewidth %d)", edges, d, g.Treewidth())

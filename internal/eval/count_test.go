@@ -340,7 +340,7 @@ func TestQuickCountRootedAtCore(t *testing.T) {
 	check := func(name string, p *Plan, db *relstr.Structure) (moved int) {
 		t.Helper()
 		assertRootsInHeadCore(t, name, p)
-		jt, _ := hypergraph.FromStructure(p.tb.S).GYO(p.tb.Dist)
+		jt, _ := hypergraph.New(len(p.tb.Var), p.vars...).GYO(p.tb.Dist)
 		for _, tree := range p.csched.trees {
 			if (tree.kind == kindDP || tree.kind == kindNode) && jt.Parent[tree.root] != -1 {
 				moved++

@@ -331,7 +331,7 @@ type treeDelta struct {
 // untouched for the fallback. The touched trees' contributions then
 // change one after another: each change's answer diff — its
 // contribution rows crossed with the other trees' current
-// contributions — folds into the Apply's diff (foldDiff).
+// contributions — folds into the Apply's diff (FoldDiff).
 func (s *IncrState) applyTrees(ctx context.Context, eff []effChange, oldSn, newSn *relstr.Snapshot) (*IncrDiff, error) {
 	budget := s.budget
 	ds := make([]treeDelta, len(s.trees))
@@ -381,7 +381,7 @@ func (s *IncrState) applyTrees(ctx context.Context, eff []effChange, oldSn, newS
 		}
 		a, r := s.compose(ti, d.added), s.compose(ti, d.removed)
 		s.contribs[ti] = mergeRows(s.contribs[ti], d.added, d.removed)
-		added, removed = foldDiff(added, removed, a, r)
+		added, removed = FoldDiff(added, removed, a, r)
 	}
 	if len(added)+len(removed) > 0 {
 		s.answers = mergeRows(s.answers, added, removed)
@@ -390,11 +390,12 @@ func (s *IncrState) applyTrees(ctx context.Context, eff []effChange, oldSn, newS
 	return &IncrDiff{Added: added, Removed: removed}, nil
 }
 
-// foldDiff folds one step's answer diff (a, r) into the diff (added,
+// FoldDiff folds one step's answer diff (a, r) into the diff (added,
 // removed) of the steps before it, all sorted: an answer the step adds
 // that an earlier step removed was an answer all along, and one it
-// removes that an earlier step added never was.
-func foldDiff(added, removed, a, r Answers) (Answers, Answers) {
+// removes that an earlier step added never was. The first step's diff
+// is returned as it is.
+func FoldDiff(added, removed, a, r Answers) (Answers, Answers) {
 	if len(added)+len(removed) == 0 {
 		return a, r
 	}

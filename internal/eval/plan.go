@@ -153,14 +153,14 @@ func (p *Plan) flush(f *forest) {
 // programs are.
 func NewPlan(q *cq.Query) *Plan {
 	p := &Plan{q: q, tb: q.Tableau(), mode: PlanBags}
-	h := hypergraph.FromStructure(p.tb.S)
-	if jt, ok := h.GYO(p.tb.Dist); ok {
+	atoms := atomList(p.tb.S)
+	vars := make([][]int, len(atoms))
+	for i, a := range atoms {
+		vars[i] = a.distinctVars()
+	}
+	if jt, ok := hypergraph.New(len(p.tb.Var), vars...).GYO(p.tb.Dist); ok {
 		p.mode = PlanYannakakis
-		p.atoms = atomList(p.tb.S)
-		p.vars = make([][]int, len(p.atoms))
-		for i, a := range p.atoms {
-			p.vars[i] = a.distinctVars()
-		}
+		p.atoms, p.vars = atoms, vars
 		headSet := map[int]bool{}
 		for _, v := range p.tb.Dist {
 			headSet[v] = true

@@ -4,9 +4,9 @@ import (
 	"cqapprox/internal/relstr"
 )
 
-// atomList extracts the atoms of a tableau in the deterministic order
-// used by hypergraph.FromStructure (relations sorted, tuples in
-// insertion order), so atom i corresponds to hypergraph edge i.
+// atomList extracts the atoms of a tableau in a deterministic order
+// (relations sorted, tuples in insertion order); NewPlan's hypergraph
+// has one edge per atom, in this order.
 func atomList(s *relstr.Structure) []patom {
 	var out []patom
 	for _, rel := range s.Relations() {

@@ -16,19 +16,24 @@
 // on the small hypergraphs used here (it enumerates subsets of V(S) ∩
 // (V(component) ∪ connector)), exponential in k·(max edge size) in the
 // worst case.
+//
+// The search runs on bitsets: vertex sets (guards' vertices, bags,
+// connectors) in the hypergraph's flat form, components as sets of
+// edge indexes, and the memo is keyed on the words of a node's
+// component and connector.
 package htw
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"encoding/binary"
+	"math/bits"
 
 	"cqapprox/internal/hypergraph"
-	"cqapprox/internal/relstr"
 )
 
 type solver struct {
-	edges      [][]int // deduplicated edge list, each sorted
+	edges      []uint64 // the distinct edges, w words each
+	w, m       int      // words per vertex set; number of edges
+	cw         int      // words per edge set (component)
 	k          int
 	memo       map[string]bool
 	inProgress map[string]bool
@@ -36,60 +41,64 @@ type solver struct {
 	general    bool // GHTW mode: allow arbitrary bags ⊆ V(S)
 }
 
-func newSolver(h *hypergraph.Hypergraph, k int, general bool) *solver {
+func newSolver(h hypergraph.Hypergraph, k int, general bool) *solver {
 	// Deduplicate edges: identical atoms do not change width.
+	s := &solver{w: h.W, k: k, memo: map[string]bool{}, inProgress: map[string]bool{}, general: general}
 	seen := map[string]bool{}
-	s := &solver{k: k, memo: map[string]bool{}, inProgress: map[string]bool{}, general: general}
-	for _, e := range h.Edges {
-		key := keyInts(e)
-		if seen[key] {
-			continue
+	for i := range h.NumEdges() {
+		e := h.Edge(i)
+		if k := wordsKey(e); !seen[k] {
+			seen[k] = true
+			s.edges = append(s.edges, e...)
+			s.m++
 		}
-		seen[key] = true
-		cp := append([]int{}, e...)
-		s.edges = append(s.edges, cp)
 	}
+	s.cw = hypergraph.Words(s.m)
 	return s
 }
 
-func keyInts(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
+// wordsKey renders sets of words as a map key.
+func wordsKey(sets ...[]uint64) string {
+	var b []byte
+	for _, set := range sets {
+		for _, x := range set {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
 	}
-	return strings.Join(parts, ",")
+	return string(b)
+}
+
+func (s *solver) edge(i int) []uint64 { return s.edges[i*s.w : (i+1)*s.w] }
+
+// decideAll decides the whole hypergraph: every edge, no connector.
+func (s *solver) decideAll() bool {
+	all := make([]uint64, s.cw)
+	for i := 0; i < s.m; i++ {
+		all[i>>6] |= 1 << uint(i&63)
+	}
+	return s.decide(all, make([]uint64, s.w))
 }
 
 // AtMost reports whether the hypertree width of h is at most k.
-func AtMost(h *hypergraph.Hypergraph, k int) bool {
+func AtMost(h hypergraph.Hypergraph, k int) bool {
 	if k < 1 {
-		return len(h.Edges) == 0
+		return h.NumEdges() == 0
 	}
-	s := newSolver(h, k, false)
-	all := make([]int, len(s.edges))
-	for i := range all {
-		all[i] = i
-	}
-	return s.decide(all, nil)
+	return newSolver(h, k, false).decideAll()
 }
 
 // GHTWAtMost reports whether the generalized hypertree width of h is at
 // most k (exact bounded search; see the package comment).
-func GHTWAtMost(h *hypergraph.Hypergraph, k int) bool {
+func GHTWAtMost(h hypergraph.Hypergraph, k int) bool {
 	if k < 1 {
-		return len(h.Edges) == 0
+		return h.NumEdges() == 0
 	}
-	s := newSolver(h, k, true)
-	all := make([]int, len(s.edges))
-	for i := range all {
-		all[i] = i
-	}
-	return s.decide(all, nil)
+	return newSolver(h, k, true).decideAll()
 }
 
 // Width returns the exact hypertree width of h (0 for edgeless).
-func Width(h *hypergraph.Hypergraph) int {
-	if len(h.Edges) == 0 {
+func Width(h hypergraph.Hypergraph) int {
+	if h.NumEdges() == 0 {
 		return 0
 	}
 	for k := 1; ; k++ {
@@ -100,8 +109,8 @@ func Width(h *hypergraph.Hypergraph) int {
 }
 
 // GHTWWidth returns the generalized hypertree width of h.
-func GHTWWidth(h *hypergraph.Hypergraph) int {
-	if len(h.Edges) == 0 {
+func GHTWWidth(h hypergraph.Hypergraph) int {
+	if h.NumEdges() == 0 {
 		return 0
 	}
 	for k := 1; ; k++ {
@@ -111,13 +120,13 @@ func GHTWWidth(h *hypergraph.Hypergraph) int {
 	}
 }
 
-// decide reports whether the component comp (edge indexes) with
-// connector conn (sorted vertex list) can be decomposed within width k.
-func (s *solver) decide(comp []int, conn []int) bool {
-	if len(comp) == 0 {
+// decide reports whether the component comp (a set of edge indexes)
+// with connector conn (a vertex set) can be decomposed within width k.
+func (s *solver) decide(comp, conn []uint64) bool {
+	if isEmpty(comp) {
 		return true
 	}
-	key := keyInts(comp) + "|" + keyInts(conn) + "|" + strconv.FormatBool(s.general)
+	key := wordsKey(comp, conn)
 	if v, ok := s.memo[key]; ok {
 		return v
 	}
@@ -143,123 +152,97 @@ func (s *solver) decide(comp []int, conn []int) bool {
 	return res
 }
 
-func (s *solver) search(comp []int, conn []int) bool {
-	connSet := map[int]bool{}
-	for _, v := range conn {
-		connSet[v] = true
+func (s *solver) search(comp, conn []uint64) bool {
+	compVerts := make([]uint64, s.w)
+	for ei := range members(comp) {
+		or(compVerts, s.edge(ei))
 	}
-	compVerts := map[int]bool{}
-	for _, ei := range comp {
-		for _, v := range s.edges[ei] {
-			compVerts[v] = true
-		}
+	// Enumerate guards: subsets S of edges, 1 ≤ |S| ≤ k, in index
+	// order; vs[d] is V(S) of the guard's first d edges.
+	vs := make([][]uint64, s.k+1)
+	for d := range vs {
+		vs[d] = make([]uint64, s.w)
 	}
-	// Enumerate guards: subsets S of edges, 1 ≤ |S| ≤ k.
-	n := len(s.edges)
-	idx := make([]int, 0, s.k)
-	var tryGuard func(start int) bool
-	tryGuard = func(start int) bool {
-		if len(idx) > 0 && s.tryBags(idx, comp, connSet, compVerts) {
+	var tryGuard func(start, depth int) bool
+	tryGuard = func(start, depth int) bool {
+		if depth > 0 && s.tryBags(vs[depth], comp, conn, compVerts) {
 			return true
 		}
-		if len(idx) == s.k {
+		if depth == s.k {
 			return false
 		}
-		for i := start; i < n; i++ {
-			idx = append(idx, i)
-			if tryGuard(i + 1) {
-				idx = idx[:len(idx)-1]
+		for i := start; i < s.m; i++ {
+			copy(vs[depth+1], vs[depth])
+			or(vs[depth+1], s.edge(i))
+			if tryGuard(i+1, depth+1) {
 				return true
 			}
-			idx = idx[:len(idx)-1]
 		}
 		return false
 	}
-	return tryGuard(0)
+	return tryGuard(0, 0)
 }
 
-// tryBags tests the guard S = edges[idx...] at the current node,
+// tryBags tests the guard whose vertices are vs at the current node,
 // enumerating the admissible bags (one in HTW normal form, all subsets
 // in GHTW mode) and recursing into the resulting components.
-func (s *solver) tryBags(guard []int, comp []int, connSet, compVerts map[int]bool) bool {
-	vs := map[int]bool{} // V(S)
-	for _, gi := range guard {
-		for _, v := range s.edges[gi] {
-			vs[v] = true
-		}
-	}
+func (s *solver) tryBags(vs, comp, conn, compVerts []uint64) bool {
 	// conn must be covered by V(S) in any case.
-	for v := range connSet {
-		if !vs[v] {
-			return false
-		}
+	if !subset(conn, vs) {
+		return false
 	}
-	// Relevant vertices for the bag.
-	var relevant []int
-	for v := range vs {
-		if compVerts[v] || connSet[v] {
-			relevant = append(relevant, v)
-		}
+	// Relevant vertices for the bag: V(S) ∩ (V(comp) ∪ conn).
+	relevant := make([]uint64, s.w)
+	for j := range relevant {
+		relevant[j] = vs[j] & (compVerts[j] | conn[j])
 	}
-	sort.Ints(relevant)
 	if !s.general {
-		// Normal-form bag: χ = V(S) ∩ (V(comp) ∪ conn).
-		return s.tryBag(relevant, comp, connSet, compVerts)
+		// Normal-form bag.
+		return s.tryBag(relevant, comp, conn, compVerts)
 	}
 	// GHTW: any bag conn ⊆ χ ⊆ relevant. Enumerate subsets of the
-	// optional part (relevant minus conn).
+	// optional part (relevant minus conn), ascending.
 	var optional []int
-	for _, v := range relevant {
-		if !connSet[v] {
-			optional = append(optional, v)
+	for j, x := range relevant {
+		for x &^= conn[j]; x != 0; x &= x - 1 {
+			optional = append(optional, j<<6|bits.TrailingZeros64(x))
 		}
 	}
 	if len(optional) > 20 {
 		// Fall back to the maximal bag only (sound: accepts a subset of
 		// true positives; never wrong when it answers true).
-		return s.tryBag(relevant, comp, connSet, compVerts)
+		return s.tryBag(relevant, comp, conn, compVerts)
 	}
-	base := make([]int, 0, len(relevant))
-	for v := range connSet {
-		base = append(base, v)
-	}
+	bag := make([]uint64, s.w)
 	for mask := (1 << len(optional)) - 1; mask >= 0; mask-- {
-		bag := append([]int{}, base...)
+		copy(bag, conn)
 		for i, v := range optional {
 			if mask&(1<<i) != 0 {
-				bag = append(bag, v)
+				bag[v>>6] |= 1 << uint(v&63)
 			}
 		}
-		if len(bag) == 0 {
-			continue
-		}
-		sort.Ints(bag)
-		if s.tryBag(bag, comp, connSet, compVerts) {
+		if !isEmpty(bag) && s.tryBag(bag, comp, conn, compVerts) {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *solver) tryBag(bag []int, comp []int, connSet, compVerts map[int]bool) bool {
-	bagSet := map[int]bool{}
-	for _, v := range bag {
-		bagSet[v] = true
-	}
+func (s *solver) tryBag(bag, comp, conn, compVerts []uint64) bool {
 	// Progress condition: the bag must either cover some component
 	// vertex beyond the connector, or fully cover some component edge;
 	// otherwise the recursion would not shrink.
 	progress := false
-	for v := range bagSet {
-		if compVerts[v] && !connSet[v] {
+	for j, x := range bag {
+		if x&compVerts[j]&^conn[j] != 0 {
 			progress = true
 			break
 		}
 	}
 	if !progress {
 		// Maybe an edge of comp is ⊆ conn ⊆ bag (fully covered here).
-		for _, ei := range comp {
-			if coveredBy(s.edges[ei], bagSet) {
+		for ei := range members(comp) {
+			if subset(s.edge(ei), bag) {
 				progress = true
 				break
 			}
@@ -270,22 +253,15 @@ func (s *solver) tryBag(bag []int, comp []int, connSet, compVerts map[int]bool) 
 	}
 	// Split comp into [bag]-components: edges connected via vertices
 	// outside the bag. Edges fully inside the bag are covered here.
-	comps := s.split(comp, bagSet)
-	for _, sub := range comps {
+	for _, sub := range s.split(comp, bag) {
 		// Connector of the child = V(sub) ∩ bag.
-		childConnSet := map[int]bool{}
-		for _, ei := range sub {
-			for _, v := range s.edges[ei] {
-				if bagSet[v] {
-					childConnSet[v] = true
-				}
-			}
+		childConn := make([]uint64, s.w)
+		for ei := range members(sub) {
+			or(childConn, s.edge(ei))
 		}
-		childConn := make([]int, 0, len(childConnSet))
-		for v := range childConnSet {
-			childConn = append(childConn, v)
+		for j := range childConn {
+			childConn[j] &= bag[j]
 		}
-		sort.Ints(childConn)
 		if !s.decide(sub, childConn) {
 			return false
 		}
@@ -293,77 +269,94 @@ func (s *solver) tryBag(bag []int, comp []int, connSet, compVerts map[int]bool) 
 	return true
 }
 
-func coveredBy(e []int, set map[int]bool) bool {
-	for _, v := range e {
-		if !set[v] {
+// split partitions the edges of comp not covered by the bag into
+// components connected through shared vertices outside the bag, each
+// grown from its lowest edge, in the order of their lowest edges.
+func (s *solver) split(comp, bag []uint64) [][]uint64 {
+	rest := make([]uint64, s.cw)
+	for ei := range members(comp) {
+		if !subset(s.edge(ei), bag) {
+			rest[ei>>6] |= 1 << uint(ei&63)
+		}
+	}
+	var out [][]uint64
+	reach := make([]uint64, s.w) // the component's vertices
+	for first := lowest(rest); first >= 0; first = lowest(rest) {
+		sub := make([]uint64, s.cw)
+		sub[first>>6] |= 1 << uint(first&63)
+		rest[first>>6] &^= 1 << uint(first&63)
+		clear(reach)
+		or(reach, s.edge(first))
+		for grown := true; grown; {
+			grown = false
+			for ei := range members(rest) {
+				if meetsOutside(s.edge(ei), reach, bag) {
+					sub[ei>>6] |= 1 << uint(ei&63)
+					rest[ei>>6] &^= 1 << uint(ei&63)
+					or(reach, s.edge(ei))
+					grown = true
+				}
+			}
+		}
+		out = append(out, sub)
+	}
+	return out
+}
+
+// lowest returns the least element of set, or -1 if it is empty.
+func lowest(set []uint64) int {
+	for j, x := range set {
+		if x != 0 {
+			return j<<6 | bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// meetsOutside reports whether e and reach share a vertex outside bag.
+func meetsOutside(e, reach, bag []uint64) bool {
+	for j, x := range e {
+		if x&reach[j]&^bag[j] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// members yields the elements of a set, ascending, reading each word
+// once: the loop body may remove the element it was given.
+func members(set []uint64) func(func(int) bool) {
+	return func(yield func(int) bool) {
+		for j := range set {
+			for x := set[j]; x != 0; x &= x - 1 {
+				if !yield(j<<6 | bits.TrailingZeros64(x)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+func or(dst, src []uint64) {
+	for j, x := range src {
+		dst[j] |= x
+	}
+}
+
+func subset(a, b []uint64) bool {
+	for j, x := range a {
+		if x&^b[j] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// split partitions the edges of comp not covered by the bag into
-// connected components w.r.t. shared vertices outside the bag.
-func (s *solver) split(comp []int, bagSet map[int]bool) [][]int {
-	var rest []int
-	for _, ei := range comp {
-		if !coveredBy(s.edges[ei], bagSet) {
-			rest = append(rest, ei)
+func isEmpty(a []uint64) bool {
+	for _, x := range a {
+		if x != 0 {
+			return false
 		}
 	}
-	// Union-find over rest via shared outside-bag vertices.
-	parent := map[int]int{}
-	var find func(x int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, ei := range rest {
-		parent[ei] = ei
-	}
-	byVertex := map[int]int{} // outside-bag vertex → representative edge
-	for _, ei := range rest {
-		for _, v := range s.edges[ei] {
-			if bagSet[v] {
-				continue
-			}
-			if other, ok := byVertex[v]; ok {
-				union(ei, other)
-			} else {
-				byVertex[v] = ei
-			}
-		}
-	}
-	groups := map[int][]int{}
-	for _, ei := range rest {
-		r := find(ei)
-		groups[r] = append(groups[r], ei)
-	}
-	var out [][]int
-	var reps []int
-	for r := range groups {
-		reps = append(reps, r)
-	}
-	sort.Ints(reps)
-	for _, r := range reps {
-		g := groups[r]
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	return out
-}
-
-// StructureAtMost reports whether the CQ with tableau s has hypertree
-// width ≤ k.
-func StructureAtMost(s *relstr.Structure, k int) bool {
-	return AtMost(hypergraph.FromStructure(s), k)
-}
-
-// StructureWidth returns the hypertree width of the hypergraph of s.
-func StructureWidth(s *relstr.Structure) int {
-	return Width(hypergraph.FromStructure(s))
+	return true
 }

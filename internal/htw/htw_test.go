@@ -2,6 +2,7 @@ package htw
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,12 +12,43 @@ import (
 	"cqapprox/internal/relstr"
 )
 
+// of is the hypergraph over the vertices up to the largest one named.
+func of(edges ...[]int) hypergraph.Hypergraph {
+	n := 0
+	for _, e := range edges {
+		for _, v := range e {
+			n = max(n, v+1)
+		}
+	}
+	return hypergraph.New(n, edges...)
+}
+
+// fromStructure is the hypergraph of s: one edge per fact, over its
+// elements numbered in ascending order.
+func fromStructure(s *relstr.Structure) hypergraph.Hypergraph {
+	id := map[int]int{}
+	for i, e := range s.Domain() {
+		id[e] = i
+	}
+	var edges [][]int
+	for _, rel := range s.Relations() {
+		for _, t := range s.Tuples(rel) {
+			e := make([]int, len(t))
+			for i, x := range t {
+				e[i] = id[x]
+			}
+			edges = append(edges, e)
+		}
+	}
+	return hypergraph.New(len(id), edges...)
+}
+
 func TestAcyclicHasWidthOne(t *testing.T) {
-	cases := []*hypergraph.Hypergraph{
-		hypergraph.New([]int{0, 1, 2}),
-		hypergraph.New([]int{0, 1}, []int{1, 2}, []int{2, 3}),
-		hypergraph.New([]int{0, 1, 2}, []int{0, 1}, []int{1, 2}, []int{0, 2}),
-		hypergraph.New([]int{0}, []int{0, 1}),
+	cases := []hypergraph.Hypergraph{
+		of([]int{0, 1, 2}),
+		of([]int{0, 1}, []int{1, 2}, []int{2, 3}),
+		of([]int{0, 1, 2}, []int{0, 1}, []int{1, 2}, []int{0, 2}),
+		of([]int{0}, []int{0, 1}),
 	}
 	for i, h := range cases {
 		if got := Width(h); got != 1 {
@@ -29,7 +61,7 @@ func TestAcyclicHasWidthOne(t *testing.T) {
 }
 
 func TestTriangleWidthTwo(t *testing.T) {
-	tri := hypergraph.New([]int{0, 1}, []int{1, 2}, []int{0, 2})
+	tri := of([]int{0, 1}, []int{1, 2}, []int{0, 2})
 	if AtMost(tri, 1) {
 		t.Fatal("triangle is not acyclic")
 	}
@@ -47,7 +79,7 @@ func TestCyclesWidthTwo(t *testing.T) {
 		for i := 0; i < n; i++ {
 			edges[i] = []int{i, (i + 1) % n}
 		}
-		h := hypergraph.New(edges...)
+		h := of(edges...)
 		if Width(h) != 2 {
 			t.Errorf("Width(C%d) = %d, want 2", n, Width(h))
 		}
@@ -55,14 +87,14 @@ func TestCyclesWidthTwo(t *testing.T) {
 }
 
 func TestCliqueWidths(t *testing.T) {
-	kn := func(n int) *hypergraph.Hypergraph {
-		h := &hypergraph.Hypergraph{}
+	kn := func(n int) hypergraph.Hypergraph {
+		var edges [][]int
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				h.AddEdge([]int{i, j})
+				edges = append(edges, []int{i, j})
 			}
 		}
-		return h
+		return of(edges...)
 	}
 	// hw(K_n) = ⌈n/2⌉ (Gottlob–Leone–Scarcello).
 	if got := Width(kn(4)); got != 2 {
@@ -75,7 +107,7 @@ func TestCliqueWidths(t *testing.T) {
 
 func TestTernaryCycleQuery(t *testing.T) {
 	q := cq.MustParse("Q() :- R(x,u,y), R(y,v,z), R(z,w,x)")
-	h := hypergraph.FromStructure(q.Tableau().S)
+	h := fromStructure(q.Tableau().S)
 	if AtMost(h, 1) {
 		t.Fatal("ternary cycle is not acyclic")
 	}
@@ -86,10 +118,10 @@ func TestTernaryCycleQuery(t *testing.T) {
 
 func TestGHTWLowerBoundsHTW(t *testing.T) {
 	// ghw ≤ hw always.
-	cases := []*hypergraph.Hypergraph{
-		hypergraph.New([]int{0, 1}, []int{1, 2}, []int{0, 2}),
-		hypergraph.New([]int{0, 1}, []int{1, 2}, []int{2, 3}, []int{3, 0}),
-		hypergraph.New([]int{0, 1, 2}, []int{2, 3, 4}, []int{4, 5, 0}),
+	cases := []hypergraph.Hypergraph{
+		of([]int{0, 1}, []int{1, 2}, []int{0, 2}),
+		of([]int{0, 1}, []int{1, 2}, []int{2, 3}, []int{3, 0}),
+		of([]int{0, 1, 2}, []int{2, 3, 4}, []int{4, 5, 0}),
 	}
 	for i, h := range cases {
 		if GHTWWidth(h) > Width(h) {
@@ -98,26 +130,30 @@ func TestGHTWLowerBoundsHTW(t *testing.T) {
 	}
 }
 
+// The widths of query tableaux, through the hypergraph of a structure
+// with sparse elements.
 func TestStructureHelpers(t *testing.T) {
 	q := cq.MustParse("Q() :- E(x,y), E(y,z), E(z,x)")
-	if StructureAtMost(q.Tableau().S, 1) {
+	if AtMost(fromStructure(q.Tableau().S), 1) {
 		t.Fatal("triangle query is not acyclic")
 	}
-	if StructureWidth(q.Tableau().S) != 2 {
-		t.Fatalf("width = %d", StructureWidth(q.Tableau().S))
+	if w := Width(fromStructure(q.Tableau().S)); w != 2 {
+		t.Fatalf("width = %d", w)
 	}
-	acyc := cq.MustParse("Q() :- E(x,y), E(y,z)")
-	if !StructureAtMost(acyc.Tableau().S, 1) {
+	acyc := relstr.New()
+	acyc.Add("E", 10, 200)
+	acyc.Add("E", 200, 3000)
+	if !AtMost(fromStructure(acyc), 1) {
 		t.Fatal("path query is acyclic")
 	}
 }
 
 func TestEdgelessAndTrivial(t *testing.T) {
-	empty := &hypergraph.Hypergraph{}
+	empty := of()
 	if !AtMost(empty, 1) || Width(empty) != 0 {
 		t.Fatal("empty hypergraph should have width 0")
 	}
-	if AtMost(hypergraph.New([]int{0, 1}), 0) {
+	if AtMost(of([]int{0, 1}), 0) {
 		t.Fatal("k=0 should reject nonempty hypergraphs")
 	}
 }
@@ -127,22 +163,14 @@ func TestEdgelessAndTrivial(t *testing.T) {
 func TestQuickWidthOneIffAcyclic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := &hypergraph.Hypergraph{}
 		nv := 3 + rng.Intn(4)
 		ne := 2 + rng.Intn(4)
+		var edges [][]int
 		for i := 0; i < ne; i++ {
-			size := 1 + rng.Intn(3)
-			e := map[int]bool{}
-			for len(e) < size {
-				e[rng.Intn(nv)] = true
-			}
-			var edge []int
-			for v := range e {
-				edge = append(edge, v)
-			}
-			h.AddEdge(edge)
+			edges = append(edges, rng.Perm(nv)[:1+rng.Intn(3)])
 		}
-		return h.IsAcyclic() == AtMost(h, 1)
+		h := hypergraph.New(nv, edges...)
+		return h.Acyclic() == AtMost(h, 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -153,15 +181,16 @@ func TestQuickWidthOneIffAcyclic(t *testing.T) {
 func TestQuickMonotoneInK(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := &hypergraph.Hypergraph{}
 		nv := 4 + rng.Intn(3)
+		var edges [][]int
 		for i := 0; i < 5; i++ {
 			a, b := rng.Intn(nv), rng.Intn(nv)
 			if a == b {
 				b = (b + 1) % nv
 			}
-			h.AddEdge([]int{a, b})
+			edges = append(edges, []int{a, b})
 		}
+		h := hypergraph.New(nv, edges...)
 		for k := 1; k <= 3; k++ {
 			if AtMost(h, k) && !AtMost(h, k+1) {
 				return false
@@ -190,11 +219,11 @@ func TestQuickCoreOfAcyclicIsAcyclic(t *testing.T) {
 				s.Add("R", rng.Intn(n), rng.Intn(n), rng.Intn(n))
 			}
 		}
-		if !hypergraph.FromStructure(s).IsAcyclic() {
+		if !fromStructure(s).Acyclic() {
 			return true
 		}
 		core, _ := hom.Core(s, nil)
-		return hypergraph.FromStructure(core).IsAcyclic()
+		return fromStructure(core).Acyclic()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -206,35 +235,29 @@ func TestQuickCoreOfAcyclicIsAcyclic(t *testing.T) {
 func TestQuickLemma64Closure(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := &hypergraph.Hypergraph{}
 		nv := 4 + rng.Intn(3)
+		var edges [][]int
 		for i := 0; i < 4; i++ {
-			size := 2 + rng.Intn(2)
-			e := map[int]bool{}
-			for len(e) < size {
-				e[rng.Intn(nv)] = true
-			}
-			var edge []int
-			for v := range e {
-				edge = append(edge, v)
-			}
-			h.AddEdge(edge)
+			edges = append(edges, rng.Perm(nv)[:2+rng.Intn(2)])
 		}
-		w := Width(h)
-		// Induced subhypergraph on a random subset.
-		keep := map[int]bool{}
-		for _, v := range h.Vertices() {
-			if rng.Intn(2) == 0 {
-				keep[v] = true
+		w := Width(hypergraph.New(nv, edges...))
+		// Induced subhypergraph on a random subset: each edge
+		// intersected with it, empty intersections dropped.
+		keep := rng.Perm(nv)[:rng.Intn(nv+1)]
+		var ind [][]int
+		for _, e := range edges {
+			if e = slices.DeleteFunc(slices.Clone(e), func(v int) bool { return !slices.Contains(keep, v) }); len(e) > 0 {
+				ind = append(ind, e)
 			}
 		}
-		ind := h.Induced(keep)
-		if len(ind.Edges) > 0 && Width(ind) > w {
+		if len(ind) > 0 && Width(hypergraph.New(nv, ind...)) > w {
 			return false
 		}
-		// Edge extension with fresh vertices.
-		ext := h.ExtendEdge(rng.Intn(len(h.Edges)), 100, 101)
-		return Width(ext) <= w
+		// Edge extension with the fresh vertices 100 and 101, past the
+		// first word.
+		i := rng.Intn(len(edges))
+		edges[i] = append(slices.Clone(edges[i]), 100, 101)
+		return Width(hypergraph.New(102, edges...)) <= w
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

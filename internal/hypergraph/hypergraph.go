@@ -1,116 +1,47 @@
 // Package hypergraph implements query hypergraphs and the classical
-// acyclicity machinery: the GYO reduction, join-tree construction, and
-// the closure operations (induced subhypergraphs, edge extensions) that
-// Section 6 of the paper uses to prove the existence of
-// hypergraph-based approximations.
+// acyclicity machinery: the GYO reduction, whose verdict is the α-
+// acyclicity test and whose witnesses form a join forest.
+//
+// A hypergraph has one form: its edges are vertex sets over dense
+// vertex ids, one run of uint64 words per edge, laid end to end. The
+// approximation search hands a candidate's atoms to the class tests in
+// this form without copying, the planner builds it from a query's atom
+// variables, and the treewidth and hypertree-width solvers read it.
 package hypergraph
 
-import (
-	"math/bits"
-	"sort"
+import "math/bits"
 
-	"cqapprox/internal/relstr"
-)
+// Words returns the number of words of a vertex set over n vertices:
+// ⌈n/64⌉, and at least one.
+func Words(n int) int { return max(1, (n+63)/64) }
 
-// Hypergraph is a finite hypergraph. Edges are stored per original
-// index (one per query atom), so duplicates are kept: GYO and join
-// trees operate on atom indexes directly.
+// Hypergraph is a hypergraph over the vertices 0…N−1. Edge i is the
+// vertex set E[i·W:(i+1)·W], where vertex v is bit v%64 of word v/64
+// and W ≥ Words(N). Edges are kept per original index (one per query
+// atom), so they may repeat, and may be empty.
 type Hypergraph struct {
-	Edges [][]int // each sorted ascending; may repeat
+	N, W int
+	E    []uint64
 }
 
-// New builds a hypergraph from the given edges (each edge is
-// deduplicated and sorted; empty edges are invalid and panic).
-func New(edges ...[]int) *Hypergraph {
-	h := &Hypergraph{}
-	for _, e := range edges {
-		h.AddEdge(e)
-	}
-	return h
-}
-
-// AddEdge appends an edge (set of vertices).
-func (h *Hypergraph) AddEdge(vs []int) {
-	if len(vs) == 0 {
-		panic("hypergraph: empty edge")
-	}
-	set := map[int]bool{}
-	for _, v := range vs {
-		set[v] = true
-	}
-	e := make([]int, 0, len(set))
-	for v := range set {
-		e = append(e, v)
-	}
-	sort.Ints(e)
-	h.Edges = append(h.Edges, e)
-}
-
-// FromStructure builds the hypergraph of a structure (one edge per
-// tuple, vertices are the tuple's distinct elements). For a tableau T_Q
-// this is the paper's H(Q).
-func FromStructure(s *relstr.Structure) *Hypergraph {
-	h := &Hypergraph{}
-	for _, rel := range s.Relations() {
-		for _, t := range s.Tuples(rel) {
-			h.AddEdge([]int(t))
-		}
-	}
-	return h
-}
-
-// Vertices returns the sorted vertex set.
-func (h *Hypergraph) Vertices() []int {
-	set := map[int]bool{}
-	for _, e := range h.Edges {
+// New returns the hypergraph over the vertices 0…n−1 with one edge per
+// vertex list, each vertex below n.
+func New(n int, edges ...[]int) Hypergraph {
+	h := Hypergraph{N: n, W: Words(n)}
+	h.E = make([]uint64, len(edges)*h.W)
+	for i, e := range edges {
 		for _, v := range e {
-			set[v] = true
+			h.E[i*h.W+v>>6] |= 1 << uint(v&63)
 		}
 	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return h
 }
 
 // NumEdges returns the number of edges (atoms).
-func (h *Hypergraph) NumEdges() int { return len(h.Edges) }
+func (h Hypergraph) NumEdges() int { return len(h.E) / h.W }
 
-// Induced returns the induced subhypergraph on keep: each edge is
-// intersected with keep, empty intersections dropped (the paper's
-// closure condition #1 in Section 6).
-func (h *Hypergraph) Induced(keep map[int]bool) *Hypergraph {
-	out := &Hypergraph{}
-	for _, e := range h.Edges {
-		var ne []int
-		for _, v := range e {
-			if keep[v] {
-				ne = append(ne, v)
-			}
-		}
-		if len(ne) > 0 {
-			out.AddEdge(ne)
-		}
-	}
-	return out
-}
-
-// ExtendEdge returns a copy of h in which edge i is extended with the
-// fresh vertices vs (the paper's closure condition #2). The vertices
-// must not already occur in h.
-func (h *Hypergraph) ExtendEdge(i int, vs ...int) *Hypergraph {
-	out := &Hypergraph{}
-	for j, e := range h.Edges {
-		if j == i {
-			out.AddEdge(append(append([]int{}, e...), vs...))
-		} else {
-			out.AddEdge(e)
-		}
-	}
-	return out
-}
+// Edge returns edge i's vertex set.
+func (h Hypergraph) Edge(i int) []uint64 { return h.E[i*h.W : (i+1)*h.W : (i+1)*h.W] }
 
 // JoinTree is a join forest over edge indexes: Parent[i] is the parent
 // of edge i, or -1 for roots, one root per tree. A valid join tree
@@ -133,177 +64,160 @@ type JoinTree struct {
 // gone shares none with any other remaining edge: it is the last edge
 // of its component, and roots that component's tree. The hypergraph is
 // acyclic iff every remaining edge empties out.
-func (h *Hypergraph) GYO(head []int) (JoinTree, bool) {
-	n := len(h.Edges)
-	jt := JoinTree{Parent: make([]int, n)}
-	for i := range jt.Parent {
-		jt.Parent[i] = -1
-	}
-	if n == 0 {
-		return jt, true
-	}
-	work := make([]map[int]bool, n)
-	for i, e := range h.Edges {
-		work[i] = map[int]bool{}
-		for _, v := range e {
-			work[i][v] = true
+func (h Hypergraph) GYO(head []int) (JoinTree, bool) {
+	jt := JoinTree{Parent: make([]int, h.NumEdges())}
+	var hs []uint64
+	if len(head) > 0 {
+		hs = make([]uint64, h.W)
+		for _, v := range head {
+			hs[v>>6] |= 1 << uint(v&63)
 		}
 	}
-	isHead := map[int]bool{}
-	for _, v := range head {
-		isHead[v] = true
-	}
-	alive := make([]bool, n)
-	heads := make([]int, n) // per edge, its original head vertices
-	for i, e := range h.Edges {
-		alive[i] = true
-		for _, v := range e {
-			if isHead[v] {
-				heads[i]++
-			}
-		}
-	}
-	for {
-		changed := false
-		// (a) ear vertices: occurrence count 1 among alive edges.
-		occ := map[int]int{}
-		for i := range work {
-			if !alive[i] {
-				continue
-			}
-			for v := range work[i] {
-				occ[v]++
-			}
-		}
-		for i := range work {
-			if !alive[i] {
-				continue
-			}
-			for v := range work[i] {
-				if occ[v] == 1 {
-					delete(work[i], v)
-					occ[v] = 0
-					changed = true
-				}
-			}
-		}
-		// (b) subsumed edges; deterministic order. An emptied edge is
-		// its component's root, never subsumed.
-		for i := 0; i < n; i++ {
-			if !alive[i] || len(work[i]) == 0 {
-				continue
-			}
-			w := -1
-			for j := 0; j < n; j++ {
-				if i != j && alive[j] && subset(work[i], work[j]) && (w < 0 || heads[j] > heads[w]) {
-					w = j
-				}
-			}
-			if w >= 0 {
-				alive[i] = false
-				jt.Parent[i] = w
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	// Acyclic iff every remaining edge is empty (one per connected
-	// component, fully ear-reduced).
-	for i := range work {
-		if alive[i] && len(work[i]) > 0 {
-			return JoinTree{}, false
-		}
+	if !h.gyo(hs, jt.Parent) {
+		return JoinTree{}, false
 	}
 	return jt, true
 }
 
-func subset(a, b map[int]bool) bool {
-	if len(a) > len(b) {
-		return false
+// Acyclic reports whether h is α-acyclic: the verdict of GYO, without
+// the forest. It allocates nothing while h has at most 32 edge words.
+func (h Hypergraph) Acyclic() bool { return h.gyo(nil, nil) }
+
+// gyo runs the reduction with head vertex set head (nil: none) and
+// records each subsumed edge's witness in parent, when parent is not
+// nil. Without parent it only gives the verdict, and head is ignored.
+func (h Hypergraph) gyo(head []uint64, parent []int) bool {
+	w, m := h.W, len(h.E)
+	if w > 1 {
+		m /= w
 	}
-	for v := range a {
-		if !b[v] {
+	// The remaining edges, word-major: word k of the x-th of the n
+	// remaining is work[k·m+x]. A one-word hypergraph is one column, and
+	// past one word, the first word filters every subset test. While
+	// parents are recorded, the remaining edges stay in index order and
+	// the x-th is edge idx[x].
+	var wordBuf [32]uint64
+	work := wordBuf[:]
+	if len(h.E) > len(wordBuf) {
+		work = make([]uint64, len(h.E))
+	}
+	work = work[:len(h.E)]
+	if w == 1 {
+		copy(work, h.E)
+	} else {
+		for p, x := range h.E {
+			work[p%w*m+p/w] = x
+		}
+	}
+	var idx, heads []int // heads[i]: edge i's original count of head vertices
+	if parent != nil {
+		idx = make([]int, m)
+		for i := range idx {
+			idx[i], parent[i] = i, -1
+		}
+		if head != nil {
+			heads = make([]int, m)
+			for p, x := range h.E {
+				heads[p/w] += bits.OnesCount64(x & head[p%w])
+			}
+		}
+	}
+	n := m
+	for changed := true; changed; {
+		changed = false
+		// (a) ear vertices: in exactly one remaining edge.
+		for k := 0; k < w; k++ {
+			col := work[k*m : k*m+n]
+			var once, twice uint64
+			for _, x := range col {
+				twice |= once & x
+				once |= x
+			}
+			if ears := once &^ twice; ears != 0 {
+				for x := range col {
+					col[x] &^= ears
+				}
+				changed = true
+			}
+		}
+		// (b) subsumed edges, in index order. An emptied edge shares no
+		// vertex with another remaining edge: it roots its component's
+		// tree and leaves the reduction.
+		for x := 0; x < n; {
+			e := work[x]
+			if e != 0 || w > 1 && !emptyAt(work, m, w, x) {
+				// The witness: among the remaining edges containing the
+				// x-th, the one whose original edge holds the most head
+				// vertices, the lowest among equals.
+				wit := -1
+				for y := superset(work[:n], e, 0, x); y >= 0; y = superset(work[:n], e, y+1, x) {
+					if w > 1 && !subsetAt(work, m, w, x, y) {
+						continue
+					}
+					if heads == nil {
+						wit = y
+						break
+					}
+					if wit < 0 || heads[idx[y]] > heads[idx[wit]] {
+						wit = y
+					}
+				}
+				if wit < 0 {
+					x++
+					continue
+				}
+				if parent != nil {
+					parent[idx[x]] = idx[wit]
+				}
+			}
+			// Drop the x-th edge: shift the rest down while parents are
+			// recorded, else move the last one into its place.
+			n--
+			for k := 0; k < len(work); k += m {
+				if col := work[k : k+n+1]; parent != nil {
+					copy(col[x:], col[x+1:])
+				} else {
+					col[x] = col[n]
+				}
+			}
+			if parent != nil {
+				copy(idx[x:n], idx[x+1:n+1])
+			}
+			changed = true
+		}
+	}
+	return n == 0
+}
+
+// emptyAt reports whether the x-th remaining edge is empty past its
+// first word; work holds w words per edge in columns of stride m.
+func emptyAt(work []uint64, m, w, x int) bool {
+	for k := 1; k < w; k++ {
+		if work[k*m+x] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// IsAcyclic reports α-acyclicity of h.
-func (h *Hypergraph) IsAcyclic() bool {
-	_, ok := h.GYO(nil)
-	return ok
-}
-
-// subsumedMask reports whether edge i of edges is contained in another
-// edge.
-func subsumedMask(edges []uint64, i int) bool {
-	for j, f := range edges {
-		if j != i && edges[i]&^f == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// FromMasks builds the hypergraph with one edge per vertex bitmask.
-func FromMasks(edges []uint64) *Hypergraph {
-	h := &Hypergraph{Edges: make([][]int, 0, len(edges))}
-	for _, m := range edges {
-		e := make([]int, 0, bits.OnesCount64(m))
-		for ; m != 0; m &= m - 1 {
-			e = append(e, bits.TrailingZeros64(m))
-		}
-		h.Edges = append(h.Edges, e)
-	}
-	return h
-}
-
-// AcyclicMasks is GYO over edges given as vertex bitmasks, one per
-// atom (duplicates and empty edges allowed). It repeatedly strips ear
-// vertices — those in exactly one live edge — and removes edges
-// contained in another live edge; the hypergraph is α-acyclic iff no
-// non-empty edge survives. edges is not modified.
-func AcyclicMasks(edges []uint64) bool {
-	var buf [32]uint64
-	live := append(buf[:0], edges...)
-	for {
-		// Ear vertices: seen in exactly one live edge.
-		var once, twice uint64
-		for _, e := range live {
-			twice |= once & e
-			once |= e
-		}
-		ears := once &^ twice
-		changed := false
-		for i := range live {
-			if live[i]&ears != 0 {
-				live[i] &^= ears
-				changed = true
-			}
-		}
-		// Subsumed edges, one at a time: dropping an edge never makes
-		// another one subsumed, so a single pass finds them all.
-		for i := 0; i < len(live); {
-			if subsumedMask(live, i) {
-				last := len(live) - 1
-				live[i] = live[last]
-				live = live[:last]
-				changed = true
-				continue
-			}
-			i++
-		}
-		if !changed {
-			break
-		}
-	}
-	for _, e := range live {
-		if e != 0 {
+// subsetAt reports whether the x-th remaining edge is contained in the
+// y-th past their first words.
+func subsetAt(work []uint64, m, w, x, y int) bool {
+	for k := 1; k < w; k++ {
+		if work[k*m+x]&^work[k*m+y] != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// superset returns the first position y ≥ from, other than x, whose
+// first word holds e, or -1.
+func superset(col []uint64, e uint64, from, x int) int {
+	for y := from; y < len(col); y++ {
+		if col[y]&e == e && y != x {
+			return y
+		}
+	}
+	return -1
 }

@@ -264,146 +264,3 @@ func renderRanked(s *Structure, dist []int, rank map[int]int) string {
 	}
 	return b.String()
 }
-
-// Isomorphic reports whether (a, distA) and (b, distB) are isomorphic
-// structures with distinguished tuples: a bijection between domains
-// preserving all facts in both directions and mapping distA pointwise
-// to distB. Intended for the small structures arising as tableaux;
-// complexity is exponential in the worst case but color refinement
-// prunes heavily.
-func Isomorphic(a, b *Structure, distA, distB []int) bool {
-	if len(distA) != len(distB) {
-		return false
-	}
-	if a.DomainSize() != b.DomainSize() || a.NumFacts() != b.NumFacts() {
-		return false
-	}
-	ra, rb := a.Relations(), b.Relations()
-	if len(ra) != len(rb) {
-		return false
-	}
-	for i := range ra {
-		if ra[i] != rb[i] || a.Arity(ra[i]) != b.Arity(rb[i]) ||
-			len(a.Tuples(ra[i])) != len(b.Tuples(rb[i])) {
-			return false
-		}
-	}
-	ca, cb := refine(a, distA), refine(b, distB)
-	// Group b's elements by color.
-	byColor := map[string][]int{}
-	for e, c := range cb {
-		byColor[c] = append(byColor[c], e)
-	}
-	// Color histograms must match.
-	histA := map[string]int{}
-	for _, c := range ca {
-		histA[c]++
-	}
-	for c, n := range histA {
-		if len(byColor[c]) != n {
-			return false
-		}
-	}
-	domA := a.Domain()
-	// Order: distinguished first, then rarest color class first.
-	sort.Slice(domA, func(i, j int) bool {
-		return len(byColor[ca[domA[i]]]) < len(byColor[ca[domA[j]]])
-	})
-	f := map[int]int{}
-	used := map[int]bool{}
-	for i, e := range distA {
-		if prev, ok := f[e]; ok {
-			if prev != distB[i] {
-				return false
-			}
-			continue
-		}
-		if used[distB[i]] {
-			return false
-		}
-		if ca[e] != cb[distB[i]] {
-			return false
-		}
-		f[e] = distB[i]
-		used[distB[i]] = true
-	}
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(domA) {
-			return isoCheck(a, b, f)
-		}
-		v := domA[i]
-		if _, ok := f[v]; ok {
-			return rec(i + 1)
-		}
-		for _, w := range byColor[ca[v]] {
-			if used[w] {
-				continue
-			}
-			f[v] = w
-			used[w] = true
-			if partialIsoOK(a, b, f, v) && rec(i+1) {
-				return true
-			}
-			delete(f, v)
-			used[w] = false
-		}
-		return false
-	}
-	return rec(0)
-}
-
-// partialIsoOK checks all facts of a fully assigned under f that
-// involve v map to facts of b.
-func partialIsoOK(a, b *Structure, f map[int]int, v int) bool {
-	for _, name := range a.Relations() {
-	tuples:
-		for _, t := range a.Tuples(name) {
-			involves := false
-			img := make([]int, len(t))
-			for i, e := range t {
-				if e == v {
-					involves = true
-				}
-				w, ok := f[e]
-				if !ok {
-					continue tuples
-				}
-				img[i] = w
-			}
-			if involves && !b.Has(name, img...) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// isoCheck verifies f is a full isomorphism from a to b.
-func isoCheck(a, b *Structure, f map[int]int) bool {
-	for _, name := range a.Relations() {
-		for _, t := range a.Tuples(name) {
-			img := make([]int, len(t))
-			for i, e := range t {
-				w, ok := f[e]
-				if !ok {
-					return false
-				}
-				img[i] = w
-			}
-			if !b.Has(name, img...) {
-				return false
-			}
-		}
-	}
-	// Same fact counts per relation (checked by caller) + injectivity
-	// imply the inverse direction.
-	seen := map[int]bool{}
-	for _, w := range f {
-		if seen[w] {
-			return false
-		}
-		seen[w] = true
-	}
-	return true
-}

@@ -269,6 +269,54 @@ func TestQuotientByContainsImageFacts(t *testing.T) {
 	}
 }
 
+// isoBrute reports whether some bijection of a's elements onto b's
+// maps distA to distB and a's facts onto b's, by trying every
+// permutation: the reference for CanonicalKey, on at most 7 elements.
+func isoBrute(a, b *Structure, distA, distB []int) bool {
+	da, db := a.Domain(), b.Domain()
+	if len(da) != len(db) || len(da) > 7 || a.NumFacts() != b.NumFacts() || len(distA) != len(distB) {
+		return false
+	}
+	f := map[int]int{}
+	used := make([]bool, len(db))
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(da) {
+			for j, d := range distA {
+				if f[d] != distB[j] {
+					return false
+				}
+			}
+			// f is injective and the fact counts agree, so a's image
+			// inside b is all of b.
+			return containedIn(a.Map(func(e int) int { return f[e] }), b)
+		}
+		for j, e := range db {
+			if !used[j] {
+				used[j], f[da[i]] = true, e
+				if rec(i + 1) {
+					return true
+				}
+				used[j] = false
+			}
+		}
+		return false
+	}
+	return rec(0)
+}
+
+// sameKey reports whether (a, distA) and (b, distB) get the same
+// canonical key, failing unless both keys come from the exact search
+// (the c| prefix), under which equal keys mean isomorphic.
+func sameKey(t *testing.T, a, b *Structure, distA, distB []int) bool {
+	t.Helper()
+	ka, kb := CanonicalKey(a, distA), CanonicalKey(b, distB)
+	if !strings.HasPrefix(ka, "c|") || !strings.HasPrefix(kb, "c|") {
+		t.Fatalf("keys %q and %q are not both exact", ka, kb)
+	}
+	return ka == kb
+}
+
 func TestIsomorphicBasic(t *testing.T) {
 	a := New()
 	a.Add("E", 0, 1)
@@ -276,13 +324,13 @@ func TestIsomorphicBasic(t *testing.T) {
 	b := New()
 	b.Add("E", 5, 7)
 	b.Add("E", 7, 9)
-	if !Isomorphic(a, b, nil, nil) {
+	if !sameKey(t, a, b, nil, nil) || !isoBrute(a, b, nil, nil) {
 		t.Fatal("paths of length 2 should be isomorphic")
 	}
 	c := New()
 	c.Add("E", 0, 1)
 	c.Add("E", 2, 1)
-	if Isomorphic(a, c, nil, nil) {
+	if sameKey(t, a, c, nil, nil) || isoBrute(a, c, nil, nil) {
 		t.Fatal("path 0→1→2 is not isomorphic to 0→1←2")
 	}
 }
@@ -292,10 +340,10 @@ func TestIsomorphicDistinguished(t *testing.T) {
 	a.Add("E", 0, 1)
 	b := New()
 	b.Add("E", 0, 1)
-	if !Isomorphic(a, b, []int{0}, []int{0}) {
+	if !sameKey(t, a, b, []int{0}, []int{0}) {
 		t.Fatal("identical structures with matching dist should be isomorphic")
 	}
-	if Isomorphic(a, b, []int{0}, []int{1}) {
+	if sameKey(t, a, b, []int{0}, []int{1}) || isoBrute(a, b, []int{0}, []int{1}) {
 		t.Fatal("dist 0↦1 reverses the edge; should not be isomorphic")
 	}
 }
@@ -309,13 +357,13 @@ func TestIsomorphicCycleVsPath(t *testing.T) {
 	path.Add("E", 0, 1)
 	path.Add("E", 1, 2)
 	path.Add("E", 0, 2)
-	if Isomorphic(cyc, path, nil, nil) {
+	if sameKey(t, cyc, path, nil, nil) || isoBrute(cyc, path, nil, nil) {
 		t.Fatal("directed 3-cycle vs transitive triangle should differ")
 	}
 }
 
 // Property: for random structures, Map with a permutation yields an
-// isomorphic structure, and Isomorphic detects it.
+// isomorphic structure, which gets the same canonical key.
 func TestQuickPermutationIsomorphism(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -327,11 +375,44 @@ func TestQuickPermutationIsomorphism(t *testing.T) {
 			ren[e] = dom[perm[i]]
 		}
 		img := s.Map(func(e int) int { return ren[e] })
-		return Isomorphic(s, img, nil, nil)
+		var dist, imgDist []int
+		if len(dom) > 0 {
+			d := dom[rng.Intn(len(dom))]
+			dist, imgDist = []int{d}, []int{ren[d]}
+		}
+		return sameKey(t, s, img, dist, imgDist)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// CanonicalKey gives two pointed structures the same exact key iff a
+// brute-force search over all bijections finds an isomorphism, on
+// random pairs of at most 5 elements, half of them renamed copies.
+func TestCanonicalKeyMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	iso := 0
+	for i := 0; i < 400; i++ {
+		a := randomStructure(rng, 4, 2+rng.Intn(4))
+		b := randomStructure(rng, 4, 2+rng.Intn(4))
+		if i%2 == 0 {
+			off := 10 + rng.Intn(5)
+			b = a.Map(func(e int) int { return off + (e*3)%4 }) // a bijection of 0…3
+		}
+		var distA, distB []int
+		if da, db := a.Domain(), b.Domain(); rng.Intn(2) == 0 && len(da) > 0 && len(db) > 0 {
+			distA, distB = []int{da[rng.Intn(len(da))]}, []int{db[rng.Intn(len(db))]}
+		}
+		want := isoBrute(a, b, distA, distB)
+		if got := sameKey(t, a, b, distA, distB); got != want {
+			t.Fatalf("%v %v and %v %v: equal keys %v, isomorphic %v", a, distA, b, distB, got, want)
+		}
+		if want {
+			iso++
+		}
+	}
+	t.Logf("%d of 400 pairs isomorphic", iso)
 }
 
 // Property: quotients never increase the number of facts or domain size.

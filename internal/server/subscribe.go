@@ -26,7 +26,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,6 +33,7 @@ import (
 
 	"cqapprox"
 	"cqapprox/api"
+	"cqapprox/internal/eval"
 )
 
 // subEvent is one registered-database change as published to
@@ -302,13 +302,13 @@ func (f frame) appendJSON(dst []byte) ([]byte, error) {
 }
 
 // advanceBatch drives the maintained state through one coalesced batch
-// of updates and folds the per-update diffs into a single net frame.
-// An overflow (resync policy) discards the patch semantics: the state
+// of updates and folds the per-update diffs into a single net frame
+// with the executor's fold (eval.FoldDiff), which passes a batch of one
+// diff through unchanged. An overflow (resync policy) discards the patch semantics: the state
 // resynchronises against the database's current registration and the
 // frame carries the complete answer set instead.
 func (s *Server) advanceBatch(ctx context.Context, ie *cqapprox.IncrementalEval, sub *subscriber, dbName string, batch []subEvent) (frame, bool) {
 	var out frame
-	net := map[string]netEntry{}
 	for _, ev := range batch {
 		delta := ev.delta
 		// The delta links ev.prev → ev.next; if the maintained state is
@@ -324,7 +324,7 @@ func (s *Server) advanceBatch(ctx context.Context, ie *cqapprox.IncrementalEval,
 		if diff.Fallback {
 			out.Fallback, out.Reason = true, diff.Reason
 		}
-		accumulate(net, diff)
+		out.added, out.removed = eval.FoldDiff(out.added, out.removed, diff.Added, diff.Removed)
 	}
 	if sub.overflow.Swap(false) {
 		// Updates were dropped between the queue filling up and now:
@@ -339,45 +339,5 @@ func (s *Server) advanceBatch(ctx context.Context, ie *cqapprox.IncrementalEval,
 		return frame{DiffFrame: api.DiffFrame{Version: ie.Version(), Resync: true}, added: ie.Answers()}, true
 	}
 	out.Version = ie.Version()
-	out.added, out.removed = netDiff(net)
 	return out, true
-}
-
-// netEntry tracks one tuple's net membership change across a batch.
-type netEntry struct {
-	tuple cqapprox.Tuple
-	sign  int // +1 net added, -1 net removed, 0 cancelled out
-}
-
-// accumulate folds one exact diff into the net map. Within a batch the
-// diffs compose: a tuple added then removed nets to zero, etc.
-func accumulate(net map[string]netEntry, d *cqapprox.AnswerDiff) {
-	for _, t := range d.Added {
-		k := string(t.Key())
-		e := net[k]
-		e.tuple, e.sign = t, e.sign+1
-		net[k] = e
-	}
-	for _, t := range d.Removed {
-		k := string(t.Key())
-		e := net[k]
-		e.tuple, e.sign = t, e.sign-1
-		net[k] = e
-	}
-}
-
-// netDiff extracts the surviving net changes, each side sorted in the
-// canonical answer order.
-func netDiff(net map[string]netEntry) (added, removed []cqapprox.Tuple) {
-	for _, e := range net {
-		switch {
-		case e.sign > 0:
-			added = append(added, e.tuple)
-		case e.sign < 0:
-			removed = append(removed, e.tuple)
-		}
-	}
-	slices.SortFunc(added, slices.Compare)
-	slices.SortFunc(removed, slices.Compare)
-	return added, removed
 }

@@ -185,6 +185,19 @@ func TestSubscribeCoalesce(t *testing.T) {
 	if n := s.Stats().Subscriptions.Notifications; n != 2 {
 		t.Fatalf("notifications = %d, want 2 (init + one coalesced frame)", n)
 	}
+
+	// A batch whose net result is not empty: a and b inserted, a
+	// deleted again, nets to b added.
+	applyDelta(t, ts, "g", `{"insert":{"E":[[3,4]]}}`)
+	applyDelta(t, ts, "g", `{"insert":{"E":[[5,6]]}}`)
+	v3 := applyDelta(t, ts, "g", `{"delete":{"E":[[3,4]]}}`)
+	f = c.frame(t)
+	if f.Version != v3 || fmt.Sprint(f.Added) != "[[5]]" || len(f.Removed) != 0 {
+		t.Fatalf("coalesced frame = %+v, want [[5]] added at version %d", f, v3)
+	}
+	if n := s.Stats().Subscriptions.Notifications; n != 3 {
+		t.Fatalf("notifications = %d, want 3 (init + two coalesced frames)", n)
+	}
 }
 
 // park wires the onSubscribeFrame seam to block the subscriber loop

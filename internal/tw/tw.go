@@ -1,11 +1,14 @@
-// Package tw computes exact treewidth and tree decompositions of small
-// graphs. The paper's graph-based tractable classes TW(k) are defined
-// through the treewidth of the query's Gaifman graph G(Q); membership
-// tests here are exact.
+// Package tw computes treewidth and tree decompositions. The paper's
+// graph-based tractable classes TW(k) are defined through the treewidth
+// of the query's Gaifman graph G(Q), built here from the query's
+// hypergraph (Gaifman, AtMost); membership tests are exact.
 //
-// The exact algorithm is the classic dynamic program over vertex
-// subsets (Bodlaender–Fomin–Koster): dp[S] is the minimum width over
-// elimination orderings that eliminate exactly S first, with
+// A graph keeps one neighbour set per vertex in the hypergraph
+// package's vertex-set form, so it has any number of vertices. Edgeless
+// graphs and forests (treewidth 0 and 1) are recognised at any size.
+// Past those, the exact algorithm is the classic dynamic program over
+// vertex subsets (Bodlaender–Fomin–Koster): dp[S] is the minimum width
+// over elimination orderings that eliminate exactly S first, with
 // dp[S] = min_{v∈S} max(dp[S∖{v}], Q(S∖{v}, v)), where Q(R, v) counts
 // the vertices outside R∪{v} reachable from v through R. It runs in
 // O(2ⁿ·n·(n+m)) time and O(2ⁿ) space and is limited to n ≤ MaxExactN
@@ -18,104 +21,80 @@ package tw
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
-	"cqapprox/internal/relstr"
+	"cqapprox/internal/hypergraph"
 )
 
 // MaxExactN bounds the vertex count for the exact subset DP.
 const MaxExactN = 24
 
-// Graph is a simple undirected graph on vertices 0..N-1.
+// Graph is a simple undirected graph on the vertices 0…N−1: row v of
+// adj, W words long, is v's neighbour set, vertex u being bit u%64 of
+// word u/64.
 type Graph struct {
-	N   int
-	adj []uint64 // adjacency bitmasks; requires N ≤ 64
+	N, W int
+	adj  []uint64
 }
 
-// NewGraph returns an empty graph on n vertices (n ≤ 64).
-func NewGraph(n int) *Graph {
-	if n > 64 {
-		panic(fmt.Sprintf("tw: graph too large (%d > 64 vertices)", n))
+// Gaifman returns the Gaifman graph of h: its vertices, each pair in a
+// common edge adjacent. For the hypergraph of a tableau T_Q this is the
+// paper's G(Q).
+func Gaifman(h hypergraph.Hypergraph) *Graph {
+	g := gaifman(h, nil)
+	return &g
+}
+
+// gaifman builds the Gaifman graph of h in buf when it fits.
+func gaifman(h hypergraph.Hypergraph, buf []uint64) Graph {
+	g := Graph{N: h.N, W: h.W}
+	if n := h.N * h.W; n <= cap(buf) {
+		g.adj = buf[:n]
+		clear(g.adj)
+	} else {
+		g.adj = make([]uint64, n)
 	}
-	return &Graph{N: n, adj: make([]uint64, n)}
-}
-
-// AddEdge inserts the undirected edge {u, v}; loops are ignored.
-func (g *Graph) AddEdge(u, v int) {
-	if u == v {
-		return
+	for i := range h.NumEdges() {
+		e := h.Edge(i)
+		for k, x := range e {
+			for ; x != 0; x &= x - 1 {
+				row := g.row(k<<6 | bits.TrailingZeros64(x))
+				for j, y := range e {
+					row[j] |= y
+				}
+			}
+		}
 	}
-	g.adj[u] |= 1 << uint(v)
-	g.adj[v] |= 1 << uint(u)
+	for v := 0; v < g.N; v++ {
+		g.adj[v*g.W+v>>6] &^= 1 << uint(v&63) // loops are ignored
+	}
+	return g
 }
 
-// HasEdge reports whether {u,v} is an edge.
-func (g *Graph) HasEdge(u, v int) bool { return u != v && g.adj[u]&(1<<uint(v)) != 0 }
+// AtMost reports whether the Gaifman graph of h has treewidth at most
+// k. It allocates nothing for a forest of at most 64 vertices.
+func AtMost(h hypergraph.Hypergraph, k int) bool {
+	var buf [64]uint64
+	g := gaifman(h, buf[:0])
+	return g.TreewidthAtMost(k)
+}
+
+// row returns v's neighbour set.
+func (g *Graph) row(v int) []uint64 { return g.adj[v*g.W : (v+1)*g.W] }
+
+// word0 returns v's neighbours below 64: its whole row in a graph of at
+// most 64 vertices.
+func (g *Graph) word0(v int) uint64 { return g.adj[v*g.W] }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int {
 	total := 0
 	for _, m := range g.adj {
-		total += popcount(m)
+		total += bits.OnesCount64(m)
 	}
 	return total / 2
-}
-
-// Clone returns a copy of g.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.N)
-	copy(c.adj, g.adj)
-	return c
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-// FromStructure builds the Gaifman graph of a relational structure:
-// one vertex per active-domain element, an edge between every pair of
-// distinct elements co-occurring in some tuple. It returns the graph
-// and the element→vertex mapping. For a tableau T_Q this is exactly
-// the paper's G(Q).
-func FromStructure(s *relstr.Structure) (*Graph, map[int]int) {
-	dom := s.Domain()
-	id := make(map[int]int, len(dom))
-	for i, e := range dom {
-		id[e] = i
-	}
-	g := NewGraph(len(dom))
-	for _, rel := range s.Relations() {
-		for _, t := range s.Tuples(rel) {
-			for i := 0; i < len(t); i++ {
-				for j := i + 1; j < len(t); j++ {
-					if t[i] != t[j] {
-						g.AddEdge(id[t[i]], id[t[j]])
-					}
-				}
-			}
-		}
-	}
-	return g, id
-}
-
-// FromMasks builds the Gaifman graph on vertices 0…n−1 of the edges
-// given as vertex bitmasks: the vertices of each edge are pairwise
-// adjacent.
-func FromMasks(n int, edges []uint64) *Graph {
-	g := NewGraph(n)
-	for _, m := range edges {
-		for r := m; r != 0; r &= r - 1 {
-			v := trailingZeros(r)
-			g.adj[v] |= m &^ (1 << uint(v))
-		}
-	}
-	return g
 }
 
 // IsForest reports whether g has no cycles.
@@ -124,39 +103,51 @@ func (g *Graph) IsForest() bool {
 	return g.NumEdges() == g.N-g.components()
 }
 
+// components counts the connected components by a search over
+// neighbour sets.
 func (g *Graph) components() int {
-	var seen uint64
+	var buf [8]uint64
+	sets := buf[:0]
+	if 2*g.W > len(buf) {
+		sets = make([]uint64, 0, 2*g.W)
+	}
+	sets = sets[:2*g.W]
+	clear(sets)
+	seen, next := sets[:g.W], sets[g.W:]
 	n := 0
 	for s := 0; s < g.N; s++ {
-		if seen>>uint(s)&1 != 0 {
+		if seen[s>>6]>>uint(s&63)&1 != 0 {
 			continue
 		}
 		n++
-		seen |= 1 << uint(s)
-		for next := uint64(1) << uint(s); next != 0; {
-			v := trailingZeros(next)
-			nb := g.adj[v] &^ seen
-			seen |= nb
-			next = next&^(1<<uint(v)) | nb
+		seen[s>>6] |= 1 << uint(s&63)
+		next[s>>6] |= 1 << uint(s&63)
+		// Words below k of next are empty.
+		for k := s >> 6; k < g.W; {
+			if next[k] == 0 {
+				k++
+				continue
+			}
+			v := k<<6 | bits.TrailingZeros64(next[k])
+			next[k] &= next[k] - 1
+			for j, x := range g.row(v) {
+				nb := x &^ seen[j]
+				seen[j] |= nb
+				next[j] |= nb
+				if nb != 0 && j < k {
+					k = j
+				}
+			}
 		}
-	}
-	return n
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
 	}
 	return n
 }
 
 // qValue counts vertices outside R∪{v} reachable from v through
-// internal vertices in R.
+// internal vertices in R. g has at most 64 vertices.
 func (g *Graph) qValue(r uint64, v int) int {
 	visited := uint64(1) << uint(v)
-	frontier := g.adj[v]
+	frontier := g.word0(v)
 	reach := uint64(0)
 	for {
 		newInR := frontier & r &^ visited
@@ -166,39 +157,41 @@ func (g *Graph) qValue(r uint64, v int) int {
 		}
 		visited |= newInR
 		next := uint64(0)
-		m := newInR
-		for m != 0 {
-			w := trailingZeros(m)
-			m &= m - 1
-			next |= g.adj[w]
+		for m := newInR; m != 0; m &= m - 1 {
+			next |= g.word0(bits.TrailingZeros64(m))
 		}
 		frontier = next
 	}
-	return popcount(reach)
+	return bits.OnesCount64(reach)
 }
 
 // Treewidth returns the exact treewidth of g. A graph with no edges has
-// treewidth 0; the empty graph has treewidth 0 by convention here.
-// Panics if g.N > MaxExactN.
+// treewidth 0 (the empty graph too, by convention here), any other
+// forest treewidth 1, both at any size. Past those, the exact DP runs,
+// and panics if g.N > MaxExactN.
 func (g *Graph) Treewidth() int {
+	switch {
+	case g.NumEdges() == 0:
+		return 0
+	case g.IsForest():
+		return 1
+	}
 	w, _ := g.treewidthDP()
 	return w
 }
 
-// TreewidthAtMost reports whether tw(g) ≤ k, with fast paths for k ≥
-// N−1 and k = 1.
+// TreewidthAtMost reports whether tw(g) ≤ k. It answers without the
+// exact DP for k ≥ N−1, for an edgeless graph and for a forest.
 func (g *Graph) TreewidthAtMost(k int) bool {
-	if k < 0 {
+	switch {
+	case k < 0:
 		return g.N == 0
-	}
-	if g.N == 0 || k >= g.N-1 {
+	case g.N == 0 || k >= g.N-1 || g.NumEdges() == 0:
 		return true
-	}
-	if g.NumEdges() == 0 {
+	case g.IsForest():
 		return true
-	}
-	if k == 1 {
-		return g.IsForest()
+	case k == 1:
+		return false
 	}
 	return g.Treewidth() <= k
 }
@@ -213,23 +206,14 @@ func (g *Graph) treewidthDP() (int, []int) {
 	if n > MaxExactN {
 		panic(fmt.Sprintf("tw: exact treewidth limited to %d vertices, got %d", MaxExactN, n))
 	}
-	if g.NumEdges() == 0 {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		return 0, order
-	}
 	size := 1 << uint(n)
 	dp := make([]int8, size)
 	choice := make([]int8, size)
 	for s := 1; s < size; s++ {
 		best := int8(127)
 		bestV := int8(-1)
-		m := uint64(s)
-		for m != 0 {
-			v := trailingZeros(m)
-			m &= m - 1
+		for m := uint64(s); m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
 			prev := s &^ (1 << uint(v))
 			q := g.qValue(uint64(prev), v)
 			cost := dp[prev]
@@ -279,11 +263,8 @@ func (d Decomposition) Valid(g *Graph) bool {
 		}
 	}
 	for u := 0; u < g.N; u++ {
-		m := g.adj[u]
-		for m != 0 {
-			v := trailingZeros(m)
-			m &= m - 1
-			if v < u {
+		for v := u + 1; v < g.N; v++ {
+			if g.row(u)[v>>6]>>uint(v&63)&1 == 0 {
 				continue
 			}
 			found := false
@@ -347,19 +328,6 @@ func (d Decomposition) Valid(g *Graph) bool {
 		}
 	}
 	return true
-}
-
-// StructureTreewidth returns the treewidth of the Gaifman graph of s —
-// the treewidth of a CQ whose tableau is s.
-func StructureTreewidth(s *relstr.Structure) int {
-	g, _ := FromStructure(s)
-	return g.Treewidth()
-}
-
-// StructureTreewidthAtMost reports tw(G(s)) ≤ k.
-func StructureTreewidthAtMost(s *relstr.Structure, k int) bool {
-	g, _ := FromStructure(s)
-	return g.TreewidthAtMost(k)
 }
 
 // GreedyDecompose returns a tree decomposition of the graph on

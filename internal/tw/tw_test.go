@@ -1,48 +1,75 @@
 package tw
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"cqapprox/internal/cq"
+	"cqapprox/internal/hypergraph"
 )
 
+// newGraph returns the edgeless graph on n vertices.
+func newGraph(n int) *Graph { return Gaifman(hypergraph.New(n)) }
+
+// addEdge inserts the undirected edge {u, v}; loops are ignored.
+func (g *Graph) addEdge(u, v int) {
+	if u != v {
+		g.row(u)[v>>6] |= 1 << uint(v&63)
+		g.row(v)[u>>6] |= 1 << uint(u&63)
+	}
+}
+
+// fromQuery is the Gaifman graph G(Q) of the query src, built from the
+// hypergraph of its tableau, whose elements are 0…n−1.
+func fromQuery(src string) *Graph {
+	tb := cq.MustParse(src).Tableau()
+	var edges [][]int
+	for _, rel := range tb.S.Relations() {
+		for _, t := range tb.S.Tuples(rel) {
+			edges = append(edges, t)
+		}
+	}
+	return Gaifman(hypergraph.New(tb.S.DomainSize(), edges...))
+}
+
 func path(n int) *Graph {
-	g := NewGraph(n)
+	g := newGraph(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		g.addEdge(i, i+1)
 	}
 	return g
 }
 
 func cycle(n int) *Graph {
 	g := path(n)
-	g.AddEdge(n-1, 0)
+	g.addEdge(n-1, 0)
 	return g
 }
 
 func clique(n int) *Graph {
-	g := NewGraph(n)
+	g := newGraph(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
+			g.addEdge(i, j)
 		}
 	}
 	return g
 }
 
 func grid(r, c int) *Graph {
-	g := NewGraph(r * c)
+	g := newGraph(r * c)
 	at := func(i, j int) int { return i*c + j }
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
 			if j+1 < c {
-				g.AddEdge(at(i, j), at(i, j+1))
+				g.addEdge(at(i, j), at(i, j+1))
 			}
 			if i+1 < r {
-				g.AddEdge(at(i, j), at(i+1, j))
+				g.addEdge(at(i, j), at(i+1, j))
 			}
 		}
 	}
@@ -55,9 +82,9 @@ func TestTreewidthKnownValues(t *testing.T) {
 		g    *Graph
 		want int
 	}{
-		{"empty", NewGraph(0), 0},
-		{"single", NewGraph(1), 0},
-		{"edgeless", NewGraph(5), 0},
+		{"empty", newGraph(0), 0},
+		{"single", newGraph(1), 0},
+		{"edgeless", newGraph(5), 0},
 		{"path5", path(5), 1},
 		{"cycle3", cycle(3), 2},
 		{"cycle6", cycle(6), 2},
@@ -98,26 +125,58 @@ func TestIsForest(t *testing.T) {
 		t.Fatal("cycle is not a forest")
 	}
 	// Two disjoint paths.
-	g := NewGraph(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
+	g := newGraph(6)
+	g.addEdge(0, 1)
+	g.addEdge(2, 3)
+	g.addEdge(3, 4)
 	if !g.IsForest() {
 		t.Fatal("disjoint paths form a forest")
 	}
-	// On random graphs, edge masks included, a forest is a graph of
+	// On random Gaifman graphs, loops included, a forest is a graph of
 	// treewidth at most 1 by the subset DP.
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 300; i++ {
 		n := 1 + rng.Intn(9)
-		var edges []uint64
+		var edges [][]int
 		for k := rng.Intn(n + 2); k > 0; k-- {
-			edges = append(edges, 1<<uint(rng.Intn(n))|1<<uint(rng.Intn(n)))
+			edges = append(edges, []int{rng.Intn(n), rng.Intn(n)})
 		}
-		g := FromMasks(n, edges)
-		if got, want := g.IsForest(), g.Treewidth() <= 1; got != want {
-			t.Fatalf("%d vertices, edges %b: IsForest = %v, treewidth ≤ 1 = %v", n, edges, got, want)
+		g := Gaifman(hypergraph.New(n, edges...))
+		if w, _ := g.treewidthDP(); g.IsForest() != (w <= 1) {
+			t.Fatalf("%d vertices, edges %v: IsForest = %v, treewidth %d", n, edges, g.IsForest(), w)
 		}
+	}
+}
+
+// Forests answer at any size, without the exact DP: paths, stars and
+// cycles of 70 vertices, whose neighbour sets span two words.
+func TestForestsPastOneWord(t *testing.T) {
+	path, star, cyc := newGraph(71), newGraph(71), newGraph(70)
+	for i := 0; i < 70; i++ {
+		path.addEdge(i, i+1)
+		star.addEdge(0, i+1)
+		cyc.addEdge(i, (i+1)%70)
+	}
+	for name, g := range map[string]*Graph{"path": path, "star": star} {
+		if !g.IsForest() || !g.TreewidthAtMost(1) || !g.TreewidthAtMost(2) || g.Treewidth() != 1 {
+			t.Fatalf("the 71-vertex %s is a forest of treewidth 1", name)
+		}
+	}
+	if cyc.IsForest() || cyc.TreewidthAtMost(1) {
+		t.Fatal("the 70-cycle is no forest")
+	}
+	if newGraph(70).Treewidth() != 0 {
+		t.Fatal("an edgeless graph has treewidth 0 at any size")
+	}
+}
+
+// The TW(1) test of a small hypergraph, on the approximation search's
+// hot path, allocates nothing.
+func TestAtMostAllocatesNothing(t *testing.T) {
+	h := hypergraph.New(6, []int{0, 1, 2}, []int{2, 3}, []int{3, 4}, []int{4, 5}, []int{0, 5})
+	forest := hypergraph.New(6, []int{0, 1}, []int{1, 2}, []int{2, 3}, []int{1, 4}, []int{4, 4})
+	if n := testing.AllocsPerRun(100, func() { AtMost(h, 1); AtMost(forest, 2) }); n != 0 {
+		t.Fatalf("AtMost allocates %v times per call", n)
 	}
 }
 
@@ -134,9 +193,7 @@ func TestDecomposeValidAndOptimal(t *testing.T) {
 }
 
 func TestFromStructureGaifman(t *testing.T) {
-	q := cq.MustParse("Q() :- R(x,y,z), E(z,w)")
-	tb := q.Tableau()
-	g, id := FromStructure(tb.S)
+	g := fromQuery("Q() :- R(x,y,z), E(z,w)")
 	if g.N != 4 {
 		t.Fatalf("Gaifman graph has %d vertices, want 4", g.N)
 	}
@@ -147,20 +204,16 @@ func TestFromStructureGaifman(t *testing.T) {
 	if g.Treewidth() != 2 {
 		t.Fatalf("treewidth = %d, want 2 (triangle)", g.Treewidth())
 	}
-	_ = id
 }
 
 func TestLoopsIgnored(t *testing.T) {
-	q := cq.MustParse("Q() :- E(x,x), E(x,y)")
-	tb := q.Tableau()
-	if !StructureTreewidthAtMost(tb.S, 1) {
+	if !fromQuery("Q() :- E(x,x), E(x,y)").TreewidthAtMost(1) {
 		t.Fatal("loop plus edge has treewidth 1")
 	}
 }
 
 func TestStructureTreewidthOfCycleQuery(t *testing.T) {
-	q := cq.MustParse("Q() :- E(x,y), E(y,z), E(z,x)")
-	if w := StructureTreewidth(q.Tableau().S); w != 2 {
+	if w := fromQuery("Q() :- E(x,y), E(y,z), E(z,x)").Treewidth(); w != 2 {
 		t.Fatalf("tw(C3 query) = %d, want 2", w)
 	}
 }
@@ -170,12 +223,12 @@ func TestQuickMonotoneUnderSubgraphs(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(4)
-		g := NewGraph(n)
+		g := newGraph(n)
 		var edges [][2]int
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if rng.Intn(2) == 0 {
-					g.AddEdge(i, j)
+					g.addEdge(i, j)
 					edges = append(edges, [2]int{i, j})
 				}
 			}
@@ -186,10 +239,10 @@ func TestQuickMonotoneUnderSubgraphs(t *testing.T) {
 		w := g.Treewidth()
 		// Remove one random edge: treewidth cannot increase.
 		drop := edges[rng.Intn(len(edges))]
-		h := NewGraph(n)
+		h := newGraph(n)
 		for _, e := range edges {
 			if e != drop {
-				h.AddEdge(e[0], e[1])
+				h.addEdge(e[0], e[1])
 			}
 		}
 		return h.Treewidth() <= w
@@ -205,11 +258,11 @@ func TestQuickDecomposeValid(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(5)
-		g := NewGraph(n)
+		g := newGraph(n)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if rng.Intn(3) == 0 {
-					g.AddEdge(i, j)
+					g.addEdge(i, j)
 				}
 			}
 		}
@@ -235,14 +288,14 @@ func decompose(g *Graph) Decomposition {
 	}
 	// Fill-in simulation: eliminate in order, bag(v) = {v} ∪ current
 	// neighbors; connect neighbors into a clique.
-	work := g.Clone()
+	work := &Graph{N: g.N, W: g.W, adj: slices.Clone(g.adj)}
 	bags := make([][]int, n)
 	bagOf := make([]int, n) // vertex → its bag index (same as pos order index)
 	for i, v := range order {
 		nbrs := []int{}
-		m := work.adj[v]
+		m := work.word0(v)
 		for m != 0 {
-			w := trailingZeros(m)
+			w := bits.TrailingZeros64(m)
 			m &= m - 1
 			if pos[w] > i {
 				nbrs = append(nbrs, w)
@@ -254,7 +307,7 @@ func decompose(g *Graph) Decomposition {
 		bagOf[v] = i
 		for a := 0; a < len(nbrs); a++ {
 			for b := a + 1; b < len(nbrs); b++ {
-				work.AddEdge(nbrs[a], nbrs[b])
+				work.addEdge(nbrs[a], nbrs[b])
 			}
 		}
 	}
@@ -262,9 +315,9 @@ func decompose(g *Graph) Decomposition {
 	for i, v := range order {
 		// Parent: bag of the earliest-later-eliminated neighbor.
 		bestPos := -1
-		m := work.adj[v]
+		m := work.word0(v)
 		for m != 0 {
-			w := trailingZeros(m)
+			w := bits.TrailingZeros64(m)
 			m &= m - 1
 			if pos[w] > i && (bestPos == -1 || pos[w] < bestPos) {
 				bestPos = pos[w]

@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"cqapprox/internal/hypergraph"
-	"cqapprox/internal/tw"
+	"cqapprox/internal/core"
 )
 
 func TestRandomDigraphSize(t *testing.T) {
@@ -59,10 +58,10 @@ func TestCycleQueryShape(t *testing.T) {
 	if q.NumVars() != 5 || len(q.Atoms) != 5 || !q.IsBoolean() {
 		t.Fatalf("C5 = %v", q)
 	}
-	if tw.StructureTreewidthAtMost(q.Tableau().S, 1) {
+	if core.TW(1).Contains(q.Tableau().S) {
 		t.Fatal("cycle queries are not treewidth 1")
 	}
-	if !tw.StructureTreewidthAtMost(q.Tableau().S, 2) {
+	if !core.TW(2).Contains(q.Tableau().S) {
 		t.Fatal("cycle queries are treewidth 2")
 	}
 }
@@ -82,7 +81,7 @@ func TestChordedCycleTreewidth(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if w := tw.StructureTreewidth(q.Tableau().S); w != 2 {
+	if w := core.Treewidth(q.Tableau().S); w != 2 {
 		t.Fatalf("tw = %d, want 2", w)
 	}
 }
@@ -92,7 +91,7 @@ func TestTernaryCycleQuery(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if hypergraph.FromStructure(q.Tableau().S).IsAcyclic() {
+	if core.AC().Contains(q.Tableau().S) {
 		t.Fatal("ternary cycle should be cyclic")
 	}
 	if q.NumVars() != 6 {
@@ -105,7 +104,7 @@ func TestGridQuery(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if w := tw.StructureTreewidth(q.Tableau().S); w != 2 {
+	if w := core.Treewidth(q.Tableau().S); w != 2 {
 		t.Fatalf("tw(2x3 grid) = %d, want 2", w)
 	}
 }
