@@ -211,6 +211,17 @@ func TestGYOPrefersHeadWitness(t *testing.T) {
 	}
 }
 
+// The induced subhypergraph keeps e∩V′ and drops emptied edges.
+func TestInduced(t *testing.T) {
+	ind := induced(of([]int{0, 1, 2}, []int{2, 3}), []int{0, 1, 2})
+	if ind.NumEdges() != 2 || !slices.Equal(ind.Edge(1), New(4, []int{2}).E) {
+		t.Fatalf("induced edges = %b, want the second to be {2}", ind.E)
+	}
+	if ind = induced(of([]int{0, 1}, []int{2, 3}), []int{0}); ind.NumEdges() != 1 {
+		t.Fatalf("induced on {0} keeps %d edges, want 1", ind.NumEdges())
+	}
+}
+
 // Closure checks from the paper (Section 6): acyclic hypergraphs are
 // closed under induced subhypergraphs, but not under plain
 // subhypergraphs.
@@ -223,14 +234,6 @@ func TestAcyclicClosureProperties(t *testing.T) {
 	sub := of([]int{0, 1}, []int{1, 2}, []int{0, 2})
 	if sub.Acyclic() {
 		t.Fatal("sub (triangle) must be cyclic: acyclicity is not subhypergraph-closed")
-	}
-	// The induced subhypergraph keeps e∩V′ and drops emptied edges.
-	ind := induced(of([]int{0, 1, 2}, []int{2, 3}), []int{0, 1, 2})
-	if ind.NumEdges() != 2 || !slices.Equal(ind.Edge(1), New(4, []int{2}).E) {
-		t.Fatalf("induced edges = %b, want the second to be {2}", ind.E)
-	}
-	if ind = induced(of([]int{0, 1}, []int{2, 3}), []int{0}); ind.NumEdges() != 1 {
-		t.Fatalf("induced on {0} keeps %d edges, want 1", ind.NumEdges())
 	}
 	// Closed under induced: the only induced subhypergraph of full
 	// containing all 2-edges is full itself (paper's remark); check a
